@@ -14,6 +14,9 @@ CPU, so that the kernel runs on the CPU that does the task's work.
 The kernel does jpmsim's two kinds of work, an interpreted loop and
 numpy ufuncs over arrays, and uses no jpmsim code, so a change to
 jpmsim cannot move it.  Raw times stay in the run record.
+One-off timings (a worker's set-up, `import jpmsim.cli` in a fresh
+process) are scaled the same way by `bracketed`, with kernel runs taken
+on the same CPU just before and just after them.
 """
 
 from __future__ import annotations
@@ -40,11 +43,31 @@ def reference_s():
     return time.perf_counter() - start
 
 
+BRACKET_RUNS = 10
+"""Kernel runs before and after a bracketed timing."""
+
+
+def bracketed(timed):
+    """Call `timed()`, which returns seconds, between kernel runs.
+
+    Returns (raw seconds, seconds at nominal host speed), the raw time
+    scaled by REFERENCE_S over the mean of the surrounding kernel times.
+    """
+    references = [reference_s() for _ in range(BRACKET_RUNS)]
+    seconds = timed()
+    references += [reference_s() for _ in range(BRACKET_RUNS)]
+    return seconds, seconds * REFERENCE_S / statistics.fmean(references)
+
+
+def cycle_scales(loop):
+    """Per cycle of a worker loop, the factor REFERENCE_S / mean kernel time."""
+    per_cycle = len(loop["task_s"]) // loop["cycles"]
+    refs = loop["reference_s"]
+    return [REFERENCE_S / statistics.fmean(refs[c * per_cycle:(c + 1) * per_cycle]) for c in range(loop["cycles"])]
+
+
 def normalized_task_s(loop):
     """Task times of a worker loop scaled to the nominal host speed, cycle by cycle."""
     per_cycle = len(loop["task_s"]) // loop["cycles"]
-    out = []
-    for start in range(0, len(loop["task_s"]), per_cycle):
-        scale = REFERENCE_S / statistics.fmean(loop["reference_s"][start:start + per_cycle])
-        out += [t * scale for t in loop["task_s"][start:start + per_cycle]]
-    return out
+    scales = cycle_scales(loop)
+    return [t * scales[i // per_cycle] for i, t in enumerate(loop["task_s"])]

@@ -32,8 +32,8 @@ import hostspeed
 from workloads import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
-SETUP_SAMPLES = 3
-"""Worker set-ups per untraced run; setup_s is their median."""
+SETUP_SAMPLES = 5
+"""Set-up-only worker launches per untraced run; setup_s is their median."""
 DEADLINE_S = 170.0
 """A run that has not finished by then is stopped and reports no result."""
 TAIL_BEYOND = 10
@@ -46,19 +46,6 @@ def tail(values):
     ordered = sorted(values)
     index = max(len(ordered) - TAIL_BEYOND - 1, 0)
     return ordered[index], 100.0 * (index + 1) / len(ordered)
-
-
-def per_task_s(loop):
-    """Each task's mean time over the cycles, counted once per cycle.
-
-    Times are first scaled to the nominal host speed (see hostspeed.py).
-    p50, tail and throughput are taken over these times, with
-    n = cycles x tasks.
-    """
-    times = hostspeed.normalized_task_s(loop)
-    per_cycle = len(times) // loop["cycles"]
-    runs = [times[i::per_cycle] for i in range(per_cycle)]
-    return [statistics.fmean(r) for r in runs for _ in r]
 
 
 def tally(result):
@@ -91,9 +78,33 @@ def launch(argv, env, deadline):
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, str(HERE / "worker.py"), *argv], stdout=subprocess.PIPE, env=env)
     lines = _lines(proc, deadline)
-    if next(lines, None) != "READY":
-        raise RuntimeError("worker exited before it was ready")
+    try:
+        if next(lines, None) != "READY":
+            raise RuntimeError("worker exited before it was ready")
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
     return proc, lines, time.perf_counter() - start
+
+
+def setup_sample(argv, env, deadline):
+    """One set-up-only worker launch: (raw seconds, seconds at nominal host speed).
+
+    The reference kernel runs on the worker's CPU just before and just
+    after the launch (see hostspeed.bracketed).
+    """
+    def timed():
+        proc, _, seconds = launch(argv, env, deadline)
+        try:
+            proc.wait(timeout=max(deadline - time.monotonic(), 1))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        return seconds
+
+    return hostspeed.bracketed(timed)
 
 
 def _source_digest(src):
@@ -128,7 +139,8 @@ def run_record(args, root, result, load_before, setups):
         "loadavg_before": load_before,
         "loadavg_after": os.getloadavg(),
         "input_sizes": result["sizes"],
-        "setup_s_samples": setups,
+        "setup_s_raw": [raw for raw, _ in setups],
+        "setup_s": [scaled for _, scaled in setups],
         "task_s": result["plain"]["task_s"],
         "reference_s": result["plain"]["reference_s"],
         "failures": result["plain"]["failures"] + result.get("traced", {}).get("failures", []),
@@ -160,17 +172,18 @@ def main(argv=None):
     worker_argv = ["--workload", args.workload, "--seed", str(args.seed), "--seconds", str(args.seconds),
                    "--trace", str(args.trace), "--spans", str(out_dir / f"spans-{stem}.json")]
 
+    # The worker, the jpmsim processes it starts and the set-up reference
+    # kernel all run on this one CPU (see hostspeed.py).
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
     load_before = os.getloadavg()
     deadline = time.monotonic() + DEADLINE_S
     setups = []
     proc = None
     try:
-        for i in range(SETUP_SAMPLES - 1 if not args.trace else 0):
-            proc, _, seconds = launch(worker_argv + ["--workdir", str(workdir / f"setup-{i}"), "--setup-only"], env, deadline)
-            proc.wait(timeout=max(deadline - time.monotonic(), 1))
-            setups.append(seconds)
-        proc, lines, seconds = launch(worker_argv + ["--workdir", str(workdir / "main")], env, deadline)
-        setups.append(seconds)
+        for i in range(0 if args.trace else SETUP_SAMPLES):
+            setups.append(setup_sample(worker_argv + ["--workdir", str(workdir / f"setup-{i}"), "--setup-only"], env, deadline))
+        proc, lines, _ = launch(worker_argv + ["--workdir", str(workdir / "main")], env, deadline)
         last = None
         for line in lines:
             last = line
@@ -194,11 +207,11 @@ def main(argv=None):
         fh.write("\n")
 
     print(f"jpmsim bench  workload={args.workload} seed={args.seed} seconds={args.seconds:g} trace={args.trace}")
-    task_s = per_task_s(result["plain"])
+    task_s = hostspeed.normalized_task_s(result["plain"])
     if not args.trace:
         tail_s, tail_pct = tail(task_s)
         metrics = {
-            "setup_s": ("s", statistics.median(setups)),
+            "setup_s": ("s", statistics.median(scaled for _, scaled in setups)),
             "task_s_p50": ("s", statistics.median(task_s)),
             "task_s_tail": ("s", tail_s),
             "tasks_per_s": ("1/s", len(task_s) / sum(task_s)),
@@ -216,7 +229,7 @@ def main(argv=None):
         print(f"  {name:<48} {value:>14.6g} {unit:<6} {notes.get(name, '')}")
     reference_ms = 1e3 * statistics.fmean(result["plain"]["reference_s"])
     print(f"  host speed: reference kernel {reference_ms:.2f} ms on CPU {result['cpu']}, nominal "
-          f"{1e3 * hostspeed.REFERENCE_S:g} ms; task times are scaled to the nominal speed")
+          f"{1e3 * hostspeed.REFERENCE_S:g} ms; set-up and task times are scaled to the nominal speed")
     print(f"  {'error_rate':<48} {failed / attempted:>14.6g} {'1':<6} {failed} of {attempted} tasks failed")
     for layer, message in result["plain"]["failures"] + result.get("traced", {}).get("failures", []):
         print(f"  FAILED [{layer}] {message}")

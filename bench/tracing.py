@@ -1,7 +1,8 @@
 """In-memory span recorder and per-module wrappers for the traced run.
 
 A span is (name, layer, start, end, parent, task, note), where note is
-a work count computed from the call's arguments (`NOTES`) or None.
+a dict of work counts computed from the call's arguments (`NOTES`) or
+None.
 Spans nest on one thread, so a stack gives each new span its parent.  Nothing is written
 while the run measures; `Tracer.dump` writes every span at the end.
 
@@ -32,32 +33,37 @@ SCAN_STEP = math.pi / 100
 
 def _scan_cells(flux, p, scan_step=SCAN_STEP, **_):
     beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / p.flux_quantum
-    return math.ceil((2.0 * beta + 2.0) / scan_step)
+    return {"scan_cells": math.ceil((2.0 * beta + 2.0) / scan_step)}
 
 
 def _quad_nodes(t, cfg, points_per_period=40, **_):
     period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
-    return math.ceil(t / (period / (2 * points_per_period))) + 1
+    return {"quad_nodes": math.ceil(t / (period / (2 * points_per_period))) + 1}
 
 
 def _draws_per_shot(iq_model):
     return 3 + 2 * (1 if iq_model is None else iq_model.n_samples)
 
 
+def _budget_work(cfg, n_shots, iq_model=None):
+    return {"shots": 2 * n_shots, "draws": 2 * n_shots * _draws_per_shot(iq_model)}
+
+
 def _iq_draws(model, shots, rng=None):
+    # Stored shot records are classified without drawing.
     first = shots[0] if len(shots) else None
-    return 0 if first is None or hasattr(first, "switch_bit") else 2 * model.n_samples * len(shots)
+    return {"draws": 0 if first is None or hasattr(first, "switch_bit") else 2 * model.n_samples * len(shots)}
 
 
 NOTES = {
     "potential.find_extrema": _scan_cells,
     "transfer.mode2_energy_numeric": _quad_nodes,
-    "protocol.fidelity_budget": lambda cfg, n_shots, iq_model=None: 2 * n_shots * _draws_per_shot(iq_model),
-    "protocol.simulate_shot": lambda excited, cfg, rng, iq_model=None: _draws_per_shot(iq_model),
+    "protocol.fidelity_budget": _budget_work,
+    "protocol.simulate_shot": lambda excited, cfg, rng, iq_model=None: {"shots": 1, "draws": _draws_per_shot(iq_model)},
     "protocol.iq_discriminate": _iq_draws,
 }
 """Work counts computed from a call's arguments: scan cells, quadrature
-nodes, uniform draws."""
+nodes, shots and uniform draws."""
 
 
 class Tracer:

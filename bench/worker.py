@@ -202,81 +202,39 @@ def summary(outcomes, cycles, references):
 # ------------------------------------------------------------------ probes
 
 
-def _p50(values):
-    return statistics.median(values) if values else 0.0
+def alloc_peak_mb(tasks):
+    """tracemalloc peak of one `fidelity_budget` call, in MB.
 
-
-def kernel_probe(tracer, seed):
-    """Fixed small calls into each layer's kernels, timed through the wrappers.
-
-    Per-call costs come from here, so every traced run reports them at
-    the same inputs whichever workload it ran.
+    The call uses the inputs of the cycle's first `budget` task; a
+    workload without one reports 0.
     """
-    import numpy as np
-    from jpmsim import config, potential, protocol, tomography, transfer
+    from jpmsim import config, protocol
 
-    defaults = config.RunConfig.from_sources(None, [f"seed={seed}"])
-    params = defaults.jpm_params()
-    tc = defaults.transfer_config()
-    pc = defaults.protocol_config()
-    model = defaults.iq_model()
-    rng = np.random.default_rng(seed)
-    rho = tomography.DensityMatrix2(0.09, 0.02, 0.0)
-    thetas = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    durations = np.linspace(0.0, 110e-9, 33)
-    budget_shots, iq_labels = 200_000, np.arange(200_000) % 2
-
-    calls = [
-        (lambda: config.RunConfig.from_sources(None, [f"seed={seed}"]), 20),
-        (lambda: potential.find_extrema(potential.FluxBias.from_flux_quanta(rng.random()), params), 64),
-        (lambda: transfer.mode2_energy_numeric(float(rng.uniform(100e-9, 500e-9)), tc), 8),
-        (lambda: protocol.fidelity_budget(pc, budget_shots, model), 3),
-        (lambda: protocol.iq_discriminate(model, iq_labels, rng), 3),
-        (lambda: protocol.simulate_shot(True, pc, rng, model), 300),
-        (lambda: tomography.fit_tomogram(tomography.synthesize_tomogram(rho, 50e-9, thetas, durations, n_shots=2000, rng=rng)), 5),
-    ]
-    for call, _ in calls:  # one untraced warm-up call each
-        call()
-    undo = tracing.install(tracer)
-    tracer.task = "probe"
-    try:
-        for call, repeats in calls:
-            for _ in range(repeats):
-                call()
-    finally:
-        tracing.uninstall(undo)
+    budget = next((t for t in tasks if t["kind"] == "budget"), None)
+    if budget is None:
+        return {"protocol.fidelity_budget.alloc_peak_mb": ("MB", 0.0)}
+    cfg = config.RunConfig.from_sources(None, budget["overrides"])
     tracemalloc.start()
-    protocol.fidelity_budget(pc, budget_shots, model)
-    alloc_peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-
-    durations_by_name = {}
-    for name, _, s, e, _, task, _ in tracer.spans:
-        if task == "probe":
-            durations_by_name.setdefault(name, []).append(e - s)
-    p50 = {name: _p50(values) for name, values in durations_by_name.items()}
-    draws_per_label = 2 * model.n_samples
-    return {
-        "config.from_sources.us_per_call_p50": ("us", p50["config.from_sources"] * 1e6),
-        "potential.find_extrema.us_per_call_p50": ("us", p50["potential.find_extrema"] * 1e6),
-        "transfer.mode2_energy_numeric.ms_per_call_p50": ("ms", p50["transfer.mode2_energy_numeric"] * 1e3),
-        "protocol.fidelity_budget.ns_per_shot": ("ns", p50["protocol.fidelity_budget"] / (2 * budget_shots) * 1e9),
-        "protocol.fidelity_budget.alloc_peak_mb": ("MB", alloc_peak / 1e6),
-        "protocol.iq_discriminate.ns_per_draw": ("ns", p50["protocol.iq_discriminate"] / (iq_labels.size * draws_per_label) * 1e9),
-        "protocol.simulate_shot.us_per_call_p50": ("us", p50["protocol.simulate_shot"] * 1e6),
-        "tomography.synthesize_tomogram.us_per_call_p50": ("us", p50["tomography.synthesize_tomogram"] * 1e6),
-        "tomography.fit_tomogram.ms_per_call_p50": ("ms", p50["tomography.fit_tomogram"] * 1e3),
-    }
+    try:
+        protocol.fidelity_budget(cfg.protocol_config(), cfg.get("budget.n_shots"), cfg.iq_model())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"protocol.fidelity_budget.alloc_peak_mb": ("MB", peak / 1e6)}
 
 
 def import_probe():
-    """`import jpmsim.cli` in fresh processes: time and modules loaded."""
+    """`import jpmsim.cli` in fresh processes: time at nominal host speed and modules loaded."""
     runs = []
-    for _ in range(IMPORT_PROBES):
+
+    def timed():
         out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, check=True)
         runs.append(json.loads(out.stdout))
+        return runs[-1]["import_s"]
+
+    times = [hostspeed.bracketed(timed)[1] for _ in range(IMPORT_PROBES)]
     return {
-        "import.jpmsim_cli_s": ("s", _p50([r["import_s"] for r in runs])),
+        "import.jpmsim_cli_s": ("s", statistics.median(times)),
         "import.modules_loaded": ("count", float(runs[-1]["modules"])),
         "import.scipy_modules_loaded": ("count", float(runs[-1]["scipy"])),
     }
@@ -327,7 +285,7 @@ def main(argv=None):
             result["traced"] = loop(tasks, workdir, cycles, cold, tracer, label="traced")
         finally:
             tracing.uninstall(undo)
-        probe = {**kernel_probe(tracer, args.seed), **import_probe()}
+        probe = {**alloc_peak_mb(tasks), **import_probe()}
         result["per_layer"] = layers.per_layer(tracer.spans, result["traced"], result["plain"], probe)
         result["scipy_modules_per_subcommand"] = tracer.extra.get("scipy_modules_per_subcommand", {})
         tracer.dump(Path(args.spans))

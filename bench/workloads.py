@@ -3,10 +3,10 @@
 Each workload is a cycle of tasks that the worker repeats; the seed
 draws every input of the cycle.  Task sizes (flux points, shot counts)
 are a fixed grid, so the amount of work does not change with the seed.
-Parameters that set a task's cost (beta_L of a sweep, the cavity pair
-of transfer-scan) sit on a fixed grid with a small seed-drawn jitter.
+Parameters that set a task's cost (beta_L and flux window of a sweep,
+the cavity pair of transfer-scan) sit on a fixed grid with a small seed-drawn jitter.
 The others are drawn over their whole range: protocol probabilities,
-tomography states, flux windows and seeds, and the beta_L of the cheap
+tomography states and seeds, and the beta_L of the cheap
 bifurcation tasks, on an antithetic lattice (with one seed-drawn
 offset u, stratum i of n gets the points (i + u)/n and (i + 1 - u)/n).
 
@@ -129,24 +129,37 @@ def grid(count):
     return [(i + 0.5) / count for i in range(count)]
 
 
+SWEEPS = 16
+"""potential-sweep tasks in one flux-sweep cycle."""
+
+
 def flux_sweep(rng):
     # beta_L sets a sweep's cost (scan cells, wells, rows), so it sits on a
     # fixed grid with a small seed-drawn jitter, like the cavity pairs.
-    betas = [log_span(x, 1.5, 13.0) * (1.0 + rng.uniform(-0.03, 0.03)) for x in grid(8)]
-    points = [size_grid(200, 2000, 8)[j] for j in (3, 6, 0, 5, 2, 7, 1, 4)]
+    betas = [log_span(x, 1.5, 13.0) * (1.0 + rng.uniform(-0.03, 0.03)) for x in grid(SWEEPS)]
+    # So do the flux windows, whose position and width set how many of
+    # their fluxes take the scalar near-tangency path.
+    offsets = [x - 0.5 + rng.uniform(-0.02, 0.02) for x in grid(SWEEPS // 2)]
+    widths = [(0.05 + 0.25 * x) * (1.0 + rng.uniform(-0.03, 0.03)) for x in grid(SWEEPS // 2)]
+    # Many sizes close together, each paired with a different beta_L, so
+    # the median and tail fall where task times are dense and a slow run
+    # of one task moves them little.
+    sizes = size_grid(100, 1200, SWEEPS)
+    points = [sizes[5 * j % SWEEPS] for j in range(SWEEPS)]
     sweeps = []
     for i, (beta, n) in enumerate(zip(betas, points)):
         overrides, params = _device(beta, 1.0 + 2.0 * rng.random())
         if i % 2 == 0:
-            start = rng.uniform(-0.5, 0.5)
+            start = offsets[i // 2]
             stop = start + 1.0
         else:
             # A window straddling one tangency flux, where wells appear
             # or vanish and the scalar near-tangency path runs.
             beta_read = TWO_PI * params["loop_inductance"] * params["critical_current"] / PHI0
-            tangency = rng.choice(tangency_fluxes(beta_read))
-            width = rng.uniform(0.05, 0.3)
-            start = tangency - rng.uniform(0.2, 0.8) * width
+            fluxes = tangency_fluxes(beta_read)
+            tangency = fluxes[(i // 2) % len(fluxes)]
+            width = widths[i // 2]
+            start = tangency - (0.5 + offsets[i // 2] / 4) * width
             stop = start + width
         start_text, _ = _num(start, "phi0")
         stop_text, _ = _num(stop, "phi0")
@@ -156,9 +169,9 @@ def flux_sweep(rng):
     for x in lattice(rng, 2):
         overrides, params = _device(log_span(x, 1.5, 13.0), 2.0)
         bifurcations.append(task("bifurcation", "potential", overrides, **params))
-    # Smallest sweep first (see make), then two sweeps and one bifurcation, repeated.
+    # Smallest sweep first (see make), then four sweeps and one bifurcation, repeated.
     sweeps.sort(key=lambda t: t["params"]["flux_points"])
-    return [t for k in range(4) for t in (sweeps[2 * k], sweeps[2 * k + 1], bifurcations[k])]
+    return [t for k in range(4) for t in (*sweeps[4 * k:4 * k + 4], bifurcations[k])]
 
 
 def _cavity_pair(capture_decay, detuning_ratio):
