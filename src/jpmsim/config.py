@@ -223,6 +223,8 @@ class RunConfig:
                 raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
             _parse_lines(lines, str(config_path), set(), values)
         _parse_lines(overrides, "override", set(), values)
+        if values["seed"] < 0:
+            raise ConfigError(f"seed must be non-negative, got {values['seed']}")
         return cls(values)
 
     def get(self, key: str):
@@ -263,8 +265,8 @@ class RunConfig:
 
     def protocol_config(self) -> ProtocolConfig:
         decay_time = self.get("protocol.depletion_decay_time")
-        depletion_rate = DEFAULT_DEPLETION_RATE if decay_time is None else 1.0 / decay_time
         try:
+            depletion_rate = DEFAULT_DEPLETION_RATE if decay_time is None else 1.0 / decay_time
             return ProtocolConfig(
                 t_prep=self.get("protocol.t_prep"),
                 window=self.get("protocol.window"),

@@ -23,6 +23,7 @@ suffer near zero mismatch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,6 +114,14 @@ def _exp_half_diff(t, kappa_1: float, kappa_2: float):
     return np.where(small, factored, direct)
 
 
+def _square(rate: float, name: str) -> float:
+    """rate**2 for a rate in 1/s; NumericalError where float64 overflows."""
+    try:
+        return rate**2
+    except OverflowError:
+        raise NumericalError(f"{name} {abs(rate):.3g}/s overflows float64 when squared") from None
+
+
 def efficiency_matched(t, kappa: float):
     """Stored-energy fraction kappa^2 t^2 e^{-kappa t} for identical modes.
 
@@ -132,8 +141,9 @@ def efficiency_kappa_mismatch(t, kappa_1: float, kappa_2: float):
     """
     if kappa_2 == kappa_1:
         return efficiency_matched(t, kappa_1)
+    denom = _square(kappa_2 - kappa_1, "decay-rate mismatch")
     diff = _exp_half_diff(t, kappa_1, kappa_2)
-    out = 4.0 * kappa_1 * kappa_2 * diff**2 / (kappa_2 - kappa_1) ** 2
+    out = 4.0 * kappa_1 * kappa_2 * diff**2 / denom
     return out if out.ndim else float(out)
 
 
@@ -150,10 +160,10 @@ def efficiency_freq_mismatch(t, kappa: float, delta_omega: float):
     t = np.asarray(t, dtype=float)
     out = (
         4.0
-        * kappa**2
+        * _square(kappa, "decay rate")
         * np.exp(-kappa * t)
         * np.sin(0.5 * delta_omega * t) ** 2
-        / delta_omega**2
+        / _square(delta_omega, "frequency mismatch")
     )
     return out if out.ndim else float(out)
 
@@ -172,7 +182,7 @@ def efficiency_envelope(t, cfg: TransferConfig):
     t = np.asarray(t, dtype=float)
     diff = _exp_half_diff(t, k1, k2)
     cross = 4.0 * np.exp(-0.5 * (k1 + k2) * t) * np.sin(0.5 * d_omega * t) ** 2
-    denom = 0.25 * (k2 - k1) ** 2 + d_omega**2
+    denom = 0.25 * _square(k2 - k1, "decay-rate mismatch") + _square(d_omega, "frequency mismatch")
     out = k1 * k2 * (diff**2 + cross) / denom
     return out if out.ndim else float(out)
 
@@ -207,6 +217,49 @@ def freq_mismatch_peak(kappa: float, delta_omega: float) -> tuple[float, float]:
     t_opt = u / delta_omega
     eta = 4.0 / (1.0 + a * a) * math.exp(-kappa * t_opt)
     return eta, t_opt
+
+
+# Streaming pass of peak_efficiency: at most this many panel nodes (a
+# 5 GHz carrier over 20 decay times of a 1 us mode needs 4e6), so a huge
+# but finite carrier frequency is refused instead of streaming for hours.
+MAX_PEAK_NODES = 10**8
+# Largest decay over one quadrature step, kappa * h, the Simpson panels
+# resolve; a mode that decays faster is refused, not silently misread.
+_MAX_DECAY_PER_STEP = 0.1
+# Panels per block of the streaming pass, and the largest rescale factor
+# e^{kappa_2 h (k - 1)} a block of k panels may reach.
+_BLOCK_PANELS = 4096
+_BLOCK_LOG_GROWTH = 64.0
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _tone_peak(times: np.ndarray, values: np.ndarray, omega: float, h: float) -> float:
+    """Carrier-cycle peak of V2 at the last of the window nodes.
+
+    Tone fit with a linear amplitude/phase drift term: the window signal
+    is (P + P'u) cos(omega tau) + (Q + Q'u) sin(omega tau) with u
+    centered and scaled to [-1, 1].  The drift term absorbs the slow
+    decay and carrier beat across the window; extrapolating the
+    quadratures to the window end gives the envelope there with
+    O((kappa * T_carrier)^2) accuracy.  Windows too short for the drift
+    term fit the bare tone, or take the largest sample.
+    """
+    if values.size < 4:
+        return float(np.abs(values).max(initial=0.0))
+    theta = omega * times
+    u = (times - times.mean()) / max(times[-1] - times.mean(), h)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    if values.size >= 8:
+        design = np.column_stack([cos_t, sin_t, u * cos_t, u * sin_t])
+    else:
+        design = np.column_stack([cos_t, sin_t])
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    if coef.size == 4:
+        p_end = coef[0] + coef[2]
+        q_end = coef[1] + coef[3]
+    else:
+        p_end, q_end = coef[0], coef[1]
+    return float(np.hypot(p_end, q_end))
 
 
 def mode2_energy_numeric(t: float, cfg: TransferConfig, *, points_per_period: int = 40) -> float:
@@ -301,66 +354,129 @@ def mode2_energy_numeric(t: float, cfg: TransferConfig, *, points_per_period: in
         node_times.append(tau[m])
         node_values.append(math.cos(w2 * tau[m]) * a_run + math.sin(w2 * tau[m]) * b_run)
 
-    values = np.asarray(node_values)
-    times = np.asarray(node_times)
-    if values.size < 4:
-        v_peak = float(np.abs(values).max(initial=0.0))
-    else:
-        # Tone fit with a linear amplitude/phase drift term: the window
-        # signal is (P + P'u) cos(omega_2 tau) + (Q + Q'u) sin(...) with
-        # u centered and scaled to [-1, 1].  The drift term absorbs the
-        # slow decay and carrier beat across the window; extrapolating
-        # the quadratures to the window end gives the envelope at t
-        # with O((kappa * T_carrier)^2) accuracy.
-        theta = w2 * times
-        u = (times - times.mean()) / max(times[-1] - times.mean(), h)
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        if values.size >= 8:
-            design = np.column_stack([cos_t, sin_t, u * cos_t, u * sin_t])
-        else:
-            design = np.column_stack([cos_t, sin_t])
-        coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-        if coef.size == 4:
-            p_end = coef[0] + coef[2]
-            q_end = coef[1] + coef[3]
-        else:
-            p_end, q_end = coef[0], coef[1]
-        v_peak = float(np.hypot(p_end, q_end))
+    v_peak = _tone_peak(np.asarray(node_times), np.asarray(node_values), w2, h)
+    return 0.5 * v_peak**2 / emitted_energy(cfg)
 
+
+def _node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> np.ndarray:
+    """V2 at the panel nodes tau_j = 2 j h, j = 1..n_nodes, in one pass.
+
+    The same Simpson panels and scaled recurrence a_j = a_{j-1} D + p_j,
+    D = e^{-kappa_2 h}, as mode2_energy_numeric, on the fixed step h
+    from tau = 0.  Within a block of k panels the recurrence is solved
+    in closed form by one cumulative sum,
+
+        a_{j0+i} = D^{i-1} [D a_{j0} + sum_{l<=i} D^{-(l-1)} p_{j0+l}],
+
+    and the block length keeps the rescale factor D^{-(k-1)} at most
+    e^64 for any kappa_2 h.  Memory is one block plus one float per node.
+    """
+    w1 = cfg.source.angular_frequency
+    w2 = cfg.target.angular_frequency
+    k1 = cfg.source.decay_rate
+    k2 = cfg.target.decay_rate
+    amp = 2.0 * cfg.drive_amplitude * math.sqrt(k2 / cfg.line_impedance)
+    d = math.exp(-0.5 * k2 * h)
+    d2 = d * d
+    block = min(_BLOCK_PANELS, 1 + int(_BLOCK_LOG_GROWTH / (k2 * h)))
+    steps = k2 * h * np.arange(block)
+    grow, shrink = np.exp(steps), np.exp(-steps)
+
+    out = np.empty(n_nodes)
+    a_run = b_run = 0.0
+    for j0 in range(0, n_nodes, block):
+        k = min(block, n_nodes - j0)
+        tau = h * np.arange(2 * j0, 2 * (j0 + k) + 1)
+        drive = amp * np.exp(-0.5 * k1 * tau) * np.cos(w1 * tau)
+        cos_t, sin_t = np.cos(w2 * tau), np.sin(w2 * tau)
+        runs = []
+        for f, run in ((drive * cos_t, a_run), (drive * sin_t, b_run)):
+            panels = (h / 3.0) * (f[:-2:2] * d2 + 4.0 * f[1::2] * d + f[2::2])
+            runs.append(shrink[:k] * (d2 * run + np.cumsum(grow[:k] * panels)))
+        a, b = runs
+        out[j0 : j0 + k] = cos_t[2::2] * a + sin_t[2::2] * b
+        a_run, b_run = float(a[-1]), float(b[-1])
+    return out
+
+
+def _node_energy(cfg: TransferConfig, volts: np.ndarray, j: int, h: float) -> float:
+    """Stored-energy fraction at node j of a streaming pass on step h.
+
+    The trailing-period tone fit of mode2_energy_numeric on the window
+    of whole panels ending at tau_j = 2 j h.
+    """
+    period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
+    first = max(j - max(int(round(period / (2.0 * h))), 2), 0)
+    times = (2.0 * h) * np.arange(first + 1, j + 1)
+    v_peak = _tone_peak(times, volts[first:j], cfg.target.angular_frequency, h)
     return 0.5 * v_peak**2 / emitted_energy(cfg)
 
 
 def peak_efficiency(cfg: TransferConfig, *, points_per_period: int = 40) -> tuple[float, float]:
     """Maximum of the numeric stored-energy fraction over time.
 
-    Seeds from the argmax of the closed-form envelope on a dense grid,
-    then runs a golden-section search on mode2_energy_numeric inside a
-    bracket around the seed (the envelope is unimodal in every regime
-    this model covers).  Returns (eta_peak, t_opt).
+    Seeds from the argmax of the closed-form envelope on a dense grid
+    and brackets the peak in [seed/3, 3 seed] (the envelope is unimodal
+    in every regime this model covers).  One streaming quadrature pass
+    over [0, bracket end] on the fixed step h = period /
+    (2 points_per_period) of mode2_energy_numeric stores V2 at every
+    panel node; at a node time the energy equals mode2_energy_numeric
+    there up to rounding.  A golden-section search over the node
+    indices in the bracket runs the same trailing-period tone fit on
+    each probe's window, and a three-point parabola through the best
+    node and its neighbours refines the peak.  Returns (eta_peak, t_opt).
+
+    Raises
+    ------
+    NumericalError
+        If points_per_period < 8, if a decay rate is not resolved by the
+        step (kappa h > 0.1), if a closed-form rate scale overflows
+        float64, or if the pass would need more than MAX_PEAK_NODES
+        panel nodes.
     """
+    if points_per_period < 8:
+        raise NumericalError("points_per_period must be at least 8 to resolve the carrier")
+    k_max = max(cfg.source.decay_rate, cfg.target.decay_rate)
+    period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
+    h = period / (2 * points_per_period)
+    if k_max * h > _MAX_DECAY_PER_STEP:
+        raise NumericalError(
+            f"decay rate {k_max:.3g}/s is not resolved by the quadrature step {h:.3g} s"
+        )
+
     k_min = min(cfg.source.decay_rate, cfg.target.decay_rate)
     t_max = 20.0 / k_min
     grid = np.linspace(t_max / 4000.0, t_max, 4000)
     seed = float(grid[int(np.argmax(efficiency_envelope(grid, cfg)))])
-
+    if cfg.drive_amplitude == 0.0:
+        return 0.0, seed
     lo = max(seed / 3.0, t_max / 4000.0)
     hi = min(3.0 * seed, t_max)
 
-    def f(x: float) -> float:
-        return mode2_energy_numeric(x, cfg, points_per_period=points_per_period)
+    n_nodes = int(math.ceil(hi / (2.0 * h)))
+    if n_nodes > MAX_PEAK_NODES:
+        raise NumericalError(
+            f"peak search needs {n_nodes:.3g} quadrature nodes, more than {MAX_PEAK_NODES:.0e}"
+        )
+    volts = _node_voltages(cfg, h, n_nodes)
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(60):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = f(x2)
+    @functools.lru_cache(maxsize=None)
+    def energy(j: int) -> float:
+        return _node_energy(cfg, volts, j, h)
+
+    a, b = max(int(lo / (2.0 * h)), 1), n_nodes
+    while b - a > 4:
+        step = int(round(_INV_PHI * (b - a)))
+        if energy(b - step) < energy(a + step):
+            a = b - step
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = f(x1)
-    t_opt = x1 if f1 >= f2 else x2
-    return max(f1, f2), t_opt
+            b = a + step
+    j = max(range(a, b + 1), key=energy)
+    if not 1 < j < n_nodes:
+        return energy(j), 2.0 * h * j
+    y0, y1, y2 = energy(j - 1), energy(j), energy(j + 1)
+    curvature = y0 - 2.0 * y1 + y2
+    if curvature >= 0.0:
+        return y1, 2.0 * h * j
+    shift = 0.5 * (y0 - y2) / curvature
+    return y1 - 0.25 * (y0 - y2) * shift, 2.0 * h * (j + shift)

@@ -297,6 +297,41 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, override",
+    [
+        ("transfer-peak", "source.frequency=1e300Hz"),
+        ("transfer-peak", "source.frequency=1e15Hz"),
+        ("transfer-peak", "source.decay_time=1e-300s"),
+        ("transfer-curves", "source.decay_time=1e-300s"),
+        ("transfer-peak", "capture.decay_time=1e-300s"),
+    ],
+)
+def test_transfer_overflow_inputs_exit_numerical(tmp_path, capsys, name, override):
+    # Rates too large for float64 squares, a decay the quadrature step
+    # cannot resolve, or a carrier needing more than MAX_PEAK_NODES
+    # nodes: each ends in exit 3 with one diagnostic line, no artifact.
+    code, paths = run_subcommand(name, overrides=(override,), output_dir=str(tmp_path))
+    assert code == 3 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["stark", "budget", "ramsey", "rabi", "depletion"])
+def test_zero_depletion_decay_time_is_config_error(tmp_path, capsys, name):
+    code, paths = run_fast(name, tmp_path, ("protocol.depletion_decay_time=0s",))
+    assert code == 2 and paths == []
+    assert capsys.readouterr().err.startswith("config error")
+
+
+@pytest.mark.parametrize("name", ["iq", "tomo-synth"])
+def test_negative_seed_is_config_error(tmp_path, capsys, name):
+    code, paths = run_fast(name, tmp_path, ("seed=-1",))
+    assert code == 2 and paths == []
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     code, paths = run_subcommand(
         "tomo-fit",

@@ -16,6 +16,9 @@ import pytest
 
 from jpmsim.errors import NumericalError
 from jpmsim.transfer import (
+    _BLOCK_PANELS,
+    _node_energy,
+    _node_voltages,
     CavityMode,
     TransferConfig,
     efficiency_envelope,
@@ -246,6 +249,49 @@ def test_peak_efficiency_against_dense_grid_oracle():
     shift = 0.5 * (ys[i - 1] - ys[i + 1]) / denom
     y_ref = ys[i] - 0.25 * (ys[i - 1] - ys[i + 1]) * shift
     assert eta == pytest.approx(float(y_ref), abs=1e-6)
+
+
+@pytest.mark.parametrize("carrier_ratio", [2e4, 20.0])
+def test_streaming_pass_matches_per_t_oracle_at_nodes(carrier_ratio):
+    # The fast path against the slow path it replaces: at node times
+    # t_j = 2 j h, where mode2_energy_numeric integrates on the same step
+    # h, the one-pass energies equal the per-t oracle.  9000 nodes span
+    # several blocks and are no multiple of the block length; the slow
+    # carrier (kappa_2 h near 0.05) shortens the blocks to under 1500
+    # panels.
+    kappa = 1e6
+    n_nodes = 9000
+    assert n_nodes > 2 * _BLOCK_PANELS and n_nodes % _BLOCK_PANELS
+    worst = 0.0
+    for r in (1.0 / 12.0, 1.0, 12.0):
+        for a in (0.0, 0.5, 2.0):
+            cfg = make_config(kappa, kappa_ratio=r, detuning_ratio=a, carrier_ratio=carrier_ratio)
+            period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
+            h = period / 80.0
+            volts = _node_voltages(cfg, h, n_nodes)
+            for j in [2, 3, 39, 40, 41, 4096, 4097, 8192, 8193, n_nodes] + list(range(100, n_nodes + 1, 250)):
+                t = 2.0 * h * j
+                if math.ceil(t / h) != 2 * j:
+                    continue  # the oracle would round to a different step here
+                want = mode2_energy_numeric(t, cfg)
+                got = _node_energy(cfg, volts, j, h)
+                worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-9
+
+
+def test_peak_efficiency_refusals():
+    cfg = make_config()
+    with pytest.raises(NumericalError, match="points_per_period"):
+        peak_efficiency(cfg, points_per_period=4)
+    # A capture mode that decays within a fraction of a carrier cycle is
+    # not resolved by the quadrature step.
+    with pytest.raises(NumericalError, match="not resolved"):
+        peak_efficiency(make_config(kappa_ratio=1e5, carrier_ratio=20.0))
+    # A huge but finite carrier would stream ~4e10 nodes: refused at once.
+    with pytest.raises(NumericalError, match="quadrature nodes"):
+        peak_efficiency(make_config(carrier_ratio=1e9))
+    silent = TransferConfig(source=cfg.source, target=cfg.target, drive_amplitude=0.0)
+    assert peak_efficiency(silent)[0] == 0.0
 
 
 def test_numeric_zero_cases():
