@@ -2,10 +2,12 @@
 
 Every subcommand reads one flat key/value config document (all keys
 optional, see config.SCHEMA for names and defaults), applies -s/--set
-overrides, runs the corresponding computation, and writes artifacts
-into the output directory.  Outputs are byte-stable for a fixed config
-and seed: fixed column orders, 12-significant-digit decimals in CSV,
-and newline-terminated JSON with insertion-ordered keys.
+overrides, runs the corresponding computation, and writes one artifact
+into the output directory.  _SUBCOMMANDS describes each subcommand
+once: its compute function, artifact stem, column header and help
+text.  Outputs are byte-stable for a fixed config and seed: fixed
+column orders, 12-significant-digit decimals in CSV, and
+newline-terminated JSON with insertion-ordered keys.
 
 Exit codes: 0 success, 2 config error, 3 numerical/identifiability
 error, 4 I/O error.
@@ -19,7 +21,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,29 +81,23 @@ def _native(value):
     return value
 
 
-def _write_table(out_dir: Path, stem: str, header: list[str], rows, file_format: str) -> Path:
-    if file_format == "json":
-        path = out_dir / f"{stem}.json"
-        payload = [
-            {column: _native(cell) for column, cell in zip(header, row)} for row in rows
-        ]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
+    """Write a table (rows under header) or, when header is None, a JSON record."""
+    if header is not None and file_format == "csv":
+        path = out_dir / f"{stem}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in data:
+                writer.writerow([_format_cell(cell) for cell in row])
         return path
-    path = out_dir / f"{stem}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
-    return path
-
-
-def _write_report(out_dir: Path, stem: str, record: dict) -> Path:
+    if header is None:
+        payload = {key: _native(value) for key, value in data.items()}
+    else:
+        payload = [{column: _native(cell) for column, cell in zip(header, row)} for row in data]
     path = out_dir / f"{stem}.json"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({key: _native(value) for key, value in record.items()}, fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
     return path
 
@@ -107,7 +105,10 @@ def _write_report(out_dir: Path, stem: str, record: dict) -> Path:
 def _linspace(start: float, stop: float, points: int, key: str) -> np.ndarray:
     if points < 2:
         raise ConfigError(f"{key} must be at least 2")
-    return np.linspace(start, stop, points)
+    values = np.linspace(start, stop, points)
+    if not np.isfinite(values).all():
+        raise ConfigError(f"sweep from {start:g} to {stop:g} is out of float64 range")
+    return values
 
 
 def _require_nonempty(values, key: str):
@@ -116,7 +117,7 @@ def _require_nonempty(values, key: str):
     return values
 
 
-def _cmd_potential_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _potential_sweep(cfg: RunConfig) -> list:
     params = cfg.jpm_params()
     fluxes = _linspace(
         cfg.get("potential.flux_start"),
@@ -140,17 +141,7 @@ def _cmd_potential_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
                     report.level_count,
                 )
             )
-    header = [
-        "flux (phi0)",
-        "well_count (1)",
-        "well_label",
-        "minimum_phase (rad)",
-        "barrier_phase (rad)",
-        "barrier_height (J)",
-        "plasma_frequency (Hz)",
-        "level_count (1)",
-    ]
-    return [_write_table(out_dir, "potential_sweep", header, rows, cfg.get("output.format"))]
+    return rows
 
 
 def _count_minima(flux_webers: float, params) -> int:
@@ -158,23 +149,16 @@ def _count_minima(flux_webers: float, params) -> int:
     return sum(1 for _, kind in extrema if kind == "minimum")
 
 
-def _cmd_bifurcation(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _bifurcation(cfg: RunConfig) -> list:
     params = cfg.jpm_params()
     epsilon = 1e-6 * PHI0
-    rows = []
-    for flux in critical_flux(params):
-        rows.append(
-            (
-                flux / PHI0,
-                _count_minima(flux - epsilon, params),
-                _count_minima(flux + epsilon, params),
-            )
-        )
-    header = ["critical_flux (phi0)", "minima_below (1)", "minima_above (1)"]
-    return [_write_table(out_dir, "bifurcation", header, rows, cfg.get("output.format"))]
+    return [
+        (flux / PHI0, _count_minima(flux - epsilon, params), _count_minima(flux + epsilon, params))
+        for flux in critical_flux(params)
+    ]
 
 
-def _cmd_transfer_curves(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _transfer_curves(cfg: RunConfig) -> list:
     tc = cfg.transfer_config()
     kappa_1 = tc.source.decay_rate
     kappa_ratios = cfg.get("transfer.kappa_ratios")
@@ -197,11 +181,10 @@ def _cmd_transfer_curves(cfg: RunConfig, out_dir: Path) -> list[Path]:
         eta = efficiency_freq_mismatch(ts, kappa_1, ratio * kappa_1)
         label = "detuning_ratio=%g" % ratio
         rows.extend((t * kappa_1, e, label) for t, e in zip(ts, eta))
-    header = ["t_kappa1 (1)", "efficiency (1)", "label"]
-    return [_write_table(out_dir, "transfer_curves", header, rows, cfg.get("output.format"))]
+    return rows
 
 
-def _cmd_transfer_peak(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _transfer_peak(cfg: RunConfig) -> dict:
     tc = cfg.transfer_config()
     eta_peak, t_opt = peak_efficiency(tc)
     eta_kappa, t_kappa = kappa_mismatch_peak(tc.source.decay_rate, tc.target.decay_rate)
@@ -209,7 +192,7 @@ def _cmd_transfer_peak(cfg: RunConfig, out_dir: Path) -> list[Path]:
         eta_freq, t_freq = freq_mismatch_peak(tc.source.decay_rate, tc.delta_omega)
     else:
         eta_freq, t_freq = None, None
-    record = {
+    return {
         "eta_peak": eta_peak,
         "t_opt_s": t_opt,
         "eta_matched_bound": 4.0 * math.exp(-2.0),
@@ -219,49 +202,39 @@ def _cmd_transfer_peak(cfg: RunConfig, out_dir: Path) -> list[Path]:
         "t_opt_freq_closed_form_s": t_freq,
         "emitted_energy_J": emitted_energy(tc),
     }
-    return [_write_report(out_dir, "transfer_peak", record)]
 
 
-def _cmd_budget(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _budget(cfg: RunConfig) -> dict:
     pc = cfg.protocol_config()
     n_shots = cfg.get("budget.n_shots")
-    try:
-        budget = fidelity_budget(pc, n_shots, cfg.iq_model())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    record = dict(budget)
+    record = dict(fidelity_budget(pc, n_shots, cfg.iq_model()))
     record["n_shots"] = n_shots
     record["analytic_relaxation_error"] = relaxation_error(pc.t_prep, pc.t1)
-    return [_write_report(out_dir, "budget", record)]
+    return record
 
 
-def _cmd_ramsey(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _ramsey(cfg: RunConfig) -> list:
     pc = cfg.protocol_config()
     detunings = _require_nonempty(cfg.get("ramsey.detunings"), "ramsey.detunings")
     delays = _linspace(
         0.0, cfg.get("ramsey.delay_stop"), cfg.get("ramsey.delay_points"), "ramsey.delay_points"
     )
-    try:
-        matrix = ramsey_fringe(
-            detunings,
-            delays,
-            pc,
-            t2=cfg.get("ramsey.t2"),
-            amplitude=cfg.get("ramsey.amplitude"),
-            n_shots=cfg.get("ramsey.n_shots"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = [
+    matrix = ramsey_fringe(
+        detunings,
+        delays,
+        pc,
+        t2=cfg.get("ramsey.t2"),
+        amplitude=cfg.get("ramsey.amplitude"),
+        n_shots=cfg.get("ramsey.n_shots"),
+    )
+    return [
         (detunings[i] / TWO_PI, delays[j], matrix[i, j])
         for i in range(len(detunings))
         for j in range(len(delays))
     ]
-    header = ["detuning (Hz)", "delay (s)", "switch_probability (1)"]
-    return [_write_table(out_dir, "ramsey", header, rows, cfg.get("output.format"))]
 
 
-def _cmd_rabi(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _rabi(cfg: RunConfig) -> list:
     pc = cfg.protocol_config()
     detunings = _require_nonempty(cfg.get("rabi.detunings"), "rabi.detunings")
     durations = _linspace(
@@ -270,40 +243,28 @@ def _cmd_rabi(cfg: RunConfig, out_dir: Path) -> list[Path]:
         cfg.get("rabi.duration_points"),
         "rabi.duration_points",
     )
-    try:
-        matrix = rabi_chevron(
-            detunings,
-            durations,
-            pc,
-            rabi_rate=cfg.get("rabi.rate"),
-            n_shots=cfg.get("rabi.n_shots"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = [
+    matrix = rabi_chevron(
+        detunings,
+        durations,
+        pc,
+        rabi_rate=cfg.get("rabi.rate"),
+        n_shots=cfg.get("rabi.n_shots"),
+    )
+    return [
         (detunings[i] / TWO_PI, durations[j], matrix[i, j])
         for i in range(len(detunings))
         for j in range(len(durations))
     ]
-    header = ["detuning (Hz)", "duration (s)", "switch_probability (1)"]
-    return [_write_table(out_dir, "rabi", header, rows, cfg.get("output.format"))]
 
 
-def _cmd_stark(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _stark(cfg: RunConfig) -> list:
     pc = cfg.protocol_config()
     powers = _require_nonempty(cfg.get("stark.powers"), "stark.powers")
-    try:
-        pairs = stark_calibration(powers, pc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = [
-        (power, n_bar, shift / TWO_PI) for power, (n_bar, shift) in zip(powers, pairs)
-    ]
-    header = ["power (1)", "n_bar (1)", "qubit_shift (Hz)"]
-    return [_write_table(out_dir, "stark", header, rows, cfg.get("output.format"))]
+    pairs = stark_calibration(powers, pc)
+    return [(power, n_bar, shift / TWO_PI) for power, (n_bar, shift) in zip(powers, pairs)]
 
 
-def _cmd_depletion(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _depletion(cfg: RunConfig) -> list:
     pc = cfg.protocol_config()
     times = _linspace(
         0.0,
@@ -322,16 +283,10 @@ def _cmd_depletion(cfg: RunConfig, out_dir: Path) -> list[Path]:
                 record["frequency_shift"] / TWO_PI,
             )
         )
-    header = [
-        "depletion_time (s)",
-        "residual_photons (1)",
-        "ramsey_contrast (1)",
-        "frequency_shift (Hz)",
-    ]
-    return [_write_table(out_dir, "depletion", header, rows, cfg.get("output.format"))]
+    return rows
 
 
-def _cmd_iq(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _iq(cfg: RunConfig) -> dict:
     model = cfg.iq_model()
     n_shots = cfg.get("iq.n_shots")
     if n_shots < 1:
@@ -339,29 +294,21 @@ def _cmd_iq(cfg: RunConfig, out_dir: Path) -> list[Path]:
     labels = np.concatenate([np.zeros(n_shots, dtype=int), np.ones(n_shots, dtype=int)])
     rng = np.random.default_rng(cfg.get("seed"))
     result = iq_discriminate(model, labels, rng)
-    record = {
+    return {
         "n_shots_per_class": n_shots,
         "d_over_sigma": model.separation / model.effective_sigma,
         "single_shot_fidelity": result["single_shot_fidelity"],
         "separation_fidelity": result["separation_fidelity"],
         "threshold": result["threshold"],
     }
-    return [_write_report(out_dir, "iq", record)]
 
 
-def _tomo_state(cfg: RunConfig) -> DensityMatrix2:
-    try:
-        return DensityMatrix2(
-            excited_population=cfg.get("tomo.beta"),
-            coherence_magnitude=cfg.get("tomo.r"),
-            coherence_phase=cfg.get("tomo.phi"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"tomo state invalid: {exc}") from exc
-
-
-def _cmd_tomo_synth(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    rho = _tomo_state(cfg)
+def _tomo_synth(cfg: RunConfig) -> list:
+    rho = DensityMatrix2(
+        excited_population=cfg.get("tomo.beta"),
+        coherence_magnitude=cfg.get("tomo.r"),
+        coherence_phase=cfg.get("tomo.phi"),
+    )
     t_pi = cfg.get("tomo.t_pi")
     theta_points = cfg.get("tomo.theta_points")
     if theta_points < 1:
@@ -376,28 +323,20 @@ def _cmd_tomo_synth(cfg: RunConfig, out_dir: Path) -> list[Path]:
         cfg.get("tomo.duration_points"),
         "tomo.duration_points",
     )
-    n_shots = cfg.get("tomo.n_shots")
-    noise_sigma = cfg.get("tomo.noise_sigma")
-    rng = np.random.default_rng(cfg.get("seed"))
-    try:
-        grid = synthesize_tomogram(
-            rho,
-            t_pi,
-            thetas,
-            durations,
-            n_shots=n_shots,
-            noise_sigma=noise_sigma,
-            rng=rng,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = [
+    grid = synthesize_tomogram(
+        rho,
+        t_pi,
+        thetas,
+        durations,
+        n_shots=cfg.get("tomo.n_shots"),
+        noise_sigma=cfg.get("tomo.noise_sigma"),
+        rng=np.random.default_rng(cfg.get("seed")),
+    )
+    return [
         (grid.axis_angles[i], grid.pulse_durations[j], grid.occupations[i, j])
         for i in range(grid.axis_angles.size)
         for j in range(grid.pulse_durations.size)
     ]
-    header = ["axis_angle (rad)", "pulse_duration (s)", "occupation (1)"]
-    return [_write_table(out_dir, "tomogram", header, rows, cfg.get("output.format"))]
 
 
 def _read_tomogram(path: str) -> TomogramGrid:
@@ -417,6 +356,8 @@ def _read_tomogram(path: str) -> TomogramGrid:
                 theta, t, occupation = (float(cell) for cell in row)
             except ValueError as exc:
                 raise ConfigError(f"{path}: malformed row {row!r}") from exc
+            if not (math.isfinite(theta) and math.isfinite(t)):
+                raise ConfigError(f"{path}: non-finite grid coordinate in row {row!r}")
             if (theta, t) in cells:
                 raise ConfigError(f"{path}: duplicate grid cell ({theta}, {t})")
             cells[(theta, t)] = occupation
@@ -436,15 +377,14 @@ def _read_tomogram(path: str) -> TomogramGrid:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _cmd_tomo_fit(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _tomo_fit(cfg: RunConfig) -> dict:
     input_path = cfg.get("tomo.input")
     if input_path is None:
         raise ConfigError("tomo.input must point to a tomogram CSV")
-    grid = _read_tomogram(input_path)
-    fit = fit_tomogram(grid)
+    fit = fit_tomogram(_read_tomogram(input_path))
     rho = fit.rho
     matrix = rho.matrix()
-    record = {
+    return {
         "beta": rho.excited_population,
         "r": rho.coherence_magnitude,
         "phi": rho.coherence_phase,
@@ -459,65 +399,111 @@ def _cmd_tomo_fit(cfg: RunConfig, out_dir: Path) -> list[Path]:
         "fidelity_vs_ground": overlap_fidelity(rho, [1.0, 0.0]),
         "fidelity_vs_excited": overlap_fidelity(rho, [0.0, 1.0]),
     }
-    return [_write_report(out_dir, "tomo_fit", record)]
+
+
+class _Subcommand(NamedTuple):
+    """One subcommand: compute(cfg) gives rows under header, or a record when header is None."""
+
+    compute: Callable[[RunConfig], list | dict]
+    stem: str
+    header: tuple[str, ...] | None
+    help: str
 
 
 _SUBCOMMANDS = {
-    "potential-sweep": (
-        _cmd_potential_sweep,
+    "potential-sweep": _Subcommand(
+        _potential_sweep,
+        "potential_sweep",
+        (
+            "flux (phi0)",
+            "well_count (1)",
+            "well_label",
+            "minimum_phase (rad)",
+            "barrier_phase (rad)",
+            "barrier_height (J)",
+            "plasma_frequency (Hz)",
+            "level_count (1)",
+        ),
         "Sweep the loop flux bias and tabulate every potential well: "
         "minimum and barrier phases, depth, plasma frequency, level count.",
     ),
-    "bifurcation": (
-        _cmd_bifurcation,
+    "bifurcation": _Subcommand(
+        _bifurcation,
+        "bifurcation",
+        ("critical_flux (phi0)", "minima_below (1)", "minima_above (1)"),
         "Locate the flux biases where potential minima appear or vanish "
         "and count the minima on either side of each.",
     ),
-    "transfer-curves": (
-        _cmd_transfer_curves,
+    "transfer-curves": _Subcommand(
+        _transfer_curves,
+        "transfer_curves",
+        ("t_kappa1 (1)", "efficiency (1)", "label"),
         "Tabulate transfer-efficiency curves versus scaled time for "
         "families of decay-rate ratios and detuning ratios.",
     ),
-    "transfer-peak": (
-        _cmd_transfer_peak,
+    "transfer-peak": _Subcommand(
+        _transfer_peak,
+        "transfer_peak",
+        None,
         "Report the peak transfer efficiency and optimal capture time for "
         "the configured cavity pair, with closed-form reference values.",
     ),
-    "budget": (
-        _cmd_budget,
+    "budget": _Subcommand(
+        _budget,
+        "budget",
+        None,
         "Monte Carlo raw-fidelity budget of the measurement protocol, "
         "split into relaxation, dark-count, and detection-miss terms.",
     ),
-    "ramsey": (
-        _cmd_ramsey,
+    "ramsey": _Subcommand(
+        _ramsey,
+        "ramsey",
+        ("detuning (Hz)", "delay (s)", "switch_probability (1)"),
         "Detector-read Ramsey fringe dataset versus drive detuning and delay.",
     ),
-    "rabi": (
-        _cmd_rabi,
+    "rabi": _Subcommand(
+        _rabi,
+        "rabi",
+        ("detuning (Hz)", "duration (s)", "switch_probability (1)"),
         "Detector-read Rabi chevron dataset versus drive detuning and pulse duration.",
     ),
-    "stark": (
-        _cmd_stark,
+    "stark": _Subcommand(
+        _stark,
+        "stark",
+        ("power (1)", "n_bar (1)", "qubit_shift (Hz)"),
         "Photon-number calibration: map drive powers to cavity occupation "
         "and qubit frequency shift.",
     ),
-    "depletion": (
-        _cmd_depletion,
+    "depletion": _Subcommand(
+        _depletion,
+        "depletion",
+        (
+            "depletion_time (s)",
+            "residual_photons (1)",
+            "ramsey_contrast (1)",
+            "frequency_shift (Hz)",
+        ),
         "Post-measurement recovery versus depletion time: residual "
         "photons, fringe contrast, and frequency shift.",
     ),
-    "iq": (
-        _cmd_iq,
+    "iq": _Subcommand(
+        _iq,
+        "iq",
+        None,
         "IQ-plane discrimination report: single-shot and separation "
         "fidelities and the decision threshold.",
     ),
-    "tomo-synth": (
-        _cmd_tomo_synth,
+    "tomo-synth": _Subcommand(
+        _tomo_synth,
+        "tomogram",
+        ("axis_angle (rad)", "pulse_duration (s)", "occupation (1)"),
         "Generate a synthetic tomogram grid (axis angle x pulse duration) "
         "from a configured qubit state.",
     ),
-    "tomo-fit": (
-        _cmd_tomo_fit,
+    "tomo-fit": _Subcommand(
+        _tomo_fit,
+        "tomo_fit",
+        None,
         "Fit a four-parameter qubit state to a tomogram CSV and report "
         "the density matrix, pi-pulse duration, and target fidelities.",
     ),
@@ -544,28 +530,33 @@ def run_subcommand(
 ) -> tuple[int, list[Path]]:
     """Run one subcommand; returns (exit code, written artifact paths).
 
-    Prints one line per artifact on success and one diagnostic line on
-    stderr on failure.
+    This is the CLI's one error boundary: a ValueError (ConfigError
+    included) exits 2, a NumericalError or a float overflow or division
+    by zero (ArithmeticError) 3 and an OSError 4, each with one
+    diagnostic line on stderr.  The artifact is computed in full before
+    its file is opened, so exits 2 and 3 leave no file.  Prints one line
+    per artifact on success.
     """
-    if name not in _SUBCOMMANDS:
+    spec = _SUBCOMMANDS.get(name)
+    if spec is None:
         print(f"unknown subcommand {name!r}", file=sys.stderr)
         return 2, []
     try:
         cfg = RunConfig.from_sources(config_path, overrides)
         out_dir = _resolve_output_dir(output_dir, cfg)
-        paths = _SUBCOMMANDS[name][0](cfg, out_dir)
-    except ConfigError as exc:
+        data = spec.compute(cfg)
+        path = _write(out_dir, spec.stem, spec.header, data, cfg.get("output.format"))
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2, []
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3, []
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4, []
-    for path in paths:
-        print(f"wrote {path}")
-    return 0, paths
+    print(f"wrote {path}")
+    return 0, [path]
 
 
 def main(argv=None) -> int:
@@ -579,8 +570,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"jpmsim {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _SUBCOMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text, description=help_text)
+    for name, spec in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=spec.help, description=spec.help)
         sub.add_argument("-c", "--config", default=None, help="path to a key/value config document")
         sub.add_argument(
             "-s",

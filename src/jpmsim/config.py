@@ -7,7 +7,8 @@ so a GHz/rad-per-second mixup cannot slip through the boundary.
 Frequencies are written as ordinary (cycles/second) frequencies and
 converted to angular internally; decay rates are written as 1/e decay
 times ("capture.decay_time = 40ns").  Unknown and duplicated keys are
-rejected.  The literal "none" clears an optional key.
+rejected, and so are numbers that overflow float64 ("1e999s").  The
+literal "none" clears an optional key.
 
 One global schema defines every key, its kind, and its default, so a
 missing config file or a partial one behaves identically to a fully
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 from .errors import ConfigError
-from .potential import PHI0, FluxBias, JpmParams
+from .potential import PHI0, JpmParams
 from .protocol import DEFAULT_DEPLETION_RATE, IqModel, ProtocolConfig
 from .transfer import CavityMode, TransferConfig
 
@@ -58,7 +59,6 @@ SCHEMA: dict[str, ValueSpec] = {
     "device.critical_current": ValueSpec("current", "1uA"),
     "device.loop_inductance": ValueSpec("inductance", "1.1nH"),
     "device.shunt_capacitance": ValueSpec("capacitance", "2pF"),
-    "device.mutual_inductance": ValueSpec("inductance", "1pH"),
     "source.frequency": ValueSpec("afreq", "5.02GHz"),
     "source.decay_time": ValueSpec("time", "260ns"),
     "capture.frequency": ValueSpec("afreq", "5.02GHz"),
@@ -66,15 +66,12 @@ SCHEMA: dict[str, ValueSpec] = {
     "line.impedance": ValueSpec("impedance", "50ohm"),
     "line.drive_amplitude": ValueSpec("voltage", "1V"),
     "protocol.t_prep": ValueSpec("time", "780ns"),
-    "protocol.window": ValueSpec("str", "hamming", choices=("hamming", "rectangular")),
     "protocol.t1": ValueSpec("time", "6.6us"),
     "protocol.dark_prob": ValueSpec("float", "0.02"),
     "protocol.bright_detect_prob": ValueSpec("float", "0.99"),
     "protocol.stark_shift_per_photon": ValueSpec("afreq", "-2MHz"),
     "protocol.n_bar_qubit_cavity": ValueSpec("float", "10"),
     "protocol.depletion_decay_time": ValueSpec("time", "none", optional=True),
-    "protocol.depletion_time": ValueSpec("time", "40ns"),
-    "protocol.cycle_time": ValueSpec("time", "2.8us"),
     "protocol.relaxation_override": ValueSpec("float", "0.05", optional=True),
     "iq.sigma": ValueSpec("float", "0.14144271570014144"),
     "iq.n_samples": ValueSpec("int", "1"),
@@ -123,10 +120,6 @@ def _parse_scalar(text: str, kind: str, key: str, choices: tuple[str, ...] | Non
         if choices is not None and text not in choices:
             raise ConfigError(f"{key}: expected one of {', '.join(choices)}, got {text!r}")
         return text
-    if kind == "bool":
-        if text in ("true", "false"):
-            return text == "true"
-        raise ConfigError(f"{key}: expected true or false, got {text!r}")
     if kind == "int":
         if re.fullmatch(r"[+-]?[0-9]+", text):
             return int(text)
@@ -141,19 +134,22 @@ def _parse_scalar(text: str, kind: str, key: str, choices: tuple[str, ...] | Non
     if kind == "float":
         if unit:
             raise ConfigError(f"{key}: dimensionless value must not carry a unit, got {text!r}")
-        return float(number)
-
-    table = _UNIT_TABLES.get(kind)
-    if table is None:
-        raise ConfigError(f"{key}: unknown value kind {kind!r}")
-    if not unit:
-        raise ConfigError(f"{key}: unit suffix is mandatory (one of {', '.join(table)})")
-    if unit not in table:
-        raise ConfigError(f"{key}: unknown unit {unit!r} (expected one of {', '.join(table)})")
-    factors = [table[unit]]
-    if kind == "afreq":
-        factors.append(2.0 * math.pi)
-    return _scaled(number, factors)
+        value = float(number)
+    else:
+        table = _UNIT_TABLES.get(kind)
+        if table is None:
+            raise ConfigError(f"{key}: unknown value kind {kind!r}")
+        if not unit:
+            raise ConfigError(f"{key}: unit suffix is mandatory (one of {', '.join(table)})")
+        if unit not in table:
+            raise ConfigError(f"{key}: unknown unit {unit!r} (expected one of {', '.join(table)})")
+        factors = [table[unit]]
+        if kind == "afreq":
+            factors.append(2.0 * math.pi)
+        value = _scaled(number, factors)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: {text!r} is out of float64 range")
+    return value
 
 
 def _scaled(number: str, factors: list[float]) -> float:
@@ -238,13 +234,9 @@ class RunConfig:
                 critical_current=self.get("device.critical_current"),
                 loop_inductance=self.get("device.loop_inductance"),
                 shunt_capacitance=self.get("device.shunt_capacitance"),
-                mutual_inductance=self.get("device.mutual_inductance"),
             )
         except ValueError as exc:
             raise ConfigError(f"device section invalid: {exc}") from exc
-
-    def flux_bias(self, webers: float) -> FluxBias:
-        return FluxBias(external_flux=webers)
 
     def transfer_config(self) -> TransferConfig:
         try:
@@ -269,15 +261,12 @@ class RunConfig:
             depletion_rate = DEFAULT_DEPLETION_RATE if decay_time is None else 1.0 / decay_time
             return ProtocolConfig(
                 t_prep=self.get("protocol.t_prep"),
-                window=self.get("protocol.window"),
                 t1=self.get("protocol.t1"),
                 dark_prob=self.get("protocol.dark_prob"),
                 bright_detect_prob=self.get("protocol.bright_detect_prob"),
                 stark_shift_per_photon=self.get("protocol.stark_shift_per_photon"),
                 n_bar_qubit_cavity=self.get("protocol.n_bar_qubit_cavity"),
                 depletion_rate=depletion_rate,
-                depletion_time=self.get("protocol.depletion_time"),
-                cycle_time=self.get("protocol.cycle_time"),
                 rng_seed=self.get("seed"),
                 relaxation_override=self.get("protocol.relaxation_override"),
             )

@@ -49,9 +49,6 @@ class JpmParams:
         Gradiometric loop inductance L_g in henries.
     shunt_capacitance:
         Shunt capacitance C_s in farads.
-    mutual_inductance:
-        Bias-line mutual inductance M in henries.  Informational only;
-        no operation in this module consumes it.
     flux_quantum:
         Magnetic flux quantum in webers.  Fixed physical constant,
         exposed as a field so every conversion in the module uses one
@@ -61,17 +58,10 @@ class JpmParams:
     critical_current: float
     loop_inductance: float
     shunt_capacitance: float
-    mutual_inductance: float = 1e-12
     flux_quantum: float = PHI0
 
     def __post_init__(self) -> None:
-        for name in (
-            "critical_current",
-            "loop_inductance",
-            "shunt_capacitance",
-            "mutual_inductance",
-            "flux_quantum",
-        ):
+        for name in ("critical_current", "loop_inductance", "shunt_capacitance", "flux_quantum"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")

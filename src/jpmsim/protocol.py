@@ -1,11 +1,11 @@
 """Monte Carlo model of counter-based qubit measurement.
 
-One measurement shot prepares a cavity pointer state with a windowed
-drive, lets the pointer propagate to the capture cavity, and asks a
-threshold detector whether it switched.  The shot model is
-phenomenological: qubit relaxation during preparation, imperfect bright
-detection, and dark counts are independent Bernoulli events with
-configurable rates.  On top of single shots the module builds fidelity
+One measurement shot prepares a cavity pointer state with a drive
+pulse of length t_prep, lets the pointer propagate to the capture
+cavity, and asks a threshold detector whether it switched.  The shot
+model is phenomenological: qubit relaxation during preparation,
+imperfect bright detection, and dark counts are independent Bernoulli
+events with configurable rates.  On top of single shots the module builds fidelity
 budgets, detector-read Ramsey and Rabi datasets, photon-number
 calibration via the qubit frequency shift, post-measurement depletion
 recovery, and IQ-plane discrimination of the detector's classical
@@ -64,8 +64,6 @@ class ProtocolConfig:
     ----------
     t_prep:
         Pointer preparation pulse length in seconds.
-    window:
-        Preparation pulse envelope, "hamming" or "rectangular".
     t1:
         Qubit energy relaxation time in seconds.
     dark_prob:
@@ -81,34 +79,27 @@ class ProtocolConfig:
         Mean qubit-cavity photon number at full calibration power.
     depletion_rate:
         Photon depletion rate during the reset interval in 1/second.
-    depletion_time:
-        Default depletion interval in seconds.
-    cycle_time:
-        Full measurement repetition period in seconds.
     rng_seed:
         Seed for every stochastic operation that owns its generator.
     relaxation_override:
         If not None, use this preparation relaxation probability
-        instead of the windowed-decay model; the default pins the
-        nominal 5% budget entry while relaxation_error stays an honest
-        model.
+        instead of the T1 average over the preparation pulse; the
+        default pins the nominal 5% budget entry while
+        relaxation_error stays an honest model.
     """
 
     t_prep: float = 780e-9
-    window: str = "hamming"
     t1: float = 6.6e-6
     dark_prob: float = 0.02
     bright_detect_prob: float = 0.99
     stark_shift_per_photon: float = -2.0 * math.pi * 2e6
     n_bar_qubit_cavity: float = 10.0
     depletion_rate: float = DEFAULT_DEPLETION_RATE
-    depletion_time: float = 40e-9
-    cycle_time: float = 2.8e-6
     rng_seed: int = 12345
     relaxation_override: float | None = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("t_prep", "t1", "depletion_rate", "depletion_time", "cycle_time"):
+        for name in ("t_prep", "t1", "depletion_rate"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -118,12 +109,8 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         if self.relaxation_override is not None and not 0.0 <= self.relaxation_override <= 1.0:
             raise ValueError("relaxation_override must lie in [0, 1] or be None")
-        if self.window not in ("hamming", "rectangular"):
-            raise ValueError('window must be "hamming" or "rectangular"')
         if self.n_bar_qubit_cavity < 0.0:
             raise ValueError("n_bar_qubit_cavity must be non-negative")
-        if self.cycle_time < self.t_prep:
-            raise ValueError("cycle_time must be at least t_prep")
 
     @property
     def relaxation_prob(self) -> float:
@@ -189,21 +176,6 @@ class ShotResult:
             raise ValueError("switch_bit must be 1 exactly when cause is not none")
 
 
-def hamming_envelope(duration: float, n: int) -> np.ndarray:
-    """Raised-cosine pulse envelope w[k] = 0.54 - 0.46 cos(2 pi k/(n-1)).
-
-    The analytic peak at the window center is exactly 1; endpoints are
-    0.08.  duration fixes the time axis the samples are meant to span
-    (the sample times are k * duration/(n-1)) and must be positive.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not (duration > 0.0 and math.isfinite(duration)):
-        raise ValueError("duration must be finite and positive")
-    k = np.arange(n)
-    return 0.54 - 0.46 * np.cos(2.0 * math.pi * k / (n - 1))
-
-
 def relaxation_error(t_prep: float, t1: float) -> float:
     """Probability an excitation decays during the preparation window.
 
@@ -214,6 +186,23 @@ def relaxation_error(t_prep: float, t1: float) -> float:
     if not (t_prep > 0.0 and t1 > 0.0):
         raise ValueError("t_prep and t1 must be positive")
     return 1.0 + (t1 / t_prep) * math.expm1(-t_prep / t1)
+
+
+def _iq_points(model: IqModel, bright, uniforms) -> np.ndarray:
+    """Per-shot averaged IQ points, shape (n, 2).
+
+    Each shot sits at centroid_1 where bright, else at centroid_0, plus
+    sigma times the mean of the normal deviates of its interleaved x/y
+    uniforms (2 n_samples per shot).  The deviates overwrite uniforms in
+    place and each axis is filled into one output array, so no
+    (n, 2 n_samples) buffer is allocated beside the draws.
+    """
+    noise = ndtri(uniforms, out=uniforms)
+    points = np.empty((len(bright), 2))
+    for axis, (c0, c1) in enumerate(zip(model.centroid_0, model.centroid_1)):
+        np.multiply(model.sigma, noise[:, axis::2].mean(axis=1), out=points[:, axis])
+        points[:, axis] += np.where(bright, c1, c0)
+    return points
 
 
 def _simulate_batch(
@@ -241,20 +230,15 @@ def _simulate_batch(
     dark = ~captured & (u[:, 2] < cfg.dark_prob)
     switch = captured | dark
 
-    noise = ndtri(u[:, 3:])
-    base_0 = np.asarray(iq_model.centroid_0)
-    base_1 = np.asarray(iq_model.centroid_1)
-    centroid = np.where(switch[:, None], base_1, base_0)
-    iq_x = centroid[:, 0] + iq_model.sigma * noise[:, 0::2].mean(axis=1)
-    iq_y = centroid[:, 1] + iq_model.sigma * noise[:, 1::2].mean(axis=1)
+    points = _iq_points(iq_model, switch, u[:, 3:])
 
     return {
         "switch": switch,
         "captured": captured,
         "relaxed": relaxed,
         "dark": dark,
-        "iq_x": iq_x,
-        "iq_y": iq_y,
+        "iq_x": points[:, 0],
+        "iq_y": points[:, 1],
     }
 
 
@@ -486,11 +470,7 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
             raise ValueError("labels must be 0 or 1")
         if rng is None:
             raise ValueError("an rng is required to draw points for label input")
-        noise = ndtri(rng.random((labels.size, 2 * model.n_samples)))
-        centroid = np.where(labels[:, None] == 1, c1, c0)
-        points = centroid + model.sigma * np.stack(
-            [noise[:, 0::2].mean(axis=1), noise[:, 1::2].mean(axis=1)], axis=1
-        )
+        points = _iq_points(model, labels == 1, rng.random((labels.size, 2 * model.n_samples)))
 
     axis = (c1 - c0) / np.linalg.norm(c1 - c0)
     threshold = float(0.5 * (c0 + c1) @ axis)

@@ -118,7 +118,7 @@ class TomogramGrid:
         object.__setattr__(self, "occupations", occ)
         if occ.shape != (angles.size, durations.size):
             raise ValueError("occupations shape must be (len(axis_angles), len(pulse_durations))")
-        if np.any(occ < 0.0) or np.any(occ > 1.0):
+        if not np.all((occ >= 0.0) & (occ <= 1.0)):
             raise ValueError("occupations must lie in [0, 1]")
         if np.any(durations < 0.0):
             raise ValueError("pulse_durations must be non-negative")

@@ -141,9 +141,11 @@ def efficiency_kappa_mismatch(t, kappa_1: float, kappa_2: float):
     """
     if kappa_2 == kappa_1:
         return efficiency_matched(t, kappa_1)
-    denom = _square(kappa_2 - kappa_1, "decay-rate mismatch")
+    # Each rate is divided by the mismatch before the product, so no
+    # intermediate overflows when kappa_1 kappa_2 exceeds float64.
+    d_kappa = kappa_2 - kappa_1
     diff = _exp_half_diff(t, kappa_1, kappa_2)
-    out = 4.0 * kappa_1 * kappa_2 * diff**2 / denom
+    out = 4.0 * (kappa_1 / d_kappa) * (kappa_2 / d_kappa) * diff**2
     return out if out.ndim else float(out)
 
 
@@ -453,11 +455,12 @@ def peak_efficiency(cfg: TransferConfig, *, points_per_period: int = 40) -> tupl
     lo = max(seed / 3.0, t_max / 4000.0)
     hi = min(3.0 * seed, t_max)
 
-    n_nodes = int(math.ceil(hi / (2.0 * h)))
-    if n_nodes > MAX_PEAK_NODES:
+    span = hi / (2.0 * h)
+    if not span <= MAX_PEAK_NODES:
         raise NumericalError(
-            f"peak search needs {n_nodes:.3g} quadrature nodes, more than {MAX_PEAK_NODES:.0e}"
+            f"peak search needs {span:.3g} quadrature nodes, more than {MAX_PEAK_NODES:.0e}"
         )
+    n_nodes = int(math.ceil(span))
     volts = _node_voltages(cfg, h, n_nodes)
 
     @functools.lru_cache(maxsize=None)

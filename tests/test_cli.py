@@ -7,14 +7,19 @@ tested value by value against the documented unit conventions.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jpmsim.cli import main, run_subcommand
-from jpmsim.config import RunConfig, SCHEMA, parse_value
+from jpmsim.config import _UNIT_TABLES, RunConfig, SCHEMA, parse_value
 from jpmsim.errors import ConfigError
 from jpmsim.potential import DEFAULT_PARAMS, PHI0
 from jpmsim.protocol import DEFAULT_DEPLETION_RATE, DEFAULT_IQ_MODEL, ProtocolConfig
@@ -135,6 +140,22 @@ def test_config_rejections():
     for line in bad:
         with pytest.raises(ConfigError):
             RunConfig.from_sources(overrides=(line,))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "device.mutual_inductance=1pH",
+        "protocol.window=hamming",
+        "protocol.depletion_time=40ns",
+        "protocol.cycle_time=2.8us",
+    ],
+)
+def test_removed_keys_are_unknown(line):
+    # These keys were validated but never read; a config that still sets
+    # one fails like any other unknown key.
+    with pytest.raises(ConfigError, match="unknown key"):
+        RunConfig.from_sources(overrides=(line,))
 
 
 def test_config_file_and_precedence(tmp_path):
@@ -305,13 +326,97 @@ def test_exit_code_numerical_error(tmp_path, capsys):
         ("transfer-peak", "source.decay_time=1e-300s"),
         ("transfer-curves", "source.decay_time=1e-300s"),
         ("transfer-peak", "capture.decay_time=1e-300s"),
+        ("transfer-peak", "source.decay_time=1e300s"),
     ],
 )
 def test_transfer_overflow_inputs_exit_numerical(tmp_path, capsys, name, override):
     # Rates too large for float64 squares, a decay the quadrature step
-    # cannot resolve, or a carrier needing more than MAX_PEAK_NODES
-    # nodes: each ends in exit 3 with one diagnostic line, no artifact.
+    # cannot resolve, or a carrier or a decay so slow that the search
+    # needs more than MAX_PEAK_NODES nodes: each ends in exit 3 with one
+    # diagnostic line, no artifact.
     code, paths = run_subcommand(name, overrides=(override,), output_dir=str(tmp_path))
+    assert code == 3 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("transfer-curves", ("transfer.t_max_scaled=1e999",)),
+        ("stark", ("stark.powers=1e999,1",)),
+        ("depletion", ("depletion.time_stop=1e999s",)),
+        ("potential-sweep", ("potential.flux_stop=1e999phi0",)),
+        ("rabi", ("rabi.rate=1e999Hz",)),
+        ("transfer-curves", ("source.decay_time=1e300s", "transfer.t_max_scaled=1e300")),
+        ("potential-sweep", ("potential.flux_start=-1e308Wb", "potential.flux_stop=1e308Wb")),
+    ],
+)
+def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides):
+    # A literal that overflows float64 is refused where the config is
+    # parsed, and a sweep whose finite ends overflow (span or time
+    # scale) where the sweep is built, before either can turn into inf
+    # or NaN cells.
+    code, paths = run_fast(name, tmp_path, overrides)
+    assert code == 2 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "out of float64 range" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_depletion_stop_is_config_error(tmp_path, capsys):
+    code, paths = run_subcommand(
+        "depletion", overrides=("depletion.time_stop=-1ns",), output_dir=str(tmp_path)
+    )
+    assert code == 2 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        (0, "non-finite grid coordinate"),
+        (1, "non-finite grid coordinate"),
+        (2, "occupations must lie in [0, 1]"),
+    ],
+)
+def test_nan_tomogram_cell_is_config_error(tmp_path, capsys, column, message):
+    code, paths = run_subcommand("tomo-synth", output_dir=str(tmp_path / "synth"))
+    assert code == 0
+    lines = paths[0].read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[column] = "nan"
+    lines[5] = ",".join(cells)
+    holed = tmp_path / "holed.csv"
+    holed.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "fit"
+    capsys.readouterr()
+    code, paths = run_subcommand(
+        "tomo-fit", overrides=(f"tomo.input={holed}",), output_dir=str(out)
+    )
+    assert code == 2 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, override",
+    [
+        ("potential-sweep", "device.loop_inductance=1e300H"),
+        ("potential-sweep", "device.shunt_capacitance=1e308F"),
+        ("transfer-peak", "line.drive_amplitude=1e300V"),
+        ("transfer-peak", "line.impedance=1e308ohm"),
+    ],
+)
+def test_float_overflow_in_computation_exits_numerical(tmp_path, capsys, name, override):
+    # Finite inputs whose derived quantities overflow or vanish in
+    # float64 end in exit 3 with one line, not a traceback.
+    code, paths = run_fast(name, tmp_path, (override,))
     assert code == 3 and paths == []
     err = capsys.readouterr().err
     assert err.startswith("numerical error") and err.count("\n") == 1
@@ -444,3 +549,48 @@ def test_bifurcation_artifact(tmp_path):
     for line in lines[1:]:
         _, below, above = line.split(",")
         assert abs(int(below) - int(above)) == 1
+
+
+def _edge_literals(key):
+    # Zero, negative, overflowing and underflowing numbers (with the
+    # key's base unit where it has one), "none" and the empty value.
+    kind = SCHEMA[key].kind.removeprefix("list:")
+    unit = next(iter(_UNIT_TABLES[kind])) if kind in _UNIT_TABLES else ""
+    return [number + unit for number in ("0", "-1", "1e999", "1e-999")] + ["none", ""]
+
+
+# output.directory is left out: an edge literal would name a directory
+# outside the test's own temporary one.
+_EDGE_PAIRS = st.sampled_from(sorted(key for key in SCHEMA if key != "output.directory")).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(_edge_literals(key)))
+)
+
+
+@pytest.fixture(scope="module")
+def tomogram(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tomogram")
+    code, paths = run_subcommand("tomo-synth", output_dir=str(out))
+    assert code == 0
+    return paths[0]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(SUBCOMMANDS),
+    pairs=st.lists(_EDGE_PAIRS, min_size=1, max_size=3, unique_by=lambda pair: pair[0]),
+)
+def test_edge_inputs_end_in_artifact_or_documented_exit(tomogram, name, pairs):
+    # Small shot counts keep each example fast; drawn pairs replace them.
+    values = {"budget.n_shots": "10000", "iq.n_shots": "1000", "tomo.input": str(tomogram)}
+    values.update(pairs)
+    overrides = [f"{key}={text}" for key, text in values.items()]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, paths = run_subcommand(name, overrides=overrides, output_dir=out)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert len(paths) == 1 and paths[0].exists()
+        else:
+            assert paths == [] and os.listdir(out) == []
+            assert err.getvalue().count("\n") == 1

@@ -25,7 +25,6 @@ from jpmsim.protocol import (
     calibrate_depletion_rate,
     depletion_recovery,
     fidelity_budget,
-    hamming_envelope,
     iq_discriminate,
     measured_probability,
     rabi_chevron,
@@ -42,41 +41,6 @@ def analytic_visibility(cfg: ProtocolConfig) -> float:
     # P(switch | excited) - P(switch | ground) for the three-stage
     # channel: survive relaxation, capture and detect, no dark count.
     return (1.0 - cfg.relaxation_prob) * cfg.bright_detect_prob * (1.0 - cfg.dark_prob)
-
-
-def test_hamming_envelope_shape():
-    w = hamming_envelope(780e-9, 101)
-    assert w.shape == (101,)
-    assert w[0] == pytest.approx(0.08, abs=1e-12)
-    assert w[-1] == pytest.approx(0.08, abs=1e-12)
-    assert w[50] == pytest.approx(1.0, abs=1e-12)
-    # Symmetric and positive.
-    assert np.allclose(w, w[::-1], atol=1e-15)
-    assert np.all(w > 0.0)
-
-
-def test_hamming_sidelobe_suppression():
-    # FFT oracle: the highest spectral sidelobe of the window must sit
-    # at least 42 dB below the main lobe.
-    n = 101
-    w = hamming_envelope(1e-6, n)
-    padded = np.zeros(1 << 14)
-    padded[:n] = w
-    spectrum = np.abs(np.fft.rfft(padded))
-    main = spectrum[0]
-    # First null: first local minimum after the main lobe.
-    i = 1
-    while spectrum[i + 1] < spectrum[i]:
-        i += 1
-    sidelobe = spectrum[i:].max()
-    assert 20.0 * math.log10(sidelobe / main) < -42.0
-
-
-def test_hamming_validation():
-    with pytest.raises(ValueError):
-        hamming_envelope(0.0, 11)
-    with pytest.raises(ValueError):
-        hamming_envelope(1e-6, 1)
 
 
 def test_relaxation_error_direct_formula():
@@ -421,11 +385,7 @@ def test_protocol_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(t_prep=-1e-9)
     with pytest.raises(ValueError):
-        ProtocolConfig(window="hann")
-    with pytest.raises(ValueError):
         ProtocolConfig(dark_prob=1.5)
-    with pytest.raises(ValueError):
-        ProtocolConfig(cycle_time=100e-9)  # shorter than t_prep
     with pytest.raises(ValueError):
         ProtocolConfig(relaxation_override=-0.1)
 

@@ -317,6 +317,11 @@ def test_tomogram_grid_validation():
         TomogramGrid(thetas, times, good + 1.0)
     with pytest.raises(ValueError):
         TomogramGrid(thetas, -times, good)
+    # A NaN occupation fails the range check instead of reaching the fit.
+    holed = good.copy()
+    holed[1, 2] = math.nan
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        TomogramGrid(thetas, times, holed)
 
 
 def test_overlap_fidelity_named_values():

@@ -100,6 +100,18 @@ def test_kappa_mismatch_reduces_to_matched():
     assert np.max(np.abs(coarse - matched)) < 1e-5
 
 
+def test_kappa_mismatch_finite_when_rate_product_overflows():
+    # eta depends only on kappa_1 t and kappa_2/kappa_1, so rates near
+    # 1e160 (kappa_1 kappa_2 above float64's range) must reproduce the
+    # unit-rate curve, also for a ratio within 1e-7 of one.
+    x = np.linspace(0.0, 8.0, 401)
+    r = 1.0000001
+    scaled = efficiency_kappa_mismatch(x / 1e160, 1e160, r * 1e160)
+    unit = efficiency_kappa_mismatch(x, 1.0, r)
+    assert np.all(np.isfinite(scaled))
+    assert np.allclose(scaled, unit, rtol=1e-12, atol=0.0)
+
+
 def test_freq_mismatch_reduces_to_matched():
     kappa = 1e6
     ts = np.linspace(0.0, 10.0 / kappa, 101)
