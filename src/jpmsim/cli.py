@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
@@ -82,30 +83,45 @@ def _native(value):
 
 
 def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
-    """Write a table (rows under header) or, when header is None, a JSON record."""
-    if header is not None and file_format == "csv":
-        path = out_dir / f"{stem}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in data:
-                writer.writerow([_format_cell(cell) for cell in row])
-        return path
+    """Write a table (rows under header) or, when header is None, a JSON record.
+
+    The bytes go to a temporary file in out_dir that replaces the
+    artifact only once complete, so a failed write leaves no partial
+    file and any older artifact of the same name as it was.
+    """
+    as_csv = header is not None and file_format == "csv"
     if header is None:
         payload = {key: _native(value) for key, value in data.items()}
-    else:
+    elif not as_csv:
         payload = [{column: _native(cell) for column, cell in zip(header, row)} for row in data]
-    path = out_dir / f"{stem}.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    path = out_dir / f"{stem}.{'csv' if as_csv else 'json'}"
+    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{stem}.", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            if as_csv:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                for row in data:
+                    writer.writerow([_format_cell(cell) for cell in row])
+            else:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
 def _linspace(start: float, stop: float, points: int, key: str) -> np.ndarray:
     if points < 2:
         raise ConfigError(f"{key} must be at least 2")
-    values = np.linspace(start, stop, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(start, stop, points)
     if not np.isfinite(values).all():
         raise ConfigError(f"sweep from {start:g} to {stop:g} is out of float64 range")
     return values

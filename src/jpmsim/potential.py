@@ -36,6 +36,11 @@ SCAN_STEP = math.pi / 100
 REFINE_TOL = 1e-12
 """Default bisection tolerance in radians for extremum refinement."""
 
+MAX_SCAN_CELLS = 10**7
+"""Largest bracketing scan :func:`find_extrema` runs (beta_L about 1.6e5
+at the default step), so a huge but finite beta_L is refused instead of
+allocating gigabytes or looping for hours."""
+
 
 @dataclass(frozen=True)
 class JpmParams:
@@ -186,6 +191,15 @@ def plasma_frequency(delta: float, p: JpmParams) -> float:
     return (2.0 * math.pi / p.flux_quantum) * math.sqrt(curvature / p.shunt_capacitance)
 
 
+def _check_scan_size(beta: float, scan_step: float) -> None:
+    """Refuse a beta_L whose bracket [phi_e - beta_L - 1, phi_e + beta_L + 1]
+    holds more than MAX_SCAN_CELLS scan cells."""
+    if not (2.0 * beta + 2.0) / scan_step <= MAX_SCAN_CELLS:
+        raise NumericalError(
+            f"beta_L {beta:.3g} needs more than {MAX_SCAN_CELLS:.0e} extremum scan cells"
+        )
+
+
 def _residual(delta, phi_e: float, beta: float):
     # Extremum condition rearranged to sin(delta) - (phi_e - delta)/beta_L = 0.
     return np.sin(delta) - (phi_e - delta) / beta
@@ -240,9 +254,11 @@ def find_extrema(
     Raises
     ------
     NumericalError
-        If refinement stalls or the extremum structure is inconsistent.
+        If refinement stalls, the extremum structure is inconsistent, or
+        the scan would need more than MAX_SCAN_CELLS cells.
     """
     beta = beta_L(p)
+    _check_scan_size(beta, scan_step)
     phi_e = _phase_bias(flux, p)
     lo = phi_e - beta - 1.0
     hi = phi_e + beta + 1.0
@@ -367,10 +383,17 @@ def critical_flux(p: JpmParams) -> list[float]:
     sweep range [0, Phi0], in ascending order.  Empty for
     ``beta_L <= 1``: the line is then steeper than sin everywhere and
     exactly one extremum exists at every bias.
+
+    Raises
+    ------
+    NumericalError
+        If beta_L is too large for a :func:`find_extrema` scan at the
+        default step, which also bounds the loop over branches here.
     """
     beta = beta_L(p)
     if beta <= 1.0:
         return []
+    _check_scan_size(beta, SCAN_STEP)
     base = math.acos(-1.0 / beta)
     fluxes = []
     k_max = int(beta / (2.0 * math.pi)) + 2

@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtri
+
+from .errors import NumericalError
 
 
 def calibrate_depletion_rate(recovery_time: float, residual_fraction: float) -> float:
@@ -181,11 +182,15 @@ def relaxation_error(t_prep: float, t1: float) -> float:
 
     Averages the survival probability e^{-t/T1} uniformly over the
     window, giving 1 - (T1/t_prep)(1 - e^{-t_prep/T1}); for short
-    windows this is t_prep/(2 T1).
+    windows this is t_prep/(2 T1).  Raises NumericalError where the
+    ratio T1/t_prep is out of float64 range.
     """
     if not (t_prep > 0.0 and t1 > 0.0):
         raise ValueError("t_prep and t1 must be positive")
-    return 1.0 + (t1 / t_prep) * math.expm1(-t_prep / t1)
+    error = 1.0 + (t1 / t_prep) * math.expm1(-t_prep / t1)
+    if not math.isfinite(error):
+        raise NumericalError(f"relaxation error is not finite for T1/t_prep = {t1 / t_prep:.3g}")
+    return error
 
 
 def _iq_points(model: IqModel, bright, uniforms) -> np.ndarray:
@@ -197,6 +202,8 @@ def _iq_points(model: IqModel, bright, uniforms) -> np.ndarray:
     place and each axis is filled into one output array, so no
     (n, 2 n_samples) buffer is allocated beside the draws.
     """
+    from scipy.special import ndtri
+
     noise = ndtri(uniforms, out=uniforms)
     points = np.empty((len(bright), 2))
     for axis, (c0, c1) in enumerate(zip(model.centroid_0, model.centroid_1)):
@@ -407,8 +414,11 @@ def stark_calibration(drive_powers, cfg: ProtocolConfig) -> list[tuple[float, fl
     p_max = float(powers.max())
     if p_max == 0.0:
         raise ValueError("at least one drive power must be positive")
-    n_bar = cfg.n_bar_qubit_cavity * powers / p_max
-    shifts = cfg.stark_shift_per_photon * n_bar
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_bar = cfg.n_bar_qubit_cavity * (powers / p_max)
+        shifts = cfg.stark_shift_per_photon * n_bar
+    if not (np.isfinite(n_bar).all() and np.isfinite(shifts).all()):
+        raise NumericalError("stark photon numbers or shifts overflow float64")
     return [(float(n), float(s)) for n, s in zip(n_bar, shifts)]
 
 
@@ -442,6 +452,8 @@ def separation_fidelity(model: IqModel) -> float:
     1 - erfc(d / (2 sqrt(2) sigma_eff)) / 2 for centroid distance d and
     per-shot cloud width sigma_eff.
     """
+    from scipy.special import erfc
+
     return 1.0 - 0.5 * float(erfc(model.separation / (2.0 * math.sqrt(2.0) * model.effective_sigma)))
 
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import IdentifiabilityError, NumericalError
 
@@ -269,6 +268,8 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
     NumericalError
         If the optimizer fails to converge.
     """
+    from scipy.optimize import least_squares
+
     theta = grid.axis_angles
     t = grid.pulse_durations
     if np.unique(theta).size < 4:

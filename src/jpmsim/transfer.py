@@ -433,8 +433,8 @@ def peak_efficiency(cfg: TransferConfig, *, points_per_period: int = 40) -> tupl
     NumericalError
         If points_per_period < 8, if a decay rate is not resolved by the
         step (kappa h > 0.1), if a closed-form rate scale overflows
-        float64, or if the pass would need more than MAX_PEAK_NODES
-        panel nodes.
+        float64 or the envelope is not finite on the seed grid, or if
+        the pass would need more than MAX_PEAK_NODES panel nodes.
     """
     if points_per_period < 8:
         raise NumericalError("points_per_period must be at least 8 to resolve the carrier")
@@ -449,7 +449,11 @@ def peak_efficiency(cfg: TransferConfig, *, points_per_period: int = 40) -> tupl
     k_min = min(cfg.source.decay_rate, cfg.target.decay_rate)
     t_max = 20.0 / k_min
     grid = np.linspace(t_max / 4000.0, t_max, 4000)
-    seed = float(grid[int(np.argmax(efficiency_envelope(grid, cfg)))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = efficiency_envelope(grid, cfg)
+    if not np.isfinite(envelope).all():
+        raise NumericalError("closed-form envelope is not finite over the seed grid")
+    seed = float(grid[int(np.argmax(envelope))])
     if cfg.drive_amplitude == 0.0:
         return 0.0, seed
     lo = max(seed / 3.0, t_max / 4000.0)

@@ -12,12 +12,17 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jpmsim.cli
 from jpmsim.cli import main, run_subcommand
 from jpmsim.config import _UNIT_TABLES, RunConfig, SCHEMA, parse_value
 from jpmsim.errors import ConfigError
@@ -411,6 +416,8 @@ def test_nan_tomogram_cell_is_config_error(tmp_path, capsys, column, message):
         ("potential-sweep", "device.shunt_capacitance=1e308F"),
         ("transfer-peak", "line.drive_amplitude=1e300V"),
         ("transfer-peak", "line.impedance=1e308ohm"),
+        ("stark", "protocol.n_bar_qubit_cavity=1e308"),
+        ("budget", "protocol.t1=1e308s"),
     ],
 )
 def test_float_overflow_in_computation_exits_numerical(tmp_path, capsys, name, override):
@@ -420,6 +427,41 @@ def test_float_overflow_in_computation_exits_numerical(tmp_path, capsys, name, o
     assert code == 3 and paths == []
     err = capsys.readouterr().err
     assert err.startswith("numerical error") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_stark_powers_give_finite_rows(tmp_path):
+    # Powers are divided by the largest one before scaling, so powers
+    # near the float64 limit still map to finite photon numbers.
+    code, paths = run_subcommand(
+        "stark", overrides=("stark.powers=1e307,1e308",), output_dir=str(tmp_path)
+    )
+    assert code == 0
+    rows = [line.split(",") for line in paths[0].read_text().splitlines()[1:]]
+    assert [float(n_bar) for _, n_bar, _ in rows] == [1.0, 10.0]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
+@pytest.mark.parametrize(
+    "name, override",
+    [
+        ("bifurcation", "device.critical_current=1e300A"),
+        ("bifurcation", "device.critical_current=60mA"),
+        ("potential-sweep", "device.critical_current=60mA"),
+    ],
+)
+def test_huge_beta_l_is_refused_quickly(tmp_path, capsys, name, override):
+    # 60 mA puts beta_L near 2e5, just past MAX_SCAN_CELLS: without the
+    # limit the scan would take seconds here (and at 1e300 A the branch
+    # loop of critical_flux would not end), so the time bound shows the
+    # refusal comes first.
+    start = time.perf_counter()
+    code, paths = run_fast(name, tmp_path, (override,))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error") and err.count("\n") == 1
+    assert "scan cells" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -445,6 +487,65 @@ def test_exit_code_io_error(tmp_path, capsys):
     )
     assert code == 4 and paths == []
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    older = tmp_path / "older"
+    code, paths = run_subcommand("stark", output_dir=str(older))
+    assert code == 0
+    older_bytes = paths[0].read_bytes()
+
+    def fail(cell):
+        raise OSError("disk full")
+
+    # Cells are formatted after the header is written, so the write
+    # fails part way through the file.
+    monkeypatch.setattr(jpmsim.cli, "_format_cell", fail)
+    capsys.readouterr()
+    for out in (tmp_path / "fresh", older):
+        code, paths = run_subcommand("stark", output_dir=str(out))
+        assert code == 4 and paths == []
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error") and err.count("\n") == 1
+    assert list((tmp_path / "fresh").iterdir()) == []
+    assert [p.name for p in older.iterdir()] == ["stark.csv"]
+    assert (older / "stark.csv").read_bytes() == older_bytes
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import jpmsim, jpmsim.cli
+from jpmsim.cli import run_subcommand
+
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = {name: run_subcommand(name, overrides=sets, output_dir=out)[0] for name, sets in runs}
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _probe_scipy(tmp_path, names):
+    runs = [(name, list(FAST.get(name, ()))) for name in names]
+    env = dict(os.environ, PYTHONPATH=str(Path(jpmsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_scipy_loaded_only_by_budget_iq_and_tomo_fit(tmp_path):
+    # Fresh processes: importing jpmsim and running the subcommands that
+    # need no scipy function loads no scipy module at all; budget and iq
+    # load scipy.special (ndtri, erfc) but not scipy.optimize.
+    free = [name for name in SUBCOMMANDS if name not in ("budget", "iq", "tomo-fit")]
+    report = _probe_scipy(tmp_path / "free", free)
+    assert report["codes"] == {name: 0 for name in free}
+    assert report["scipy"] == []
+    report = _probe_scipy(tmp_path / "special", ["budget", "iq"])
+    assert report["codes"] == {"budget": 0, "iq": 0}
+    assert "scipy.special" in report["scipy"]
+    assert "scipy.optimize" not in report["scipy"]
 
 
 def test_output_directory_resolution(tmp_path, monkeypatch):

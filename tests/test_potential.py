@@ -19,6 +19,7 @@ from jpmsim.errors import NumericalError
 from jpmsim.potential import (
     DEFAULT_PARAMS,
     HBAR,
+    MAX_SCAN_CELLS,
     PHI0,
     FluxBias,
     JpmParams,
@@ -272,6 +273,18 @@ def test_critical_flux_empty_for_monostable_device():
     for q in (0.0, 0.3, 0.5, 0.8):
         extrema = find_extrema(FluxBias.from_flux_quanta(q), p)
         assert sum(1 for _, k in extrema if k == "minimum") == 1
+
+
+def test_scan_size_limit():
+    # The bracket spans 2 beta_L + 2 radians; past MAX_SCAN_CELLS cells
+    # of the scan step both solvers refuse before doing the work.
+    flux = FluxBias.from_flux_quanta(0.3)
+    span = 2.0 * beta_L(DEFAULT_PARAMS) + 2.0
+    with pytest.raises(NumericalError, match="scan cells"):
+        find_extrema(flux, DEFAULT_PARAMS, scan_step=0.99 * span / MAX_SCAN_CELLS)
+    huge = JpmParams(critical_current=1e300, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
+    with pytest.raises(NumericalError, match="scan cells"):
+        critical_flux(huge)
 
 
 def test_near_tangency_pair_is_resolved():
