@@ -12,15 +12,23 @@ import math
 
 import numpy as np
 
-from jpmsim.potential import (
-    DEFAULT_PARAMS,
-    PHI0,
-    FluxBias,
-    beta_L,
-    critical_flux,
-    find_extrema,
-    well_report,
-)
+from jpmsim.potential import DEFAULT_PARAMS, PHI0, beta_L, critical_flux, well_report_sweep
+
+
+def shallow_wells(fluxes, p):
+    """For each flux, (well count, depth, plasma frequency, level count) of its shallowest well."""
+    wells = well_report_sweep(fluxes, p)
+    shallow = {}
+    for i, count, height, omega, levels in zip(
+        wells.flux_index.tolist(),
+        wells.well_count.tolist(),
+        wells.barrier_height.tolist(),
+        wells.plasma_frequency.tolist(),
+        wells.level_count.tolist(),
+    ):
+        if i not in shallow or height < shallow[i][1]:
+            shallow[i] = (count, height, omega, levels)
+    return [shallow[i] for i in range(len(fluxes))]
 
 
 def main() -> None:
@@ -37,15 +45,13 @@ def main() -> None:
 
     print("flux (Phi0)   wells   shallow dU (K)   shallow wp/2pi (GHz)   levels")
     k_b = 1.380649e-23
-    for frac in np.linspace(0.0, 1.0, 21):
-        reports = well_report(FluxBias(frac * PHI0), p)
-        n_min = sum(1 for _, kind in find_extrema(FluxBias(frac * PHI0), p) if kind == "minimum")
-        shallow = min(reports, key=lambda w: w.barrier_height)
-        depth = "unbounded" if math.isinf(shallow.barrier_height) else f"{shallow.barrier_height / k_b:9.3f}"
-        levels = "-" if math.isinf(shallow.level_count) else f"{shallow.level_count:6.1f}"
+    fracs = np.linspace(0.0, 1.0, 21)
+    for frac, (n_min, height, omega, levels) in zip(fracs, shallow_wells(fracs * PHI0, p)):
+        depth = "unbounded" if math.isinf(height) else f"{height / k_b:9.3f}"
+        levels = "-" if math.isinf(levels) else f"{levels:6.1f}"
         print(
             f"  {frac:8.3f}   {n_min:5d}   {depth:>14s}   "
-            f"{shallow.plasma_frequency / (2e9 * math.pi):20.4f}   {levels:>6s}"
+            f"{omega / (2e9 * math.pi):20.4f}   {levels:>6s}"
         )
 
     # Near the upper tangency the shallow well flattens out and its
@@ -53,13 +59,13 @@ def main() -> None:
     # detection.
     print()
     print("approach to the upper tangency:")
-    for offset in (1e-2, 1e-3, 1e-4, 1e-5):
-        flux = FluxBias(crit[1] - offset * PHI0)
-        shallow = min(well_report(flux, p), key=lambda w: w.barrier_height)
+    offsets = (1e-2, 1e-3, 1e-4, 1e-5)
+    fluxes = np.array([crit[1] - offset * PHI0 for offset in offsets])
+    for offset, (_, _, omega, levels) in zip(offsets, shallow_wells(fluxes, p)):
         print(
             f"  crit - {offset:7.0e} Phi0: wp/2pi = "
-            f"{shallow.plasma_frequency / (2e9 * math.pi):7.4f} GHz, "
-            f"levels = {shallow.level_count:6.2f}"
+            f"{omega / (2e9 * math.pi):7.4f} GHz, "
+            f"levels = {levels:6.2f}"
         )
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .errors import ConfigError, NumericalError
-from .potential import PHI0, FluxBias, find_extrema, critical_flux, well_report
+from .potential import PHI0, critical_flux, find_extrema_sweep, well_report_sweep
 from .protocol import (
     depletion_recovery,
     fidelity_budget,
@@ -141,37 +141,32 @@ def _potential_sweep(cfg: RunConfig) -> list:
         cfg.get("potential.flux_points"),
         "potential.flux_points",
     )
-    rows = []
-    for flux in fluxes:
-        reports = well_report(FluxBias(float(flux)), params)
-        for report in reports:
-            rows.append(
-                (
-                    flux / PHI0,
-                    len(reports),
-                    report.well_label,
-                    report.minimum_phase,
-                    report.barrier_phase if report.barrier_phase is not None else math.nan,
-                    report.barrier_height,
-                    report.plasma_frequency / TWO_PI,
-                    report.level_count,
-                )
-            )
-    return rows
-
-
-def _count_minima(flux_webers: float, params) -> int:
-    extrema = find_extrema(FluxBias(flux_webers), params)
-    return sum(1 for _, kind in extrema if kind == "minimum")
+    wells = well_report_sweep(fluxes, params)
+    return list(
+        zip(
+            (fluxes / PHI0)[wells.flux_index].tolist(),
+            wells.well_count.tolist(),
+            wells.well_label.tolist(),
+            wells.minimum_phase.tolist(),
+            wells.barrier_phase.tolist(),
+            wells.barrier_height.tolist(),
+            (wells.plasma_frequency / TWO_PI).tolist(),
+            wells.level_count.tolist(),
+        )
+    )
 
 
 def _bifurcation(cfg: RunConfig) -> list:
     params = cfg.jpm_params()
     epsilon = 1e-6 * PHI0
-    return [
-        (flux / PHI0, _count_minima(flux - epsilon, params), _count_minima(flux + epsilon, params))
-        for flux in critical_flux(params)
+    crit = critical_flux(params)
+    sides = np.concatenate([np.subtract(crit, epsilon), np.add(crit, epsilon)])
+    minima = [
+        sum(1 for _, kind in extrema if kind == "minimum")
+        for extrema in find_extrema_sweep(sides, params)
     ]
+    n = len(crit)
+    return [(flux / PHI0, minima[i], minima[n + i]) for i, flux in enumerate(crit)]
 
 
 def _transfer_curves(cfg: RunConfig) -> list:
@@ -186,17 +181,20 @@ def _transfer_curves(cfg: RunConfig) -> list:
         raise ConfigError("transfer.t_max_scaled must be positive")
     ts = _linspace(0.0, t_max / kappa_1, cfg.get("transfer.time_points"), "transfer.time_points")
 
+    def family(efficiency, ratio, label):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            eta = efficiency(ts, kappa_1, ratio * kappa_1)
+        if not np.isfinite(eta).all():
+            raise NumericalError(f"transfer efficiency for {label} is not finite")
+        return [(t * kappa_1, e, label) for t, e in zip(ts, eta)]
+
     rows = []
     for ratio in kappa_ratios:
         if ratio <= 0.0:
             raise ConfigError("transfer.kappa_ratios entries must be positive")
-        eta = efficiency_kappa_mismatch(ts, kappa_1, ratio * kappa_1)
-        label = "kappa_ratio=%g" % ratio
-        rows.extend((t * kappa_1, e, label) for t, e in zip(ts, eta))
+        rows += family(efficiency_kappa_mismatch, ratio, "kappa_ratio=%g" % ratio)
     for ratio in detuning_ratios:
-        eta = efficiency_freq_mismatch(ts, kappa_1, ratio * kappa_1)
-        label = "detuning_ratio=%g" % ratio
-        rows.extend((t * kappa_1, e, label) for t, e in zip(ts, eta))
+        rows += family(efficiency_freq_mismatch, ratio, "detuning_ratio=%g" % ratio)
     return rows
 
 

@@ -41,6 +41,11 @@ MAX_SCAN_CELLS = 10**7
 at the default step), so a huge but finite beta_L is refused instead of
 allocating gigabytes or looping for hours."""
 
+SWEEP_BLOCK_CELLS = 2**15
+"""Scan cells :func:`find_extrema_sweep` solves at once.  A block holds at
+least one whole flux, so a sweep's working set stays near this many
+cells whatever its length."""
+
 
 @dataclass(frozen=True)
 class JpmParams:
@@ -147,8 +152,45 @@ class WellReport:
     bounded: bool
 
 
-def _phase_bias(flux: FluxBias, p: JpmParams) -> float:
-    return 2.0 * math.pi * flux.external_flux / p.flux_quantum
+@dataclass(frozen=True)
+class WellSweep:
+    """Every local minimum of a flux sweep, one array entry per well.
+
+    Wells are ordered by flux, then by phase.  The value fields follow
+    :class:`WellReport`; ``barrier_phase`` is NaN where a well is
+    unbounded.
+
+    Attributes
+    ----------
+    flux_index:
+        Index of the well's flux in the swept array.
+    well_count:
+        Number of wells at that flux.
+    """
+
+    flux_index: np.ndarray
+    well_count: np.ndarray
+    minimum_phase: np.ndarray
+    barrier_phase: np.ndarray
+    barrier_height: np.ndarray
+    plasma_frequency: np.ndarray
+    level_count: np.ndarray
+    well_label: np.ndarray
+    bounded: np.ndarray
+
+
+def _phase_bias(external_flux, p: JpmParams):
+    return 2.0 * math.pi * external_flux / p.flux_quantum
+
+
+def _energy(delta, phi_e, p: JpmParams):
+    quad_scale = (p.flux_quantum / (2.0 * math.pi)) ** 2 / (2.0 * p.loop_inductance)
+    # float_power squares with the C library's pow, as a float64 scalar's
+    # ** does, where an array's ** 2 multiplies: this way one phase and an
+    # array of phases give the same bits.
+    return -p.josephson_energy * np.cos(delta) + quad_scale * np.float_power(
+        np.asarray(delta) - phi_e, 2.0
+    )
 
 
 def potential_energy(delta, flux: FluxBias, p: JpmParams):
@@ -156,9 +198,7 @@ def potential_energy(delta, flux: FluxBias, p: JpmParams):
 
     Accepts a scalar or array phase and broadcasts over it.
     """
-    phi_e = _phase_bias(flux, p)
-    quad_scale = (p.flux_quantum / (2.0 * math.pi)) ** 2 / (2.0 * p.loop_inductance)
-    return -p.josephson_energy * np.cos(delta) + quad_scale * (np.asarray(delta) - phi_e) ** 2
+    return _energy(delta, _phase_bias(flux.external_flux, p), p)
 
 
 def potential_curvature(delta, p: JpmParams):
@@ -176,8 +216,10 @@ def beta_L(p: JpmParams) -> float:
     return 2.0 * math.pi * p.loop_inductance * p.critical_current / p.flux_quantum
 
 
-def plasma_frequency(delta: float, p: JpmParams) -> float:
+def plasma_frequency(delta, p: JpmParams):
     """Plasma frequency omega_p = (2 pi / Phi0) sqrt(d2U/ddelta2 / C_s).
+
+    Accepts a scalar or array phase and broadcasts over it.
 
     Raises
     ------
@@ -185,10 +227,13 @@ def plasma_frequency(delta: float, p: JpmParams) -> float:
         If the curvature at ``delta`` is not positive (no confining
         well at this phase).
     """
-    curvature = float(potential_curvature(delta, p))
-    if curvature <= 0.0:
-        raise NumericalError(f"curvature at delta={delta} is not positive; no well here")
-    return (2.0 * math.pi / p.flux_quantum) * math.sqrt(curvature / p.shunt_capacitance)
+    curvature = potential_curvature(delta, p)
+    flat = np.flatnonzero(curvature <= 0.0)
+    if flat.size:
+        bad = float(np.ravel(delta)[flat[0]])
+        raise NumericalError(f"curvature at delta={bad} is not positive; no well here")
+    omega = (2.0 * math.pi / p.flux_quantum) * np.sqrt(curvature / p.shunt_capacitance)
+    return omega if omega.ndim else float(omega)
 
 
 def _check_scan_size(beta: float, scan_step: float) -> None:
@@ -200,31 +245,228 @@ def _check_scan_size(beta: float, scan_step: float) -> None:
         )
 
 
-def _residual(delta, phi_e: float, beta: float):
+def _residual(delta, phi_e, beta: float):
     # Extremum condition rearranged to sin(delta) - (phi_e - delta)/beta_L = 0.
     return np.sin(delta) - (phi_e - delta) / beta
 
 
-def _bisect_residual(lo, hi, phi_e: float, beta: float, tol: float):
-    """Vectorized bisection on the extremum residual.
+def _bisect(f, lo, hi, group, tol: float):
+    """Masked bisection of f on the brackets [lo, hi], each holding a sign change.
 
-    ``lo`` and ``hi`` must bracket a sign change element-wise.
+    ``f(x, k)`` evaluates the function at ``x`` for the brackets with
+    indices ``k``.  Brackets that share a ``group`` label (small
+    non-negative integers) step together until every one of them has
+    converged: its width is at most ``tol``, or its midpoint equals one
+    of its ends because the float spacing there is wider than ``tol``.
+    Returns the midpoint of each bracket at that step.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    f_lo = _residual(lo, phi_e, beta)
-    for _ in range(200):
-        if np.all(hi - lo <= tol):
-            break
+    out = np.empty(lo.size)
+    if lo.size == 0:
+        return out
+    k = np.arange(lo.size)
+    n_groups = int(group.max()) + 1
+    f_lo = f(lo, k)
+    # A step leaves at least half a width less half a float spacing of
+    # the ends, so no bracket can meet either rule before step `quiet`.
+    spacing = float(np.spacing(np.maximum(np.abs(lo), np.abs(hi)).max()))
+    ratio = float((hi - lo).min()) / (tol + 4.0 * spacing)
+    quiet = math.floor(math.log2(ratio)) if ratio > 1.0 else 0
+    for step in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = _residual(mid, phi_e, beta)
+        if step >= quiet:
+            done = (hi - lo <= tol) | (mid == lo) | (mid == hi)
+            still_open = np.zeros(n_groups, dtype=bool)
+            still_open[group[~done]] = True
+            finished = ~still_open[group]
+            if finished.any():
+                out[k[finished]] = mid[finished]
+                keep = ~finished
+                if not keep.any():
+                    return out
+                k, group, lo, hi, mid, f_lo = (a[keep] for a in (k, group, lo, hi, mid, f_lo))
+        f_mid = f(mid, k)
         left = f_lo * f_mid <= 0.0
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
         f_lo = np.where(left, f_lo, f_mid)
-    else:
-        raise NumericalError("extremum bisection failed to reach tolerance")
-    return 0.5 * (lo + hi)
+    raise NumericalError("extremum bisection failed to reach tolerance")
+
+
+def _block_roots(phi_e, n_cells: int, beta: float, scan_step: float, tol: float):
+    """Roots of the residual for a block of fluxes scanned with n_cells cells each.
+
+    Returns (row, root) arrays in no particular order, ``row`` indexing
+    ``phi_e``.
+    """
+    # One flux per column: in the flattened arrays a cell starting at
+    # index i ends at i + width.
+    width = phi_e.size
+    grid = np.linspace(phi_e - beta - 1.0, phi_e + beta + 1.0, n_cells + 1)
+    res = _residual(grid, phi_e, beta).ravel()
+    grid = grid.ravel()
+    # Cells that start this close to zero can hide a root pair (below).
+    # The sign then overwrites the residual, so a block holds no more
+    # than four arrays of its size at once.
+    bound = 2.0 * scan_step**2
+    shallow = (res[:-width] >= -bound) & (res[:-width] <= bound)
+    sign = np.sign(res, out=res)
+    pair_sign = sign[:-width] * sign[width:]
+
+    # One bisection over the crossing cells of every flux; each flux
+    # steps until all of its brackets are within tol.
+    cell = np.flatnonzero(pair_sign < 0.0)
+    row = cell % width
+    c = phi_e[row]
+    rows = [row]
+    roots = [_bisect(lambda x, k: _residual(x, c[k], beta), grid[cell], grid[cell + width], row, tol)]
+
+    # Grid points that are exact zeros count as roots only when the
+    # residual truly crosses there; a tangent touch is an inflection of
+    # the potential, not an extremum.
+    point = np.flatnonzero(sign[width:-width] == 0.0) + width
+    point = point[sign[point - width] * sign[point + width] < 0.0]
+    rows.append(point % width)
+    roots.append(grid[point])
+
+    # Same-sign cells containing an extremum of the residual can hide a
+    # root pair just before a tangency.  The residual derivative is
+    # cos(delta) + 1/beta_L; such a cell is bisected to its interior
+    # stationary point, each cell stopping on its own width, and split
+    # if the residual flips sign there.  Since |d2/ddelta2 residual| =
+    # |sin(delta)| <= 1 and the slope vanishes within the cell, the
+    # residual moves by at most scan_step**2 across it: a cell whose
+    # start lies further than twice that from zero cannot split, so only
+    # the shallow cells get a slope and a bisection.
+    cell = np.flatnonzero(shallow & (pair_sign > 0.0))
+    slope_sign = np.sign(np.cos(grid[cell]) + 1.0 / beta) * np.sign(np.cos(grid[cell + width]) + 1.0 / beta)
+    cell = cell[slope_sign < 0.0]
+    a, b = grid[cell], grid[cell + width]
+    station = _bisect(lambda x, k: np.cos(x) + 1.0 / beta, a, b, np.arange(cell.size), tol)
+    row = cell % width
+    split = _residual(station, phi_e[row], beta) * _residual(a, phi_e[row], beta) < 0.0
+    if split.any():
+        row, a, b, station = row[split], a[split], b[split], station[split]
+        pair = np.arange(row.size)
+        c = phi_e[np.concatenate([row, row])]
+        rows += [row, row]
+        roots.append(
+            _bisect(
+                lambda x, k: _residual(x, c[k], beta),
+                np.concatenate([a, station]),
+                np.concatenate([station, b]),
+                np.concatenate([pair, pair]),
+                tol,
+            )
+        )
+    return np.concatenate(rows), np.concatenate(roots)
+
+
+def _sweep_extrema(fluxes, p: JpmParams, scan_step: float, tol: float):
+    """Extrema of every flux in webers as flat arrays.
+
+    Returns (phi_e, offsets, roots, is_minimum): the phase bias of each
+    flux, and the extrema of flux i as ``roots[offsets[i]:offsets[i + 1]]``
+    in ascending phase order.
+    """
+    fluxes = np.asarray(fluxes, dtype=float)
+    if fluxes.ndim != 1:
+        raise ValueError("fluxes must be a one-dimensional array")
+    if not np.isfinite(fluxes).all():
+        raise ValueError("external_flux must be finite")
+    beta = beta_L(p)
+    _check_scan_size(beta, scan_step)
+    with np.errstate(over="ignore"):
+        phi_e = _phase_bias(fluxes, p)
+    if not np.isfinite(phi_e).all():
+        raise ValueError("external_flux overflows the phase bias")
+    cells = np.ceil(((phi_e + beta + 1.0) - (phi_e - beta - 1.0)) / scan_step).astype(np.int64)
+
+    flux_of, roots = [], []
+    for n_cells in np.unique(cells).tolist():
+        same = np.flatnonzero(cells == n_cells)
+        per_block = max(1, SWEEP_BLOCK_CELLS // max(n_cells, 1))
+        for start in range(0, same.size, per_block):
+            block = same[start : start + per_block]
+            row, root = _block_roots(phi_e[block], n_cells, beta, scan_step, tol)
+            flux_of.append(block[row])
+            roots.append(root)
+    flux_of = np.concatenate(flux_of) if flux_of else np.empty(0, dtype=np.int64)
+    roots = np.concatenate(roots) if roots else np.empty(0)
+    order = np.lexsort((roots, flux_of))
+    flux_of, roots = flux_of[order], roots[order]
+
+    same_flux = flux_of[1:] == flux_of[:-1]
+    if (same_flux & ~(np.diff(roots) > 10.0 * tol)).any():
+        keep = np.ones(roots.size, dtype=bool)
+        last = prev = None
+        for j, (i, r) in enumerate(zip(flux_of.tolist(), roots.tolist())):
+            if i == prev and not r - last > 10.0 * tol:
+                keep[j] = False
+            else:
+                last = r
+            prev = i
+        flux_of, roots = flux_of[keep], roots[keep]
+        same_flux = flux_of[1:] == flux_of[:-1]
+
+    is_minimum = np.cos(roots) + 1.0 / beta > 0.0
+    counts = np.bincount(flux_of, minlength=fluxes.size)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    bad = counts % 2 == 0
+    bad[flux_of[1:][same_flux & (is_minimum[1:] == is_minimum[:-1])]] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        extrema = _pairs(roots[offsets[i] : offsets[i + 1]], is_minimum[offsets[i] : offsets[i + 1]])
+        raise NumericalError(
+            f"inconsistent extremum structure at flux {float(fluxes[i]) / PHI0} Phi0: {extrema}"
+        )
+    return phi_e, offsets, roots, is_minimum
+
+
+def _pairs(roots, is_minimum) -> list[tuple[float, str]]:
+    return list(zip(roots.tolist(), np.where(is_minimum, "minimum", "maximum").tolist()))
+
+
+def find_extrema_sweep(
+    fluxes,
+    p: JpmParams,
+    *,
+    scan_step: float = SCAN_STEP,
+    tol: float = REFINE_TOL,
+) -> list[list[tuple[float, str]]]:
+    """Locate all extrema of the potential for every flux of a sweep.
+
+    ``fluxes`` is a one-dimensional array of applied fluxes in webers.
+    For each flux, scans the guaranteed bracket
+    ``delta in [phi_e - beta_L - 1, phi_e + beta_L + 1]`` (outside it the
+    linear term of the extremum condition exceeds 1 in magnitude, so no
+    solutions exist) for sign changes of the residual
+    ``sin(delta) - (phi_e - delta)/beta_L`` and refines each by
+    bisection.  Scan cells where the residual does not change sign but
+    its derivative does are subdivided at the interior extremum, so
+    root pairs close to a bifurcation are still resolved.  The fluxes
+    are solved together in blocks of about SWEEP_BLOCK_CELLS scan cells,
+    so memory stays bounded whatever the sweep length.
+
+    Returns
+    -------
+    list of list of (delta, kind)
+        For each flux, its extrema in ascending phase order, ``kind``
+        "minimum" or "maximum".  Each count is odd and the kinds
+        alternate.
+
+    Raises
+    ------
+    NumericalError
+        If refinement stalls, the extremum structure of a flux is
+        inconsistent, or the scan would need more than MAX_SCAN_CELLS
+        cells per flux.
+    ValueError
+        If a flux is not finite or its phase bias overflows.
+    """
+    _, offsets, roots, is_minimum = _sweep_extrema(fluxes, p, scan_step, tol)
+    extrema = _pairs(roots, is_minimum)
+    bounds = offsets.tolist()
+    return [extrema[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def find_extrema(
@@ -236,141 +478,103 @@ def find_extrema(
 ) -> list[tuple[float, str]]:
     """Locate all extrema of the potential for one flux bias.
 
-    Scans the guaranteed bracket
-    ``delta in [phi_e - beta_L - 1, phi_e + beta_L + 1]`` (outside it the
-    linear term of the extremum condition exceeds 1 in magnitude, so no
-    solutions exist) for sign changes of the residual
-    ``sin(delta) - (phi_e - delta)/beta_L`` and refines each by
-    bisection.  Scan cells where the residual does not change sign but
-    its derivative does are subdivided at the interior extremum, so
-    root pairs close to a bifurcation are still resolved.
+    A one-flux :func:`find_extrema_sweep`: extrema in ascending phase
+    order as (delta, kind) pairs, an odd count with alternating kinds.
+    """
+    return find_extrema_sweep([flux.external_flux], p, scan_step=scan_step, tol=tol)[0]
 
-    Returns
-    -------
-    list of (delta, kind)
-        Extrema in ascending phase order, ``kind`` is "minimum" or
-        "maximum".  The count is odd and the kinds alternate.
+
+def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
+    """Characterize every local minimum at every flux of a sweep.
+
+    ``fluxes`` is a one-dimensional array of applied fluxes in webers.
+    For each minimum the barrier height is measured to the lowest
+    adjacent maximum (the escape barrier).  A landscape with a single
+    minimum has no barrier: the well is flagged unbounded and labeled
+    "global"; otherwise minima are "left", "right" or, between them,
+    "interior".  Returns one :class:`WellSweep` for the whole sweep.
 
     Raises
     ------
     NumericalError
-        If refinement stalls, the extremum structure is inconsistent, or
-        the scan would need more than MAX_SCAN_CELLS cells.
+        As :func:`find_extrema_sweep`, or if the curvature at a minimum
+        is not positive.
     """
-    beta = beta_L(p)
-    _check_scan_size(beta, scan_step)
-    phi_e = _phase_bias(flux, p)
-    lo = phi_e - beta - 1.0
-    hi = phi_e + beta + 1.0
-    n_cells = int(math.ceil((hi - lo) / scan_step))
-    grid = np.linspace(lo, hi, n_cells + 1)
-    res = _residual(grid, phi_e, beta)
-    sign = np.sign(res)
+    phi_e, offsets, roots, is_minimum = _sweep_extrema(fluxes, p, SCAN_STEP, REFINE_TOL)
+    flux_of = np.repeat(np.arange(phi_e.size), np.diff(offsets))
+    energy = _energy(roots, phi_e[flux_of], p)
 
-    roots: list[float] = []
+    j = np.flatnonzero(is_minimum)
+    start, stop = offsets[flux_of[j]], offsets[flux_of[j] + 1]
+    height = np.full(j.size, math.inf)
+    barrier = np.full(j.size, math.nan)
+    bounded = np.zeros(j.size, dtype=bool)
+    # The left maximum first, the right one only if strictly lower.
+    for side, exists in ((j - 1, j - 1 >= start), (j + 1, j + 1 < stop)):
+        side = np.clip(side, 0, max(roots.size - 1, 0))
+        side_height = energy[side] - energy[j]
+        lower = exists & (side_height < height)
+        height = np.where(lower, side_height, height)
+        barrier = np.where(lower, roots[side], barrier)
+        bounded |= lower
+    omega = plasma_frequency(roots[j], p)
+    quantum = HBAR * omega[bounded]
+    if (quantum == 0.0).any():
+        raise NumericalError("plasma quantum hbar*omega_p underflows float64; no level count")
+    level_count = np.full(j.size, math.inf)
+    with np.errstate(over="ignore"):
+        level_count[bounded] = height[bounded] / quantum
 
-    crossing = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    if crossing.size:
-        refined = _bisect_residual(grid[crossing], grid[crossing + 1], phi_e, beta, tol)
-        roots.extend(np.atleast_1d(refined).tolist())
-
-    # Grid points that are exact zeros count as roots only when the
-    # residual truly crosses there; a tangent touch is an inflection of
-    # the potential, not an extremum.
-    for i in np.flatnonzero(sign == 0):
-        if 0 < i < len(grid) - 1 and sign[i - 1] * sign[i + 1] < 0:
-            roots.append(float(grid[i]))
-
-    # Same-sign cells containing an extremum of the residual can hide a
-    # root pair just before a tangency.  The residual derivative is
-    # cos(delta) + 1/beta_L; bisect it to the interior stationary point
-    # and split the cell if the residual flips sign there.
-    slope = np.cos(grid) + 1.0 / beta
-    hidden = np.flatnonzero((sign[:-1] * sign[1:] > 0) & (np.sign(slope[:-1]) * np.sign(slope[1:]) < 0))
-    for i in hidden:
-        a, b = float(grid[i]), float(grid[i + 1])
-        sa = math.cos(a) + 1.0 / beta
-        x, y = a, b
-        for _ in range(200):
-            if y - x <= tol:
-                break
-            m = 0.5 * (x + y)
-            sm = math.cos(m) + 1.0 / beta
-            if sa * sm <= 0.0:
-                y = m
-            else:
-                x, sa = m, sm
-        station = 0.5 * (x + y)
-        r_station = float(_residual(station, phi_e, beta))
-        if r_station * res[i] < 0.0:
-            pair = _bisect_residual([a, station], [station, b], phi_e, beta, tol)
-            roots.extend(np.atleast_1d(pair).tolist())
-
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 10.0 * tol:
-            deduped.append(r)
-
-    extrema = [
-        (r, "minimum" if math.cos(r) + 1.0 / beta > 0.0 else "maximum") for r in deduped
-    ]
-    kinds = [k for _, k in extrema]
-    if len(extrema) % 2 == 0 or any(a == b for a, b in zip(kinds, kinds[1:])):
-        raise NumericalError(
-            f"inconsistent extremum structure at flux {flux.in_flux_quanta} Phi0: {extrema}"
-        )
-    return extrema
+    well_index = flux_of[j]
+    wells = np.bincount(well_index, minlength=phi_e.size)
+    position = np.arange(j.size) - (np.cumsum(wells) - wells)[well_index]
+    count = wells[well_index]
+    label = np.select(
+        [count == 1, position == 0, position == count - 1],
+        ["global", "left", "right"],
+        "interior",
+    )
+    return WellSweep(
+        flux_index=well_index,
+        well_count=count,
+        minimum_phase=roots[j],
+        barrier_phase=barrier,
+        barrier_height=height,
+        plasma_frequency=omega,
+        level_count=level_count,
+        well_label=label,
+        bounded=bounded,
+    )
 
 
 def well_report(flux: FluxBias, p: JpmParams) -> list[WellReport]:
     """Characterize every local minimum at one flux bias.
 
-    For each minimum the barrier height is measured to the lowest
-    adjacent maximum (the escape barrier).  A landscape with a single
-    minimum has no barrier: the report flags it unbounded and labels it
-    "global".
+    A one-flux :func:`well_report_sweep`, one :class:`WellReport` per
+    minimum in phase order; ``barrier_phase`` is None for an unbounded
+    well.
     """
-    extrema = find_extrema(flux, p)
-    minima_idx = [i for i, (_, kind) in enumerate(extrema) if kind == "minimum"]
-
-    reports = []
-    for pos, i in enumerate(minima_idx):
-        delta_min, _ = extrema[i]
-        u_min = float(potential_energy(delta_min, flux, p))
-        neighbors = [extrema[j] for j in (i - 1, i + 1) if 0 <= j < len(extrema)]
-        barrier_phase: float | None = None
-        barrier_height = math.inf
-        for delta_max, _ in neighbors:
-            height = float(potential_energy(delta_max, flux, p)) - u_min
-            if height < barrier_height:
-                barrier_height = height
-                barrier_phase = delta_max
-        bounded = barrier_phase is not None
-        omega_p = plasma_frequency(delta_min, p)
-        level_count = barrier_height / (HBAR * omega_p) if bounded else math.inf
-
-        if len(minima_idx) == 1:
-            label = "global"
-        elif pos == 0:
-            label = "left"
-        elif pos == len(minima_idx) - 1:
-            label = "right"
-        else:
-            label = "interior"
-
-        reports.append(
-            WellReport(
-                minimum_phase=delta_min,
-                barrier_phase=barrier_phase,
-                barrier_height=barrier_height if bounded else math.inf,
-                plasma_frequency=omega_p,
-                level_count=level_count,
-                well_label=label,
-                bounded=bounded,
-            )
+    sweep = well_report_sweep([flux.external_flux], p)
+    return [
+        WellReport(
+            minimum_phase=minimum,
+            barrier_phase=barrier if bounded else None,
+            barrier_height=height,
+            plasma_frequency=omega,
+            level_count=levels,
+            well_label=label,
+            bounded=bounded,
         )
-    return reports
+        for minimum, barrier, height, omega, levels, label, bounded in zip(
+            sweep.minimum_phase.tolist(),
+            sweep.barrier_phase.tolist(),
+            sweep.barrier_height.tolist(),
+            sweep.plasma_frequency.tolist(),
+            sweep.level_count.tolist(),
+            sweep.well_label.tolist(),
+            sweep.bounded.tolist(),
+        )
+    ]
 
 
 def critical_flux(p: JpmParams) -> list[float]:

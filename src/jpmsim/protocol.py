@@ -354,8 +354,9 @@ def ramsey_fringe(
     delays = np.asarray(delays, dtype=float)
     if np.any(delays < 0.0):
         raise ValueError("delays must be non-negative")
-    phase = 0.5 * np.outer(detunings, delays) + phase_offset
-    ideal = amplitude * np.exp(-delays / t2) * np.cos(phase) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 0.5 * np.outer(detunings, delays) + phase_offset
+        ideal = amplitude * np.exp(-delays / t2) * np.cos(phase) ** 2
     return _finish_sweep(ideal, cfg, n_shots)
 
 
@@ -380,13 +381,16 @@ def rabi_chevron(
     durations = np.asarray(durations, dtype=float)
     if np.any(durations < 0.0):
         raise ValueError("durations must be non-negative")
-    generalized = np.hypot(rabi_rate, detunings)[:, None]
-    weight = (rabi_rate / generalized) ** 2
-    ideal = weight * np.sin(0.5 * generalized * durations) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        generalized = np.hypot(rabi_rate, detunings)[:, None]
+        weight = (rabi_rate / generalized) ** 2
+        ideal = weight * np.sin(0.5 * generalized * durations) ** 2
     return _finish_sweep(ideal, cfg, n_shots)
 
 
 def _finish_sweep(ideal: np.ndarray, cfg: ProtocolConfig, n_shots: int | None) -> np.ndarray:
+    if not np.isfinite(ideal).all():
+        raise NumericalError("sweep probability is not finite: a phase or rotation angle overflows float64")
     measured = measured_probability(ideal, cfg)
     if n_shots is None:
         return measured

@@ -155,7 +155,10 @@ def expected_occupation(rho: DensityMatrix2, theta, t, t_pi: float):
     if not t_pi > 0.0:
         raise ValueError("t_pi must be positive")
     beta = rho.excited_population
-    alpha = math.pi * np.asarray(t, dtype=float) / t_pi
+    with np.errstate(over="ignore"):
+        alpha = math.pi * np.asarray(t, dtype=float) / t_pi
+    if not np.isfinite(alpha).all():
+        raise ValueError("rotation angle pi t / t_pi is not finite")
     theta = np.asarray(theta, dtype=float)
     out = (
         beta

@@ -418,6 +418,9 @@ def test_nan_tomogram_cell_is_config_error(tmp_path, capsys, column, message):
         ("transfer-peak", "line.impedance=1e308ohm"),
         ("stark", "protocol.n_bar_qubit_cavity=1e308"),
         ("budget", "protocol.t1=1e308s"),
+        ("ramsey", "ramsey.delay_stop=1e308s"),
+        ("rabi", "rabi.duration_stop=1e308s"),
+        ("transfer-curves", "transfer.kappa_ratios=1e308"),
     ],
 )
 def test_float_overflow_in_computation_exits_numerical(tmp_path, capsys, name, override):
@@ -462,6 +465,29 @@ def test_huge_beta_l_is_refused_quickly(tmp_path, capsys, name, override):
     err = capsys.readouterr().err
     assert err.startswith("numerical error") and err.count("\n") == 1
     assert "scan cells" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_large_beta_l_bifurcation_succeeds(tmp_path):
+    # beta_L ~ 1e4: the extremum brackets end on the float spacing of
+    # |delta| ~ 1e4, wider than the bisection tolerance.
+    code, paths = run_fast("bifurcation", tmp_path, ("device.critical_current=3mA",))
+    assert code == 0
+    rows = [line.split(",") for line in paths[0].read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(abs(int(below) - int(above)) == 1 for _, below, above in rows)
+
+
+def test_overflowing_tomogram_angle_prints_one_line(tmp_path):
+    # A fresh process, so numpy warnings reach stderr as they would for
+    # a user instead of being raised by the test's warning filter.
+    env = dict(os.environ, PYTHONPATH=str(Path(jpmsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jpmsim.cli", "tomo-synth", "-s", "tomo.duration_stop=1e308s", "-o", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error") and proc.stderr.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

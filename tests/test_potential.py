@@ -10,9 +10,11 @@ below asserts against the module's own internals.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from jpmsim.errors import NumericalError
@@ -21,15 +23,19 @@ from jpmsim.potential import (
     HBAR,
     MAX_SCAN_CELLS,
     PHI0,
+    SCAN_STEP,
+    SWEEP_BLOCK_CELLS,
     FluxBias,
     JpmParams,
     beta_L,
     critical_flux,
     find_extrema,
+    find_extrema_sweep,
     plasma_frequency,
     potential_curvature,
     potential_energy,
     well_report,
+    well_report_sweep,
 )
 
 
@@ -298,6 +304,205 @@ def test_near_tangency_pair_is_resolved():
         assert len(got) == len(want)
         for (delta, _), ref in zip(got, want):
             assert abs(delta - ref) < 1e-9
+
+
+def reference_extrema(flux_wb: float, p: JpmParams, scan_step: float = math.pi / 100, tol: float = 1e-12):
+    # The one-flux solver the sweep replaced, kept as its bit-for-bit
+    # reference: one scan grid, a vectorized bisection over the crossing
+    # cells, a scalar slope bisection for each same-sign cell in which
+    # the slope changes sign, and a pair bisection where that cell hides
+    # two roots.
+    beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / p.flux_quantum
+    phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
+    lo, hi = phi_e - beta - 1.0, phi_e + beta + 1.0
+    grid = np.linspace(lo, hi, int(math.ceil((hi - lo) / scan_step)) + 1)
+
+    def g(delta):
+        return np.sin(delta) - (phi_e - delta) / beta
+
+    def bisect(a, b):
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        g_a = g(a)
+        while not np.all(b - a <= tol):
+            m = 0.5 * (a + b)
+            g_m = g(m)
+            left = g_a * g_m <= 0.0
+            a, b, g_a = np.where(left, a, m), np.where(left, m, b), np.where(left, g_a, g_m)
+        return (0.5 * (a + b)).tolist()
+
+    res = g(grid)
+    sign = np.sign(res)
+    cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    roots = bisect(grid[cross], grid[cross + 1]) if cross.size else []
+    for i in np.flatnonzero(sign == 0.0):
+        if 0 < i < grid.size - 1 and sign[i - 1] * sign[i + 1] < 0.0:
+            roots.append(float(grid[i]))
+    slope = np.sign(np.cos(grid) + 1.0 / beta)
+    for i in np.flatnonzero((sign[:-1] * sign[1:] > 0.0) & (slope[:-1] * slope[1:] < 0.0)):
+        x, y = float(grid[i]), float(grid[i + 1])
+        s_x = math.cos(x) + 1.0 / beta
+        while y - x > tol:
+            m = 0.5 * (x + y)
+            s_m = math.cos(m) + 1.0 / beta
+            if s_x * s_m <= 0.0:
+                y = m
+            else:
+                x, s_x = m, s_m
+        station = 0.5 * (x + y)
+        if float(g(station)) * res[i] < 0.0:
+            roots += bisect([grid[i], station], [station, grid[i + 1]])
+    kept = []
+    for r in sorted(roots):
+        if not kept or r - kept[-1] > 10.0 * tol:
+            kept.append(r)
+    return [(r, "minimum" if math.cos(r) + 1.0 / beta > 0.0 else "maximum") for r in kept]
+
+
+def reference_wells(flux_wb: float, p: JpmParams):
+    # Per-minimum (phase, barrier phase or None, height, omega_p, levels,
+    # label) from reference_extrema, one minimum at a time.
+    extrema = reference_extrema(flux_wb, p)
+    minima = [i for i, (_, kind) in enumerate(extrema) if kind == "minimum"]
+    e_j = p.critical_current * p.flux_quantum / (2.0 * math.pi)
+    quad = (p.flux_quantum / (2.0 * math.pi)) ** 2 / p.loop_inductance
+    wells = []
+    for pos, i in enumerate(minima):
+        delta = extrema[i][0]
+        barrier, height = None, math.inf
+        for j in (i - 1, i + 1):
+            if 0 <= j < len(extrema):
+                h = oracle_potential(extrema[j][0], flux_wb, p) - oracle_potential(delta, flux_wb, p)
+                if h < height:
+                    barrier, height = extrema[j][0], h
+        omega = (2.0 * math.pi / p.flux_quantum) * math.sqrt((e_j * math.cos(delta) + quad) / p.shunt_capacitance)
+        levels = height / (HBAR * omega) if barrier is not None else math.inf
+        if len(minima) == 1:
+            label = "global"
+        else:
+            label = "left" if pos == 0 else "right" if pos == len(minima) - 1 else "interior"
+        wells.append((delta, barrier, height, omega, levels, label))
+    return wells
+
+
+def _device(beta: float) -> JpmParams:
+    # The default loop with the critical current that gives this beta_L.
+    return JpmParams(
+        critical_current=beta * PHI0 / (2.0 * math.pi * 1.1e-9),
+        loop_inductance=1.1e-9,
+        shunt_capacitance=2e-12,
+    )
+
+
+def _alternates(extrema) -> bool:
+    kinds = [kind for _, kind in extrema]
+    return len(kinds) % 2 == 1 and all(a != b for a, b in zip(kinds, kinds[1:]))
+
+
+def test_sweep_equals_per_flux_calls_across_blocks():
+    # Several blocks, a length that is no multiple of the fluxes per
+    # block, a window across both tangencies, and fluxes close enough to
+    # a tangency that a cell hides a root pair: the sweep must give the
+    # bits of one call per flux.
+    p = DEFAULT_PARAMS
+    per_block = SWEEP_BLOCK_CELLS // math.ceil((2.0 * beta_L(p) + 2.0) / SCAN_STEP)
+    crit = critical_flux(p)
+    near = [f * (1.0 + sign * d) for f in crit for sign in (-1.0, 1.0) for d in (1e-5, 1e-6, 1e-7)]
+    fluxes = np.concatenate([np.linspace(0.15, 0.85, 2 * per_block + per_block // 2) * PHI0, near])
+    assert fluxes.size > 2 * per_block and fluxes.size % per_block != 0
+
+    got = find_extrema_sweep(fluxes, p)
+    assert got == [find_extrema(FluxBias(float(f)), p) for f in fluxes]
+    assert got == [reference_extrema(float(f), p) for f in fluxes]
+
+    sweep = well_report_sweep(fluxes, p)
+    got = list(
+        zip(
+            sweep.flux_index.tolist(),
+            sweep.well_count.tolist(),
+            sweep.minimum_phase.tolist(),
+            [b if bounded else None for b, bounded in zip(sweep.barrier_phase.tolist(), sweep.bounded.tolist())],
+            sweep.barrier_height.tolist(),
+            sweep.plasma_frequency.tolist(),
+            sweep.level_count.tolist(),
+            sweep.well_label.tolist(),
+            sweep.bounded.tolist(),
+        )
+    )
+    want = [
+        (i, len(reports), w.minimum_phase, w.barrier_phase, w.barrier_height,
+         w.plasma_frequency, w.level_count, w.well_label, w.bounded)
+        for i, reports in enumerate(well_report(FluxBias(float(f)), p) for f in fluxes)
+        for w in reports
+    ]
+    assert got == want
+    assert [row[2:8] for row in got] == [well for f in fluxes for well in reference_wells(float(f), p)]
+
+
+def test_sweep_keeps_per_flux_stopping_rule():
+    # With tol a power-of-two fraction of the cell width, the crossing
+    # brackets of one flux reach tol after different numbers of halvings,
+    # so the bits depend on each flux stepping until all of its brackets
+    # are within tol, as the one-flux solver does.
+    p = DEFAULT_PARAMS
+    beta = beta_L(p)
+    spacing = (2.0 * beta + 2.0) / math.ceil((2.0 * beta + 2.0) / SCAN_STEP)
+    fluxes = np.linspace(0.05, 0.95, 40) * PHI0
+    for halvings in (16, 20, 24, 28):
+        tol = spacing / 2**halvings
+        got = find_extrema_sweep(fluxes, p, tol=tol)
+        assert got == [reference_extrema(float(f), p, tol=tol) for f in fluxes]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    beta=st.floats(min_value=1.0, max_value=20.0, exclude_min=True),
+    which=st.integers(min_value=0, max_value=7),
+    offset=st.floats(min_value=-1e-3, max_value=1e-3),
+    log_width=st.floats(min_value=-8.0, max_value=-2.0),
+    points=st.integers(min_value=2, max_value=40),
+)
+def test_sweep_near_tangency_matches_per_flux_calls(beta, which, offset, log_width, points):
+    p = _device(beta)
+    crit = critical_flux(p)
+    center = crit[which % len(crit)] + offset * PHI0
+    width = 10.0**log_width * PHI0
+    fluxes = np.linspace(center - width, center + width, points)
+    got = find_extrema_sweep(fluxes, p)
+    assert got == [find_extrema(FluxBias(float(f)), p) for f in fluxes]
+    assert got == [reference_extrema(float(f), p) for f in fluxes]
+    assert all(_alternates(extrema) for extrema in got)
+
+
+def test_sweep_memory_is_bounded():
+    # The sweep is solved in blocks of about SWEEP_BLOCK_CELLS cells; one
+    # (fluxes x cells) grid with its residual, signs and slopes would
+    # take about 0.8 GB here.
+    p = _device(13.0)
+    fluxes = np.linspace(0.0, 1.0, 20_000) * PHI0
+    tracemalloc.start()
+    try:
+        wells = well_report_sweep(fluxes, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.unique(wells.flux_index), np.arange(fluxes.size))
+    assert peak < 40e6
+
+
+def test_large_beta_l_converges():
+    # At beta_L ~ 1e4 the float spacing near |delta| ~ 1e4 exceeds
+    # REFINE_TOL; a bracket whose midpoint equals one of its ends has
+    # converged all the same.
+    p = JpmParams(critical_current=3e-3, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
+    beta = beta_L(p)
+    assert 9e3 < beta < 1.1e4
+    flux = FluxBias.from_flux_quanta(0.3)
+    extrema = find_extrema(flux, p)
+    assert _alternates(extrema)
+    # Two extrema per 2 pi of the 2 beta_L + 2 wide bracket.
+    assert abs(len(extrema) - 2.0 * beta / math.pi) < 3.0
+    phi_e = 2.0 * math.pi * flux.external_flux / PHI0
+    assert max(abs(math.sin(d) - (phi_e - d) / beta) for d, _ in extrema) < 1e-9
 
 
 def test_flux_bias_round_trip():
