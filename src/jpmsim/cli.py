@@ -5,8 +5,10 @@ optional, see config.SCHEMA for names and defaults), applies -s/--set
 overrides, runs the corresponding computation, and writes one artifact
 into the output directory.  _SUBCOMMANDS describes each subcommand
 once: its compute function, artifact stem, column header and help
-text.  Outputs are byte-stable for a fixed config and seed: fixed
-column orders, 12-significant-digit decimals in CSV, and
+text.  A table's compute function returns its columns (numpy arrays
+or lists, in header order) and _write formats each column once.
+Outputs are byte-stable for a fixed config and seed: fixed column
+orders, 12-significant-digit decimals for float columns in CSV, and
 newline-terminated JSON with insertion-ordered keys.
 
 Exit codes: 0 success, 2 config error, 3 numerical/identifiability
@@ -62,28 +64,15 @@ OUTPUT_DIR_ENV = "JPMSIM_OUTPUT_DIR"
 TWO_PI = 2.0 * math.pi
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.12g" % value
-    return str(value)
-
-
-def _native(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+def _cells(column: np.ndarray) -> list[str]:
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        return ["%.12g" % value for value in values]
+    return [str(value) for value in values]
 
 
 def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
-    """Write a table (rows under header) or, when header is None, a JSON record.
+    """Write a table (columns under header) or, when header is None, a JSON record.
 
     The bytes go to a temporary file in out_dir that replaces the
     artifact only once complete, so a failed write leaves no partial
@@ -91,9 +80,13 @@ def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
     """
     as_csv = header is not None and file_format == "csv"
     if header is None:
-        payload = {key: _native(value) for key, value in data.items()}
-    elif not as_csv:
-        payload = [{column: _native(cell) for column, cell in zip(header, row)} for row in data]
+        payload = {key: np.asarray(value).tolist() for key, value in data.items()}
+    else:
+        columns = [np.asarray(column) for column in data]
+        if as_csv:
+            rows = zip(*map(_cells, columns))
+        else:
+            payload = [dict(zip(header, row)) for row in zip(*(c.tolist() for c in columns))]
     path = out_dir / f"{stem}.{'csv' if as_csv else 'json'}"
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{stem}.", suffix=".tmp")
     try:
@@ -105,8 +98,7 @@ def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
             if as_csv:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(header)
-                for row in data:
-                    writer.writerow([_format_cell(cell) for cell in row])
+                writer.writerows(rows)
             else:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
@@ -133,7 +125,16 @@ def _require_nonempty(values, key: str):
     return values
 
 
-def _potential_sweep(cfg: RunConfig) -> list:
+def _grid_columns(row_values: np.ndarray, col_values: np.ndarray, matrix: np.ndarray) -> tuple:
+    """(row value, column value, cell) columns of a matrix, in row-major order."""
+    return (
+        np.repeat(row_values, col_values.size),
+        np.tile(col_values, row_values.size),
+        matrix.ravel(),
+    )
+
+
+def _potential_sweep(cfg: RunConfig) -> tuple:
     params = cfg.jpm_params()
     fluxes = _linspace(
         cfg.get("potential.flux_start"),
@@ -142,21 +143,19 @@ def _potential_sweep(cfg: RunConfig) -> list:
         "potential.flux_points",
     )
     wells = well_report_sweep(fluxes, params)
-    return list(
-        zip(
-            (fluxes / PHI0)[wells.flux_index].tolist(),
-            wells.well_count.tolist(),
-            wells.well_label.tolist(),
-            wells.minimum_phase.tolist(),
-            wells.barrier_phase.tolist(),
-            wells.barrier_height.tolist(),
-            (wells.plasma_frequency / TWO_PI).tolist(),
-            wells.level_count.tolist(),
-        )
+    return (
+        (fluxes / PHI0)[wells.flux_index],
+        wells.well_count,
+        wells.well_label,
+        wells.minimum_phase,
+        wells.barrier_phase,
+        wells.barrier_height,
+        wells.plasma_frequency / TWO_PI,
+        wells.level_count,
     )
 
 
-def _bifurcation(cfg: RunConfig) -> list:
+def _bifurcation(cfg: RunConfig) -> tuple:
     params = cfg.jpm_params()
     epsilon = 1e-6 * PHI0
     crit = critical_flux(params)
@@ -166,10 +165,10 @@ def _bifurcation(cfg: RunConfig) -> list:
         for extrema in find_extrema_sweep(sides, params)
     ]
     n = len(crit)
-    return [(flux / PHI0, minima[i], minima[n + i]) for i, flux in enumerate(crit)]
+    return np.divide(crit, PHI0), minima[:n], minima[n:]
 
 
-def _transfer_curves(cfg: RunConfig) -> list:
+def _transfer_curves(cfg: RunConfig) -> tuple:
     tc = cfg.transfer_config()
     kappa_1 = tc.source.decay_rate
     kappa_ratios = cfg.get("transfer.kappa_ratios")
@@ -181,21 +180,23 @@ def _transfer_curves(cfg: RunConfig) -> list:
         raise ConfigError("transfer.t_max_scaled must be positive")
     ts = _linspace(0.0, t_max / kappa_1, cfg.get("transfer.time_points"), "transfer.time_points")
 
+    etas, labels = [], []
+
     def family(efficiency, ratio, label):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             eta = efficiency(ts, kappa_1, ratio * kappa_1)
         if not np.isfinite(eta).all():
             raise NumericalError(f"transfer efficiency for {label} is not finite")
-        return [(t * kappa_1, e, label) for t, e in zip(ts, eta)]
+        etas.append(eta)
+        labels.append(label)
 
-    rows = []
     for ratio in kappa_ratios:
         if ratio <= 0.0:
             raise ConfigError("transfer.kappa_ratios entries must be positive")
-        rows += family(efficiency_kappa_mismatch, ratio, "kappa_ratio=%g" % ratio)
+        family(efficiency_kappa_mismatch, ratio, "kappa_ratio=%g" % ratio)
     for ratio in detuning_ratios:
-        rows += family(efficiency_freq_mismatch, ratio, "detuning_ratio=%g" % ratio)
-    return rows
+        family(efficiency_freq_mismatch, ratio, "detuning_ratio=%g" % ratio)
+    return np.tile(ts * kappa_1, len(labels)), np.concatenate(etas), np.repeat(labels, ts.size)
 
 
 def _transfer_peak(cfg: RunConfig) -> dict:
@@ -227,7 +228,7 @@ def _budget(cfg: RunConfig) -> dict:
     return record
 
 
-def _ramsey(cfg: RunConfig) -> list:
+def _ramsey(cfg: RunConfig) -> tuple:
     pc = cfg.protocol_config()
     detunings = _require_nonempty(cfg.get("ramsey.detunings"), "ramsey.detunings")
     delays = _linspace(
@@ -241,14 +242,10 @@ def _ramsey(cfg: RunConfig) -> list:
         amplitude=cfg.get("ramsey.amplitude"),
         n_shots=cfg.get("ramsey.n_shots"),
     )
-    return [
-        (detunings[i] / TWO_PI, delays[j], matrix[i, j])
-        for i in range(len(detunings))
-        for j in range(len(delays))
-    ]
+    return _grid_columns(np.divide(detunings, TWO_PI), delays, matrix)
 
 
-def _rabi(cfg: RunConfig) -> list:
+def _rabi(cfg: RunConfig) -> tuple:
     pc = cfg.protocol_config()
     detunings = _require_nonempty(cfg.get("rabi.detunings"), "rabi.detunings")
     durations = _linspace(
@@ -264,21 +261,17 @@ def _rabi(cfg: RunConfig) -> list:
         rabi_rate=cfg.get("rabi.rate"),
         n_shots=cfg.get("rabi.n_shots"),
     )
-    return [
-        (detunings[i] / TWO_PI, durations[j], matrix[i, j])
-        for i in range(len(detunings))
-        for j in range(len(durations))
-    ]
+    return _grid_columns(np.divide(detunings, TWO_PI), durations, matrix)
 
 
-def _stark(cfg: RunConfig) -> list:
+def _stark(cfg: RunConfig) -> tuple:
     pc = cfg.protocol_config()
     powers = _require_nonempty(cfg.get("stark.powers"), "stark.powers")
-    pairs = stark_calibration(powers, pc)
-    return [(power, n_bar, shift / TWO_PI) for power, (n_bar, shift) in zip(powers, pairs)]
+    n_bar, shift = np.transpose(stark_calibration(powers, pc))
+    return powers, n_bar, shift / TWO_PI
 
 
-def _depletion(cfg: RunConfig) -> list:
+def _depletion(cfg: RunConfig) -> tuple:
     pc = cfg.protocol_config()
     times = _linspace(
         0.0,
@@ -286,18 +279,13 @@ def _depletion(cfg: RunConfig) -> list:
         cfg.get("depletion.time_points"),
         "depletion.time_points",
     )
-    rows = []
-    for t_dep in times:
-        record = depletion_recovery(float(t_dep), pc)
-        rows.append(
-            (
-                t_dep,
-                record["residual_photons"],
-                record["ramsey_contrast"],
-                record["frequency_shift"] / TWO_PI,
-            )
-        )
-    return rows
+    records = [depletion_recovery(t_dep, pc) for t_dep in times.tolist()]
+    return (
+        times,
+        [record["residual_photons"] for record in records],
+        [record["ramsey_contrast"] for record in records],
+        [record["frequency_shift"] / TWO_PI for record in records],
+    )
 
 
 def _iq(cfg: RunConfig) -> dict:
@@ -317,7 +305,7 @@ def _iq(cfg: RunConfig) -> dict:
     }
 
 
-def _tomo_synth(cfg: RunConfig) -> list:
+def _tomo_synth(cfg: RunConfig) -> tuple:
     rho = DensityMatrix2(
         excited_population=cfg.get("tomo.beta"),
         coherence_magnitude=cfg.get("tomo.r"),
@@ -346,11 +334,7 @@ def _tomo_synth(cfg: RunConfig) -> list:
         noise_sigma=cfg.get("tomo.noise_sigma"),
         rng=np.random.default_rng(cfg.get("seed")),
     )
-    return [
-        (grid.axis_angles[i], grid.pulse_durations[j], grid.occupations[i, j])
-        for i in range(grid.axis_angles.size)
-        for j in range(grid.pulse_durations.size)
-    ]
+    return _grid_columns(grid.axis_angles, grid.pulse_durations, grid.occupations)
 
 
 def _read_tomogram(path: str) -> TomogramGrid:
@@ -416,9 +400,13 @@ def _tomo_fit(cfg: RunConfig) -> dict:
 
 
 class _Subcommand(NamedTuple):
-    """One subcommand: compute(cfg) gives rows under header, or a record when header is None."""
+    """One subcommand: compute(cfg) gives the columns under header, or a record when header is None.
 
-    compute: Callable[[RunConfig], list | dict]
+    Columns are numpy arrays or lists in header order; _write prints a
+    float column with %.12g and any other column with str.
+    """
+
+    compute: Callable[[RunConfig], tuple | dict]
     stem: str
     header: tuple[str, ...] | None
     help: str
@@ -545,8 +533,9 @@ def run_subcommand(
     """Run one subcommand; returns (exit code, written artifact paths).
 
     This is the CLI's one error boundary: a ValueError (ConfigError
-    included) exits 2, a NumericalError or a float overflow or division
-    by zero (ArithmeticError) 3 and an OSError 4, each with one
+    included) exits 2, a NumericalError, a float overflow or division
+    by zero (ArithmeticError) or an array too large to allocate
+    (MemoryError) 3 and an OSError 4, each with one
     diagnostic line on stderr.  The artifact is computed in full before
     its file is opened, so exits 2 and 3 leave no file.  Prints one line
     per artifact on success.
@@ -563,7 +552,7 @@ def run_subcommand(
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2, []
-    except (NumericalError, ArithmeticError) as exc:
+    except (NumericalError, ArithmeticError, MemoryError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3, []
     except OSError as exc:

@@ -8,6 +8,7 @@ tested value by value against the documented unit conventions.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -505,6 +506,30 @@ def test_negative_seed_is_config_error(tmp_path, capsys, name):
     assert "seed must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("budget", "budget.n_shots"),
+        ("iq", "iq.n_shots"),
+        ("potential-sweep", "potential.flux_points"),
+        ("transfer-curves", "transfer.time_points"),
+        ("ramsey", "ramsey.delay_points"),
+        ("rabi", "rabi.duration_points"),
+        ("depletion", "depletion.time_points"),
+        ("tomo-synth", "tomo.theta_points"),
+        ("tomo-synth", "tomo.duration_points"),
+    ],
+)
+def test_size_too_large_to_allocate_exits_numerical(tmp_path, capsys, name, key):
+    # 10^15 elements exceed any address space, so the first allocation
+    # of that size fails at once instead of ending in a traceback.
+    code, paths = run_subcommand(name, overrides=(f"{key}=1000000000000000",), output_dir=str(tmp_path))
+    assert code == 3 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     code, paths = run_subcommand(
         "tomo-fit",
@@ -521,12 +546,21 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     assert code == 0
     older_bytes = paths[0].read_bytes()
 
-    def fail(cell):
-        raise OSError("disk full")
+    real_writer = csv.writer
 
-    # Cells are formatted after the header is written, so the write
-    # fails part way through the file.
-    monkeypatch.setattr(jpmsim.cli, "_format_cell", fail)
+    class FailingWriter:
+        # Writes the header row, then fails on the data rows, so the
+        # write fails part way through the file.
+        def __init__(self, fh, **kwargs):
+            self._writer = real_writer(fh, **kwargs)
+
+        def writerow(self, row):
+            return self._writer.writerow(row)
+
+        def writerows(self, rows):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(jpmsim.cli.csv, "writer", FailingWriter)
     capsys.readouterr()
     for out in (tmp_path / "fresh", older):
         code, paths = run_subcommand("stark", output_dir=str(out))
@@ -678,12 +712,85 @@ def test_bifurcation_artifact(tmp_path):
         assert abs(int(below) - int(above)) == 1
 
 
+def _reference_cell(value) -> str:
+    # The per-cell CSV formatting the columnar writer replaced.
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.12g" % value
+    return str(value)
+
+
+def _reference_native(value):
+    # The per-value JSON conversion the columnar writer replaced.
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return value
+
+
+def _reference_bytes(header, data, file_format: str) -> bytes:
+    """The artifact bytes of a row-at-a-time writer, given the same data."""
+    out = io.StringIO(newline="")
+    if header is not None and file_format == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*data):
+            writer.writerow([_reference_cell(cell) for cell in row])
+    else:
+        if header is None:
+            payload = {key: _reference_native(value) for key, value in data.items()}
+        else:
+            payload = [
+                {column: _reference_native(cell) for column, cell in zip(header, row)}
+                for row in zip(*data)
+            ]
+        json.dump(payload, out, indent=2)
+        out.write("\n")
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        (),
+        ("device.critical_current=0.1uA",),
+        ("ramsey.n_shots=100", "rabi.n_shots=50", "tomo.n_shots=200"),
+        ("transfer.kappa_ratios=",),
+        ("stark.powers=0,0.5,1",),
+        ("potential.flux_points=1200", "device.critical_current=3uA"),
+    ],
+)
+def test_writer_matches_per_cell_reference(tmp_path, overrides):
+    # tomo-fit reads the tomogram.csv that tomo-synth writes before it
+    # (csv is written last).
+    cfg = RunConfig.from_sources(overrides=overrides + (f"tomo.input={tmp_path / 'tomogram.csv'}",))
+    for name, spec in jpmsim.cli._SUBCOMMANDS.items():
+        data = spec.compute(cfg)
+        if name == "bifurcation":
+            # At 0.1 uA, beta_L < 1: no critical flux, an empty table.
+            assert (len(data[0]) == 0) == ("device.critical_current=0.1uA" in overrides)
+        for file_format in ("json", "csv"):
+            path = jpmsim.cli._write(tmp_path, spec.stem, spec.header, data, file_format)
+            assert path.read_bytes() == _reference_bytes(spec.header, data, file_format), (
+                name,
+                file_format,
+            )
+
+
 def _edge_literals(key):
     # Zero, negative, overflowing and underflowing numbers (with the
-    # key's base unit where it has one), "none" and the empty value.
+    # key's base unit where it has one), "none" and the empty value;
+    # for integer keys also a size too large to allocate.
     kind = SCHEMA[key].kind.removeprefix("list:")
     unit = next(iter(_UNIT_TABLES[kind])) if kind in _UNIT_TABLES else ""
-    return [number + unit for number in ("0", "-1", "1e999", "1e-999")] + ["none", ""]
+    oversized = ["1000000000000000"] if kind == "int" else []
+    return [number + unit for number in ("0", "-1", "1e999", "1e-999")] + ["none", ""] + oversized
 
 
 # output.directory is left out: an edge literal would name a directory
