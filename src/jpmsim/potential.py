@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,14 +32,14 @@ HBAR = 1.054571817e-34
 """Reduced Planck constant in joule seconds."""
 
 SCAN_STEP = math.pi / 100
-"""Default phase step of the bracketing scan used by :func:`find_extrema`."""
+"""Phase step of the bracketing scan used by :func:`find_extrema`."""
 
 REFINE_TOL = 1e-12
 """Default bisection tolerance in radians for extremum refinement."""
 
 MAX_SCAN_CELLS = 10**7
 """Largest bracketing scan :func:`find_extrema` runs (beta_L about 1.6e5
-at the default step), so a huge but finite beta_L is refused instead of
+at SCAN_STEP), so a huge but finite beta_L is refused instead of
 allocating gigabytes or looping for hours."""
 
 SWEEP_BLOCK_CELLS = 2**15
@@ -59,19 +60,17 @@ class JpmParams:
         Gradiometric loop inductance L_g in henries.
     shunt_capacitance:
         Shunt capacitance C_s in farads.
-    flux_quantum:
-        Magnetic flux quantum in webers.  Fixed physical constant,
-        exposed as a field so every conversion in the module uses one
-        value.
+
+    ``flux_quantum`` is the class constant PHI0, not a field.
     """
 
     critical_current: float
     loop_inductance: float
     shunt_capacitance: float
-    flux_quantum: float = PHI0
+    flux_quantum: ClassVar[float] = PHI0
 
     def __post_init__(self) -> None:
-        for name in ("critical_current", "loop_inductance", "shunt_capacitance", "flux_quantum"):
+        for name in ("critical_current", "loop_inductance", "shunt_capacitance"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -236,10 +235,10 @@ def plasma_frequency(delta, p: JpmParams):
     return omega if omega.ndim else float(omega)
 
 
-def _check_scan_size(beta: float, scan_step: float) -> None:
+def _check_scan_size(beta: float) -> None:
     """Refuse a beta_L whose bracket [phi_e - beta_L - 1, phi_e + beta_L + 1]
     holds more than MAX_SCAN_CELLS scan cells."""
-    if not (2.0 * beta + 2.0) / scan_step <= MAX_SCAN_CELLS:
+    if not (2.0 * beta + 2.0) / SCAN_STEP <= MAX_SCAN_CELLS:
         raise NumericalError(
             f"beta_L {beta:.3g} needs more than {MAX_SCAN_CELLS:.0e} extremum scan cells"
         )
@@ -292,7 +291,7 @@ def _bisect(f, lo, hi, group, tol: float):
     raise NumericalError("extremum bisection failed to reach tolerance")
 
 
-def _block_roots(phi_e, n_cells: int, beta: float, scan_step: float, tol: float):
+def _block_roots(phi_e, n_cells: int, beta: float, tol: float):
     """Roots of the residual for a block of fluxes scanned with n_cells cells each.
 
     Returns (row, root) arrays in no particular order, ``row`` indexing
@@ -307,7 +306,7 @@ def _block_roots(phi_e, n_cells: int, beta: float, scan_step: float, tol: float)
     # Cells that start this close to zero can hide a root pair (below).
     # The sign then overwrites the residual, so a block holds no more
     # than four arrays of its size at once.
-    bound = 2.0 * scan_step**2
+    bound = 2.0 * SCAN_STEP**2
     shallow = (res[:-width] >= -bound) & (res[:-width] <= bound)
     sign = np.sign(res, out=res)
     pair_sign = sign[:-width] * sign[width:]
@@ -334,7 +333,7 @@ def _block_roots(phi_e, n_cells: int, beta: float, scan_step: float, tol: float)
     # stationary point, each cell stopping on its own width, and split
     # if the residual flips sign there.  Since |d2/ddelta2 residual| =
     # |sin(delta)| <= 1 and the slope vanishes within the cell, the
-    # residual moves by at most scan_step**2 across it: a cell whose
+    # residual moves by at most SCAN_STEP**2 across it: a cell whose
     # start lies further than twice that from zero cannot split, so only
     # the shallow cells get a slope and a bisection.
     cell = np.flatnonzero(shallow & (pair_sign > 0.0))
@@ -361,7 +360,7 @@ def _block_roots(phi_e, n_cells: int, beta: float, scan_step: float, tol: float)
     return np.concatenate(rows), np.concatenate(roots)
 
 
-def _sweep_extrema(fluxes, p: JpmParams, scan_step: float, tol: float):
+def _sweep_extrema(fluxes, p: JpmParams, tol: float):
     """Extrema of every flux in webers as flat arrays.
 
     Returns (phi_e, offsets, roots, is_minimum): the phase bias of each
@@ -374,12 +373,12 @@ def _sweep_extrema(fluxes, p: JpmParams, scan_step: float, tol: float):
     if not np.isfinite(fluxes).all():
         raise ValueError("external_flux must be finite")
     beta = beta_L(p)
-    _check_scan_size(beta, scan_step)
+    _check_scan_size(beta)
     with np.errstate(over="ignore"):
         phi_e = _phase_bias(fluxes, p)
     if not np.isfinite(phi_e).all():
         raise ValueError("external_flux overflows the phase bias")
-    cells = np.ceil(((phi_e + beta + 1.0) - (phi_e - beta - 1.0)) / scan_step).astype(np.int64)
+    cells = np.ceil(((phi_e + beta + 1.0) - (phi_e - beta - 1.0)) / SCAN_STEP).astype(np.int64)
 
     flux_of, roots = [], []
     for n_cells in np.unique(cells).tolist():
@@ -387,7 +386,7 @@ def _sweep_extrema(fluxes, p: JpmParams, scan_step: float, tol: float):
         per_block = max(1, SWEEP_BLOCK_CELLS // max(n_cells, 1))
         for start in range(0, same.size, per_block):
             block = same[start : start + per_block]
-            row, root = _block_roots(phi_e[block], n_cells, beta, scan_step, tol)
+            row, root = _block_roots(phi_e[block], n_cells, beta, tol)
             flux_of.append(block[row])
             roots.append(root)
     flux_of = np.concatenate(flux_of) if flux_of else np.empty(0, dtype=np.int64)
@@ -426,13 +425,7 @@ def _pairs(roots, is_minimum) -> list[tuple[float, str]]:
     return list(zip(roots.tolist(), np.where(is_minimum, "minimum", "maximum").tolist()))
 
 
-def find_extrema_sweep(
-    fluxes,
-    p: JpmParams,
-    *,
-    scan_step: float = SCAN_STEP,
-    tol: float = REFINE_TOL,
-) -> list[list[tuple[float, str]]]:
+def find_extrema_sweep(fluxes, p: JpmParams, *, tol: float = REFINE_TOL) -> list[list[tuple[float, str]]]:
     """Locate all extrema of the potential for every flux of a sweep.
 
     ``fluxes`` is a one-dimensional array of applied fluxes in webers.
@@ -446,6 +439,10 @@ def find_extrema_sweep(
     root pairs close to a bifurcation are still resolved.  The fluxes
     are solved together in blocks of about SWEEP_BLOCK_CELLS scan cells,
     so memory stays bounded whatever the sweep length.
+
+    ``tol`` is the bisection tolerance in radians.  Each flux steps
+    until all of its brackets are within it, as a one-flux solve does;
+    the tests set it to pin that per-flux stopping rule.
 
     Returns
     -------
@@ -463,25 +460,19 @@ def find_extrema_sweep(
     ValueError
         If a flux is not finite or its phase bias overflows.
     """
-    _, offsets, roots, is_minimum = _sweep_extrema(fluxes, p, scan_step, tol)
+    _, offsets, roots, is_minimum = _sweep_extrema(fluxes, p, tol)
     extrema = _pairs(roots, is_minimum)
     bounds = offsets.tolist()
     return [extrema[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def find_extrema(
-    flux: FluxBias,
-    p: JpmParams,
-    *,
-    scan_step: float = SCAN_STEP,
-    tol: float = REFINE_TOL,
-) -> list[tuple[float, str]]:
+def find_extrema(flux: FluxBias, p: JpmParams) -> list[tuple[float, str]]:
     """Locate all extrema of the potential for one flux bias.
 
     A one-flux :func:`find_extrema_sweep`: extrema in ascending phase
     order as (delta, kind) pairs, an odd count with alternating kinds.
     """
-    return find_extrema_sweep([flux.external_flux], p, scan_step=scan_step, tol=tol)[0]
+    return find_extrema_sweep([flux.external_flux], p)[0]
 
 
 def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
@@ -500,7 +491,7 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
         As :func:`find_extrema_sweep`, or if the curvature at a minimum
         is not positive.
     """
-    phi_e, offsets, roots, is_minimum = _sweep_extrema(fluxes, p, SCAN_STEP, REFINE_TOL)
+    phi_e, offsets, roots, is_minimum = _sweep_extrema(fluxes, p, REFINE_TOL)
     flux_of = np.repeat(np.arange(phi_e.size), np.diff(offsets))
     energy = _energy(roots, phi_e[flux_of], p)
 
@@ -592,12 +583,12 @@ def critical_flux(p: JpmParams) -> list[float]:
     ------
     NumericalError
         If beta_L is too large for a :func:`find_extrema` scan at the
-        default step, which also bounds the loop over branches here.
+        scan step, which also bounds the loop over branches here.
     """
     beta = beta_L(p)
     if beta <= 1.0:
         return []
-    _check_scan_size(beta, SCAN_STEP)
+    _check_scan_size(beta)
     base = math.acos(-1.0 / beta)
     fluxes = []
     k_max = int(beta / (2.0 * math.pi)) + 2

@@ -29,31 +29,15 @@ import numpy as np
 from .errors import NumericalError
 
 
-def calibrate_depletion_rate(recovery_time: float, residual_fraction: float) -> float:
-    """Depletion rate that leaves the given photon fraction after recovery_time."""
-    if not (recovery_time > 0.0 and 0.0 < residual_fraction < 1.0):
-        raise ValueError("need recovery_time > 0 and residual_fraction in (0, 1)")
-    return math.log(1.0 / residual_fraction) / recovery_time
-
-
-def calibrate_dephasing_per_photon(
-    depletion_rate: float,
-    recovery_time: float = 40e-9,
-    target_contrast: float = 0.95,
-    initial_photons: float = 100.0,
-) -> float:
-    """Dephasing coefficient giving target_contrast after recovery_time."""
-    residual = initial_photons * math.exp(-depletion_rate * recovery_time)
-    return -math.log(target_contrast) / residual
-
-
 SPURIOUS_PHOTONS = 100.0
 """Spurious capture-cavity photon number released by one detector switch."""
 
-DEFAULT_DEPLETION_RATE = calibrate_depletion_rate(40e-9, 0.05)
+DEFAULT_DEPLETION_RATE = math.log(1.0 / 0.05) / 40e-9
 """Depletion rate leaving 5% of the spurious photons after 40 ns."""
 
-DEFAULT_DEPHASING_PER_PHOTON = calibrate_dephasing_per_photon(DEFAULT_DEPLETION_RATE)
+DEFAULT_DEPHASING_PER_PHOTON = -math.log(0.95) / (
+    SPURIOUS_PHOTONS * math.exp(-DEFAULT_DEPLETION_RATE * 40e-9)
+)
 """Ramsey-contrast suppression per residual photon, giving 0.95 at 40 ns."""
 
 
@@ -333,13 +317,12 @@ def ramsey_fringe(
     *,
     t2: float | None = None,
     amplitude: float = 1.0,
-    phase_offset: float = 0.0,
     n_shots: int | None = None,
 ) -> np.ndarray:
     """Detector-read Ramsey fringes versus drive detuning and delay.
 
     The ideal two-pulse excitation probability
-    A e^{-tau/T2} cos^2(Delta tau/2 + phi_0) is mapped through the
+    A e^{-tau/T2} cos^2(Delta tau/2) is mapped through the
     measurement channel.  Returns a matrix of shape
     (len(detunings), len(delays)); with n_shots set, each cell is a
     binomial estimate from a generator seeded with cfg.rng_seed.
@@ -355,7 +338,7 @@ def ramsey_fringe(
     if np.any(delays < 0.0):
         raise ValueError("delays must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = 0.5 * np.outer(detunings, delays) + phase_offset
+        phase = 0.5 * np.outer(detunings, delays)
         ideal = amplitude * np.exp(-delays / t2) * np.cos(phase) ** 2
     return _finish_sweep(ideal, cfg, n_shots)
 
@@ -426,26 +409,20 @@ def stark_calibration(drive_powers, cfg: ProtocolConfig) -> list[tuple[float, fl
     return [(float(n), float(s)) for n, s in zip(n_bar, shifts)]
 
 
-def depletion_recovery(
-    t_dep: float,
-    cfg: ProtocolConfig,
-    *,
-    initial_photons: float = SPURIOUS_PHOTONS,
-    dephasing_per_photon: float = DEFAULT_DEPHASING_PER_PHOTON,
-) -> dict:
+def depletion_recovery(t_dep: float, cfg: ProtocolConfig) -> dict:
     """Residual backaction after a depletion interval of length t_dep.
 
-    The spurious photons released by a switch decay at
+    The SPURIOUS_PHOTONS released by a switch decay at
     cfg.depletion_rate; the residual population suppresses Ramsey
-    contrast as e^{-c n} and shifts the qubit by
-    stark_shift_per_photon * n.
+    contrast as e^{-c n}, c = DEFAULT_DEPHASING_PER_PHOTON, and shifts
+    the qubit by stark_shift_per_photon * n.
     """
     if t_dep < 0.0:
         raise ValueError("t_dep must be non-negative")
-    residual = initial_photons * math.exp(-cfg.depletion_rate * t_dep)
+    residual = SPURIOUS_PHOTONS * math.exp(-cfg.depletion_rate * t_dep)
     return {
         "residual_photons": residual,
-        "ramsey_contrast": math.exp(-dephasing_per_photon * residual),
+        "ramsey_contrast": math.exp(-DEFAULT_DEPHASING_PER_PHOTON * residual),
         "frequency_shift": cfg.stark_shift_per_photon * residual,
     }
 
@@ -481,7 +458,8 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
         labels = np.array([s.switch_bit for s in shots])
         points = np.array([s.iq_point for s in shots], dtype=float)
     else:
-        labels = np.asarray(shots, dtype=int)
+        # Checked as given: a cast to int would truncate 0.5 to 0.
+        labels = np.asarray(shots)
         if np.any((labels != 0) & (labels != 1)):
             raise ValueError("labels must be 0 or 1")
         if rng is None:

@@ -99,14 +99,12 @@ class TomogramGrid:
     """Measured occupations on a (axis angle, pulse duration) grid.
 
     occupations[i, j] is the excited-state occupation for
-    axis_angles[i] and pulse_durations[j]; shot_counts, when present,
-    records the per-cell shot number of a binomial estimate.
+    axis_angles[i] and pulse_durations[j].
     """
 
     axis_angles: np.ndarray
     pulse_durations: np.ndarray
     occupations: np.ndarray
-    shot_counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         angles = np.asarray(self.axis_angles, dtype=float)
@@ -121,11 +119,6 @@ class TomogramGrid:
             raise ValueError("occupations must lie in [0, 1]")
         if np.any(durations < 0.0):
             raise ValueError("pulse_durations must be non-negative")
-        if self.shot_counts is not None:
-            counts = np.asarray(self.shot_counts)
-            object.__setattr__(self, "shot_counts", counts)
-            if counts.shape != occ.shape:
-                raise ValueError("shot_counts shape must match occupations")
 
 
 @dataclass(frozen=True)
@@ -193,28 +186,28 @@ def synthesize_tomogram(
     With n_shots set each cell is a binomial estimate over that many
     shots; with noise_sigma set, additive Gaussian noise is applied and
     the result clipped to [0, 1]; with neither, the exact model
-    surface is returned.
+    surface is returned.  A negative noise_sigma is a ValueError.
     """
     if n_shots is not None and noise_sigma is not None:
         raise ValueError("choose binomial or Gaussian noise, not both")
+    if noise_sigma is not None and noise_sigma < 0.0:
+        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma!r}")
     angles = np.asarray(axis_angles, dtype=float)
     durations = np.asarray(pulse_durations, dtype=float)
     surface = expected_occupation(rho, angles[:, None], durations[None, :], t_pi)
 
-    shot_counts = None
     if n_shots is not None:
         if rng is None:
             raise ValueError("binomial noise requires an rng")
         if n_shots < 1:
             raise ValueError("n_shots must be positive")
         surface = rng.binomial(n_shots, surface) / n_shots
-        shot_counts = np.full(surface.shape, n_shots)
     elif noise_sigma is not None:
         if rng is None:
             raise ValueError("Gaussian noise requires an rng")
         surface = np.clip(surface + noise_sigma * rng.standard_normal(surface.shape), 0.0, 1.0)
 
-    return TomogramGrid(angles, durations, surface, shot_counts)
+    return TomogramGrid(angles, durations, surface)
 
 
 def _initial_guess(grid: TomogramGrid) -> np.ndarray:

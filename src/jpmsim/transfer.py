@@ -221,6 +221,9 @@ def freq_mismatch_peak(kappa: float, delta_omega: float) -> tuple[float, float]:
     return eta, t_opt
 
 
+# Quadrature density of the numeric oracle: the Simpson grid has
+# 2 POINTS_PER_PERIOD points per period of the faster carrier.
+POINTS_PER_PERIOD = 40
 # Streaming pass of peak_efficiency: at most this many panel nodes (a
 # 5 GHz carrier over 20 decay times of a 1 us mode needs 4e6), so a huge
 # but finite carrier frequency is refused instead of streaming for hours.
@@ -264,7 +267,7 @@ def _tone_peak(times: np.ndarray, values: np.ndarray, omega: float, h: float) ->
     return float(np.hypot(p_end, q_end))
 
 
-def mode2_energy_numeric(t: float, cfg: TransferConfig, *, points_per_period: int = 40) -> float:
+def mode2_energy_numeric(t: float, cfg: TransferConfig) -> float:
     """Stored-energy fraction in mode 2 at time t by direct quadrature.
 
     Integrates the real-kernel response of mode 2 to the full ring-down
@@ -278,7 +281,7 @@ def mode2_energy_numeric(t: float, cfg: TransferConfig, *, points_per_period: in
         I(tau) = I_A e^{-kappa_1 tau/2} cos(omega_1 tau)
 
     is evaluated by composite Simpson quadrature on a grid of
-    2*points_per_period points per carrier period, with the decaying
+    2 POINTS_PER_PERIOD points per carrier period, with the decaying
     prefactor folded into every panel so no intermediate overflows.
     The stored energy is taken from the carrier-cycle peak of V2 over
     the trailing carrier period: a least-squares fit of a single tone
@@ -286,17 +289,9 @@ def mode2_energy_numeric(t: float, cfg: TransferConfig, *, points_per_period: in
     the peak as hypot(P, Q).  Fitting instead of taking the discrete
     maximum removes the phase-sampling error of the node grid, which
     would otherwise dominate the quadrature error.
-
-    Raises
-    ------
-    NumericalError
-        If points_per_period < 8 (the envelope extraction needs at
-        least a handful of samples per carrier cycle).
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    if points_per_period < 8:
-        raise NumericalError("points_per_period must be at least 8 to resolve the carrier")
     if t == 0.0 or cfg.drive_amplitude == 0.0:
         return 0.0
 
@@ -309,7 +304,7 @@ def mode2_energy_numeric(t: float, cfg: TransferConfig, *, points_per_period: in
     # Fine grid: Simpson panels of two intervals each, at twice the
     # requested per-period density so the even (panel-boundary) nodes
     # alone meet it.
-    n_fine = int(math.ceil(t / (period / (2 * points_per_period))))
+    n_fine = int(math.ceil(t / (period / (2 * POINTS_PER_PERIOD))))
     n_fine += n_fine % 2
     n_fine = max(n_fine, 4)
     h = t / n_fine
@@ -414,14 +409,14 @@ def _node_energy(cfg: TransferConfig, volts: np.ndarray, j: int, h: float) -> fl
     return 0.5 * v_peak**2 / emitted_energy(cfg)
 
 
-def peak_efficiency(cfg: TransferConfig, *, points_per_period: int = 40) -> tuple[float, float]:
+def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     """Maximum of the numeric stored-energy fraction over time.
 
     Seeds from the argmax of the closed-form envelope on a dense grid
     and brackets the peak in [seed/3, 3 seed] (the envelope is unimodal
     in every regime this model covers).  One streaming quadrature pass
     over [0, bracket end] on the fixed step h = period /
-    (2 points_per_period) of mode2_energy_numeric stores V2 at every
+    (2 POINTS_PER_PERIOD) of mode2_energy_numeric stores V2 at every
     panel node; at a node time the energy equals mode2_energy_numeric
     there up to rounding.  A golden-section search over the node
     indices in the bracket runs the same trailing-period tone fit on
@@ -431,16 +426,14 @@ def peak_efficiency(cfg: TransferConfig, *, points_per_period: int = 40) -> tupl
     Raises
     ------
     NumericalError
-        If points_per_period < 8, if a decay rate is not resolved by the
-        step (kappa h > 0.1), if a closed-form rate scale overflows
-        float64 or the envelope is not finite on the seed grid, or if
-        the pass would need more than MAX_PEAK_NODES panel nodes.
+        If a decay rate is not resolved by the step (kappa h > 0.1),
+        if a closed-form rate scale overflows float64 or the envelope
+        is not finite on the seed grid, or if the pass would need more
+        than MAX_PEAK_NODES panel nodes.
     """
-    if points_per_period < 8:
-        raise NumericalError("points_per_period must be at least 8 to resolve the carrier")
     k_max = max(cfg.source.decay_rate, cfg.target.decay_rate)
     period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
-    h = period / (2 * points_per_period)
+    h = period / (2 * POINTS_PER_PERIOD)
     if k_max * h > _MAX_DECAY_PER_STEP:
         raise NumericalError(
             f"decay rate {k_max:.3g}/s is not resolved by the quadrature step {h:.3g} s"

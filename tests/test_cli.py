@@ -382,6 +382,17 @@ def test_negative_depletion_stop_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_negative_noise_sigma_is_config_error(tmp_path, capsys):
+    code, paths = run_subcommand(
+        "tomo-synth", overrides=("tomo.noise_sigma=-0.05",), output_dir=str(tmp_path)
+    )
+    assert code == 2 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "noise_sigma" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "column, message",
     [
@@ -793,13 +804,6 @@ def _edge_literals(key):
     return [number + unit for number in ("0", "-1", "1e999", "1e-999")] + ["none", ""] + oversized
 
 
-# output.directory is left out: an edge literal would name a directory
-# outside the test's own temporary one.
-_EDGE_PAIRS = st.sampled_from(sorted(key for key in SCHEMA if key != "output.directory")).flatmap(
-    lambda key: st.tuples(st.just(key), st.sampled_from(_edge_literals(key)))
-)
-
-
 @pytest.fixture(scope="module")
 def tomogram(tmp_path_factory):
     out = tmp_path_factory.mktemp("tomogram")
@@ -808,12 +812,39 @@ def tomogram(tmp_path_factory):
     return paths[0]
 
 
+@pytest.fixture(scope="module")
+def keys_read(tomogram, tmp_path_factory):
+    # The config keys each subcommand reads, recorded by wrapping
+    # RunConfig.get during one default run of it.  output.directory is
+    # left out: an edge literal would name a directory outside the
+    # test's own temporary one.
+    out = tmp_path_factory.mktemp("keys_read")
+    read = {}
+    get = RunConfig.get
+    with pytest.MonkeyPatch.context() as patch:
+        for name in SUBCOMMANDS:
+            seen = set()
+            patch.setattr(RunConfig, "get", lambda self, key: seen.add(key) or get(self, key))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code, _ = run_subcommand(name, overrides=[f"tomo.input={tomogram}"], output_dir=str(out))
+            assert code == 0
+            read[name] = sorted(seen - {"output.directory"})
+    return read
+
+
+def _edge_pairs(keys):
+    return st.sampled_from(keys).flatmap(lambda key: st.tuples(st.just(key), st.sampled_from(_edge_literals(key))))
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(
-    name=st.sampled_from(SUBCOMMANDS),
-    pairs=st.lists(_EDGE_PAIRS, min_size=1, max_size=3, unique_by=lambda pair: pair[0]),
-)
-def test_edge_inputs_end_in_artifact_or_documented_exit(tomogram, name, pairs):
+@given(data=st.data())
+def test_edge_inputs_end_in_artifact_or_documented_exit(tomogram, keys_read, data):
+    # Each example sets one to three keys that its subcommand reads.
+    name = data.draw(st.sampled_from(SUBCOMMANDS), label="name")
+    pairs = data.draw(
+        st.lists(_edge_pairs(keys_read[name]), min_size=1, max_size=3, unique_by=lambda pair: pair[0]),
+        label="pairs",
+    )
     # Small shot counts keep each example fast; drawn pairs replace them.
     values = {"budget.n_shots": "10000", "iq.n_shots": "1000", "tomo.input": str(tomogram)}
     values.update(pairs)

@@ -283,11 +283,13 @@ def test_critical_flux_empty_for_monostable_device():
 
 def test_scan_size_limit():
     # The bracket spans 2 beta_L + 2 radians; past MAX_SCAN_CELLS cells
-    # of the scan step both solvers refuse before doing the work.
+    # of the scan step both solvers refuse before doing the work.  A
+    # 50 mA junction (beta_L about 1.67e5) is just past the limit.
     flux = FluxBias.from_flux_quanta(0.3)
-    span = 2.0 * beta_L(DEFAULT_PARAMS) + 2.0
+    big = JpmParams(critical_current=50e-3, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
+    assert (2.0 * beta_L(big) + 2.0) / SCAN_STEP > MAX_SCAN_CELLS
     with pytest.raises(NumericalError, match="scan cells"):
-        find_extrema(flux, DEFAULT_PARAMS, scan_step=0.99 * span / MAX_SCAN_CELLS)
+        find_extrema(flux, big)
     huge = JpmParams(critical_current=1e300, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
     with pytest.raises(NumericalError, match="scan cells"):
         critical_flux(huge)
@@ -509,6 +511,14 @@ def test_flux_bias_round_trip():
     fb = FluxBias.from_flux_quanta(0.37)
     assert fb.in_flux_quanta == pytest.approx(0.37, rel=1e-15)
     assert fb.external_flux == pytest.approx(0.37 * PHI0, rel=1e-15)
+
+
+def test_flux_quantum_is_the_module_constant():
+    # Phi0 is not a constructor argument, so every conversion (phase
+    # bias, FluxBias, the sweep's flux column) uses the one PHI0.
+    assert DEFAULT_PARAMS.flux_quantum == PHI0
+    with pytest.raises(TypeError):
+        JpmParams(1e-6, 1.1e-9, 2e-12, flux_quantum=2.0 * PHI0)
 
 
 def test_params_validation():

@@ -17,12 +17,12 @@ from scipy.special import erfc
 
 from jpmsim.protocol import (
     DEFAULT_DEPHASING_PER_PHOTON,
+    DEFAULT_DEPLETION_RATE,
     DEFAULT_IQ_MODEL,
     SPURIOUS_PHOTONS,
     IqModel,
     ProtocolConfig,
     ShotResult,
-    calibrate_depletion_rate,
     depletion_recovery,
     fidelity_budget,
     iq_discriminate,
@@ -306,12 +306,8 @@ def test_depletion_contrast_formula():
 
 
 def test_calibrate_depletion_rate():
-    rate = calibrate_depletion_rate(40e-9, 0.05)
-    assert math.exp(-rate * 40e-9) == pytest.approx(0.05, rel=1e-12)
-    with pytest.raises(ValueError):
-        calibrate_depletion_rate(0.0, 0.05)
-    with pytest.raises(ValueError):
-        calibrate_depletion_rate(40e-9, 0.0)
+    # The default rate leaves 5% of the spurious photons after 40 ns.
+    assert math.exp(-DEFAULT_DEPLETION_RATE * 40e-9) == pytest.approx(0.05, rel=1e-12)
 
 
 def test_separation_fidelity_value():
@@ -379,6 +375,19 @@ def test_iq_discriminate_reproducible():
     a = iq_discriminate(model, labels, rng=np.random.default_rng(3))
     b = iq_discriminate(model, labels, rng=np.random.default_rng(3))
     assert a == b
+
+
+def test_iq_discriminate_rejects_labels_other_than_0_and_1():
+    # Fractional labels are refused as given, not truncated to 0 or 1.
+    rng = np.random.default_rng(3)
+    for labels in ([0.5, 0.9, 1.7], np.array([0.0, 1.0, 0.5]), [0, 1, 2], [-1, 0, 1]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            iq_discriminate(DEFAULT_IQ_MODEL, labels, rng=rng)
+    # Float and bool labels that are exactly 0 and 1 classify as ints do.
+    ints = np.array([0, 1, 1, 0])
+    want = iq_discriminate(DEFAULT_IQ_MODEL, ints, rng=np.random.default_rng(4))
+    for same in (ints.astype(float), ints.astype(bool)):
+        assert iq_discriminate(DEFAULT_IQ_MODEL, same, rng=np.random.default_rng(4)) == want
 
 
 def test_protocol_config_validation():

@@ -155,7 +155,6 @@ def test_synthesize_noiseless_matches_surface():
         for j, t in enumerate(times):
             want = oracle_occupation(RHO_PREPARED, float(th), float(t), 50e-9)
             assert grid.occupations[i, j] == pytest.approx(want, abs=1e-12)
-    assert grid.shot_counts is None
 
 
 def test_synthesize_binomial_statistics():
@@ -170,13 +169,14 @@ def test_synthesize_binomial_statistics():
     # Binomial cell deviations: sigma <= 0.005 at n = 1e4.
     assert np.max(np.abs(dev)) < 5.0 * 0.005
     assert np.abs(dev.mean()) < 3.0 * 0.005 / math.sqrt(dev.size)
-    assert grid.shot_counts is not None and np.all(grid.shot_counts == n)
 
 
 def test_synthesize_argument_validation():
     thetas, times = standard_grid(50e-9)
     with pytest.raises(ValueError):
         synthesize_tomogram(RHO_PREPARED, 50e-9, thetas, times, n_shots=100, noise_sigma=0.01)
+    with pytest.raises(ValueError, match="noise_sigma"):
+        synthesize_tomogram(RHO_PREPARED, 50e-9, thetas, times, noise_sigma=-0.05, rng=np.random.default_rng(1))
 
 
 def test_fit_noiseless_round_trip_named():
