@@ -126,6 +126,8 @@ class IqModel:
             raise ValueError("centroids must be distinct")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        if not (self.effective_sigma > 0.0 and math.isfinite(self.separation / self.effective_sigma)):
+            raise ValueError("centroid separation over effective sigma is out of float64 range")
 
     @property
     def effective_sigma(self) -> float:
@@ -196,54 +198,21 @@ def _iq_points(model: IqModel, bright, uniforms) -> np.ndarray:
     return points
 
 
-def _simulate_batch(
-    qubit_excited: bool,
-    n_shots: int,
-    cfg: ProtocolConfig,
-    iq_model: IqModel,
-    rng: np.random.Generator,
-) -> dict:
-    """Vectorized shot batch with the pinned per-shot draw layout.
+def _switches(qubit_excited: bool, u: np.ndarray, cfg: ProtocolConfig):
+    """Switch causes of a block of shots, as (captured, dark, relaxed).
 
-    Column layout of the uniform matrix: [0] relaxation, [1] capture,
-    [2] dark count, [3:] interleaved x/y IQ noise.  Every column is
-    drawn for every shot so the stream position is outcome independent.
+    u holds one row of draws per shot in the pinned layout: [0]
+    relaxation, [1] capture, [2] dark count, [3:] interleaved x/y IQ
+    noise; only columns 0-2 are read.  A shot switches where
+    captured | dark.
     """
-    k = iq_model.n_samples
-    u = rng.random((n_shots, 3 + 2 * k))
-
     if qubit_excited:
         relaxed = u[:, 0] < cfg.relaxation_prob
         captured = ~relaxed & (u[:, 1] < cfg.bright_detect_prob)
     else:
-        relaxed = np.zeros(n_shots, dtype=bool)
-        captured = np.zeros(n_shots, dtype=bool)
+        relaxed = captured = np.zeros(len(u), dtype=bool)
     dark = ~captured & (u[:, 2] < cfg.dark_prob)
-    switch = captured | dark
-
-    points = _iq_points(iq_model, switch, u[:, 3:])
-
-    return {
-        "switch": switch,
-        "captured": captured,
-        "relaxed": relaxed,
-        "dark": dark,
-        "iq_x": points[:, 0],
-        "iq_y": points[:, 1],
-    }
-
-
-def _batch_to_results(batch: dict) -> list[ShotResult]:
-    results = []
-    for sw, cap, x, y in zip(batch["switch"], batch["captured"], batch["iq_x"], batch["iq_y"]):
-        if cap:
-            cause = "bright_capture"
-        elif sw:
-            cause = "dark_count"
-        else:
-            cause = "none"
-        results.append(ShotResult(int(sw), cause, (float(x), float(y))))
-    return results
+    return captured, dark, relaxed
 
 
 def simulate_shot(
@@ -258,8 +227,12 @@ def simulate_shot(
     the detector to fire on it; a dark count can fire the detector on
     any shot a bright pointer did not already switch.
     """
-    batch = _simulate_batch(qubit_excited, 1, cfg, iq_model, rng)
-    return _batch_to_results(batch)[0]
+    u = rng.random((1, 3 + 2 * iq_model.n_samples))
+    captured, dark, _ = _switches(qubit_excited, u, cfg)
+    switch = captured | dark
+    point = _iq_points(iq_model, switch, u[:, 3:])[0]
+    cause = "bright_capture" if captured[0] else "dark_count" if dark[0] else "none"
+    return ShotResult(int(switch[0]), cause, (float(point[0]), float(point[1])))
 
 
 def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel = DEFAULT_IQ_MODEL) -> dict:
@@ -275,23 +248,28 @@ def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel = DEFAU
     - epsilon_other: excited shots whose surviving pointer the detector
       missed (again without a dark-count rescue),
     - epsilon_dark: ground shots that switched anyway.
+
+    Only the three switch columns of each shot are read, but all
+    3 + 2 n_samples draws of the pinned layout are made, so the budget
+    consumes the stream exactly as the same shots through simulate_shot.
+    Each term is an integer count over n_shots.
     """
     if n_shots < 10_000:
         raise ValueError("n_shots must be at least 10^4 for a stable budget")
+    width = 3 + 2 * iq_model.n_samples
     rng = np.random.default_rng(cfg.rng_seed)
-    excited = _simulate_batch(True, n_shots, cfg, iq_model, rng)
-    ground = _simulate_batch(False, n_shots, cfg, iq_model, rng)
+    captured, dark, relaxed = _switches(True, rng.random((n_shots, width)), cfg)
+    _, ground_dark, _ = _switches(False, rng.random((n_shots, width)), cfg)
 
-    miss_excited = ~excited["switch"]
-    eps_relax = float(np.mean(miss_excited & excited["relaxed"]))
-    eps_other = float(np.mean(miss_excited & ~excited["relaxed"]))
-    eps_dark = float(np.mean(ground["switch"]))
-    f_raw = 1.0 - float(np.mean(miss_excited)) - eps_dark
+    miss = ~(captured | dark)
+    n_miss = int(np.count_nonzero(miss))
+    n_relax = int(np.count_nonzero(miss & relaxed))
+    eps_dark = int(np.count_nonzero(ground_dark)) / n_shots
     return {
-        "F_raw": f_raw,
-        "epsilon_relax": eps_relax,
+        "F_raw": 1.0 - n_miss / n_shots - eps_dark,
+        "epsilon_relax": n_relax / n_shots,
         "epsilon_dark": eps_dark,
-        "epsilon_other": eps_other,
+        "epsilon_other": (n_miss - n_relax) / n_shots,
     }
 
 
@@ -466,7 +444,7 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
             raise ValueError("an rng is required to draw points for label input")
         points = _iq_points(model, labels == 1, rng.random((labels.size, 2 * model.n_samples)))
 
-    axis = (c1 - c0) / np.linalg.norm(c1 - c0)
+    axis = (c1 - c0) / model.separation
     threshold = float(0.5 * (c0 + c1) @ axis)
     projections = points @ axis
     predicted = (projections > threshold).astype(int)

@@ -357,13 +357,17 @@ def test_transfer_overflow_inputs_exit_numerical(tmp_path, capsys, name, overrid
         ("rabi", ("rabi.rate=1e999Hz",)),
         ("transfer-curves", ("source.decay_time=1e300s", "transfer.t_max_scaled=1e300")),
         ("potential-sweep", ("potential.flux_start=-1e308Wb", "potential.flux_stop=1e308Wb")),
+        ("iq", ("iq.centroid_0=1e308,0", "iq.centroid_1=-1e308,0")),
+        ("iq", ("iq.sigma=1e-320",)),
+        ("budget", ("iq.sigma=1e-320",)),
     ],
 )
 def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides):
     # A literal that overflows float64 is refused where the config is
-    # parsed, and a sweep whose finite ends overflow (span or time
-    # scale) where the sweep is built, before either can turn into inf
-    # or NaN cells.
+    # parsed, a sweep whose finite ends overflow (span or time scale)
+    # where the sweep is built, and an IQ model whose d / sigma_eff
+    # overflows where the model is built, before any of them can turn
+    # into inf or NaN cells.
     code, paths = run_fast(name, tmp_path, overrides)
     assert code == 2 and paths == []
     err = capsys.readouterr().err
@@ -605,16 +609,17 @@ def _probe_scipy(tmp_path, names):
     return json.loads(proc.stdout)
 
 
-def test_scipy_loaded_only_by_budget_iq_and_tomo_fit(tmp_path):
+def test_scipy_loaded_only_by_iq_and_tomo_fit(tmp_path):
     # Fresh processes: importing jpmsim and running the subcommands that
-    # need no scipy function loads no scipy module at all; budget and iq
-    # load scipy.special (ndtri, erfc) but not scipy.optimize.
-    free = [name for name in SUBCOMMANDS if name not in ("budget", "iq", "tomo-fit")]
+    # need no scipy function (budget included: it reads only the switch
+    # draws) loads no scipy module at all; iq, probed on its own, loads
+    # scipy.special (ndtri, erfc) but not scipy.optimize.
+    free = [name for name in SUBCOMMANDS if name not in ("iq", "tomo-fit")]
     report = _probe_scipy(tmp_path / "free", free)
     assert report["codes"] == {name: 0 for name in free}
     assert report["scipy"] == []
-    report = _probe_scipy(tmp_path / "special", ["budget", "iq"])
-    assert report["codes"] == {"budget": 0, "iq": 0}
+    report = _probe_scipy(tmp_path / "special", ["iq"])
+    assert report["codes"] == {"iq": 0}
     assert "scipy.special" in report["scipy"]
     assert "scipy.optimize" not in report["scipy"]
 

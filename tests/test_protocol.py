@@ -9,11 +9,12 @@ within binomial error bars.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from jpmsim.protocol import (
     DEFAULT_DEPHASING_PER_PHOTON,
@@ -104,6 +105,73 @@ def test_fidelity_budget_matches_sequential_shots():
     # The same shot records reproduce the dark-count estimator.
     p_dark = sum(1 for s in gnd if s.cause == "dark_count") / n
     assert budget["epsilon_dark"] == p_dark
+
+
+def _reference_batch(qubit_excited, n_shots, cfg, iq_model, rng):
+    # Reference: the full batch sampler, which draws every column of the
+    # pinned layout and turns it into switch flags and IQ points,
+    # (switch, captured, relaxed, iq_x, iq_y).
+    u = rng.random((n_shots, 3 + 2 * iq_model.n_samples))
+    if qubit_excited:
+        relaxed = u[:, 0] < cfg.relaxation_prob
+        captured = ~relaxed & (u[:, 1] < cfg.bright_detect_prob)
+    else:
+        relaxed = np.zeros(n_shots, dtype=bool)
+        captured = np.zeros(n_shots, dtype=bool)
+    switch = captured | (~captured & (u[:, 2] < cfg.dark_prob))
+    noise = ndtri(u[:, 3:])
+    iq_x, iq_y = (
+        iq_model.sigma * noise[:, axis::2].mean(axis=1) + np.where(switch, c1, c0)
+        for axis, (c0, c1) in enumerate(zip(iq_model.centroid_0, iq_model.centroid_1))
+    )
+    return switch, captured, relaxed, iq_x, iq_y
+
+
+def _reference_budget(cfg, n_shots, iq_model=DEFAULT_IQ_MODEL):
+    rng = np.random.default_rng(cfg.rng_seed)
+    switch, _, relaxed, _, _ = _reference_batch(True, n_shots, cfg, iq_model, rng)
+    ground_switch = _reference_batch(False, n_shots, cfg, iq_model, rng)[0]
+    miss = ~switch
+    eps_dark = float(np.mean(ground_switch))
+    return {
+        "F_raw": 1.0 - float(np.mean(miss)) - eps_dark,
+        "epsilon_relax": float(np.mean(miss & relaxed)),
+        "epsilon_dark": eps_dark,
+        "epsilon_other": float(np.mean(miss & ~relaxed)),
+    }
+
+
+def _reference_shot(qubit_excited, cfg, rng, iq_model):
+    switch, captured, _, iq_x, iq_y = _reference_batch(qubit_excited, 1, cfg, iq_model, rng)
+    cause = "bright_capture" if captured[0] else "dark_count" if switch[0] else "none"
+    return ShotResult(int(switch[0]), cause, (float(iq_x[0]), float(iq_y[0])))
+
+
+@pytest.mark.parametrize("p_r, p_b, p_d", [(0.05, 0.99, 0.02), (0.0, 1.0, 0.0), (1.0, 0.5, 1.0), (0.3, 0.9, 0.1)])
+def test_fidelity_budget_matches_reference_batch(p_r, p_b, p_d):
+    # Reading only the switch columns gives the same floats, of type
+    # float, as the full batch sampler with its mean-of-bools arithmetic.
+    for n, seed, k in itertools.product((10_000, 123_457), (1, 7, 99), (1, 2, 3)):
+        cfg = ProtocolConfig(relaxation_override=p_r, bright_detect_prob=p_b, dark_prob=p_d, rng_seed=seed)
+        model = IqModel(n_samples=k)
+        budget = fidelity_budget(cfg, n, model)
+        assert budget == _reference_budget(cfg, n, model)
+        assert all(type(value) is float for value in budget.values())
+
+
+def test_simulate_shot_matches_reference_batch():
+    # Two samples per shot and an off-axis centroid, so the x/y
+    # interleaving and both centroid components are exercised.
+    model = IqModel(centroid_1=(1.0, 2.0), n_samples=2)
+    causes = set()
+    for p_r, p_b, p_d in ((0.05, 0.99, 0.02), (0.3, 0.9, 0.1)):
+        cfg = ProtocolConfig(relaxation_override=p_r, bright_detect_prob=p_b, dark_prob=p_d)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for i in range(500):
+            shot = simulate_shot(i % 3 != 0, cfg, rng, model)
+            assert shot == _reference_shot(i % 3 != 0, cfg, ref, model)
+            causes.add(shot.cause)
+    assert causes == {"bright_capture", "dark_count", "none"}
 
 
 def test_fidelity_budget_closure():
@@ -343,6 +411,16 @@ def test_iq_model_validation():
         IqModel(sigma=0.0)
     with pytest.raises(ValueError):
         IqModel(n_samples=0)
+    # d / sigma_eff must be a finite float: a separation that overflows,
+    # or a subnormal sigma, would give an infinite ratio and a NaN
+    # threshold.
+    for model in (
+        dict(centroid_0=(1e308, 0.0), centroid_1=(-1e308, 0.0)),
+        dict(sigma=1e-320),
+        dict(sigma=5e-324, n_samples=4),
+    ):
+        with pytest.raises(ValueError, match="out of float64 range"):
+            IqModel(**model)
 
 
 def test_iq_discriminate_within_binomial_errors():
@@ -356,6 +434,17 @@ def test_iq_discriminate_within_binomial_errors():
     assert abs(out["single_shot_fidelity"] - pred) < 3.0 * sigma
     # Threshold sits at the projected midpoint of the centroids.
     assert out["threshold"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_iq_discriminate_far_apart_centroids():
+    # |c1 - c0| = 1e200 squares past float64; the centroid axis is
+    # normalised by the hypot separation, so d / sigma = 1e10 still
+    # classifies every point correctly.
+    model = IqModel(centroid_1=(1e200, 0.0), sigma=1e190)
+    labels = np.concatenate([np.zeros(1000, dtype=int), np.ones(1000, dtype=int)])
+    out = iq_discriminate(model, labels, rng=np.random.default_rng(7))
+    assert out["single_shot_fidelity"] == 1.0
+    assert out["threshold"] == 5e199
 
 
 def test_iq_discriminate_consumes_shot_results():
