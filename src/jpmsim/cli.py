@@ -35,6 +35,7 @@ from .config import RunConfig
 from .errors import ConfigError, NumericalError
 from .potential import PHI0, critical_flux, find_extrema_sweep, well_report_sweep
 from .protocol import (
+    _check_shot_draws,
     depletion_recovery,
     fidelity_budget,
     iq_discriminate,
@@ -293,7 +294,9 @@ def _iq(cfg: RunConfig) -> dict:
     n_shots = cfg.get("iq.n_shots")
     if n_shots < 1:
         raise ConfigError("iq.n_shots must be positive")
-    labels = np.concatenate([np.zeros(n_shots, dtype=int), np.ones(n_shots, dtype=int)])
+    # Refused before the labels, the one array that grows with n_shots, exist.
+    _check_shot_draws(2 * n_shots, 2 * model.n_samples)
+    labels = np.repeat(np.array([0, 1], dtype=np.int8), n_shots)
     rng = np.random.default_rng(cfg.get("seed"))
     result = iq_discriminate(model, labels, rng)
     return {

@@ -16,7 +16,10 @@ Randomness contract: every shot consumes exactly 3 + 2 n uniform draws
 count, then interleaved x/y quadrature noise.  Normal deviates come
 from the inverse CDF of the uniforms, so the draw count never depends
 on outcomes and a batch of shots is bit-identical to the same shots
-simulated one at a time from the same generator.
+simulated one at a time from the same generator.  Generator.random
+fills its output in C order from one stream, so the shot paths draw a
+block in row chunks of at most SHOT_CHUNK_DRAWS uniforms and still
+consume exactly the numbers one draw of the whole block would.
 """
 
 from __future__ import annotations
@@ -39,6 +42,17 @@ DEFAULT_DEPHASING_PER_PHOTON = -math.log(0.95) / (
     SPURIOUS_PHOTONS * math.exp(-DEFAULT_DEPLETION_RATE * 40e-9)
 )
 """Ramsey-contrast suppression per residual photon, giving 0.95 at 40 ns."""
+
+SHOT_CHUNK_DRAWS = 2**17
+"""Uniforms :func:`fidelity_budget` and the label path of
+:func:`iq_discriminate` draw at once.  A chunk holds at least one whole
+shot, so their working set stays near this many draws whatever the shot
+count."""
+
+MAX_SHOT_DRAWS = 10**9
+"""Most uniforms one :func:`fidelity_budget` or :func:`iq_discriminate`
+call draws (a budget of 10^8 shots per state at n_samples = 1), so a huge
+shot count is refused instead of drawing for hours."""
 
 
 @dataclass(frozen=True)
@@ -198,6 +212,24 @@ def _iq_points(model: IqModel, bright, uniforms) -> np.ndarray:
     return points
 
 
+def _check_shot_draws(n_shots: int, width: int) -> None:
+    """Refuse n_shots shots of width uniforms each when that is more than
+    MAX_SHOT_DRAWS draws."""
+    if not n_shots * width <= MAX_SHOT_DRAWS:
+        raise NumericalError(
+            f"{n_shots:.3g} shots of {width} draws need more than {MAX_SHOT_DRAWS:.0e} uniform draws"
+        )
+
+
+def _chunks(n_shots: int, width: int):
+    """Consecutive (rows, count) slices over n_shots shots of width draws,
+    each at most SHOT_CHUNK_DRAWS draws and at least one shot."""
+    step = max(1, SHOT_CHUNK_DRAWS // width)
+    for start in range(0, n_shots, step):
+        stop = min(start + step, n_shots)
+        yield slice(start, stop), stop - start
+
+
 def _switches(qubit_excited: bool, u: np.ndarray, cfg: ProtocolConfig):
     """Switch causes of a block of shots, as (captured, dark, relaxed).
 
@@ -252,19 +284,26 @@ def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel = DEFAU
     Only the three switch columns of each shot are read, but all
     3 + 2 n_samples draws of the pinned layout are made, so the budget
     consumes the stream exactly as the same shots through simulate_shot.
-    Each term is an integer count over n_shots.
+    Each block is drawn and counted in chunks of at most
+    SHOT_CHUNK_DRAWS uniforms, so memory stays flat in n_shots; each
+    term is an integer count over n_shots.  Raises NumericalError,
+    before drawing, for more than MAX_SHOT_DRAWS uniforms in all.
     """
     if n_shots < 10_000:
         raise ValueError("n_shots must be at least 10^4 for a stable budget")
     width = 3 + 2 * iq_model.n_samples
+    _check_shot_draws(2 * n_shots, width)
     rng = np.random.default_rng(cfg.rng_seed)
-    captured, dark, relaxed = _switches(True, rng.random((n_shots, width)), cfg)
-    _, ground_dark, _ = _switches(False, rng.random((n_shots, width)), cfg)
+    n_miss = n_relax = n_dark = 0
+    for _, count in _chunks(n_shots, width):
+        captured, dark, relaxed = _switches(True, rng.random((count, width)), cfg)
+        miss = ~(captured | dark)
+        n_miss += int(np.count_nonzero(miss))
+        n_relax += int(np.count_nonzero(miss & relaxed))
+    for _, count in _chunks(n_shots, width):
+        n_dark += int(np.count_nonzero(_switches(False, rng.random((count, width)), cfg)[1]))
 
-    miss = ~(captured | dark)
-    n_miss = int(np.count_nonzero(miss))
-    n_relax = int(np.count_nonzero(miss & relaxed))
-    eps_dark = int(np.count_nonzero(ground_dark)) / n_shots
+    eps_dark = n_dark / n_shots
     return {
         "F_raw": 1.0 - n_miss / n_shots - eps_dark,
         "epsilon_relax": n_relax / n_shots,
@@ -423,33 +462,44 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
     switch_bits are used) or an integer label array, in which case
     fresh per-shot averaged Gaussian points are drawn from the model
     using rng (2 n_samples uniforms per shot, shot-major, x/y
-    interleaved).  The threshold is the projection of the centroid
-    midpoint; single_shot_fidelity is the empirical correct-label rate
-    and separation_fidelity the Gaussian-overlap bound.
+    interleaved), in chunks of at most SHOT_CHUNK_DRAWS uniforms that
+    are classified and counted one by one.  More than MAX_SHOT_DRAWS
+    uniforms raise NumericalError before any is drawn.  The threshold is
+    the projection of the centroid midpoint; single_shot_fidelity is the
+    empirical correct-label rate and separation_fidelity the
+    Gaussian-overlap bound.
     """
     c0 = np.asarray(model.centroid_0, dtype=float)
     c1 = np.asarray(model.centroid_1, dtype=float)
+    axis = (c1 - c0) / model.separation
+    # c0 + c1 can overflow where the difference, which IqModel bounds, does not.
+    threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
+
+    def n_wrong(points, labels) -> int:
+        return int(np.count_nonzero((points @ axis > threshold) != labels))
 
     if len(shots) == 0:
         raise ValueError("shots must be non-empty")
     if isinstance(shots[0], ShotResult):
         labels = np.array([s.switch_bit for s in shots])
-        points = np.array([s.iq_point for s in shots], dtype=float)
+        wrong = n_wrong(np.array([s.iq_point for s in shots], dtype=float), labels)
     else:
         # Checked as given: a cast to int would truncate 0.5 to 0.
         labels = np.asarray(shots)
-        if np.any((labels != 0) & (labels != 1)):
-            raise ValueError("labels must be 0 or 1")
+        for rows, _ in _chunks(labels.size, 1):
+            if np.any((labels[rows] != 0) & (labels[rows] != 1)):
+                raise ValueError("labels must be 0 or 1")
         if rng is None:
             raise ValueError("an rng is required to draw points for label input")
-        points = _iq_points(model, labels == 1, rng.random((labels.size, 2 * model.n_samples)))
+        width = 2 * model.n_samples
+        _check_shot_draws(labels.size, width)
+        wrong = 0
+        for rows, count in _chunks(labels.size, width):
+            points = _iq_points(model, labels[rows] == 1, rng.random((count, width)))
+            wrong += n_wrong(points, labels[rows])
 
-    axis = (c1 - c0) / model.separation
-    threshold = float(0.5 * (c0 + c1) @ axis)
-    projections = points @ axis
-    predicted = (projections > threshold).astype(int)
     return {
-        "single_shot_fidelity": 1.0 - float(np.mean(predicted != labels)),
+        "single_shot_fidelity": 1.0 - wrong / labels.size,
         "separation_fidelity": separation_fidelity(model),
         "threshold": threshold,
     }

@@ -536,13 +536,50 @@ def test_negative_seed_is_config_error(tmp_path, capsys, name):
     ],
 )
 def test_size_too_large_to_allocate_exits_numerical(tmp_path, capsys, name, key):
-    # 10^15 elements exceed any address space, so the first allocation
-    # of that size fails at once instead of ending in a traceback.
+    # 10^15 elements exceed any address space: the shot paths refuse
+    # more than MAX_SHOT_DRAWS uniforms before drawing, and elsewhere the
+    # first allocation of that size fails at once; neither ends in a
+    # traceback.
     code, paths = run_subcommand(name, overrides=(f"{key}=1000000000000000",), output_dir=str(tmp_path))
     assert code == 3 and paths == []
     err = capsys.readouterr().err
     assert err.startswith("numerical error") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("budget", ("budget.n_shots=100000001",)),
+        ("iq", ("iq.n_shots=250000001",)),
+        ("iq", ("iq.n_shots=1", "iq.n_samples=250000001")),
+    ],
+)
+def test_shot_count_above_draw_bound_is_refused_quickly(tmp_path, capsys, name, overrides):
+    # Each is the smallest count past MAX_SHOT_DRAWS = 10^9 uniforms
+    # (2 x 10^8 budget shots of 5 draws, 5 x 10^8 iq shots of 2, or 2 iq
+    # shots of 5 x 10^8): drawing that many would take seconds and
+    # building the iq labels hundreds of MB, so the time bound shows the
+    # refusal comes first.
+    start = time.perf_counter()
+    code, paths = run_subcommand(name, overrides=overrides, output_dir=str(tmp_path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error") and err.count("\n") == 1
+    assert "uniform draws" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_iq_threshold_of_centroids_near_float64_limit(tmp_path):
+    # c0 + c1 = 2.7e308 overflows, but the midpoint c0 + (c1 - c0) / 2
+    # does not; d / sigma = 70 classifies every shot correctly.
+    overrides = ("iq.centroid_0=1e308,0", "iq.centroid_1=1.7e308,0", "iq.sigma=1e306", "iq.n_shots=1000")
+    code, paths = run_subcommand("iq", overrides=overrides, output_dir=str(tmp_path))
+    assert code == 0
+    record = json.loads(paths[0].read_text())
+    assert record["threshold"] == pytest.approx(1.35e308, rel=1e-15)
+    assert record["single_shot_fidelity"] == 1.0
 
 
 def test_exit_code_io_error(tmp_path, capsys):

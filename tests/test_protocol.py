@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erfc, ndtri
 
+import jpmsim.protocol
 from jpmsim.protocol import (
     DEFAULT_DEPHASING_PER_PHOTON,
     DEFAULT_DEPLETION_RATE,
     DEFAULT_IQ_MODEL,
+    SHOT_CHUNK_DRAWS,
     SPURIOUS_PHOTONS,
     IqModel,
     ProtocolConfig,
@@ -157,6 +160,82 @@ def test_fidelity_budget_matches_reference_batch(p_r, p_b, p_d):
         budget = fidelity_budget(cfg, n, model)
         assert budget == _reference_budget(cfg, n, model)
         assert all(type(value) is float for value in budget.values())
+
+
+def _reference_iq(model, labels, rng):
+    # Reference: the whole-array label path, which draws every shot's
+    # uniforms at once and classifies all points with a mean of bools
+    # (with the overflow-free midpoint threshold).
+    labels = np.asarray(labels)
+    c0 = np.asarray(model.centroid_0, dtype=float)
+    c1 = np.asarray(model.centroid_1, dtype=float)
+    noise = ndtri(rng.random((labels.size, 2 * model.n_samples)))
+    points = np.stack(
+        [model.sigma * noise[:, axis::2].mean(axis=1) + np.where(labels == 1, b, a)
+         for axis, (a, b) in enumerate(zip(c0, c1))],
+        axis=1,
+    )
+    axis = (c1 - c0) / model.separation
+    threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
+    predicted = (points @ axis > threshold).astype(int)
+    return {
+        "single_shot_fidelity": 1.0 - float(np.mean(predicted != labels)),
+        "separation_fidelity": separation_fidelity(model),
+        "threshold": threshold,
+    }
+
+
+@pytest.mark.parametrize("n_samples", [1, 3])
+def test_iq_discriminate_matches_reference_batch(n_samples):
+    # One shot, a few, one more than a chunk, and several chunks plus a
+    # remainder, with shuffled labels given as int, float and bool.
+    model = IqModel(centroid_0=(0.2, -0.3), centroid_1=(1.1, 0.4), sigma=0.45, n_samples=n_samples)
+    rows = SHOT_CHUNK_DRAWS // (2 * n_samples)
+    for n in (1, 5, rows + 1, 3 * rows + 123):
+        labels = np.random.default_rng(n).integers(0, 2, n)
+        for dtype in (int, float, bool):
+            got = iq_discriminate(model, labels.astype(dtype), np.random.default_rng(11))
+            assert got == _reference_iq(model, labels, np.random.default_rng(11))
+            assert all(type(value) is float for value in got.values())
+
+
+def test_one_shot_chunks_match_default_chunking(monkeypatch):
+    # A chunk of one draw still holds one whole shot, so each shot is
+    # drawn and counted on its own.
+    cfg = ProtocolConfig(relaxation_override=0.3, bright_detect_prob=0.9, dark_prob=0.1, rng_seed=3)
+    model = IqModel(centroid_1=(1.0, 0.5), sigma=0.4, n_samples=2)
+    labels = np.random.default_rng(2).integers(0, 2, 1000)
+    want_budget = fidelity_budget(cfg, 10_000, model)
+    want_iq = iq_discriminate(model, labels, np.random.default_rng(5))
+    monkeypatch.setattr(jpmsim.protocol, "SHOT_CHUNK_DRAWS", 1)
+    assert fidelity_budget(cfg, 10_000, model) == want_budget == _reference_budget(cfg, 10_000, model)
+    got_iq = iq_discriminate(model, labels, np.random.default_rng(5))
+    assert got_iq == want_iq == _reference_iq(model, labels, np.random.default_rng(5))
+    assert all(type(value) is float for value in (*want_budget.values(), *got_iq.values()))
+
+
+def _traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_shot_paths_memory_is_flat_in_shot_count():
+    # The tracemalloc peak of a 4e6-shot call stays near that of a
+    # 1e5-shot one: only a chunk of draws is held at a time.  The iq
+    # labels are built outside the traced region.
+    cfg = ProtocolConfig()
+    small, large = (_traced_peak_mb(lambda: fidelity_budget(cfg, n)) for n in (100_000, 4_000_000))
+    assert large < 10.0 and large < 2.0 * small
+    peaks = []
+    for n in (100_000, 4_000_000):
+        labels = np.repeat(np.array([0, 1], dtype=np.int8), n // 2)
+        peaks.append(_traced_peak_mb(lambda: iq_discriminate(DEFAULT_IQ_MODEL, labels, np.random.default_rng(1))))
+    small, large = peaks
+    assert large < 10.0 and large < 2.0 * small
 
 
 def test_simulate_shot_matches_reference_batch():
