@@ -2,115 +2,4 @@
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, IdentifiabilityError, NumericalError
-from .potential import (
-    DEFAULT_PARAMS,
-    HBAR,
-    PHI0,
-    FluxBias,
-    JpmParams,
-    WellReport,
-    WellSweep,
-    beta_L,
-    critical_flux,
-    find_extrema,
-    find_extrema_sweep,
-    plasma_frequency,
-    potential_curvature,
-    potential_energy,
-    well_report,
-    well_report_sweep,
-)
-from .protocol import (
-    DEFAULT_IQ_MODEL,
-    IqModel,
-    ProtocolConfig,
-    ShotResult,
-    depletion_recovery,
-    fidelity_budget,
-    iq_discriminate,
-    rabi_chevron,
-    ramsey_fringe,
-    relaxation_error,
-    separation_fidelity,
-    simulate_shot,
-    stark_calibration,
-)
-from .tomography import (
-    DensityMatrix2,
-    FitResult,
-    TomogramGrid,
-    expected_occupation,
-    fit_tomogram,
-    overlap_fidelity,
-    synthesize_tomogram,
-    t1_survival,
-)
-from .transfer import (
-    CavityMode,
-    TransferConfig,
-    efficiency_envelope,
-    efficiency_freq_mismatch,
-    efficiency_kappa_mismatch,
-    efficiency_matched,
-    emitted_energy,
-    freq_mismatch_peak,
-    kappa_mismatch_peak,
-    mode2_energy_numeric,
-    peak_efficiency,
-)
-
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "IdentifiabilityError",
-    "NumericalError",
-    "DEFAULT_PARAMS",
-    "HBAR",
-    "PHI0",
-    "FluxBias",
-    "JpmParams",
-    "WellReport",
-    "WellSweep",
-    "beta_L",
-    "critical_flux",
-    "find_extrema",
-    "find_extrema_sweep",
-    "plasma_frequency",
-    "potential_curvature",
-    "potential_energy",
-    "well_report",
-    "well_report_sweep",
-    "DEFAULT_IQ_MODEL",
-    "IqModel",
-    "ProtocolConfig",
-    "ShotResult",
-    "depletion_recovery",
-    "fidelity_budget",
-    "iq_discriminate",
-    "rabi_chevron",
-    "ramsey_fringe",
-    "relaxation_error",
-    "separation_fidelity",
-    "simulate_shot",
-    "stark_calibration",
-    "DensityMatrix2",
-    "FitResult",
-    "TomogramGrid",
-    "expected_occupation",
-    "fit_tomogram",
-    "overlap_fidelity",
-    "synthesize_tomogram",
-    "t1_survival",
-    "CavityMode",
-    "TransferConfig",
-    "efficiency_envelope",
-    "efficiency_freq_mismatch",
-    "efficiency_kappa_mismatch",
-    "efficiency_matched",
-    "emitted_energy",
-    "freq_mismatch_peak",
-    "kappa_mismatch_peak",
-    "mode2_energy_numeric",
-    "peak_efficiency",
-]
+from . import errors, potential, protocol, tomography, transfer

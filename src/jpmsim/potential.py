@@ -35,7 +35,7 @@ SCAN_STEP = math.pi / 100
 """Phase step of the bracketing scan used by :func:`find_extrema`."""
 
 REFINE_TOL = 1e-12
-"""Default bisection tolerance in radians for extremum refinement."""
+"""Bisection tolerance in radians for extremum refinement."""
 
 MAX_SCAN_CELLS = 10**7
 """Largest bracketing scan :func:`find_extrema` runs (beta_L about 1.6e5
@@ -249,15 +249,15 @@ def _residual(delta, phi_e, beta: float):
     return np.sin(delta) - (phi_e - delta) / beta
 
 
-def _bisect(f, lo, hi, group, tol: float):
+def _bisect(f, lo, hi, group):
     """Masked bisection of f on the brackets [lo, hi], each holding a sign change.
 
     ``f(x, k)`` evaluates the function at ``x`` for the brackets with
     indices ``k``.  Brackets that share a ``group`` label (small
     non-negative integers) step together until every one of them has
-    converged: its width is at most ``tol``, or its midpoint equals one
-    of its ends because the float spacing there is wider than ``tol``.
-    Returns the midpoint of each bracket at that step.
+    converged: its width is at most REFINE_TOL, or its midpoint equals
+    one of its ends because the float spacing there is wider than
+    REFINE_TOL.  Returns the midpoint of each bracket at that step.
     """
     out = np.empty(lo.size)
     if lo.size == 0:
@@ -268,12 +268,12 @@ def _bisect(f, lo, hi, group, tol: float):
     # A step leaves at least half a width less half a float spacing of
     # the ends, so no bracket can meet either rule before step `quiet`.
     spacing = float(np.spacing(np.maximum(np.abs(lo), np.abs(hi)).max()))
-    ratio = float((hi - lo).min()) / (tol + 4.0 * spacing)
+    ratio = float((hi - lo).min()) / (REFINE_TOL + 4.0 * spacing)
     quiet = math.floor(math.log2(ratio)) if ratio > 1.0 else 0
     for step in range(200):
         mid = 0.5 * (lo + hi)
         if step >= quiet:
-            done = (hi - lo <= tol) | (mid == lo) | (mid == hi)
+            done = (hi - lo <= REFINE_TOL) | (mid == lo) | (mid == hi)
             still_open = np.zeros(n_groups, dtype=bool)
             still_open[group[~done]] = True
             finished = ~still_open[group]
@@ -291,7 +291,7 @@ def _bisect(f, lo, hi, group, tol: float):
     raise NumericalError("extremum bisection failed to reach tolerance")
 
 
-def _block_roots(phi_e, n_cells: int, beta: float, tol: float):
+def _block_roots(phi_e, n_cells: int, beta: float):
     """Roots of the residual for a block of fluxes scanned with n_cells cells each.
 
     Returns (row, root) arrays in no particular order, ``row`` indexing
@@ -312,12 +312,12 @@ def _block_roots(phi_e, n_cells: int, beta: float, tol: float):
     pair_sign = sign[:-width] * sign[width:]
 
     # One bisection over the crossing cells of every flux; each flux
-    # steps until all of its brackets are within tol.
+    # steps until all of its brackets are within REFINE_TOL.
     cell = np.flatnonzero(pair_sign < 0.0)
     row = cell % width
     c = phi_e[row]
     rows = [row]
-    roots = [_bisect(lambda x, k: _residual(x, c[k], beta), grid[cell], grid[cell + width], row, tol)]
+    roots = [_bisect(lambda x, k: _residual(x, c[k], beta), grid[cell], grid[cell + width], row)]
 
     # Grid points that are exact zeros count as roots only when the
     # residual truly crosses there; a tangent touch is an inflection of
@@ -340,7 +340,7 @@ def _block_roots(phi_e, n_cells: int, beta: float, tol: float):
     slope_sign = np.sign(np.cos(grid[cell]) + 1.0 / beta) * np.sign(np.cos(grid[cell + width]) + 1.0 / beta)
     cell = cell[slope_sign < 0.0]
     a, b = grid[cell], grid[cell + width]
-    station = _bisect(lambda x, k: np.cos(x) + 1.0 / beta, a, b, np.arange(cell.size), tol)
+    station = _bisect(lambda x, k: np.cos(x) + 1.0 / beta, a, b, np.arange(cell.size))
     row = cell % width
     split = _residual(station, phi_e[row], beta) * _residual(a, phi_e[row], beta) < 0.0
     if split.any():
@@ -354,13 +354,12 @@ def _block_roots(phi_e, n_cells: int, beta: float, tol: float):
                 np.concatenate([a, station]),
                 np.concatenate([station, b]),
                 np.concatenate([pair, pair]),
-                tol,
             )
         )
     return np.concatenate(rows), np.concatenate(roots)
 
 
-def _sweep_extrema(fluxes, p: JpmParams, tol: float):
+def _sweep_extrema(fluxes, p: JpmParams):
     """Extrema of every flux in webers as flat arrays.
 
     Returns (phi_e, offsets, roots, is_minimum): the phase bias of each
@@ -386,7 +385,7 @@ def _sweep_extrema(fluxes, p: JpmParams, tol: float):
         per_block = max(1, SWEEP_BLOCK_CELLS // max(n_cells, 1))
         for start in range(0, same.size, per_block):
             block = same[start : start + per_block]
-            row, root = _block_roots(phi_e[block], n_cells, beta, tol)
+            row, root = _block_roots(phi_e[block], n_cells, beta)
             flux_of.append(block[row])
             roots.append(root)
     flux_of = np.concatenate(flux_of) if flux_of else np.empty(0, dtype=np.int64)
@@ -395,11 +394,11 @@ def _sweep_extrema(fluxes, p: JpmParams, tol: float):
     flux_of, roots = flux_of[order], roots[order]
 
     same_flux = flux_of[1:] == flux_of[:-1]
-    if (same_flux & ~(np.diff(roots) > 10.0 * tol)).any():
+    if (same_flux & ~(np.diff(roots) > 10.0 * REFINE_TOL)).any():
         keep = np.ones(roots.size, dtype=bool)
         last = prev = None
         for j, (i, r) in enumerate(zip(flux_of.tolist(), roots.tolist())):
-            if i == prev and not r - last > 10.0 * tol:
+            if i == prev and not r - last > 10.0 * REFINE_TOL:
                 keep[j] = False
             else:
                 last = r
@@ -425,7 +424,7 @@ def _pairs(roots, is_minimum) -> list[tuple[float, str]]:
     return list(zip(roots.tolist(), np.where(is_minimum, "minimum", "maximum").tolist()))
 
 
-def find_extrema_sweep(fluxes, p: JpmParams, *, tol: float = REFINE_TOL) -> list[list[tuple[float, str]]]:
+def find_extrema_sweep(fluxes, p: JpmParams) -> list[list[tuple[float, str]]]:
     """Locate all extrema of the potential for every flux of a sweep.
 
     ``fluxes`` is a one-dimensional array of applied fluxes in webers.
@@ -434,15 +433,13 @@ def find_extrema_sweep(fluxes, p: JpmParams, *, tol: float = REFINE_TOL) -> list
     linear term of the extremum condition exceeds 1 in magnitude, so no
     solutions exist) for sign changes of the residual
     ``sin(delta) - (phi_e - delta)/beta_L`` and refines each by
-    bisection.  Scan cells where the residual does not change sign but
-    its derivative does are subdivided at the interior extremum, so
-    root pairs close to a bifurcation are still resolved.  The fluxes
-    are solved together in blocks of about SWEEP_BLOCK_CELLS scan cells,
-    so memory stays bounded whatever the sweep length.
-
-    ``tol`` is the bisection tolerance in radians.  Each flux steps
-    until all of its brackets are within it, as a one-flux solve does;
-    the tests set it to pin that per-flux stopping rule.
+    bisection to REFINE_TOL; each flux steps until all of its brackets
+    are within it, as a one-flux solve does.  Scan cells where the
+    residual does not change sign but its derivative does are
+    subdivided at the interior extremum, so root pairs close to a
+    bifurcation are still resolved.  The fluxes are solved together in
+    blocks of about SWEEP_BLOCK_CELLS scan cells, so memory stays
+    bounded whatever the sweep length.
 
     Returns
     -------
@@ -460,7 +457,7 @@ def find_extrema_sweep(fluxes, p: JpmParams, *, tol: float = REFINE_TOL) -> list
     ValueError
         If a flux is not finite or its phase bias overflows.
     """
-    _, offsets, roots, is_minimum = _sweep_extrema(fluxes, p, tol)
+    _, offsets, roots, is_minimum = _sweep_extrema(fluxes, p)
     extrema = _pairs(roots, is_minimum)
     bounds = offsets.tolist()
     return [extrema[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -491,7 +488,7 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
         As :func:`find_extrema_sweep`, or if the curvature at a minimum
         is not positive.
     """
-    phi_e, offsets, roots, is_minimum = _sweep_extrema(fluxes, p, REFINE_TOL)
+    phi_e, offsets, roots, is_minimum = _sweep_extrema(fluxes, p)
     flux_of = np.repeat(np.arange(phi_e.size), np.diff(offsets))
     energy = _energy(roots, phi_e[flux_of], p)
 

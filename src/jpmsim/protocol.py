@@ -467,36 +467,48 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
     uniforms raise NumericalError before any is drawn.  The threshold is
     the projection of the centroid midpoint; single_shot_fidelity is the
     empirical correct-label rate and separation_fidelity the
-    Gaussian-overlap bound.
+    Gaussian-overlap bound.  A threshold, point or projection that
+    overflows float64 raises NumericalError; for drawn points that is
+    decided from the model before any draw, so it does not depend on rng.
     """
+    if len(shots) == 0:
+        raise ValueError("shots must be non-empty")
     c0 = np.asarray(model.centroid_0, dtype=float)
     c1 = np.asarray(model.centroid_1, dtype=float)
     axis = (c1 - c0) / model.separation
-    # c0 + c1 can overflow where the difference, which IqModel bounds, does not.
-    threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # c0 + c1 can overflow where the difference, which IqModel bounds, does not.
+            threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
 
-    def n_wrong(points, labels) -> int:
-        return int(np.count_nonzero((points @ axis > threshold) != labels))
+            def n_wrong(points, labels) -> int:
+                return int(np.count_nonzero((points @ axis > threshold) != labels))
 
-    if len(shots) == 0:
-        raise ValueError("shots must be non-empty")
-    if isinstance(shots[0], ShotResult):
-        labels = np.array([s.switch_bit for s in shots])
-        wrong = n_wrong(np.array([s.iq_point for s in shots], dtype=float), labels)
-    else:
-        # Checked as given: a cast to int would truncate 0.5 to 0.
-        labels = np.asarray(shots)
-        for rows, _ in _chunks(labels.size, 1):
-            if np.any((labels[rows] != 0) & (labels[rows] != 1)):
-                raise ValueError("labels must be 0 or 1")
-        if rng is None:
-            raise ValueError("an rng is required to draw points for label input")
-        width = 2 * model.n_samples
-        _check_shot_draws(labels.size, width)
-        wrong = 0
-        for rows, count in _chunks(labels.size, width):
-            points = _iq_points(model, labels[rows] == 1, rng.random((count, width)))
-            wrong += n_wrong(points, labels[rows])
+            if isinstance(shots[0], ShotResult):
+                labels = np.array([s.switch_bit for s in shots])
+                wrong = n_wrong(np.array([s.iq_point for s in shots], dtype=float), labels)
+            else:
+                # Checked as given: a cast to int would truncate 0.5 to 0.
+                labels = np.asarray(shots)
+                for rows, _ in _chunks(labels.size, 1):
+                    if np.any((labels[rows] != 0) & (labels[rows] != 1)):
+                        raise ValueError("labels must be 0 or 1")
+                if rng is None:
+                    raise ValueError("an rng is required to draw points for label input")
+                width = 2 * model.n_samples
+                _check_shot_draws(labels.size, width)
+                # A normal deviate of a float64 uniform in (0, 1) is at most
+                # 8.21 in magnitude, and so is a mean of them, so no drawn
+                # point or projection reaches past these bounds.
+                reach = (np.abs(np.stack([c0, c1])) + 8.25 * model.sigma) @ np.abs(axis)
+                if not np.isfinite(reach).all():
+                    raise NumericalError("IQ points this model can draw overflow float64")
+                wrong = 0
+                for rows, count in _chunks(labels.size, width):
+                    points = _iq_points(model, labels[rows] == 1, rng.random((count, width)))
+                    wrong += n_wrong(points, labels[rows])
+    except FloatingPointError as exc:
+        raise NumericalError(f"IQ threshold or points overflow float64: {exc}") from None
 
     return {
         "single_shot_fidelity": 1.0 - wrong / labels.size,

@@ -31,6 +31,12 @@ PHASE_IDENTIFIABLE_MIN_R = 1e-6
 """Below this coherence magnitude the phase is reported as 0 and flagged."""
 
 
+def _violates_positivity(beta: float, r: float) -> bool:
+    # Small slack so values projected onto the positivity boundary
+    # survive round-trips through their own square root.
+    return r * r > beta * (1.0 - beta) + 1e-12
+
+
 @dataclass(frozen=True)
 class DensityMatrix2:
     """Qubit density matrix in (population, coherence) form.
@@ -56,9 +62,7 @@ class DensityMatrix2:
             raise ValueError(f"excited_population must lie in [0, 1], got {beta!r}")
         if r < 0.0:
             raise ValueError("coherence_magnitude must be non-negative")
-        # Small slack so values projected onto the positivity boundary
-        # survive round-trips through their own square root.
-        if r * r > beta * (1.0 - beta) + 1e-12:
+        if _violates_positivity(beta, r):
             raise ValueError("coherence violates positivity: r^2 > beta(1-beta)")
         if not math.isfinite(self.coherence_phase):
             raise ValueError("coherence_phase must be finite")
@@ -147,27 +151,24 @@ def expected_occupation(rho: DensityMatrix2, theta, t, t_pi: float):
     """
     if not t_pi > 0.0:
         raise ValueError("t_pi must be positive")
-    beta = rho.excited_population
+    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
-        alpha = math.pi * np.asarray(t, dtype=float) / t_pi
-    if not np.isfinite(alpha).all():
+        finite = np.isfinite(math.pi * t / t_pi).all()
+    if not finite:
         raise ValueError("rotation angle pi t / t_pi is not finite")
     theta = np.asarray(theta, dtype=float)
-    out = (
-        beta
-        + (1.0 - 2.0 * beta) * 0.5 * (1.0 - np.cos(alpha))
-        - rho.coherence_magnitude * np.sin(alpha) * np.sin(theta + rho.coherence_phase)
-    )
+    out = _occupation(rho.excited_population, rho.coherence_magnitude, rho.coherence_phase, t_pi, theta, t)
     return out if out.ndim else float(out)
 
 
-def _surface(params: np.ndarray, theta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    beta, r, phi, t_pi = params
+def _occupation(beta, r, phi, t_pi, theta, t):
+    # The closed form P(theta, t) of the module docstring, unchecked so
+    # the fit evaluates its trial points as they come.
     alpha = math.pi * t / t_pi
     return (
         beta
         + (1.0 - 2.0 * beta) * 0.5 * (1.0 - np.cos(alpha))
-        - r * np.sin(alpha) * np.sin(theta[:, None] + phi)
+        - r * np.sin(alpha) * np.sin(theta + phi)
     )
 
 
@@ -280,7 +281,7 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
     data = grid.occupations
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        return (_surface(x, theta, t) - data).ravel()
+        return (_occupation(*x, theta[:, None], t) - data).ravel()
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         beta, r, phi, t_pi = x
@@ -325,7 +326,7 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
         projected = True
     bound = math.sqrt(max(beta * (1.0 - beta), 0.0))
     if r > bound:
-        if r * r > beta * (1.0 - beta) + 1e-12:
+        if _violates_positivity(beta, r):
             projected = True
         r = bound
 

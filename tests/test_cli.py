@@ -437,12 +437,17 @@ def test_nan_tomogram_cell_is_config_error(tmp_path, capsys, column, message):
         ("ramsey", "ramsey.delay_stop=1e308s"),
         ("rabi", "rabi.duration_stop=1e308s"),
         ("transfer-curves", "transfer.kappa_ratios=1e308"),
+        ("iq", "iq.centroid_0=1.4e308,1.4e308 iq.centroid_1=1.5e308,1.5e308 iq.sigma=1e305"),
+        ("iq", "iq.centroid_0=0,0 iq.centroid_1=1.79e308,0 iq.sigma=1e306"),
     ],
 )
 def test_float_overflow_in_computation_exits_numerical(tmp_path, capsys, name, override):
     # Finite inputs whose derived quantities overflow or vanish in
-    # float64 end in exit 3 with one line, not a traceback.
-    code, paths = run_fast(name, tmp_path, (override,))
+    # float64 end in exit 3 with one line, not a traceback or a numpy
+    # warning (the test's warning filter raises those).  An override
+    # holds several space-separated settings: the iq rows overflow in the
+    # projected threshold of off-axis centroids and in the drawn points.
+    code, paths = run_fast(name, tmp_path, override.split())
     assert code == 3 and paths == []
     err = capsys.readouterr().err
     assert err.startswith("numerical error") and err.count("\n") == 1
@@ -626,13 +631,21 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
 
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
-import jpmsim, jpmsim.cli
+import jpmsim
+root = [
+    jpmsim.__version__,
+    jpmsim.potential.find_extrema_sweep.__name__,
+    jpmsim.protocol.fidelity_budget.__name__,
+    hasattr(jpmsim, "fidelity_budget"),
+]
+import jpmsim.cli
 from jpmsim.cli import run_subcommand
 
 out, runs = sys.argv[1], json.loads(sys.argv[2])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = {name: run_subcommand(name, overrides=sets, output_dir=out)[0] for name, sets in runs}
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"root": root, "codes": codes, "scipy": scipy}))
 """
 
 
@@ -650,9 +663,12 @@ def test_scipy_loaded_only_by_iq_and_tomo_fit(tmp_path):
     # Fresh processes: importing jpmsim and running the subcommands that
     # need no scipy function (budget included: it reads only the switch
     # draws) loads no scipy module at all; iq, probed on its own, loads
-    # scipy.special (ndtri, erfc) but not scipy.optimize.
+    # scipy.special (ndtri, erfc) but not scipy.optimize.  `import
+    # jpmsim` alone reaches the version and the layer modules, and
+    # re-exports no name of theirs.
     free = [name for name in SUBCOMMANDS if name not in ("iq", "tomo-fit")]
     report = _probe_scipy(tmp_path / "free", free)
+    assert report["root"] == [jpmsim.__version__, "find_extrema_sweep", "fidelity_budget", False]
     assert report["codes"] == {name: 0 for name in free}
     assert report["scipy"] == []
     report = _probe_scipy(tmp_path / "special", ["iq"])

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from jpmsim import potential
 from jpmsim.errors import NumericalError
 from jpmsim.potential import (
     DEFAULT_PARAMS,
@@ -440,19 +441,27 @@ def test_sweep_equals_per_flux_calls_across_blocks():
     assert [row[2:8] for row in got] == [well for f in fluxes for well in reference_wells(float(f), p)]
 
 
-def test_sweep_keeps_per_flux_stopping_rule():
-    # With tol a power-of-two fraction of the cell width, the crossing
-    # brackets of one flux reach tol after different numbers of halvings,
-    # so the bits depend on each flux stepping until all of its brackets
-    # are within tol, as the one-flux solver does.
+def test_sweep_keeps_per_flux_stopping_rule(monkeypatch):
+    # With REFINE_TOL a power-of-two fraction of the cell width, the
+    # crossing brackets of one flux reach it after different numbers of
+    # halvings, so the bits depend on each flux stepping until all of its
+    # brackets are within it, as the one-flux solver does.
     p = DEFAULT_PARAMS
     beta = beta_L(p)
     spacing = (2.0 * beta + 2.0) / math.ceil((2.0 * beta + 2.0) / SCAN_STEP)
     fluxes = np.linspace(0.05, 0.95, 40) * PHI0
     for halvings in (16, 20, 24, 28):
+        # The solver reads REFINE_TOL when called, not as a default.
         tol = spacing / 2**halvings
-        got = find_extrema_sweep(fluxes, p, tol=tol)
+        monkeypatch.setattr(potential, "REFINE_TOL", tol)
+        got = find_extrema_sweep(fluxes, p)
         assert got == [reference_extrema(float(f), p, tol=tol) for f in fluxes]
+
+
+def test_sweep_takes_no_tolerance():
+    # The bisection tolerance is the module constant REFINE_TOL.
+    with pytest.raises(TypeError):
+        find_extrema_sweep([0.3 * PHI0], DEFAULT_PARAMS, tol=1e-6)
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)

@@ -18,6 +18,7 @@ import pytest
 from scipy.special import erfc, ndtri
 
 import jpmsim.protocol
+from jpmsim.errors import NumericalError
 from jpmsim.protocol import (
     DEFAULT_DEPHASING_PER_PHOTON,
     DEFAULT_DEPLETION_RATE,
@@ -524,6 +525,35 @@ def test_iq_discriminate_far_apart_centroids():
     out = iq_discriminate(model, labels, rng=np.random.default_rng(7))
     assert out["single_shot_fidelity"] == 1.0
     assert out["threshold"] == 5e199
+
+
+@pytest.mark.parametrize(
+    "centroid_0, centroid_1, sigma",
+    [
+        # Off-axis centroids: the projected threshold overflows.
+        ((1.4e308, 1.4e308), (1.5e308, 1.5e308), 1e305),
+        # A centroid at the limit: the drawn points overflow.
+        ((0.0, 0.0), (1.79e308, 0.0), 1e306),
+    ],
+    ids=["threshold", "points"],
+)
+def test_iq_discriminate_overflow_is_numerical_error(centroid_0, centroid_1, sigma):
+    model = IqModel(centroid_0=centroid_0, centroid_1=centroid_1, sigma=sigma)
+    labels = np.repeat([0, 1], 1000)
+    with pytest.raises(NumericalError, match="overflow"):
+        iq_discriminate(model, labels, rng=np.random.default_rng(7))
+
+
+def test_iq_discriminate_overflow_refusal_does_not_depend_on_draws():
+    # A cloud 4.8 sigma below the float64 limit rarely draws a point past
+    # it, but it can, so the model is refused for every seed and shot
+    # count, before any draw is made.
+    model = IqModel(centroid_1=(1.75e308, 0.0), sigma=1e306)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        with pytest.raises(NumericalError, match="overflow"):
+            iq_discriminate(model, np.array([1]), rng=rng)
+        assert rng.random() == np.random.default_rng(seed).random()
 
 
 def test_iq_discriminate_consumes_shot_results():
