@@ -165,7 +165,7 @@ def _scaled(number: str, factors: list[float]) -> float:
 
 
 def parse_value(text: str, spec: ValueSpec, key: str):
-    """Parse one config value according to its schema entry."""
+    """Parse one config value by its schema entry; a list kind gives a tuple."""
     text = text.strip()
     if text == "none":
         if spec.optional:
@@ -174,11 +174,15 @@ def parse_value(text: str, spec: ValueSpec, key: str):
     if spec.kind.startswith("list:"):
         inner = spec.kind.split(":", 1)[1]
         if text == "":
-            return []
-        return [_parse_scalar(part.strip(), inner, key, None) for part in text.split(",")]
+            return ()
+        return tuple(_parse_scalar(part.strip(), inner, key, None) for part in text.split(","))
     if text == "":
         raise ConfigError(f"{key}: empty value")
     return _parse_scalar(text, spec.kind, key, spec.choices)
+
+
+# Every SCHEMA default, parsed once; tuples keep them immutable.
+_DEFAULTS = {key: parse_value(spec.default, spec, key) for key, spec in SCHEMA.items()}
 
 
 def _parse_lines(lines, origin: str, seen: set[str], values: dict) -> None:
@@ -210,7 +214,7 @@ class RunConfig:
         Overrides use the same "key=value" syntax as file lines and are
         applied last; within each source a key may appear only once.
         """
-        values = {key: parse_value(spec.default, spec, key) for key, spec in SCHEMA.items()}
+        values = dict(_DEFAULTS)
         if config_path is not None:
             try:
                 with open(config_path, encoding="utf-8") as fh:

@@ -32,15 +32,15 @@ HBAR = 1.054571817e-34
 """Reduced Planck constant in joule seconds."""
 
 SCAN_STEP = math.pi / 100
-"""Phase step of the bracketing scan used by :func:`find_extrema`."""
+"""Phase step of the bracketing scan used by :func:`find_extrema_sweep`."""
 
 REFINE_TOL = 1e-12
 """Bisection tolerance in radians for extremum refinement."""
 
 MAX_SCAN_CELLS = 10**7
-"""Largest bracketing scan :func:`find_extrema` runs (beta_L about 1.6e5
-at SCAN_STEP), so a huge but finite beta_L is refused instead of
-allocating gigabytes or looping for hours."""
+"""Largest bracketing scan :func:`find_extrema_sweep` runs per flux
+(beta_L about 1.6e5 at SCAN_STEP), so a huge but finite beta_L is
+refused instead of allocating gigabytes or looping for hours."""
 
 SWEEP_BLOCK_CELLS = 2**15
 """Scan cells :func:`find_extrema_sweep` solves at once.  A block holds at
@@ -90,74 +90,10 @@ DEFAULT_PARAMS = JpmParams(
 
 
 @dataclass(frozen=True)
-class FluxBias:
-    """External flux applied to the loop.
-
-    Parameters
-    ----------
-    external_flux:
-        Applied flux in webers.  Any finite real value is allowed.
-    """
-
-    external_flux: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.external_flux):
-            raise ValueError("external_flux must be finite")
-
-    @classmethod
-    def from_flux_quanta(cls, fraction: float) -> "FluxBias":
-        """Build a bias from a value expressed in units of Phi0."""
-        return cls(external_flux=fraction * PHI0)
-
-    @property
-    def in_flux_quanta(self) -> float:
-        """Applied flux in units of Phi0."""
-        return self.external_flux / PHI0
-
-
-@dataclass(frozen=True)
-class WellReport:
-    """Properties of one local minimum of the potential.
-
-    Attributes
-    ----------
-    minimum_phase:
-        Phase delta of the minimum in radians.
-    barrier_phase:
-        Phase of the escape-barrier maximum, or ``None`` for a sole
-        global well.
-    barrier_height:
-        Well depth dU in joules, measured to the lowest adjacent
-        maximum.  ``math.inf`` when ``bounded`` is False.
-    plasma_frequency:
-        Small-oscillation angular frequency omega_p in radians/second.
-    level_count:
-        Semiclassical level estimate n = dU / (hbar omega_p).
-    well_label:
-        "left" or "right" for a double well, "global" for a sole well.
-        Interior minima of landscapes with more than two wells are
-        labeled "interior".
-    bounded:
-        False when the well is the only minimum and has no barrier.
-    """
-
-    minimum_phase: float
-    barrier_phase: float | None
-    barrier_height: float
-    plasma_frequency: float
-    level_count: float
-    well_label: str
-    bounded: bool
-
-
-@dataclass(frozen=True)
 class WellSweep:
     """Every local minimum of a flux sweep, one array entry per well.
 
-    Wells are ordered by flux, then by phase.  The value fields follow
-    :class:`WellReport`; ``barrier_phase`` is NaN where a well is
-    unbounded.
+    Wells are ordered by flux, then by phase.
 
     Attributes
     ----------
@@ -165,6 +101,25 @@ class WellSweep:
         Index of the well's flux in the swept array.
     well_count:
         Number of wells at that flux.
+    minimum_phase:
+        Phase delta of the minimum in radians.
+    barrier_phase:
+        Phase of the escape-barrier maximum, or NaN where the well is
+        unbounded.
+    barrier_height:
+        Well depth dU in joules, measured to the lowest adjacent
+        maximum.  ``math.inf`` where the well is unbounded.
+    plasma_frequency:
+        Small-oscillation angular frequency omega_p in radians/second.
+    level_count:
+        Semiclassical level estimate n = dU / (hbar omega_p); ``math.inf``
+        where the well is unbounded.
+    well_label:
+        "left" or "right" for a double well, "global" for a sole well.
+        Interior minima of landscapes with more than two wells are
+        labeled "interior".
+    bounded:
+        False when the well is the only minimum and has no barrier.
     """
 
     flux_index: np.ndarray
@@ -192,12 +147,15 @@ def _energy(delta, phi_e, p: JpmParams):
     )
 
 
-def potential_energy(delta, flux: FluxBias, p: JpmParams):
-    """Potential energy U(delta) in joules.
+def potential_energy(delta, external_flux: float, p: JpmParams):
+    """Potential energy U(delta) in joules at an applied flux in webers.
 
-    Accepts a scalar or array phase and broadcasts over it.
+    Accepts a scalar or array phase and broadcasts over it.  Raises
+    ValueError if ``external_flux`` is not finite.
     """
-    return _energy(delta, _phase_bias(flux.external_flux, p), p)
+    if not math.isfinite(external_flux):
+        raise ValueError("external_flux must be finite")
+    return _energy(delta, _phase_bias(external_flux, p), p)
 
 
 def potential_curvature(delta, p: JpmParams):
@@ -434,12 +392,13 @@ def find_extrema_sweep(fluxes, p: JpmParams) -> list[list[tuple[float, str]]]:
     solutions exist) for sign changes of the residual
     ``sin(delta) - (phi_e - delta)/beta_L`` and refines each by
     bisection to REFINE_TOL; each flux steps until all of its brackets
-    are within it, as a one-flux solve does.  Scan cells where the
-    residual does not change sign but its derivative does are
-    subdivided at the interior extremum, so root pairs close to a
-    bifurcation are still resolved.  The fluxes are solved together in
-    blocks of about SWEEP_BLOCK_CELLS scan cells, so memory stays
-    bounded whatever the sweep length.
+    are within it, so a flux gets the same bits alone or in any sweep.
+    Scan cells where the residual does not change sign but its
+    derivative does are subdivided at the interior extremum, so root
+    pairs close to a bifurcation are still resolved.  The fluxes are
+    solved together in blocks of about SWEEP_BLOCK_CELLS scan cells, so
+    memory stays bounded whatever the sweep length.  One flux is the
+    sweep ``[flux]``: ``find_extrema_sweep([flux], p)[0]``.
 
     Returns
     -------
@@ -455,21 +414,13 @@ def find_extrema_sweep(fluxes, p: JpmParams) -> list[list[tuple[float, str]]]:
         inconsistent, or the scan would need more than MAX_SCAN_CELLS
         cells per flux.
     ValueError
-        If a flux is not finite or its phase bias overflows.
+        If ``fluxes`` is not one-dimensional, or a flux is not finite or
+        its phase bias overflows.
     """
     _, offsets, roots, is_minimum = _sweep_extrema(fluxes, p)
     extrema = _pairs(roots, is_minimum)
     bounds = offsets.tolist()
     return [extrema[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def find_extrema(flux: FluxBias, p: JpmParams) -> list[tuple[float, str]]:
-    """Locate all extrema of the potential for one flux bias.
-
-    A one-flux :func:`find_extrema_sweep`: extrema in ascending phase
-    order as (delta, kind) pairs, an odd count with alternating kinds.
-    """
-    return find_extrema_sweep([flux.external_flux], p)[0]
 
 
 def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
@@ -535,36 +486,6 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
     )
 
 
-def well_report(flux: FluxBias, p: JpmParams) -> list[WellReport]:
-    """Characterize every local minimum at one flux bias.
-
-    A one-flux :func:`well_report_sweep`, one :class:`WellReport` per
-    minimum in phase order; ``barrier_phase`` is None for an unbounded
-    well.
-    """
-    sweep = well_report_sweep([flux.external_flux], p)
-    return [
-        WellReport(
-            minimum_phase=minimum,
-            barrier_phase=barrier if bounded else None,
-            barrier_height=height,
-            plasma_frequency=omega,
-            level_count=levels,
-            well_label=label,
-            bounded=bounded,
-        )
-        for minimum, barrier, height, omega, levels, label, bounded in zip(
-            sweep.minimum_phase.tolist(),
-            sweep.barrier_phase.tolist(),
-            sweep.barrier_height.tolist(),
-            sweep.plasma_frequency.tolist(),
-            sweep.level_count.tolist(),
-            sweep.well_label.tolist(),
-            sweep.bounded.tolist(),
-        )
-    ]
-
-
 def critical_flux(p: JpmParams) -> list[float]:
     """Flux biases in webers where the count of minima changes.
 
@@ -579,8 +500,8 @@ def critical_flux(p: JpmParams) -> list[float]:
     Raises
     ------
     NumericalError
-        If beta_L is too large for a :func:`find_extrema` scan at the
-        scan step, which also bounds the loop over branches here.
+        If beta_L is too large for a :func:`find_extrema_sweep` scan at
+        the scan step, which also bounds the loop over branches here.
     """
     beta = beta_L(p)
     if beta <= 1.0:

@@ -19,11 +19,10 @@ from jpmsim.cli import run_subcommand
 from jpmsim.potential import (
     DEFAULT_PARAMS,
     PHI0,
-    FluxBias,
     beta_L,
     critical_flux,
-    find_extrema,
-    well_report,
+    find_extrema_sweep,
+    well_report_sweep,
 )
 from jpmsim.protocol import (
     IqModel,
@@ -170,7 +169,8 @@ def test_potential_landscape_roots_and_tuning_range():
     step = 1e-4
     base = np.arange(-beta - 1.0, beta + 1.0 + step, step)
     rng = np.random.default_rng(20260815)
-    for flux_wb in rng.uniform(0.0, 1.0, 1000) * PHI0:
+    fluxes = rng.uniform(0.0, 1.0, 1000) * PHI0
+    for flux_wb, extrema in zip(fluxes, find_extrema_sweep(fluxes, p)):
         phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
         grid = base + phi_e
         vals = np.sin(grid) - (phi_e - grid) / beta
@@ -182,29 +182,29 @@ def test_potential_landscape_roots_and_tuning_range():
             brentq(g, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16)
             for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
         )
-        got = sorted(delta for delta, _ in find_extrema(FluxBias(flux_wb), p))
+        got = sorted(delta for delta, _ in extrema)
         assert len(got) == len(roots)
         assert max(abs(a - b) for a, b in zip(got, roots)) < 1e-9
 
     # Crossing either tangency flux changes the number of wells by
     # exactly one.
     eps = 1e-6 * PHI0
-    for f in critical_flux(p):
-        below = sum(1 for _, k in find_extrema(FluxBias(f - eps), p) if k == "minimum")
-        above = sum(1 for _, k in find_extrema(FluxBias(f + eps), p) if k == "minimum")
+    sides = [f + sign * eps for f in critical_flux(p) for sign in (-1.0, 1.0)]
+    minima = [sum(1 for _, k in extrema if k == "minimum") for extrema in find_extrema_sweep(sides, p)]
+    for below, above in zip(minima[::2], minima[1::2]):
         assert abs(below - above) == 1
 
     # Sweeping the bias from the symmetric point toward the upper
     # tangency tunes the shallow-well plasma frequency through the full
     # 4.4-5.9 GHz band.
     sweep = np.linspace(0.5 * PHI0, critical_flux(p)[1] - 1e-6 * PHI0, 700)
-    freqs = np.array(
-        [
-            min(well_report(FluxBias(f), p), key=lambda w: w.barrier_height).plasma_frequency
-            / (2.0 * math.pi)
-            for f in sweep
-        ]
-    )
+    wells = well_report_sweep(sweep, p)
+    # The shallowest well of each flux, the first one on a tie: a stable
+    # sort by height within each flux_index.
+    order = np.lexsort((wells.barrier_height, wells.flux_index))
+    first = np.unique(wells.flux_index[order], return_index=True)[1]
+    assert first.size == sweep.size
+    freqs = wells.plasma_frequency[order][first] / (2.0 * math.pi)
     assert freqs.min() < 4.4e9 < 5.9e9 < freqs.max()
     for target in np.linspace(4.4e9, 5.9e9, 16):
         assert np.abs(freqs - target).min() < 50e6

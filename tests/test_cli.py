@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jpmsim.cli
+import jpmsim.config
 from jpmsim.cli import main, run_subcommand
 from jpmsim.config import _UNIT_TABLES, RunConfig, SCHEMA, parse_value
 from jpmsim.errors import ConfigError
@@ -123,13 +124,37 @@ def test_optional_none_values():
 
 def test_list_values():
     cfg = RunConfig.from_sources(overrides=("stark.powers=0.5,1.5,2.5",))
-    assert cfg.get("stark.powers") == [0.5, 1.5, 2.5]
+    assert cfg.get("stark.powers") == (0.5, 1.5, 2.5)
     empty = RunConfig.from_sources(overrides=("stark.powers=",))
-    assert empty.get("stark.powers") == []
+    assert empty.get("stark.powers") == ()
     freqs = RunConfig.from_sources(overrides=("ramsey.detunings=-1MHz,0Hz,1MHz",))
     assert freqs.get("ramsey.detunings") == pytest.approx(
         [-2e6 * math.pi, 0.0, 2e6 * math.pi], rel=1e-15
     )
+
+
+def test_defaults_are_parsed_once_and_immutable(monkeypatch):
+    # The SCHEMA defaults are parsed at import; a config without a file
+    # or override parses nothing, and its list values are tuples, so no
+    # config can change the defaults another one starts from.
+    calls = []
+
+    def counting_parse_value(*args):
+        calls.append(args)
+        return parse_value(*args)
+
+    monkeypatch.setattr(jpmsim.config, "parse_value", counting_parse_value)
+    cfg = RunConfig.from_sources()
+    assert calls == []
+    powers = cfg.get("stark.powers")
+    assert type(powers) is tuple
+    assert powers == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    RunConfig.from_sources(overrides=("stark.powers=2,3",))
+    assert len(calls) == 1
+    assert RunConfig.from_sources().get("stark.powers") == powers
+    for key, spec in SCHEMA.items():
+        if spec.kind.startswith("list:"):
+            assert type(cfg.get(key)) is tuple, key
 
 
 def test_config_rejections():

@@ -26,16 +26,13 @@ from jpmsim.potential import (
     PHI0,
     SCAN_STEP,
     SWEEP_BLOCK_CELLS,
-    FluxBias,
     JpmParams,
     beta_L,
     critical_flux,
-    find_extrema,
     find_extrema_sweep,
     plasma_frequency,
     potential_curvature,
     potential_energy,
-    well_report,
     well_report_sweep,
 )
 
@@ -86,17 +83,23 @@ def test_potential_energy_matches_term_by_term_oracle():
     for _ in range(200):
         delta = float(rng.uniform(-10.0, 10.0))
         flux = float(rng.uniform(-0.5, 1.5)) * PHI0
-        got = potential_energy(delta, FluxBias(flux), DEFAULT_PARAMS)
+        got = potential_energy(delta, flux, DEFAULT_PARAMS)
         want = oracle_potential(delta, flux, DEFAULT_PARAMS)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_potential_energy_broadcasts():
     deltas = np.linspace(0.0, 2.0 * math.pi, 11)
-    out = potential_energy(deltas, FluxBias.from_flux_quanta(0.3), DEFAULT_PARAMS)
+    out = potential_energy(deltas, 0.3 * PHI0, DEFAULT_PARAMS)
     assert out.shape == deltas.shape
     for d, u in zip(deltas, out):
         assert u == pytest.approx(oracle_potential(float(d), 0.3 * PHI0, DEFAULT_PARAMS), rel=1e-12)
+
+
+@pytest.mark.parametrize("flux", [math.inf, -math.inf, math.nan])
+def test_potential_energy_refuses_non_finite_flux(flux):
+    with pytest.raises(ValueError, match="finite"):
+        potential_energy(0.0, flux, DEFAULT_PARAMS)
 
 
 def test_curvature_matches_finite_difference():
@@ -125,22 +128,22 @@ def test_beta_l_default_device():
 
 
 def test_plasma_frequency_zero_flux():
-    reports = well_report(FluxBias(0.0), DEFAULT_PARAMS)
-    assert len(reports) == 1
-    report = reports[0]
+    wells = well_report_sweep([0.0], DEFAULT_PARAMS)
+    assert wells.minimum_phase.size == 1
+    omega = float(wells.plasma_frequency[0])
     # Independent chain: FD curvature at the reported minimum, then
     # omega_p = sqrt(U'' / (C * (Phi0 / 2 pi)^2)) / (2 pi) in Hz.
-    curv = fd_curvature(report.minimum_phase, 0.0, DEFAULT_PARAMS)
+    curv = fd_curvature(float(wells.minimum_phase[0]), 0.0, DEFAULT_PARAMS)
     scale = (PHI0 / (2.0 * math.pi)) ** 2 * DEFAULT_PARAMS.shunt_capacitance
     want_hz = math.sqrt(curv / scale) / (2.0 * math.pi)
-    assert report.plasma_frequency / (2.0 * math.pi) == pytest.approx(want_hz, rel=1e-7)
-    assert report.plasma_frequency / (2.0 * math.pi) == pytest.approx(7.070874408383186e9, rel=1e-9)
+    assert omega / (2.0 * math.pi) == pytest.approx(want_hz, rel=1e-7)
+    assert omega / (2.0 * math.pi) == pytest.approx(7.070874408383186e9, rel=1e-9)
 
 
 def test_plasma_frequency_rejects_maxima():
     # At a potential maximum the curvature is negative and no real
     # oscillation frequency exists.
-    extrema = find_extrema(FluxBias.from_flux_quanta(0.5), DEFAULT_PARAMS)
+    extrema = find_extrema_sweep([0.5 * PHI0], DEFAULT_PARAMS)[0]
     maxima = [d for d, kind in extrema if kind == "maximum"]
     assert maxima
     with pytest.raises(NumericalError):
@@ -149,9 +152,8 @@ def test_plasma_frequency_rejects_maxima():
 
 def test_find_extrema_against_dense_scan():
     rng = np.random.default_rng(2026)
-    for _ in range(60):
-        flux = float(rng.uniform(0.0, 1.0)) * PHI0
-        got = find_extrema(FluxBias(flux), DEFAULT_PARAMS)
+    fluxes = [float(rng.uniform(0.0, 1.0)) * PHI0 for _ in range(60)]
+    for flux, got in zip(fluxes, find_extrema_sweep(fluxes, DEFAULT_PARAMS)):
         want = oracle_roots(flux, DEFAULT_PARAMS)
         assert len(got) == len(want)
         for (delta, _), ref in zip(got, want):
@@ -160,9 +162,8 @@ def test_find_extrema_against_dense_scan():
 
 def test_find_extrema_structure():
     rng = np.random.default_rng(99)
-    for _ in range(40):
-        flux = FluxBias(float(rng.uniform(0.0, 1.0)) * PHI0)
-        extrema = find_extrema(flux, DEFAULT_PARAMS)
+    fluxes = [float(rng.uniform(0.0, 1.0)) * PHI0 for _ in range(40)]
+    for flux, extrema in zip(fluxes, find_extrema_sweep(fluxes, DEFAULT_PARAMS)):
         deltas = [d for d, _ in extrema]
         kinds = [k for _, k in extrema]
         assert len(extrema) % 2 == 1
@@ -172,7 +173,7 @@ def test_find_extrema_structure():
         assert kinds[1::2] == ["maximum"] * len(kinds[1::2])
         # Each reported extremum satisfies the dimensionless condition.
         beta = beta_L(DEFAULT_PARAMS)
-        phi_e = 2.0 * math.pi * flux.external_flux / PHI0
+        phi_e = 2.0 * math.pi * flux / PHI0
         for d in deltas:
             assert abs(math.sin(d) - (phi_e - d) / beta) < 1e-10
 
@@ -181,10 +182,10 @@ def test_find_extrema_flux_parity():
     # Reflecting the bias about half a flux quantum mirrors the phase
     # axis: extrema map to 2 pi - delta with kinds preserved.
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        q = float(rng.uniform(0.0, 1.0))
-        fwd = find_extrema(FluxBias.from_flux_quanta(q), DEFAULT_PARAMS)
-        rev = find_extrema(FluxBias.from_flux_quanta(1.0 - q), DEFAULT_PARAMS)
+    quanta = [float(rng.uniform(0.0, 1.0)) for _ in range(25)]
+    forward = find_extrema_sweep([q * PHI0 for q in quanta], DEFAULT_PARAMS)
+    reverse = find_extrema_sweep([(1.0 - q) * PHI0 for q in quanta], DEFAULT_PARAMS)
+    for fwd, rev in zip(forward, reverse):
         assert len(fwd) == len(rev)
         for (d, kind), (dr, kind_r) in zip(fwd, reversed(rev)):
             assert 2.0 * math.pi - dr == pytest.approx(d, abs=1e-9)
@@ -193,55 +194,56 @@ def test_find_extrema_flux_parity():
 
 def test_well_report_half_flux():
     # At half a flux quantum the double well is symmetric.
-    flux = FluxBias.from_flux_quanta(0.5)
-    reports = well_report(flux, DEFAULT_PARAMS)
-    assert len(reports) == 2
-    left, right = reports
-    assert left.well_label == "left"
-    assert right.well_label == "right"
-    assert left.bounded and right.bounded
-    assert left.minimum_phase + right.minimum_phase == pytest.approx(2.0 * math.pi, abs=1e-9)
-    assert left.barrier_height == pytest.approx(right.barrier_height, rel=1e-9)
-    assert left.plasma_frequency == pytest.approx(right.plasma_frequency, rel=1e-9)
-    assert left.plasma_frequency / (2.0 * math.pi) == pytest.approx(6.227688678369018e9, rel=1e-9)
+    flux = 0.5 * PHI0
+    wells = well_report_sweep([flux], DEFAULT_PARAMS)
+    assert wells.minimum_phase.size == 2
+    assert wells.well_label.tolist() == ["left", "right"]
+    assert wells.bounded.all()
+    phase, height, omega, levels = (
+        getattr(wells, name).tolist()
+        for name in ("minimum_phase", "barrier_height", "plasma_frequency", "level_count")
+    )
+    assert phase[0] + phase[1] == pytest.approx(2.0 * math.pi, abs=1e-9)
+    assert height[0] == pytest.approx(height[1], rel=1e-9)
+    assert omega[0] == pytest.approx(omega[1], rel=1e-9)
+    assert omega[0] / (2.0 * math.pi) == pytest.approx(6.227688678369018e9, rel=1e-9)
 
     # Independent barrier height: potential at the central maximum minus
     # potential at the minimum, via the term-by-term oracle.
-    extrema = find_extrema(flux, DEFAULT_PARAMS)
+    extrema = find_extrema_sweep([flux], DEFAULT_PARAMS)[0]
     assert len(extrema) == 3
     d_min, d_max = extrema[0][0], extrema[1][0]
-    want = oracle_potential(d_max, 0.5 * PHI0, DEFAULT_PARAMS) - oracle_potential(
-        d_min, 0.5 * PHI0, DEFAULT_PARAMS
-    )
-    assert left.barrier_height == pytest.approx(want, rel=1e-10)
+    want = oracle_potential(d_max, flux, DEFAULT_PARAMS) - oracle_potential(d_min, flux, DEFAULT_PARAMS)
+    assert height[0] == pytest.approx(want, rel=1e-10)
     # Level count = barrier height over one plasma quantum.
-    assert left.level_count == pytest.approx(want / (HBAR * left.plasma_frequency), rel=1e-9)
-    assert left.level_count == pytest.approx(69.91, abs=0.01)
+    assert levels[0] == pytest.approx(want / (HBAR * omega[0]), rel=1e-9)
+    assert levels[0] == pytest.approx(69.91, abs=0.01)
 
 
 def test_well_report_single_well_unbounded():
-    report = well_report(FluxBias(0.0), DEFAULT_PARAMS)[0]
-    assert report.well_label == "global"
-    assert not report.bounded
-    assert report.barrier_phase is None
-    assert math.isinf(report.barrier_height)
-    assert math.isinf(report.level_count)
+    wells = well_report_sweep([0.0], DEFAULT_PARAMS)
+    assert wells.minimum_phase.size == 1
+    assert wells.well_label[0] == "global"
+    assert not wells.bounded[0]
+    assert math.isnan(wells.barrier_phase[0])
+    assert math.isinf(wells.barrier_height[0])
+    assert math.isinf(wells.level_count[0])
 
 
 def test_well_report_escape_barrier_is_lowest_side():
     # In the asymmetric double-well regime the escape barrier is the
     # lower of the two adjacent maxima when both exist; with a single
     # maximum it is that maximum.
-    flux = FluxBias.from_flux_quanta(0.55)
-    extrema = find_extrema(flux, DEFAULT_PARAMS)
+    flux = 0.55 * PHI0
+    extrema = find_extrema_sweep([flux], DEFAULT_PARAMS)[0]
     minima = [d for d, k in extrema if k == "minimum"]
     maxima = [d for d, k in extrema if k == "maximum"]
     assert len(minima) == 2 and len(maxima) == 1
-    left = well_report(flux, DEFAULT_PARAMS)[0]
-    u_barrier = oracle_potential(maxima[0], 0.55 * PHI0, DEFAULT_PARAMS)
-    u_min = oracle_potential(minima[0], 0.55 * PHI0, DEFAULT_PARAMS)
-    assert left.barrier_phase == pytest.approx(maxima[0], abs=1e-9)
-    assert left.barrier_height == pytest.approx(u_barrier - u_min, rel=1e-10)
+    wells = well_report_sweep([flux], DEFAULT_PARAMS)
+    u_barrier = oracle_potential(maxima[0], flux, DEFAULT_PARAMS)
+    u_min = oracle_potential(minima[0], flux, DEFAULT_PARAMS)
+    assert wells.barrier_phase[0] == pytest.approx(maxima[0], abs=1e-9)
+    assert wells.barrier_height[0] == pytest.approx(u_barrier - u_min, rel=1e-10)
 
 
 def test_critical_flux_values():
@@ -267,8 +269,10 @@ def test_critical_flux_values():
 def test_critical_flux_flips_well_count_by_one():
     eps = 1e-6 * PHI0
     for f in critical_flux(DEFAULT_PARAMS):
-        below = sum(1 for _, k in find_extrema(FluxBias(f - eps), DEFAULT_PARAMS) if k == "minimum")
-        above = sum(1 for _, k in find_extrema(FluxBias(f + eps), DEFAULT_PARAMS) if k == "minimum")
+        below, above = (
+            sum(1 for _, k in extrema if k == "minimum")
+            for extrema in find_extrema_sweep([f - eps, f + eps], DEFAULT_PARAMS)
+        )
         assert abs(below - above) == 1
 
 
@@ -277,8 +281,7 @@ def test_critical_flux_empty_for_monostable_device():
     p = JpmParams(critical_current=1e-7, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
     assert 2.0 * math.pi * p.loop_inductance * p.critical_current / PHI0 < 1.0
     assert critical_flux(p) == []
-    for q in (0.0, 0.3, 0.5, 0.8):
-        extrema = find_extrema(FluxBias.from_flux_quanta(q), p)
+    for extrema in find_extrema_sweep([q * PHI0 for q in (0.0, 0.3, 0.5, 0.8)], p):
         assert sum(1 for _, k in extrema if k == "minimum") == 1
 
 
@@ -286,11 +289,10 @@ def test_scan_size_limit():
     # The bracket spans 2 beta_L + 2 radians; past MAX_SCAN_CELLS cells
     # of the scan step both solvers refuse before doing the work.  A
     # 50 mA junction (beta_L about 1.67e5) is just past the limit.
-    flux = FluxBias.from_flux_quanta(0.3)
     big = JpmParams(critical_current=50e-3, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
     assert (2.0 * beta_L(big) + 2.0) / SCAN_STEP > MAX_SCAN_CELLS
     with pytest.raises(NumericalError, match="scan cells"):
-        find_extrema(flux, big)
+        find_extrema_sweep([0.3 * PHI0], big)
     huge = JpmParams(critical_current=1e300, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
     with pytest.raises(NumericalError, match="scan cells"):
         critical_flux(huge)
@@ -301,9 +303,9 @@ def test_near_tangency_pair_is_resolved():
     # together; both roots must still be reported.
     crit = critical_flux(DEFAULT_PARAMS)[1]
     for offset in (1e-5, 1e-6, 1e-7):
-        flux = FluxBias(crit * (1.0 - offset))
-        got = find_extrema(flux, DEFAULT_PARAMS)
-        want = oracle_roots(flux.external_flux, DEFAULT_PARAMS, step=1e-6)
+        flux = crit * (1.0 - offset)
+        got = find_extrema_sweep([flux], DEFAULT_PARAMS)[0]
+        want = oracle_roots(flux, DEFAULT_PARAMS, step=1e-6)
         assert len(got) == len(want)
         for (delta, _), ref in zip(got, want):
             assert abs(delta - ref) < 1e-9
@@ -396,6 +398,30 @@ def _device(beta: float) -> JpmParams:
     )
 
 
+def _one_flux_extrema(fluxes, p: JpmParams):
+    # A one-flux sweep for each flux in turn.
+    return [find_extrema_sweep([float(f)], p)[0] for f in fluxes]
+
+
+def _well_rows(wells):
+    # One tuple per well.  An unbounded well's NaN barrier phase reads
+    # None, so that rows compare with ==.
+    barrier = [b if bounded else None for b, bounded in zip(wells.barrier_phase.tolist(), wells.bounded.tolist())]
+    return list(
+        zip(
+            wells.flux_index.tolist(),
+            wells.well_count.tolist(),
+            wells.minimum_phase.tolist(),
+            barrier,
+            wells.barrier_height.tolist(),
+            wells.plasma_frequency.tolist(),
+            wells.level_count.tolist(),
+            wells.well_label.tolist(),
+            wells.bounded.tolist(),
+        )
+    )
+
+
 def _alternates(extrema) -> bool:
     kinds = [kind for _, kind in extrema]
     return len(kinds) % 2 == 1 and all(a != b for a, b in zip(kinds, kinds[1:]))
@@ -405,7 +431,7 @@ def test_sweep_equals_per_flux_calls_across_blocks():
     # Several blocks, a length that is no multiple of the fluxes per
     # block, a window across both tangencies, and fluxes close enough to
     # a tangency that a cell hides a root pair: the sweep must give the
-    # bits of one call per flux.
+    # bits of a one-flux sweep of each flux.
     p = DEFAULT_PARAMS
     per_block = SWEEP_BLOCK_CELLS // math.ceil((2.0 * beta_L(p) + 2.0) / SCAN_STEP)
     crit = critical_flux(p)
@@ -414,28 +440,14 @@ def test_sweep_equals_per_flux_calls_across_blocks():
     assert fluxes.size > 2 * per_block and fluxes.size % per_block != 0
 
     got = find_extrema_sweep(fluxes, p)
-    assert got == [find_extrema(FluxBias(float(f)), p) for f in fluxes]
+    assert got == _one_flux_extrema(fluxes, p)
     assert got == [reference_extrema(float(f), p) for f in fluxes]
 
-    sweep = well_report_sweep(fluxes, p)
-    got = list(
-        zip(
-            sweep.flux_index.tolist(),
-            sweep.well_count.tolist(),
-            sweep.minimum_phase.tolist(),
-            [b if bounded else None for b, bounded in zip(sweep.barrier_phase.tolist(), sweep.bounded.tolist())],
-            sweep.barrier_height.tolist(),
-            sweep.plasma_frequency.tolist(),
-            sweep.level_count.tolist(),
-            sweep.well_label.tolist(),
-            sweep.bounded.tolist(),
-        )
-    )
+    got = _well_rows(well_report_sweep(fluxes, p))
     want = [
-        (i, len(reports), w.minimum_phase, w.barrier_phase, w.barrier_height,
-         w.plasma_frequency, w.level_count, w.well_label, w.bounded)
-        for i, reports in enumerate(well_report(FluxBias(float(f)), p) for f in fluxes)
-        for w in reports
+        (i, *row[1:])
+        for i, f in enumerate(fluxes)
+        for row in _well_rows(well_report_sweep([float(f)], p))
     ]
     assert got == want
     assert [row[2:8] for row in got] == [well for f in fluxes for well in reference_wells(float(f), p)]
@@ -464,6 +476,22 @@ def test_sweep_takes_no_tolerance():
         find_extrema_sweep([0.3 * PHI0], DEFAULT_PARAMS, tol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "fluxes, match",
+    [
+        ([[0.1 * PHI0, 0.2 * PHI0]], "one-dimensional"),
+        ([0.1 * PHI0, math.inf], "must be finite"),
+        # Finite in webers, but 2 pi flux / Phi0 is past float64.
+        ([0.1 * PHI0, 1e308], "overflows the phase bias"),
+    ],
+    ids=["2-d", "non-finite", "phase-bias-overflow"],
+)
+def test_sweep_refuses_bad_fluxes(fluxes, match):
+    for solve in (find_extrema_sweep, well_report_sweep):
+        with pytest.raises(ValueError, match=match):
+            solve(fluxes, DEFAULT_PARAMS)
+
+
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(
     beta=st.floats(min_value=1.0, max_value=20.0, exclude_min=True),
@@ -479,7 +507,7 @@ def test_sweep_near_tangency_matches_per_flux_calls(beta, which, offset, log_wid
     width = 10.0**log_width * PHI0
     fluxes = np.linspace(center - width, center + width, points)
     got = find_extrema_sweep(fluxes, p)
-    assert got == [find_extrema(FluxBias(float(f)), p) for f in fluxes]
+    assert got == _one_flux_extrema(fluxes, p)
     assert got == [reference_extrema(float(f), p) for f in fluxes]
     assert all(_alternates(extrema) for extrema in got)
 
@@ -507,24 +535,19 @@ def test_large_beta_l_converges():
     p = JpmParams(critical_current=3e-3, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
     beta = beta_L(p)
     assert 9e3 < beta < 1.1e4
-    flux = FluxBias.from_flux_quanta(0.3)
-    extrema = find_extrema(flux, p)
+    flux = 0.3 * PHI0
+    extrema = find_extrema_sweep([flux], p)[0]
     assert _alternates(extrema)
     # Two extrema per 2 pi of the 2 beta_L + 2 wide bracket.
     assert abs(len(extrema) - 2.0 * beta / math.pi) < 3.0
-    phi_e = 2.0 * math.pi * flux.external_flux / PHI0
+    phi_e = 2.0 * math.pi * flux / PHI0
     assert max(abs(math.sin(d) - (phi_e - d) / beta) for d, _ in extrema) < 1e-9
-
-
-def test_flux_bias_round_trip():
-    fb = FluxBias.from_flux_quanta(0.37)
-    assert fb.in_flux_quanta == pytest.approx(0.37, rel=1e-15)
-    assert fb.external_flux == pytest.approx(0.37 * PHI0, rel=1e-15)
 
 
 def test_flux_quantum_is_the_module_constant():
     # Phi0 is not a constructor argument, so every conversion (phase
-    # bias, FluxBias, the sweep's flux column) uses the one PHI0.
+    # bias, the config's phi0 unit, the sweep's flux column) uses the
+    # one PHI0.
     assert DEFAULT_PARAMS.flux_quantum == PHI0
     with pytest.raises(TypeError):
         JpmParams(1e-6, 1.1e-9, 2e-12, flux_quantum=2.0 * PHI0)
