@@ -351,19 +351,10 @@ def _sweep_extrema(fluxes, p: JpmParams):
     order = np.lexsort((roots, flux_of))
     flux_of, roots = flux_of[order], roots[order]
 
+    # Crossing cells, exact-zero grid points and split shallow cells are
+    # disjoint, so no root arrives twice; a flux whose extrema are not
+    # odd in number and alternating is refused, not repaired.
     same_flux = flux_of[1:] == flux_of[:-1]
-    if (same_flux & ~(np.diff(roots) > 10.0 * REFINE_TOL)).any():
-        keep = np.ones(roots.size, dtype=bool)
-        last = prev = None
-        for j, (i, r) in enumerate(zip(flux_of.tolist(), roots.tolist())):
-            if i == prev and not r - last > 10.0 * REFINE_TOL:
-                keep[j] = False
-            else:
-                last = r
-            prev = i
-        flux_of, roots = flux_of[keep], roots[keep]
-        same_flux = flux_of[1:] == flux_of[:-1]
-
     is_minimum = np.cos(roots) + 1.0 / beta > 0.0
     counts = np.bincount(flux_of, minlength=fluxes.size)
     offsets = np.concatenate([[0], np.cumsum(counts)])

@@ -74,29 +74,6 @@ class DensityMatrix2:
             [[1.0 - self.excited_population, off], [np.conj(off), self.excited_population]]
         )
 
-    def bloch_vector(self) -> tuple[float, float, float]:
-        """Cartesian Bloch vector (x, y, z)."""
-        return (
-            2.0 * self.coherence_magnitude * math.cos(self.coherence_phase),
-            -2.0 * self.coherence_magnitude * math.sin(self.coherence_phase),
-            1.0 - 2.0 * self.excited_population,
-        )
-
-    @classmethod
-    def from_matrix(cls, m) -> "DensityMatrix2":
-        """Build from a 2x2 matrix, validating hermiticity and unit trace."""
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if abs(m[0, 0] + m[1, 1] - 1.0) > 1e-9 or not np.allclose(m, m.conj().T, atol=1e-9):
-            raise ValueError("matrix must be hermitian with unit trace")
-        off = complex(m[0, 1])
-        return cls(
-            excited_population=float(m[1, 1].real),
-            coherence_magnitude=abs(off),
-            coherence_phase=float(np.angle(off)) if abs(off) > 0.0 else 0.0,
-        )
-
 
 @dataclass(frozen=True)
 class TomogramGrid:
@@ -316,7 +293,7 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
         t_pi, r = -t_pi, -r
     if r < 0.0:
         r, phi = -r, phi + math.pi
-    phi = math.pi - math.fmod(math.pi - phi, 2.0 * math.pi)
+    phi = math.pi - (math.pi - phi) % (2.0 * math.pi)
     if phi <= -math.pi:
         phi += 2.0 * math.pi
 
@@ -353,36 +330,14 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
 def overlap_fidelity(rho: DensityMatrix2, target) -> float:
     """Overlap <psi|rho|psi> with a pure target state.
 
-    target is either a length-2 complex amplitude vector or a length-3
-    real Bloch vector; both must be normalized.  For a Bloch vector n
-    the overlap is (1 + n . m)/2 with m the Bloch vector of rho.
+    target is a normalized length-2 complex amplitude vector
+    (psi_0, psi_1) in the basis (|0>, |1>).
     """
-    target = np.asarray(target)
-    if target.shape == (2,):
-        psi = target.astype(complex)
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError("state vector target must be normalized")
-        value = float(np.real(np.conj(psi) @ rho.matrix() @ psi))
-    elif target.shape == (3,):
-        n = target.astype(float)
-        norm = float(np.linalg.norm(n))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError("Bloch vector target must have unit length")
-        value = 0.5 * (1.0 + float(np.dot(n, rho.bloch_vector())))
-    else:
-        raise ValueError("target must be a 2-amplitude state or 3-component Bloch vector")
+    psi = np.asarray(target)
+    if psi.shape != (2,):
+        raise ValueError("target must be a 2-amplitude state")
+    psi = psi.astype(complex)
+    if abs(float(np.linalg.norm(psi)) - 1.0) > 1e-6:
+        raise ValueError("state vector target must be normalized")
+    value = float(np.real(np.conj(psi) @ rho.matrix() @ psi))
     return min(max(value, 0.0), 1.0)
-
-
-def t1_survival(delay: float, t1: float) -> float:
-    """Excited-state survival e^{-delay/T1} after an idle delay.
-
-    Comparison utility: a population fitted after one measurement cycle
-    can be checked against this prediction for the cycle length (the
-    two need not agree exactly; the fitted value also carries
-    measurement-induced transitions).
-    """
-    if not (delay >= 0.0 and t1 > 0.0):
-        raise ValueError("need delay >= 0 and t1 > 0")
-    return math.exp(-delay / t1)

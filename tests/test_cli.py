@@ -451,6 +451,54 @@ def test_nan_tomogram_cell_is_config_error(tmp_path, capsys, column, message):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [], "empty tomogram file"),
+        (lambda lines: lines[:1], "no data rows"),
+        (lambda lines: lines[:3] + [""] + lines[3:], None),
+        (lambda lines: lines[:3] + ["0,1e-9"] + lines[3:], "expected 3 columns, got 2"),
+        (lambda lines: lines[:3] + ["0,abc,0.5"] + lines[4:], "malformed row"),
+        (lambda lines: lines + [lines[3]], "duplicate grid cell"),
+        (lambda lines: lines[:-1], "not a complete (angle x duration) product"),
+    ],
+    ids=["empty", "header-only", "blank-line", "two-columns", "non-numeric", "duplicate-cell", "incomplete"],
+)
+def test_tomogram_reader_refuses_malformed_files(tmp_path, capsys, tomogram, edit, message):
+    # Each malformed file exits 2 with one diagnostic line and no
+    # artifact; a blank line is skipped and changes nothing.
+    lines = tomogram.read_text().splitlines()
+    edited = tmp_path / "edited.csv"
+    edited.write_text("".join(line + "\n" for line in edit(lines)))
+    out = tmp_path / "fit"
+    capsys.readouterr()
+    code, paths = run_subcommand("tomo-fit", overrides=(f"tomo.input={edited}",), output_dir=str(out))
+    if message is None:
+        assert code == 0
+        ref_dir = str(tmp_path / "ref")
+        code, ref = run_subcommand("tomo-fit", overrides=(f"tomo.input={tomogram}",), output_dir=ref_dir)
+        assert code == 0
+        assert paths[0].read_bytes() == ref[0].read_bytes()
+        return
+    assert code == 2 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert message in err
+    assert list(out.iterdir()) == []
+
+
+def test_tomo_fit_reports_phase_in_half_open_interval(tmp_path):
+    # This noisy grid of a state with phi near pi fits to a raw phase
+    # just above pi, which the fit wraps into (-pi, pi].
+    overrides = ("tomo.beta=0.3", "tomo.r=0.2", "tomo.phi=3.14", "tomo.noise_sigma=0.02", "seed=7")
+    code, paths = run_subcommand("tomo-synth", overrides=overrides, output_dir=str(tmp_path))
+    assert code == 0
+    code, paths = run_subcommand("tomo-fit", overrides=(f"tomo.input={paths[0]}",), output_dir=str(tmp_path))
+    assert code == 0
+    record = json.loads(paths[0].read_text())
+    assert -math.pi < record["phi"] <= math.pi
+
+
+@pytest.mark.parametrize(
     "name, override",
     [
         ("potential-sweep", "device.loop_inductance=1e300H"),

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from jpmsim import potential
@@ -500,6 +500,16 @@ def test_sweep_refuses_bad_fluxes(fluxes, match):
     log_width=st.floats(min_value=-8.0, max_value=-2.0),
     points=st.integers(min_value=2, max_value=40),
 )
+# Float-step windows around each tangency, where a repeated root would
+# be most likely, at the default device's beta_L and across its range.
+@example(beta=1.0 + 1e-12, which=0, offset=0.0, log_width=-16.0, points=7)
+@example(beta=1.0 + 1e-12, which=1, offset=0.0, log_width=-16.0, points=7)
+@example(beta=3.3423883860796266, which=0, offset=0.0, log_width=-16.0, points=7)
+@example(beta=3.3423883860796266, which=1, offset=0.0, log_width=-16.0, points=7)
+@example(beta=13.0, which=0, offset=0.0, log_width=-16.0, points=7)
+@example(beta=13.0, which=1, offset=0.0, log_width=-16.0, points=7)
+@example(beta=1e3, which=0, offset=0.0, log_width=-16.0, points=7)
+@example(beta=1e3, which=1, offset=0.0, log_width=-16.0, points=7)
 def test_sweep_near_tangency_matches_per_flux_calls(beta, which, offset, log_width, points):
     p = _device(beta)
     crit = critical_flux(p)

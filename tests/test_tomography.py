@@ -9,6 +9,7 @@ parameters.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from jpmsim.tomography import (
     fit_tomogram,
     overlap_fidelity,
     synthesize_tomogram,
-    t1_survival,
 )
 
 # Matrix convention: [[1 - beta, r e^{i phi}], [r e^{-i phi}, beta]]
@@ -128,14 +128,6 @@ def test_density_matrix_round_trip():
     m = rho.matrix()
     assert m.shape == (2, 2)
     assert m[1, 1].real == pytest.approx(0.3, rel=1e-15)
-    back = DensityMatrix2.from_matrix(m)
-    assert back.excited_population == pytest.approx(0.3, rel=1e-12)
-    assert back.coherence_magnitude == pytest.approx(0.25, rel=1e-12)
-    assert back.coherence_phase == pytest.approx(1.1, rel=1e-12)
-    x, y, z = rho.bloch_vector()
-    assert x == pytest.approx(2.0 * 0.25 * math.cos(1.1), rel=1e-12)
-    assert y == pytest.approx(-2.0 * 0.25 * math.sin(1.1), rel=1e-12)
-    assert z == pytest.approx(1.0 - 2.0 * 0.3, rel=1e-12)
 
 
 def test_density_matrix_positivity():
@@ -241,6 +233,29 @@ def test_fit_uses_initial_guess():
     assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "phi, start",
+    [
+        # The optimum keeps r < 0 and the flip to r > 0 adds pi to phi.
+        (-2.0, (0.3, -0.2, -2.0 + math.pi, 50e-9)),
+        # The optimum keeps the phase one turn above its canonical value.
+        (2.9, (0.3, 0.2, 2.9 + 2.0 * math.pi, 50e-9)),
+    ],
+    ids=["negative-r", "phase-past-pi"],
+)
+def test_fit_wraps_phase_into_half_open_interval(phi, start):
+    rho = DensityMatrix2(0.3, 0.2, phi)
+    t_pi = 50e-9
+    thetas, times = standard_grid(t_pi)
+    grid = synthesize_tomogram(rho, t_pi, thetas, times)
+    fit = fit_tomogram(grid, initial_guess=start)
+    assert -math.pi < fit.rho.coherence_phase <= math.pi
+    unseeded = fit_tomogram(grid)
+    assert fit.rho.coherence_phase == pytest.approx(unseeded.rho.coherence_phase, abs=1e-12)
+    assert fit.rho.coherence_magnitude == pytest.approx(unseeded.rho.coherence_magnitude, abs=1e-12)
+    assert fit.rho.excited_population == pytest.approx(unseeded.rho.excited_population, abs=1e-12)
+
+
 def test_fit_non_uniform_durations():
     # Non-uniform pulse durations skip the FFT seeding path but still
     # converge from the span-based fallback.
@@ -332,23 +347,21 @@ def test_overlap_fidelity_named_values():
     assert overlap_fidelity(RHO_PREPARED, [0.0, 1.0]) == pytest.approx(0.09, abs=1e-12)
 
 
-def test_overlap_fidelity_statevector_and_bloch_agree():
-    # The same pure target expressed as amplitudes or as a Bloch vector.
+def test_overlap_fidelity_of_a_pure_state_with_itself():
+    # rho = |psi><psi| for psi = (|0> - i|1>)/sqrt(2).
     rho = DensityMatrix2(0.5, 0.5, 0.5 * math.pi)
     psi = [1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0)]
-    f_state = overlap_fidelity(rho, psi)
-    f_bloch = overlap_fidelity(rho, [0.0, -1.0, 0.0])
-    assert f_state == pytest.approx(f_bloch, abs=1e-12)
-    assert f_state == pytest.approx(1.0, abs=1e-12)
+    assert overlap_fidelity(rho, psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_overlap_fidelity_is_affine_in_the_state():
-    # F(rho, target) = (1 + bloch(rho) . bloch(target)) / 2 for pure
-    # targets, so mixing two states mixes the fidelity linearly.
+    # F(rho, target) = <psi|rho|psi> is linear in rho, so mixing two
+    # states mixes the fidelity linearly.
     rho_a = DensityMatrix2(0.2, 0.1, 0.3)
     rho_b = DensityMatrix2(0.7, 0.2, -1.0)
     lam = 0.3
-    mixed = DensityMatrix2.from_matrix(lam * rho_a.matrix() + (1.0 - lam) * rho_b.matrix())
+    off = lam * 0.1 * cmath.exp(0.3j) + (1.0 - lam) * 0.2 * cmath.exp(-1.0j)
+    mixed = DensityMatrix2(lam * 0.2 + (1.0 - lam) * 0.7, abs(off), cmath.phase(off))
     target = [0.6, 0.8j]
     f_mix = overlap_fidelity(mixed, target)
     want = lam * overlap_fidelity(rho_a, target) + (1.0 - lam) * overlap_fidelity(rho_b, target)
@@ -360,11 +373,8 @@ def test_overlap_fidelity_validation():
         overlap_fidelity(RHO_PREPARED, [1.0, 1.0])  # not normalized
     with pytest.raises(ValueError):
         overlap_fidelity(RHO_PREPARED, [1.0, 0.0, 0.0, 0.0])
-
-
-def test_t1_survival():
-    assert t1_survival(2.8e-6, 6.6e-6) == pytest.approx(math.exp(-2.8 / 6.6), rel=1e-12)
-    assert t1_survival(0.0, 6.6e-6) == 1.0
+    with pytest.raises(ValueError, match="2-amplitude"):
+        overlap_fidelity(RHO_PREPARED, [0.0, 0.0, 1.0])  # a Bloch vector
 
 
 def test_fit_result_exposes_curvature():

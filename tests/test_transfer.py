@@ -245,6 +245,18 @@ def test_peak_efficiency_kappa_mismatch():
     assert t_opt == pytest.approx(want_t, rel=1e-3)
 
 
+@pytest.mark.parametrize("detuning_ratio", [0.5, 1.0, 2.0, 4.0])
+def test_peak_efficiency_freq_mismatch(detuning_ratio):
+    # Equal decay rates, detuned modes: the closed form of
+    # freq_mismatch_peak against the numeric peak.
+    kappa = 1e6
+    cfg = make_config(kappa, detuning_ratio=detuning_ratio)
+    eta, t_opt = peak_efficiency(cfg)
+    want_eta, want_t = freq_mismatch_peak(kappa, detuning_ratio * kappa)
+    assert eta == pytest.approx(want_eta, abs=1e-4)
+    assert t_opt == pytest.approx(want_t, rel=1e-3)
+
+
 def test_peak_efficiency_against_dense_grid_oracle():
     # Independent oracle: dense scan of the numeric envelope around its
     # maximum plus parabolic refinement.
