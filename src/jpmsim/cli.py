@@ -52,8 +52,7 @@ from .tomography import (
     synthesize_tomogram,
 )
 from .transfer import (
-    efficiency_freq_mismatch,
-    efficiency_kappa_mismatch,
+    efficiency,
     emitted_energy,
     freq_mismatch_peak,
     kappa_mismatch_peak,
@@ -183,9 +182,9 @@ def _transfer_curves(cfg: RunConfig) -> tuple:
 
     etas, labels = [], []
 
-    def family(efficiency, ratio, label):
+    def family(kappa_2, delta_omega, label):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            eta = efficiency(ts, kappa_1, ratio * kappa_1)
+            eta = efficiency(ts, kappa_1, kappa_2, delta_omega)
         if not np.isfinite(eta).all():
             raise NumericalError(f"transfer efficiency for {label} is not finite")
         etas.append(eta)
@@ -194,9 +193,9 @@ def _transfer_curves(cfg: RunConfig) -> tuple:
     for ratio in kappa_ratios:
         if ratio <= 0.0:
             raise ConfigError("transfer.kappa_ratios entries must be positive")
-        family(efficiency_kappa_mismatch, ratio, "kappa_ratio=%g" % ratio)
+        family(ratio * kappa_1, 0.0, "kappa_ratio=%g" % ratio)
     for ratio in detuning_ratios:
-        family(efficiency_freq_mismatch, ratio, "detuning_ratio=%g" % ratio)
+        family(kappa_1, ratio * kappa_1, "detuning_ratio=%g" % ratio)
     return np.tile(ts * kappa_1, len(labels)), np.concatenate(etas), np.repeat(labels, ts.size)
 
 
@@ -344,9 +343,16 @@ def _read_tomogram(path: str) -> TomogramGrid:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            next(reader)
+            header = next(reader)
         except StopIteration:
             raise ConfigError(f"{path}: empty tomogram file") from None
+        try:
+            [float(cell) for cell in header]
+        except ValueError:
+            pass
+        else:
+            if len(header) == 3:
+                raise ConfigError(f"{path}: starts with a data row, not a header")
         cells = {}
         for row in reader:
             if not row:

@@ -242,27 +242,40 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"device section invalid: {exc}") from exc
 
+    def _decay_rate(self, key: str) -> float:
+        """The rate 1 / decay_time of a decay-time key, in 1/second.
+
+        Refuses, naming the key, a time that is not positive or whose
+        inverse overflows float64.
+        """
+        decay_time = self.get(key)
+        if not (decay_time > 0.0 and math.isfinite(1.0 / decay_time)):
+            raise ConfigError(f"{key} must be positive with a finite inverse, got {decay_time!r} s")
+        return 1.0 / decay_time
+
     def transfer_config(self) -> TransferConfig:
+        source_rate = self._decay_rate("source.decay_time")
+        capture_rate = self._decay_rate("capture.decay_time")
         try:
             return TransferConfig(
                 source=CavityMode(
                     angular_frequency=self.get("source.frequency"),
-                    decay_rate=1.0 / self.get("source.decay_time"),
+                    decay_rate=source_rate,
                 ),
                 target=CavityMode(
                     angular_frequency=self.get("capture.frequency"),
-                    decay_rate=1.0 / self.get("capture.decay_time"),
+                    decay_rate=capture_rate,
                 ),
                 line_impedance=self.get("line.impedance"),
                 drive_amplitude=self.get("line.drive_amplitude"),
             )
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"cavity sections invalid: {exc}") from exc
 
     def protocol_config(self) -> ProtocolConfig:
-        decay_time = self.get("protocol.depletion_decay_time")
+        key = "protocol.depletion_decay_time"
+        depletion_rate = DEFAULT_DEPLETION_RATE if self.get(key) is None else self._decay_rate(key)
         try:
-            depletion_rate = DEFAULT_DEPLETION_RATE if decay_time is None else 1.0 / decay_time
             return ProtocolConfig(
                 t_prep=self.get("protocol.t_prep"),
                 t1=self.get("protocol.t1"),
@@ -274,7 +287,7 @@ class RunConfig:
                 rng_seed=self.get("seed"),
                 relaxation_override=self.get("protocol.relaxation_override"),
             )
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"protocol section invalid: {exc}") from exc
 
     def iq_model(self) -> IqModel:

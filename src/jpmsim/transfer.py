@@ -3,13 +3,14 @@
 Mode 1 (the qubit cavity) rings down into a transmission line at rate
 kappa_1; mode 2 (the capture cavity) integrates the incident field at
 rate kappa_2.  In linear response the fraction of the emitted energy
-stored in mode 2 at time t has closed forms for the matched case, for a
-decay-rate mismatch, and for a frequency mismatch.  This module
-evaluates those closed forms, their peak values, and an independent
-numerical oracle that integrates the real (non-rotating-wave) response
-of mode 2 to the ring-down drive by composite Simpson quadrature.
+stored in mode 2 at time t has one closed form, efficiency, which
+covers the matched case, a decay-rate mismatch, a frequency mismatch
+and both together.  This module evaluates it, the peak values of its
+single-mismatch cases, and an independent numerical oracle that
+integrates the real (non-rotating-wave) response of mode 2 to the
+ring-down drive by composite Simpson quadrature.
 
-All closed-form efficiencies share one envelope.  With
+The closed form is one rotating-wave envelope.  With
 a = exp(-kappa_1 t / 2), b = exp(-kappa_2 t / 2):
 
     eta(t) = kappa_1 kappa_2 [(a - b)^2 + 4 a b sin^2(d_omega t / 2)]
@@ -114,83 +115,31 @@ def _exp_half_diff(t, kappa_1: float, kappa_2: float):
     return np.where(small, factored, direct)
 
 
-def _square(rate: float, name: str) -> float:
-    """rate**2 for a rate in 1/s; NumericalError where float64 overflows."""
-    try:
-        return rate**2
-    except OverflowError:
-        raise NumericalError(f"{name} {abs(rate):.3g}/s overflows float64 when squared") from None
+def efficiency(t, kappa_1: float, kappa_2: float, delta_omega: float):
+    """Stored-energy fraction in mode 2 at time t: the envelope above.
 
-
-def efficiency_matched(t, kappa: float):
-    """Stored-energy fraction kappa^2 t^2 e^{-kappa t} for identical modes.
-
-    Peaks at 4/e^2 when t = 2/kappa.  Accepts scalar or array t.
+    With s = hypot(d_kappa / 2, d_omega) each rate is divided by s
+    before the product, so no rate is squared and eta depends only on
+    kappa_1 t and the rate ratios: it stays finite for rates beyond
+    float64's square root.  A detuning so small against the rates that
+    (kappa_1 / s)(kappa_2 / s) overflows gives inf or NaN, never a
+    finite value off the curve.  s = 0 is the matched form
+    kappa^2 t^2 e^{-kappa t}, which peaks at 4/e^2 when t = 2/kappa.
+    Accepts scalar or array t.
     """
     t = np.asarray(t, dtype=float)
-    out = (kappa * t) ** 2 * np.exp(-kappa * t)
-    return out if out.ndim else float(out)
-
-
-def efficiency_kappa_mismatch(t, kappa_1: float, kappa_2: float):
-    """Stored-energy fraction for unequal decay rates, equal frequencies.
-
-    Equals 4 kappa_1 kappa_2 (e^{-kappa_1 t/2} - e^{-kappa_2 t/2})^2
-    / (kappa_2 - kappa_1)^2 and goes to the matched form continuously
-    as kappa_2 -> kappa_1.
-    """
-    if kappa_2 == kappa_1:
-        return efficiency_matched(t, kappa_1)
-    # Each rate is divided by the mismatch before the product, so no
-    # intermediate overflows when kappa_1 kappa_2 exceeds float64.
-    d_kappa = kappa_2 - kappa_1
-    diff = _exp_half_diff(t, kappa_1, kappa_2)
-    out = 4.0 * (kappa_1 / d_kappa) * (kappa_2 / d_kappa) * diff**2
-    return out if out.ndim else float(out)
-
-
-def efficiency_freq_mismatch(t, kappa: float, delta_omega: float):
-    """Stored-energy fraction for detuned modes with equal decay rates.
-
-    Equals 4 kappa^2 e^{-kappa t} sin^2(delta_omega t / 2) /
-    delta_omega^2 (the half-angle form of 2 kappa^2 e^{-kappa t}
-    (1 - cos delta_omega t) / delta_omega^2) and goes to the matched
-    form continuously as delta_omega -> 0.
-    """
-    if delta_omega == 0.0:
-        return efficiency_matched(t, kappa)
-    t = np.asarray(t, dtype=float)
-    out = (
-        4.0
-        * _square(kappa, "decay rate")
-        * np.exp(-kappa * t)
-        * np.sin(0.5 * delta_omega * t) ** 2
-        / _square(delta_omega, "frequency mismatch")
-    )
-    return out if out.ndim else float(out)
-
-
-def efficiency_envelope(t, cfg: TransferConfig):
-    """Stored-energy fraction with both mismatches present.
-
-    General rotating-wave envelope; reduces to each special closed form
-    when the other mismatch vanishes.  Accepts scalar or array t.
-    """
-    k1 = cfg.source.decay_rate
-    k2 = cfg.target.decay_rate
-    d_omega = cfg.delta_omega
-    if k1 == k2 and d_omega == 0.0:
-        return efficiency_matched(t, k1)
-    t = np.asarray(t, dtype=float)
-    diff = _exp_half_diff(t, k1, k2)
-    cross = 4.0 * np.exp(-0.5 * (k1 + k2) * t) * np.sin(0.5 * d_omega * t) ** 2
-    denom = 0.25 * _square(k2 - k1, "decay-rate mismatch") + _square(d_omega, "frequency mismatch")
-    out = k1 * k2 * (diff**2 + cross) / denom
+    s = math.hypot(0.5 * (kappa_2 - kappa_1), delta_omega)
+    if s == 0.0:
+        out = (kappa_1 * t) ** 2 * np.exp(-kappa_1 * t)
+    else:
+        diff = _exp_half_diff(t, kappa_1, kappa_2)
+        cross = 4.0 * np.exp(-0.5 * (kappa_1 + kappa_2) * t) * np.sin(0.5 * delta_omega * t) ** 2
+        out = (kappa_1 / s) * (kappa_2 / s) * (diff**2 + cross)
     return out if out.ndim else float(out)
 
 
 def kappa_mismatch_peak(kappa_1: float, kappa_2: float) -> tuple[float, float]:
-    """Peak of efficiency_kappa_mismatch and its time, analytically.
+    """Peak of efficiency(t, kappa_1, kappa_2, 0) and its time, analytically.
 
     The stationary condition is e^{d_kappa t/2} = kappa_2/kappa_1, so
     t_opt = 2 ln(kappa_2/kappa_1) / (kappa_2 - kappa_1) and the peak
@@ -206,7 +155,7 @@ def kappa_mismatch_peak(kappa_1: float, kappa_2: float) -> tuple[float, float]:
 
 
 def freq_mismatch_peak(kappa: float, delta_omega: float) -> tuple[float, float]:
-    """Peak of efficiency_freq_mismatch and its time, analytically.
+    """Peak of efficiency(t, kappa, kappa, delta_omega) and its time, analytically.
 
     Writing u = delta_omega t and a = delta_omega/kappa, the stationary
     condition a sin u = 1 - cos u gives u = 2 arctan(a), and the peak
@@ -427,9 +376,8 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     ------
     NumericalError
         If a decay rate is not resolved by the step (kappa h > 0.1),
-        if a closed-form rate scale overflows float64 or the envelope
-        is not finite on the seed grid, or if the pass would need more
-        than MAX_PEAK_NODES panel nodes.
+        if the closed-form envelope is not finite on the seed grid, or
+        if the pass would need more than MAX_PEAK_NODES panel nodes.
     """
     k_max = max(cfg.source.decay_rate, cfg.target.decay_rate)
     period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
@@ -443,7 +391,7 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     t_max = 20.0 / k_min
     grid = np.linspace(t_max / 4000.0, t_max, 4000)
     with np.errstate(over="ignore", invalid="ignore"):
-        envelope = efficiency_envelope(grid, cfg)
+        envelope = efficiency(grid, cfg.source.decay_rate, cfg.target.decay_rate, cfg.delta_omega)
     if not np.isfinite(envelope).all():
         raise NumericalError("closed-form envelope is not finite over the seed grid")
     seed = float(grid[int(np.argmax(envelope))])

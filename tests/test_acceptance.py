@@ -43,9 +43,7 @@ from jpmsim.tomography import (
 from jpmsim.transfer import (
     CavityMode,
     TransferConfig,
-    efficiency_freq_mismatch,
-    efficiency_kappa_mismatch,
-    efficiency_matched,
+    efficiency,
     freq_mismatch_peak,
     kappa_mismatch_peak,
     mode2_energy_numeric,
@@ -116,9 +114,9 @@ def test_matched_transfer_peak_bound():
     kappa = 1e6
     t_opt = 2.0 / kappa
     bound = 4.0 / math.e**2
-    assert abs(efficiency_matched(t_opt, kappa) - bound) < 1e-9
+    assert abs(efficiency(t_opt, kappa, kappa, 0.0) - bound) < 1e-9
     # The stationary point really is the global maximum of the curve.
-    y_pk, t_pk = grid_peak(lambda t: efficiency_matched(t, kappa), 10.0 / kappa)
+    y_pk, t_pk = grid_peak(lambda t: efficiency(t, kappa, kappa, 0.0), 10.0 / kappa)
     assert abs(y_pk - bound) < 1e-9
     assert abs(t_pk - t_opt) < 1e-6 * t_opt
     # Independent numeric convolution at a carrier a thousand linewidths
@@ -137,7 +135,7 @@ def test_decay_mismatch_peak_efficiencies():
         # Independent grid search over the mismatch curve lands on the
         # same peak.
         y_g, t_g = grid_peak(
-            lambda t: efficiency_kappa_mismatch(t, kappa_1, ratio * kappa_1),
+            lambda t: efficiency(t, kappa_1, ratio * kappa_1, 0.0),
             12.0 / kappa_1,
         )
         assert abs(y_g - expected) < 1e-3
@@ -151,7 +149,7 @@ def test_frequency_mismatch_sensitivity():
     kappa = 1e6
     eta_1, _ = freq_mismatch_peak(kappa, kappa)
     assert abs(eta_1 - 2.0 * math.exp(-math.pi / 2.0)) < 1e-6
-    y_g, _ = grid_peak(lambda t: efficiency_freq_mismatch(t, kappa, kappa), 10.0 / kappa)
+    y_g, _ = grid_peak(lambda t: efficiency(t, kappa, kappa, kappa), 10.0 / kappa)
     assert abs(y_g - eta_1) < 1e-9
     peaks = [freq_mismatch_peak(kappa, a * kappa)[0] for a in (0.0, 0.5, 1.0, 2.0, 4.0)]
     assert all(later < earlier for earlier, later in zip(peaks, peaks[1:]))

@@ -30,6 +30,7 @@ from jpmsim.config import _UNIT_TABLES, RunConfig, SCHEMA, parse_value
 from jpmsim.errors import ConfigError
 from jpmsim.potential import DEFAULT_PARAMS, PHI0
 from jpmsim.protocol import DEFAULT_DEPLETION_RATE, DEFAULT_IQ_MODEL, ProtocolConfig
+from jpmsim.transfer import efficiency
 
 SUBCOMMANDS = [
     "potential-sweep",
@@ -355,21 +356,107 @@ def test_exit_code_numerical_error(tmp_path, capsys):
         ("transfer-peak", "source.frequency=1e300Hz"),
         ("transfer-peak", "source.frequency=1e15Hz"),
         ("transfer-peak", "source.decay_time=1e-300s"),
-        ("transfer-curves", "source.decay_time=1e-300s"),
         ("transfer-peak", "capture.decay_time=1e-300s"),
         ("transfer-peak", "source.decay_time=1e300s"),
     ],
 )
 def test_transfer_overflow_inputs_exit_numerical(tmp_path, capsys, name, override):
-    # Rates too large for float64 squares, a decay the quadrature step
-    # cannot resolve, or a carrier or a decay so slow that the search
-    # needs more than MAX_PEAK_NODES nodes: each ends in exit 3 with one
-    # diagnostic line, no artifact.
+    # A decay the quadrature step cannot resolve, or a carrier or a
+    # decay so slow that the search needs more than MAX_PEAK_NODES
+    # nodes: each ends in exit 3 with one diagnostic line, no artifact.
     code, paths = run_subcommand(name, overrides=(override,), output_dir=str(tmp_path))
     assert code == 3 and paths == []
     err = capsys.readouterr().err
     assert err.startswith("numerical error") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def _json_rows(name, out_dir, overrides=()):
+    code, paths = run_subcommand(name, overrides=("output.format=json",) + tuple(overrides), output_dir=str(out_dir))
+    assert code == 0
+    return json.loads(paths[0].read_text())
+
+
+def test_transfer_curves_at_a_decay_rate_whose_square_overflows(tmp_path):
+    # A 1e-300 s source decay time makes kappa_1 = 1e300/s.  eta depends
+    # only on kappa_1 t and the rate ratios, so every family matches the
+    # default run's.
+    rows = _json_rows("transfer-curves", tmp_path / "short", ("source.decay_time=1e-300s",))
+    ref = _json_rows("transfer-curves", tmp_path / "ref")
+    assert [row["label"] for row in rows] == [row["label"] for row in ref]
+    for key in ("t_kappa1 (1)", "efficiency (1)"):
+        got = np.array([row[key] for row in rows])
+        want = np.array([row[key] for row in ref])
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0), key
+
+
+@pytest.mark.parametrize("ratio", ["1e-154", "1e-160"])
+def test_near_zero_detuning_is_the_matched_curve_or_refused(tmp_path, capsys, ratio):
+    # Down to the ratio where (kappa_1 / s)^2 still fits in float64 the
+    # detuned rows equal the matched ones, although sin^2 of the phase
+    # is subnormal at the early rows; below it the run is refused (exit
+    # 3), not written off the curve.
+    overrides = ("transfer.kappa_ratios=1", f"transfer.detuning_ratios={ratio}", "output.format=json")
+    code, paths = run_subcommand("transfer-curves", overrides=overrides, output_dir=str(tmp_path))
+    if ratio == "1e-160":
+        assert code == 3 and paths == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert code == 0
+    rows = json.loads(paths[0].read_text())
+    matched = np.array([row["efficiency (1)"] for row in rows if row["label"] == "kappa_ratio=1"])
+    detuned = np.array([row["efficiency (1)"] for row in rows if row["label"] == f"detuning_ratio={ratio}"])
+    assert matched.size == detuned.size == 400
+    assert np.max(np.abs(detuned - matched)) <= 1e-9
+
+
+TRANSFER_PEAK_KEYS = [
+    "eta_peak",
+    "t_opt_s",
+    "eta_matched_bound",
+    "eta_kappa_closed_form",
+    "t_opt_kappa_closed_form_s",
+    "eta_freq_closed_form",
+    "t_opt_freq_closed_form_s",
+    "emitted_energy_J",
+]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ("capture.decay_time=260ns",),
+        (),
+        ("capture.decay_time=260ns", "capture.frequency=5.021GHz"),
+        ("capture.frequency=5.021GHz",),
+    ],
+    ids=["matched", "kappa-mismatch", "detuned", "both-mismatches"],
+)
+def test_transfer_peak_record_contract(tmp_path, overrides):
+    # The record's keys, their order and which of them may be null are
+    # what readers of transfer_peak.json rely on.  eta_peak, the numeric
+    # peak, agrees with the closed form that applies: the freq closed
+    # form for equal rates, the kappa one for equal frequencies, and a
+    # dense grid over the envelope when both mismatches are present.
+    tc = RunConfig.from_sources(overrides=overrides).transfer_config()
+    k1, k2, dw = tc.source.decay_rate, tc.target.decay_rate, tc.delta_omega
+    record = _json_rows("transfer-peak", tmp_path, overrides)
+    assert list(record) == TRANSFER_PEAK_KEYS
+    freq_pair = ("eta_freq_closed_form", "t_opt_freq_closed_form_s")
+    for key in TRANSFER_PEAK_KEYS:
+        if key in freq_pair and k1 != k2:
+            assert record[key] is None, key
+        else:
+            assert isinstance(record[key], float) and math.isfinite(record[key]), key
+    if k1 == k2:
+        closed = record["eta_freq_closed_form"]
+    elif dw == 0.0:
+        closed = record["eta_kappa_closed_form"]
+    else:
+        closed = float(np.max(efficiency(np.linspace(0.0, 20.0 / min(k1, k2), 200_001), k1, k2, dw)))
+    assert abs(record["eta_peak"] - closed) <= 1e-4
 
 
 @pytest.mark.parametrize(
@@ -460,8 +547,18 @@ def test_nan_tomogram_cell_is_config_error(tmp_path, capsys, column, message):
         (lambda lines: lines[:3] + ["0,abc,0.5"] + lines[4:], "malformed row"),
         (lambda lines: lines + [lines[3]], "duplicate grid cell"),
         (lambda lines: lines[:-1], "not a complete (angle x duration) product"),
+        (lambda lines: lines[1:], "starts with a data row, not a header"),
     ],
-    ids=["empty", "header-only", "blank-line", "two-columns", "non-numeric", "duplicate-cell", "incomplete"],
+    ids=[
+        "empty",
+        "header-only",
+        "blank-line",
+        "two-columns",
+        "non-numeric",
+        "duplicate-cell",
+        "incomplete",
+        "headerless",
+    ],
 )
 def test_tomogram_reader_refuses_malformed_files(tmp_path, capsys, tomogram, edit, message):
     # Each malformed file exits 2 with one diagnostic line and no
@@ -585,11 +682,28 @@ def test_overflowing_tomogram_angle_prints_one_line(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", ["stark", "budget", "ramsey", "rabi", "depletion"])
-def test_zero_depletion_decay_time_is_config_error(tmp_path, capsys, name):
-    code, paths = run_fast(name, tmp_path, ("protocol.depletion_decay_time=0s",))
+@pytest.mark.parametrize(
+    "name, override",
+    [
+        pytest.param(name, "protocol.depletion_decay_time=0s", id=name)
+        for name in ("stark", "budget", "ramsey", "rabi", "depletion")
+    ]
+    + [
+        ("budget", "protocol.depletion_decay_time=1e-320s"),
+        ("transfer-curves", "source.decay_time=0s"),
+        ("transfer-curves", "source.decay_time=1e-320s"),
+        ("transfer-peak", "capture.decay_time=0s"),
+        ("transfer-peak", "capture.decay_time=1e-320s"),
+    ],
+)
+def test_zero_depletion_decay_time_is_config_error(tmp_path, capsys, name, override):
+    # A decay time of zero, or one whose inverse rate overflows, is
+    # refused where it becomes a rate, naming its key.
+    code, paths = run_fast(name, tmp_path, (override,))
     assert code == 2 and paths == []
-    assert capsys.readouterr().err.startswith("config error")
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert override.split("=")[0] in err
 
 
 @pytest.mark.parametrize("name", ["iq", "tomo-synth"])

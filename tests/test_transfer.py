@@ -21,10 +21,7 @@ from jpmsim.transfer import (
     _node_voltages,
     CavityMode,
     TransferConfig,
-    efficiency_envelope,
-    efficiency_freq_mismatch,
-    efficiency_kappa_mismatch,
-    efficiency_matched,
+    efficiency,
     emitted_energy,
     freq_mismatch_peak,
     kappa_mismatch_peak,
@@ -69,8 +66,8 @@ def make_config(kappa_1=1e6, kappa_ratio=1.0, detuning_ratio=0.0, carrier_ratio=
 
 def test_matched_peak_value_and_location():
     kappa = 1e6
-    assert efficiency_matched(2.0 / kappa, kappa) == pytest.approx(MATCHED_PEAK, abs=1e-12)
-    peak, t_opt = grid_peak(lambda t: efficiency_matched(t, kappa), 12.0 / kappa)
+    assert efficiency(2.0 / kappa, kappa, kappa, 0.0) == pytest.approx(MATCHED_PEAK, abs=1e-12)
+    peak, t_opt = grid_peak(lambda t: efficiency(t, kappa, kappa, 0.0), 12.0 / kappa)
     assert peak == pytest.approx(MATCHED_PEAK, abs=1e-9)
     assert t_opt == pytest.approx(2.0 / kappa, rel=1e-6)
 
@@ -79,35 +76,37 @@ def test_efficiency_bounded_by_unity():
     rng = np.random.default_rng(3)
     ts = rng.uniform(0.0, 30e-6, 500)
     for ratio in (1.0, 2.0, 5.0, 10.0):
-        vals = efficiency_kappa_mismatch(ts, 1e6, ratio * 1e6)
+        vals = efficiency(ts, 1e6, ratio * 1e6, 0.0)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     for det in (0.0, 0.5, 1.0, 2.0, 4.0):
-        vals = efficiency_freq_mismatch(ts, 1e6, det * 1e6)
+        vals = efficiency(ts, 1e6, 1e6, det * 1e6)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
 def test_kappa_mismatch_reduces_to_matched():
     kappa = 1e6
     ts = np.linspace(0.0, 10.0 / kappa, 101)
-    same = efficiency_kappa_mismatch(ts, kappa, kappa)
-    matched = efficiency_matched(ts, kappa)
+    matched = (kappa * ts) ** 2 * np.exp(-kappa * ts)
+    same = efficiency(ts, kappa, kappa, 0.0)
     assert np.allclose(same, matched, rtol=0.0, atol=1e-12)
     # Continuity as the mismatch closes: no cancellation blow-up in the
     # near-degenerate denominator.
-    near = efficiency_kappa_mismatch(ts, kappa, kappa * (1.0 + 1e-9))
+    near = efficiency(ts, kappa, kappa * (1.0 + 1e-9), 0.0)
     assert np.max(np.abs(near - matched)) < 1e-8
-    coarse = efficiency_kappa_mismatch(ts, kappa, kappa * (1.0 + 1e-6))
+    coarse = efficiency(ts, kappa, kappa * (1.0 + 1e-6), 0.0)
     assert np.max(np.abs(coarse - matched)) < 1e-5
 
 
-def test_kappa_mismatch_finite_when_rate_product_overflows():
-    # eta depends only on kappa_1 t and kappa_2/kappa_1, so rates near
-    # 1e160 (kappa_1 kappa_2 above float64's range) must reproduce the
-    # unit-rate curve, also for a ratio within 1e-7 of one.
+@pytest.mark.parametrize("rate", [1e-150, 1e160])
+@pytest.mark.parametrize("kappa_ratio, detuning_ratio", [(1.0000001, 0.0), (1.0, 0.5), (5.0, 2.0), (0.2, 4.0)])
+def test_kappa_mismatch_finite_when_rate_product_overflows(rate, kappa_ratio, detuning_ratio):
+    # eta depends only on kappa_1 t and the ratios of kappa_2 and
+    # delta_omega to kappa_1, so rates whose squares leave float64's
+    # range (1e-150 underflows, 1e160 overflows) must reproduce the
+    # unit-rate curve, also for a decay ratio within 1e-7 of one.
     x = np.linspace(0.0, 8.0, 401)
-    r = 1.0000001
-    scaled = efficiency_kappa_mismatch(x / 1e160, 1e160, r * 1e160)
-    unit = efficiency_kappa_mismatch(x, 1.0, r)
+    scaled = efficiency(x / rate, rate, kappa_ratio * rate, detuning_ratio * rate)
+    unit = efficiency(x, 1.0, kappa_ratio, detuning_ratio)
     assert np.all(np.isfinite(scaled))
     assert np.allclose(scaled, unit, rtol=1e-12, atol=0.0)
 
@@ -115,9 +114,9 @@ def test_kappa_mismatch_finite_when_rate_product_overflows():
 def test_freq_mismatch_reduces_to_matched():
     kappa = 1e6
     ts = np.linspace(0.0, 10.0 / kappa, 101)
-    matched = efficiency_matched(ts, kappa)
+    matched = efficiency(ts, kappa, kappa, 0.0)
     for eps in (1.0, 1e-3):
-        near = efficiency_freq_mismatch(ts, kappa, eps)
+        near = efficiency(ts, kappa, kappa, eps)
         assert np.max(np.abs(near - matched)) < 1e-8
 
 
@@ -126,9 +125,7 @@ def test_kappa_mismatch_peak_closed_form():
     for ratio, want_eta in ((10.0, 0.23979370012757623), (6.5, 0.31156005922555663)):
         eta, t_opt = kappa_mismatch_peak(kappa, ratio * kappa)
         # Independent oracle: grid search on the closed-form curve.
-        g_eta, g_t = grid_peak(
-            lambda t: efficiency_kappa_mismatch(t, kappa, ratio * kappa), 20.0 / kappa
-        )
+        g_eta, g_t = grid_peak(lambda t: efficiency(t, kappa, ratio * kappa, 0.0), 20.0 / kappa)
         assert eta == pytest.approx(g_eta, abs=1e-9)
         assert t_opt == pytest.approx(g_t, rel=1e-6)
         assert eta == pytest.approx(want_eta, abs=1e-12)
@@ -143,12 +140,8 @@ def test_kappa_mismatch_peak_symmetry():
         eta_rev, _ = kappa_mismatch_peak(ratio * kappa, kappa)
         assert eta_fwd == pytest.approx(eta_rev, abs=1e-9)
         # The grid oracle sees the same symmetry on the curves.
-        g_fwd, _ = grid_peak(
-            lambda t: efficiency_kappa_mismatch(t, kappa, ratio * kappa), 20.0 / kappa
-        )
-        g_rev, _ = grid_peak(
-            lambda t: efficiency_kappa_mismatch(t, ratio * kappa, kappa), 20.0 / kappa
-        )
+        g_fwd, _ = grid_peak(lambda t: efficiency(t, kappa, ratio * kappa, 0.0), 20.0 / kappa)
+        g_rev, _ = grid_peak(lambda t: efficiency(t, ratio * kappa, kappa, 0.0), 20.0 / kappa)
         assert g_fwd == pytest.approx(g_rev, abs=1e-9)
 
 
@@ -166,9 +159,7 @@ def test_freq_mismatch_peak_values():
     got = []
     for a, ref in zip((0.0, 0.5, 1.0, 2.0, 4.0), want):
         eta, t_opt = freq_mismatch_peak(kappa, a * kappa)
-        g_eta, g_t = grid_peak(
-            lambda t: efficiency_freq_mismatch(t, kappa, a * kappa), 20.0 / kappa
-        )
+        g_eta, g_t = grid_peak(lambda t: efficiency(t, kappa, kappa, a * kappa), 20.0 / kappa)
         assert eta == pytest.approx(g_eta, abs=1e-9)
         assert t_opt == pytest.approx(g_t, rel=1e-6)
         assert eta == pytest.approx(ref, abs=1e-12)
@@ -180,22 +171,18 @@ def test_freq_mismatch_peak_values():
 
 
 def test_envelope_reduces_to_special_cases():
+    # With one mismatch the envelope is a textbook expression, written
+    # out here: 4 k1 k2 (e^{-k1 t/2} - e^{-k2 t/2})^2 / (k2 - k1)^2 for
+    # unequal rates, 4 k^2 e^{-k t} sin^2(dw t/2) / dw^2 for detuned
+    # modes.  Neither mismatch is small here, so neither form cancels.
     kappa = 1e6
     ts = np.linspace(1e-9, 15.0 / kappa, 400)
-    cfg_kappa = make_config(kappa, kappa_ratio=5.0)
-    assert np.allclose(
-        efficiency_envelope(ts, cfg_kappa),
-        efficiency_kappa_mismatch(ts, kappa, 5.0 * kappa),
-        rtol=1e-12,
-        atol=1e-15,
-    )
-    cfg_freq = make_config(kappa, detuning_ratio=2.0)
-    assert np.allclose(
-        efficiency_envelope(ts, cfg_freq),
-        efficiency_freq_mismatch(ts, kappa, 2.0 * kappa),
-        rtol=1e-12,
-        atol=1e-15,
-    )
+    k2 = 5.0 * kappa
+    kappa_only = 4.0 * kappa * k2 * (np.exp(-0.5 * kappa * ts) - np.exp(-0.5 * k2 * ts)) ** 2 / (k2 - kappa) ** 2
+    assert np.allclose(efficiency(ts, kappa, k2, 0.0), kappa_only, rtol=1e-12, atol=1e-15)
+    dw = 2.0 * kappa
+    freq_only = 4.0 * kappa**2 * np.exp(-kappa * ts) * np.sin(0.5 * dw * ts) ** 2 / dw**2
+    assert np.allclose(efficiency(ts, kappa, kappa, dw), freq_only, rtol=1e-12, atol=1e-15)
 
 
 def test_numeric_matches_closed_forms_on_grid():
@@ -213,7 +200,7 @@ def test_numeric_matches_closed_forms_on_grid():
             t_probe = 2.0 * math.log(r) / ((r - 1.0) * kappa_1)
         for a in detunings:
             cfg = make_config(kappa_1, kappa_ratio=r, detuning_ratio=a)
-            closed = float(efficiency_envelope(t_probe, cfg))
+            closed = efficiency(t_probe, cfg.source.decay_rate, cfg.target.decay_rate, cfg.delta_omega)
             numeric = mode2_energy_numeric(t_probe, cfg)
             err = abs(numeric - closed) / max(closed, 1e-3)
             worst = max(worst, err)
