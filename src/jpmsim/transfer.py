@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,10 @@ def efficiency(t, kappa_1: float, kappa_2: float, delta_omega: float):
     t = np.asarray(t, dtype=float)
     s = math.hypot(0.5 * (kappa_2 - kappa_1), delta_omega)
     if s == 0.0:
-        out = (kappa_1 * t) ** 2 * np.exp(-kappa_1 * t)
+        # e^{-x} is 0 in float64 beyond x ~ 745, so the clamp changes no
+        # nonzero value and keeps x^2 from overflowing against it.
+        x = np.minimum(kappa_1 * t, 1000.0)
+        out = x**2 * np.exp(-x)
     else:
         diff = _exp_half_diff(t, kappa_1, kappa_2)
         cross = 4.0 * np.exp(-0.5 * (kappa_1 + kappa_2) * t) * np.sin(0.5 * delta_omega * t) ** 2
@@ -239,8 +243,8 @@ def mode2_energy_numeric(t: float, cfg: TransferConfig) -> float:
     maximum removes the phase-sampling error of the node grid, which
     would otherwise dominate the quadrature error.
     """
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValueError("t must be finite and non-negative")
     if t == 0.0 or cfg.drive_amplitude == 0.0:
         return 0.0
 
@@ -304,8 +308,8 @@ def mode2_energy_numeric(t: float, cfg: TransferConfig) -> float:
     return 0.5 * v_peak**2 / emitted_energy(cfg)
 
 
-def _node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> np.ndarray:
-    """V2 at the panel nodes tau_j = 2 j h, j = 1..n_nodes, in one pass.
+def _node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> Iterator[np.ndarray]:
+    """V2 at the panel nodes tau_j = 2 j h, j = 1..n_nodes, block by block.
 
     The same Simpson panels and scaled recurrence a_j = a_{j-1} D + p_j,
     D = e^{-kappa_2 h}, as mode2_energy_numeric, on the fixed step h
@@ -315,7 +319,9 @@ def _node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> np.ndarray:
         a_{j0+i} = D^{i-1} [D a_{j0} + sum_{l<=i} D^{-(l-1)} p_{j0+l}],
 
     and the block length keeps the rescale factor D^{-(k-1)} at most
-    e^64 for any kappa_2 h.  Memory is one block plus one float per node.
+    e^64 for any kappa_2 h.  A generator: each block is computed only
+    when the caller asks for it, and yields the voltages of its nodes in
+    order; only the running a and b carry over between blocks.
     """
     w1 = cfg.source.angular_frequency
     w2 = cfg.target.angular_frequency
@@ -328,21 +334,19 @@ def _node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> np.ndarray:
     steps = k2 * h * np.arange(block)
     grow, shrink = np.exp(steps), np.exp(-steps)
 
-    out = np.empty(n_nodes)
     a_run = b_run = 0.0
     for j0 in range(0, n_nodes, block):
         k = min(block, n_nodes - j0)
         tau = h * np.arange(2 * j0, 2 * (j0 + k) + 1)
-        drive = amp * np.exp(-0.5 * k1 * tau) * np.cos(w1 * tau)
         cos_t, sin_t = np.cos(w2 * tau), np.sin(w2 * tau)
+        drive = amp * np.exp(-0.5 * k1 * tau) * (cos_t if w1 == w2 else np.cos(w1 * tau))
         runs = []
         for f, run in ((drive * cos_t, a_run), (drive * sin_t, b_run)):
             panels = (h / 3.0) * (f[:-2:2] * d2 + 4.0 * f[1::2] * d + f[2::2])
             runs.append(shrink[:k] * (d2 * run + np.cumsum(grow[:k] * panels)))
         a, b = runs
-        out[j0 : j0 + k] = cos_t[2::2] * a + sin_t[2::2] * b
+        yield cos_t[2::2] * a + sin_t[2::2] * b
         a_run, b_run = float(a[-1]), float(b[-1])
-    return out
 
 
 def _node_energy(cfg: TransferConfig, volts: np.ndarray, j: int, h: float) -> float:
@@ -363,14 +367,19 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
 
     Seeds from the argmax of the closed-form envelope on a dense grid
     and brackets the peak in [seed/3, 3 seed] (the envelope is unimodal
-    in every regime this model covers).  One streaming quadrature pass
-    over [0, bracket end] on the fixed step h = period /
-    (2 POINTS_PER_PERIOD) of mode2_energy_numeric stores V2 at every
-    panel node; at a node time the energy equals mode2_energy_numeric
-    there up to rounding.  A golden-section search over the node
-    indices in the bracket runs the same trailing-period tone fit on
-    each probe's window, and a three-point parabola through the best
-    node and its neighbours refines the peak.  Returns (eta_peak, t_opt).
+    in every regime this model covers).  A golden-section search over
+    the panel-node indices in the bracket runs the trailing-period tone
+    fit of mode2_energy_numeric on each probe's window, and a
+    three-point parabola through the best node and its neighbours
+    refines the peak.  V2 at the nodes comes from one streaming
+    quadrature pass from tau = 0 on the fixed step h = period /
+    (2 POINTS_PER_PERIOD) of mode2_energy_numeric, so at a node time the
+    energy equals mode2_energy_numeric there up to rounding.  The pass
+    is lazy: a probe pulls blocks only until its node is filled, so it
+    ends with the block holding the highest node the search reads (its
+    first upper probe, about 0.66 of the bracket end), not at the
+    bracket end.
+    Returns (eta_peak, t_opt).
 
     Raises
     ------
@@ -406,10 +415,17 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
             f"peak search needs {span:.3g} quadrature nodes, more than {MAX_PEAK_NODES:.0e}"
         )
     n_nodes = int(math.ceil(span))
-    volts = _node_voltages(cfg, h, n_nodes)
+    blocks = _node_voltages(cfg, h, n_nodes)
+    volts = np.empty(n_nodes)
+    filled = 0
 
     @functools.lru_cache(maxsize=None)
     def energy(j: int) -> float:
+        nonlocal filled
+        while filled < j:
+            v = next(blocks)
+            volts[filled : filled + v.size] = v
+            filled += v.size
         return _node_energy(cfg, volts, j, h)
 
     a, b = max(int(lo / (2.0 * h)), 1), n_nodes

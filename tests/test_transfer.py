@@ -8,15 +8,20 @@ those oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
 import numpy as np
 import pytest
 
+import jpmsim.transfer as transfer
+from jpmsim.config import RunConfig
 from jpmsim.errors import NumericalError
 from jpmsim.transfer import (
+    _BLOCK_LOG_GROWTH,
     _BLOCK_PANELS,
+    _INV_PHI,
     _node_energy,
     _node_voltages,
     CavityMode,
@@ -109,6 +114,16 @@ def test_kappa_mismatch_finite_when_rate_product_overflows(rate, kappa_ratio, de
     unit = efficiency(x, 1.0, kappa_ratio, detuning_ratio)
     assert np.all(np.isfinite(scaled))
     assert np.allclose(scaled, unit, rtol=1e-12, atol=0.0)
+
+
+def test_matched_form_is_zero_not_nan_for_huge_kappa_t():
+    # (kappa t)^2 overflows from kappa t ~ 1.3e154 while e^{-kappa t} is
+    # 0 from ~745; the clamped argument gives 0 there and leaves every
+    # smaller kappa t bit for bit as the unclamped product.
+    x = np.linspace(0.0, 800.0, 8001)
+    assert np.array_equal(efficiency(x, 1.0, 1.0, 0.0), x**2 * np.exp(-x))
+    huge = efficiency(np.array([1e155, 1e200, 1e300, np.inf]), 1.0, 1.0, 0.0)
+    assert np.array_equal(huge, np.zeros(4))
 
 
 def test_freq_mismatch_reduces_to_matched():
@@ -279,7 +294,7 @@ def test_streaming_pass_matches_per_t_oracle_at_nodes(carrier_ratio):
             cfg = make_config(kappa, kappa_ratio=r, detuning_ratio=a, carrier_ratio=carrier_ratio)
             period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
             h = period / 80.0
-            volts = _node_voltages(cfg, h, n_nodes)
+            volts = np.concatenate(list(_node_voltages(cfg, h, n_nodes)))
             for j in [2, 3, 39, 40, 41, 4096, 4097, 8192, 8193, n_nodes] + list(range(100, n_nodes + 1, 250)):
                 t = 2.0 * h * j
                 if math.ceil(t / h) != 2 * j:
@@ -288,6 +303,137 @@ def test_streaming_pass_matches_per_t_oracle_at_nodes(carrier_ratio):
                 got = _node_energy(cfg, volts, j, h)
                 worst = max(worst, abs(got - want) / want)
     assert worst <= 1e-9
+
+
+def _eager_node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> np.ndarray:
+    # Reference copy of the whole-array pass the block generator
+    # replaced: every block up to n_nodes, written into one array.  It
+    # reads the block length from the module, as the generator does.
+    w1 = cfg.source.angular_frequency
+    w2 = cfg.target.angular_frequency
+    k1 = cfg.source.decay_rate
+    k2 = cfg.target.decay_rate
+    amp = 2.0 * cfg.drive_amplitude * math.sqrt(k2 / cfg.line_impedance)
+    d = math.exp(-0.5 * k2 * h)
+    d2 = d * d
+    block = min(transfer._BLOCK_PANELS, 1 + int(_BLOCK_LOG_GROWTH / (k2 * h)))
+    steps = k2 * h * np.arange(block)
+    grow, shrink = np.exp(steps), np.exp(-steps)
+
+    out = np.empty(n_nodes)
+    a_run = b_run = 0.0
+    for j0 in range(0, n_nodes, block):
+        k = min(block, n_nodes - j0)
+        tau = h * np.arange(2 * j0, 2 * (j0 + k) + 1)
+        drive = amp * np.exp(-0.5 * k1 * tau) * np.cos(w1 * tau)
+        cos_t, sin_t = np.cos(w2 * tau), np.sin(w2 * tau)
+        runs = []
+        for f, run in ((drive * cos_t, a_run), (drive * sin_t, b_run)):
+            panels = (h / 3.0) * (f[:-2:2] * d2 + 4.0 * f[1::2] * d + f[2::2])
+            runs.append(shrink[:k] * (d2 * run + np.cumsum(grow[:k] * panels)))
+        a, b = runs
+        out[j0 : j0 + k] = cos_t[2::2] * a + sin_t[2::2] * b
+        a_run, b_run = float(a[-1]), float(b[-1])
+    return out
+
+
+def _eager_peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
+    # Reference copy of the search of peak_efficiency on the eager pass
+    # over the whole bracket (refusals left out).
+    period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
+    h = period / 80.0
+    t_max = 20.0 / min(cfg.source.decay_rate, cfg.target.decay_rate)
+    grid = np.linspace(t_max / 4000.0, t_max, 4000)
+    envelope = efficiency(grid, cfg.source.decay_rate, cfg.target.decay_rate, cfg.delta_omega)
+    seed = float(grid[int(np.argmax(envelope))])
+    lo = max(seed / 3.0, t_max / 4000.0)
+    hi = min(3.0 * seed, t_max)
+    n_nodes = int(math.ceil(hi / (2.0 * h)))
+    volts = _eager_node_voltages(cfg, h, n_nodes)
+    energy = functools.lru_cache(maxsize=None)(lambda j: _node_energy(cfg, volts, j, h))
+    a, b = max(int(lo / (2.0 * h)), 1), n_nodes
+    while b - a > 4:
+        step = int(round(_INV_PHI * (b - a)))
+        if energy(b - step) < energy(a + step):
+            a = b - step
+        else:
+            b = a + step
+    j = max(range(a, b + 1), key=energy)
+    if not 1 < j < n_nodes:
+        return energy(j), 2.0 * h * j
+    y0, y1, y2 = energy(j - 1), energy(j), energy(j + 1)
+    curvature = y0 - 2.0 * y1 + y2
+    if curvature >= 0.0:
+        return y1, 2.0 * h * j
+    shift = 0.5 * (y0 - y2) / curvature
+    return y1 - 0.25 * (y0 - y2) * shift, 2.0 * h * (j + shift)
+
+
+PASS_GRID = [(r, a, c) for r in (1.0 / 12.0, 1.0, 12.0) for a in (0.0, 0.5, 2.0) for c in (20.0, 2e4)]
+
+
+@pytest.mark.parametrize("kappa_ratio, detuning_ratio, carrier_ratio", PASS_GRID)
+def test_lazy_peak_matches_eager_reference(kappa_ratio, detuning_ratio, carrier_ratio):
+    # The lazy pass changes which blocks are computed, not their
+    # arithmetic: the peak and its time are the same floats.
+    cfg = make_config(kappa_ratio=kappa_ratio, detuning_ratio=detuning_ratio, carrier_ratio=carrier_ratio)
+    assert peak_efficiency(cfg) == _eager_peak_efficiency(cfg)
+
+
+@pytest.mark.parametrize("block_panels", [1, 7])
+def test_every_probe_reads_filled_nodes(monkeypatch, block_panels):
+    # With blocks of one or a few panels nearly every probe's node is at
+    # or next to a block boundary, where a pull that stops one node short
+    # would leave the probe's last sample unfilled.  Every node a probe
+    # sees must equal the eager pass there.
+    monkeypatch.setattr(transfer, "_BLOCK_PANELS", block_panels)
+    seen = []
+
+    def recording(cfg, volts, j, h):
+        seen.append((j, volts[:j].copy()))
+        return _node_energy(cfg, volts, j, h)
+
+    monkeypatch.setattr(transfer, "_node_energy", recording)
+    for r, a in ((1.0, 0.0), (12.0, 2.0)):
+        cfg = make_config(kappa_ratio=r, detuning_ratio=a, carrier_ratio=20.0)
+        h = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency) / 80.0
+        seen.clear()
+        assert peak_efficiency(cfg) == _eager_peak_efficiency(cfg)
+        eager = _eager_node_voltages(cfg, h, max(j for j, _ in seen))
+        assert all(np.array_equal(v, eager[:j]) for j, v in seen)
+
+
+@pytest.mark.parametrize("n_nodes", [1, 1000, 3 * _BLOCK_PANELS + 123])
+@pytest.mark.parametrize("kappa_ratio, detuning_ratio, carrier_ratio", PASS_GRID)
+def test_block_source_matches_eager_pass(n_nodes, kappa_ratio, detuning_ratio, carrier_ratio):
+    # Pulled through its last node, the generator gives the whole eager
+    # array bit for bit, below one block and across several blocks
+    # ending in a partial one.
+    cfg = make_config(kappa_ratio=kappa_ratio, detuning_ratio=detuning_ratio, carrier_ratio=carrier_ratio)
+    period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
+    h = period / 80.0
+    blocks = list(_node_voltages(cfg, h, n_nodes))
+    assert all(0 < v.size <= _BLOCK_PANELS for v in blocks)
+    assert np.array_equal(np.concatenate(blocks), _eager_node_voltages(cfg, h, n_nodes))
+
+
+def test_peak_search_stops_at_its_highest_probe(monkeypatch):
+    # The golden-section search never reads past its first upper probe,
+    # about 0.66 of the bracket end, so at the default transfer-peak
+    # config the pass computes at most one block beyond 0.7 of the nodes.
+    cfg = RunConfig.from_sources().transfer_config()
+    seen = {"computed": 0}
+    real = transfer._node_voltages
+
+    def counting(cfg, h, n_nodes):
+        seen["n_nodes"] = n_nodes
+        for v in real(cfg, h, n_nodes):
+            seen["computed"] += v.size
+            yield v
+
+    monkeypatch.setattr(transfer, "_node_voltages", counting)
+    assert peak_efficiency(cfg) == _eager_peak_efficiency(cfg)
+    assert 0 < seen["computed"] <= 0.7 * seen["n_nodes"] + _BLOCK_PANELS
 
 
 def test_peak_efficiency_refusals():
@@ -314,6 +460,12 @@ def test_numeric_argument_validation():
     cfg = make_config()
     with pytest.raises(ValueError):
         mode2_energy_numeric(-1e-6, cfg)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_numeric_refuses_non_finite_time(t):
+    with pytest.raises(ValueError, match="t must be finite and non-negative"):
+        mode2_energy_numeric(t, make_config())
 
 
 def test_emitted_energy():
