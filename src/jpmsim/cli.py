@@ -5,8 +5,10 @@ optional, see config.SCHEMA for names and defaults), applies -s/--set
 overrides, runs the corresponding computation, and writes one artifact
 into the output directory.  _SUBCOMMANDS describes each subcommand
 once: its compute function, artifact stem, column header and help
-text.  A table's compute function returns its columns (numpy arrays
-or lists, in header order) and _write formats each column once.
+text.  Each compute function imports the physics names it calls, so a
+subcommand loads only its own layer.  A table's compute function
+returns its columns (numpy arrays or lists, in header order) and
+_write formats each column once.
 Outputs are byte-stable for a fixed config and seed: fixed column
 orders, 12-significant-digit decimals for float columns in CSV, and
 newline-terminated JSON with insertion-ordered keys.
@@ -26,38 +28,17 @@ import sys
 import tempfile
 from collections.abc import Callable
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .config import RunConfig
+from .constants import PHI0
 from .errors import ConfigError, NumericalError
-from .potential import PHI0, critical_flux, find_extrema_sweep, well_report_sweep
-from .protocol import (
-    _check_shot_draws,
-    depletion_recovery,
-    fidelity_budget,
-    iq_discriminate,
-    rabi_chevron,
-    ramsey_fringe,
-    relaxation_error,
-    stark_calibration,
-)
-from .tomography import (
-    DensityMatrix2,
-    TomogramGrid,
-    fit_tomogram,
-    overlap_fidelity,
-    synthesize_tomogram,
-)
-from .transfer import (
-    efficiency,
-    emitted_energy,
-    freq_mismatch_peak,
-    kappa_mismatch_peak,
-    peak_efficiency,
-)
+
+if TYPE_CHECKING:
+    from .tomography import TomogramGrid
 
 OUTPUT_DIR_ENV = "JPMSIM_OUTPUT_DIR"
 
@@ -135,6 +116,8 @@ def _grid_columns(row_values: np.ndarray, col_values: np.ndarray, matrix: np.nda
 
 
 def _potential_sweep(cfg: RunConfig) -> tuple:
+    from .potential import well_report_sweep
+
     params = cfg.jpm_params()
     fluxes = _linspace(
         cfg.get("potential.flux_start"),
@@ -156,6 +139,8 @@ def _potential_sweep(cfg: RunConfig) -> tuple:
 
 
 def _bifurcation(cfg: RunConfig) -> tuple:
+    from .potential import critical_flux, find_extrema_sweep
+
     params = cfg.jpm_params()
     epsilon = 1e-6 * PHI0
     crit = critical_flux(params)
@@ -169,6 +154,8 @@ def _bifurcation(cfg: RunConfig) -> tuple:
 
 
 def _transfer_curves(cfg: RunConfig) -> tuple:
+    from .transfer import efficiency
+
     tc = cfg.transfer_config()
     kappa_1 = tc.source.decay_rate
     kappa_ratios = cfg.get("transfer.kappa_ratios")
@@ -200,6 +187,8 @@ def _transfer_curves(cfg: RunConfig) -> tuple:
 
 
 def _transfer_peak(cfg: RunConfig) -> dict:
+    from .transfer import emitted_energy, freq_mismatch_peak, kappa_mismatch_peak, peak_efficiency
+
     tc = cfg.transfer_config()
     eta_peak, t_opt = peak_efficiency(tc)
     eta_kappa, t_kappa = kappa_mismatch_peak(tc.source.decay_rate, tc.target.decay_rate)
@@ -220,6 +209,8 @@ def _transfer_peak(cfg: RunConfig) -> dict:
 
 
 def _budget(cfg: RunConfig) -> dict:
+    from .protocol import fidelity_budget, relaxation_error
+
     pc = cfg.protocol_config()
     n_shots = cfg.get("budget.n_shots")
     record = dict(fidelity_budget(pc, n_shots, cfg.iq_model()))
@@ -229,6 +220,8 @@ def _budget(cfg: RunConfig) -> dict:
 
 
 def _ramsey(cfg: RunConfig) -> tuple:
+    from .protocol import ramsey_fringe
+
     pc = cfg.protocol_config()
     detunings = _require_nonempty(cfg.get("ramsey.detunings"), "ramsey.detunings")
     delays = _linspace(
@@ -246,6 +239,8 @@ def _ramsey(cfg: RunConfig) -> tuple:
 
 
 def _rabi(cfg: RunConfig) -> tuple:
+    from .protocol import rabi_chevron
+
     pc = cfg.protocol_config()
     detunings = _require_nonempty(cfg.get("rabi.detunings"), "rabi.detunings")
     durations = _linspace(
@@ -265,6 +260,8 @@ def _rabi(cfg: RunConfig) -> tuple:
 
 
 def _stark(cfg: RunConfig) -> tuple:
+    from .protocol import stark_calibration
+
     pc = cfg.protocol_config()
     powers = _require_nonempty(cfg.get("stark.powers"), "stark.powers")
     n_bar, shift = np.transpose(stark_calibration(powers, pc))
@@ -272,6 +269,8 @@ def _stark(cfg: RunConfig) -> tuple:
 
 
 def _depletion(cfg: RunConfig) -> tuple:
+    from .protocol import depletion_recovery
+
     pc = cfg.protocol_config()
     times = _linspace(
         0.0,
@@ -289,6 +288,8 @@ def _depletion(cfg: RunConfig) -> tuple:
 
 
 def _iq(cfg: RunConfig) -> dict:
+    from .protocol import _check_shot_draws, iq_discriminate
+
     model = cfg.iq_model()
     n_shots = cfg.get("iq.n_shots")
     if n_shots < 1:
@@ -308,6 +309,8 @@ def _iq(cfg: RunConfig) -> dict:
 
 
 def _tomo_synth(cfg: RunConfig) -> tuple:
+    from .tomography import DensityMatrix2, synthesize_tomogram
+
     rho = DensityMatrix2(
         excited_population=cfg.get("tomo.beta"),
         coherence_magnitude=cfg.get("tomo.r"),
@@ -321,12 +324,13 @@ def _tomo_synth(cfg: RunConfig) -> tuple:
     stop = cfg.get("tomo.duration_stop")
     # Default span: one full rotation plus margin, so noisy synthetic
     # grids stay clear of the fit's minimum-span identifiability bound.
-    durations = _linspace(
-        0.0,
-        2.2 * t_pi if stop is None else stop,
-        cfg.get("tomo.duration_points"),
-        "tomo.duration_points",
-    )
+    end = 2.2 * t_pi if stop is None else stop
+    durations = _linspace(0.0, end, cfg.get("tomo.duration_points"), "tomo.duration_points")
+    # tomo-fit reads the grid back by its cell coordinates, so two equal
+    # durations would make a file it refuses.
+    if not (np.diff(durations) > 0.0).all():
+        key = "tomo.t_pi" if stop is None else "tomo.duration_stop"
+        raise ConfigError(f"{key}: pulse durations from 0 to {end:g} s are not strictly increasing")
     grid = synthesize_tomogram(
         rho,
         t_pi,
@@ -340,6 +344,8 @@ def _tomo_synth(cfg: RunConfig) -> tuple:
 
 
 def _read_tomogram(path: str) -> TomogramGrid:
+    from .tomography import TomogramGrid
+
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -385,6 +391,8 @@ def _read_tomogram(path: str) -> TomogramGrid:
 
 
 def _tomo_fit(cfg: RunConfig) -> dict:
+    from .tomography import fit_tomogram, overlap_fidelity
+
     input_path = cfg.get("tomo.input")
     if input_path is None:
         raise ConfigError("tomo.input must point to a tomogram CSV")

@@ -21,11 +21,17 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from typing import TYPE_CHECKING
 
+from .constants import PHI0
 from .errors import ConfigError
-from .potential import PHI0, JpmParams
-from .protocol import DEFAULT_DEPLETION_RATE, IqModel, ProtocolConfig
-from .transfer import CavityMode, TransferConfig
+
+# Each builder below imports its layer when called, so importing the
+# config (and the CLI) loads no physics module.
+if TYPE_CHECKING:
+    from .potential import JpmParams
+    from .protocol import IqModel, ProtocolConfig
+    from .transfer import TransferConfig
 
 _UNIT_TABLES = {
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12},
@@ -233,6 +239,8 @@ class RunConfig:
         return self.values[key]
 
     def jpm_params(self) -> JpmParams:
+        from .potential import JpmParams
+
         try:
             return JpmParams(
                 critical_current=self.get("device.critical_current"),
@@ -254,6 +262,8 @@ class RunConfig:
         return 1.0 / decay_time
 
     def transfer_config(self) -> TransferConfig:
+        from .transfer import CavityMode, TransferConfig
+
         source_rate = self._decay_rate("source.decay_time")
         capture_rate = self._decay_rate("capture.decay_time")
         try:
@@ -273,6 +283,8 @@ class RunConfig:
             raise ConfigError(f"cavity sections invalid: {exc}") from exc
 
     def protocol_config(self) -> ProtocolConfig:
+        from .protocol import DEFAULT_DEPLETION_RATE, ProtocolConfig
+
         key = "protocol.depletion_decay_time"
         depletion_rate = DEFAULT_DEPLETION_RATE if self.get(key) is None else self._decay_rate(key)
         try:
@@ -291,6 +303,8 @@ class RunConfig:
             raise ConfigError(f"protocol section invalid: {exc}") from exc
 
     def iq_model(self) -> IqModel:
+        from .protocol import IqModel
+
         for key in ("iq.centroid_0", "iq.centroid_1"):
             if len(self.get(key)) != 2:
                 raise ConfigError(f"{key} must have exactly two components")

@@ -23,13 +23,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .constants import HBAR, PHI0
 from .errors import NumericalError
-
-PHI0 = 2.067833848e-15
-"""Magnetic flux quantum h/2e in webers."""
-
-HBAR = 1.054571817e-34
-"""Reduced Planck constant in joule seconds."""
 
 SCAN_STEP = math.pi / 100
 """Phase step of the bracketing scan used by :func:`find_extrema_sweep`."""

@@ -222,6 +222,14 @@ def _initial_guess(grid: TomogramGrid) -> np.ndarray:
     return np.array([beta0, r0, phi0, t_pi0])
 
 
+def _finite(values: np.ndarray, what: str, x: np.ndarray) -> np.ndarray:
+    """values, or a NumericalError naming the fit parameters x if any is NaN or infinite."""
+    if not np.isfinite(values).all():
+        params = ", ".join("%g" % v for v in x.tolist())
+        raise NumericalError(f"tomogram fit: non-finite {what} at (beta, r, phi, t_pi) = ({params})")
+    return values
+
+
 def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
     """Least-squares fit of (beta, r, phi, t_pi) to a tomogram grid.
 
@@ -240,7 +248,8 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
         duration span covers less than one full rotation period
         2 t_pi of the fitted surface.
     NumericalError
-        If the optimizer fails to converge.
+        If the optimizer fails to converge, or meets a non-finite
+        residual or Jacobian (a non-finite parameter gives both).
     """
     from scipy.optimize import least_squares
 
@@ -258,7 +267,7 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
     data = grid.occupations
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        return (_occupation(*x, theta[:, None], t) - data).ravel()
+        return _finite((_occupation(*x, theta[:, None], t) - data).ravel(), "residual", x)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         beta, r, phi, t_pi = x
@@ -276,11 +285,15 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
         d_tpi = -(math.pi * t / t_pi**2) * (
             (1.0 - 2.0 * beta) * 0.5 * sin_a * ones - r * cos_a * sin_th
         )
-        return np.stack(
+        jac = np.stack(
             [d_beta.ravel(), d_r.ravel(), d_phi.ravel(), d_tpi.ravel()], axis=1
         )
+        return _finite(jac, "Jacobian", x)
 
-    result = least_squares(residuals, x0, jac=jacobian, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    # A non-finite value stops the fit in _finite, so numpy's warnings
+    # on the way there would only add lines to the one diagnostic.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        result = least_squares(residuals, x0, jac=jacobian, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
     if not result.success:
         raise NumericalError(f"tomogram fit did not converge: {result.message}")
 

@@ -510,6 +510,22 @@ def test_negative_noise_sigma_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "override",
+    ["tomo.duration_stop=0s", "tomo.duration_stop=-1s", "tomo.duration_stop=1e-322s", "tomo.t_pi=0s"],
+)
+def test_tomo_synth_refuses_durations_not_strictly_increasing(tmp_path, capsys, override):
+    # Equal durations would write a grid whose repeated cells tomo-fit
+    # refuses (1e-322 s is 20 subnormal steps, too few for 33 points);
+    # the key that set the span is named before anything is written.
+    code, paths = run_subcommand("tomo-synth", overrides=(override,), output_dir=str(tmp_path))
+    assert code == 2 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "not strictly increasing" in err and override.split("=")[0] in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "column, message",
     [
         (0, "non-finite grid coordinate"),
@@ -682,6 +698,23 @@ def test_overflowing_tomogram_angle_prints_one_line(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_underflowing_tomogram_fit_prints_one_line(tmp_path):
+    # Durations up to 1e-300 s make the fit's t_pi^2 underflow to 0 and
+    # its Jacobian non-finite.  A fresh process, as above, so any numpy
+    # or scipy warning would reach stderr beside the diagnostic.
+    code, paths = run_subcommand("tomo-synth", overrides=("tomo.duration_stop=1e-300s",), output_dir=str(tmp_path))
+    assert code == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(jpmsim.__file__).parents[1]))
+    out = tmp_path / "fit"
+    proc = subprocess.run(
+        [sys.executable, "-m", "jpmsim.cli", "tomo-fit", "-s", f"tomo.input={paths[0]}", "-o", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical error: tomogram fit: non-finite") and proc.stderr.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "name, override",
     [
@@ -818,50 +851,94 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
 
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
-import jpmsim
+
+def loaded():
+    # jpmsim modules and scipy modules in sys.modules so far.
+    return {
+        "jpmsim": sorted(m for m in sys.modules if m.split(".")[0] == "jpmsim"),
+        "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    }
+
+import jpmsim.config
+stages = {"import jpmsim.config": loaded()}
+import jpmsim.cli
+stages["import jpmsim.cli"] = loaded()
+from jpmsim.cli import run_subcommand
+
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+codes = {}
+for name, sets in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = run_subcommand(name, overrides=sets, output_dir=out)[0]
+    stages[name] = loaded()
 root = [
     jpmsim.__version__,
     jpmsim.potential.find_extrema_sweep.__name__,
     jpmsim.protocol.fidelity_budget.__name__,
+    jpmsim.transfer.efficiency.__name__,
+    jpmsim.tomography.fit_tomogram.__name__,
+    jpmsim.errors.ConfigError.__name__,
     hasattr(jpmsim, "fidelity_budget"),
 ]
-import jpmsim.cli
-from jpmsim.cli import run_subcommand
-
-out, runs = sys.argv[1], json.loads(sys.argv[2])
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = {name: run_subcommand(name, overrides=sets, output_dir=out)[0] for name, sets in runs}
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"root": root, "codes": codes, "scipy": scipy}))
+print(json.dumps({"root": root, "codes": codes, "stages": stages}))
 """
 
+_BASE_MODULES = ["jpmsim", "jpmsim.cli", "jpmsim.config", "jpmsim.constants", "jpmsim.errors"]
 
-def _probe_scipy(tmp_path, names):
+# Each layer's subcommands, in the order one fresh process runs them.
+_LAYER_RUNS = {
+    "potential": ["potential-sweep", "bifurcation"],
+    "transfer": ["transfer-curves", "transfer-peak"],
+    "protocol": ["stark", "budget", "ramsey", "rabi", "depletion", "iq"],
+    "tomography": ["tomo-synth", "tomo-fit"],
+}
+
+
+def _probe_modules(out, names):
     runs = [(name, list(FAST.get(name, ()))) for name in names]
+    for name, sets in runs:
+        if name == "tomo-fit":
+            # It reads the tomogram tomo-synth has just written to out.
+            sets.append(f"tomo.input={out / 'tomogram.csv'}")
     env = dict(os.environ, PYTHONPATH=str(Path(jpmsim.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(runs)],
+        [sys.executable, "-c", _SCIPY_PROBE, str(out), json.dumps(runs)],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     return json.loads(proc.stdout)
 
 
 def test_scipy_loaded_only_by_iq_and_tomo_fit(tmp_path):
-    # Fresh processes: importing jpmsim and running the subcommands that
-    # need no scipy function (budget included: it reads only the switch
-    # draws) loads no scipy module at all; iq, probed on its own, loads
-    # scipy.special (ndtri, erfc) but not scipy.optimize.  `import
-    # jpmsim` alone reaches the version and the layer modules, and
-    # re-exports no name of theirs.
-    free = [name for name in SUBCOMMANDS if name not in ("iq", "tomo-fit")]
-    report = _probe_scipy(tmp_path / "free", free)
-    assert report["root"] == [jpmsim.__version__, "find_extrema_sweep", "fidelity_budget", False]
-    assert report["codes"] == {name: 0 for name in free}
-    assert report["scipy"] == []
-    report = _probe_scipy(tmp_path / "special", ["iq"])
-    assert report["codes"] == {"iq": 0}
-    assert "scipy.special" in report["scipy"]
-    assert "scipy.optimize" not in report["scipy"]
+    # One fresh process per layer.  `import jpmsim.config` and `import
+    # jpmsim.cli` load no physics layer and no scipy module.  The first
+    # subcommand of each process loads exactly its own layer, and the
+    # later ones (same layer) load no other.  Only iq loads
+    # scipy.special (ndtri, erfc) and only tomo-fit scipy.optimize
+    # (least_squares); budget reads only the switch draws.  `import
+    # jpmsim` still reaches every layer by attribute, and the package
+    # root re-exports no name of theirs.
+    for layer, names in _LAYER_RUNS.items():
+        report = _probe_modules(tmp_path / layer, names)
+        assert report["codes"] == {name: 0 for name in names}
+        stages = report["stages"]
+        assert stages["import jpmsim.config"] == {
+            "jpmsim": ["jpmsim", "jpmsim.config", "jpmsim.constants", "jpmsim.errors"],
+            "scipy": [],
+        }
+        assert stages["import jpmsim.cli"] == {"jpmsim": _BASE_MODULES, "scipy": []}
+        for name in names:
+            assert stages[name]["jpmsim"] == sorted(_BASE_MODULES + [f"jpmsim.{layer}"]), name
+            scipy = stages[name]["scipy"]
+            if name == "iq":
+                assert "scipy.special" in scipy and "scipy.optimize" not in scipy
+            elif name == "tomo-fit":
+                assert "scipy.optimize" in scipy
+            else:
+                assert scipy == [], name
+        assert report["root"] == [
+            jpmsim.__version__, "find_extrema_sweep", "fidelity_budget", "efficiency", "fit_tomogram",
+            "ConfigError", False,
+        ]
 
 
 def test_output_directory_resolution(tmp_path, monkeypatch):
