@@ -55,9 +55,10 @@ def _cells(column: np.ndarray) -> list[str]:
 def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
     """Write a table (columns under header) or, when header is None, a JSON record.
 
-    The bytes go to a temporary file in out_dir that replaces the
-    artifact only once complete, so a failed write leaves no partial
-    file and any older artifact of the same name as it was.
+    out_dir is created here, so a run refused before writing leaves no
+    new directory.  The bytes go to a temporary file in out_dir that
+    replaces the artifact only once complete, so a failed write leaves no
+    partial file and any older artifact of the same name as it was.
     """
     as_csv = header is not None and file_format == "csv"
     if header is None:
@@ -69,6 +70,7 @@ def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
         else:
             payload = [dict(zip(header, row)) for row in zip(*(c.tolist() for c in columns))]
     path = out_dir / f"{stem}.{'csv' if as_csv else 'json'}"
+    out_dir.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{stem}.", suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
@@ -536,9 +538,7 @@ def _resolve_output_dir(flag_value: str | None, cfg: RunConfig) -> Path:
         chosen = cfg.get("output.directory")
     else:
         chosen = os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(chosen)
 
 
 def run_subcommand(
@@ -554,7 +554,8 @@ def run_subcommand(
     by zero (ArithmeticError) or an array too large to allocate
     (MemoryError) 3 and an OSError 4, each with one
     diagnostic line on stderr.  The artifact is computed in full before
-    its file is opened, so exits 2 and 3 leave no file.  Prints one line
+    its directory is created and its file opened, so exits 2 and 3 leave
+    no file and no new directory.  Prints one line
     per artifact on success.
     """
     spec = _SUBCOMMANDS.get(name)

@@ -9,10 +9,14 @@ the junction phase ``delta`` is
 
 with Josephson energy ``E_J = I0 Phi0 / 2 pi``.  Depending on the
 screening parameter ``beta_L = 2 pi L_g I0 / Phi0`` and the applied flux,
-the landscape holds one or two local minima.  This module locates the
-extrema, characterizes each well (depth, small-oscillation plasma
-frequency, semiclassical level count) and finds the bias points where
-wells appear or vanish.
+the landscape holds one or more local minima.  The extrema are the
+roots of the residual ``sin(delta) - (phi_e - delta)/beta_L``, with
+``phi_e = 2 pi Phi_ext / Phi0``, whose turning points
+``cos(delta) = -1/beta_L`` have a closed form: they cut the phase axis
+into segments that each hold at most one root, and they give the bias
+points where wells appear or vanish.  This module locates the extrema,
+characterizes each well (depth, small-oscillation plasma frequency,
+semiclassical level count) and finds those bias points.
 """
 
 from __future__ import annotations
@@ -26,21 +30,18 @@ import numpy as np
 from .constants import HBAR, PHI0
 from .errors import NumericalError
 
-SCAN_STEP = math.pi / 100
-"""Phase step of the bracketing scan used by :func:`find_extrema_sweep`."""
-
 REFINE_TOL = 1e-12
 """Bisection tolerance in radians for extremum refinement."""
 
-MAX_SCAN_CELLS = 10**7
-"""Largest bracketing scan :func:`find_extrema_sweep` runs per flux
-(beta_L about 1.6e5 at SCAN_STEP), so a huge but finite beta_L is
+MAX_SEGMENTS = 10**5
+"""Most monotone segments :func:`find_extrema_sweep` cuts one flux's
+bracket into (beta_L about 1.6e5), so a huge but finite beta_L is
 refused instead of allocating gigabytes or looping for hours."""
 
-SWEEP_BLOCK_CELLS = 2**15
-"""Scan cells :func:`find_extrema_sweep` solves at once.  A block holds at
-least one whole flux, so a sweep's working set stays near this many
-cells whatever its length."""
+SWEEP_BLOCK_SEGMENTS = 2**15
+"""Bracket segments :func:`find_extrema_sweep` solves at once.  A block
+holds at least one whole flux, so a sweep's working set stays near this
+many segments whatever its length."""
 
 
 @dataclass(frozen=True)
@@ -188,18 +189,25 @@ def plasma_frequency(delta, p: JpmParams):
     return omega if omega.ndim else float(omega)
 
 
-def _check_scan_size(beta: float) -> None:
+def _check_segment_count(beta: float) -> None:
     """Refuse a beta_L whose bracket [phi_e - beta_L - 1, phi_e + beta_L + 1]
-    holds more than MAX_SCAN_CELLS scan cells."""
-    if not (2.0 * beta + 2.0) / SCAN_STEP <= MAX_SCAN_CELLS:
+    holds more than MAX_SEGMENTS segments: it is 2 beta_L + 2 wide and the
+    residual turns twice every 2 pi."""
+    if not (2.0 * beta + 2.0) / math.pi <= MAX_SEGMENTS:
         raise NumericalError(
-            f"beta_L {beta:.3g} needs more than {MAX_SCAN_CELLS:.0e} extremum scan cells"
+            f"beta_L {beta:.3g} needs more than {MAX_SEGMENTS:.0e} extremum bracket segments"
         )
 
 
 def _residual(delta, phi_e, beta: float):
     # Extremum condition rearranged to sin(delta) - (phi_e - delta)/beta_L = 0.
     return np.sin(delta) - (phi_e - delta) / beta
+
+
+def _turns(beta: float):
+    """Turning points of the residual modulo 2 pi, -/+ acos(-1/beta_L),
+    where its slope cos(delta) + 1/beta_L vanishes; none for beta_L <= 1."""
+    return np.array([-1.0, 1.0]) * math.acos(-1.0 / beta) if beta > 1.0 else np.empty(0)
 
 
 def _bisect(f, lo, hi, group):
@@ -244,72 +252,29 @@ def _bisect(f, lo, hi, group):
     raise NumericalError("extremum bisection failed to reach tolerance")
 
 
-def _block_roots(phi_e, n_cells: int, beta: float):
-    """Roots of the residual for a block of fluxes scanned with n_cells cells each.
+def _block_roots(phi_e, beta: float, turn, reach: int):
+    """Roots of the residual for a block of fluxes.
 
-    Returns (row, root) arrays in no particular order, ``row`` indexing
-    ``phi_e``.
+    Each flux's bracket is cut at the residual's turning points
+    ``2 pi k + turn``, where its slope cos(delta) + 1/beta_L vanishes, for
+    the 2 reach + 1 integers k nearest floor(phi_e / 2 pi); those outside
+    the bracket are clipped to its ends.  Returns (row, root) arrays, row
+    indexing ``phi_e``, in ascending order of row and then of root.
     """
-    # One flux per column: in the flattened arrays a cell starting at
-    # index i ends at i + width.
-    width = phi_e.size
-    grid = np.linspace(phi_e - beta - 1.0, phi_e + beta + 1.0, n_cells + 1)
-    res = _residual(grid, phi_e, beta).ravel()
-    grid = grid.ravel()
-    # Cells that start this close to zero can hide a root pair (below).
-    # The sign then overwrites the residual, so a block holds no more
-    # than four arrays of its size at once.
-    bound = 2.0 * SCAN_STEP**2
-    shallow = (res[:-width] >= -bound) & (res[:-width] <= bound)
-    sign = np.sign(res, out=res)
-    pair_sign = sign[:-width] * sign[width:]
+    lo, hi = phi_e - beta - 1.0, phi_e + beta + 1.0
+    k = np.floor(phi_e / (2.0 * math.pi))[:, None, None] + np.arange(-reach, reach + 1.0)[:, None]
+    cuts = (2.0 * math.pi * k + turn).reshape(phi_e.size, -1)
+    ends = np.column_stack([lo, np.clip(cuts, lo[:, None], hi[:, None]), hi])
+    sign = np.sign(_residual(ends, phi_e[:, None], beta))
 
-    # One bisection over the crossing cells of every flux; each flux
+    # Between two cuts the residual is monotone, so a segment holds a root
+    # exactly where the residual changes sign across it.  A zero at a cut
+    # is a tangent touch, an inflection of the potential, not an extremum.
+    # One bisection over the crossing segments of every flux; each flux
     # steps until all of its brackets are within REFINE_TOL.
-    cell = np.flatnonzero(pair_sign < 0.0)
-    row = cell % width
+    row, seg = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
     c = phi_e[row]
-    rows = [row]
-    roots = [_bisect(lambda x, k: _residual(x, c[k], beta), grid[cell], grid[cell + width], row)]
-
-    # Grid points that are exact zeros count as roots only when the
-    # residual truly crosses there; a tangent touch is an inflection of
-    # the potential, not an extremum.
-    point = np.flatnonzero(sign[width:-width] == 0.0) + width
-    point = point[sign[point - width] * sign[point + width] < 0.0]
-    rows.append(point % width)
-    roots.append(grid[point])
-
-    # Same-sign cells containing an extremum of the residual can hide a
-    # root pair just before a tangency.  The residual derivative is
-    # cos(delta) + 1/beta_L; such a cell is bisected to its interior
-    # stationary point, each cell stopping on its own width, and split
-    # if the residual flips sign there.  Since |d2/ddelta2 residual| =
-    # |sin(delta)| <= 1 and the slope vanishes within the cell, the
-    # residual moves by at most SCAN_STEP**2 across it: a cell whose
-    # start lies further than twice that from zero cannot split, so only
-    # the shallow cells get a slope and a bisection.
-    cell = np.flatnonzero(shallow & (pair_sign > 0.0))
-    slope_sign = np.sign(np.cos(grid[cell]) + 1.0 / beta) * np.sign(np.cos(grid[cell + width]) + 1.0 / beta)
-    cell = cell[slope_sign < 0.0]
-    a, b = grid[cell], grid[cell + width]
-    station = _bisect(lambda x, k: np.cos(x) + 1.0 / beta, a, b, np.arange(cell.size))
-    row = cell % width
-    split = _residual(station, phi_e[row], beta) * _residual(a, phi_e[row], beta) < 0.0
-    if split.any():
-        row, a, b, station = row[split], a[split], b[split], station[split]
-        pair = np.arange(row.size)
-        c = phi_e[np.concatenate([row, row])]
-        rows += [row, row]
-        roots.append(
-            _bisect(
-                lambda x, k: _residual(x, c[k], beta),
-                np.concatenate([a, station]),
-                np.concatenate([station, b]),
-                np.concatenate([pair, pair]),
-            )
-        )
-    return np.concatenate(rows), np.concatenate(roots)
+    return row, _bisect(lambda x, k: _residual(x, c[k], beta), ends[row, seg], ends[row, seg + 1], row)
 
 
 def _sweep_extrema(fluxes, p: JpmParams):
@@ -325,30 +290,28 @@ def _sweep_extrema(fluxes, p: JpmParams):
     if not np.isfinite(fluxes).all():
         raise ValueError("external_flux must be finite")
     beta = beta_L(p)
-    _check_scan_size(beta)
+    _check_segment_count(beta)
     with np.errstate(over="ignore"):
         phi_e = _phase_bias(fluxes, p)
     if not np.isfinite(phi_e).all():
         raise ValueError("external_flux overflows the phase bias")
-    cells = np.ceil(((phi_e + beta + 1.0) - (phi_e - beta - 1.0)) / SCAN_STEP).astype(np.int64)
+    # k within reach of floor(phi_e / 2 pi) puts turning points 2 pi k + turn
+    # past both ends of the bracket, so every flux gets the same number of
+    # segments.
+    turn = _turns(beta)
+    reach = math.ceil((beta + 1.0) / (2.0 * math.pi)) + 1
+    per_block = max(1, SWEEP_BLOCK_SEGMENTS // (turn.size * (2 * reach + 1) + 1))
 
     flux_of, roots = [], []
-    for n_cells in np.unique(cells).tolist():
-        same = np.flatnonzero(cells == n_cells)
-        per_block = max(1, SWEEP_BLOCK_CELLS // max(n_cells, 1))
-        for start in range(0, same.size, per_block):
-            block = same[start : start + per_block]
-            row, root = _block_roots(phi_e[block], n_cells, beta)
-            flux_of.append(block[row])
-            roots.append(root)
+    for start in range(0, fluxes.size, per_block):
+        row, root = _block_roots(phi_e[start : start + per_block], beta, turn, reach)
+        flux_of.append(start + row)
+        roots.append(root)
     flux_of = np.concatenate(flux_of) if flux_of else np.empty(0, dtype=np.int64)
     roots = np.concatenate(roots) if roots else np.empty(0)
-    order = np.lexsort((roots, flux_of))
-    flux_of, roots = flux_of[order], roots[order]
 
-    # Crossing cells, exact-zero grid points and split shallow cells are
-    # disjoint, so no root arrives twice; a flux whose extrema are not
-    # odd in number and alternating is refused, not repaired.
+    # A flux whose extrema are not odd in number and alternating is
+    # refused, not repaired.
     same_flux = flux_of[1:] == flux_of[:-1]
     is_minimum = np.cos(roots) + 1.0 / beta > 0.0
     counts = np.bincount(flux_of, minlength=fluxes.size)
@@ -372,18 +335,19 @@ def find_extrema_sweep(fluxes, p: JpmParams) -> list[list[tuple[float, str]]]:
     """Locate all extrema of the potential for every flux of a sweep.
 
     ``fluxes`` is a one-dimensional array of applied fluxes in webers.
-    For each flux, scans the guaranteed bracket
-    ``delta in [phi_e - beta_L - 1, phi_e + beta_L + 1]`` (outside it the
-    linear term of the extremum condition exceeds 1 in magnitude, so no
-    solutions exist) for sign changes of the residual
-    ``sin(delta) - (phi_e - delta)/beta_L`` and refines each by
-    bisection to REFINE_TOL; each flux steps until all of its brackets
-    are within it, so a flux gets the same bits alone or in any sweep.
-    Scan cells where the residual does not change sign but its
-    derivative does are subdivided at the interior extremum, so root
-    pairs close to a bifurcation are still resolved.  The fluxes are
-    solved together in blocks of about SWEEP_BLOCK_CELLS scan cells, so
-    memory stays bounded whatever the sweep length.  One flux is the
+    Every root of the residual ``sin(delta) - (phi_e - delta)/beta_L``
+    lies in the bracket ``[phi_e - beta_L - 1, phi_e + beta_L + 1]``
+    (outside it the linear term exceeds 1 in magnitude).  The bracket is
+    cut at the residual's turning points ``cos(delta) = -1/beta_L``, the
+    closed form :func:`critical_flux` also uses (none for
+    ``beta_L <= 1``); between two cuts the residual is monotone, so each
+    segment across which it changes sign holds exactly one root, however
+    close a root pair lies to a bifurcation.  A zero at a cut is a
+    tangent touch and is not reported.  Each root is refined by bisection
+    to REFINE_TOL; each flux steps until all of its brackets are within
+    it, so a flux gets the same bits alone or in any sweep.  The fluxes
+    are solved together in blocks of about SWEEP_BLOCK_SEGMENTS segments,
+    so memory stays bounded whatever the sweep length.  One flux is the
     sweep ``[flux]``: ``find_extrema_sweep([flux], p)[0]``.
 
     Returns
@@ -397,8 +361,8 @@ def find_extrema_sweep(fluxes, p: JpmParams) -> list[list[tuple[float, str]]]:
     ------
     NumericalError
         If refinement stalls, the extremum structure of a flux is
-        inconsistent, or the scan would need more than MAX_SCAN_CELLS
-        cells per flux.
+        inconsistent, or the bracket would hold more than MAX_SEGMENTS
+        segments per flux.
     ValueError
         If ``fluxes`` is not one-dimensional, or a flux is not finite or
         its phase bias overflows.
@@ -477,8 +441,9 @@ def critical_flux(p: JpmParams) -> list[float]:
 
     A well appears or vanishes where the line of the extremum condition
     is tangent to sin(delta), which requires
-    ``cos(delta) = -1/beta_L`` simultaneously with the extremum
-    condition itself.  Returns the tangency fluxes inside the principal
+    ``cos(delta) = -1/beta_L`` (the turning points at which
+    :func:`find_extrema_sweep` cuts its brackets) simultaneously with the
+    extremum condition itself.  Returns the tangency fluxes inside the principal
     sweep range [0, Phi0], in ascending order.  Empty for
     ``beta_L <= 1``: the line is then steeper than sin everywhere and
     exactly one extremum exists at every bias.
@@ -486,18 +451,18 @@ def critical_flux(p: JpmParams) -> list[float]:
     Raises
     ------
     NumericalError
-        If beta_L is too large for a :func:`find_extrema_sweep` scan at
-        the scan step, which also bounds the loop over branches here.
+        If beta_L is too large for :func:`find_extrema_sweep` (more than
+        MAX_SEGMENTS segments per bracket), which also bounds the loop
+        over branches here.
     """
     beta = beta_L(p)
-    if beta <= 1.0:
-        return []
-    _check_scan_size(beta)
-    base = math.acos(-1.0 / beta)
+    _check_segment_count(beta)
+    turns = _turns(beta).tolist()
     fluxes = []
     k_max = int(beta / (2.0 * math.pi)) + 2
     for k in range(-k_max, k_max + 1):
-        for delta_t in (base + 2.0 * math.pi * k, -base + 2.0 * math.pi * k):
+        for turn in turns:
+            delta_t = 2.0 * math.pi * k + turn
             phi_e = delta_t + beta * math.sin(delta_t)
             if 0.0 <= phi_e <= 2.0 * math.pi:
                 fluxes.append(phi_e * p.flux_quantum / (2.0 * math.pi))

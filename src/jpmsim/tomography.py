@@ -1,9 +1,11 @@
-"""Single-qubit state tomography from detector-read rotation sweeps.
+"""Single-qubit state tomography from rotation sweeps.
 
 A tomographic pulse rotates the qubit about an equatorial axis at angle
 theta for a duration t, after which the excited-state occupation is
-read out.  Sweeping (theta, t) over a grid and fitting the resulting
-surface recovers the pre-pulse density matrix
+read out.  The model is the ideal occupation, with no detector channel
+(dark counts, visibility), so a tomogram read through one biases the
+fit.  Sweeping (theta, t) over a grid and fitting the resulting surface
+recovers the pre-pulse density matrix
 
     rho = [[1 - beta, r e^{i phi}], [r e^{-i phi}, beta]]
 
@@ -161,10 +163,11 @@ def synthesize_tomogram(
 ) -> TomogramGrid:
     """Generate a tomogram grid from a known state.
 
-    With n_shots set each cell is a binomial estimate over that many
-    shots; with noise_sigma set, additive Gaussian noise is applied and
-    the result clipped to [0, 1]; with neither, the exact model
-    surface is returned.  A negative noise_sigma is a ValueError.
+    The cells are ideal occupations P(theta, t), not detector-read ones:
+    no dark count or visibility enters.  With n_shots set each cell is a
+    binomial estimate over that many shots; with noise_sigma set,
+    additive Gaussian noise is applied and the result clipped to [0, 1];
+    with neither, the exact model surface is returned.  A negative noise_sigma is a ValueError.
     """
     if n_shots is not None and noise_sigma is not None:
         raise ValueError("choose binomial or Gaussian noise, not both")
@@ -200,12 +203,26 @@ def _initial_guess(grid: TomogramGrid) -> np.ndarray:
     steps = np.diff(np.sort(t))
     if t.size >= 4 and steps.size and np.allclose(steps, steps[0], rtol=1e-6):
         # Dominant frequency of the theta-averaged trace; the surface
-        # oscillates at 1/(2 t_pi) in pulse duration.
+        # oscillates at 1/(2 t_pi) in pulse duration.  The average holds
+        # only the (1 - 2 beta)(1 - cos alpha)/2 term, flat at beta = 1/2;
+        # the first theta-harmonic (2/N) sum_theta P e^{i theta} holds
+        # r sin(alpha) at the same frequency.  Taken of P less the average,
+        # it is exactly zero on a flat surface, which then keeps the
+        # span/2 seed and is refused by the fit.  Where the average's peak
+        # holds less than a tenth of the largest summed power, the summed
+        # spectrum sets the frequency.
         trace = occ.mean(axis=0)
-        power = np.abs(np.fft.rfft(trace - trace.mean())) ** 2
+        harmonic = (2.0 / theta.size) * (np.exp(1j * theta) @ (occ - trace))
+        power = [
+            np.abs(np.fft.rfft(part - part.mean())) ** 2
+            for part in (trace, harmonic.real, harmonic.imag)
+        ]
+        total = sum(power)
         freqs = np.fft.rfftfreq(t.size, d=float(steps[0]))
-        peak = int(np.argmax(power[1:])) + 1
-        if power[peak] > 0.0 and freqs[peak] > 0.0:
+        peak = int(np.argmax(power[0][1:])) + 1
+        if power[0][peak] < 0.1 * total[1:].max():
+            peak = int(np.argmax(total[1:])) + 1
+        if total[peak] > 0.0 and freqs[peak] > 0.0:
             t_pi0 = 1.0 / (2.0 * freqs[peak])
 
     # Row nearest the half-pi duration isolates the coherence term:

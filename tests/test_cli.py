@@ -324,6 +324,24 @@ def test_tomo_fit_noiseless_defaults(tmp_path):
     assert record["fidelity_vs_ground"] == pytest.approx(0.91, abs=1e-6)
 
 
+def test_tomo_fit_equatorial_state(tmp_path):
+    # At beta = 1/2 the theta-averaged trace is flat; the fit still finds
+    # t_pi and r from the noiseless file.
+    code, paths = run_subcommand(
+        "tomo-synth", overrides=("tomo.beta=0.5", "tomo.r=0.5", "tomo.phi=0"), output_dir=str(tmp_path)
+    )
+    assert code == 0
+    code, _ = run_subcommand(
+        "tomo-fit", overrides=(f"tomo.input={paths[0]}",), output_dir=str(tmp_path)
+    )
+    assert code == 0
+    record = json.loads((tmp_path / "tomo_fit.json").read_text())
+    assert record["t_pi_s"] == pytest.approx(50e-9, rel=1e-6)
+    assert record["beta"] == pytest.approx(0.5, rel=1e-6)
+    assert record["r"] == pytest.approx(0.5, rel=1e-6)
+    assert record["residual_rms"] < 1e-9
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     code, paths = run_subcommand(
         "stark", overrides=("protocol.t_prep=780",), output_dir=str(tmp_path)
@@ -525,6 +543,17 @@ def test_tomo_synth_refuses_durations_not_strictly_increasing(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_refused_run_creates_no_output_directory(tmp_path, capsys):
+    # The output directory is created only when an artifact is written,
+    # so a refused run leaves no trace of a mistyped -o path.
+    new = tmp_path / "new" / "dir"
+    assert main(["tomo-synth", "-s", "tomo.t_pi=0s", "-o", str(new)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["tomo-synth", "-o", str(new)]) == 0
+    assert [path.name for path in new.iterdir()] == ["tomogram.csv"]
+
+
 @pytest.mark.parametrize(
     "column, message",
     [
@@ -550,7 +579,7 @@ def test_nan_tomogram_cell_is_config_error(tmp_path, capsys, column, message):
     assert code == 2 and paths == []
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -596,7 +625,7 @@ def test_tomogram_reader_refuses_malformed_files(tmp_path, capsys, tomogram, edi
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
     assert message in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_tomo_fit_reports_phase_in_half_open_interval(tmp_path):
@@ -661,8 +690,8 @@ def test_huge_stark_powers_give_finite_rows(tmp_path):
     ],
 )
 def test_huge_beta_l_is_refused_quickly(tmp_path, capsys, name, override):
-    # 60 mA puts beta_L near 2e5, just past MAX_SCAN_CELLS: without the
-    # limit the scan would take seconds here (and at 1e300 A the branch
+    # 60 mA puts beta_L near 2e5, just past MAX_SEGMENTS: without the
+    # limit the sweep would take seconds here (and at 1e300 A the branch
     # loop of critical_flux would not end), so the time bound shows the
     # refusal comes first.
     start = time.perf_counter()
@@ -671,7 +700,7 @@ def test_huge_beta_l_is_refused_quickly(tmp_path, capsys, name, override):
     assert code == 3 and paths == []
     err = capsys.readouterr().err
     assert err.startswith("numerical error") and err.count("\n") == 1
-    assert "scan cells" in err
+    assert "segments" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -712,7 +741,7 @@ def test_underflowing_tomogram_fit_prints_one_line(tmp_path):
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical error: tomogram fit: non-finite") and proc.stderr.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -22,10 +22,8 @@ from jpmsim.errors import NumericalError
 from jpmsim.potential import (
     DEFAULT_PARAMS,
     HBAR,
-    MAX_SCAN_CELLS,
+    MAX_SEGMENTS,
     PHI0,
-    SCAN_STEP,
-    SWEEP_BLOCK_CELLS,
     JpmParams,
     beta_L,
     critical_flux,
@@ -150,11 +148,25 @@ def test_plasma_frequency_rejects_maxima():
         plasma_frequency(maxima[0], DEFAULT_PARAMS)
 
 
-def test_find_extrema_against_dense_scan():
+def _device(beta: float) -> JpmParams:
+    # The default loop with the critical current that gives this beta_L.
+    return JpmParams(
+        critical_current=beta * PHI0 / (2.0 * math.pi * 1.1e-9),
+        loop_inductance=1.1e-9,
+        shunt_capacitance=2e-12,
+    )
+
+
+@pytest.mark.parametrize(
+    "p",
+    [_device(0.5), _device(1.5), DEFAULT_PARAMS, _device(13.0)],
+    ids=["beta-0.5", "beta-1.5", "default", "beta-13"],
+)
+def test_find_extrema_against_dense_scan(p):
     rng = np.random.default_rng(2026)
     fluxes = [float(rng.uniform(0.0, 1.0)) * PHI0 for _ in range(60)]
-    for flux, got in zip(fluxes, find_extrema_sweep(fluxes, DEFAULT_PARAMS)):
-        want = oracle_roots(flux, DEFAULT_PARAMS)
+    for flux, got in zip(fluxes, find_extrema_sweep(fluxes, p)):
+        want = oracle_roots(flux, p)
         assert len(got) == len(want)
         for (delta, _), ref in zip(got, want):
             assert abs(delta - ref) < 1e-9
@@ -286,15 +298,16 @@ def test_critical_flux_empty_for_monostable_device():
 
 
 def test_scan_size_limit():
-    # The bracket spans 2 beta_L + 2 radians; past MAX_SCAN_CELLS cells
-    # of the scan step both solvers refuse before doing the work.  A
-    # 50 mA junction (beta_L about 1.67e5) is just past the limit.
+    # The bracket spans 2 beta_L + 2 radians and the residual turns twice
+    # every 2 pi; past MAX_SEGMENTS segments both solvers refuse before
+    # doing the work.  A 50 mA junction (beta_L about 1.67e5) is just past
+    # the limit.
     big = JpmParams(critical_current=50e-3, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
-    assert (2.0 * beta_L(big) + 2.0) / SCAN_STEP > MAX_SCAN_CELLS
-    with pytest.raises(NumericalError, match="scan cells"):
+    assert (2.0 * beta_L(big) + 2.0) / math.pi > MAX_SEGMENTS
+    with pytest.raises(NumericalError, match="segments"):
         find_extrema_sweep([0.3 * PHI0], big)
     huge = JpmParams(critical_current=1e300, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
-    with pytest.raises(NumericalError, match="scan cells"):
+    with pytest.raises(NumericalError, match="segments"):
         critical_flux(huge)
 
 
@@ -311,12 +324,44 @@ def test_near_tangency_pair_is_resolved():
             assert abs(delta - ref) < 1e-9
 
 
+def reference_segments(flux_wb: float, p: JpmParams, tol: float = 1e-12):
+    # The sweep's bit-for-bit reference, one flux in plain Python: the
+    # bracket cut at each turning point 2 pi k -/+ acos(-1/beta_L) of the
+    # residual that lies inside it, a sign test per segment, and a
+    # bisection that steps the flux's crossing segments together until
+    # each is within tol or has no float left between its ends.
+    beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / p.flux_quantum
+    phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
+    lo, hi = phi_e - beta - 1.0, phi_e + beta + 1.0
+
+    def g(delta):
+        return float(np.sin(delta) - (phi_e - delta) / beta)
+
+    ends = [lo]
+    if beta > 1.0:
+        turn = math.acos(-1.0 / beta)
+        for k in range(math.floor((lo - turn) / (2.0 * math.pi)), math.ceil((hi + turn) / (2.0 * math.pi)) + 1):
+            ends += [t for t in (2.0 * math.pi * k - turn, 2.0 * math.pi * k + turn) if lo < t < hi]
+    ends.append(hi)
+    brackets = [[a, b, g(a)] for a, b in zip(ends, ends[1:]) if g(a) * g(b) != 0.0 and (g(a) < 0.0) != (g(b) < 0.0)]
+    while True:
+        mids = [0.5 * (a + b) for a, b, _ in brackets]
+        if all(b - a <= tol or m in (a, b) for (a, b, _), m in zip(brackets, mids)):
+            return [(m, "minimum" if math.cos(m) + 1.0 / beta > 0.0 else "maximum") for m in mids]
+        for bracket, m in zip(brackets, mids):
+            g_m = g(m)
+            if bracket[2] * g_m <= 0.0:
+                bracket[1] = m
+            else:
+                bracket[0], bracket[2] = m, g_m
+
+
 def reference_extrema(flux_wb: float, p: JpmParams, scan_step: float = math.pi / 100, tol: float = 1e-12):
-    # The one-flux solver the sweep replaced, kept as its bit-for-bit
-    # reference: one scan grid, a vectorized bisection over the crossing
-    # cells, a scalar slope bisection for each same-sign cell in which
-    # the slope changes sign, and a pair bisection where that cell hides
-    # two roots.
+    # The previous solver: one scan grid, a vectorized bisection over the
+    # crossing cells, a scalar slope bisection for each same-sign cell in
+    # which the slope changes sign, and a pair bisection where that cell
+    # hides two roots.  It brackets each root differently from the sweep,
+    # so the two agree within the tolerance, not bit for bit.
     beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / p.flux_quantum
     phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
     lo, hi = phi_e - beta - 1.0, phi_e + beta + 1.0
@@ -365,8 +410,8 @@ def reference_extrema(flux_wb: float, p: JpmParams, scan_step: float = math.pi /
 
 def reference_wells(flux_wb: float, p: JpmParams):
     # Per-minimum (phase, barrier phase or None, height, omega_p, levels,
-    # label) from reference_extrema, one minimum at a time.
-    extrema = reference_extrema(flux_wb, p)
+    # label) from reference_segments, one minimum at a time.
+    extrema = reference_segments(flux_wb, p)
     minima = [i for i, (_, kind) in enumerate(extrema) if kind == "minimum"]
     e_j = p.critical_current * p.flux_quantum / (2.0 * math.pi)
     quad = (p.flux_quantum / (2.0 * math.pi)) ** 2 / p.loop_inductance
@@ -389,13 +434,21 @@ def reference_wells(flux_wb: float, p: JpmParams):
     return wells
 
 
-def _device(beta: float) -> JpmParams:
-    # The default loop with the critical current that gives this beta_L.
-    return JpmParams(
-        critical_current=beta * PHI0 / (2.0 * math.pi * 1.1e-9),
-        loop_inductance=1.1e-9,
-        shunt_capacitance=2e-12,
-    )
+def assert_near_previous_solver(fluxes, got, p: JpmParams, tol: float = 1e-12):
+    # Against reference_extrema: the same kinds at every flux at least
+    # 1e-15 Phi0 from a tangency (nearer, both solvers decide on a residual
+    # of about 1e-16), and roots within 2 tol at least 1e-6 Phi0 from one,
+    # within 1e-8 rad nearer, where the residual is flat.  Tangencies
+    # repeat every Phi0.
+    crit = critical_flux(p)
+    for flux, extrema in zip(fluxes, got):
+        gap = min((abs((flux - c) / PHI0 - round((flux - c) / PHI0)) for c in crit), default=math.inf)
+        if gap < 1e-15:
+            continue
+        want = reference_extrema(float(flux), p, tol=tol)
+        assert [kind for _, kind in extrema] == [kind for _, kind in want]
+        bound = 2.0 * tol if gap >= 1e-6 else 1e-8
+        assert all(abs(d - w) <= bound for (d, _), (w, _) in zip(extrema, want))
 
 
 def _one_flux_extrema(fluxes, p: JpmParams):
@@ -427,21 +480,27 @@ def _alternates(extrema) -> bool:
     return len(kinds) % 2 == 1 and all(a != b for a, b in zip(kinds, kinds[1:]))
 
 
-def test_sweep_equals_per_flux_calls_across_blocks():
+def test_sweep_equals_per_flux_calls_across_blocks(monkeypatch):
     # Several blocks, a length that is no multiple of the fluxes per
     # block, a window across both tangencies, and fluxes close enough to
-    # a tangency that a cell hides a root pair: the sweep must give the
-    # bits of a one-flux sweep of each flux.
+    # a tangency that the new root pair lies within 1e-3 rad: the sweep
+    # must give the bits of a one-flux sweep of each flux.  The solver
+    # reads SWEEP_BLOCK_SEGMENTS when called, so a smaller block keeps the
+    # per-flux references here to a few hundred fluxes.
     p = DEFAULT_PARAMS
-    per_block = SWEEP_BLOCK_CELLS // math.ceil((2.0 * beta_L(p) + 2.0) / SCAN_STEP)
+    monkeypatch.setattr(potential, "SWEEP_BLOCK_SEGMENTS", 1000)
+    blocks = []
+    solve_block = potential._block_roots
+    monkeypatch.setattr(potential, "_block_roots", lambda phi_e, *args: blocks.append(phi_e.size) or solve_block(phi_e, *args))
     crit = critical_flux(p)
     near = [f * (1.0 + sign * d) for f in crit for sign in (-1.0, 1.0) for d in (1e-5, 1e-6, 1e-7)]
-    fluxes = np.concatenate([np.linspace(0.15, 0.85, 2 * per_block + per_block // 2) * PHI0, near])
-    assert fluxes.size > 2 * per_block and fluxes.size % per_block != 0
+    fluxes = np.concatenate([np.linspace(0.15, 0.85, 295) * PHI0, near])
 
     got = find_extrema_sweep(fluxes, p)
+    assert len(blocks) > 2 and blocks[-1] < blocks[0]
     assert got == _one_flux_extrema(fluxes, p)
-    assert got == [reference_extrema(float(f), p) for f in fluxes]
+    assert got == [reference_segments(float(f), p) for f in fluxes]
+    assert_near_previous_solver(fluxes, got, p)
 
     got = _well_rows(well_report_sweep(fluxes, p))
     want = [
@@ -454,20 +513,23 @@ def test_sweep_equals_per_flux_calls_across_blocks():
 
 
 def test_sweep_keeps_per_flux_stopping_rule(monkeypatch):
-    # With REFINE_TOL a power-of-two fraction of the cell width, the
-    # crossing brackets of one flux reach it after different numbers of
-    # halvings, so the bits depend on each flux stepping until all of its
-    # brackets are within it, as the one-flux solver does.
+    # With REFINE_TOL a power-of-two fraction of the width
+    # 2 acos(-1/beta_L) between the two turning points around a maximum
+    # of the residual, the crossing brackets of one flux reach it after
+    # different numbers of halvings, so the bits depend on each flux
+    # stepping until all of its brackets are within it, as the one-flux
+    # solver does.  No flux lies within 1e-6 Phi0 of a tangency.
     p = DEFAULT_PARAMS
-    beta = beta_L(p)
-    spacing = (2.0 * beta + 2.0) / math.ceil((2.0 * beta + 2.0) / SCAN_STEP)
+    width = 2.0 * math.acos(-1.0 / beta_L(p))
     fluxes = np.linspace(0.05, 0.95, 40) * PHI0
+    assert min(abs(f - c) for f in fluxes for c in critical_flux(p)) > 1e-6 * PHI0
     for halvings in (16, 20, 24, 28):
         # The solver reads REFINE_TOL when called, not as a default.
-        tol = spacing / 2**halvings
+        tol = width / 2**halvings
         monkeypatch.setattr(potential, "REFINE_TOL", tol)
         got = find_extrema_sweep(fluxes, p)
-        assert got == [reference_extrema(float(f), p, tol=tol) for f in fluxes]
+        assert got == [reference_segments(float(f), p, tol=tol) for f in fluxes]
+        assert_near_previous_solver(fluxes, got, p, tol=tol)
 
 
 def test_sweep_takes_no_tolerance():
@@ -518,14 +580,14 @@ def test_sweep_near_tangency_matches_per_flux_calls(beta, which, offset, log_wid
     fluxes = np.linspace(center - width, center + width, points)
     got = find_extrema_sweep(fluxes, p)
     assert got == _one_flux_extrema(fluxes, p)
-    assert got == [reference_extrema(float(f), p) for f in fluxes]
+    assert got == [reference_segments(float(f), p) for f in fluxes]
     assert all(_alternates(extrema) for extrema in got)
+    assert_near_previous_solver(fluxes, got, p)
 
 
 def test_sweep_memory_is_bounded():
-    # The sweep is solved in blocks of about SWEEP_BLOCK_CELLS cells; one
-    # (fluxes x cells) grid with its residual, signs and slopes would
-    # take about 0.8 GB here.
+    # The sweep is solved in blocks of about SWEEP_BLOCK_SEGMENTS
+    # segments, so memory stays bounded whatever the sweep length.
     p = _device(13.0)
     fluxes = np.linspace(0.0, 1.0, 20_000) * PHI0
     tracemalloc.start()

@@ -203,6 +203,39 @@ def test_fit_noiseless_round_trip_random():
         assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6)
 
 
+def test_fit_equatorial_round_trip():
+    # At beta = 1/2 the theta-averaged trace is flat, so t_pi must come
+    # from the coherence term r sin(alpha) sin(theta + phi).  The grid is
+    # the tomo-synth default: 8 angles, 33 durations over 2.2 t_pi.
+    t_pi = 50e-9
+    thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    times = np.linspace(0.0, 2.2 * t_pi, 33)
+    for r in (0.05, 0.2, 0.35, 0.5):
+        for phi in (-2.5, -0.7, 0.0, 1.05, 3.0):
+            grid = synthesize_tomogram(DensityMatrix2(0.5, r, phi), t_pi, thetas, times)
+            fit = fit_tomogram(grid)
+            assert fit.rho.excited_population == pytest.approx(0.5, rel=1e-6)
+            assert fit.rho.coherence_magnitude == pytest.approx(r, rel=1e-6)
+            phase_err = (fit.rho.coherence_phase - phi + math.pi) % (2.0 * math.pi) - math.pi
+            assert abs(phase_err) < 1e-6 * max(abs(phi), 1.0)
+            assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6)
+    # With r = 0 too the surface is flat and carries no t_pi at all.
+    flat = synthesize_tomogram(DensityMatrix2(0.5), t_pi, thetas, times)
+    with pytest.raises(IdentifiabilityError, match="full rotation period"):
+        fit_tomogram(flat)
+
+
+def test_fit_equatorial_noisy_finds_t_pi():
+    t_pi = 50e-9
+    thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    times = np.linspace(0.0, 2.2 * t_pi, 33)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        rho = DensityMatrix2(0.5, float(rng.uniform(0.25, 0.5)), float(rng.uniform(-math.pi, math.pi)))
+        grid = synthesize_tomogram(rho, t_pi, thetas, times, noise_sigma=0.02, rng=rng)
+        assert fit_tomogram(grid).pi_duration == pytest.approx(t_pi, rel=0.02)
+
+
 def test_fit_with_binomial_noise_recovers_population():
     rho = DensityMatrix2(0.09, 0.02, 0.4)
     t_pi = 50e-9
