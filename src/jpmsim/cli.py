@@ -144,15 +144,16 @@ def _bifurcation(cfg: RunConfig) -> tuple:
     from .potential import critical_flux, find_extrema_sweep
 
     params = cfg.jpm_params()
-    epsilon = 1e-6 * PHI0
-    crit = critical_flux(params)
-    sides = np.concatenate([np.subtract(crit, epsilon), np.add(crit, epsilon)])
+    crit = np.array(critical_flux(params))
+    # The count of minima is constant between neighbouring tangencies,
+    # which repeat every Phi0, so one probe midway across each gap counts
+    # the minima above one critical flux and below the next.
+    probes = 0.5 * (crit + np.append(crit[1:], crit[:1] + PHI0))
     minima = [
         sum(1 for _, kind in extrema if kind == "minimum")
-        for extrema in find_extrema_sweep(sides, params)
+        for extrema in find_extrema_sweep(probes, params)
     ]
-    n = len(crit)
-    return np.divide(crit, PHI0), minima[:n], minima[n:]
+    return np.divide(crit, PHI0), minima[-1:] + minima[:-1], minima
 
 
 def _transfer_curves(cfg: RunConfig) -> tuple:

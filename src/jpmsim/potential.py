@@ -31,7 +31,9 @@ from .constants import HBAR, PHI0
 from .errors import NumericalError
 
 REFINE_TOL = 1e-12
-"""Bisection tolerance in radians for extremum refinement."""
+"""Bisection tolerance in radians for extremum refinement.  Every bracket
+segment is less than 2 pi wide, so ceil(log2(2 pi / REFINE_TOL)) halvings
+(43 at 1e-12) bring each one within it."""
 
 MAX_SEGMENTS = 10**5
 """Most monotone segments :func:`find_extrema_sweep` cuts one flux's
@@ -143,17 +145,6 @@ def _energy(delta, phi_e, p: JpmParams):
     )
 
 
-def potential_energy(delta, external_flux: float, p: JpmParams):
-    """Potential energy U(delta) in joules at an applied flux in webers.
-
-    Accepts a scalar or array phase and broadcasts over it.  Raises
-    ValueError if ``external_flux`` is not finite.
-    """
-    if not math.isfinite(external_flux):
-        raise ValueError("external_flux must be finite")
-    return _energy(delta, _phase_bias(external_flux, p), p)
-
-
 def potential_curvature(delta, p: JpmParams):
     """Second derivative d2U/ddelta2 in joules.
 
@@ -210,56 +201,21 @@ def _turns(beta: float):
     return np.array([-1.0, 1.0]) * math.acos(-1.0 / beta) if beta > 1.0 else np.empty(0)
 
 
-def _bisect(f, lo, hi, group):
-    """Masked bisection of f on the brackets [lo, hi], each holding a sign change.
-
-    ``f(x, k)`` evaluates the function at ``x`` for the brackets with
-    indices ``k``.  Brackets that share a ``group`` label (small
-    non-negative integers) step together until every one of them has
-    converged: its width is at most REFINE_TOL, or its midpoint equals
-    one of its ends because the float spacing there is wider than
-    REFINE_TOL.  Returns the midpoint of each bracket at that step.
-    """
-    out = np.empty(lo.size)
-    if lo.size == 0:
-        return out
-    k = np.arange(lo.size)
-    n_groups = int(group.max()) + 1
-    f_lo = f(lo, k)
-    # A step leaves at least half a width less half a float spacing of
-    # the ends, so no bracket can meet either rule before step `quiet`.
-    spacing = float(np.spacing(np.maximum(np.abs(lo), np.abs(hi)).max()))
-    ratio = float((hi - lo).min()) / (REFINE_TOL + 4.0 * spacing)
-    quiet = math.floor(math.log2(ratio)) if ratio > 1.0 else 0
-    for step in range(200):
-        mid = 0.5 * (lo + hi)
-        if step >= quiet:
-            done = (hi - lo <= REFINE_TOL) | (mid == lo) | (mid == hi)
-            still_open = np.zeros(n_groups, dtype=bool)
-            still_open[group[~done]] = True
-            finished = ~still_open[group]
-            if finished.any():
-                out[k[finished]] = mid[finished]
-                keep = ~finished
-                if not keep.any():
-                    return out
-                k, group, lo, hi, mid, f_lo = (a[keep] for a in (k, group, lo, hi, mid, f_lo))
-        f_mid = f(mid, k)
-        left = f_lo * f_mid <= 0.0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        f_lo = np.where(left, f_lo, f_mid)
-    raise NumericalError("extremum bisection failed to reach tolerance")
-
-
 def _block_roots(phi_e, beta: float, turn, reach: int):
     """Roots of the residual for a block of fluxes.
 
     Each flux's bracket is cut at the residual's turning points
     ``2 pi k + turn``, where its slope cos(delta) + 1/beta_L vanishes, for
     the 2 reach + 1 integers k nearest floor(phi_e / 2 pi); those outside
-    the bracket are clipped to its ends.  Returns (row, root) arrays, row
-    indexing ``phi_e``, in ascending order of row and then of root.
+    the bracket are clipped to its ends.  A segment between two cuts is
+    2 acos(-1/beta_L) < 2 pi or 2 pi - 2 acos(-1/beta_L) < pi wide, and an
+    uncut bracket (beta_L <= 1) 2 beta_L + 2 <= 4, so every crossing
+    segment takes the same ceil(log2(2 pi / REFINE_TOL)) halvings, with
+    REFINE_TOL read at call time.  A bracket whose float spacing exceeds
+    REFINE_TOL stops moving once its midpoint equals one of its ends.  A
+    root's bits therefore depend on its own bracket alone.  Returns
+    (row, root) arrays, row indexing ``phi_e``, in ascending order of row
+    and then of root.
     """
     lo, hi = phi_e - beta - 1.0, phi_e + beta + 1.0
     k = np.floor(phi_e / (2.0 * math.pi))[:, None, None] + np.arange(-reach, reach + 1.0)[:, None]
@@ -270,11 +226,18 @@ def _block_roots(phi_e, beta: float, turn, reach: int):
     # Between two cuts the residual is monotone, so a segment holds a root
     # exactly where the residual changes sign across it.  A zero at a cut
     # is a tangent touch, an inflection of the potential, not an extremum.
-    # One bisection over the crossing segments of every flux; each flux
-    # steps until all of its brackets are within REFINE_TOL.
     row, seg = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
     c = phi_e[row]
-    return row, _bisect(lambda x, k: _residual(x, c[k], beta), ends[row, seg], ends[row, seg + 1], row)
+    # lo only moves to midpoints where the residual has its sign, so the
+    # sign at the segment's lower end holds for every step.
+    lo, hi = ends[row, seg], ends[row, seg + 1]
+    s_lo = sign[row, seg]
+    for _ in range(math.ceil(math.log2(2.0 * math.pi / REFINE_TOL))):
+        mid = 0.5 * (lo + hi)
+        left = s_lo * _residual(mid, c, beta) <= 0.0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+    return row, 0.5 * (lo + hi)
 
 
 def _sweep_extrema(fluxes, p: JpmParams):
@@ -343,9 +306,11 @@ def find_extrema_sweep(fluxes, p: JpmParams) -> list[list[tuple[float, str]]]:
     ``beta_L <= 1``); between two cuts the residual is monotone, so each
     segment across which it changes sign holds exactly one root, however
     close a root pair lies to a bifurcation.  A zero at a cut is a
-    tangent touch and is not reported.  Each root is refined by bisection
-    to REFINE_TOL; each flux steps until all of its brackets are within
-    it, so a flux gets the same bits alone or in any sweep.  The fluxes
+    tangent touch and is not reported.  Every segment is less than 2 pi
+    wide, so each root is refined by the same ceil(log2(2 pi /
+    REFINE_TOL)) halvings (43 at the default), which bring it within
+    REFINE_TOL; a root's bits depend on its own bracket alone, so a flux
+    gets the same bits alone or in any sweep.  The fluxes
     are solved together in blocks of about SWEEP_BLOCK_SEGMENTS segments,
     so memory stays bounded whatever the sweep length.  One flux is the
     sweep ``[flux]``: ``find_extrema_sweep([flux], p)[0]``.
@@ -360,9 +325,8 @@ def find_extrema_sweep(fluxes, p: JpmParams) -> list[list[tuple[float, str]]]:
     Raises
     ------
     NumericalError
-        If refinement stalls, the extremum structure of a flux is
-        inconsistent, or the bracket would hold more than MAX_SEGMENTS
-        segments per flux.
+        If the extremum structure of a flux is inconsistent, or the
+        bracket would hold more than MAX_SEGMENTS segments per flux.
     ValueError
         If ``fluxes`` is not one-dimensional, or a flux is not finite or
         its phase bias overflows.

@@ -206,19 +206,21 @@ def _initial_guess(grid: TomogramGrid) -> np.ndarray:
         # oscillates at 1/(2 t_pi) in pulse duration.  The average holds
         # only the (1 - 2 beta)(1 - cos alpha)/2 term, flat at beta = 1/2;
         # the first theta-harmonic (2/N) sum_theta P e^{i theta} holds
-        # r sin(alpha) at the same frequency.  Taken of P less the average,
-        # it is exactly zero on a flat surface, which then keeps the
-        # span/2 seed and is refused by the fit.  Where the average's peak
+        # r sin(alpha) at the same frequency.  Where the average's peak
         # holds less than a tenth of the largest summed power, the summed
-        # spectrum sets the frequency.
+        # spectrum sets the frequency.  Zero-padding to 8 t.size samples
+        # puts the bins about 1/(8 span) apart, so the bin spacing 1/span
+        # no longer decides the seed when the span is not near a whole
+        # number of periods.
+        n_fft = 8 * t.size
         trace = occ.mean(axis=0)
         harmonic = (2.0 / theta.size) * (np.exp(1j * theta) @ (occ - trace))
         power = [
-            np.abs(np.fft.rfft(part - part.mean())) ** 2
+            np.abs(np.fft.rfft(part - part.mean(), n_fft)) ** 2
             for part in (trace, harmonic.real, harmonic.imag)
         ]
         total = sum(power)
-        freqs = np.fft.rfftfreq(t.size, d=float(steps[0]))
+        freqs = np.fft.rfftfreq(n_fft, d=float(steps[0]))
         peak = int(np.argmax(power[0][1:])) + 1
         if power[0][peak] < 0.1 * total[1:].max():
             peak = int(np.argmax(total[1:])) + 1
@@ -261,9 +263,9 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
     Raises
     ------
     IdentifiabilityError
-        For grids with fewer than 4 distinct axis angles, or whose
-        duration span covers less than one full rotation period
-        2 t_pi of the fitted surface.
+        For grids with fewer than 4 distinct axis angles, a constant
+        surface, or a duration span that covers less than one full
+        rotation period 2 t_pi of the fitted surface.
     NumericalError
         If the optimizer fails to converge, or meets a non-finite
         residual or Jacobian (a non-finite parameter gives both).
@@ -274,6 +276,10 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
     t = grid.pulse_durations
     if np.unique(theta).size < 4:
         raise IdentifiabilityError("need at least 4 distinct axis angles")
+    # A constant surface (beta = 1/2 with r = 0, or durations far below
+    # t_pi) holds no t_pi at all.
+    if np.ptp(grid.occupations) == 0.0:
+        raise IdentifiabilityError("a flat tomogram shows no full rotation period 2 t_pi")
 
     x0 = np.asarray(initial_guess, dtype=float) if initial_guess is not None else _initial_guess(grid)
     if x0.shape != (4,):

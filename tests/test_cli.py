@@ -342,6 +342,39 @@ def test_tomo_fit_equatorial_state(tmp_path):
     assert record["residual_rms"] < 1e-9
 
 
+def test_tomo_fit_span_off_whole_periods(tmp_path):
+    # Durations up to 140 ns span 2.8 t_pi: an unpadded spectrum's bins,
+    # 1/span apart, seed t_pi near 0.7 or 1.4 times its value.
+    code, paths = run_subcommand(
+        "tomo-synth", overrides=("tomo.duration_stop=140ns", "tomo.r=0.2"), output_dir=str(tmp_path)
+    )
+    assert code == 0
+    code, _ = run_subcommand(
+        "tomo-fit", overrides=(f"tomo.input={paths[0]}",), output_dir=str(tmp_path)
+    )
+    assert code == 0
+    record = json.loads((tmp_path / "tomo_fit.json").read_text())
+    assert record["t_pi_s"] == pytest.approx(50e-9, rel=1e-6)
+    assert record["beta"] == pytest.approx(0.09, rel=1e-6)
+    assert record["r"] == pytest.approx(0.2, rel=1e-6)
+    assert record["residual_rms"] < 1e-9
+
+
+def test_flat_tomogram_is_refused(tmp_path, capsys):
+    # beta = 1/2 with r = 0 gives a constant surface, which holds no t_pi.
+    out = tmp_path / "fit"
+    code, paths = run_subcommand(
+        "tomo-synth", overrides=("tomo.beta=0.5", "tomo.r=0", "tomo.theta_points=4"), output_dir=str(tmp_path)
+    )
+    assert code == 0
+    code, fitted = run_subcommand("tomo-fit", overrides=(f"tomo.input={paths[0]}",), output_dir=str(out))
+    assert code == 3 and fitted == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error") and err.count("\n") == 1
+    assert "flat tomogram" in err
+    assert not out.exists()
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     code, paths = run_subcommand(
         "stark", overrides=("protocol.t_prep=780",), output_dir=str(tmp_path)
@@ -728,10 +761,14 @@ def test_overflowing_tomogram_angle_prints_one_line(tmp_path):
 
 
 def test_underflowing_tomogram_fit_prints_one_line(tmp_path):
-    # Durations up to 1e-300 s make the fit's t_pi^2 underflow to 0 and
-    # its Jacobian non-finite.  A fresh process, as above, so any numpy
-    # or scipy warning would reach stderr beside the diagnostic.
-    code, paths = run_subcommand("tomo-synth", overrides=("tomo.duration_stop=1e-300s",), output_dir=str(tmp_path))
+    # Durations up to 1e-300 s at t_pi 1e-301 s make the fit's t_pi^2
+    # underflow to 0 and its Jacobian non-finite.  (At the default t_pi the
+    # surface is flat over such durations and refused before the fit.)  A
+    # fresh process, as above, so any numpy or scipy warning would reach
+    # stderr beside the diagnostic.
+    code, paths = run_subcommand(
+        "tomo-synth", overrides=("tomo.duration_stop=1e-300s", "tomo.t_pi=1e-301s"), output_dir=str(tmp_path)
+    )
     assert code == 0
     env = dict(os.environ, PYTHONPATH=str(Path(jpmsim.__file__).parents[1]))
     out = tmp_path / "fit"
@@ -1072,6 +1109,36 @@ def test_bifurcation_artifact(tmp_path):
     for line in lines[1:]:
         _, below, above = line.split(",")
         assert abs(int(below) - int(above)) == 1
+
+
+def test_bifurcation_near_beta_one(tmp_path):
+    # At 0.2992 uA beta_L is about 1.00004, and the two critical fluxes lie
+    # 8.3e-8 Phi0 apart: the minima are counted between them, not at fixed
+    # probes 1e-6 Phi0 out that land beyond both tangencies.
+    code, paths = run_subcommand(
+        "bifurcation", overrides=("device.critical_current=0.2992uA",), output_dir=str(tmp_path)
+    )
+    assert code == 0
+    rows = [line.split(",")[1:] for line in paths[0].read_text().splitlines()[1:]]
+    assert rows == [["1", "2"], ["2", "1"]]
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [1.0 + 1e-9, 1.0001, 1.01, 1.5, None, 13.0],
+    ids=["1+1e-9", "1.0001", "1.01", "1.5", "default", "13"],
+)
+def test_bifurcation_counts_change_by_one(tmp_path, beta):
+    # Each tangency adds or removes exactly one minimum.
+    p = DEFAULT_PARAMS
+    current = p.critical_current if beta is None else beta * PHI0 / (2.0 * math.pi * p.loop_inductance)
+    code, paths = run_subcommand(
+        "bifurcation", overrides=(f"device.critical_current={current!r}A",), output_dir=str(tmp_path)
+    )
+    assert code == 0
+    rows = [line.split(",") for line in paths[0].read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(abs(int(above) - int(below)) == 1 for _, below, above in rows)
 
 
 def _reference_cell(value) -> str:

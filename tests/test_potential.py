@@ -3,8 +3,10 @@
 Expected values are produced by independent oracles defined at the top
 of this file: a term-by-term re-implementation of the potential, a
 dense-scan-plus-brentq root finder for the extremum condition, and a
-Richardson-extrapolated finite difference for the curvature.  Nothing
-below asserts against the module's own internals.
+Richardson-extrapolated finite difference for the curvature.  No
+expected value comes from the module's own internals; a few tests patch
+its solver constants or wrap its internals to check the blocking, the
+segment widths and the number of residual passes.
 """
 
 from __future__ import annotations
@@ -30,9 +32,13 @@ from jpmsim.potential import (
     find_extrema_sweep,
     plasma_frequency,
     potential_curvature,
-    potential_energy,
     well_report_sweep,
 )
+
+
+def energy(delta, flux_wb: float, p: JpmParams):
+    # The module's potential at an applied flux in webers.
+    return potential._energy(delta, potential._phase_bias(flux_wb, p), p)
 
 
 def oracle_potential(delta: float, flux_wb: float, p: JpmParams) -> float:
@@ -81,23 +87,17 @@ def test_potential_energy_matches_term_by_term_oracle():
     for _ in range(200):
         delta = float(rng.uniform(-10.0, 10.0))
         flux = float(rng.uniform(-0.5, 1.5)) * PHI0
-        got = potential_energy(delta, flux, DEFAULT_PARAMS)
+        got = energy(delta, flux, DEFAULT_PARAMS)
         want = oracle_potential(delta, flux, DEFAULT_PARAMS)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_potential_energy_broadcasts():
     deltas = np.linspace(0.0, 2.0 * math.pi, 11)
-    out = potential_energy(deltas, 0.3 * PHI0, DEFAULT_PARAMS)
+    out = energy(deltas, 0.3 * PHI0, DEFAULT_PARAMS)
     assert out.shape == deltas.shape
     for d, u in zip(deltas, out):
         assert u == pytest.approx(oracle_potential(float(d), 0.3 * PHI0, DEFAULT_PARAMS), rel=1e-12)
-
-
-@pytest.mark.parametrize("flux", [math.inf, -math.inf, math.nan])
-def test_potential_energy_refuses_non_finite_flux(flux):
-    with pytest.raises(ValueError, match="finite"):
-        potential_energy(0.0, flux, DEFAULT_PARAMS)
 
 
 def test_curvature_matches_finite_difference():
@@ -327,9 +327,9 @@ def test_near_tangency_pair_is_resolved():
 def reference_segments(flux_wb: float, p: JpmParams, tol: float = 1e-12):
     # The sweep's bit-for-bit reference, one flux in plain Python: the
     # bracket cut at each turning point 2 pi k -/+ acos(-1/beta_L) of the
-    # residual that lies inside it, a sign test per segment, and a
-    # bisection that steps the flux's crossing segments together until
-    # each is within tol or has no float left between its ends.
+    # residual that lies inside it, a sign test per segment, and the same
+    # ceil(log2(2 pi / tol)) halvings of each crossing segment, every one
+    # less than 2 pi wide.
     beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / p.flux_quantum
     phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
     lo, hi = phi_e - beta - 1.0, phi_e + beta + 1.0
@@ -344,16 +344,16 @@ def reference_segments(flux_wb: float, p: JpmParams, tol: float = 1e-12):
             ends += [t for t in (2.0 * math.pi * k - turn, 2.0 * math.pi * k + turn) if lo < t < hi]
     ends.append(hi)
     brackets = [[a, b, g(a)] for a, b in zip(ends, ends[1:]) if g(a) * g(b) != 0.0 and (g(a) < 0.0) != (g(b) < 0.0)]
-    while True:
-        mids = [0.5 * (a + b) for a, b, _ in brackets]
-        if all(b - a <= tol or m in (a, b) for (a, b, _), m in zip(brackets, mids)):
-            return [(m, "minimum" if math.cos(m) + 1.0 / beta > 0.0 else "maximum") for m in mids]
-        for bracket, m in zip(brackets, mids):
+    for _ in range(math.ceil(math.log2(2.0 * math.pi / tol))):
+        for bracket in brackets:
+            m = 0.5 * (bracket[0] + bracket[1])
             g_m = g(m)
             if bracket[2] * g_m <= 0.0:
                 bracket[1] = m
             else:
                 bracket[0], bracket[2] = m, g_m
+    mids = [0.5 * (a + b) for a, b, _ in brackets]
+    return [(m, "minimum" if math.cos(m) + 1.0 / beta > 0.0 else "maximum") for m in mids]
 
 
 def reference_extrema(flux_wb: float, p: JpmParams, scan_step: float = math.pi / 100, tol: float = 1e-12):
@@ -515,10 +515,11 @@ def test_sweep_equals_per_flux_calls_across_blocks(monkeypatch):
 def test_sweep_keeps_per_flux_stopping_rule(monkeypatch):
     # With REFINE_TOL a power-of-two fraction of the width
     # 2 acos(-1/beta_L) between the two turning points around a maximum
-    # of the residual, the crossing brackets of one flux reach it after
-    # different numbers of halvings, so the bits depend on each flux
-    # stepping until all of its brackets are within it, as the one-flux
-    # solver does.  No flux lies within 1e-6 Phi0 of a tangency.
+    # of the residual, the crossing brackets of one flux would reach it
+    # after different numbers of halvings; each still takes the same
+    # ceil(log2(2 pi / REFINE_TOL)) of them, so the bits depend on that
+    # count and on its own bracket alone.  No flux lies within 1e-6 Phi0
+    # of a tangency.
     p = DEFAULT_PARAMS
     width = 2.0 * math.acos(-1.0 / beta_L(p))
     fluxes = np.linspace(0.05, 0.95, 40) * PHI0
@@ -598,6 +599,26 @@ def test_sweep_memory_is_bounded():
         tracemalloc.stop()
     assert np.array_equal(np.unique(wells.flux_index), np.arange(fluxes.size))
     assert peak < 40e6
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [0.5, 1.0, 1.0 + 1e-12, 1.5, beta_L(DEFAULT_PARAMS), 13.0, 1e3, 1e4],
+    ids=["0.5", "1", "1+1e-12", "1.5", "default", "13", "1e3", "1e4"],
+)
+def test_every_segment_is_narrower_than_two_pi(monkeypatch, beta):
+    # The fixed halving count ceil(log2(2 pi / REFINE_TOL)) brings a
+    # bracket within REFINE_TOL only if no segment is 2 pi wide or more.
+    # The first residual pass of each block is over every cut segment end;
+    # each of the halvings that follow makes one more pass.
+    p = _device(beta)
+    calls = []
+    residual = potential._residual
+    monkeypatch.setattr(potential, "_residual", lambda x, *args: calls.append(np.array(x)) or residual(x, *args))
+    find_extrema_sweep(np.linspace(0.0, 1.0, 9) * PHI0, p)
+    ends = [x for x in calls if x.ndim == 2]
+    assert max(float(np.diff(x, axis=1).max()) for x in ends) < 2.0 * math.pi
+    assert len(calls) == len(ends) * (1 + 43)
 
 
 def test_large_beta_l_converges():

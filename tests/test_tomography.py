@@ -236,6 +236,41 @@ def test_fit_equatorial_noisy_finds_t_pi():
         assert fit_tomogram(grid).pi_duration == pytest.approx(t_pi, rel=0.02)
 
 
+@pytest.mark.parametrize("span", [2.8, 2.82, 2.85])
+def test_fit_span_off_whole_periods_finds_t_pi(span):
+    # Durations spanning about 2.8 t_pi put the true frequency between the
+    # bins, 1/span apart, of an unpadded spectrum, whose peak then seeds
+    # t_pi near 0.7 or 1.4 times its value.
+    t_pi = 50e-9
+    thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    times = np.linspace(0.0, span * t_pi, 33)
+    rng = np.random.default_rng(2802)
+    for _ in range(40):
+        rho = random_rho(rng, r_floor=0.02)
+        fit = fit_tomogram(synthesize_tomogram(rho, t_pi, thetas, times))
+        assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6)
+        assert fit.rho.excited_population == pytest.approx(rho.excited_population, rel=1e-6)
+        assert fit.rho.coherence_magnitude == pytest.approx(rho.coherence_magnitude, rel=1e-6)
+
+
+@pytest.mark.parametrize("n_theta", [4, 5, 8, 12])
+@pytest.mark.parametrize("steps", ["uniform", "jittered"])
+def test_fit_refuses_flat_tomogram(n_theta, steps):
+    # beta = 1/2 with r = 0 is the only state whose surface is constant;
+    # it holds no t_pi, whatever the grid.
+    t_pi = 50e-9
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    rng = np.random.default_rng(n_theta)
+    for n_t in (9, 17, 33, 65, 101):
+        for span in (2.0, 2.5, 3.0, 3.5, 4.0):
+            times = np.linspace(0.0, span * t_pi, n_t)
+            if steps == "jittered":
+                times[1:-1] += rng.uniform(-0.3, 0.3, n_t - 2) * (times[1] - times[0])
+            flat = synthesize_tomogram(DensityMatrix2(0.5), t_pi, thetas, times)
+            with pytest.raises(IdentifiabilityError, match="full rotation period"):
+                fit_tomogram(flat)
+
+
 def test_fit_with_binomial_noise_recovers_population():
     rho = DensityMatrix2(0.09, 0.02, 0.4)
     t_pi = 50e-9
