@@ -7,8 +7,9 @@ into the output directory.  _SUBCOMMANDS describes each subcommand
 once: its compute function, artifact stem, column header and help
 text.  Each compute function imports the physics names it calls, so a
 subcommand loads only its own layer.  A table's compute function
-returns its columns (numpy arrays or lists, in header order) and
-_write formats each column once.
+returns its columns (numpy arrays or lists, in header order), and
+_write encodes them a block of WRITE_BLOCK_ROWS rows at a time, one
+%-template per row, so the table's text is never whole in memory.
 Outputs are byte-stable for a fixed config and seed: fixed column
 orders, 12-significant-digit decimals for float columns in CSV, and
 newline-terminated JSON with insertion-ordered keys.
@@ -21,12 +22,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 import tempfile
 from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -45,11 +48,89 @@ OUTPUT_DIR_ENV = "JPMSIM_OUTPUT_DIR"
 TWO_PI = 2.0 * math.pi
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    values = column.tolist()
-    if column.dtype.kind == "f":
-        return ["%.12g" % value for value in values]
-    return [str(value) for value in values]
+WRITE_BLOCK_ROWS = 2**12
+"""Table rows _write encodes at once, so its working set stays near this
+many rows whatever the table's length."""
+
+
+def _csv_quoter(width: int) -> Callable[[str], str]:
+    """csv.writer's text of one field in a row of width fields, minimally quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+
+    def quote(value: str) -> str:
+        out.seek(0)
+        out.truncate()
+        # A lone empty field is quoted and one among others is not, so
+        # the field is written in a row of the table's own width.
+        writer.writerow((value, "") if width > 1 else (value,))
+        return out.getvalue()[:-1].removesuffix(",")
+
+    return quote
+
+
+def _json_floats(part: np.ndarray) -> list:
+    values = part.tolist()
+    for i in np.flatnonzero(~np.isfinite(part)).tolist():
+        values[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
+    return values
+
+
+def _encoded(part: np.ndarray, encode: Callable[[object], str]) -> list:
+    """The encodings of part's values, each distinct value encoded once."""
+    values = part.tolist()
+    encoded = {value: encode(value) for value in set(values)}
+    return list(map(encoded.__getitem__, values))
+
+
+def _block_text(columns, start: int, prepare, template: str, separator: str) -> str:
+    """Rows start to start + WRITE_BLOCK_ROWS of a table, one %-template per row.
+
+    prepare[k] turns column k's slice into the values its template field
+    takes.
+    """
+    stop = start + WRITE_BLOCK_ROWS
+    block = [values(column[start:stop]) for column, values in zip(columns, prepare)]
+    return separator.join(map(template.__mod__, zip(*block)))
+
+
+def _table_text(header, columns: list[np.ndarray], as_csv: bool):
+    """The artifact text of a table: its head, each block of rows, its tail.
+
+    Each block of WRITE_BLOCK_ROWS rows is encoded by _block_text.  CSV
+    prints a float with %.12g, an int with %s, a bool as true or false
+    and a string with csv.writer's minimal quoting; JSON gives what
+    json.dump(rows, indent=2) gives for a list of one dict per row.
+    """
+    rows = min((len(column) for column in columns), default=0)
+    kinds = [column.dtype.kind for column in columns]
+    if as_csv:
+        quote = _csv_quoter(len(header))
+        yield ",".join(map(quote, header)) + "\n"
+        template = ",".join("%.12g" if kind == "f" else "%s" for kind in kinds) + "\n"
+        separator = ""
+    elif rows == 0:
+        yield "[]\n"
+        return
+    else:
+        yield "[\n"
+        # A key is text of the template, so its own % signs are escaped.
+        fields = (json.dumps(key).replace("%", "%%") + ": %s" for key, _ in zip(header, columns))
+        template = "  {\n    " + ",\n    ".join(fields) + "\n  }"
+        separator = ",\n"
+    prepare = []
+    for kind in kinds:
+        if kind in "iu" or kind == "f" and as_csv:
+            prepare.append(np.ndarray.tolist)
+        elif kind == "f":
+            prepare.append(_json_floats)
+        else:
+            prepare.append(partial(_encoded, encode=quote if as_csv and kind != "b" else json.dumps))
+    for start in range(0, rows, WRITE_BLOCK_ROWS):
+        text = _block_text(columns, start, prepare, template, separator)
+        yield separator + text if start else text
+    if not as_csv:
+        yield "\n]\n"
 
 
 def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
@@ -58,17 +139,15 @@ def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
     out_dir is created here, so a run refused before writing leaves no
     new directory.  The bytes go to a temporary file in out_dir that
     replaces the artifact only once complete, so a failed write leaves no
-    partial file and any older artifact of the same name as it was.
+    partial file and any older artifact of the same name as it was.  A
+    table is encoded and written one block of rows at a time
+    (_table_text), so no text of the whole table is held in memory.
     """
     as_csv = header is not None and file_format == "csv"
     if header is None:
         payload = {key: np.asarray(value).tolist() for key, value in data.items()}
     else:
         columns = [np.asarray(column) for column in data]
-        if as_csv:
-            rows = zip(*map(_cells, columns))
-        else:
-            payload = [dict(zip(header, row)) for row in zip(*(c.tolist() for c in columns))]
     path = out_dir / f"{stem}.{'csv' if as_csv else 'json'}"
     out_dir.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{stem}.", suffix=".tmp")
@@ -78,13 +157,11 @@ def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            if as_csv:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
-            else:
+            if header is None:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
+            else:
+                fh.writelines(_table_text(header, columns, as_csv))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -422,8 +499,11 @@ def _tomo_fit(cfg: RunConfig) -> dict:
 class _Subcommand(NamedTuple):
     """One subcommand: compute(cfg) gives the columns under header, or a record when header is None.
 
-    Columns are numpy arrays or lists in header order; _write prints a
-    float column with %.12g and any other column with str.
+    Columns are numpy arrays or lists of floats, ints, bools or strings,
+    in header order.  _write encodes them in blocks of rows: in CSV a
+    float as %.12g, an int as %s, a bool as true or false and a string
+    quoted as csv.writer would; in JSON as json.dump(rows, indent=2)
+    would, one dict per row.
     """
 
     compute: Callable[[RunConfig], tuple | dict]

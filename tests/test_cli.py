@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -889,21 +890,18 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     assert code == 0
     older_bytes = paths[0].read_bytes()
 
-    real_writer = csv.writer
+    # At 4 rows a block, stark's 10 rows take three blocks.  The header
+    # and the first block go to the temporary file, then the second block
+    # fails, so the write fails part way through the file.
+    monkeypatch.setattr(jpmsim.cli, "WRITE_BLOCK_ROWS", 4)
+    block_text = jpmsim.cli._block_text
 
-    class FailingWriter:
-        # Writes the header row, then fails on the data rows, so the
-        # write fails part way through the file.
-        def __init__(self, fh, **kwargs):
-            self._writer = real_writer(fh, **kwargs)
-
-        def writerow(self, row):
-            return self._writer.writerow(row)
-
-        def writerows(self, rows):
+    def failing_block_text(columns, start, *args):
+        if start > 0:
             raise OSError("disk full")
+        return block_text(columns, start, *args)
 
-    monkeypatch.setattr(jpmsim.cli.csv, "writer", FailingWriter)
+    monkeypatch.setattr(jpmsim.cli, "_block_text", failing_block_text)
     capsys.readouterr()
     for out in (tmp_path / "fresh", older):
         code, paths = run_subcommand("stark", output_dir=str(out))
@@ -1210,6 +1208,53 @@ def test_writer_matches_per_cell_reference(tmp_path, overrides):
                 name,
                 file_format,
             )
+
+
+@pytest.mark.parametrize("file_format", ["csv", "json"])
+@pytest.mark.parametrize("rows", [0, 1, 7, 8, 9], ids=["0", "1", "B-1", "B", "B+1"])
+def test_writer_matches_reference_on_block_boundaries(tmp_path, monkeypatch, file_format, rows):
+    # A float, int, bool and string column in blocks of B = 8 rows; from
+    # B - 1 rows on, every odd float and label is in the table.
+    monkeypatch.setattr(jpmsim.cli, "WRITE_BLOCK_ROWS", 8)
+    floats = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1])
+    labels = np.array(["a,b", 'say "x"', "line\nbreak", "é", ""])
+    i = np.arange(rows)
+    header = ("value (%)", "count", 'flag "b"', "label, é")
+    data = (floats[i % floats.size], i - 2, i % 3 == 0, labels[i % labels.size])
+    path = jpmsim.cli._write(tmp_path, "odd", header, data, file_format)
+    assert path.read_bytes() == _reference_bytes(header, data, file_format)
+    # csv.writer quotes an empty field only when it is the row's only one.
+    path = jpmsim.cli._write(tmp_path, "odd", header[3:], data[3:], file_format)
+    assert path.read_bytes() == _reference_bytes(header[3:], data[3:], file_format)
+
+
+@pytest.mark.parametrize("file_format", ["csv", "json"])
+def test_writer_memory_is_bounded(tmp_path, file_format):
+    # 200,000 rows x 8 columns.  Encoded a block at a time, the peak
+    # above the input columns is about 1.7 MB in CSV and 3.5 MB in JSON.
+    # The whole table at once (WRITE_BLOCK_ROWS = 10**12) peaks at about
+    # 63 and 126 MB.
+    rows = 200_000
+    rng = np.random.default_rng(5)
+    header = tuple(f"column {k}" for k in range(8))
+    data = (
+        rng.random(rows),
+        rng.integers(1, 5, rows),
+        np.array(["global", "left", "right", "interior"])[rng.integers(0, 4, rows)],
+        rng.random(rows),
+        rng.integers(0, 9, rows),
+        rng.integers(0, 9, rows),
+        rng.integers(0, 9, rows),
+        rng.random(rows),
+    )
+    tracemalloc.start()
+    try:
+        path = jpmsim.cli._write(tmp_path, "big", header, data, file_format)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > rows * 40
+    assert peak < 8e6
 
 
 def _edge_literals(key):

@@ -588,17 +588,21 @@ def test_sweep_near_tangency_matches_per_flux_calls(beta, which, offset, log_wid
 
 def test_sweep_memory_is_bounded():
     # The sweep is solved in blocks of about SWEEP_BLOCK_SEGMENTS
-    # segments, so memory stays bounded whatever the sweep length.
+    # segments, so its working set beyond the arrays it returns stays near
+    # one block's whatever the sweep length.  At 20,000 fluxes and beta_L
+    # 13 that is about 3 MB; one block for the whole sweep
+    # (SWEEP_BLOCK_SEGMENTS = 10**12) takes about 21 MB.
     p = _device(13.0)
     fluxes = np.linspace(0.0, 1.0, 20_000) * PHI0
     tracemalloc.start()
     try:
-        wells = well_report_sweep(fluxes, p)
+        result = potential._sweep_extrema(fluxes, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(np.unique(wells.flux_index), np.arange(fluxes.size))
-    assert peak < 40e6
+    _, offsets, roots, _ = result
+    assert offsets[-1] == roots.size and (np.diff(offsets) >= 1).all()
+    assert peak - sum(array.nbytes for array in result) < 10e6
 
 
 @pytest.mark.parametrize(
