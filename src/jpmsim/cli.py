@@ -263,7 +263,10 @@ def _transfer_curves(cfg: RunConfig) -> tuple:
         family(ratio * kappa_1, 0.0, "kappa_ratio=%g" % ratio)
     for ratio in detuning_ratios:
         family(kappa_1, ratio * kappa_1, "detuning_ratio=%g" % ratio)
-    return np.tile(ts * kappa_1, len(labels)), np.concatenate(etas), np.repeat(labels, ts.size)
+    # An object column holds a reference per row to its family's label,
+    # not a fixed-width copy of the longest one.
+    column = np.repeat(np.array(labels, dtype=object), ts.size)
+    return np.tile(ts * kappa_1, len(labels)), np.concatenate(etas), column
 
 
 def _transfer_peak(cfg: RunConfig) -> dict:
@@ -344,7 +347,7 @@ def _stark(cfg: RunConfig) -> tuple:
 
     pc = cfg.protocol_config()
     powers = _require_nonempty(cfg.get("stark.powers"), "stark.powers")
-    n_bar, shift = np.transpose(stark_calibration(powers, pc))
+    n_bar, shift = stark_calibration(powers, pc)
     return powers, n_bar, shift / TWO_PI
 
 
@@ -358,13 +361,8 @@ def _depletion(cfg: RunConfig) -> tuple:
         cfg.get("depletion.time_points"),
         "depletion.time_points",
     )
-    records = [depletion_recovery(t_dep, pc) for t_dep in times.tolist()]
-    return (
-        times,
-        [record["residual_photons"] for record in records],
-        [record["ramsey_contrast"] for record in records],
-        [record["frequency_shift"] / TWO_PI for record in records],
-    )
+    out = depletion_recovery(times, pc)
+    return times, out["residual_photons"], out["ramsey_contrast"], out["frequency_shift"] / TWO_PI
 
 
 def _iq(cfg: RunConfig) -> dict:

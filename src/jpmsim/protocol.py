@@ -312,21 +312,6 @@ def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel = DEFAU
     }
 
 
-def _channel_visibility(cfg: ProtocolConfig) -> float:
-    # Expected switch-probability contrast between excited and ground
-    # preparation: (1 - eps_relax) p_bright (1 - eps_dark).
-    return (1.0 - cfg.relaxation_prob) * cfg.bright_detect_prob * (1.0 - cfg.dark_prob)
-
-
-def measured_probability(p_ideal, cfg: ProtocolConfig):
-    """Map an ideal excitation probability through the measurement channel.
-
-    P_measured = dark_prob + visibility * P_ideal, with the visibility
-    equal to the analytic raw fidelity of the shot model.
-    """
-    return cfg.dark_prob + _channel_visibility(cfg) * np.asarray(p_ideal)
-
-
 def ramsey_fringe(
     detunings,
     delays,
@@ -389,9 +374,17 @@ def rabi_chevron(
 
 
 def _finish_sweep(ideal: np.ndarray, cfg: ProtocolConfig, n_shots: int | None) -> np.ndarray:
+    """Map ideal excitation probabilities through the measurement channel.
+
+    P_measured = dark_prob + V P_ideal, with the visibility
+    V = (1 - eps_relax) p_bright (1 - eps_dark) equal to the analytic raw
+    fidelity of the shot model.  With n_shots set, each cell is a
+    binomial estimate from a generator seeded with cfg.rng_seed.
+    """
     if not np.isfinite(ideal).all():
         raise NumericalError("sweep probability is not finite: a phase or rotation angle overflows float64")
-    measured = measured_probability(ideal, cfg)
+    visibility = (1.0 - cfg.relaxation_prob) * cfg.bright_detect_prob * (1.0 - cfg.dark_prob)
+    measured = cfg.dark_prob + visibility * ideal
     if n_shots is None:
         return measured
     if n_shots < 1:
@@ -400,13 +393,14 @@ def _finish_sweep(ideal: np.ndarray, cfg: ProtocolConfig, n_shots: int | None) -
     return rng.binomial(n_shots, measured) / n_shots
 
 
-def stark_calibration(drive_powers, cfg: ProtocolConfig) -> list[tuple[float, float]]:
-    """Map drive powers to (photon number, qubit shift) pairs.
+def stark_calibration(drive_powers, cfg: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Map drive powers to (photon number, qubit shift) arrays.
 
     Photon number is linear in power and anchored to
     cfg.n_bar_qubit_cavity at the largest power in the sweep; the shift
     is stark_shift_per_photon times the photon number, so the inverse
-    map shift -> photon number is exact.
+    map shift -> photon number is exact.  Both arrays have one entry per
+    drive power, in order.
     """
     if cfg.stark_shift_per_photon == 0.0:
         raise ValueError("stark_shift_per_photon must be nonzero for calibration")
@@ -423,25 +417,32 @@ def stark_calibration(drive_powers, cfg: ProtocolConfig) -> list[tuple[float, fl
         shifts = cfg.stark_shift_per_photon * n_bar
     if not (np.isfinite(n_bar).all() and np.isfinite(shifts).all()):
         raise NumericalError("stark photon numbers or shifts overflow float64")
-    return [(float(n), float(s)) for n, s in zip(n_bar, shifts)]
+    return n_bar, shifts
 
 
-def depletion_recovery(t_dep: float, cfg: ProtocolConfig) -> dict:
+def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
     """Residual backaction after a depletion interval of length t_dep.
 
     The SPURIOUS_PHOTONS released by a switch decay at
     cfg.depletion_rate; the residual population suppresses Ramsey
     contrast as e^{-c n}, c = DEFAULT_DEPHASING_PER_PHOTON, and shifts
-    the qubit by stark_shift_per_photon * n.
+    the qubit by stark_shift_per_photon * n.  Accepts scalar or array
+    t_dep: each value of the returned dict is an array of t_dep's shape,
+    or a float for a scalar.
     """
-    if t_dep < 0.0:
+    t_dep = np.asarray(t_dep, dtype=float)
+    if np.any(t_dep < 0.0):
         raise ValueError("t_dep must be non-negative")
-    residual = SPURIOUS_PHOTONS * math.exp(-cfg.depletion_rate * t_dep)
-    return {
-        "residual_photons": residual,
-        "ramsey_contrast": math.exp(-DEFAULT_DEPHASING_PER_PHOTON * residual),
-        "frequency_shift": cfg.stark_shift_per_photon * residual,
-    }
+    # As in Python float arithmetic, a product past float64 is +-inf with
+    # no warning: a huge rate times a huge time leaves no photons.
+    with np.errstate(over="ignore"):
+        residual = SPURIOUS_PHOTONS * np.exp(-cfg.depletion_rate * t_dep)
+        out = {
+            "residual_photons": residual,
+            "ramsey_contrast": np.exp(-DEFAULT_DEPHASING_PER_PHOTON * residual),
+            "frequency_shift": cfg.stark_shift_per_photon * residual,
+        }
+    return out if t_dep.ndim else {key: float(value) for key, value in out.items()}
 
 
 def separation_fidelity(model: IqModel) -> float:

@@ -6,9 +6,11 @@ rate kappa_2.  In linear response the fraction of the emitted energy
 stored in mode 2 at time t has one closed form, efficiency, which
 covers the matched case, a decay-rate mismatch, a frequency mismatch
 and both together.  This module evaluates it, the peak values of its
-single-mismatch cases, and an independent numerical oracle that
-integrates the real (non-rotating-wave) response of mode 2 to the
-ring-down drive by composite Simpson quadrature.
+single-mismatch cases, and the numeric peak of the real
+(non-rotating-wave) response of mode 2 to the ring-down drive, from one
+streamed composite Simpson quadrature pass.  The independent oracle
+that integrates the same response one time at a time lives with the
+tests (tests/transfer_oracle.py).
 
 The closed form is one rotating-wave envelope.  With
 a = exp(-kappa_1 t / 2), b = exp(-kappa_2 t / 2):
@@ -174,8 +176,9 @@ def freq_mismatch_peak(kappa: float, delta_omega: float) -> tuple[float, float]:
     return eta, t_opt
 
 
-# Quadrature density of the numeric oracle: the Simpson grid has
-# 2 POINTS_PER_PERIOD points per period of the faster carrier.
+# Quadrature density of the numeric peak (and of the test oracle): the
+# Simpson grid has 2 POINTS_PER_PERIOD points per period of the faster
+# carrier.
 POINTS_PER_PERIOD = 40
 # Streaming pass of peak_efficiency: at most this many panel nodes (a
 # 5 GHz carrier over 20 decay times of a 1 us mode needs 4e6), so a huge
@@ -220,100 +223,12 @@ def _tone_peak(times: np.ndarray, values: np.ndarray, omega: float, h: float) ->
     return float(np.hypot(p_end, q_end))
 
 
-def mode2_energy_numeric(t: float, cfg: TransferConfig) -> float:
-    """Stored-energy fraction in mode 2 at time t by direct quadrature.
-
-    Integrates the real-kernel response of mode 2 to the full ring-down
-    drive current, carrier oscillations included, with no rotating-wave
-    step; this makes it an oracle independent of the closed forms.  The
-    response
-
-        V2(t) = e^{-kappa_2 t/2} [cos(omega_2 t) A(t) + sin(omega_2 t) B(t)]
-        A(t)  = integral_0^t I(tau) e^{kappa_2 tau/2} cos(omega_2 tau) dtau
-        B(t)  = same with sin(omega_2 tau)
-        I(tau) = I_A e^{-kappa_1 tau/2} cos(omega_1 tau)
-
-    is evaluated by composite Simpson quadrature on a grid of
-    2 POINTS_PER_PERIOD points per carrier period, with the decaying
-    prefactor folded into every panel so no intermediate overflows.
-    The stored energy is taken from the carrier-cycle peak of V2 over
-    the trailing carrier period: a least-squares fit of a single tone
-    P cos(omega_2 tau) + Q sin(omega_2 tau) to the window samples gives
-    the peak as hypot(P, Q).  Fitting instead of taking the discrete
-    maximum removes the phase-sampling error of the node grid, which
-    would otherwise dominate the quadrature error.
-    """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError("t must be finite and non-negative")
-    if t == 0.0 or cfg.drive_amplitude == 0.0:
-        return 0.0
-
-    w1 = cfg.source.angular_frequency
-    w2 = cfg.target.angular_frequency
-    k1 = cfg.source.decay_rate
-    k2 = cfg.target.decay_rate
-    period = 2.0 * math.pi / max(w1, w2)
-
-    # Fine grid: Simpson panels of two intervals each, at twice the
-    # requested per-period density so the even (panel-boundary) nodes
-    # alone meet it.
-    n_fine = int(math.ceil(t / (period / (2 * POINTS_PER_PERIOD))))
-    n_fine += n_fine % 2
-    n_fine = max(n_fine, 4)
-    h = t / n_fine
-    tau = np.linspace(0.0, t, n_fine + 1)
-
-    # Unit shunt capacitance: it cancels between stored energy
-    # C V_peak^2 / 2 and the drive normalization I_A^2 proportional to C.
-    amp = 2.0 * cfg.drive_amplitude * math.sqrt(k2 / cfg.line_impedance)
-    drive = amp * np.exp(-0.5 * k1 * tau) * np.cos(w1 * tau)
-    f_cos = drive * np.cos(w2 * tau)
-    f_sin = drive * np.sin(w2 * tau)
-
-    # Scaled integrals a_m = e^{-kappa_2 tau_m/2} A(tau_m) (same for
-    # b_m), needed only on the trailing carrier period.  The bulk
-    # integral up to the window start is one Simpson sum with the decay
-    # e^{-kappa_2 (tau_s - tau)/2} applied inside, so every term stays
-    # bounded by the drive amplitude; across the window the panels are
-    # accumulated by the recurrence a_m = a_{m-2} d^2 + panel, d =
-    # e^{-kappa_2 h/2}.  The window is the closest whole number of
-    # panels to one carrier period: a window that overshoots the period
-    # lets the slow beat between the two carriers leak into the tone
-    # fit and modulate the result as t varies.
-    n_window_panels = max(int(round(period / (2.0 * h))), 2)
-    start = max(n_fine - 2 * n_window_panels, 0)
-
-    if start > 0:
-        weights = np.ones(start + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        decay = np.exp(-0.5 * k2 * (tau[start] - tau[: start + 1]))
-        a_run = float(np.dot(weights, f_cos[: start + 1] * decay)) * h / 3.0
-        b_run = float(np.dot(weights, f_sin[: start + 1] * decay)) * h / 3.0
-    else:
-        a_run = 0.0
-        b_run = 0.0
-
-    d = math.exp(-0.5 * k2 * h)
-    d2 = d * d
-    node_times = []
-    node_values = []
-    for m in range(start + 2, n_fine + 1, 2):
-        a_run = a_run * d2 + (h / 3.0) * (f_cos[m - 2] * d2 + 4.0 * f_cos[m - 1] * d + f_cos[m])
-        b_run = b_run * d2 + (h / 3.0) * (f_sin[m - 2] * d2 + 4.0 * f_sin[m - 1] * d + f_sin[m])
-        node_times.append(tau[m])
-        node_values.append(math.cos(w2 * tau[m]) * a_run + math.sin(w2 * tau[m]) * b_run)
-
-    v_peak = _tone_peak(np.asarray(node_times), np.asarray(node_values), w2, h)
-    return 0.5 * v_peak**2 / emitted_energy(cfg)
-
-
 def _node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> Iterator[np.ndarray]:
     """V2 at the panel nodes tau_j = 2 j h, j = 1..n_nodes, block by block.
 
-    The same Simpson panels and scaled recurrence a_j = a_{j-1} D + p_j,
-    D = e^{-kappa_2 h}, as mode2_energy_numeric, on the fixed step h
-    from tau = 0.  Within a block of k panels the recurrence is solved
+    The Simpson panels of the test oracle (tests/transfer_oracle.py),
+    accumulated by the scaled recurrence a_j = a_{j-1} D + p_j,
+    D = e^{-kappa_2 h}, on the fixed step h from tau = 0.  Within a block of k panels the recurrence is solved
     in closed form by one cumulative sum,
 
         a_{j0+i} = D^{i-1} [D a_{j0} + sum_{l<=i} D^{-(l-1)} p_{j0+l}],
@@ -352,8 +267,8 @@ def _node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> Iterator[np.n
 def _node_energy(cfg: TransferConfig, volts: np.ndarray, j: int, h: float) -> float:
     """Stored-energy fraction at node j of a streaming pass on step h.
 
-    The trailing-period tone fit of mode2_energy_numeric on the window
-    of whole panels ending at tau_j = 2 j h.
+    The trailing-period tone fit (_tone_peak) on the window of whole
+    panels ending at tau_j = 2 j h, as the test oracle takes it.
     """
     period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
     first = max(j - max(int(round(period / (2.0 * h))), 2), 0)
@@ -369,12 +284,11 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     and brackets the peak in [seed/3, 3 seed] (the envelope is unimodal
     in every regime this model covers).  A golden-section search over
     the panel-node indices in the bracket runs the trailing-period tone
-    fit of mode2_energy_numeric on each probe's window, and a
-    three-point parabola through the best node and its neighbours
-    refines the peak.  V2 at the nodes comes from one streaming
-    quadrature pass from tau = 0 on the fixed step h = period /
-    (2 POINTS_PER_PERIOD) of mode2_energy_numeric, so at a node time the
-    energy equals mode2_energy_numeric there up to rounding.  The pass
+    fit on each probe's window, and a three-point parabola through the
+    best node and its neighbours refines the peak.  V2 at the nodes
+    comes from one streaming quadrature pass from tau = 0 on the fixed
+    step h = period / (2 POINTS_PER_PERIOD), so at a node time the
+    energy equals the test oracle's there up to rounding.  The pass
     is lazy: a probe pulls blocks only until its node is filled, so it
     ends with the block holding the highest node the search reads (its
     first upper probe, about 0.66 of the bracket end), not at the

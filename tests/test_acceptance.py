@@ -46,8 +46,8 @@ from jpmsim.transfer import (
     efficiency,
     freq_mismatch_peak,
     kappa_mismatch_peak,
-    mode2_energy_numeric,
 )
+from transfer_oracle import mode2_energy_numeric
 
 SUBCOMMANDS = [
     "potential-sweep",

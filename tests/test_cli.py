@@ -715,6 +715,24 @@ def test_huge_stark_powers_give_finite_rows(tmp_path):
     assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
+def test_huge_depletion_rate_times_time_leaves_no_photons(tmp_path):
+    # A rate of 1e300/s times 1e300 s overflows float64: the exponent is
+    # -inf and no photon is left, with no overflow warning (the test's
+    # warning filter raises one).
+    overrides = (
+        "protocol.depletion_decay_time=1e-300s",
+        "depletion.time_stop=1e300s",
+        "depletion.time_points=3",
+    )
+    code, paths = run_subcommand("depletion", overrides=overrides, output_dir=str(tmp_path))
+    assert code == 0
+    assert paths[0].read_text().splitlines()[1:] == [
+        "0,100,0.358485922409,-200000000",
+        "5e+299,0,1,-0",
+        "1e+300,0,1,-0",
+    ]
+
+
 @pytest.mark.parametrize(
     "name, override",
     [
@@ -1255,6 +1273,28 @@ def test_writer_memory_is_bounded(tmp_path, file_format):
         tracemalloc.stop()
     assert path.stat().st_size > rows * 40
     assert peak < 8e6
+
+
+@pytest.mark.parametrize(
+    "name, override",
+    [("depletion", "depletion.time_points=200000"), ("transfer-curves", "transfer.time_points=22223")],
+)
+def test_table_compute_memory_is_bounded(name, override):
+    # About 2e5 rows: depletion's four float columns hold 32 B per row and
+    # transfer-curves' two float and one object column 24 B.  The compute
+    # peaks at about 41 and 33 B per row.  One dict per time read 321 B
+    # per row, and a fixed-width <U18 label column 97 B per row.
+    cfg = RunConfig.from_sources(overrides=(override,))
+    spec = jpmsim.cli._SUBCOMMANDS[name]
+    tracemalloc.start()
+    try:
+        data = spec.compute(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len(data[0])
+    assert rows >= 200_000
+    assert peak < 60 * rows
 
 
 def _edge_literals(key):

@@ -20,6 +20,7 @@ from scipy.special import erfc, ndtri
 import jpmsim.protocol
 from jpmsim.errors import NumericalError
 from jpmsim.protocol import (
+    _finish_sweep,
     DEFAULT_DEPHASING_PER_PHOTON,
     DEFAULT_DEPLETION_RATE,
     DEFAULT_IQ_MODEL,
@@ -31,7 +32,6 @@ from jpmsim.protocol import (
     depletion_recovery,
     fidelity_budget,
     iq_discriminate,
-    measured_probability,
     rabi_chevron,
     ramsey_fringe,
     relaxation_error,
@@ -303,10 +303,10 @@ def test_measured_probability_channel():
     cfg = ProtocolConfig()
     vis = analytic_visibility(cfg)
     # Ideal probability 0 -> dark counts only; 1 -> dark + visibility.
-    assert measured_probability(0.0, cfg) == pytest.approx(cfg.dark_prob, rel=1e-12)
-    assert measured_probability(1.0, cfg) == pytest.approx(cfg.dark_prob + vis, rel=1e-12)
+    assert _finish_sweep(0.0, cfg, None) == pytest.approx(cfg.dark_prob, rel=1e-12)
+    assert _finish_sweep(1.0, cfg, None) == pytest.approx(cfg.dark_prob + vis, rel=1e-12)
     p = np.linspace(0.0, 1.0, 11)
-    out = measured_probability(p, cfg)
+    out = _finish_sweep(p, cfg, None)
     assert np.all(np.diff(out) > 0.0)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
@@ -341,7 +341,7 @@ def test_ramsey_fringe_decay_and_channel():
     assert np.all(grid <= cfg.dark_prob + vis + 1e-12)
     # The envelope decays toward the mixed-state plateau 0.5.
     ideal_tail = math.exp(-delays[-1] / 0.5e-6)
-    assert grid[0, -1] == pytest.approx(measured_probability(ideal_tail, cfg), rel=1e-9)
+    assert grid[0, -1] == pytest.approx(cfg.dark_prob + vis * ideal_tail, rel=1e-9)
     with pytest.raises(ValueError):
         ramsey_fringe(np.array([0.0]), delays, cfg, t2=100.0)
 
@@ -376,15 +376,13 @@ def test_rabi_chevron_structure():
 def test_stark_calibration_round_trip():
     cfg = ProtocolConfig()
     powers = [0.0, 0.25, 0.5, 1.0]
-    pairs = stark_calibration(powers, cfg)
-    assert len(pairs) == 4
-    n_bars = [n for n, _ in pairs]
-    shifts = [s for _, s in pairs]
+    n_bars, shifts = stark_calibration(powers, cfg)
+    assert n_bars.shape == shifts.shape == (4,)
     assert n_bars[0] == 0.0 and shifts[0] == 0.0
     # Max power pins the photon number to the configured qubit-cavity
     # occupation, and every shift is 2 chi n_bar.
     assert n_bars[-1] == pytest.approx(cfg.n_bar_qubit_cavity, rel=1e-12)
-    for n_bar, shift in pairs:
+    for n_bar, shift in zip(n_bars, shifts):
         assert shift == pytest.approx(cfg.stark_shift_per_photon * n_bar, rel=1e-12)
     # Linearity: shift per unit power is constant.
     assert shifts[2] == pytest.approx(2.0 * shifts[1], rel=1e-12)
@@ -442,6 +440,38 @@ def test_depletion_recovery_endpoints():
     late = depletion_recovery(1e-6, cfg)
     assert late["residual_photons"] < 1e-20
     assert late["ramsey_contrast"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_depletion_recovery_broadcasts():
+    # An array of times gives the per-time scalar results, each to 1 ulp,
+    # in arrays of its shape.
+    cfg = ProtocolConfig()
+    times = np.linspace(0.0, 1e-6, 501)
+    out = depletion_recovery(times, cfg)
+    for key, column in out.items():
+        assert column.shape == times.shape
+        scalar = [depletion_recovery(t, cfg)[key] for t in times.tolist()]
+        np.testing.assert_array_max_ulp(column, np.array(scalar), maxulp=1)
+    grid = depletion_recovery(times.reshape(3, 167), cfg)
+    assert all(np.array_equal(grid[key], out[key].reshape(3, 167)) for key in out)
+
+
+def test_depletion_recovery_scalar_gives_floats():
+    cfg = ProtocolConfig()
+    for t_dep in (0.0, 20e-9, np.float64(40e-9), np.array(1e-6)):
+        out = depletion_recovery(t_dep, cfg)
+        assert sorted(out) == ["frequency_shift", "ramsey_contrast", "residual_photons"]
+        assert all(type(value) is float for value in out.values())
+
+
+@pytest.mark.parametrize("position", [0, 2, -1])
+def test_depletion_recovery_refuses_a_negative_time_anywhere(position):
+    cfg = ProtocolConfig()
+    times = np.linspace(0.0, 1e-7, 6)
+    times[position] = -1e-12
+    for t_dep in (times, times.reshape(2, 3), float(times[position])):
+        with pytest.raises(ValueError, match="t_dep must be non-negative"):
+            depletion_recovery(t_dep, cfg)
 
 
 def test_depletion_contrast_formula():

@@ -30,9 +30,9 @@ from jpmsim.transfer import (
     emitted_energy,
     freq_mismatch_peak,
     kappa_mismatch_peak,
-    mode2_energy_numeric,
     peak_efficiency,
 )
+from transfer_oracle import mode2_energy_numeric
 
 MATCHED_PEAK = 4.0 / math.e**2
 
