@@ -29,10 +29,7 @@ def report(name: str, rho: DensityMatrix2, t_pi: float, n_shots: int, seed: int)
         n_shots=n_shots,
         rng=np.random.default_rng(seed),
     )
-    # Seed the rotation period from the nominal pulse calibration; a
-    # strongly coherent state oscillates hard enough that an unseeded
-    # fit can settle in an aliased period.
-    fit = fit_tomogram(grid, initial_guess=(0.5, 0.1, 0.0, t_pi))
+    fit = fit_tomogram(grid)
     print(f"{name} ({n_shots} shots per grid cell):")
     print("                excited pop   coherence |r|   phase     t_pi (ns)")
     print(

@@ -428,7 +428,8 @@ def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
     contrast as e^{-c n}, c = DEFAULT_DEPHASING_PER_PHOTON, and shifts
     the qubit by stark_shift_per_photon * n.  Accepts scalar or array
     t_dep: each value of the returned dict is an array of t_dep's shape,
-    or a float for a scalar.
+    or a float for a scalar.  A frequency shift that overflows float64
+    raises NumericalError.
     """
     t_dep = np.asarray(t_dep, dtype=float)
     if np.any(t_dep < 0.0):
@@ -442,6 +443,8 @@ def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
             "ramsey_contrast": np.exp(-DEFAULT_DEPHASING_PER_PHOTON * residual),
             "frequency_shift": cfg.stark_shift_per_photon * residual,
         }
+    if not np.isfinite(out["frequency_shift"]).all():
+        raise NumericalError("depletion frequency shift overflows float64")
     return out if t_dep.ndim else {key: float(value) for key, value in out.items()}
 
 

@@ -198,34 +198,30 @@ def _initial_guess(grid: TomogramGrid) -> np.ndarray:
 
     beta0 = float(np.clip(occ[:, int(np.argmin(t))].mean(), 0.0, 1.0))
 
-    span = float(t.max() - t.min())
-    t_pi0 = span / 2.0 if span > 0.0 else 1.0
-    steps = np.diff(np.sort(t))
-    if t.size >= 4 and steps.size and np.allclose(steps, steps[0], rtol=1e-6):
-        # Dominant frequency of the theta-averaged trace; the surface
-        # oscillates at 1/(2 t_pi) in pulse duration.  The average holds
-        # only the (1 - 2 beta)(1 - cos alpha)/2 term, flat at beta = 1/2;
-        # the first theta-harmonic (2/N) sum_theta P e^{i theta} holds
-        # r sin(alpha) at the same frequency.  Where the average's peak
-        # holds less than a tenth of the largest summed power, the summed
-        # spectrum sets the frequency.  Zero-padding to 8 t.size samples
-        # puts the bins about 1/(8 span) apart, so the bin spacing 1/span
-        # no longer decides the seed when the span is not near a whole
-        # number of periods.
-        n_fft = 8 * t.size
-        trace = occ.mean(axis=0)
-        harmonic = (2.0 / theta.size) * (np.exp(1j * theta) @ (occ - trace))
-        power = [
-            np.abs(np.fft.rfft(part - part.mean(), n_fft)) ** 2
-            for part in (trace, harmonic.real, harmonic.imag)
-        ]
-        total = sum(power)
-        freqs = np.fft.rfftfreq(n_fft, d=float(steps[0]))
-        peak = int(np.argmax(power[0][1:])) + 1
-        if power[0][peak] < 0.1 * total[1:].max():
-            peak = int(np.argmax(total[1:])) + 1
-        if total[peak] > 0.0 and freqs[peak] > 0.0:
-            t_pi0 = 1.0 / (2.0 * freqs[peak])
+    # The surface oscillates at 1/(2 t_pi) in pulse duration: the
+    # theta-average through (1 - 2 beta)(1 - cos alpha)/2, flat at
+    # beta = 1/2, and the first theta-harmonic (2/N) sum_theta P e^{i theta}
+    # through r sin(alpha).  Both are resampled linearly onto t.size
+    # evenly spaced durations over the span, which leaves an even grid as
+    # it is.  The average's spectral peak sets the frequency unless it
+    # holds less than a tenth of the largest summed power; zero-padding to
+    # 8 t.size samples puts the bins about 1/(8 span) apart.  A zero
+    # spectrum leaves the seed at span/2.
+    order = np.argsort(t)
+    ts = t[order]
+    span = float(ts[-1] - ts[0])
+    even = np.linspace(ts[0], ts[-1], t.size)
+    trace = occ.mean(axis=0)
+    harmonic = (2.0 / theta.size) * (np.exp(1j * theta) @ (occ - trace))
+    n_fft = 8 * t.size
+    parts = [np.interp(even, ts, part[order]) for part in (trace, harmonic.real, harmonic.imag)]
+    power = [np.abs(np.fft.rfft(part - part.mean(), n_fft)) ** 2 for part in parts]
+    total = sum(power)
+    freqs = np.fft.rfftfreq(n_fft, d=span / (t.size - 1))
+    peak = int(np.argmax(power[0][1:])) + 1
+    if power[0][peak] < 0.1 * total[1:].max():
+        peak = int(np.argmax(total[1:])) + 1
+    t_pi0 = 1.0 / (2.0 * freqs[peak]) if total[peak] > 0.0 else span / 2.0
 
     # Row nearest the half-pi duration isolates the coherence term:
     # P(theta) = const - r sin(theta)cos(phi) - r cos(theta)sin(phi).
@@ -249,12 +245,12 @@ def _finite(values: np.ndarray, what: str, x: np.ndarray) -> np.ndarray:
     return values
 
 
-def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
+def fit_tomogram(grid: TomogramGrid) -> FitResult:
     """Least-squares fit of (beta, r, phi, t_pi) to a tomogram grid.
 
     Runs damped least squares with the analytic Jacobian from an
-    automatic (or supplied) starting point, then canonicalizes the
-    optimum: t_pi and r are made non-negative by exact reparameterization,
+    automatic starting point, then canonicalizes the optimum: t_pi
+    and r are made non-negative by exact reparameterization,
     phi is wrapped to (-pi, pi], a positivity-violating r is projected
     onto sqrt(beta(1-beta)) with the projected flag set, and a
     negligible r zeroes phi with the phase_unidentifiable flag set.
@@ -263,9 +259,10 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
     Raises
     ------
     IdentifiabilityError
-        For grids with fewer than 4 distinct axis angles, a constant
-        surface, or a duration span that covers less than one full
-        rotation period 2 t_pi of the fitted surface.
+        For grids with fewer than 4 distinct axis angles or fewer than
+        4 distinct pulse durations, a constant surface, or a duration
+        span that covers less than one full rotation period 2 t_pi of
+        the fitted surface.
     NumericalError
         If the optimizer fails to converge, or meets a non-finite
         residual or Jacobian (a non-finite parameter gives both).
@@ -276,17 +273,16 @@ def fit_tomogram(grid: TomogramGrid, initial_guess=None) -> FitResult:
     t = grid.pulse_durations
     if np.unique(theta).size < 4:
         raise IdentifiabilityError("need at least 4 distinct axis angles")
+    # A full period 2 t_pi inside the span, sampled above the Nyquist
+    # rate, needs at least 4 durations.
+    if np.unique(t).size < 4:
+        raise IdentifiabilityError("need at least 4 distinct pulse durations")
     # A constant surface (beta = 1/2 with r = 0, or durations far below
     # t_pi) holds no t_pi at all.
     if np.ptp(grid.occupations) == 0.0:
         raise IdentifiabilityError("a flat tomogram shows no full rotation period 2 t_pi")
 
-    x0 = np.asarray(initial_guess, dtype=float) if initial_guess is not None else _initial_guess(grid)
-    if x0.shape != (4,):
-        raise ValueError("initial guess must be (beta, r, phi, t_pi)")
-    if x0[3] <= 0.0:
-        raise ValueError("initial t_pi must be positive")
-
+    x0 = _initial_guess(grid)
     data = grid.occupations
 
     def residuals(x: np.ndarray) -> np.ndarray:

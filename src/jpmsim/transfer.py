@@ -267,11 +267,10 @@ def _node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> Iterator[np.n
 def _node_energy(cfg: TransferConfig, volts: np.ndarray, j: int, h: float) -> float:
     """Stored-energy fraction at node j of a streaming pass on step h.
 
-    The trailing-period tone fit (_tone_peak) on the window of whole
-    panels ending at tau_j = 2 j h, as the test oracle takes it.
+    The tone fit (_tone_peak) on the POINTS_PER_PERIOD whole panels, one
+    carrier period, ending at tau_j = 2 j h, as the test oracle takes it.
     """
-    period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
-    first = max(j - max(int(round(period / (2.0 * h))), 2), 0)
+    first = max(j - POINTS_PER_PERIOD, 0)
     times = (2.0 * h) * np.arange(first + 1, j + 1)
     v_peak = _tone_peak(times, volts[first:j], cfg.target.angular_frequency, h)
     return 0.5 * v_peak**2 / emitted_energy(cfg)

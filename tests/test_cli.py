@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 import jpmsim.cli
 import jpmsim.config
+from artifact_digests import BYTE_CONFIGS
 from jpmsim.cli import main, run_subcommand
 from jpmsim.config import _UNIT_TABLES, RunConfig, SCHEMA, parse_value
 from jpmsim.errors import ConfigError
@@ -376,6 +377,27 @@ def test_flat_tomogram_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_two_duration_tomogram_is_refused(tmp_path, capsys):
+    # Two durations hold no full period 2 t_pi sampled above the Nyquist
+    # rate; seeded at span/2, the fit once wrote t_pi = 55 ns with exit 0.
+    out = tmp_path / "fit"
+    overrides = (
+        "tomo.beta=0.3",
+        "tomo.r=0.2",
+        "tomo.phi=0.5",
+        "tomo.duration_points=2",
+        "tomo.duration_stop=110ns",
+    )
+    code, paths = run_subcommand("tomo-synth", overrides=overrides, output_dir=str(tmp_path))
+    assert code == 0
+    code, fitted = run_subcommand("tomo-fit", overrides=(f"tomo.input={paths[0]}",), output_dir=str(out))
+    assert code == 3 and fitted == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error") and err.count("\n") == 1
+    assert "4 distinct pulse durations" in err
+    assert not (out / "tomo_fit.json").exists()
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     code, paths = run_subcommand(
         "stark", overrides=("protocol.t_prep=780",), output_dir=str(tmp_path)
@@ -688,6 +710,7 @@ def test_tomo_fit_reports_phase_in_half_open_interval(tmp_path):
         ("transfer-curves", "transfer.kappa_ratios=1e308"),
         ("iq", "iq.centroid_0=1.4e308,1.4e308 iq.centroid_1=1.5e308,1.5e308 iq.sigma=1e305"),
         ("iq", "iq.centroid_0=0,0 iq.centroid_1=1.79e308,0 iq.sigma=1e306"),
+        ("depletion", "protocol.stark_shift_per_photon=1e306Hz"),
     ],
 )
 def test_float_overflow_in_computation_exits_numerical(tmp_path, capsys, name, override):
@@ -1200,17 +1223,7 @@ def _reference_bytes(header, data, file_format: str) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        (),
-        ("device.critical_current=0.1uA",),
-        ("ramsey.n_shots=100", "rabi.n_shots=50", "tomo.n_shots=200"),
-        ("transfer.kappa_ratios=",),
-        ("stark.powers=0,0.5,1",),
-        ("potential.flux_points=1200", "device.critical_current=3uA"),
-    ],
-)
+@pytest.mark.parametrize("overrides", BYTE_CONFIGS)
 def test_writer_matches_per_cell_reference(tmp_path, overrides):
     # tomo-fit reads the tomogram.csv that tomo-synth writes before it
     # (csv is written last).

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from jpmsim import tomography
 from jpmsim.errors import IdentifiabilityError
 from jpmsim.tomography import (
     DensityMatrix2,
@@ -291,12 +292,18 @@ def test_fit_with_binomial_noise_recovers_population():
     assert float(np.median(errors)) < 0.002
 
 
-def test_fit_uses_initial_guess():
+def start_from(monkeypatch, start):
+    # Replaces the fit's automatic starting point with a fixed one.
+    monkeypatch.setattr(tomography, "_initial_guess", lambda grid: np.asarray(start, dtype=float))
+
+
+def test_fit_uses_initial_guess(monkeypatch):
     rho = DensityMatrix2(0.3, 0.2, -1.0)
     t_pi = 37e-9
     thetas, times = standard_grid(t_pi)
     grid = synthesize_tomogram(rho, t_pi, thetas, times)
-    fit = fit_tomogram(grid, initial_guess=(0.25, 0.15, -0.8, 40e-9))
+    start_from(monkeypatch, (0.25, 0.15, -0.8, 40e-9))
+    fit = fit_tomogram(grid)
     assert fit.rho.excited_population == pytest.approx(0.3, rel=1e-6)
     assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6)
 
@@ -311,13 +318,15 @@ def test_fit_uses_initial_guess():
     ],
     ids=["negative-r", "phase-past-pi"],
 )
-def test_fit_wraps_phase_into_half_open_interval(phi, start):
+def test_fit_wraps_phase_into_half_open_interval(monkeypatch, phi, start):
     rho = DensityMatrix2(0.3, 0.2, phi)
     t_pi = 50e-9
     thetas, times = standard_grid(t_pi)
     grid = synthesize_tomogram(rho, t_pi, thetas, times)
-    fit = fit_tomogram(grid, initial_guess=start)
+    start_from(monkeypatch, start)
+    fit = fit_tomogram(grid)
     assert -math.pi < fit.rho.coherence_phase <= math.pi
+    monkeypatch.undo()
     unseeded = fit_tomogram(grid)
     assert fit.rho.coherence_phase == pytest.approx(unseeded.rho.coherence_phase, abs=1e-12)
     assert fit.rho.coherence_magnitude == pytest.approx(unseeded.rho.coherence_magnitude, abs=1e-12)
@@ -325,8 +334,8 @@ def test_fit_wraps_phase_into_half_open_interval(phi, start):
 
 
 def test_fit_non_uniform_durations():
-    # Non-uniform pulse durations skip the FFT seeding path but still
-    # converge from the span-based fallback.
+    # Slightly jittered pulse durations are resampled onto an even grid
+    # before the FFT seed, and the fit converges from there.
     rho = DensityMatrix2(0.4, 0.25, 2.0)
     t_pi = 50e-9
     thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
@@ -336,6 +345,57 @@ def test_fit_non_uniform_durations():
     fit = fit_tomogram(grid)
     assert fit.rho.excited_population == pytest.approx(0.4, rel=1e-6)
     assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6)
+
+
+def test_fit_random_durations_over_300_ns():
+    # 33 random durations over 6 t_pi.  Seeded at span/2 = 150 ns, as
+    # uneven grids once were, the fit settled at t_pi = 84 ns, beta = 0.39.
+    rho = DensityMatrix2(0.3, 0.2, 0.5)
+    t_pi = 50e-9
+    thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    times = np.sort(np.r_[0.0, 300e-9, np.random.default_rng(0).uniform(0.0, 300e-9, 31)])
+    fit = fit_tomogram(synthesize_tomogram(rho, t_pi, thetas, times))
+    assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6)
+    assert fit.rho.excited_population == pytest.approx(0.3, rel=1e-6)
+    assert fit.rho.coherence_magnitude == pytest.approx(0.2, rel=1e-6)
+    assert fit.residual_rms < 1e-9
+
+
+@pytest.mark.parametrize("spacing", ["random", "jittered"])
+def test_fit_uneven_durations_finds_t_pi(spacing):
+    # 40 noise-free states, each on 33 uneven durations over 2.2-6 t_pi:
+    # 31 random ones between the two ends, or an even grid whose inner
+    # durations move by up to 0.3 of a step.
+    t_pi = 50e-9
+    thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        beta = rng.uniform(0.05, 0.95)
+        r = rng.uniform(0.1, 1.0) * math.sqrt(beta * (1.0 - beta))
+        rho = DensityMatrix2(beta, r, rng.uniform(-math.pi, math.pi))
+        span = rng.uniform(2.2, 6.0) * t_pi
+        if spacing == "random":
+            times = np.sort(np.r_[0.0, span, rng.uniform(0.0, span, 31)])
+        else:
+            times = np.linspace(0.0, span, 33)
+            times[1:-1] += rng.uniform(-0.3, 0.3, 31) * (span / 32)
+        fit = fit_tomogram(synthesize_tomogram(rho, t_pi, thetas, times))
+        assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6), (beta, r, span)
+        assert fit.rho.excited_population == pytest.approx(beta, rel=1e-6)
+        assert fit.rho.coherence_magnitude == pytest.approx(r, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[30e-9], [0.0, 60e-9], [0.0, 60e-9, 120e-9], [0.0, 0.0, 60e-9, 60e-9, 120e-9, 120e-9]],
+    ids=["1", "2", "3", "3-repeated"],
+)
+def test_fit_refuses_fewer_than_four_durations(times):
+    rho = DensityMatrix2(0.3, 0.2, 0.5)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    grid = synthesize_tomogram(rho, 50e-9, thetas, times)
+    with pytest.raises(IdentifiabilityError, match="4 distinct pulse durations"):
+        fit_tomogram(grid)
 
 
 def test_fit_projects_unphysical_coherence():
@@ -372,7 +432,7 @@ def test_fit_flags_unidentifiable_phase():
     assert fit.rho.excited_population == pytest.approx(0.35, rel=1e-6)
 
 
-def test_fit_identifiability_errors():
+def test_fit_identifiability_errors(monkeypatch):
     t_pi = 50e-9
     rho = DensityMatrix2(0.3, 0.2, 0.5)
     # Too few distinct axis angles.
@@ -386,8 +446,9 @@ def test_fit_identifiability_errors():
     thetas, _ = standard_grid(t_pi)
     short_times = np.linspace(0.0, 0.8 * t_pi, 33)
     grid = synthesize_tomogram(rho, t_pi, thetas, short_times)
+    start_from(monkeypatch, (0.3, 0.2, 0.5, t_pi))
     with pytest.raises(IdentifiabilityError):
-        fit_tomogram(grid, initial_guess=(0.3, 0.2, 0.5, t_pi))
+        fit_tomogram(grid)
 
 
 def test_tomogram_grid_validation():
