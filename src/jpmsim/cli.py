@@ -430,13 +430,14 @@ def _read_tomogram(path: str) -> TomogramGrid:
             header = next(reader)
         except StopIteration:
             raise ConfigError(f"{path}: empty tomogram file") from None
+        if len(header) != 3:
+            raise ConfigError(f"{path}: tomo-fit reads CSV only; header has {len(header)} columns, not 3")
         try:
             [float(cell) for cell in header]
         except ValueError:
             pass
         else:
-            if len(header) == 3:
-                raise ConfigError(f"{path}: starts with a data row, not a header")
+            raise ConfigError(f"{path}: starts with a data row, not a header")
         cells = {}
         for row in reader:
             if not row:

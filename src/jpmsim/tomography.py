@@ -17,7 +17,7 @@ the closed-form occupation
                   - r sin(alpha) sin(theta + phi),  alpha = pi t / t_pi
 
 which this module evaluates, synthesizes noisy grids from, and fits by
-damped least squares with analytic gradients.
+a global scan over t_pi polished by Gauss-Newton with analytic gradients.
 """
 
 from __future__ import annotations
@@ -31,6 +31,12 @@ from .errors import IdentifiabilityError, NumericalError
 
 PHASE_IDENTIFIABLE_MIN_R = 1e-6
 """Below this coherence magnitude the phase is reported as 0 and flagged."""
+
+MAX_GAUSS_NEWTON_STEPS = 200
+"""A fit whose polish has not stopped after this many steps raises NumericalError."""
+
+STEP_TOL = 1e-10
+"""The polish stops once a step moves beta, r and phi, and t_pi relative to itself, by no more than this."""
 
 
 def _violates_positivity(beta: float, r: float) -> bool:
@@ -108,8 +114,8 @@ class TomogramGrid:
 class FitResult:
     """Outcome of a four-parameter tomographic fit.
 
-    curvature is the Gauss-Newton normal matrix J^T J at the optimum in
-    parameter order (beta, r, phi, t_pi); projected reports whether the
+    curvature is the Gauss-Newton normal matrix J^T J of the last polish
+    step in parameter order (beta, r, phi, t_pi); projected reports whether the
     raw optimum violated positivity and was moved to the boundary;
     phase_unidentifiable reports that r was too small to constrain phi.
     """
@@ -191,50 +197,44 @@ def synthesize_tomogram(
     return TomogramGrid(angles, durations, surface)
 
 
-def _initial_guess(grid: TomogramGrid) -> np.ndarray:
-    theta = grid.axis_angles
-    t = grid.pulse_durations
-    occ = grid.occupations
+def _scan_start(grid: TomogramGrid) -> np.ndarray:
+    """(beta, r, phi, t_pi) at the global minimum over t_pi of the residual.
 
-    beta0 = float(np.clip(occ[:, int(np.argmin(t))].mean(), 0.0, 1.0))
-
-    # The surface oscillates at 1/(2 t_pi) in pulse duration: the
-    # theta-average through (1 - 2 beta)(1 - cos alpha)/2, flat at
-    # beta = 1/2, and the first theta-harmonic (2/N) sum_theta P e^{i theta}
-    # through r sin(alpha).  Both are resampled linearly onto t.size
-    # evenly spaced durations over the span, which leaves an even grid as
-    # it is.  The average's spectral peak sets the frequency unless it
-    # holds less than a tenth of the largest summed power; zero-padding to
-    # 8 t.size samples puts the bins about 1/(8 span) apart.  A zero
-    # spectrum leaves the seed at span/2.
-    order = np.argsort(t)
-    ts = t[order]
-    span = float(ts[-1] - ts[0])
-    even = np.linspace(ts[0], ts[-1], t.size)
-    trace = occ.mean(axis=0)
-    harmonic = (2.0 / theta.size) * (np.exp(1j * theta) @ (occ - trace))
-    n_fft = 8 * t.size
-    parts = [np.interp(even, ts, part[order]) for part in (trace, harmonic.real, harmonic.imag)]
-    power = [np.abs(np.fft.rfft(part - part.mean(), n_fft)) ** 2 for part in parts]
-    total = sum(power)
-    freqs = np.fft.rfftfreq(n_fft, d=span / (t.size - 1))
-    peak = int(np.argmax(power[0][1:])) + 1
-    if power[0][peak] < 0.1 * total[1:].max():
-        peak = int(np.argmax(total[1:])) + 1
-    t_pi0 = 1.0 / (2.0 * freqs[peak]) if total[peak] > 0.0 else span / 2.0
-
-    # Row nearest the half-pi duration isolates the coherence term:
-    # P(theta) = const - r sin(theta)cos(phi) - r cos(theta)sin(phi).
-    j = int(np.argmin(np.abs(t - 0.5 * t_pi0)))
-    design = np.column_stack([np.ones_like(theta), np.sin(theta), np.cos(theta)])
-    coeffs, *_ = np.linalg.lstsq(design, occ[:, j], rcond=None)
-    alpha_j = math.sin(math.pi * float(t[j]) / t_pi0)
-    scale = alpha_j if abs(alpha_j) > 0.1 else 1.0
-    r0 = float(np.hypot(coeffs[1], coeffs[2]) / abs(scale))
-    phi0 = float(math.atan2(-coeffs[2], -coeffs[1])) if r0 > 0.0 else 0.0
-    r0 = min(r0, 0.5)
-
-    return np.array([beta0, r0, phi0, t_pi0])
+    With a = r cos(phi) and b = r sin(phi) the model reads
+    P = 1/2 + (beta - 1/2) cos(alpha) - sin(alpha)(a sin(theta) + b cos(theta)),
+    linear in (beta, a, b) for a fixed t_pi, so the residual left by their
+    3x3 normal equations G x = h, y^T y - h^T x, is a function of t_pi
+    alone (variable projection).  The scan takes f = 1/(2 t_pi) = k/(16 span)
+    for k = 2 ... 8 (M - 1), M distinct durations: 16 points per 1/span
+    from 1/(8 span) to (M - 1)/(2 span), t_pi down to one mean step.
+    """
+    theta, t = grid.axis_angles, grid.pulse_durations
+    y = grid.occupations - 0.5
+    rows = np.stack([np.ones_like(theta), -np.sin(theta), -np.cos(theta)])
+    angle_gram, sums = rows @ rows.T, rows @ y
+    span = float(t.max() - t.min())
+    k_max = 8 * (np.unique(t).size - 1)
+    turn = 2.0 * math.pi * t / (16.0 * span)  # alpha per unit of k, per duration
+    best = (math.inf, math.nan, np.full(3, math.nan))
+    block = max(1, (1 << 16) // t.size)  # values of k per block, which bounds memory
+    for k0 in range(2, k_max + 1, block):
+        z = np.tile(np.exp(1j * turn), (min(block, k_max + 1 - k0), 1))
+        z[0] = np.exp(1j * k0 * turn)
+        z = np.cumprod(z, axis=0)  # e^{i alpha} for k = k0, k0 + 1, ... by repeated rotation
+        cos_a, sin_a = z.real, z.imag
+        cc, cs, ss = (np.einsum("kj,kj->k", u, v) for u, v in ((cos_a, cos_a), (cos_a, sin_a), (sin_a, sin_a)))
+        gram = angle_gram * np.stack([cc, cs, cs, cs, ss, ss, cs, ss, ss], axis=1).reshape(-1, 3, 3)
+        h = np.column_stack([cos_a @ sums[0], sin_a @ sums[1], sin_a @ sums[2]])
+        # A tiny ridge keeps a vanishing column (sin(alpha) = 0 at every
+        # duration, or coincident axis angles) from fitting rounding noise.
+        ridge = 1e-12 * np.trace(gram, axis1=1, axis2=2)[:, None, None] * np.eye(3)
+        x = np.linalg.solve(gram + ridge, h[:, :, None])[:, :, 0]
+        profile = np.sum(y * y) - np.einsum("kp,kp->k", h, x)
+        k = int(np.argmin(profile))
+        if profile[k] < best[0]:
+            best = (profile[k], k0 + k, x[k])
+    _, k, (beta, a, b) = best
+    return np.array([beta + 0.5, math.hypot(a, b), math.atan2(b, a), 8.0 * span / k])
 
 
 def _finite(values: np.ndarray, what: str, x: np.ndarray) -> np.ndarray:
@@ -248,9 +248,13 @@ def _finite(values: np.ndarray, what: str, x: np.ndarray) -> np.ndarray:
 def fit_tomogram(grid: TomogramGrid) -> FitResult:
     """Least-squares fit of (beta, r, phi, t_pi) to a tomogram grid.
 
-    Runs damped least squares with the analytic Jacobian from an
-    automatic starting point, then canonicalizes the optimum: t_pi
-    and r are made non-negative by exact reparameterization,
+    Scans t_pi, down to one mean duration step, for the global minimum
+    of the residual and polishes it by Gauss-Newton with the analytic
+    Jacobian and step halving.  An even grid of step h cannot tell t_pi
+    from its alias t_pi' with 1/t_pi' = 2/h - 1/t_pi: when h is near t_pi
+    or longer, the fit may return the alias (e.g. 6 durations over 6.43
+    t_pi fit 90.06 ns for a true 50 ns).  The optimum is canonicalized:
+    t_pi and r are made non-negative by exact reparameterization,
     phi is wrapped to (-pi, pi], a positivity-violating r is projected
     onto sqrt(beta(1-beta)) with the projected flag set, and a
     negligible r zeroes phi with the phase_unidentifiable flag set.
@@ -264,13 +268,11 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
         span that covers less than one full rotation period 2 t_pi of
         the fitted surface.
     NumericalError
-        If the optimizer fails to converge, or meets a non-finite
-        residual or Jacobian (a non-finite parameter gives both).
+        If the polish has not met its stop rule after
+        MAX_GAUSS_NEWTON_STEPS steps, or meets a non-finite residual or
+        Jacobian (a non-finite parameter gives both).
     """
-    from scipy.optimize import least_squares
-
-    theta = grid.axis_angles
-    t = grid.pulse_durations
+    theta, t = grid.axis_angles, grid.pulse_durations
     if np.unique(theta).size < 4:
         raise IdentifiabilityError("need at least 4 distinct axis angles")
     # A full period 2 t_pi inside the span, sampled above the Nyquist
@@ -282,43 +284,48 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
     if np.ptp(grid.occupations) == 0.0:
         raise IdentifiabilityError("a flat tomogram shows no full rotation period 2 t_pi")
 
-    x0 = _initial_guess(grid)
-    data = grid.occupations
-
     def residuals(x: np.ndarray) -> np.ndarray:
-        return _finite((_occupation(*x, theta[:, None], t) - data).ravel(), "residual", x)
+        return _finite((_occupation(*x, theta[:, None], t) - grid.occupations).ravel(), "residual", x)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         beta, r, phi, t_pi = x
         alpha = math.pi * t / t_pi
-        sin_a = np.sin(alpha)
-        cos_a = np.cos(alpha)
-        sin_th = np.sin(theta[:, None] + phi)
-        cos_th = np.cos(theta[:, None] + phi)
-        ones = np.ones_like(sin_th)
-        d_beta = ones * cos_a
-        d_r = -sin_a * sin_th
-        d_phi = -r * sin_a * cos_th
+        sin_a, cos_a = np.sin(alpha), np.cos(alpha)
+        sin_th, cos_th = np.sin(theta[:, None] + phi), np.cos(theta[:, None] + phi)
         # d alpha/d t_pi = -pi t/t_pi^2; dP/d alpha =
         # (1-2 beta) sin(alpha)/2 - r cos(alpha) sin(theta+phi).
-        d_tpi = -(math.pi * t / t_pi**2) * (
-            (1.0 - 2.0 * beta) * 0.5 * sin_a * ones - r * cos_a * sin_th
-        )
-        jac = np.stack(
-            [d_beta.ravel(), d_r.ravel(), d_phi.ravel(), d_tpi.ravel()], axis=1
-        )
-        return _finite(jac, "Jacobian", x)
+        d_tpi = -(math.pi * t / t_pi**2) * ((1.0 - 2.0 * beta) * 0.5 * sin_a - r * cos_a * sin_th)
+        columns = np.broadcast_arrays(cos_a, -sin_a * sin_th, -r * sin_a * cos_th, d_tpi)
+        return _finite(np.stack([c.ravel() for c in columns], axis=1), "Jacobian", x)
 
     # A non-finite value stops the fit in _finite, so numpy's warnings
     # on the way there would only add lines to the one diagnostic.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        result = least_squares(residuals, x0, jac=jacobian, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    if not result.success:
-        raise NumericalError(f"tomogram fit did not converge: {result.message}")
+        x = _scan_start(grid)
+        res = residuals(x)
+        # Gauss-Newton in units of (1, 1, 1, t_pi).  A step is taken if it
+        # lowers the cost and halved if not; the polish stops after a step
+        # that moves no parameter by more than STEP_TOL, taken or not.
+        for _ in range(MAX_GAUSS_NEWTON_STEPS):
+            jac = jacobian(x)
+            scale = np.array([1.0, 1.0, 1.0, abs(x[3])])
+            step = scale * np.linalg.lstsq(jac * scale, -res, rcond=None)[0]
+            while True:
+                trial_res = residuals(x + step)
+                small = np.abs(step / scale).max() <= STEP_TOL
+                if trial_res @ trial_res < res @ res or small:
+                    break
+                step = 0.5 * step
+            if trial_res @ trial_res < res @ res:
+                x, res = x + step, trial_res
+            if small:
+                break
+        else:
+            raise NumericalError(f"tomogram fit did not converge in {MAX_GAUSS_NEWTON_STEPS} Gauss-Newton steps")
 
-    beta, r, phi, t_pi = (float(v) for v in result.x)
-    residual_rms = float(np.sqrt(np.mean(result.fun**2)))
-    curvature = result.jac.T @ result.jac
+    beta, r, phi, t_pi = (float(v) for v in x)
+    residual_rms = float(np.sqrt(np.mean(res**2)))
+    curvature = jac.T @ jac
 
     # Exact sign reparameterizations, then range canonicalization.
     if t_pi < 0.0:
@@ -329,25 +336,17 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
     if phi <= -math.pi:
         phi += 2.0 * math.pi
 
-    projected = False
-    if not 0.0 <= beta <= 1.0:
-        beta = float(np.clip(beta, 0.0, 1.0))
-        projected = True
-    bound = math.sqrt(max(beta * (1.0 - beta), 0.0))
-    if r > bound:
-        if _violates_positivity(beta, r):
-            projected = True
-        r = bound
+    projected = not 0.0 <= beta <= 1.0
+    beta = min(max(beta, 0.0), 1.0)
+    projected = projected or _violates_positivity(beta, r)
+    r = min(r, math.sqrt(beta * (1.0 - beta)))
 
     phase_unidentifiable = r < PHASE_IDENTIFIABLE_MIN_R
     if phase_unidentifiable:
         phi = 0.0
 
-    span = float(t.max() - t.min())
-    if span < 2.0 * t_pi * (1.0 - 1e-9):
-        raise IdentifiabilityError(
-            "pulse durations span less than one full rotation period 2 t_pi"
-        )
+    if float(t.max() - t.min()) < 2.0 * t_pi * (1.0 - 1e-9):
+        raise IdentifiabilityError("pulse durations span less than one full rotation period 2 t_pi")
 
     return FitResult(
         rho=DensityMatrix2(beta, r, phi),

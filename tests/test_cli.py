@@ -649,6 +649,12 @@ def test_nan_tomogram_cell_is_config_error(tmp_path, capsys, column, message):
         (lambda lines: lines + [lines[3]], "duplicate grid cell"),
         (lambda lines: lines[:-1], "not a complete (angle x duration) product"),
         (lambda lines: lines[1:], "starts with a data row, not a header"),
+        (
+            lambda lines: json.dumps(
+                [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]], indent=2
+            ).splitlines(),
+            "tomo-fit reads CSV only",
+        ),
     ],
     ids=[
         "empty",
@@ -659,6 +665,7 @@ def test_nan_tomogram_cell_is_config_error(tmp_path, capsys, column, message):
         "duplicate-cell",
         "incomplete",
         "headerless",
+        "json",
     ],
 )
 def test_tomogram_reader_refuses_malformed_files(tmp_path, capsys, tomogram, edit, message):
@@ -820,6 +827,23 @@ def test_underflowing_tomogram_fit_prints_one_line(tmp_path):
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical error: tomogram fit: non-finite") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_tomo_fit_at_the_step_bound_exits_numerical(tmp_path, capsys, monkeypatch):
+    # With the Gauss-Newton polish cut to one step, a noisy tomogram
+    # cannot meet the stop rule: exit 3, one line, no artifact.
+    code, paths = run_subcommand(
+        "tomo-synth", overrides=("tomo.noise_sigma=0.02", "seed=3"), output_dir=str(tmp_path)
+    )
+    assert code == 0
+    monkeypatch.setattr(jpmsim.tomography, "MAX_GAUSS_NEWTON_STEPS", 1)
+    out = tmp_path / "fit"
+    capsys.readouterr()
+    code, fitted = run_subcommand("tomo-fit", overrides=(f"tomo.input={paths[0]}",), output_dir=str(out))
+    assert code == 3 and fitted == []
+    err = capsys.readouterr().err
+    assert err == "numerical error: tomogram fit did not converge in 1 Gauss-Newton steps\n"
     assert not out.exists()
 
 
@@ -1013,13 +1037,13 @@ def _probe_modules(out, names):
     return json.loads(proc.stdout)
 
 
-def test_scipy_loaded_only_by_iq_and_tomo_fit(tmp_path):
+def test_scipy_loaded_only_by_iq(tmp_path):
     # One fresh process per layer.  `import jpmsim.config` and `import
     # jpmsim.cli` load no physics layer and no scipy module.  The first
     # subcommand of each process loads exactly its own layer, and the
-    # later ones (same layer) load no other.  Only iq loads
-    # scipy.special (ndtri, erfc) and only tomo-fit scipy.optimize
-    # (least_squares); budget reads only the switch draws.  `import
+    # later ones (same layer) load no other.  Only iq loads a scipy
+    # module, scipy.special (ndtri, erfc), and never scipy.optimize;
+    # budget reads only the switch draws and tomo-fit fits in numpy.  `import
     # jpmsim` still reaches every layer by attribute, and the package
     # root re-exports no name of theirs.
     for layer, names in _LAYER_RUNS.items():
@@ -1036,8 +1060,6 @@ def test_scipy_loaded_only_by_iq_and_tomo_fit(tmp_path):
             scipy = stages[name]["scipy"]
             if name == "iq":
                 assert "scipy.special" in scipy and "scipy.optimize" not in scipy
-            elif name == "tomo-fit":
-                assert "scipy.optimize" in scipy
             else:
                 assert scipy == [], name
         assert report["root"] == [

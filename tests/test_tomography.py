@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from jpmsim import tomography
-from jpmsim.errors import IdentifiabilityError
+from jpmsim.errors import IdentifiabilityError, NumericalError
 from jpmsim.tomography import (
     DensityMatrix2,
     FitResult,
@@ -240,7 +240,7 @@ def test_fit_equatorial_noisy_finds_t_pi():
 @pytest.mark.parametrize("span", [2.8, 2.82, 2.85])
 def test_fit_span_off_whole_periods_finds_t_pi(span):
     # Durations spanning about 2.8 t_pi put the true frequency between the
-    # bins, 1/span apart, of an unpadded spectrum, whose peak then seeds
+    # bins, 1/span apart, of an unpadded spectrum, whose peak once seeded
     # t_pi near 0.7 or 1.4 times its value.
     t_pi = 50e-9
     thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
@@ -292,9 +292,37 @@ def test_fit_with_binomial_noise_recovers_population():
     assert float(np.median(errors)) < 0.002
 
 
+@pytest.mark.parametrize("n_t, t_pi", [(33, 50e-9), (101, 1.8e-9)], ids=["one-block", "two-blocks"])
+def test_scan_start_matches_a_direct_least_squares_scan(n_t, t_pi):
+    # The slow path: at each scanned f = k/(16 span), fit (beta - 1/2, a, b)
+    # by lstsq on the full design matrix and take the residual sum of
+    # squares.  Uneven angles and durations, Gaussian noise.  With 101
+    # durations the scan runs in two blocks of k, and t_pi = 1.8 ns puts
+    # the minimum (k = 711) in the second.
+    rng = np.random.default_rng(2104)
+    thetas = np.sort(rng.uniform(0.0, 2.0 * math.pi, 7))
+    times = np.sort(np.r_[0.0, 160e-9, rng.uniform(0.0, 160e-9, n_t - 2)])
+    grid = synthesize_tomogram(DensityMatrix2(0.3, 0.2, 0.5), t_pi, thetas, times, noise_sigma=0.02, rng=rng)
+    y = (grid.occupations - 0.5).ravel()
+    best = None
+    for k in range(2, 8 * (n_t - 1) + 1):
+        alpha = math.pi * times / (8.0 * 160e-9 / k)
+        columns = np.broadcast_arrays(
+            np.cos(alpha), -np.sin(alpha) * np.sin(thetas[:, None]), -np.sin(alpha) * np.cos(thetas[:, None])
+        )
+        design = np.stack(columns, axis=-1).reshape(-1, 3)
+        x, *_ = np.linalg.lstsq(design, y, rcond=None)
+        cost = float(np.sum((design @ x - y) ** 2))
+        if best is None or cost < best[0]:
+            best = (cost, k, x)
+    _, k, (beta, a, b) = best
+    want = [beta + 0.5, math.hypot(a, b), math.atan2(b, a), 8.0 * 160e-9 / k]
+    np.testing.assert_allclose(tomography._scan_start(grid), want, rtol=1e-9)
+
+
 def start_from(monkeypatch, start):
-    # Replaces the fit's automatic starting point with a fixed one.
-    monkeypatch.setattr(tomography, "_initial_guess", lambda grid: np.asarray(start, dtype=float))
+    # Replaces the start that the fit's t_pi scan finds with a fixed one.
+    monkeypatch.setattr(tomography, "_scan_start", lambda grid: np.asarray(start, dtype=float))
 
 
 def test_fit_uses_initial_guess(monkeypatch):
@@ -334,8 +362,8 @@ def test_fit_wraps_phase_into_half_open_interval(monkeypatch, phi, start):
 
 
 def test_fit_non_uniform_durations():
-    # Slightly jittered pulse durations are resampled onto an even grid
-    # before the FFT seed, and the fit converges from there.
+    # Slightly jittered pulse durations: the t_pi scan and the polish
+    # take the durations as they are.
     rho = DensityMatrix2(0.4, 0.25, 2.0)
     t_pi = 50e-9
     thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
@@ -383,6 +411,52 @@ def test_fit_uneven_durations_finds_t_pi(spacing):
         assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6), (beta, r, span)
         assert fit.rho.excited_population == pytest.approx(beta, rel=1e-6)
         assert fit.rho.coherence_magnitude == pytest.approx(r, rel=1e-6)
+
+
+def test_fit_span_of_one_t_pi_is_refused_or_right():
+    # Durations spanning exactly t_pi show half a rotation period: the
+    # span check refuses the true optimum, and no other may pass it.
+    t_pi = 50e-9
+    rng = np.random.default_rng(2101)
+    for _ in range(200):
+        rho = random_rho(rng)
+        thetas = np.linspace(0.0, 2.0 * math.pi, int(rng.integers(4, 12)), endpoint=False)
+        times = np.linspace(0.0, t_pi, int(rng.integers(4, 60)))
+        try:
+            fit = fit_tomogram(synthesize_tomogram(rho, t_pi, thetas, times))
+        except IdentifiabilityError:
+            continue
+        assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6)
+        assert fit.rho.excited_population == pytest.approx(rho.excited_population, rel=1e-6)
+
+
+def test_fit_two_clusters_with_a_gap_finds_t_pi():
+    # 33 durations over 2.2-6 t_pi in two clusters, the first 30% and
+    # the last 30% of the span, with no duration in the 40% between.
+    t_pi = 50e-9
+    thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    rng = np.random.default_rng(2102)
+    for _ in range(60):
+        rho = random_rho(rng, r_floor=0.02)
+        span = rng.uniform(2.2, 6.0) * t_pi
+        times = np.r_[0.0, np.sort(rng.uniform(0.0, 0.3 * span, 16)), np.sort(rng.uniform(0.7 * span, span, 15)), span]
+        fit = fit_tomogram(synthesize_tomogram(rho, t_pi, thetas, times))
+        assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6), span / t_pi
+        assert fit.rho.excited_population == pytest.approx(rho.excited_population, rel=1e-6)
+        assert fit.rho.coherence_magnitude == pytest.approx(rho.coherence_magnitude, rel=1e-6)
+
+
+def test_fit_raises_at_the_step_bound(monkeypatch):
+    # One Gauss-Newton step cannot reach the stop rule on a noisy grid.
+    t_pi = 50e-9
+    thetas, times = standard_grid(t_pi)
+    rng = np.random.default_rng(2103)
+    grid = synthesize_tomogram(DensityMatrix2(0.3, 0.2, 0.5), t_pi, thetas, times, noise_sigma=0.02, rng=rng)
+    monkeypatch.setattr(tomography, "MAX_GAUSS_NEWTON_STEPS", 1)
+    with pytest.raises(NumericalError, match="did not converge in 1 Gauss-Newton steps"):
+        fit_tomogram(grid)
+    monkeypatch.undo()
+    assert fit_tomogram(grid).pi_duration == pytest.approx(t_pi, rel=0.02)
 
 
 @pytest.mark.parametrize(
