@@ -270,24 +270,35 @@ def _transfer_curves(cfg: RunConfig) -> tuple:
 
 
 def _transfer_peak(cfg: RunConfig) -> dict:
-    from .transfer import emitted_energy, freq_mismatch_peak, kappa_mismatch_peak, peak_efficiency
+    from .transfer import freq_mismatch_peak, kappa_mismatch_peak, peak_efficiency
 
     tc = cfg.transfer_config()
+    kappa_1 = tc.source.decay_rate
+    # Only emitted_energy_J reads the line keys; V0^2 and the divisor may leave float64.
+    v0, z0 = cfg.get("line.drive_amplitude"), cfg.get("line.impedance")
+    if not z0 > 0.0:
+        raise ConfigError(f"line.impedance must be positive, got {z0!r} ohm")
+    if not v0 >= 0.0:
+        raise ConfigError(f"line.drive_amplitude must be non-negative, got {v0!r} V")
+    divisor = 2.0 * kappa_1 * z0
+    emitted_energy = v0**2 / divisor if v0 < 1e154 and divisor > 0.0 else math.nan
+    if not math.isfinite(emitted_energy) or emitted_energy == 0.0 < v0:
+        raise NumericalError(f"emitted energy V0^2/(2 kappa_1 Z0) at {v0:g} V, {z0:g} ohm is out of range")
     eta_peak, t_opt = peak_efficiency(tc)
-    eta_kappa, t_kappa = kappa_mismatch_peak(tc.source.decay_rate, tc.target.decay_rate)
+    eta_kappa, t_kappa = kappa_mismatch_peak(kappa_1, tc.target.decay_rate)
     if tc.delta_kappa == 0.0:
-        eta_freq, t_freq = freq_mismatch_peak(tc.source.decay_rate, tc.delta_omega)
+        eta_freq, t_freq = freq_mismatch_peak(kappa_1, tc.delta_omega)
     else:
         eta_freq, t_freq = None, None
     return {
         "eta_peak": eta_peak,
         "t_opt_s": t_opt,
-        "eta_matched_bound": 4.0 * math.exp(-2.0),
+        "eta_matched_bound": kappa_mismatch_peak(kappa_1, kappa_1)[0],
         "eta_kappa_closed_form": eta_kappa,
         "t_opt_kappa_closed_form_s": t_kappa,
         "eta_freq_closed_form": eta_freq,
         "t_opt_freq_closed_form_s": t_freq,
-        "emitted_energy_J": emitted_energy(tc),
+        "emitted_energy_J": emitted_energy,
     }
 
 

@@ -276,8 +276,6 @@ class RunConfig:
                     angular_frequency=self.get("capture.frequency"),
                     decay_rate=capture_rate,
                 ),
-                line_impedance=self.get("line.impedance"),
-                drive_amplitude=self.get("line.drive_amplitude"),
             )
         except ValueError as exc:
             raise ConfigError(f"cavity sections invalid: {exc}") from exc

@@ -38,6 +38,10 @@ MAX_GAUSS_NEWTON_STEPS = 200
 STEP_TOL = 1e-10
 """The polish stops once a step moves beta, r and phi, and t_pi relative to itself, by no more than this."""
 
+MAX_SCAN_CELLS = 10**8
+"""A t_pi scan of more (scan point, duration) cells raises NumericalError before it starts: at about
+22 ns per cell (2-CPU x86-64 host) the largest accepted scan, about 3500 durations, takes 2.3 s."""
+
 
 def _violates_positivity(beta: float, r: float) -> bool:
     # Small slack so values projected onto the positivity boundary
@@ -214,6 +218,8 @@ def _scan_start(grid: TomogramGrid) -> np.ndarray:
     angle_gram, sums = rows @ rows.T, rows @ y
     span = float(t.max() - t.min())
     k_max = 8 * (np.unique(t).size - 1)
+    if (k_max - 1) * t.size > MAX_SCAN_CELLS:
+        raise NumericalError(f"tomogram fit: t_pi scan of {t.size} durations exceeds {MAX_SCAN_CELLS:.3g} cells")
     turn = 2.0 * math.pi * t / (16.0 * span)  # alpha per unit of k, per duration
     best = (math.inf, math.nan, np.full(3, math.nan))
     block = max(1, (1 << 16) // t.size)  # values of k per block, which bounds memory
@@ -268,7 +274,8 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
         span that covers less than one full rotation period 2 t_pi of
         the fitted surface.
     NumericalError
-        If the polish has not met its stop rule after
+        If the t_pi scan would take more than MAX_SCAN_CELLS cells, before
+        it scans; if the polish has not met its stop rule after
         MAX_GAUSS_NEWTON_STEPS steps, or meets a non-finite residual or
         Jacobian (a non-finite parameter gives both).
     """

@@ -60,7 +60,7 @@ class CavityMode:
 
 @dataclass(frozen=True)
 class TransferConfig:
-    """Source and target modes plus the line they share.
+    """Source and target modes; no line scale, as efficiencies are ratios of energies.
 
     Parameters
     ----------
@@ -68,23 +68,10 @@ class TransferConfig:
         Emitting mode (the qubit cavity).
     target:
         Receiving mode (the capture cavity).
-    line_impedance:
-        Characteristic impedance Z0 of the connecting line in ohms.
-    drive_amplitude:
-        Initial ring-down voltage amplitude V0 in volts.  Efficiencies
-        are independent of it; it scales only the absolute energies.
     """
 
     source: CavityMode
     target: CavityMode
-    line_impedance: float = 50.0
-    drive_amplitude: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.line_impedance > 0.0 and math.isfinite(self.line_impedance)):
-            raise ValueError("line_impedance must be finite and positive")
-        if not (self.drive_amplitude >= 0.0 and math.isfinite(self.drive_amplitude)):
-            raise ValueError("drive_amplitude must be finite and non-negative")
 
     @property
     def delta_kappa(self) -> float:
@@ -95,11 +82,6 @@ class TransferConfig:
     def delta_omega(self) -> float:
         """Frequency mismatch omega_2 - omega_1 in radians/second."""
         return self.target.angular_frequency - self.source.angular_frequency
-
-
-def emitted_energy(cfg: TransferConfig) -> float:
-    """Total energy V0^2 / (2 kappa_1 Z0) released by the source, in joules."""
-    return cfg.drive_amplitude**2 / (2.0 * cfg.source.decay_rate * cfg.line_impedance)
 
 
 def _exp_half_diff(t, kappa_1: float, kappa_2: float):
@@ -168,7 +150,7 @@ def freq_mismatch_peak(kappa: float, delta_omega: float) -> tuple[float, float]:
     value [4/(1+a^2)] e^{-2 arctan(a)/a} decreases strictly with |a|.
     """
     if delta_omega == 0.0:
-        return 4.0 * math.exp(-2.0), 2.0 / kappa
+        return kappa_mismatch_peak(kappa, kappa)
     a = delta_omega / kappa
     u = 2.0 * math.atan(a)
     t_opt = u / delta_omega
@@ -236,13 +218,14 @@ def _node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> Iterator[np.n
     and the block length keeps the rescale factor D^{-(k-1)} at most
     e^64 for any kappa_2 h.  A generator: each block is computed only
     when the caller asks for it, and yields the voltages of its nodes in
-    order; only the running a and b carry over between blocks.
+    order; only the running a and b carry over between blocks.  The
+    drive has V0 = Z0 = 1: efficiencies are free of the line's scale.
     """
     w1 = cfg.source.angular_frequency
     w2 = cfg.target.angular_frequency
     k1 = cfg.source.decay_rate
     k2 = cfg.target.decay_rate
-    amp = 2.0 * cfg.drive_amplitude * math.sqrt(k2 / cfg.line_impedance)
+    amp = 2.0 * math.sqrt(k2)
     d = math.exp(-0.5 * k2 * h)
     d2 = d * d
     block = min(_BLOCK_PANELS, 1 + int(_BLOCK_LOG_GROWTH / (k2 * h)))
@@ -269,11 +252,12 @@ def _node_energy(cfg: TransferConfig, volts: np.ndarray, j: int, h: float) -> fl
 
     The tone fit (_tone_peak) on the POINTS_PER_PERIOD whole panels, one
     carrier period, ending at tau_j = 2 j h, as the test oracle takes it.
+    At V0 = Z0 = 1 the source emits 1/(2 kappa_1), so the fraction is kappa_1 v_peak^2.
     """
     first = max(j - POINTS_PER_PERIOD, 0)
     times = (2.0 * h) * np.arange(first + 1, j + 1)
     v_peak = _tone_peak(times, volts[first:j], cfg.target.angular_frequency, h)
-    return 0.5 * v_peak**2 / emitted_energy(cfg)
+    return cfg.source.decay_rate * v_peak**2
 
 
 def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
@@ -317,8 +301,6 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     if not np.isfinite(envelope).all():
         raise NumericalError("closed-form envelope is not finite over the seed grid")
     seed = float(grid[int(np.argmax(envelope))])
-    if cfg.drive_amplitude == 0.0:
-        return 0.0, seed
     lo = max(seed / 3.0, t_max / 4000.0)
     hi = min(3.0 * seed, t_max)
 

@@ -7,7 +7,7 @@ subcommands in both output formats for each config, in process, with
 tomo-fit reading the CSV tomogram that tomo-synth wrote for the same
 config.  It prints one line ``<sha256>  <config>/<format>/<artifact>``
 per artifact, sorted, where <config> is the index into BYTE_CONFIGS:
-144 lines in all.  It exits 1 if any run does not exit 0.
+168 lines in all.  It exits 1 if any run does not exit 0.
 
 To check that a change keeps every artifact's bytes, run it against
 both source trees and diff the two outputs:
@@ -35,6 +35,7 @@ BYTE_CONFIGS = (
     ("transfer.kappa_ratios=",),
     ("stark.powers=0,0.5,1",),
     ("potential.flux_points=1200", "device.critical_current=3uA"),
+    ("capture.frequency=5.021GHz", "line.drive_amplitude=0V", "line.impedance=75ohm"),
 )
 
 

@@ -534,6 +534,60 @@ def test_transfer_peak_record_contract(tmp_path, overrides):
 
 
 @pytest.mark.parametrize(
+    "overrides",
+    [
+        ("line.drive_amplitude=0V",),
+        ("line.drive_amplitude=3V", "line.impedance=75ohm"),
+        ("line.drive_amplitude=1mV", "line.impedance=1ohm"),
+    ],
+    ids=["no-drive", "3V-75ohm", "1mV-1ohm"],
+)
+def test_transfer_peak_is_scale_free(tmp_path, overrides):
+    # eta is a ratio of energies: the line keys move emitted_energy_J and
+    # no other field, and with no drive the peak is the default run's,
+    # not 0.
+    ref = _json_rows("transfer-peak", tmp_path / "ref")
+    record = _json_rows("transfer-peak", tmp_path / "line", overrides)
+    assert {key: value for key, value in record.items() if key != "emitted_energy_J"} == {
+        key: value for key, value in ref.items() if key != "emitted_energy_J"
+    }
+    assert (record["emitted_energy_J"] == 0.0) == ("line.drive_amplitude=0V" in overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, kappa_1, v0, z0",
+    [
+        ((), 1.0 / 260e-9, 1.0, 50.0),
+        (("source.decay_time=130ns",), 1.0 / 130e-9, 1.0, 50.0),
+        (("line.drive_amplitude=3V", "line.impedance=75ohm"), 1.0 / 260e-9, 3.0, 75.0),
+    ],
+    ids=["default", "double-kappa", "3V-75ohm"],
+)
+def test_transfer_peak_emitted_energy(tmp_path, overrides, kappa_1, v0, z0):
+    # V0^2 / (2 kappa_1 Z0): 2.6 nJ at the default 260 ns, 1 V and 50 ohm.
+    record = _json_rows("transfer-peak", tmp_path, overrides)
+    assert record["emitted_energy_J"] == pytest.approx(v0**2 / (2.0 * kappa_1 * z0), rel=1e-12)
+    if not overrides:
+        assert record["emitted_energy_J"] == pytest.approx(2.6e-9, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "override", ["line.impedance=0ohm", "line.impedance=-50ohm", "line.drive_amplitude=-1V"]
+)
+def test_transfer_peak_refuses_line_values(tmp_path, capsys, override):
+    # Only emitted_energy_J reads the line keys; transfer-peak refuses an
+    # impedance that is not positive or a negative amplitude, naming the
+    # key, and transfer-curves, which reads neither, writes its table.
+    code, paths = run_fast("transfer-peak", tmp_path / "peak", (override,))
+    assert code == 2 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert override.split("=")[0] in err
+    code, paths = run_fast("transfer-curves", tmp_path / "curves", (override,))
+    assert code == 0 and len(paths) == 1
+
+
+@pytest.mark.parametrize(
     "name, overrides",
     [
         ("transfer-curves", ("transfer.t_max_scaled=1e999",)),
@@ -844,6 +898,21 @@ def test_tomo_fit_at_the_step_bound_exits_numerical(tmp_path, capsys, monkeypatc
     assert code == 3 and fitted == []
     err = capsys.readouterr().err
     assert err == "numerical error: tomogram fit did not converge in 1 Gauss-Newton steps\n"
+    assert not out.exists()
+
+
+def test_tomo_fit_above_the_scan_cell_cap_exits_numerical(tmp_path, capsys, monkeypatch):
+    # A tomogram whose t_pi scan would exceed the cell cap is refused
+    # before the scan: exit 3, one line, no artifact.
+    code, paths = run_subcommand("tomo-synth", output_dir=str(tmp_path))
+    assert code == 0
+    monkeypatch.setattr(jpmsim.tomography, "MAX_SCAN_CELLS", 1000)
+    out = tmp_path / "fit"
+    capsys.readouterr()
+    code, fitted = run_subcommand("tomo-fit", overrides=(f"tomo.input={paths[0]}",), output_dir=str(out))
+    assert code == 3 and fitted == []
+    err = capsys.readouterr().err
+    assert err == "numerical error: tomogram fit: t_pi scan of 33 durations exceeds 1e+03 cells\n"
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -457,6 +458,31 @@ def test_fit_raises_at_the_step_bound(monkeypatch):
         fit_tomogram(grid)
     monkeypatch.undo()
     assert fit_tomogram(grid).pi_duration == pytest.approx(t_pi, rel=0.02)
+
+
+def test_fit_refuses_a_scan_above_the_cell_cap():
+    # The t_pi scan costs O(M^2) in the number of durations M: 10^5
+    # durations would take 8e10 cells, about half an hour.  The fit
+    # refuses them before it scans.
+    thetas = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+    grid = synthesize_tomogram(DensityMatrix2(0.3, 0.2, 0.5), 50e-9, thetas, np.linspace(0.0, 110e-9, 10**5))
+    start = time.monotonic()
+    with pytest.raises(NumericalError, match="t_pi scan of 100000 durations exceeds 1e\\+08 cells"):
+        fit_tomogram(grid)
+    assert time.monotonic() - start < 0.5
+
+
+def test_fit_scan_cell_cap_is_inclusive(monkeypatch):
+    # 33 durations scan k = 2 ... 256, 255 points: 8415 cells.  A cap of
+    # exactly that fits; one cell less refuses.
+    t_pi = 50e-9
+    thetas, times = standard_grid(t_pi)
+    grid = synthesize_tomogram(DensityMatrix2(0.3, 0.2, 0.5), t_pi, thetas, times)
+    monkeypatch.setattr(tomography, "MAX_SCAN_CELLS", 255 * 33)
+    assert fit_tomogram(grid).pi_duration == pytest.approx(t_pi, rel=1e-6)
+    monkeypatch.setattr(tomography, "MAX_SCAN_CELLS", 255 * 33 - 1)
+    with pytest.raises(NumericalError, match="t_pi scan of 33 durations exceeds 8.41e\\+03 cells"):
+        fit_tomogram(grid)
 
 
 @pytest.mark.parametrize(

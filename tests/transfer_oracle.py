@@ -5,8 +5,11 @@ response to the ring-down drive by composite Simpson quadrature, one
 time at a time.  It shares no code with the closed form efficiency.
 With the streamed pass of peak_efficiency, which the tests compare
 against it node by node, it shares only the grid density
-POINTS_PER_PERIOD, the trailing-period tone fit _tone_peak and the
-normalisation emitted_energy.
+POINTS_PER_PERIOD and the trailing-period tone fit _tone_peak.  It
+keeps its own drive amplitude V0 and line impedance Z0 and normalises
+by its own emitted energy V0^2 / (2 kappa_1 Z0), where the library
+drives at V0 = Z0 = 1; run at several V0 and Z0 it checks the scale
+invariance the library relies on.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ import math
 
 import numpy as np
 
-from jpmsim.transfer import POINTS_PER_PERIOD, TransferConfig, _tone_peak, emitted_energy
+from jpmsim.transfer import POINTS_PER_PERIOD, TransferConfig, _tone_peak
 
 
-def mode2_energy_numeric(t: float, cfg: TransferConfig) -> float:
+def mode2_energy_numeric(
+    t: float, cfg: TransferConfig, *, drive_amplitude: float = 1.0, line_impedance: float = 50.0
+) -> float:
     """Stored-energy fraction in mode 2 at time t by direct quadrature.
 
     Integrates the real-kernel response of mode 2 to the full ring-down
@@ -39,11 +44,16 @@ def mode2_energy_numeric(t: float, cfg: TransferConfig) -> float:
     P cos(omega_2 tau) + Q sin(omega_2 tau) to the window samples gives
     the peak as hypot(P, Q).  Fitting instead of taking the discrete
     maximum removes the phase-sampling error of the node grid, which
-    would otherwise dominate the quadrature error.
+    would otherwise dominate the quadrature error.  The drive starts at
+    voltage amplitude drive_amplitude on a line of impedance
+    line_impedance; the fraction, a ratio of energies, is undefined
+    without a drive.
     """
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError("t must be finite and non-negative")
-    if t == 0.0 or cfg.drive_amplitude == 0.0:
+    if not (drive_amplitude > 0.0 and line_impedance > 0.0):
+        raise ValueError("drive_amplitude and line_impedance must be positive")
+    if t == 0.0:
         return 0.0
 
     w1 = cfg.source.angular_frequency
@@ -63,7 +73,7 @@ def mode2_energy_numeric(t: float, cfg: TransferConfig) -> float:
 
     # Unit shunt capacitance: it cancels between stored energy
     # C V_peak^2 / 2 and the drive normalization I_A^2 proportional to C.
-    amp = 2.0 * cfg.drive_amplitude * math.sqrt(k2 / cfg.line_impedance)
+    amp = 2.0 * drive_amplitude * math.sqrt(k2 / line_impedance)
     drive = amp * np.exp(-0.5 * k1 * tau) * np.cos(w1 * tau)
     f_cos = drive * np.cos(w2 * tau)
     f_sin = drive * np.sin(w2 * tau)
@@ -103,4 +113,5 @@ def mode2_energy_numeric(t: float, cfg: TransferConfig) -> float:
         node_values.append(math.cos(w2 * tau[m]) * a_run + math.sin(w2 * tau[m]) * b_run)
 
     v_peak = _tone_peak(np.asarray(node_times), np.asarray(node_values), w2, h)
-    return 0.5 * v_peak**2 / emitted_energy(cfg)
+    emitted_energy = drive_amplitude**2 / (2.0 * k1 * line_impedance)
+    return 0.5 * v_peak**2 / emitted_energy
