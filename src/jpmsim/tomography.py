@@ -17,13 +17,13 @@ the closed-form occupation
                   - r sin(alpha) sin(theta + phi),  alpha = pi t / t_pi
 
 which this module evaluates, synthesizes noisy grids from, and fits by
-a global scan over t_pi polished by Gauss-Newton with analytic gradients.
+a global scan over t_pi polished on the same one-dimensional profile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +32,8 @@ from .errors import IdentifiabilityError, NumericalError
 PHASE_IDENTIFIABLE_MIN_R = 1e-6
 """Below this coherence magnitude the phase is reported as 0 and flagged."""
 
-MAX_GAUSS_NEWTON_STEPS = 200
-"""A fit whose polish has not stopped after this many steps raises NumericalError."""
-
-STEP_TOL = 1e-10
-"""The polish stops once a step moves beta, r and phi, and t_pi relative to itself, by no more than this."""
+MAX_PROFILE_EVALS = 40
+"""The polish of t_pi evaluates the residual profile at no more than this many t_pi, three per step."""
 
 MAX_SCAN_CELLS = 10**8
 """A t_pi scan of more (scan point, duration) cells raises NumericalError before it starts: at about
@@ -110,6 +107,8 @@ class TomogramGrid:
             raise ValueError("occupations shape must be (len(axis_angles), len(pulse_durations))")
         if not np.all((occ >= 0.0) & (occ <= 1.0)):
             raise ValueError("occupations must lie in [0, 1]")
+        if not (np.isfinite(angles).all() and np.isfinite(durations).all()):
+            raise ValueError("axis_angles and pulse_durations must be finite")
         if np.any(durations < 0.0):
             raise ValueError("pulse_durations must be non-negative")
 
@@ -118,16 +117,14 @@ class TomogramGrid:
 class FitResult:
     """Outcome of a four-parameter tomographic fit.
 
-    curvature is the Gauss-Newton normal matrix J^T J of the last polish
-    step in parameter order (beta, r, phi, t_pi); projected reports whether the
-    raw optimum violated positivity and was moved to the boundary;
+    projected reports whether the raw optimum violated positivity and was
+    moved to the boundary;
     phase_unidentifiable reports that r was too small to constrain phi.
     """
 
     rho: DensityMatrix2
     pi_duration: float
     residual_rms: float
-    curvature: np.ndarray = field(repr=False)
     projected: bool = False
     phase_unidentifiable: bool = False
 
@@ -142,23 +139,17 @@ def expected_occupation(rho: DensityMatrix2, theta, t, t_pi: float):
         raise ValueError("t_pi must be positive")
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
-        finite = np.isfinite(math.pi * t / t_pi).all()
-    if not finite:
+        alpha = math.pi * t / t_pi
+    if not np.isfinite(alpha).all():
         raise ValueError("rotation angle pi t / t_pi is not finite")
+    beta, r = rho.excited_population, rho.coherence_magnitude
     theta = np.asarray(theta, dtype=float)
-    out = _occupation(rho.excited_population, rho.coherence_magnitude, rho.coherence_phase, t_pi, theta, t)
-    return out if out.ndim else float(out)
-
-
-def _occupation(beta, r, phi, t_pi, theta, t):
-    # The closed form P(theta, t) of the module docstring, unchecked so
-    # the fit evaluates its trial points as they come.
-    alpha = math.pi * t / t_pi
-    return (
+    out = (
         beta
         + (1.0 - 2.0 * beta) * 0.5 * (1.0 - np.cos(alpha))
-        - r * np.sin(alpha) * np.sin(theta + phi)
+        - r * np.sin(alpha) * np.sin(theta + rho.coherence_phase)
     )
+    return out if out.ndim else float(out)
 
 
 def synthesize_tomogram(
@@ -201,83 +192,79 @@ def synthesize_tomogram(
     return TomogramGrid(angles, durations, surface)
 
 
-def _scan_start(grid: TomogramGrid) -> np.ndarray:
-    """(beta, r, phi, t_pi) at the global minimum over t_pi of the residual.
+def _projection(grid: TomogramGrid):
+    """The fit's linear part: y = P - 1/2, the angle rows, turn and a batched solve.
 
-    With a = r cos(phi) and b = r sin(phi) the model reads
-    P = 1/2 + (beta - 1/2) cos(alpha) - sin(alpha)(a sin(theta) + b cos(theta)),
-    linear in (beta, a, b) for a fixed t_pi, so the residual left by their
-    3x3 normal equations G x = h, y^T y - h^T x, is a function of t_pi
-    alone (variable projection).  The scan takes f = 1/(2 t_pi) = k/(16 span)
-    for k = 2 ... 8 (M - 1), M distinct durations: 16 points per 1/span
-    from 1/(8 span) to (M - 1)/(2 span), t_pi down to one mean step.
+    With a = r cos(phi), b = r sin(phi) and rows = (1, -sin(theta), -cos(theta)),
+    P - 1/2 = x . rows(theta) (cos(alpha), sin(alpha), sin(alpha)) is linear in
+    x = (beta - 1/2, a, b) at a fixed t_pi = 8 span/k, where alpha = k turn.
+    solve(cos_a, sin_a) returns h and x of the normal equations G x = h per row.
     """
     theta, t = grid.axis_angles, grid.pulse_durations
     y = grid.occupations - 0.5
     rows = np.stack([np.ones_like(theta), -np.sin(theta), -np.cos(theta)])
     angle_gram, sums = rows @ rows.T, rows @ y
-    span = float(t.max() - t.min())
+
+    def solve(cos_a: np.ndarray, sin_a: np.ndarray, ridge: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+        cc, cs, ss = (np.einsum("kj,kj->k", u, v) for u, v in ((cos_a, cos_a), (cos_a, sin_a), (sin_a, sin_a)))
+        gram = angle_gram * np.stack([cc, cs, cs, cs, ss, ss, cs, ss, ss], axis=1).reshape(-1, 3, 3)
+        h = np.column_stack([cos_a @ sums[0], sin_a @ sums[1], sin_a @ sums[2]])
+        # A tiny ridge keeps a vanishing column (sin(alpha) = 0 at every duration, or
+        # coincident axis angles) from fitting rounding noise; the fit's last solve takes none.
+        gram += ridge * np.trace(gram, axis1=1, axis2=2)[:, None, None] * np.eye(3)
+        return h, np.linalg.solve(gram, h[:, :, None])[:, :, 0]
+
+    return y, rows, (math.pi / 8.0) * (t / np.ptp(t)), solve
+
+
+def _scan_start(grid: TomogramGrid) -> int:
+    """The k at the global minimum of y^T y - h^T x over k = 2 ... 8 (M - 1).
+
+    That residual is a function of t_pi alone (variable projection).  For M distinct durations
+    the scan takes 16 points per 1/span from f = 1/(2 t_pi) = 1/(8 span) to (M - 1)/(2 span),
+    t_pi down to one mean step.
+    """
+    y, _, turn, solve = _projection(grid)
+    t = grid.pulse_durations
     k_max = 8 * (np.unique(t).size - 1)
     if (k_max - 1) * t.size > MAX_SCAN_CELLS:
         raise NumericalError(f"tomogram fit: t_pi scan of {t.size} durations exceeds {MAX_SCAN_CELLS:.3g} cells")
-    turn = 2.0 * math.pi * t / (16.0 * span)  # alpha per unit of k, per duration
-    best = (math.inf, math.nan, np.full(3, math.nan))
+    minima = []  # (profile, k) at the minimum of each block
     block = max(1, (1 << 16) // t.size)  # values of k per block, which bounds memory
     for k0 in range(2, k_max + 1, block):
         z = np.tile(np.exp(1j * turn), (min(block, k_max + 1 - k0), 1))
         z[0] = np.exp(1j * k0 * turn)
         z = np.cumprod(z, axis=0)  # e^{i alpha} for k = k0, k0 + 1, ... by repeated rotation
-        cos_a, sin_a = z.real, z.imag
-        cc, cs, ss = (np.einsum("kj,kj->k", u, v) for u, v in ((cos_a, cos_a), (cos_a, sin_a), (sin_a, sin_a)))
-        gram = angle_gram * np.stack([cc, cs, cs, cs, ss, ss, cs, ss, ss], axis=1).reshape(-1, 3, 3)
-        h = np.column_stack([cos_a @ sums[0], sin_a @ sums[1], sin_a @ sums[2]])
-        # A tiny ridge keeps a vanishing column (sin(alpha) = 0 at every
-        # duration, or coincident axis angles) from fitting rounding noise.
-        ridge = 1e-12 * np.trace(gram, axis1=1, axis2=2)[:, None, None] * np.eye(3)
-        x = np.linalg.solve(gram + ridge, h[:, :, None])[:, :, 0]
+        h, x = solve(z.real, z.imag)
         profile = np.sum(y * y) - np.einsum("kp,kp->k", h, x)
-        k = int(np.argmin(profile))
-        if profile[k] < best[0]:
-            best = (profile[k], k0 + k, x[k])
-    _, k, (beta, a, b) = best
-    return np.array([beta + 0.5, math.hypot(a, b), math.atan2(b, a), 8.0 * span / k])
-
-
-def _finite(values: np.ndarray, what: str, x: np.ndarray) -> np.ndarray:
-    """values, or a NumericalError naming the fit parameters x if any is NaN or infinite."""
-    if not np.isfinite(values).all():
-        params = ", ".join("%g" % v for v in x.tolist())
-        raise NumericalError(f"tomogram fit: non-finite {what} at (beta, r, phi, t_pi) = ({params})")
-    return values
+        minima.append((profile.min(), k0 + int(np.argmin(profile))))
+    return min(minima)[1]
 
 
 def fit_tomogram(grid: TomogramGrid) -> FitResult:
     """Least-squares fit of (beta, r, phi, t_pi) to a tomogram grid.
 
-    Scans t_pi, down to one mean duration step, for the global minimum
-    of the residual and polishes it by Gauss-Newton with the analytic
-    Jacobian and step halving.  An even grid of step h cannot tell t_pi
+    Scans the residual as a function of t_pi alone (variable projection,
+    Golub and Pereyra 1973), down to t_pi of one mean duration step, for
+    its global minimum, polishes that on the same profile in at most
+    MAX_PROFILE_EVALS evaluations, and reads beta, r and phi, in (-pi, pi],
+    off the linear solve there.  An even grid of step h cannot tell t_pi
     from its alias t_pi' with 1/t_pi' = 2/h - 1/t_pi: when h is near t_pi
     or longer, the fit may return the alias (e.g. 6 durations over 6.43
-    t_pi fit 90.06 ns for a true 50 ns).  The optimum is canonicalized:
-    t_pi and r are made non-negative by exact reparameterization,
-    phi is wrapped to (-pi, pi], a positivity-violating r is projected
-    onto sqrt(beta(1-beta)) with the projected flag set, and a
+    t_pi fit 90.06 ns for a true 50 ns).  A positivity-violating r is
+    projected onto sqrt(beta(1-beta)) with the projected flag set, and a
     negligible r zeroes phi with the phase_unidentifiable flag set.
     residual_rms reports the unprojected optimum.
 
     Raises
     ------
     IdentifiabilityError
-        For grids with fewer than 4 distinct axis angles or fewer than
-        4 distinct pulse durations, a constant surface, or a duration
-        span that covers less than one full rotation period 2 t_pi of
+        For grids with fewer than 4 distinct axis angles or durations, a
+        constant surface, a shortest duration above the duration span, or
+        a span that covers less than one full rotation period 2 t_pi of
         the fitted surface.
     NumericalError
-        If the t_pi scan would take more than MAX_SCAN_CELLS cells, before
-        it scans; if the polish has not met its stop rule after
-        MAX_GAUSS_NEWTON_STEPS steps, or meets a non-finite residual or
-        Jacobian (a non-finite parameter gives both).
+        If the t_pi scan would take more than MAX_SCAN_CELLS cells, before it scans.
     """
     theta, t = grid.axis_angles, grid.pulse_durations
     if np.unique(theta).size < 4:
@@ -290,58 +277,49 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
     # t_pi) holds no t_pi at all.
     if np.ptp(grid.occupations) == 0.0:
         raise IdentifiabilityError("a flat tomogram shows no full rotation period 2 t_pi")
+    # Far from 0 the absolute phase pi t/t_pi varies faster in t_pi than the scan steps.
+    span = float(np.ptp(t))
+    if t.min() > span:
+        raise IdentifiabilityError("the shortest pulse duration exceeds the duration span")
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        return _finite((_occupation(*x, theta[:, None], t) - grid.occupations).ravel(), "residual", x)
+    y, rows, turn, solve = _projection(grid)
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        beta, r, phi, t_pi = x
-        alpha = math.pi * t / t_pi
-        sin_a, cos_a = np.sin(alpha), np.cos(alpha)
-        sin_th, cos_th = np.sin(theta[:, None] + phi), np.cos(theta[:, None] + phi)
-        # d alpha/d t_pi = -pi t/t_pi^2; dP/d alpha =
-        # (1-2 beta) sin(alpha)/2 - r cos(alpha) sin(theta+phi).
-        d_tpi = -(math.pi * t / t_pi**2) * ((1.0 - 2.0 * beta) * 0.5 * sin_a - r * cos_a * sin_th)
-        columns = np.broadcast_arrays(cos_a, -sin_a * sin_th, -r * sin_a * cos_th, d_tpi)
-        return _finite(np.stack([c.ravel() for c in columns], axis=1), "Jacobian", x)
+    def profile(k: list, ridge: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+        # x and the residual sum of squares per k, summed directly: y^T y - h^T x cancels near a fit.
+        alpha = np.multiply.outer(k, turn)
+        cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+        x = solve(cos_a, sin_a, ridge)[1]
+        res = y - (x[:, :1] * cos_a)[:, None, :] - (x[:, 1:] @ rows[1:])[:, :, None] * sin_a[:, None, :]
+        return x, np.sum(res * res, axis=(1, 2))
 
-    # A non-finite value stops the fit in _finite, so numpy's warnings
-    # on the way there would only add lines to the one diagnostic.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = _scan_start(grid)
-        res = residuals(x)
-        # Gauss-Newton in units of (1, 1, 1, t_pi).  A step is taken if it
-        # lowers the cost and halved if not; the polish stops after a step
-        # that moves no parameter by more than STEP_TOL, taken or not.
-        for _ in range(MAX_GAUSS_NEWTON_STEPS):
-            jac = jacobian(x)
-            scale = np.array([1.0, 1.0, 1.0, abs(x[3])])
-            step = scale * np.linalg.lstsq(jac * scale, -res, rcond=None)[0]
-            while True:
-                trial_res = residuals(x + step)
-                small = np.abs(step / scale).max() <= STEP_TOL
-                if trial_res @ trial_res < res @ res or small:
-                    break
-                step = 0.5 * step
-            if trial_res @ trial_res < res @ res:
-                x, res = x + step, trial_res
-            if small:
-                break
-        else:
-            raise NumericalError(f"tomogram fit did not converge in {MAX_GAUSS_NEWTON_STEPS} Gauss-Newton steps")
+    # Parabolic steps through three points of the profile h apart, from the scan's best k.  The
+    # vertex is off the minimum by O(h^2), so the next points lie h^2/4 apart around it.  A vertex
+    # beyond the outer points moves them h downhill instead, which must lower the profile.
+    k, h = float(_scan_start(grid)), 1.0
+    low, mid, high = profile([k - h, k, k + h])[1]
+    for _ in range(MAX_PROFILE_EVALS // 3 - 1):
+        curv = low + high - 2.0 * mid
+        shift = 0.5 * (low - high) / curv if curv > 0.0 else math.copysign(math.inf, low - high)
+        walk = abs(shift) >= 1.0
+        trial = k + h * min(max(shift, -1.0), 1.0)
+        spacing = h if walk else 0.25 * h * h
+        # Closer points would not resolve curv from rounding, about eps sqrt(n mid) over n cells.
+        if not walk and curv * (spacing / h) ** 2 <= np.finfo(float).eps * math.sqrt(y.size * mid):
+            k = trial
+            break
+        new = profile([trial - spacing, trial, trial + spacing])[1]
+        if walk and not new[1] < mid:
+            break
+        k, h, (low, mid, high) = trial, spacing, new
 
-    beta, r, phi, t_pi = (float(v) for v in x)
-    residual_rms = float(np.sqrt(np.mean(res**2)))
-    curvature = jac.T @ jac
-
-    # Exact sign reparameterizations, then range canonicalization.
-    if t_pi < 0.0:
-        t_pi, r = -t_pi, -r
-    if r < 0.0:
-        r, phi = -r, phi + math.pi
-    phi = math.pi - (math.pi - phi) % (2.0 * math.pi)
-    if phi <= -math.pi:
-        phi += 2.0 * math.pi
+    # Refused before the final solve, which takes no ridge: at k = 0 every sin(alpha) is 0.
+    if k < 16.0 * (1.0 - 1e-9):
+        raise IdentifiabilityError("pulse durations span less than one full rotation period 2 t_pi")
+    (x,), (cost,) = profile([k], ridge=0.0)
+    residual_rms = math.sqrt(cost / y.size)
+    beta, r, phi = float(x[0]) + 0.5, math.hypot(x[1], x[2]), math.atan2(x[2], x[1])
+    if phi == -math.pi:
+        phi = math.pi
 
     projected = not 0.0 <= beta <= 1.0
     beta = min(max(beta, 0.0), 1.0)
@@ -352,14 +330,10 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
     if phase_unidentifiable:
         phi = 0.0
 
-    if float(t.max() - t.min()) < 2.0 * t_pi * (1.0 - 1e-9):
-        raise IdentifiabilityError("pulse durations span less than one full rotation period 2 t_pi")
-
     return FitResult(
         rho=DensityMatrix2(beta, r, phi),
-        pi_duration=float(t_pi),
+        pi_duration=8.0 * (span / k),
         residual_rms=residual_rms,
-        curvature=curvature,
         projected=projected,
         phase_unidentifiable=phase_unidentifiable,
     )

@@ -864,40 +864,46 @@ def test_overflowing_tomogram_angle_prints_one_line(tmp_path):
 
 
 def test_underflowing_tomogram_fit_prints_one_line(tmp_path):
-    # Durations up to 1e-300 s at t_pi 1e-301 s make the fit's t_pi^2
-    # underflow to 0 and its Jacobian non-finite.  (At the default t_pi the
-    # surface is flat over such durations and refused before the fit.)  A
-    # fresh process, as above, so any numpy or scipy warning would reach
-    # stderr beside the diagnostic.
-    code, paths = run_subcommand(
-        "tomo-synth", overrides=("tomo.duration_stop=1e-300s", "tomo.t_pi=1e-301s"), output_dir=str(tmp_path)
-    )
-    assert code == 0
+    # Durations up to 1e-300 s at t_pi 1e-301 s, or a subnormal 4e-321 s
+    # span, once made the fit's t_pi^2 underflow to 0 and exit 3.  The fit
+    # works in units of the span, so both write their artifact and print
+    # only the one line that names it.  (At the default t_pi the surface is
+    # flat over such durations and refused before the fit.)  A fresh
+    # process, as above, so any numpy warning would reach stderr.
     env = dict(os.environ, PYTHONPATH=str(Path(jpmsim.__file__).parents[1]))
-    out = tmp_path / "fit"
-    proc = subprocess.run(
-        [sys.executable, "-m", "jpmsim.cli", "tomo-fit", "-s", f"tomo.input={paths[0]}", "-o", str(out)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("numerical error: tomogram fit: non-finite") and proc.stderr.count("\n") == 1
-    assert not out.exists()
+    for stop, t_pi, rel in (("1e-300s", 1e-301, 1e-9), ("4e-321s", 1e-321, 0.05)):
+        code, paths = run_subcommand(
+            "tomo-synth", overrides=(f"tomo.duration_stop={stop}", f"tomo.t_pi={t_pi}s"), output_dir=str(tmp_path / stop)
+        )
+        assert code == 0
+        out = tmp_path / stop / "fit"
+        proc = subprocess.run(
+            [sys.executable, "-m", "jpmsim.cli", "tomo-fit", "-s", f"tomo.input={paths[0]}", "-o", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == f"wrote {out / 'tomo_fit.json'}\n" and proc.stderr == ""
+        # Subnormal durations are multiples of 5e-324 s, so the 4e-321 s
+        # grid is uneven and fits only near the t_pi it was made with.
+        record = json.loads((out / "tomo_fit.json").read_text())
+        assert record["t_pi_s"] == pytest.approx(t_pi, rel=rel)
+        assert record["beta"] == pytest.approx(0.09, rel=rel)
 
 
-def test_tomo_fit_at_the_step_bound_exits_numerical(tmp_path, capsys, monkeypatch):
-    # With the Gauss-Newton polish cut to one step, a noisy tomogram
-    # cannot meet the stop rule: exit 3, one line, no artifact.
-    code, paths = run_subcommand(
-        "tomo-synth", overrides=("tomo.noise_sigma=0.02", "seed=3"), output_dir=str(tmp_path)
-    )
-    assert code == 0
-    monkeypatch.setattr(jpmsim.tomography, "MAX_GAUSS_NEWTON_STEPS", 1)
+@pytest.mark.parametrize("offset", [1.0, 10e-6], ids=["1s", "10us"])
+def test_tomo_fit_refuses_durations_far_from_zero(tmp_path, capsys, tomogram, offset):
+    # A tomogram whose durations are edited to start `offset` after 0,
+    # farther than their 110 ns span, exits 3 with one line and no file.
+    header, *rows = tomogram.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    edited = tmp_path / "offset.csv"
+    edited.write_text(header + "\n" + "".join(f"{a},{float(t) + offset!r},{p}\n" for a, t, p in cells))
     out = tmp_path / "fit"
     capsys.readouterr()
-    code, fitted = run_subcommand("tomo-fit", overrides=(f"tomo.input={paths[0]}",), output_dir=str(out))
+    code, fitted = run_subcommand("tomo-fit", overrides=(f"tomo.input={edited}",), output_dir=str(out))
     assert code == 3 and fitted == []
     err = capsys.readouterr().err
-    assert err == "numerical error: tomogram fit did not converge in 1 Gauss-Newton steps\n"
+    assert err == "numerical error: the shortest pulse duration exceeds the duration span\n"
     assert not out.exists()
 
 
