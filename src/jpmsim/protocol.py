@@ -199,7 +199,7 @@ def _iq_points(model: IqModel, bright, uniforms) -> np.ndarray:
     Each shot sits at centroid_1 where bright, else at centroid_0, plus
     sigma times the mean of the normal deviates of its interleaved x/y
     uniforms (2 n_samples per shot).  The deviates overwrite uniforms in
-    place and each axis is filled into one output array, so no
+    place and each axis is written into one output array, so no
     (n, 2 n_samples) buffer is allocated beside the draws.
     """
     from scipy.special import ndtri

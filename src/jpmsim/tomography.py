@@ -35,6 +35,9 @@ PHASE_IDENTIFIABLE_MIN_R = 1e-6
 MAX_PROFILE_EVALS = 40
 """The polish of t_pi evaluates the residual profile at no more than this many t_pi, three per step."""
 
+AXIS_ANGLE_TOL = 1e-9
+"""Axis angles closer than this around the circle, in radians, are one axis."""
+
 MAX_SCAN_CELLS = 10**8
 """A t_pi scan of more (scan point, duration) cells raises NumericalError before it starts: at about
 22 ns per cell (2-CPU x86-64 host) the largest accepted scan, about 3500 durations, takes 2.3 s."""
@@ -192,6 +195,13 @@ def synthesize_tomogram(
     return TomogramGrid(angles, durations, surface)
 
 
+def _axis_count(theta: np.ndarray) -> int:
+    """Distinct rotation axes among the angles: theta modulo 2 pi, up to AXIS_ANGLE_TOL."""
+    wrapped = np.sort(np.mod(theta, 2.0 * math.pi))
+    gaps = np.diff(wrapped, append=wrapped[:1] + 2.0 * math.pi)
+    return int(np.count_nonzero(gaps > AXIS_ANGLE_TOL))
+
+
 def _projection(grid: TomogramGrid):
     """The fit's linear part: y = P - 1/2, the angle rows, turn and a batched solve.
 
@@ -259,16 +269,17 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
     Raises
     ------
     IdentifiabilityError
-        For grids with fewer than 4 distinct axis angles or durations, a
-        constant surface, a shortest duration above the duration span, or
-        a span that covers less than one full rotation period 2 t_pi of
-        the fitted surface.
+        For grids with fewer than 4 distinct axis angles (modulo 2 pi)
+        or durations, a constant surface, a shortest duration above the
+        duration span, or a span that covers less than one full rotation
+        period 2 t_pi of the fitted surface.
     NumericalError
         If the t_pi scan would take more than MAX_SCAN_CELLS cells, before it scans.
     """
     theta, t = grid.axis_angles, grid.pulse_durations
-    if np.unique(theta).size < 4:
-        raise IdentifiabilityError("need at least 4 distinct axis angles")
+    # Angles 2 pi apart name one axis, so they are counted modulo 2 pi.
+    if _axis_count(theta) < 4:
+        raise IdentifiabilityError("need at least 4 distinct axis angles modulo 2 pi")
     # A full period 2 t_pi inside the span, sampled above the Nyquist
     # rate, needs at least 4 durations.
     if np.unique(t).size < 4:

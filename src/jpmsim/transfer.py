@@ -7,8 +7,9 @@ stored in mode 2 at time t has one closed form, efficiency, which
 covers the matched case, a decay-rate mismatch, a frequency mismatch
 and both together.  This module evaluates it, the peak values of its
 single-mismatch cases, and the numeric peak of the real
-(non-rotating-wave) response of mode 2 to the ring-down drive, from one
-streamed composite Simpson quadrature pass.  The independent oracle
+(non-rotating-wave) response of mode 2 to the ring-down drive, from a
+composite Simpson quadrature whose node voltages are evaluated in
+closed form at the search's probe windows.  The independent oracle
 that integrates the same response one time at a time lives with the
 tests (tests/transfer_oracle.py).
 
@@ -26,9 +27,10 @@ suffer near zero mismatch.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,17 +164,15 @@ def freq_mismatch_peak(kappa: float, delta_omega: float) -> tuple[float, float]:
 # Simpson grid has 2 POINTS_PER_PERIOD points per period of the faster
 # carrier.
 POINTS_PER_PERIOD = 40
-# Streaming pass of peak_efficiency: at most this many panel nodes (a
-# 5 GHz carrier over 20 decay times of a 1 us mode needs 4e6), so a huge
-# but finite carrier frequency is refused instead of streaming for hours.
+# Peak search: at most this many panel nodes in the bracket (a 5 GHz
+# carrier over 20 decay times of a 1 us mode needs 4e6).  The search's
+# cost does not grow with the count; the bound keeps the node phase
+# omega tau (at most 1.6e7 rad at 1e8 nodes) far inside float64
+# resolution.
 MAX_PEAK_NODES = 10**8
 # Largest decay over one quadrature step, kappa * h, the Simpson panels
 # resolve; a mode that decays faster is refused, not silently misread.
 _MAX_DECAY_PER_STEP = 0.1
-# Panels per block of the streaming pass, and the largest rescale factor
-# e^{kappa_2 h (k - 1)} a block of k panels may reach.
-_BLOCK_PANELS = 4096
-_BLOCK_LOG_GROWTH = 64.0
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -205,58 +205,65 @@ def _tone_peak(times: np.ndarray, values: np.ndarray, omega: float, h: float) ->
     return float(np.hypot(p_end, q_end))
 
 
-def _node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> Iterator[np.ndarray]:
-    """V2 at the panel nodes tau_j = 2 j h, j = 1..n_nodes, block by block.
+def _expm1(z):
+    """Complex e^z - 1 to full precision near z = 0, where exp(z) - 1 cancels."""
+    x, y = np.real(z), np.imag(z)
+    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * (np.exp(x) * np.sin(y))
+
+
+def _simpson_voltages(cfg: TransferConfig, h: float) -> Callable[[np.ndarray], np.ndarray]:
+    """V2 at panel nodes tau_j = 2 j h, as a function of the node array j >= 1.
 
     The Simpson panels of the test oracle (tests/transfer_oracle.py),
-    accumulated by the scaled recurrence a_j = a_{j-1} D + p_j,
-    D = e^{-kappa_2 h}, on the fixed step h from tau = 0.  Within a block of k panels the recurrence is solved
-    in closed form by one cumulative sum,
+    accumulated on the fixed step h from tau = 0 by the recurrence
+    a_j + i b_j = D (a_{j-1} + i b_{j-1}) + P_j, D = e^{-kappa_2 h}, with
+    P_j the panel of drive(tau) e^{i omega_2 tau}.  The drive, with
+    V0 = Z0 = 1 as efficiencies are free of the line's scale, is
+    sqrt(kappa_2) sum_{+-} e^{sigma_+- tau}, sigma_+- = -kappa_1/2 +
+    i (omega_2 +- omega_1), so each term's panels are geometric,
+    P_l = c q^{l-1} with q = e^{2 sigma h}, and the recurrence sums in
+    closed form at any node:
 
-        a_{j0+i} = D^{i-1} [D a_{j0} + sum_{l<=i} D^{-(l-1)} p_{j0+l}],
+        sum_l D^{j-l} c q^{l-1} = c M^{j-1} expm1(j L) / expm1(L),
 
-    and the block length keeps the rescale factor D^{-(k-1)} at most
-    e^64 for any kappa_2 h.  A generator: each block is computed only
-    when the caller asks for it, and yields the voltages of its nodes in
-    order; only the running a and b carry over between blocks.  The
-    drive has V0 = Z0 = 1: efficiencies are free of the line's scale.
+    M the larger in modulus of D and q and L = log(smaller / larger), so
+    Re L <= 0 and nothing overflows; at L = 0 (matched rates and
+    frequencies) the sum is j.  V2 = Re(e^{-i omega_2 tau_j} (a_j + i b_j)).
     """
     w1 = cfg.source.angular_frequency
     w2 = cfg.target.angular_frequency
     k1 = cfg.source.decay_rate
     k2 = cfg.target.decay_rate
-    amp = 2.0 * math.sqrt(k2)
     d = math.exp(-0.5 * k2 * h)
-    d2 = d * d
-    block = min(_BLOCK_PANELS, 1 + int(_BLOCK_LOG_GROWTH / (k2 * h)))
-    steps = k2 * h * np.arange(block)
-    grow, shrink = np.exp(steps), np.exp(-steps)
+    terms = []
+    for w in (w2 + w1, w2 - w1):
+        e = cmath.exp(complex(-0.5 * k1 * h, w * h))
+        c = (h / 3.0) * math.sqrt(k2) * (d * d + 4.0 * d * e + e * e)
+        log_ratio = complex((k2 - k1) * h, 2.0 * w * h)  # log(q / D)
+        log_m, L = (-k2 * h, log_ratio) if k2 <= k1 else (complex(-k1 * h, 2.0 * w * h), -log_ratio)
+        terms.append((c, log_m, L, _expm1(L)))
 
-    a_run = b_run = 0.0
-    for j0 in range(0, n_nodes, block):
-        k = min(block, n_nodes - j0)
-        tau = h * np.arange(2 * j0, 2 * (j0 + k) + 1)
-        cos_t, sin_t = np.cos(w2 * tau), np.sin(w2 * tau)
-        drive = amp * np.exp(-0.5 * k1 * tau) * (cos_t if w1 == w2 else np.cos(w1 * tau))
-        runs = []
-        for f, run in ((drive * cos_t, a_run), (drive * sin_t, b_run)):
-            panels = (h / 3.0) * (f[:-2:2] * d2 + 4.0 * f[1::2] * d + f[2::2])
-            runs.append(shrink[:k] * (d2 * run + np.cumsum(grow[:k] * panels)))
-        a, b = runs
-        yield cos_t[2::2] * a + sin_t[2::2] * b
-        a_run, b_run = float(a[-1]), float(b[-1])
+    def volts(j: np.ndarray) -> np.ndarray:
+        s = 0.0
+        for c, log_m, L, expm1_l in terms:
+            ratio = j if L == 0.0 else _expm1(j * L) / expm1_l
+            s = s + c * np.exp((j - 1) * log_m) * ratio
+        # The tone fit's own phases, so their rounding cancels in the fit.
+        theta = w2 * ((2.0 * h) * j)
+        return np.cos(theta) * s.real + np.sin(theta) * s.imag
+
+    return volts
 
 
-def _node_energy(cfg: TransferConfig, volts: np.ndarray, j: int, h: float) -> float:
-    """Stored-energy fraction at node j of a streaming pass on step h.
+def _node_energy(cfg: TransferConfig, volts: Callable[[np.ndarray], np.ndarray], j: int, h: float) -> float:
+    """Stored-energy fraction at node j of the Simpson recurrence on step h.
 
     The tone fit (_tone_peak) on the POINTS_PER_PERIOD whole panels, one
     carrier period, ending at tau_j = 2 j h, as the test oracle takes it.
     At V0 = Z0 = 1 the source emits 1/(2 kappa_1), so the fraction is kappa_1 v_peak^2.
     """
-    first = max(j - POINTS_PER_PERIOD, 0)
-    times = (2.0 * h) * np.arange(first + 1, j + 1)
-    v_peak = _tone_peak(times, volts[first:j], cfg.target.angular_frequency, h)
+    nodes = np.arange(max(j - POINTS_PER_PERIOD, 0) + 1, j + 1)
+    v_peak = _tone_peak((2.0 * h) * nodes, volts(nodes), cfg.target.angular_frequency, h)
     return cfg.source.decay_rate * v_peak**2
 
 
@@ -268,14 +275,12 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     in every regime this model covers).  A golden-section search over
     the panel-node indices in the bracket runs the trailing-period tone
     fit on each probe's window, and a three-point parabola through the
-    best node and its neighbours refines the peak.  V2 at the nodes
-    comes from one streaming quadrature pass from tau = 0 on the fixed
-    step h = period / (2 POINTS_PER_PERIOD), so at a node time the
-    energy equals the test oracle's there up to rounding.  The pass
-    is lazy: a probe pulls blocks only until its node is filled, so it
-    ends with the block holding the highest node the search reads (its
-    first upper probe, about 0.66 of the bracket end), not at the
-    bracket end.
+    best node and its neighbours refines the peak.  V2 at a node is
+    the Simpson recurrence from tau = 0 on the fixed step
+    h = period / (2 POINTS_PER_PERIOD), evaluated in closed form at that
+    node alone (_simpson_voltages), so at a node time the energy equals
+    the test oracle's there up to rounding, and a probe costs one window
+    of POINTS_PER_PERIOD nodes however far from tau = 0 it lies.
     Returns (eta_peak, t_opt).
 
     Raises
@@ -283,7 +288,7 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     NumericalError
         If a decay rate is not resolved by the step (kappa h > 0.1),
         if the closed-form envelope is not finite on the seed grid, or
-        if the pass would need more than MAX_PEAK_NODES panel nodes.
+        if the bracket would hold more than MAX_PEAK_NODES panel nodes.
     """
     k_max = max(cfg.source.decay_rate, cfg.target.decay_rate)
     period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
@@ -310,18 +315,8 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
             f"peak search needs {span:.3g} quadrature nodes, more than {MAX_PEAK_NODES:.0e}"
         )
     n_nodes = int(math.ceil(span))
-    blocks = _node_voltages(cfg, h, n_nodes)
-    volts = np.empty(n_nodes)
-    filled = 0
-
-    @functools.lru_cache(maxsize=None)
-    def energy(j: int) -> float:
-        nonlocal filled
-        while filled < j:
-            v = next(blocks)
-            volts[filled : filled + v.size] = v
-            filled += v.size
-        return _node_energy(cfg, volts, j, h)
+    volts = _simpson_voltages(cfg, h)
+    energy = functools.lru_cache(maxsize=None)(lambda j: _node_energy(cfg, volts, j, h))
 
     a, b = max(int(lo / (2.0 * h)), 1), n_nodes
     while b - a > 4:

@@ -32,6 +32,7 @@ from jpmsim.config import _UNIT_TABLES, RunConfig, SCHEMA, parse_value
 from jpmsim.errors import ConfigError
 from jpmsim.potential import DEFAULT_PARAMS, PHI0
 from jpmsim.protocol import DEFAULT_DEPLETION_RATE, DEFAULT_IQ_MODEL, ProtocolConfig
+from jpmsim.tomography import DensityMatrix2, synthesize_tomogram
 from jpmsim.transfer import efficiency
 
 SUBCOMMANDS = [
@@ -904,6 +905,29 @@ def test_tomo_fit_refuses_durations_far_from_zero(tmp_path, capsys, tomogram, of
     assert code == 3 and fitted == []
     err = capsys.readouterr().err
     assert err == "numerical error: the shortest pulse duration exceeds the duration span\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "thetas",
+    [[0.0, 2.0 * math.pi, math.pi, 3.0 * math.pi], [0.0, 2.0 * math.pi, 4.0 * math.pi, 6.0 * math.pi]],
+    ids=["0-2pi-pi-3pi", "0-2pi-4pi-6pi"],
+)
+def test_tomo_fit_refuses_axis_angles_that_coincide_modulo_two_pi(tmp_path, capsys, thetas):
+    # A hand-written tomogram on four distinct angles that name only two
+    # axes, or one, exits 3 with one line and no file.
+    durations = np.linspace(0.0, 110e-9, 33)
+    grid = synthesize_tomogram(DensityMatrix2(0.3, 0.2, 0.5), 50e-9, thetas, durations)
+    edited = tmp_path / "coincident.csv"
+    edited.write_text(
+        "axis_angle (rad),pulse_duration (s),occupation (1)\n"
+        + "".join(f"{a!r},{t!r},{p!r}\n" for a, row in zip(thetas, grid.occupations.tolist()) for t, p in zip(durations.tolist(), row))
+    )
+    out = tmp_path / "fit"
+    capsys.readouterr()
+    code, fitted = run_subcommand("tomo-fit", overrides=(f"tomo.input={edited}",), output_dir=str(out))
+    assert code == 3 and fitted == []
+    assert capsys.readouterr().err == "numerical error: need at least 4 distinct axis angles modulo 2 pi\n"
     assert not out.exists()
 
 

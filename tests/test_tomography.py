@@ -649,6 +649,35 @@ def test_fit_flags_unidentifiable_phase():
     assert fit.rho.excited_population == pytest.approx(0.35, rel=1e-6)
 
 
+COINCIDENT_AXES = {
+    "0-2pi-pi-3pi": [0.0, 2.0 * math.pi, math.pi, 3.0 * math.pi],
+    "0-2pi-4pi-6pi": [0.0, 2.0 * math.pi, 4.0 * math.pi, 6.0 * math.pi],
+}
+
+
+@pytest.mark.parametrize("thetas", COINCIDENT_AXES.values(), ids=COINCIDENT_AXES.keys())
+def test_fit_counts_axis_angles_modulo_two_pi(thetas):
+    # Four distinct floats that name two axes, or one: unrefused, the
+    # rank-deficient design fit r 0.458, phi 0.200 and r 0.205, phi 0.487
+    # with no error, for a true r 0.2, phi 0.5.
+    grid = synthesize_tomogram(DensityMatrix2(0.3, 0.2, 0.5), 50e-9, thetas, np.linspace(0.0, 110e-9, 33))
+    with pytest.raises(IdentifiabilityError, match="4 distinct axis angles"):
+        fit_tomogram(grid)
+
+
+def test_fit_takes_four_axes_given_off_by_whole_turns():
+    # Angles 2 pi apart name one axis, in either direction: four axes
+    # written several turns apart still fit.
+    rho = DensityMatrix2(0.3, 0.2, 0.5)
+    thetas = [0.0, math.pi / 2.0 + 2.0 * math.pi, math.pi + 4.0 * math.pi, 1.5 * math.pi - 2.0 * math.pi]
+    fit = fit_tomogram(synthesize_tomogram(rho, 50e-9, thetas, np.linspace(0.0, 110e-9, 33)))
+    assert fit.rho.coherence_magnitude == pytest.approx(0.2, abs=1e-6)
+    assert fit.rho.coherence_phase == pytest.approx(0.5, abs=1e-6)
+    # Angles within 1e-9 rad around the circle are one axis, also across 0.
+    angles = np.array([1e-10, 2.0 * math.pi - 1e-10, -1e-12, 1.0, 1.0 + 5e-10, 2.0])
+    assert tomography._axis_count(angles) == 3
+
+
 def test_fit_identifiability_errors(monkeypatch):
     t_pi = 50e-9
     rho = DensityMatrix2(0.3, 0.2, 0.5)

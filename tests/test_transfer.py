@@ -8,7 +8,6 @@ those oracles.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 
@@ -19,11 +18,9 @@ import jpmsim.transfer as transfer
 from jpmsim.config import RunConfig
 from jpmsim.errors import NumericalError
 from jpmsim.transfer import (
-    _BLOCK_LOG_GROWTH,
-    _BLOCK_PANELS,
-    _INV_PHI,
+    POINTS_PER_PERIOD,
     _node_energy,
-    _node_voltages,
+    _simpson_voltages,
     CavityMode,
     TransferConfig,
     efficiency,
@@ -31,7 +28,7 @@ from jpmsim.transfer import (
     kappa_mismatch_peak,
     peak_efficiency,
 )
-from transfer_oracle import mode2_energy_numeric
+from transfer_oracle import BLOCK_PANELS, eager_node_voltages, eager_peak_efficiency, mode2_energy_numeric
 
 MATCHED_PEAK = 4.0 / math.e**2
 
@@ -280,20 +277,18 @@ def test_peak_efficiency_against_dense_grid_oracle():
 def test_streaming_pass_matches_per_t_oracle_at_nodes(carrier_ratio):
     # The fast path against the slow path it replaces: at node times
     # t_j = 2 j h, where mode2_energy_numeric integrates on the same step
-    # h, the one-pass energies equal the per-t oracle.  9000 nodes span
-    # several blocks and are no multiple of the block length; the slow
-    # carrier (kappa_2 h near 0.05) shortens the blocks to under 1500
-    # panels.
+    # h, the closed-form node energies equal the per-t oracle.  Nodes up
+    # to 9000, on both sides of the streamed pass's block boundaries, at
+    # a fast carrier and a slow one (kappa_2 h near 0.05).
     kappa = 1e6
     n_nodes = 9000
-    assert n_nodes > 2 * _BLOCK_PANELS and n_nodes % _BLOCK_PANELS
     worst = 0.0
     for r in (1.0 / 12.0, 1.0, 12.0):
         for a in (0.0, 0.5, 2.0):
             cfg = make_config(kappa, kappa_ratio=r, detuning_ratio=a, carrier_ratio=carrier_ratio)
             period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
             h = period / 80.0
-            volts = np.concatenate(list(_node_voltages(cfg, h, n_nodes)))
+            volts = _simpson_voltages(cfg, h)
             for j in [2, 3, 39, 40, 41, 4096, 4097, 8192, 8193, n_nodes] + list(range(100, n_nodes + 1, 250)):
                 t = 2.0 * h * j
                 if math.ceil(t / h) != 2 * j:
@@ -304,135 +299,87 @@ def test_streaming_pass_matches_per_t_oracle_at_nodes(carrier_ratio):
     assert worst <= 1e-9
 
 
-def _eager_node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> np.ndarray:
-    # Reference copy of the whole-array pass the block generator
-    # replaced: every block up to n_nodes, written into one array.  It
-    # reads the block length from the module, as the generator does.
-    w1 = cfg.source.angular_frequency
-    w2 = cfg.target.angular_frequency
-    k1 = cfg.source.decay_rate
-    k2 = cfg.target.decay_rate
-    amp = 2.0 * math.sqrt(k2)
-    d = math.exp(-0.5 * k2 * h)
-    d2 = d * d
-    block = min(transfer._BLOCK_PANELS, 1 + int(_BLOCK_LOG_GROWTH / (k2 * h)))
-    steps = k2 * h * np.arange(block)
-    grow, shrink = np.exp(steps), np.exp(-steps)
-
-    out = np.empty(n_nodes)
-    a_run = b_run = 0.0
-    for j0 in range(0, n_nodes, block):
-        k = min(block, n_nodes - j0)
-        tau = h * np.arange(2 * j0, 2 * (j0 + k) + 1)
-        drive = amp * np.exp(-0.5 * k1 * tau) * np.cos(w1 * tau)
-        cos_t, sin_t = np.cos(w2 * tau), np.sin(w2 * tau)
-        runs = []
-        for f, run in ((drive * cos_t, a_run), (drive * sin_t, b_run)):
-            panels = (h / 3.0) * (f[:-2:2] * d2 + 4.0 * f[1::2] * d + f[2::2])
-            runs.append(shrink[:k] * (d2 * run + np.cumsum(grow[:k] * panels)))
-        a, b = runs
-        out[j0 : j0 + k] = cos_t[2::2] * a + sin_t[2::2] * b
-        a_run, b_run = float(a[-1]), float(b[-1])
-    return out
-
-
-def _eager_peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
-    # Reference copy of the search of peak_efficiency on the eager pass
-    # over the whole bracket (refusals left out).
-    period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
-    h = period / 80.0
-    t_max = 20.0 / min(cfg.source.decay_rate, cfg.target.decay_rate)
-    grid = np.linspace(t_max / 4000.0, t_max, 4000)
-    envelope = efficiency(grid, cfg.source.decay_rate, cfg.target.decay_rate, cfg.delta_omega)
-    seed = float(grid[int(np.argmax(envelope))])
-    lo = max(seed / 3.0, t_max / 4000.0)
-    hi = min(3.0 * seed, t_max)
-    n_nodes = int(math.ceil(hi / (2.0 * h)))
-    volts = _eager_node_voltages(cfg, h, n_nodes)
-    energy = functools.lru_cache(maxsize=None)(lambda j: _node_energy(cfg, volts, j, h))
-    a, b = max(int(lo / (2.0 * h)), 1), n_nodes
-    while b - a > 4:
-        step = int(round(_INV_PHI * (b - a)))
-        if energy(b - step) < energy(a + step):
-            a = b - step
-        else:
-            b = a + step
-    j = max(range(a, b + 1), key=energy)
-    if not 1 < j < n_nodes:
-        return energy(j), 2.0 * h * j
-    y0, y1, y2 = energy(j - 1), energy(j), energy(j + 1)
-    curvature = y0 - 2.0 * y1 + y2
-    if curvature >= 0.0:
-        return y1, 2.0 * h * j
-    shift = 0.5 * (y0 - y2) / curvature
-    return y1 - 0.25 * (y0 - y2) * shift, 2.0 * h * (j + shift)
-
-
 PASS_GRID = [(r, a, c) for r in (1.0 / 12.0, 1.0, 12.0) for a in (0.0, 0.5, 2.0) for c in (20.0, 2e4)]
+# Rates and frequencies within 1e-15 to 1e-9 (of kappa_1) of a match,
+# where L -> 0 and the naive (q^j - D^j) / (q - D) loses every digit.  At
+# the fast carrier a detuning below ~4e-12 kappa_1 rounds to none.
+NEAR_MATCH = [(1.0 + eps, 0.0, c) for eps in (1e-15, 1e-12, 1e-9) for c in (20.0, 2e4)] + [
+    (1.0, eps, c) for eps in (1e-15, 1e-12, 1e-9) for c in (20.0, 2e4)
+]
+# The faster mode at kappa h = 0.098, near the resolution limit, either
+# one: across 12411 nodes D^j / q^j or q^j / D^j reaches e^1168, which
+# overflows unless the sum runs in the smaller ratio.
+FAST_DECAY = [(25.0, 0.0, 20.0), (0.04, 0.0, 0.8)]
 
 
 @pytest.mark.parametrize("kappa_ratio, detuning_ratio, carrier_ratio", PASS_GRID)
 def test_lazy_peak_matches_eager_reference(kappa_ratio, detuning_ratio, carrier_ratio):
-    # The lazy pass changes which blocks are computed, not their
-    # arithmetic: the peak and its time are the same floats.
+    # The closed-form node voltages against the streamed pass they
+    # replaced, through the whole search: the same peak and time up to
+    # rounding (measured up to 1.4e-14 and 5e-11 relative).
     cfg = make_config(kappa_ratio=kappa_ratio, detuning_ratio=detuning_ratio, carrier_ratio=carrier_ratio)
-    assert peak_efficiency(cfg) == _eager_peak_efficiency(cfg)
+    eta, t_opt = peak_efficiency(cfg)
+    want_eta, want_t = eager_peak_efficiency(cfg)
+    assert abs(eta - want_eta) <= 1e-13 * want_eta
+    assert abs(t_opt - want_t) <= 1e-10 * want_t
 
 
-@pytest.mark.parametrize("block_panels", [1, 7])
-def test_every_probe_reads_filled_nodes(monkeypatch, block_panels):
-    # With blocks of one or a few panels nearly every probe's node is at
-    # or next to a block boundary, where a pull that stops one node short
-    # would leave the probe's last sample unfilled.  Every node a probe
-    # sees must equal the eager pass there.
-    monkeypatch.setattr(transfer, "_BLOCK_PANELS", block_panels)
-    seen = []
-
-    def recording(cfg, volts, j, h):
-        seen.append((j, volts[:j].copy()))
-        return _node_energy(cfg, volts, j, h)
-
-    monkeypatch.setattr(transfer, "_node_energy", recording)
-    for r, a in ((1.0, 0.0), (12.0, 2.0)):
-        cfg = make_config(kappa_ratio=r, detuning_ratio=a, carrier_ratio=20.0)
-        h = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency) / 80.0
-        seen.clear()
-        assert peak_efficiency(cfg) == _eager_peak_efficiency(cfg)
-        eager = _eager_node_voltages(cfg, h, max(j for j, _ in seen))
-        assert all(np.array_equal(v, eager[:j]) for j, v in seen)
-
-
-@pytest.mark.parametrize("n_nodes", [1, 1000, 3 * _BLOCK_PANELS + 123])
-@pytest.mark.parametrize("kappa_ratio, detuning_ratio, carrier_ratio", PASS_GRID)
+@pytest.mark.parametrize("n_nodes", [1, 1000, 3 * BLOCK_PANELS + 123])
+@pytest.mark.parametrize("kappa_ratio, detuning_ratio, carrier_ratio", PASS_GRID + NEAR_MATCH + FAST_DECAY)
 def test_block_source_matches_eager_pass(n_nodes, kappa_ratio, detuning_ratio, carrier_ratio):
-    # Pulled through its last node, the generator gives the whole eager
-    # array bit for bit, below one block and across several blocks
-    # ending in a partial one.
+    # Node by node, the closed form equals the streamed pass up to
+    # rounding of the voltage amplitude (measured up to 5e-15), below one
+    # block and across several blocks ending in a partial one.
     cfg = make_config(kappa_ratio=kappa_ratio, detuning_ratio=detuning_ratio, carrier_ratio=carrier_ratio)
     period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
     h = period / 80.0
-    blocks = list(_node_voltages(cfg, h, n_nodes))
-    assert all(0 < v.size <= _BLOCK_PANELS for v in blocks)
-    assert np.array_equal(np.concatenate(blocks), _eager_node_voltages(cfg, h, n_nodes))
+    want = eager_node_voltages(cfg, h, n_nodes)
+    got = _simpson_voltages(cfg, h)(np.arange(1, n_nodes + 1))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_peak_search_stops_at_its_highest_probe(monkeypatch):
-    # The golden-section search never reads past its first upper probe,
-    # about 0.66 of the bracket end, so at the default transfer-peak
-    # config the pass computes at most one block beyond 0.7 of the nodes.
-    cfg = RunConfig.from_sources().transfer_config()
-    seen = {"computed": 0}
-    real = transfer._node_voltages
+@pytest.mark.parametrize("carrier_ratio", [None, 1e6], ids=["default", "carrier-1e6"])
+def test_peak_search_evaluates_one_window_per_tone_fit(monkeypatch, carrier_ratio):
+    # Each tone fit reads one window of at most POINTS_PER_PERIOD nodes
+    # and nothing else: at the default transfer-peak config (7e4 nodes in
+    # the bracket) and at carrier/kappa = 1e6 (1.3e7) a peak evaluates
+    # under 2000 nodes.
+    if carrier_ratio is None:
+        cfg = RunConfig.from_sources().transfer_config()
+    else:
+        cfg = make_config(carrier_ratio=carrier_ratio)
+    seen = {"fits": 0, "nodes": 0}
+    real = transfer._simpson_voltages
 
-    def counting(cfg, h, n_nodes):
-        seen["n_nodes"] = n_nodes
-        for v in real(cfg, h, n_nodes):
-            seen["computed"] += v.size
-            yield v
+    def counting(cfg, h):
+        volts = real(cfg, h)
 
-    monkeypatch.setattr(transfer, "_node_voltages", counting)
-    assert peak_efficiency(cfg) == _eager_peak_efficiency(cfg)
-    assert 0 < seen["computed"] <= 0.7 * seen["n_nodes"] + _BLOCK_PANELS
+        def counted(j):
+            seen["fits"] += 1
+            seen["nodes"] += j.size
+            return volts(j)
+
+        return counted
+
+    monkeypatch.setattr(transfer, "_simpson_voltages", counting)
+    peak_efficiency(cfg)
+    assert 0 < seen["nodes"] <= POINTS_PER_PERIOD * seen["fits"]
+    assert seen["nodes"] < 2000
+
+
+def test_peak_at_a_fast_carrier_matches_the_closed_forms():
+    # At carrier/kappa = 1e6 the counter-rotating terms are 1e-6 of the
+    # drive, so the numeric peak meets the rotating-wave closed forms.
+    kappa = 1e6
+    for kappa_ratio, detuning_ratio, (want_eta, want_t) in (
+        (1.0, 0.0, kappa_mismatch_peak(kappa, kappa)),
+        (6.5, 0.0, kappa_mismatch_peak(kappa, 6.5 * kappa)),
+        (1.0, 1.0, freq_mismatch_peak(kappa, kappa)),
+    ):
+        cfg = make_config(kappa, kappa_ratio=kappa_ratio, detuning_ratio=detuning_ratio, carrier_ratio=1e6)
+        eta, t_opt = peak_efficiency(cfg)
+        assert eta == pytest.approx(want_eta, abs=1e-10)
+        assert t_opt == pytest.approx(want_t, rel=1e-5)
 
 
 def test_peak_efficiency_refusals():
@@ -441,7 +388,7 @@ def test_peak_efficiency_refusals():
     # not resolved by the quadrature step.
     with pytest.raises(NumericalError, match="not resolved"):
         peak_efficiency(make_config(kappa_ratio=1e5, carrier_ratio=20.0))
-    # A huge but finite carrier would stream ~4e10 nodes: refused at once.
+    # A huge but finite carrier would need ~4e10 nodes: refused at once.
     with pytest.raises(NumericalError, match="quadrature nodes"):
         peak_efficiency(make_config(carrier_ratio=1e9))
     # The efficiency is a ratio of energies: a config holds no drive

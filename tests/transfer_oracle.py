@@ -3,22 +3,34 @@
 mode2_energy_numeric integrates mode 2's real (non-rotating-wave)
 response to the ring-down drive by composite Simpson quadrature, one
 time at a time.  It shares no code with the closed form efficiency.
-With the streamed pass of peak_efficiency, which the tests compare
-against it node by node, it shares only the grid density
-POINTS_PER_PERIOD and the trailing-period tone fit _tone_peak.  It
-keeps its own drive amplitude V0 and line impedance Z0 and normalises
-by its own emitted energy V0^2 / (2 kappa_1 Z0), where the library
-drives at V0 = Z0 = 1; run at several V0 and Z0 it checks the scale
-invariance the library relies on.
+With peak_efficiency, whose node voltages are evaluated in closed form
+at the probe windows and which the tests compare against it node by
+node, it shares only the grid density POINTS_PER_PERIOD and the
+trailing-period tone fit _tone_peak.  It keeps its own drive amplitude
+V0 and line impedance Z0 and normalises by its own emitted energy
+V0^2 / (2 kappa_1 Z0), where the library drives at V0 = Z0 = 1; run at
+several V0 and Z0 it checks the scale invariance the library relies on.
+
+eager_node_voltages and eager_peak_efficiency are the slow path the
+closed-form node voltages replaced: the whole Simpson recurrence
+streamed block by block from tau = 0, and the same peak search over
+it.  They keep their own block constants, and share the library's
+window and tone fit (_node_energy), so only the node voltages differ.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from jpmsim.transfer import POINTS_PER_PERIOD, TransferConfig, _tone_peak
+from jpmsim.transfer import _INV_PHI, POINTS_PER_PERIOD, TransferConfig, _node_energy, _tone_peak, efficiency
+
+# Panels per block of the streamed pass, and the largest rescale factor
+# e^{kappa_2 h (k - 1)} a block of k panels may reach.
+BLOCK_PANELS = 4096
+BLOCK_LOG_GROWTH = 64.0
 
 
 def mode2_energy_numeric(
@@ -115,3 +127,75 @@ def mode2_energy_numeric(
     v_peak = _tone_peak(np.asarray(node_times), np.asarray(node_values), w2, h)
     emitted_energy = drive_amplitude**2 / (2.0 * k1 * line_impedance)
     return 0.5 * v_peak**2 / emitted_energy
+
+
+def eager_node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> np.ndarray:
+    """V2 at the panel nodes tau_j = 2 j h, j = 1..n_nodes, streamed from tau = 0.
+
+    The Simpson panels above, accumulated by the scaled recurrence
+    a_j = a_{j-1} D + p_j, D = e^{-kappa_2 h}.  Within a block of k
+    panels the recurrence is solved by one cumulative sum,
+
+        a_{j0+i} = D^{i-1} [D a_{j0} + sum_{l<=i} D^{-(l-1)} p_{j0+l}],
+
+    and the block length keeps the rescale factor D^{-(k-1)} at most
+    e^BLOCK_LOG_GROWTH; only the running a and b carry over between
+    blocks.  The drive has V0 = Z0 = 1.
+    """
+    w1 = cfg.source.angular_frequency
+    w2 = cfg.target.angular_frequency
+    k1 = cfg.source.decay_rate
+    k2 = cfg.target.decay_rate
+    amp = 2.0 * math.sqrt(k2)
+    d = math.exp(-0.5 * k2 * h)
+    d2 = d * d
+    block = min(BLOCK_PANELS, 1 + int(BLOCK_LOG_GROWTH / (k2 * h)))
+    steps = k2 * h * np.arange(block)
+    grow, shrink = np.exp(steps), np.exp(-steps)
+
+    out = np.empty(n_nodes)
+    a_run = b_run = 0.0
+    for j0 in range(0, n_nodes, block):
+        k = min(block, n_nodes - j0)
+        tau = h * np.arange(2 * j0, 2 * (j0 + k) + 1)
+        cos_t, sin_t = np.cos(w2 * tau), np.sin(w2 * tau)
+        drive = amp * np.exp(-0.5 * k1 * tau) * (cos_t if w1 == w2 else np.cos(w1 * tau))
+        runs = []
+        for f, run in ((drive * cos_t, a_run), (drive * sin_t, b_run)):
+            panels = (h / 3.0) * (f[:-2:2] * d2 + 4.0 * f[1::2] * d + f[2::2])
+            runs.append(shrink[:k] * (d2 * run + np.cumsum(grow[:k] * panels)))
+        a, b = runs
+        out[j0 : j0 + k] = cos_t[2::2] * a + sin_t[2::2] * b
+        a_run, b_run = float(a[-1]), float(b[-1])
+    return out
+
+
+def eager_peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
+    """peak_efficiency's search on eager_node_voltages over the whole bracket (no refusals)."""
+    period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
+    h = period / (2 * POINTS_PER_PERIOD)
+    t_max = 20.0 / min(cfg.source.decay_rate, cfg.target.decay_rate)
+    grid = np.linspace(t_max / 4000.0, t_max, 4000)
+    envelope = efficiency(grid, cfg.source.decay_rate, cfg.target.decay_rate, cfg.delta_omega)
+    seed = float(grid[int(np.argmax(envelope))])
+    lo = max(seed / 3.0, t_max / 4000.0)
+    hi = min(3.0 * seed, t_max)
+    n_nodes = int(math.ceil(hi / (2.0 * h)))
+    volts = eager_node_voltages(cfg, h, n_nodes)
+    energy = functools.lru_cache(maxsize=None)(lambda j: _node_energy(cfg, lambda nodes: volts[nodes - 1], j, h))
+    a, b = max(int(lo / (2.0 * h)), 1), n_nodes
+    while b - a > 4:
+        step = int(round(_INV_PHI * (b - a)))
+        if energy(b - step) < energy(a + step):
+            a = b - step
+        else:
+            b = a + step
+    j = max(range(a, b + 1), key=energy)
+    if not 1 < j < n_nodes:
+        return energy(j), 2.0 * h * j
+    y0, y1, y2 = energy(j - 1), energy(j), energy(j + 1)
+    curvature = y0 - 2.0 * y1 + y2
+    if curvature >= 0.0:
+        return y1, 2.0 * h * j
+    shift = 0.5 * (y0 - y2) / curvature
+    return y1 - 0.25 * (y0 - y2) * shift, 2.0 * h * (j + shift)
