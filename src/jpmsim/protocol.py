@@ -19,7 +19,10 @@ on outcomes and a batch of shots is bit-identical to the same shots
 simulated one at a time from the same generator.  Generator.random
 fills its output in C order from one stream, so the shot paths draw a
 block in row chunks of at most SHOT_CHUNK_DRAWS uniforms and still
-consume exactly the numbers one draw of the whole block would.
+consume exactly the numbers one draw of the whole block would.  A
+single shot (simulate_shot) reads its 3 + 2 n draws as Python floats
+and applies the same rule as the block kernels _switches and
+_iq_points, so its result is bit-identical to a one-row block.
 """
 
 from __future__ import annotations
@@ -258,13 +261,30 @@ def simulate_shot(
     Bright capture requires the excitation to survive preparation and
     the detector to fire on it; a dark count can fire the detector on
     any shot a bright pointer did not already switch.
+
+    The shot draws its 3 + 2 n_samples uniforms and applies the rule of
+    _switches and _iq_points to them as Python floats: the three switch
+    draws are compared one by one, and each IQ axis is sigma times the
+    add.reduce of its normal deviates over n_samples (the reduction
+    mean makes) plus the centroid of the switch outcome.  So the result
+    is bit-identical to a one-row block through those kernels, without
+    their per-call array overhead.
     """
-    u = rng.random((1, 3 + 2 * iq_model.n_samples))
-    captured, dark, _ = _switches(qubit_excited, u, cfg)
-    switch = captured | dark
-    point = _iq_points(iq_model, switch, u[:, 3:])[0]
-    cause = "bright_capture" if captured[0] else "dark_count" if dark[0] else "none"
-    return ShotResult(int(switch[0]), cause, (float(point[0]), float(point[1])))
+    from scipy.special import ndtri
+
+    n = iq_model.n_samples
+    u = rng.random(3 + 2 * n)
+    relax_draw, capture_draw, dark_draw = u[:3].tolist()
+    survived = bool(qubit_excited) and not relax_draw < cfg.relaxation_prob
+    captured = survived and capture_draw < cfg.bright_detect_prob
+    dark = not captured and dark_draw < cfg.dark_prob
+    switch = captured or dark
+    noise = ndtri(u[3:])
+    c_x, c_y = iq_model.centroid_1 if switch else iq_model.centroid_0
+    x = iq_model.sigma * (float(np.add.reduce(noise[0::2])) / n) + c_x
+    y = iq_model.sigma * (float(np.add.reduce(noise[1::2])) / n) + c_y
+    cause = "bright_capture" if captured else "dark_count" if dark else "none"
+    return ShotResult(int(switch), cause, (float(x), float(y)))
 
 
 def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel = DEFAULT_IQ_MODEL) -> dict:

@@ -239,18 +239,28 @@ def test_shot_paths_memory_is_flat_in_shot_count():
     assert large < 10.0 and large < 2.0 * small
 
 
-def test_simulate_shot_matches_reference_batch():
-    # Two samples per shot and an off-axis centroid, so the x/y
-    # interleaving and both centroid components are exercised.
-    model = IqModel(centroid_1=(1.0, 2.0), n_samples=2)
+@pytest.mark.parametrize("centroid_1", [(1.0, 0.0), (1.0, 2.0)], ids=["on-axis", "off-axis"])
+@pytest.mark.parametrize("n_samples", [1, 2, 3, 9])
+def test_simulate_shot_matches_reference_batch(n_samples, centroid_1):
+    # The scalar shot against a one-row block of the reference sampler:
+    # the same switch bit and cause, the same IQ bits (float.hex tells
+    # -0.0 from 0.0), the same field types and the same stream position.
+    # Nine samples sum their deviates in numpy's pairwise regime; the
+    # off-axis centroid exercises the x/y interleaving on both components.
+    model = IqModel(centroid_1=centroid_1, n_samples=n_samples)
     causes = set()
-    for p_r, p_b, p_d in ((0.05, 0.99, 0.02), (0.3, 0.9, 0.1)):
+    for p_r, p_b, p_d in ((0.05, 0.99, 0.02), (0.3, 0.9, 0.1), (0.0, 1.0, 0.0), (1.0, 0.0, 1.0)):
         cfg = ProtocolConfig(relaxation_override=p_r, bright_detect_prob=p_b, dark_prob=p_d)
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         for i in range(500):
             shot = simulate_shot(i % 3 != 0, cfg, rng, model)
-            assert shot == _reference_shot(i % 3 != 0, cfg, ref, model)
+            want = _reference_shot(i % 3 != 0, cfg, ref, model)
+            assert (shot.switch_bit, shot.cause) == (want.switch_bit, want.cause)
+            assert [v.hex() for v in shot.iq_point] == [v.hex() for v in want.iq_point]
+            assert type(shot.switch_bit) is int and type(shot.cause) is str and type(shot.iq_point) is tuple
+            assert all(type(v) is float for v in shot.iq_point)
             causes.add(shot.cause)
+        assert rng.bit_generator.state == ref.bit_generator.state
     assert causes == {"bright_capture", "dark_count", "none"}
 
 
