@@ -8,10 +8,12 @@ covers the matched case, a decay-rate mismatch, a frequency mismatch
 and both together.  This module evaluates it, the peak values of its
 single-mismatch cases, and the numeric peak of the real
 (non-rotating-wave) response of mode 2 to the ring-down drive, from a
-composite Simpson quadrature whose node voltages are evaluated in
-closed form at the search's probe windows.  The independent oracle
-that integrates the same response one time at a time lives with the
-tests (tests/transfer_oracle.py).
+composite Simpson quadrature and a trailing-period tone fit whose
+result at any probe window is a closed form in the window's end node:
+a few complex scalars from constants taken once per peak.  The
+independent oracle that integrates the same response one time at a
+time, and the windowed numpy path the closed form replaced, live with
+the tests (tests/transfer_oracle.py).
 
 The closed form is one rotating-wave envelope.  With
 a = exp(-kappa_1 t / 2), b = exp(-kappa_2 t / 2):
@@ -176,95 +178,117 @@ _MAX_DECAY_PER_STEP = 0.1
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _tone_peak(times: np.ndarray, values: np.ndarray, omega: float, h: float) -> float:
-    """Carrier-cycle peak of V2 at the last of the window nodes.
+def _end_rows(times: np.ndarray, omega: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The tone fit on window nodes at times: weights giving its quadratures at the last node.
 
-    Tone fit with a linear amplitude/phase drift term: the window signal
-    is (P + P'u) cos(omega tau) + (Q + Q'u) sin(omega tau) with u
-    centered and scaled to [-1, 1].  The drift term absorbs the slow
-    decay and carrier beat across the window; extrapolating the
-    quadratures to the window end gives the envelope there with
-    O((kappa * T_carrier)^2) accuracy.  Windows too short for the drift
-    term fit the bare tone, or take the largest sample.
+    The fit is linear least squares.  The window signal is
+    (P + P'u) cos(omega tau) + (Q + Q'u) sin(omega tau) with u centered
+    and scaled to [-1, 1].  The drift term absorbs the slow decay and
+    carrier beat across the window; extrapolating the quadratures to the
+    window end (u = 1) gives the envelope there with
+    O((kappa * T_carrier)^2) accuracy.  Windows of fewer than 8 nodes fit
+    the bare tone.  Returns the rows of the design's pseudo-inverse that
+    give P + P' and Q + Q' (P and Q for the bare tone) from the samples.
     """
-    if values.size < 4:
-        return float(np.abs(values).max(initial=0.0))
     theta = omega * times
     u = (times - times.mean()) / max(times[-1] - times.mean(), h)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    if values.size >= 8:
-        design = np.column_stack([cos_t, sin_t, u * cos_t, u * sin_t])
-    else:
-        design = np.column_stack([cos_t, sin_t])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    if coef.size == 4:
-        p_end = coef[0] + coef[2]
-        q_end = coef[1] + coef[3]
-    else:
-        p_end, q_end = coef[0], coef[1]
-    return float(np.hypot(p_end, q_end))
+    if times.size < 8:
+        g = np.linalg.pinv(np.column_stack([cos_t, sin_t]))
+        return g[0], g[1]
+    g = np.linalg.pinv(np.column_stack([cos_t, sin_t, u * cos_t, u * sin_t]))
+    return g[0] + g[2], g[1] + g[3]
 
 
-def _expm1(z):
+def _expm1(z: complex) -> complex:
     """Complex e^z - 1 to full precision near z = 0, where exp(z) - 1 cancels."""
-    x, y = np.real(z), np.imag(z)
-    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * (np.exp(x) * np.sin(y))
+    x, y = z.real, z.imag
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2, math.exp(x) * math.sin(y))
 
 
-def _simpson_voltages(cfg: TransferConfig, h: float) -> Callable[[np.ndarray], np.ndarray]:
-    """V2 at panel nodes tau_j = 2 j h, as a function of the node array j >= 1.
+def _window_energy(cfg: TransferConfig, h: float) -> Callable[[int], float]:
+    """Stored-energy fraction at panel node j >= 1 of the Simpson recurrence on step h.
 
-    The Simpson panels of the test oracle (tests/transfer_oracle.py),
-    accumulated on the fixed step h from tau = 0 by the recurrence
-    a_j + i b_j = D (a_{j-1} + i b_{j-1}) + P_j, D = e^{-kappa_2 h}, with
-    P_j the panel of drive(tau) e^{i omega_2 tau}.  The drive, with
+    V2 at the nodes tau_j = 2 j h is the Simpson recurrence of the test
+    oracle (tests/transfer_oracle.py) run from tau = 0 on the fixed step
+    h: a_j + i b_j = D (a_{j-1} + i b_{j-1}) + P_j, D = e^{-kappa_2 h},
+    with P_j the panel of drive(tau) e^{i omega_2 tau}.  The drive, with
     V0 = Z0 = 1 as efficiencies are free of the line's scale, is
     sqrt(kappa_2) sum_{+-} e^{sigma_+- tau}, sigma_+- = -kappa_1/2 +
     i (omega_2 +- omega_1), so each term's panels are geometric,
     P_l = c q^{l-1} with q = e^{2 sigma h}, and the recurrence sums in
-    closed form at any node:
+    closed form: s_j = sum_l D^{j-l} c q^{l-1} = c M^{j-1} r_j, with
+    r_j = expm1(j L) / expm1(L) = sum_{i<j} e^{i L} (j at L = 0), M the
+    larger in modulus of D and q and L = log(smaller / larger), so
+    Re L <= 0 and nothing overflows.  V2_j = Re(e^{-i theta_j} s_j),
+    theta_j = omega_2 tau_j.
 
-        sum_l D^{j-l} c q^{l-1} = c M^{j-1} expm1(j L) / expm1(L),
+    The energy is kappa_1 (P^2 + Q^2), with P and Q the quadratures of
+    the tone fit (_end_rows) on the POINTS_PER_PERIOD nodes, one carrier
+    period, ending at node j: at V0 = Z0 = 1 the source emits
+    1/(2 kappa_1).  The fit is linear, and the window j_b + k,
+    k = 1..POINTS_PER_PERIOD, has the first window's design with each
+    (cos, sin) pair turned by theta_0 = omega_2 2 h j_b.  So with g the
+    end rows of the first design, P = Re(e^{-i theta_0} X_P), and Q
+    likewise, where the exact identity r_{j_b+k} = r_{j_b} + e^{j_b L} r_k
+    splits each term of X = g.(e^{-i theta_k} s_{j_b+k}) into
 
-    M the larger in modulus of D and q and L = log(smaller / larger), so
-    Re L <= 0 and nothing overflows; at L = 0 (matched rates and
-    frequencies) the sum is j.  V2 = Re(e^{-i omega_2 tau_j} (a_j + i b_j)).
+        c M^{j_b} (r_{j_b} U + e^{j_b L} W),
+        U = g.(e^{-i theta_k} M^{k-1}),  W = g.(e^{-i theta_k} M^{k-1} r_k),
+
+    with nothing cancelling as L -> 0.  U and W are taken once per peak,
+    so a window costs a few complex scalars however far from tau = 0 it
+    lies.  Windows shorter than one period (j < POINTS_PER_PERIOD) fit
+    the first j voltages, kept from the same set-up; below 4 nodes the
+    largest sample stands for the peak.
     """
     w1 = cfg.source.angular_frequency
     w2 = cfg.target.angular_frequency
     k1 = cfg.source.decay_rate
     k2 = cfg.target.decay_rate
+    n = POINTS_PER_PERIOD
+    ks = np.arange(1, n + 1)
+    times = (2.0 * h) * ks
+    theta = w2 * times
+    turn = np.cos(theta) - 1j * np.sin(theta)
+    g_p, g_q = _end_rows(times, w2, h)
     d = math.exp(-0.5 * k2 * h)
+    first = np.zeros(n, dtype=complex)
     terms = []
     for w in (w2 + w1, w2 - w1):
         e = cmath.exp(complex(-0.5 * k1 * h, w * h))
         c = (h / 3.0) * math.sqrt(k2) * (d * d + 4.0 * d * e + e * e)
         log_ratio = complex((k2 - k1) * h, 2.0 * w * h)  # log(q / D)
-        log_m, L = (-k2 * h, log_ratio) if k2 <= k1 else (complex(-k1 * h, 2.0 * w * h), -log_ratio)
-        terms.append((c, log_m, L, _expm1(L)))
+        log_m, L = (complex(-k2 * h), log_ratio) if k2 <= k1 else (complex(-k1 * h, 2.0 * w * h), -log_ratio)
+        expm1_l = _expm1(L)
+        ratio = np.cumsum(np.exp((ks - 1) * L))  # r_k
+        geo = c * np.exp((ks - 1) * log_m) * turn
+        first += geo * ratio
+        sums = [complex(g @ v) for v in (geo, geo * ratio) for g in (g_p, g_q)]
+        terms.append((log_m, L, expm1_l, *sums))
+    volts = first.real
 
-    def volts(j: np.ndarray) -> np.ndarray:
-        s = 0.0
-        for c, log_m, L, expm1_l in terms:
-            ratio = j if L == 0.0 else _expm1(j * L) / expm1_l
-            s = s + c * np.exp((j - 1) * log_m) * ratio
-        # The tone fit's own phases, so their rounding cancels in the fit.
-        theta = w2 * ((2.0 * h) * j)
-        return np.cos(theta) * s.real + np.sin(theta) * s.imag
+    def energy(j: int) -> float:
+        if j < n:
+            if j < 4:
+                return k1 * float(np.abs(volts[:j]).max()) ** 2
+            rows = _end_rows(times[:j], w2, h)
+            p, q = (float(g @ volts[:j]) for g in rows)
+            return k1 * (p * p + q * q)
+        j_b = j - n
+        x_p = x_q = 0j
+        for log_m, L, expm1_l, u_p, u_q, w_p, w_q in terms:
+            a, b = (j_b, 1.0) if L == 0.0 else (_expm1(j_b * L) / expm1_l, cmath.exp(j_b * L))
+            m = cmath.exp(j_b * log_m)
+            x_p += m * (a * u_p + b * w_p)
+            x_q += m * (a * u_q + b * w_q)
+        theta_0 = w2 * ((2.0 * h) * j_b)
+        cos_0, sin_0 = math.cos(theta_0), math.sin(theta_0)
+        p = cos_0 * x_p.real + sin_0 * x_p.imag
+        q = cos_0 * x_q.real + sin_0 * x_q.imag
+        return k1 * (p * p + q * q)
 
-    return volts
-
-
-def _node_energy(cfg: TransferConfig, volts: Callable[[np.ndarray], np.ndarray], j: int, h: float) -> float:
-    """Stored-energy fraction at node j of the Simpson recurrence on step h.
-
-    The tone fit (_tone_peak) on the POINTS_PER_PERIOD whole panels, one
-    carrier period, ending at tau_j = 2 j h, as the test oracle takes it.
-    At V0 = Z0 = 1 the source emits 1/(2 kappa_1), so the fraction is kappa_1 v_peak^2.
-    """
-    nodes = np.arange(max(j - POINTS_PER_PERIOD, 0) + 1, j + 1)
-    v_peak = _tone_peak((2.0 * h) * nodes, volts(nodes), cfg.target.angular_frequency, h)
-    return cfg.source.decay_rate * v_peak**2
+    return energy
 
 
 def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
@@ -273,15 +297,16 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     Seeds from the argmax of the closed-form envelope on a dense grid
     and brackets the peak in [seed/3, 3 seed] (the envelope is unimodal
     in every regime this model covers).  A golden-section search over
-    the panel-node indices in the bracket runs the trailing-period tone
-    fit on each probe's window, and a three-point parabola through the
-    best node and its neighbours refines the peak.  V2 at a node is
-    the Simpson recurrence from tau = 0 on the fixed step
-    h = period / (2 POINTS_PER_PERIOD), evaluated in closed form at that
-    node alone (_simpson_voltages), so at a node time the energy equals
-    the test oracle's there up to rounding, and a probe costs one window
-    of POINTS_PER_PERIOD nodes however far from tau = 0 it lies.
-    Returns (eta_peak, t_opt).
+    the panel-node indices in the bracket reads the trailing-period tone
+    fit at each probe node, and a three-point parabola through the best
+    node and its neighbours refines the peak.  V2 at a node is the
+    Simpson recurrence from tau = 0 on the fixed step
+    h = period / (2 POINTS_PER_PERIOD), and the fit on the
+    POINTS_PER_PERIOD nodes ending there is linear in it, so the energy
+    is a closed form in the node (_window_energy): one pseudo-inverse of
+    the fit's design per peak, then a few complex scalars per probe
+    however far from tau = 0 it lies.  At a node time the energy equals
+    the test oracle's there up to rounding.  Returns (eta_peak, t_opt).
 
     Raises
     ------
@@ -315,8 +340,7 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
             f"peak search needs {span:.3g} quadrature nodes, more than {MAX_PEAK_NODES:.0e}"
         )
     n_nodes = int(math.ceil(span))
-    volts = _simpson_voltages(cfg, h)
-    energy = functools.lru_cache(maxsize=None)(lambda j: _node_energy(cfg, volts, j, h))
+    energy = functools.lru_cache(maxsize=None)(_window_energy(cfg, h))
 
     a, b = max(int(lo / (2.0 * h)), 1), n_nodes
     while b - a > 4:

@@ -13,14 +13,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jpmsim.transfer as transfer
 from jpmsim.config import RunConfig
 from jpmsim.errors import NumericalError
 from jpmsim.transfer import (
-    POINTS_PER_PERIOD,
-    _node_energy,
-    _simpson_voltages,
+    _window_energy,
     CavityMode,
     TransferConfig,
     efficiency,
@@ -28,7 +27,14 @@ from jpmsim.transfer import (
     kappa_mismatch_peak,
     peak_efficiency,
 )
-from transfer_oracle import BLOCK_PANELS, eager_node_voltages, eager_peak_efficiency, mode2_energy_numeric
+from transfer_oracle import (
+    BLOCK_PANELS,
+    eager_node_voltages,
+    eager_peak_efficiency,
+    mode2_energy_numeric,
+    node_energy,
+    simpson_voltages,
+)
 
 MATCHED_PEAK = 4.0 / math.e**2
 
@@ -275,11 +281,11 @@ def test_peak_efficiency_against_dense_grid_oracle():
 
 @pytest.mark.parametrize("carrier_ratio", [2e4, 20.0])
 def test_streaming_pass_matches_per_t_oracle_at_nodes(carrier_ratio):
-    # The fast path against the slow path it replaces: at node times
-    # t_j = 2 j h, where mode2_energy_numeric integrates on the same step
-    # h, the closed-form node energies equal the per-t oracle.  Nodes up
-    # to 9000, on both sides of the streamed pass's block boundaries, at
-    # a fast carrier and a slow one (kappa_2 h near 0.05).
+    # At node times t_j = 2 j h, where mode2_energy_numeric integrates on
+    # the same step h, the library's closed-form window energies and the
+    # windowed slow path they replaced both equal the per-t oracle.  Nodes
+    # up to 9000, on both sides of the streamed pass's block boundaries,
+    # at a fast carrier and a slow one (kappa_2 h near 0.05).
     kappa = 1e6
     n_nodes = 9000
     worst = 0.0
@@ -288,14 +294,15 @@ def test_streaming_pass_matches_per_t_oracle_at_nodes(carrier_ratio):
             cfg = make_config(kappa, kappa_ratio=r, detuning_ratio=a, carrier_ratio=carrier_ratio)
             period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
             h = period / 80.0
-            volts = _simpson_voltages(cfg, h)
+            energy = _window_energy(cfg, h)
+            volts = simpson_voltages(cfg, h)
             for j in [2, 3, 39, 40, 41, 4096, 4097, 8192, 8193, n_nodes] + list(range(100, n_nodes + 1, 250)):
                 t = 2.0 * h * j
                 if math.ceil(t / h) != 2 * j:
                     continue  # the oracle would round to a different step here
                 want = mode2_energy_numeric(t, cfg)
-                got = _node_energy(cfg, volts, j, h)
-                worst = max(worst, abs(got - want) / want)
+                for got in (energy(j), node_energy(cfg, volts, j, h)):
+                    worst = max(worst, abs(got - want) / want)
     assert worst <= 1e-9
 
 
@@ -327,44 +334,95 @@ def test_lazy_peak_matches_eager_reference(kappa_ratio, detuning_ratio, carrier_
 @pytest.mark.parametrize("n_nodes", [1, 1000, 3 * BLOCK_PANELS + 123])
 @pytest.mark.parametrize("kappa_ratio, detuning_ratio, carrier_ratio", PASS_GRID + NEAR_MATCH + FAST_DECAY)
 def test_block_source_matches_eager_pass(n_nodes, kappa_ratio, detuning_ratio, carrier_ratio):
-    # Node by node, the closed form equals the streamed pass up to
-    # rounding of the voltage amplitude (measured up to 5e-15), below one
-    # block and across several blocks ending in a partial one.
+    # Node by node, the windowed slow path's closed-form voltages equal
+    # the streamed pass before it up to rounding of the voltage amplitude
+    # (measured up to 5e-15), below one block and across several blocks
+    # ending in a partial one.
     cfg = make_config(kappa_ratio=kappa_ratio, detuning_ratio=detuning_ratio, carrier_ratio=carrier_ratio)
     period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
     h = period / 80.0
     want = eager_node_voltages(cfg, h, n_nodes)
-    got = _simpson_voltages(cfg, h)(np.arange(1, n_nodes + 1))
+    got = simpson_voltages(cfg, h)(np.arange(1, n_nodes + 1))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kappa_ratio, detuning_ratio, carrier_ratio", PASS_GRID + NEAR_MATCH + FAST_DECAY)
+def test_window_energy_matches_windowed_lstsq_path(kappa_ratio, detuning_ratio, carrier_ratio):
+    # Window by window, the closed-form energy (per-peak pseudo-inverse
+    # rows, a few complex scalars per window) against the path it
+    # replaced: 40 node voltages as numpy arrays and an lstsq tone fit.
+    # The ends cover the largest-sample (j < 4), bare-tone (j < 8),
+    # short-window (j < 40) and full-window branches (measured up to
+    # 1.6e-13, 9000 nodes into the fast-decay rows, where the energy has
+    # fallen to 1e-32).
+    cfg = make_config(kappa_ratio=kappa_ratio, detuning_ratio=detuning_ratio, carrier_ratio=carrier_ratio)
+    period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
+    h = period / 80.0
+    energy = _window_energy(cfg, h)
+    volts = simpson_voltages(cfg, h)
+    for j in (2, 3, 7, 8, 24, 39, 40, 41, 1000, 4097, 9000):
+        want = node_energy(cfg, volts, j, h)
+        assert abs(energy(j) - want) <= 1e-12 * want, j
+
+
+@given(
+    log_kappa_ratio=st.floats(math.log(1.0 / 12.0), math.log(12.0)),
+    detuning_ratio=st.floats(0.0, 2.0),
+    log_carrier_ratio=st.floats(math.log(20.0), math.log(2e4)),
+)
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+def test_peak_matches_eager_reference_on_drawn_pairs(log_kappa_ratio, detuning_ratio, log_carrier_ratio):
+    # test_lazy_peak_matches_eager_reference off its grid: kappa ratios
+    # over [1/12, 12] and carrier/kappa over [20, 2e4], both
+    # log-uniform, and detunings over [0, 2] kappa_1, with the same bounds.
+    cfg = make_config(
+        kappa_ratio=math.exp(log_kappa_ratio),
+        detuning_ratio=detuning_ratio,
+        carrier_ratio=math.exp(log_carrier_ratio),
+    )
+    eta, t_opt = peak_efficiency(cfg)
+    want_eta, want_t = eager_peak_efficiency(cfg)
+    assert abs(eta - want_eta) <= 1e-13 * want_eta
+    assert abs(t_opt - want_t) <= 1e-10 * want_t
 
 
 @pytest.mark.parametrize("carrier_ratio", [None, 1e6], ids=["default", "carrier-1e6"])
 def test_peak_search_evaluates_one_window_per_tone_fit(monkeypatch, carrier_ratio):
-    # Each tone fit reads one window of at most POINTS_PER_PERIOD nodes
-    # and nothing else: at the default transfer-peak config (7e4 nodes in
-    # the bracket) and at carrier/kappa = 1e6 (1.3e7) a peak evaluates
-    # under 2000 nodes.
+    # A peak evaluates one window energy per probe node, from one
+    # pseudo-inverse of the tone fit's design taken when the search
+    # starts, and never solves a least-squares problem: at the default
+    # transfer-peak config (7e4 nodes in the bracket) and at
+    # carrier/kappa = 1e6 (1.3e7) under 50 windows, one pinv, no lstsq.
     if carrier_ratio is None:
         cfg = RunConfig.from_sources().transfer_config()
     else:
         cfg = make_config(carrier_ratio=carrier_ratio)
-    seen = {"fits": 0, "nodes": 0}
-    real = transfer._simpson_voltages
+    seen = {"windows": 0, "pinv": 0}
+    real_energy = transfer._window_energy
+    real_pinv = np.linalg.pinv
 
-    def counting(cfg, h):
-        volts = real(cfg, h)
+    def counting_energy(cfg, h):
+        energy = real_energy(cfg, h)
 
         def counted(j):
-            seen["fits"] += 1
-            seen["nodes"] += j.size
-            return volts(j)
+            seen["windows"] += 1
+            return energy(j)
 
         return counted
 
-    monkeypatch.setattr(transfer, "_simpson_voltages", counting)
+    def counting_pinv(a, *args, **kwargs):
+        seen["pinv"] += 1
+        return real_pinv(a, *args, **kwargs)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("peak_efficiency called np.linalg.lstsq")
+
+    monkeypatch.setattr(transfer, "_window_energy", counting_energy)
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     peak_efficiency(cfg)
-    assert 0 < seen["nodes"] <= POINTS_PER_PERIOD * seen["fits"]
-    assert seen["nodes"] < 2000
+    assert 0 < seen["windows"] < 50
+    assert seen["pinv"] == 1
 
 
 def test_peak_at_a_fast_carrier_matches_the_closed_forms():

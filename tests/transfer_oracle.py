@@ -2,30 +2,36 @@
 
 mode2_energy_numeric integrates mode 2's real (non-rotating-wave)
 response to the ring-down drive by composite Simpson quadrature, one
-time at a time.  It shares no code with the closed form efficiency.
-With peak_efficiency, whose node voltages are evaluated in closed form
-at the probe windows and which the tests compare against it node by
-node, it shares only the grid density POINTS_PER_PERIOD and the
-trailing-period tone fit _tone_peak.  It keeps its own drive amplitude
-V0 and line impedance Z0 and normalises by its own emitted energy
-V0^2 / (2 kappa_1 Z0), where the library drives at V0 = Z0 = 1; run at
-several V0 and Z0 it checks the scale invariance the library relies on.
+time at a time.  It shares no code with the closed form efficiency,
+and none with peak_efficiency's window energies, which the tests compare
+against it node by node: only the grid density POINTS_PER_PERIOD.  Its
+trailing-period tone fit (tone_peak, by np.linalg.lstsq) is its own.
+It keeps its own drive amplitude V0 and line impedance Z0 and
+normalises by its own emitted energy V0^2 / (2 kappa_1 Z0), where the
+library drives at V0 = Z0 = 1; run at several V0 and Z0 it checks the
+scale invariance the library relies on.
 
-eager_node_voltages and eager_peak_efficiency are the slow path the
-closed-form node voltages replaced: the whole Simpson recurrence
-streamed block by block from tau = 0, and the same peak search over
-it.  They keep their own block constants, and share the library's
-window and tone fit (_node_energy), so only the node voltages differ.
+simpson_voltages and node_energy are the windowed slow path that the
+library's closed-form window energies replaced: the Simpson recurrence
+evaluated in closed form at the 40 nodes of a window, as numpy arrays,
+and the tone fit solved on them.  eager_node_voltages and
+eager_peak_efficiency are the older slow path before it: the whole
+recurrence streamed block by block from tau = 0, and the same peak
+search over it.  They keep their own block constants, and
+eager_peak_efficiency reads its windows through node_energy too, so the
+two slow paths differ only in their node voltages.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+from collections.abc import Callable
 
 import numpy as np
 
-from jpmsim.transfer import _INV_PHI, POINTS_PER_PERIOD, TransferConfig, _node_energy, _tone_peak, efficiency
+from jpmsim.transfer import _INV_PHI, POINTS_PER_PERIOD, TransferConfig, efficiency
 
 # Panels per block of the streamed pass, and the largest rescale factor
 # e^{kappa_2 h (k - 1)} a block of k panels may reach.
@@ -124,9 +130,100 @@ def mode2_energy_numeric(
         node_times.append(tau[m])
         node_values.append(math.cos(w2 * tau[m]) * a_run + math.sin(w2 * tau[m]) * b_run)
 
-    v_peak = _tone_peak(np.asarray(node_times), np.asarray(node_values), w2, h)
+    v_peak = tone_peak(np.asarray(node_times), np.asarray(node_values), w2, h)
     emitted_energy = drive_amplitude**2 / (2.0 * k1 * line_impedance)
     return 0.5 * v_peak**2 / emitted_energy
+
+
+def tone_peak(times: np.ndarray, values: np.ndarray, omega: float, h: float) -> float:
+    """Carrier-cycle peak of V2 at the last of the window nodes.
+
+    Tone fit with a linear amplitude/phase drift term: the window signal
+    is (P + P'u) cos(omega tau) + (Q + Q'u) sin(omega tau) with u
+    centered and scaled to [-1, 1].  The drift term absorbs the slow
+    decay and carrier beat across the window; extrapolating the
+    quadratures to the window end gives the envelope there with
+    O((kappa * T_carrier)^2) accuracy.  Windows too short for the drift
+    term fit the bare tone, or take the largest sample.
+    """
+    if values.size < 4:
+        return float(np.abs(values).max(initial=0.0))
+    theta = omega * times
+    u = (times - times.mean()) / max(times[-1] - times.mean(), h)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    if values.size >= 8:
+        design = np.column_stack([cos_t, sin_t, u * cos_t, u * sin_t])
+    else:
+        design = np.column_stack([cos_t, sin_t])
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    if coef.size == 4:
+        p_end = coef[0] + coef[2]
+        q_end = coef[1] + coef[3]
+    else:
+        p_end, q_end = coef[0], coef[1]
+    return float(np.hypot(p_end, q_end))
+
+
+def _expm1(z):
+    """Complex e^z - 1 to full precision near z = 0, where exp(z) - 1 cancels."""
+    x, y = np.real(z), np.imag(z)
+    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * (np.exp(x) * np.sin(y))
+
+
+def simpson_voltages(cfg: TransferConfig, h: float) -> Callable[[np.ndarray], np.ndarray]:
+    """V2 at panel nodes tau_j = 2 j h, as a function of the node array j >= 1.
+
+    The Simpson panels of mode2_energy_numeric, accumulated on the fixed
+    step h from tau = 0 by the recurrence a_j + i b_j = D (a_{j-1} +
+    i b_{j-1}) + P_j, D = e^{-kappa_2 h}, with P_j the panel of
+    drive(tau) e^{i omega_2 tau}.  The drive, with V0 = Z0 = 1, is
+    sqrt(kappa_2) sum_{+-} e^{sigma_+- tau}, sigma_+- = -kappa_1/2 +
+    i (omega_2 +- omega_1), so each term's panels are geometric,
+    P_l = c q^{l-1} with q = e^{2 sigma h}, and the recurrence sums in
+    closed form at any node:
+
+        sum_l D^{j-l} c q^{l-1} = c M^{j-1} expm1(j L) / expm1(L),
+
+    M the larger in modulus of D and q and L = log(smaller / larger), so
+    Re L <= 0 and nothing overflows; at L = 0 (matched rates and
+    frequencies) the sum is j.  V2 = Re(e^{-i omega_2 tau_j} (a_j + i b_j)).
+    """
+    w1 = cfg.source.angular_frequency
+    w2 = cfg.target.angular_frequency
+    k1 = cfg.source.decay_rate
+    k2 = cfg.target.decay_rate
+    d = math.exp(-0.5 * k2 * h)
+    terms = []
+    for w in (w2 + w1, w2 - w1):
+        e = cmath.exp(complex(-0.5 * k1 * h, w * h))
+        c = (h / 3.0) * math.sqrt(k2) * (d * d + 4.0 * d * e + e * e)
+        log_ratio = complex((k2 - k1) * h, 2.0 * w * h)  # log(q / D)
+        log_m, L = (-k2 * h, log_ratio) if k2 <= k1 else (complex(-k1 * h, 2.0 * w * h), -log_ratio)
+        terms.append((c, log_m, L, _expm1(L)))
+
+    def volts(j: np.ndarray) -> np.ndarray:
+        s = 0.0
+        for c, log_m, L, expm1_l in terms:
+            ratio = j if L == 0.0 else _expm1(j * L) / expm1_l
+            s = s + c * np.exp((j - 1) * log_m) * ratio
+        # The tone fit's own phases, so their rounding cancels in the fit.
+        theta = w2 * ((2.0 * h) * j)
+        return np.cos(theta) * s.real + np.sin(theta) * s.imag
+
+    return volts
+
+
+def node_energy(cfg: TransferConfig, volts: Callable[[np.ndarray], np.ndarray], j: int, h: float) -> float:
+    """Stored-energy fraction at node j of the Simpson recurrence on step h.
+
+    The tone fit (tone_peak) on the POINTS_PER_PERIOD whole panels, one
+    carrier period, ending at tau_j = 2 j h, as mode2_energy_numeric
+    takes it.  At V0 = Z0 = 1 the source emits 1/(2 kappa_1), so the
+    fraction is kappa_1 v_peak^2.
+    """
+    nodes = np.arange(max(j - POINTS_PER_PERIOD, 0) + 1, j + 1)
+    v_peak = tone_peak((2.0 * h) * nodes, volts(nodes), cfg.target.angular_frequency, h)
+    return cfg.source.decay_rate * v_peak**2
 
 
 def eager_node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> np.ndarray:
@@ -182,7 +279,7 @@ def eager_peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     hi = min(3.0 * seed, t_max)
     n_nodes = int(math.ceil(hi / (2.0 * h)))
     volts = eager_node_voltages(cfg, h, n_nodes)
-    energy = functools.lru_cache(maxsize=None)(lambda j: _node_energy(cfg, lambda nodes: volts[nodes - 1], j, h))
+    energy = functools.lru_cache(maxsize=None)(lambda j: node_energy(cfg, lambda nodes: volts[nodes - 1], j, h))
     a, b = max(int(lo / (2.0 * h)), 1), n_nodes
     while b - a > 4:
         step = int(round(_INV_PHI * (b - a)))
