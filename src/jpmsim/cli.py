@@ -47,6 +47,10 @@ OUTPUT_DIR_ENV = "JPMSIM_OUTPUT_DIR"
 
 TWO_PI = 2.0 * math.pi
 
+# The efficiencies are free of the line's scale; emitted_energy_J is that of a nominal drive.
+NOMINAL_DRIVE_V = 1.0
+NOMINAL_LINE_OHM = 50.0
+
 
 WRITE_BLOCK_ROWS = 2**12
 """Table rows _write encodes at once, so its working set stays near this
@@ -274,16 +278,9 @@ def _transfer_peak(cfg: RunConfig) -> dict:
 
     tc = cfg.transfer_config()
     kappa_1 = tc.source.decay_rate
-    # Only emitted_energy_J reads the line keys; V0^2 and the divisor may leave float64.
-    v0, z0 = cfg.get("line.drive_amplitude"), cfg.get("line.impedance")
-    if not z0 > 0.0:
-        raise ConfigError(f"line.impedance must be positive, got {z0!r} ohm")
-    if not v0 >= 0.0:
-        raise ConfigError(f"line.drive_amplitude must be non-negative, got {v0!r} V")
-    divisor = 2.0 * kappa_1 * z0
-    emitted_energy = v0**2 / divisor if v0 < 1e154 and divisor > 0.0 else math.nan
-    if not math.isfinite(emitted_energy) or emitted_energy == 0.0 < v0:
-        raise NumericalError(f"emitted energy V0^2/(2 kappa_1 Z0) at {v0:g} V, {z0:g} ohm is out of range")
+    emitted_energy = NOMINAL_DRIVE_V**2 / (2.0 * kappa_1 * NOMINAL_LINE_OHM)
+    if emitted_energy == 0.0:
+        raise NumericalError(f"emitted energy V0^2/(2 kappa_1 Z0) is 0 at kappa_1 = {kappa_1:.3g}/s")
     eta_peak, t_opt = peak_efficiency(tc)
     eta_kappa, t_kappa = kappa_mismatch_peak(kappa_1, tc.target.decay_rate)
     if tc.delta_kappa == 0.0:
@@ -383,15 +380,20 @@ def _iq(cfg: RunConfig) -> dict:
     n_shots = cfg.get("iq.n_shots")
     if n_shots < 1:
         raise ConfigError("iq.n_shots must be positive")
-    # Refused before the labels, the one array that grows with n_shots, exist.
+    # The draw cap covers both classes, refused before either is drawn.
     _check_shot_draws(2 * n_shots, 2 * model.n_samples)
-    labels = np.repeat(np.array([0, 1], dtype=np.int8), n_shots)
     rng = np.random.default_rng(cfg.get("seed"))
-    result = iq_discriminate(model, labels, rng)
+    # One class after the other, each on a zero-stride view of its label.
+    # (1 - f) n_shots is each integer count of wrong labels to within
+    # n_shots 2^-52, so round() recovers it exactly.
+    wrong = 0
+    for label in (0, 1):
+        result = iq_discriminate(model, np.broadcast_to(np.int8(label), n_shots), rng)
+        wrong += round((1.0 - result["single_shot_fidelity"]) * n_shots)
     return {
         "n_shots_per_class": n_shots,
         "d_over_sigma": model.separation / model.effective_sigma,
-        "single_shot_fidelity": result["single_shot_fidelity"],
+        "single_shot_fidelity": 1.0 - wrong / (2 * n_shots),
         "separation_fidelity": result["separation_fidelity"],
         "threshold": result["threshold"],
     }

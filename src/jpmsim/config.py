@@ -2,7 +2,7 @@
 
 A config document is a sequence of "section.key = value" lines; "#"
 starts a comment.  Every dimensioned value carries a unit suffix
-("780ns", "1uA", "50ohm") and bare numbers are rejected for such keys,
+("780ns", "1uA", "2pF") and bare numbers are rejected for such keys,
 so a GHz/rad-per-second mixup cannot slip through the boundary.
 Frequencies are written as ordinary (cycles/second) frequencies and
 converted to angular internally; decay rates are written as 1/e decay
@@ -35,17 +35,13 @@ if TYPE_CHECKING:
 
 _UNIT_TABLES = {
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12},
-    "freq": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
+    # Written as ordinary frequencies; _parse_scalar adds the 2 pi.
+    "afreq": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
     "current": {"A": 1.0, "mA": 1e-3, "uA": 1e-6, "nA": 1e-9},
     "inductance": {"H": 1.0, "mH": 1e-3, "uH": 1e-6, "nH": 1e-9, "pH": 1e-12},
     "capacitance": {"F": 1.0, "uF": 1e-6, "nF": 1e-9, "pF": 1e-12, "fF": 1e-15},
-    "impedance": {"ohm": 1.0, "Ohm": 1.0, "kohm": 1e3},
-    "voltage": {"V": 1.0, "mV": 1e-3, "uV": 1e-6},
     "flux": {"Wb": 1.0, "phi0": PHI0, "Phi0": PHI0},
 }
-# Angular frequencies share the ordinary-frequency unit table and pick
-# up the 2 pi internally.
-_UNIT_TABLES["afreq"] = _UNIT_TABLES["freq"]
 
 _NUMBER_RE = re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)\s*(\S*)")
 
@@ -69,8 +65,6 @@ SCHEMA: dict[str, ValueSpec] = {
     "source.decay_time": ValueSpec("time", "260ns"),
     "capture.frequency": ValueSpec("afreq", "5.02GHz"),
     "capture.decay_time": ValueSpec("time", "40ns"),
-    "line.impedance": ValueSpec("impedance", "50ohm"),
-    "line.drive_amplitude": ValueSpec("voltage", "1V"),
     "protocol.t_prep": ValueSpec("time", "780ns"),
     "protocol.t1": ValueSpec("time", "6.6us"),
     "protocol.dark_prob": ValueSpec("float", "0.02"),

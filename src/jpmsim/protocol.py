@@ -20,9 +20,10 @@ simulated one at a time from the same generator.  Generator.random
 fills its output in C order from one stream, so the shot paths draw a
 block in row chunks of at most SHOT_CHUNK_DRAWS uniforms and still
 consume exactly the numbers one draw of the whole block would.  A
-single shot (simulate_shot) reads its 3 + 2 n draws as Python floats
-and applies the same rule as the block kernels _switches and
-_iq_points, so its result is bit-identical to a one-row block.
+single shot (simulate_shot) reads its 3 + 2 n draws as Python floats,
+passes the first three to _switches, as the block paths do, and applies
+the rule of _iq_points to the rest, so its result is bit-identical to a
+one-row block.
 """
 
 from __future__ import annotations
@@ -233,21 +234,19 @@ def _chunks(n_shots: int, width: int):
         yield slice(start, stop), stop - start
 
 
-def _switches(qubit_excited: bool, u: np.ndarray, cfg: ProtocolConfig):
-    """Switch causes of a block of shots, as (captured, dark, relaxed).
+def _switches(qubit_excited: bool, relax, capture, dark, cfg: ProtocolConfig):
+    """Switch causes of shots, as (captured, dark, relaxed).
 
-    u holds one row of draws per shot in the pinned layout: [0]
-    relaxation, [1] capture, [2] dark count, [3:] interleaved x/y IQ
-    noise; only columns 0-2 are read.  A shot switches where
-    captured | dark.
+    relax, capture and dark are the first three draws of the pinned
+    layout: one float each for a single shot, or one column each for a
+    block of shots.  A shot switches where captured | dark; relaxed and
+    captured are False for a ground-state qubit, whose other two draws
+    are not read.  Besides the qubit_excited test the rule uses only <
+    and >, where a > b is "a and not b" on bools and bool arrays alike.
     """
-    if qubit_excited:
-        relaxed = u[:, 0] < cfg.relaxation_prob
-        captured = ~relaxed & (u[:, 1] < cfg.bright_detect_prob)
-    else:
-        relaxed = captured = np.zeros(len(u), dtype=bool)
-    dark = ~captured & (u[:, 2] < cfg.dark_prob)
-    return captured, dark, relaxed
+    relaxed = qubit_excited and relax < cfg.relaxation_prob
+    captured = qubit_excited and (capture < cfg.bright_detect_prob) > relaxed
+    return captured, (dark < cfg.dark_prob) > captured, relaxed
 
 
 def simulate_shot(
@@ -262,22 +261,18 @@ def simulate_shot(
     the detector to fire on it; a dark count can fire the detector on
     any shot a bright pointer did not already switch.
 
-    The shot draws its 3 + 2 n_samples uniforms and applies the rule of
-    _switches and _iq_points to them as Python floats: the three switch
-    draws are compared one by one, and each IQ axis is sigma times the
-    add.reduce of its normal deviates over n_samples (the reduction
-    mean makes) plus the centroid of the switch outcome.  So the result
-    is bit-identical to a one-row block through those kernels, without
-    their per-call array overhead.
+    The shot draws its 3 + 2 n_samples uniforms as Python floats: the
+    three switch draws go through _switches, and each IQ axis is sigma
+    times the add.reduce of its normal deviates over n_samples (the
+    reduction _iq_points' mean makes) plus the centroid of the switch
+    outcome.  So the result is bit-identical to a one-row block through
+    those kernels, without their per-call array overhead.
     """
     from scipy.special import ndtri
 
     n = iq_model.n_samples
     u = rng.random(3 + 2 * n)
-    relax_draw, capture_draw, dark_draw = u[:3].tolist()
-    survived = bool(qubit_excited) and not relax_draw < cfg.relaxation_prob
-    captured = survived and capture_draw < cfg.bright_detect_prob
-    dark = not captured and dark_draw < cfg.dark_prob
+    captured, dark, _ = _switches(bool(qubit_excited), *u[:3].tolist(), cfg)
     switch = captured or dark
     noise = ndtri(u[3:])
     c_x, c_y = iq_model.centroid_1 if switch else iq_model.centroid_0
@@ -316,12 +311,12 @@ def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel = DEFAU
     rng = np.random.default_rng(cfg.rng_seed)
     n_miss = n_relax = n_dark = 0
     for _, count in _chunks(n_shots, width):
-        captured, dark, relaxed = _switches(True, rng.random((count, width)), cfg)
+        captured, dark, relaxed = _switches(True, *rng.random((count, width))[:, :3].T, cfg)
         miss = ~(captured | dark)
         n_miss += int(np.count_nonzero(miss))
         n_relax += int(np.count_nonzero(miss & relaxed))
     for _, count in _chunks(n_shots, width):
-        n_dark += int(np.count_nonzero(_switches(False, rng.random((count, width)), cfg)[1]))
+        n_dark += int(np.count_nonzero(_switches(False, *rng.random((count, width))[:, :3].T, cfg)[1]))
 
     eps_dark = n_dark / n_shots
     return {
@@ -513,9 +508,12 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
                 wrong = n_wrong(np.array([s.iq_point for s in shots], dtype=float), labels)
             else:
                 # Checked as given: a cast to int would truncate 0.5 to 0.
+                # Each chunk is compared as a copy: numpy compares a zero-stride
+                # label view (cli._iq's) about 20 times slower than the copy costs.
                 labels = np.asarray(shots)
                 for rows, _ in _chunks(labels.size, 1):
-                    if np.any((labels[rows] != 0) & (labels[rows] != 1)):
+                    part = labels[rows].copy()
+                    if np.any((part != 0) & (part != 1)):
                         raise ValueError("labels must be 0 or 1")
                 if rng is None:
                     raise ValueError("an rng is required to draw points for label input")
@@ -529,8 +527,9 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
                     raise NumericalError("IQ points this model can draw overflow float64")
                 wrong = 0
                 for rows, count in _chunks(labels.size, width):
-                    points = _iq_points(model, labels[rows] == 1, rng.random((count, width)))
-                    wrong += n_wrong(points, labels[rows])
+                    part = labels[rows].copy()
+                    points = _iq_points(model, part == 1, rng.random((count, width)))
+                    wrong += n_wrong(points, part)
     except FloatingPointError as exc:
         raise NumericalError(f"IQ threshold or points overflow float64: {exc}") from None
 

@@ -294,14 +294,17 @@ def _window_energy(cfg: TransferConfig, h: float) -> Callable[[int], float]:
 def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     """Maximum of the numeric stored-energy fraction over time.
 
-    Seeds from the argmax of the closed-form envelope on a dense grid
-    and brackets the peak in [seed/3, 3 seed] (the envelope is unimodal
-    in every regime this model covers).  A golden-section search over
-    the panel-node indices in the bracket reads the trailing-period tone
-    fit at each probe node, and a three-point parabola through the best
-    node and its neighbours refines the peak.  V2 at a node is the
-    Simpson recurrence from tau = 0 on the fixed step
-    h = period / (2 POINTS_PER_PERIOD), and the fit on the
+    Seeds from the argmax of the closed-form envelope on a 4000-point
+    grid from t_max/4000 (t_max = 20/min kappa) and brackets the peak in
+    [seed/3, 3 seed], assuming one peak there.  That fails for a peak
+    before the grid's first point (a 30 ps capture decay: eta 5.49e-4
+    there, 7.33e-4 at 0.17 ns) and for a response with several lobes,
+    where a lower local maximum may be returned.  A golden-section
+    search over the panel-node indices in the bracket reads the
+    trailing-period tone fit at each probe node, and a three-point
+    parabola through the best node and its neighbours refines the peak.
+    V2 at a node is the Simpson recurrence from tau = 0 on the fixed
+    step h = period / (2 POINTS_PER_PERIOD), and the fit on the
     POINTS_PER_PERIOD nodes ending there is linear in it, so the energy
     is a closed form in the node (_window_energy): one pseudo-inverse of
     the fit's design per peak, then a few complex scalars per probe

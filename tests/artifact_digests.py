@@ -35,7 +35,7 @@ BYTE_CONFIGS = (
     ("transfer.kappa_ratios=",),
     ("stark.powers=0,0.5,1",),
     ("potential.flux_points=1200", "device.critical_current=3uA"),
-    ("capture.frequency=5.021GHz", "line.drive_amplitude=0V", "line.impedance=75ohm"),
+    ("capture.frequency=5.021GHz",),
 )
 
 

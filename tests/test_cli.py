@@ -90,7 +90,6 @@ def test_unit_parsing_round_trip():
             "device.shunt_capacitance=2pF",
             "source.frequency=5.02GHz",
             "capture.decay_time=40ns",
-            "line.impedance=50ohm",
             "potential.flux_start=0.5phi0",
             "protocol.stark_shift_per_photon=-2MHz",
         )
@@ -106,7 +105,6 @@ def test_unit_parsing_round_trip():
     )
     # Decay rates are written as 1/e decay times.
     assert cfg.transfer_config().target.decay_rate == pytest.approx(1.0 / 40e-9, rel=1e-15)
-    assert cfg.get("line.impedance") == 50.0
     assert cfg.get("potential.flux_start") == pytest.approx(0.5 * PHI0, rel=1e-15)
 
 
@@ -184,13 +182,37 @@ def test_config_rejections():
         "protocol.window=hamming",
         "protocol.depletion_time=40ns",
         "protocol.cycle_time=2.8us",
+        "line.impedance=50ohm",
+        "line.drive_amplitude=1V",
     ],
 )
 def test_removed_keys_are_unknown(line):
-    # These keys were validated but never read; a config that still sets
-    # one fails like any other unknown key.
+    # These keys fed no result (the line keys only an echo of themselves,
+    # as the efficiencies are free of the line's scale); a config that
+    # still sets one fails like any other unknown key.
     with pytest.raises(ConfigError, match="unknown key"):
         RunConfig.from_sources(overrides=(line,))
+
+
+def test_every_schema_key_is_read_by_a_subcommand(tmp_path, monkeypatch):
+    # A key that no subcommand reads at the default config would be
+    # validated and then ignored.  The runs pass no output directory, so
+    # output.directory is read too, and tomo-fit reads the tomogram that
+    # tomo-synth wrote.
+    read = set()
+    get = RunConfig.get
+
+    def recording_get(self, key):
+        read.add(key)
+        return get(self, key)
+
+    monkeypatch.setattr(RunConfig, "get", recording_get)
+    monkeypatch.setenv(jpmsim.cli.OUTPUT_DIR_ENV, str(tmp_path))
+    tomogram = tmp_path / ARTIFACTS["tomo-synth"]
+    for name in SUBCOMMANDS:
+        code, _ = run_subcommand(name, overrides=(f"tomo.input={tomogram}",))
+        assert code == 0, name
+    assert sorted(set(SCHEMA) - read) == []
 
 
 def test_config_file_and_precedence(tmp_path):
@@ -535,39 +557,15 @@ def test_transfer_peak_record_contract(tmp_path, overrides):
 
 
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        ("line.drive_amplitude=0V",),
-        ("line.drive_amplitude=3V", "line.impedance=75ohm"),
-        ("line.drive_amplitude=1mV", "line.impedance=1ohm"),
-    ],
-    ids=["no-drive", "3V-75ohm", "1mV-1ohm"],
+    "overrides, kappa_1",
+    [((), 1.0 / 260e-9), (("source.decay_time=130ns",), 1.0 / 130e-9)],
+    ids=["default", "double-kappa"],
 )
-def test_transfer_peak_is_scale_free(tmp_path, overrides):
-    # eta is a ratio of energies: the line keys move emitted_energy_J and
-    # no other field, and with no drive the peak is the default run's,
-    # not 0.
-    ref = _json_rows("transfer-peak", tmp_path / "ref")
-    record = _json_rows("transfer-peak", tmp_path / "line", overrides)
-    assert {key: value for key, value in record.items() if key != "emitted_energy_J"} == {
-        key: value for key, value in ref.items() if key != "emitted_energy_J"
-    }
-    assert (record["emitted_energy_J"] == 0.0) == ("line.drive_amplitude=0V" in overrides)
-
-
-@pytest.mark.parametrize(
-    "overrides, kappa_1, v0, z0",
-    [
-        ((), 1.0 / 260e-9, 1.0, 50.0),
-        (("source.decay_time=130ns",), 1.0 / 130e-9, 1.0, 50.0),
-        (("line.drive_amplitude=3V", "line.impedance=75ohm"), 1.0 / 260e-9, 3.0, 75.0),
-    ],
-    ids=["default", "double-kappa", "3V-75ohm"],
-)
-def test_transfer_peak_emitted_energy(tmp_path, overrides, kappa_1, v0, z0):
-    # V0^2 / (2 kappa_1 Z0): 2.6 nJ at the default 260 ns, 1 V and 50 ohm.
+def test_transfer_peak_emitted_energy(tmp_path, overrides, kappa_1):
+    # V0^2 / (2 kappa_1 Z0) of the nominal 1 V drive on 50 ohm: 2.6 nJ at
+    # the default 260 ns.
     record = _json_rows("transfer-peak", tmp_path, overrides)
-    assert record["emitted_energy_J"] == pytest.approx(v0**2 / (2.0 * kappa_1 * z0), rel=1e-12)
+    assert record["emitted_energy_J"] == pytest.approx(1.0 / (2.0 * kappa_1 * 50.0), rel=1e-12)
     if not overrides:
         assert record["emitted_energy_J"] == pytest.approx(2.6e-9, rel=1e-12)
 
@@ -576,16 +574,14 @@ def test_transfer_peak_emitted_energy(tmp_path, overrides, kappa_1, v0, z0):
     "override", ["line.impedance=0ohm", "line.impedance=-50ohm", "line.drive_amplitude=-1V"]
 )
 def test_transfer_peak_refuses_line_values(tmp_path, capsys, override):
-    # Only emitted_energy_J reads the line keys; transfer-peak refuses an
-    # impedance that is not positive or a negative amplitude, naming the
-    # key, and transfer-curves, which reads neither, writes its table.
-    code, paths = run_fast("transfer-peak", tmp_path / "peak", (override,))
+    # No key sets the line's scale any more: a line value, valid or not,
+    # is refused as an unknown key with one line naming it, and no file.
+    code, paths = run_fast("transfer-peak", tmp_path, (override,))
     assert code == 2 and paths == []
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
-    assert override.split("=")[0] in err
-    code, paths = run_fast("transfer-curves", tmp_path / "curves", (override,))
-    assert code == 0 and len(paths) == 1
+    assert f"unknown key {override.split('=')[0]!r}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -763,8 +759,7 @@ def test_tomo_fit_reports_phase_in_half_open_interval(tmp_path):
     [
         ("potential-sweep", "device.loop_inductance=1e300H"),
         ("potential-sweep", "device.shunt_capacitance=1e308F"),
-        ("transfer-peak", "line.drive_amplitude=1e300V"),
-        ("transfer-peak", "line.impedance=1e308ohm"),
+        ("transfer-peak", "source.decay_time=1e-307s"),
         ("stark", "protocol.n_bar_qubit_cavity=1e308"),
         ("budget", "protocol.t1=1e308s"),
         ("ramsey", "ramsey.delay_stop=1e308s"),
@@ -1014,9 +1009,8 @@ def test_size_too_large_to_allocate_exits_numerical(tmp_path, capsys, name, key)
 def test_shot_count_above_draw_bound_is_refused_quickly(tmp_path, capsys, name, overrides):
     # Each is the smallest count past MAX_SHOT_DRAWS = 10^9 uniforms
     # (2 x 10^8 budget shots of 5 draws, 5 x 10^8 iq shots of 2, or 2 iq
-    # shots of 5 x 10^8): drawing that many would take seconds and
-    # building the iq labels hundreds of MB, so the time bound shows the
-    # refusal comes first.
+    # shots of 5 x 10^8): drawing that many would take seconds, so the
+    # time bound shows the refusal comes first.
     start = time.perf_counter()
     code, paths = run_subcommand(name, overrides=overrides, output_dir=str(tmp_path))
     assert time.perf_counter() - start < 0.5
@@ -1429,6 +1423,26 @@ def test_table_compute_memory_is_bounded(name, override):
     rows = len(data[0])
     assert rows >= 200_000
     assert peak < 60 * rows
+
+
+def test_iq_memory_is_flat_in_shot_count():
+    # Each class is drawn on a zero-stride view of its label, so the
+    # tracemalloc peak at 2e6 shots per class stays within 2 MB of that at
+    # 5e4: about 3.7 against 2.1 MB.  The whole 2 n-entry label array
+    # peaked at 7.7 MB there.  A first run loads scipy.special untraced.
+    compute = jpmsim.cli._SUBCOMMANDS["iq"].compute
+    compute(RunConfig.from_sources(overrides=("iq.n_shots=10",)))
+    peaks = []
+    for n in (50_000, 2_000_000):
+        cfg = RunConfig.from_sources(overrides=(f"iq.n_shots={n}",))
+        tracemalloc.start()
+        try:
+            compute(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    small, large = peaks
+    assert large < small + 2.0
 
 
 def _edge_literals(key):
