@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -324,12 +325,12 @@ def test_near_tangency_pair_is_resolved():
             assert abs(delta - ref) < 1e-9
 
 
-def reference_segments(flux_wb: float, p: JpmParams, tol: float = 1e-12):
-    # The sweep's bit-for-bit reference, one flux in plain Python: the
-    # bracket cut at each turning point 2 pi k -/+ acos(-1/beta_L) of the
-    # residual that lies inside it, a sign test per segment, and the same
-    # ceil(log2(2 pi / tol)) halvings of each crossing segment, every one
-    # less than 2 pi wide.
+def _reference_brackets(flux_wb: float, p: JpmParams):
+    # One flux in plain Python: the bracket cut at each turning point
+    # 2 pi k -/+ acos(-1/beta_L) of the residual that lies inside it, and a
+    # sign test per segment.  Returns beta_L, the residual and a
+    # [lower end, upper end, residual at the lower end] list per crossing
+    # segment, every one less than 2 pi wide.
     beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / p.flux_quantum
     phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
     lo, hi = phi_e - beta - 1.0, phi_e + beta + 1.0
@@ -344,6 +345,18 @@ def reference_segments(flux_wb: float, p: JpmParams, tol: float = 1e-12):
             ends += [t for t in (2.0 * math.pi * k - turn, 2.0 * math.pi * k + turn) if lo < t < hi]
     ends.append(hi)
     brackets = [[a, b, g(a)] for a, b in zip(ends, ends[1:]) if g(a) * g(b) != 0.0 and (g(a) < 0.0) != (g(b) < 0.0)]
+    return beta, g, brackets
+
+
+def _kinds(roots, beta: float):
+    return [(r, "minimum" if math.cos(r) + 1.0 / beta > 0.0 else "maximum") for r in roots]
+
+
+def reference_segments(flux_wb: float, p: JpmParams, tol: float = 1e-12):
+    # The previous sweep solver, the slow path: the same segments, each
+    # halved ceil(log2(2 pi / tol)) times.  Its roots share the sweep's
+    # count and kinds, but not its bits.
+    beta, g, brackets = _reference_brackets(flux_wb, p)
     for _ in range(math.ceil(math.log2(2.0 * math.pi / tol))):
         for bracket in brackets:
             m = 0.5 * (bracket[0] + bracket[1])
@@ -352,8 +365,41 @@ def reference_segments(flux_wb: float, p: JpmParams, tol: float = 1e-12):
                 bracket[1] = m
             else:
                 bracket[0], bracket[2] = m, g_m
-    mids = [0.5 * (a + b) for a, b, _ in brackets]
-    return [(m, "minimum" if math.cos(m) + 1.0 / beta > 0.0 else "maximum") for m in mids]
+    return _kinds([0.5 * (a + b) for a, b, _ in brackets], beta)
+
+
+def reference_rtsafe(flux_wb: float, p: JpmParams, tol: float = 1e-12, passes: list | None = None):
+    # The sweep's bit-for-bit reference: the same segments, and one root at
+    # a time in plain Python floats, bracketed Newton from each segment's
+    # midpoint with the sweep's step tests and stop rules.  Appends each
+    # root's pass count to passes if given.
+    beta, g, brackets = _reference_brackets(flux_wb, p)
+    roots = []
+    for lo, hi, g_lo in brackets:
+        x, last = 0.5 * (lo + hi), hi - lo
+        for count in range(1, potential.MAX_REFINE_PASSES + 1):
+            f = g(x)
+            if g_lo * f <= 0.0:
+                hi = x
+            else:
+                lo = x
+            slope = float(np.cos(x)) + 1.0 / beta
+            # numpy's f / 0 is inf or NaN: either fails every test below.
+            step = f / slope if slope != 0.0 else math.nan
+            newton, size, mid = x - step, abs(step), 0.5 * (lo + hi)
+            close = size <= 0.25 * tol or newton == x
+            if lo < newton < hi and size <= 0.5 * last:
+                x, last = newton, size
+            else:
+                x, last = mid, 0.5 * (hi - lo)
+            if close or hi - lo <= tol or mid in (lo, hi):
+                roots.append(min(max(newton, lo), hi) if close else x)
+                break
+        else:
+            raise AssertionError(f"no convergence in {potential.MAX_REFINE_PASSES} passes")
+        if passes is not None:
+            passes.append(count)
+    return _kinds(roots, beta)
 
 
 def reference_extrema(flux_wb: float, p: JpmParams, scan_step: float = math.pi / 100, tol: float = 1e-12):
@@ -410,8 +456,8 @@ def reference_extrema(flux_wb: float, p: JpmParams, scan_step: float = math.pi /
 
 def reference_wells(flux_wb: float, p: JpmParams):
     # Per-minimum (phase, barrier phase or None, height, omega_p, levels,
-    # label) from reference_segments, one minimum at a time.
-    extrema = reference_segments(flux_wb, p)
+    # label) from reference_rtsafe, one minimum at a time.
+    extrema = reference_rtsafe(flux_wb, p)
     minima = [i for i, (_, kind) in enumerate(extrema) if kind == "minimum"]
     e_j = p.critical_current * p.flux_quantum / (2.0 * math.pi)
     quad = (p.flux_quantum / (2.0 * math.pi)) ** 2 / p.loop_inductance
@@ -440,14 +486,32 @@ def assert_near_previous_solver(fluxes, got, p: JpmParams, tol: float = 1e-12):
     # of about 1e-16), and roots within 2 tol at least 1e-6 Phi0 from one,
     # within 1e-8 rad nearer, where the residual is flat.  Tangencies
     # repeat every Phi0.
-    crit = critical_flux(p)
     for flux, extrema in zip(fluxes, got):
-        gap = min((abs((flux - c) / PHI0 - round((flux - c) / PHI0)) for c in crit), default=math.inf)
+        gap = _tangency_gap(float(flux), p)
         if gap < 1e-15:
             continue
         want = reference_extrema(float(flux), p, tol=tol)
         assert [kind for _, kind in extrema] == [kind for _, kind in want]
         bound = 2.0 * tol if gap >= 1e-6 else 1e-8
+        assert all(abs(d - w) <= bound for (d, _), (w, _) in zip(extrema, want))
+
+
+def _tangency_gap(flux_wb: float, p: JpmParams) -> float:
+    # Distance in Phi0 to the nearest tangency; they repeat every Phi0.
+    return min((abs((flux_wb - c) / PHI0 - round((flux_wb - c) / PHI0)) for c in critical_flux(p)), default=math.inf)
+
+
+def assert_near_bisection(fluxes, got, p: JpmParams, tol: float = 1e-12):
+    # Against reference_segments, the bisection over the same segments:
+    # the same count and kinds at every flux, and roots within 2 tol at
+    # least 1e-6 Phi0 from a tangency.  Nearer, the residual is flat and
+    # each solver stops where its rounding leaves it: within 1e-8 rad, and
+    # within 1e-7 rad closer than 1e-15 Phi0.
+    for flux, extrema in zip(fluxes, got):
+        want = reference_segments(float(flux), p, tol=tol)
+        assert [kind for _, kind in extrema] == [kind for _, kind in want]
+        gap = _tangency_gap(float(flux), p)
+        bound = 2.0 * tol if gap >= 1e-6 else 1e-8 if gap >= 1e-15 else 1e-7
         assert all(abs(d - w) <= bound for (d, _), (w, _) in zip(extrema, want))
 
 
@@ -499,7 +563,8 @@ def test_sweep_equals_per_flux_calls_across_blocks(monkeypatch):
     got = find_extrema_sweep(fluxes, p)
     assert len(blocks) > 2 and blocks[-1] < blocks[0]
     assert got == _one_flux_extrema(fluxes, p)
-    assert got == [reference_segments(float(f), p) for f in fluxes]
+    assert got == [reference_rtsafe(float(f), p) for f in fluxes]
+    assert_near_bisection(fluxes, got, p)
     assert_near_previous_solver(fluxes, got, p)
 
     got = _well_rows(well_report_sweep(fluxes, p))
@@ -513,13 +578,12 @@ def test_sweep_equals_per_flux_calls_across_blocks(monkeypatch):
 
 
 def test_sweep_keeps_per_flux_stopping_rule(monkeypatch):
-    # With REFINE_TOL a power-of-two fraction of the width
+    # With a coarse REFINE_TOL, a power-of-two fraction of the width
     # 2 acos(-1/beta_L) between the two turning points around a maximum
-    # of the residual, the crossing brackets of one flux would reach it
-    # after different numbers of halvings; each still takes the same
-    # ceil(log2(2 pi / REFINE_TOL)) of them, so the bits depend on that
-    # count and on its own bracket alone.  No flux lies within 1e-6 Phi0
-    # of a tangency.
+    # of the residual, the roots of one flux stop after different numbers
+    # of passes.  Each stops on its own rule, so its bits are those of the
+    # scalar reference at that tolerance, and it lies within 2 tol of the
+    # bisection's.  No flux lies within 1e-6 Phi0 of a tangency.
     p = DEFAULT_PARAMS
     width = 2.0 * math.acos(-1.0 / beta_L(p))
     fluxes = np.linspace(0.05, 0.95, 40) * PHI0
@@ -529,12 +593,15 @@ def test_sweep_keeps_per_flux_stopping_rule(monkeypatch):
         tol = width / 2**halvings
         monkeypatch.setattr(potential, "REFINE_TOL", tol)
         got = find_extrema_sweep(fluxes, p)
-        assert got == [reference_segments(float(f), p, tol=tol) for f in fluxes]
+        passes = [[] for _ in fluxes]
+        assert got == [reference_rtsafe(float(f), p, tol=tol, passes=n) for f, n in zip(fluxes, passes)]
+        assert any(len(set(n)) > 1 for n in passes)
+        assert_near_bisection(fluxes, got, p, tol=tol)
         assert_near_previous_solver(fluxes, got, p, tol=tol)
 
 
 def test_sweep_takes_no_tolerance():
-    # The bisection tolerance is the module constant REFINE_TOL.
+    # The refinement tolerance is the module constant REFINE_TOL.
     with pytest.raises(TypeError):
         find_extrema_sweep([0.3 * PHI0], DEFAULT_PARAMS, tol=1e-6)
 
@@ -581,8 +648,9 @@ def test_sweep_near_tangency_matches_per_flux_calls(beta, which, offset, log_wid
     fluxes = np.linspace(center - width, center + width, points)
     got = find_extrema_sweep(fluxes, p)
     assert got == _one_flux_extrema(fluxes, p)
-    assert got == [reference_segments(float(f), p) for f in fluxes]
+    assert got == [reference_rtsafe(float(f), p) for f in fluxes]
     assert all(_alternates(extrema) for extrema in got)
+    assert_near_bisection(fluxes, got, p)
     assert_near_previous_solver(fluxes, got, p)
 
 
@@ -605,24 +673,102 @@ def test_sweep_memory_is_bounded():
     assert peak - sum(array.nbytes for array in result) < 10e6
 
 
+def _block_passes(monkeypatch, fluxes, p: JpmParams):
+    # Sweeps fluxes and returns, per block, the number of roots still
+    # refining at each pass, and the cut segment ends of each block.  The
+    # first residual pass of a block is over every segment end (2-d); each
+    # refinement pass after it is over the roots not yet done (1-d).
+    calls = []
+    residual = potential._residual
+    monkeypatch.setattr(potential, "_residual", lambda x, *args: calls.append(np.array(x)) or residual(x, *args))
+    find_extrema_sweep(fluxes, p)
+    blocks, ends = [], []
+    for x in calls:
+        if x.ndim == 2:
+            ends.append(x)
+            blocks.append([])
+        else:
+            blocks[-1].append(x.size)
+    return blocks, ends
+
+
 @pytest.mark.parametrize(
     "beta",
     [0.5, 1.0, 1.0 + 1e-12, 1.5, beta_L(DEFAULT_PARAMS), 13.0, 1e3, 1e4],
     ids=["0.5", "1", "1+1e-12", "1.5", "default", "13", "1e3", "1e4"],
 )
 def test_every_segment_is_narrower_than_two_pi(monkeypatch, beta):
-    # The fixed halving count ceil(log2(2 pi / REFINE_TOL)) brings a
-    # bracket within REFINE_TOL only if no segment is 2 pi wide or more.
-    # The first residual pass of each block is over every cut segment end;
-    # each of the halvings that follow makes one more pass.
+    # The bisection fallback brings a bracket within REFINE_TOL in
+    # ceil(log2(2 pi / REFINE_TOL)) = 43 halvings only if no segment is
+    # 2 pi wide or more.  Bracketed Newton takes at least one pass and,
+    # here, never more than those 43: beta_L 1 at Phi0 / 2, a triple root,
+    # takes the most (27).
     p = _device(beta)
-    calls = []
-    residual = potential._residual
-    monkeypatch.setattr(potential, "_residual", lambda x, *args: calls.append(np.array(x)) or residual(x, *args))
-    find_extrema_sweep(np.linspace(0.0, 1.0, 9) * PHI0, p)
-    ends = [x for x in calls if x.ndim == 2]
+    blocks, ends = _block_passes(monkeypatch, np.linspace(0.0, 1.0, 9) * PHI0, p)
     assert max(float(np.diff(x, axis=1).max()) for x in ends) < 2.0 * math.pi
-    assert len(calls) == len(ends) * (1 + 43)
+    assert all(1 <= len(sizes) <= math.ceil(math.log2(2.0 * math.pi / potential.REFINE_TOL)) for sizes in blocks)
+
+
+@pytest.mark.parametrize("beta", [1.5, beta_L(DEFAULT_PARAMS), 13.0], ids=["1.5", "default", "13"])
+def test_passes_are_few_across_tangencies(monkeypatch, beta):
+    # 1200-flux sweeps over one Phi0 and over windows 0.05-0.3 Phi0 wide
+    # across each tangency, where a new root pair lies close to a cut and
+    # Newton falls back on bisection.  Measured: at most 13 passes a root
+    # and 4.3-5.8 on average, against 43 halvings of the bisection.
+    p = _device(beta)
+    sweeps = [np.linspace(0.0, 1.0, 1200)]
+    for c in critical_flux(p):
+        sweeps += [np.linspace(c / PHI0 - 0.4 * w, c / PHI0 + 0.6 * w, 1200) for w in (0.05, 0.1, 0.3)]
+    for quanta in sweeps:
+        blocks, _ = _block_passes(monkeypatch, quanta * PHI0, p)
+        assert max(len(sizes) for sizes in blocks) <= 16
+        # sizes[k] roots take more than k passes, so the sum over passes
+        # is the total pass count of the block's roots.
+        assert sum(sum(sizes) for sizes in blocks) <= 7 * sum(sizes[0] for sizes in blocks)
+
+
+def test_float_spacing_stop_at_huge_beta_l(monkeypatch):
+    # A 20 mA junction, beta_L about 6.7e4: past |delta| ~ 8e3 the float
+    # spacing exceeds REFINE_TOL, so those roots stop on a Newton step too
+    # small to move the iterate or on a bracket with no float inside.
+    p = JpmParams(critical_current=20e-3, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
+    beta = beta_L(p)
+    assert 6e4 < beta < 7e4
+    flux = 0.3 * PHI0
+    blocks, _ = _block_passes(monkeypatch, [flux], p)
+    assert len(blocks) == 1 and max(len(sizes) for sizes in blocks) <= 16
+    extrema = find_extrema_sweep([flux], p)[0]
+    assert _alternates(extrema)
+    assert abs(len(extrema) - 2.0 * beta / math.pi) < 3.0
+    phi_e = 2.0 * math.pi * flux / PHI0
+    assert max(abs(math.sin(d) - (phi_e - d) / beta) for d, _ in extrema) < 1e-9
+
+
+def test_zero_slope_newton_step_warns_nothing():
+    # At beta_L = 1 and Phi0 / 2 the one segment's midpoint is pi, where the
+    # slope cos(delta) + 1/beta_L is exactly 0, and the residual a rounding
+    # 1.2e-16: the Newton step is inf.  It must bisect without a numpy
+    # warning (the suite also turns warnings into errors).
+    p = _device(1.0)
+    assert beta_L(p) == 1.0
+    phi_e = potential._phase_bias(0.5 * PHI0, p)
+    mid = 0.5 * ((phi_e - 2.0) + (phi_e + 2.0))
+    assert np.cos(mid) + 1.0 == 0.0 and potential._residual(mid, phi_e, 1.0) != 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extrema = find_extrema_sweep([0.5 * PHI0], p)[0]
+    # A triple root: the residual's rounding fixes it only to about 1e-5.
+    assert len(extrema) == 1 and abs(extrema[0][0] - math.pi) < 1e-4
+    assert extrema == reference_rtsafe(0.5 * PHI0, p)
+
+
+def test_unconverged_root_is_refused(monkeypatch):
+    # A root still refining after MAX_REFINE_PASSES (read when called) is
+    # refused, never returned.  At the default device most roots take 4-7.
+    monkeypatch.setattr(potential, "MAX_REFINE_PASSES", 3)
+    for solve in (find_extrema_sweep, well_report_sweep):
+        with pytest.raises(NumericalError, match="did not converge in 3 passes"):
+            solve(np.linspace(0.0, 1.0, 50) * PHI0, DEFAULT_PARAMS)
 
 
 def test_large_beta_l_converges():
