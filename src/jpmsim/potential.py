@@ -412,13 +412,20 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
     height = np.full(j.size, math.inf)
     barrier = np.full(j.size, math.nan)
     bounded = np.zeros(j.size, dtype=bool)
-    # The left maximum first, the right one only if strictly lower.
+    # The left maximum first, the right one only if lower by more than the
+    # rounding of both energies.  An energy is good to a few ulp of
+    # E_J + |U| (its cosine term is at most E_J, its quadratic term at most
+    # E_J + |U|), and a landscape symmetric about the well has two heights
+    # equal up to that rounding: such a tie keeps the left maximum.
+    slack = 1e-13 * (p.josephson_energy + np.abs(energy))
+    tie = np.zeros(j.size)
     for side, exists in ((j - 1, j - 1 >= start), (j + 1, j + 1 < stop)):
         side = np.clip(side, 0, max(roots.size - 1, 0))
         side_height = energy[side] - energy[j]
-        lower = exists & (side_height < height)
+        lower = exists & (side_height < height - tie - slack[side])
         height = np.where(lower, side_height, height)
         barrier = np.where(lower, roots[side], barrier)
+        tie = np.where(lower, slack[side], tie)
         bounded |= lower
     omega = plasma_frequency(roots[j], p)
     quantum = HBAR * omega[bounded]

@@ -23,7 +23,11 @@ consume exactly the numbers one draw of the whole block would.  A
 single shot (simulate_shot) reads its 3 + 2 n draws as Python floats,
 passes the first three to _switches, as the block paths do, and applies
 the rule of _iq_points to the rest, so its result is bit-identical to a
-one-row block.
+one-row block.  A path makes every draw of its layout, read or not:
+fidelity_budget reads only the three switch draws, and the label path
+of iq_discriminate (2 n draws a shot), for a one-sample model whose
+centroid line runs along I or Q, only that quadrature's uniform, which
+it compares with a per-label cutoff instead of transforming it.
 """
 
 from __future__ import annotations
@@ -52,6 +56,11 @@ SHOT_CHUNK_DRAWS = 2**17
 :func:`iq_discriminate` draw at once.  A chunk holds at least one whole
 shot, so their working set stays near this many draws whatever the shot
 count."""
+
+CUTOFF_GUARD_STEPS = 2**23
+"""Half-width, in steps of 2^-53, of the band of uniforms around a
+label's cutoff that :func:`iq_discriminate` classifies through the
+points themselves rather than by the cutoff."""
 
 MAX_SHOT_DRAWS = 10**9
 """Most uniforms one :func:`fidelity_budget` or :func:`iq_discriminate`
@@ -474,6 +483,62 @@ def separation_fidelity(model: IqModel) -> float:
     return 1.0 - 0.5 * float(erfc(model.separation / (2.0 * math.sqrt(2.0) * model.effective_sigma)))
 
 
+def _cutoff_classifier(model: IqModel, read: int, label: int, above):
+    """Classifier of one-sample shots of one label by their read uniform.
+
+    For n_samples = 1 and a centroid line along IQ axis ``read``, a
+    shot's projection is +-(sigma ndtri(u) + c) for its read uniform u:
+    the other deviate enters times an exact zero.  fl(fl(sigma z) + c)
+    is monotone in z, so ``above`` (points -> projection > threshold) is
+    monotone in the deviate, and the exact ndtri is strictly increasing.
+    A search over the grid k 2^-53 of Generator.random, on blocks of
+    candidate rows through _iq_points and ``above`` (the unread uniform
+    set to 0.5, whose deviate is 0), finds a step K at which the
+    prediction turns from its value at u = 0 (deviate -inf) to its value
+    at u = 1 (+inf).
+
+    The computed ndtri is not monotone on that grid, but Cephes, whose
+    ndtri scipy evaluates, states a peak relative error of 7.2e-16: below
+    1e-15, so below 8.3e-15 absolutely for any nonzero uniform, whose
+    deviate is at most 8.21 in magnitude.  The exact deviate rises by at
+    least sqrt(2 pi) 2^-53 per grid step, so over CUTOFF_GUARD_STEPS =
+    2^23 steps by at least 2.3e-9, about 10^5 times both errors together.
+    So a uniform more than 2^23 steps below K has a computed deviate
+    below that of K - 1 and predicts as K - 1 does, and one more than
+    2^23 steps above K predicts as K does.  The returned function
+    predicts so, and sends the uniforms inside the band through the
+    classifier itself, so it equals the ndtri path per shot wherever the
+    unread uniform is nonzero.  Returns (K, that function).
+    """
+
+    def exact(u):
+        rows = np.full((u.size, 2), 0.5)
+        rows[:, read] = u
+        return above(_iq_points(model, np.full(u.size, bool(label)), rows))
+
+    # The prediction at u = 1 (deviate +inf); at u = 0 (-inf) it is the other one.
+    p_hi = exact(np.ones(1))[0]
+    lo, hi = 0, 2**53
+    while hi - lo > 1:
+        step = -(-(hi - lo) // 64)
+        ks = np.arange(lo + step, hi, step)
+        flipped = np.flatnonzero(exact(ks * 2.0**-53) == p_hi)
+        i = int(flipped[0]) if flipped.size else ks.size
+        lo, hi = (int(ks[i - 1]) if i else lo), (int(ks[i]) if i < ks.size else hi)
+    band_lo, band_hi = (hi - CUTOFF_GUARD_STEPS) * 2.0**-53, (hi + CUTOFF_GUARD_STEPS) * 2.0**-53
+
+    def classify(u):
+        u = np.ascontiguousarray(u)
+        below, beyond = u < band_lo, u > band_hi
+        predicted = beyond if p_hi else below
+        if np.count_nonzero(below) + np.count_nonzero(beyond) < u.size:
+            band = np.flatnonzero(~(below | beyond))
+            predicted[band] = exact(u[band])
+        return predicted
+
+    return hi, classify
+
+
 def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = None) -> dict:
     """Classify IQ points by projection onto the centroid line.
 
@@ -489,6 +554,13 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
     Gaussian-overlap bound.  A threshold, point or projection that
     overflows float64 raises NumericalError; for drawn points that is
     decided from the model before any draw, so it does not depend on rng.
+
+    Every draw of the pinned layout is made.  A one-sample model whose
+    centroid line runs along the I or Q axis reads only that column of
+    each shot, and classifies it by a per-label cutoff on the uniform
+    (_cutoff_classifier), found once per call, instead of by ndtri; its
+    other column is never transformed.  Every other model builds each
+    point through _iq_points.
     """
     if len(shots) == 0:
         raise ValueError("shots must be non-empty")
@@ -500,36 +572,57 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
             # c0 + c1 can overflow where the difference, which IqModel bounds, does not.
             threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
 
-            def n_wrong(points, labels) -> int:
-                return int(np.count_nonzero((points @ axis > threshold) != labels))
+            def above(points):
+                return points @ axis > threshold
 
             if isinstance(shots[0], ShotResult):
                 labels = np.array([s.switch_bit for s in shots])
-                wrong = n_wrong(np.array([s.iq_point for s in shots], dtype=float), labels)
+                points = np.array([s.iq_point for s in shots], dtype=float)
+                wrong = int(np.count_nonzero(above(points) != labels))
             else:
                 # Checked as given: a cast to int would truncate 0.5 to 0.
                 # Each chunk is compared as a copy: numpy compares a zero-stride
                 # label view (cli._iq's) about 20 times slower than the copy costs.
                 labels = np.asarray(shots)
+                n_ones = 0
                 for rows, _ in _chunks(labels.size, 1):
                     part = labels[rows].copy()
                     if np.any((part != 0) & (part != 1)):
                         raise ValueError("labels must be 0 or 1")
+                    n_ones += int(np.count_nonzero(part))
                 if rng is None:
                     raise ValueError("an rng is required to draw points for label input")
                 width = 2 * model.n_samples
                 _check_shot_draws(labels.size, width)
-                # A normal deviate of a float64 uniform in (0, 1) is at most
-                # 8.21 in magnitude, and so is a mean of them, so no drawn
-                # point or projection reaches past these bounds.
+                # A normal deviate of a nonzero float64 uniform is at most 8.21
+                # in magnitude, and so is a mean of them, so no drawn point or
+                # projection reaches past these bounds.  Generator.random also
+                # draws 0.0 (probability 2^-53), whose deviate is -inf: on the
+                # ndtri path, a point at -inf times a zero axis component is NaN
+                # and raises NumericalError.
                 reach = (np.abs(np.stack([c0, c1])) + 8.25 * model.sigma) @ np.abs(axis)
                 if not np.isfinite(reach).all():
                     raise NumericalError("IQ points this model can draw overflow float64")
                 wrong = 0
-                for rows, count in _chunks(labels.size, width):
-                    part = labels[rows].copy()
-                    points = _iq_points(model, part == 1, rng.random((count, width)))
-                    wrong += n_wrong(points, part)
+                if model.n_samples == 1 and 0.0 in axis:
+                    read = int(axis[0] == 0.0)
+                    # Bool labels: numpy compares a bool array with an int about
+                    # five times slower than with a bool.
+                    counts = ((False, labels.size - n_ones), (True, n_ones))
+                    by_cutoff = {label: _cutoff_classifier(model, read, label, above)[1] for label, n in counts if n}
+                    for rows, count in _chunks(labels.size, width):
+                        part = labels[rows].copy()
+                        u = rng.random((count, width))[:, read]
+                        ones = int(np.count_nonzero(part))
+                        for label, n in ((False, count - ones), (True, ones)):
+                            if n:
+                                predicted = by_cutoff[label](u if n == count else u[part == label])
+                                wrong += int(np.count_nonzero(predicted != label))
+                else:
+                    for rows, count in _chunks(labels.size, width):
+                        part = labels[rows].copy()
+                        points = _iq_points(model, part == 1, rng.random((count, width)))
+                        wrong += int(np.count_nonzero(above(points) != part))
     except FloatingPointError as exc:
         raise NumericalError(f"IQ threshold or points overflow float64: {exc}") from None
 

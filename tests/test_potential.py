@@ -259,6 +259,33 @@ def test_well_report_escape_barrier_is_lowest_side():
     assert wells.barrier_height[0] == pytest.approx(u_barrier - u_min, rel=1e-10)
 
 
+@pytest.mark.parametrize("current", [3e-6, 5e-6, 30e-6])
+def test_symmetric_well_keeps_its_left_barrier(current):
+    # At an integer flux the landscape is symmetric about the minimum at
+    # delta = phi_e, so its two adjacent maxima are equally high up to the
+    # rounding of their energies.  That tie keeps the left maximum at every
+    # such flux, whichever way the last bits fall; at 3 uA some right
+    # maxima come out lower in float64, which a strict comparison picked.
+    p = JpmParams(critical_current=current, loop_inductance=DEFAULT_PARAMS.loop_inductance,
+                  shunt_capacitance=DEFAULT_PARAMS.shunt_capacitance)
+    fluxes = np.arange(-3, 4) * PHI0
+    wells = well_report_sweep(fluxes, p)
+    right_lower = 0
+    for index, (flux, extrema) in enumerate(zip(fluxes, find_extrema_sweep(fluxes, p))):
+        phases = [d for d, _ in extrema]
+        k = int(np.argmin(np.abs(np.array(phases) - 2.0 * math.pi * flux / PHI0)))
+        assert extrema[k][1] == "minimum" and 0 < k < len(extrema) - 1
+        left, centre, right = energy(np.array(phases[k - 1:k + 2]), flux, p)
+        assert right - centre == pytest.approx(left - centre, rel=1e-14)
+        right_lower += right - centre < left - centre
+        well = np.flatnonzero((wells.flux_index == index) & (wells.minimum_phase == phases[k]))
+        assert well.size == 1
+        assert wells.barrier_phase[well[0]] == phases[k - 1]
+        assert wells.barrier_height[well[0]] == left - centre
+    if current == 3e-6:
+        assert right_lower > 0
+
+
 def test_critical_flux_values():
     crit = critical_flux(DEFAULT_PARAMS)
     assert len(crit) == 2

@@ -163,14 +163,12 @@ def test_fidelity_budget_matches_reference_batch(p_r, p_b, p_d):
         assert all(type(value) is float for value in budget.values())
 
 
-def _reference_iq(model, labels, rng):
-    # Reference: the whole-array label path, which draws every shot's
-    # uniforms at once and classifies all points with a mean of bools
-    # (with the overflow-free midpoint threshold).
-    labels = np.asarray(labels)
+def _reference_predictions(model, labels, uniforms):
+    # Per shot, the predicted label from its uniforms, and the
+    # (overflow-free) midpoint threshold.
     c0 = np.asarray(model.centroid_0, dtype=float)
     c1 = np.asarray(model.centroid_1, dtype=float)
-    noise = ndtri(rng.random((labels.size, 2 * model.n_samples)))
+    noise = ndtri(uniforms)
     points = np.stack(
         [model.sigma * noise[:, axis::2].mean(axis=1) + np.where(labels == 1, b, a)
          for axis, (a, b) in enumerate(zip(c0, c1))],
@@ -178,7 +176,15 @@ def _reference_iq(model, labels, rng):
     )
     axis = (c1 - c0) / model.separation
     threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
-    predicted = (points @ axis > threshold).astype(int)
+    return points @ axis > threshold, threshold
+
+
+def _reference_iq(model, labels, rng):
+    # Reference: the whole-array label path, which draws every shot's
+    # uniforms at once and classifies all points with a mean of bools.
+    labels = np.asarray(labels)
+    predicted, threshold = _reference_predictions(model, labels, rng.random((labels.size, 2 * model.n_samples)))
+    predicted = predicted.astype(int)
     return {
         "single_shot_fidelity": 1.0 - float(np.mean(predicted != labels)),
         "separation_fidelity": separation_fidelity(model),
@@ -186,33 +192,181 @@ def _reference_iq(model, labels, rng):
     }
 
 
+def _aligned_models():
+    # Centroid lines along +x, -x, +y and -y (the unit axis is exactly
+    # (+-1, 0) or (0, +-1)) from a cloud at 0.01 sigma to one whose
+    # classes overlap, and two clouds 1e10 sigma apart, which no drawn
+    # point crosses.
+    models = [
+        IqModel(centroid_0=(0.2, -0.3), centroid_1=(0.2 + dx, -0.3 + dy), sigma=sigma)
+        for dx, dy in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+        for sigma in (0.01, 0.14144271570014144, 0.3, 2.5, 40.0)
+    ]
+    return models + [IqModel(centroid_1=(1e200, 0.0), sigma=1e190)]
+
+
+def _assert_matches_reference(model, n, seed):
+    # Shuffled labels and both single-class sets, each given as int, float
+    # and bool: the same bits as the reference on the same stream, and the
+    # generator left where the reference leaves it.
+    mixed = np.random.default_rng(n).integers(0, 2, n)
+    for labels in (mixed, np.zeros(n, dtype=int), np.ones(n, dtype=int)):
+        ref = np.random.default_rng(seed)
+        want = _reference_iq(model, labels, ref)
+        for dtype in (int, float, bool):
+            rng = np.random.default_rng(seed)
+            _assert_same_iq(iq_discriminate(model, labels.astype(dtype), rng), want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _assert_same_iq(got, want):
+    # Every field by its bits, and each of type float.
+    assert {key: value.hex() for key, value in got.items()} == {key: value.hex() for key, value in want.items()}
+    assert all(type(value) is float for value in got.values())
+
+
 @pytest.mark.parametrize("n_samples", [1, 3])
 def test_iq_discriminate_matches_reference_batch(n_samples):
     # One shot, a few, one more than a chunk, and several chunks plus a
-    # remainder, with shuffled labels given as int, float and bool.
-    model = IqModel(centroid_0=(0.2, -0.3), centroid_1=(1.1, 0.4), sigma=0.45, n_samples=n_samples)
+    # remainder, with shuffled and single-class labels given as int, float
+    # and bool.  The off-axis model builds every point; at one sample the
+    # axis-aligned ones classify by a cutoff on the read uniform, and must
+    # give the same bits and leave the generator where the reference does.
+    # At three samples an aligned model builds its points too.
+    off_axis = IqModel(centroid_0=(0.2, -0.3), centroid_1=(1.1, 0.4), sigma=0.45, n_samples=n_samples)
+    aligned = _aligned_models() if n_samples == 1 else [IqModel(centroid_1=(0.0, -1.0), sigma=0.3, n_samples=n_samples)]
     rows = SHOT_CHUNK_DRAWS // (2 * n_samples)
     for n in (1, 5, rows + 1, 3 * rows + 123):
-        labels = np.random.default_rng(n).integers(0, 2, n)
-        for dtype in (int, float, bool):
-            got = iq_discriminate(model, labels.astype(dtype), np.random.default_rng(11))
-            assert got == _reference_iq(model, labels, np.random.default_rng(11))
-            assert all(type(value) is float for value in got.values())
+        for model in (off_axis, *aligned):
+            _assert_matches_reference(model, n, 11)
 
 
 def test_one_shot_chunks_match_default_chunking(monkeypatch):
     # A chunk of one draw still holds one whole shot, so each shot is
-    # drawn and counted on its own.
+    # drawn and counted on its own, on the ndtri path (off-axis, and
+    # aligned at two samples) and on the cutoff path (every aligned
+    # one-sample model, against the reference as in the default chunking).
     cfg = ProtocolConfig(relaxation_override=0.3, bright_detect_prob=0.9, dark_prob=0.1, rng_seed=3)
     model = IqModel(centroid_1=(1.0, 0.5), sigma=0.4, n_samples=2)
     labels = np.random.default_rng(2).integers(0, 2, 1000)
     want_budget = fidelity_budget(cfg, 10_000, model)
-    want_iq = iq_discriminate(model, labels, np.random.default_rng(5))
+    iq_models = (model, IqModel(centroid_1=(0.0, -1.0), sigma=0.4, n_samples=2))
+    want_iq = [iq_discriminate(m, labels, np.random.default_rng(5)) for m in iq_models]
     monkeypatch.setattr(jpmsim.protocol, "SHOT_CHUNK_DRAWS", 1)
     assert fidelity_budget(cfg, 10_000, model) == want_budget == _reference_budget(cfg, 10_000, model)
-    got_iq = iq_discriminate(model, labels, np.random.default_rng(5))
-    assert got_iq == want_iq == _reference_iq(model, labels, np.random.default_rng(5))
-    assert all(type(value) is float for value in (*want_budget.values(), *got_iq.values()))
+    for m, want in zip(iq_models, want_iq):
+        got_iq = iq_discriminate(m, labels, np.random.default_rng(5))
+        _assert_same_iq(got_iq, want)
+        _assert_same_iq(got_iq, _reference_iq(m, labels, np.random.default_rng(5)))
+    for aligned in _aligned_models():
+        _assert_matches_reference(aligned, 300, 5)
+    assert all(type(value) is float for value in want_budget.values())
+
+
+class _BlockRng:
+    # A stand-in generator whose random(shape) hands out the next rows of
+    # a prepared block, one copy per call (_iq_points overwrites its draws).
+    def __init__(self, block):
+        self.block, self.start = np.asarray(block, dtype=float), 0
+
+    def random(self, shape):
+        rows = self.block[self.start:self.start + shape[0]]
+        assert rows.shape == shape
+        self.start += shape[0]
+        return rows.copy()
+
+
+def _assert_cutoff_matches_ndtri_near_cutoff(model):
+    # Every uniform within 2^12 grid steps of each class's cutoff, and both
+    # edges of its guard band with their outer neighbours, per row against
+    # the ndtri path; then the same block through iq_discriminate from a
+    # stand-in generator, against the reference on the same block.
+    # Returns the ndtri path's predictions in step order, per class.
+    c0 = np.asarray(model.centroid_0, dtype=float)
+    c1 = np.asarray(model.centroid_1, dtype=float)
+    axis = (c1 - c0) / model.separation
+    threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
+    read = int(axis[0] == 0.0)
+    guard = jpmsim.protocol.CUTOFF_GUARD_STEPS
+    predictions = []
+    for label in (0, 1):
+        step, classify = jpmsim.protocol._cutoff_classifier(
+            model, read, label, lambda points: points @ axis > threshold
+        )
+        offsets = np.union1d(np.arange(-(2**12), 2**12 + 1), [-guard - 1, -guard, guard, guard + 1])
+        steps = step + offsets
+        steps = steps[(steps >= 0) & (steps < 2**53)]
+        block = np.random.default_rng(label).random((steps.size, 2))
+        block[:, read] = steps * 2.0**-53
+        want = _reference_predictions(model, np.full(steps.size, label), block)[0]
+        assert np.array_equal(classify(block[:, read]), want)
+        if step < 2**53:
+            # The ndtri path itself turns between the cutoff and the step below it.
+            assert want[steps == step - 1] != want[steps == step]
+        labels = np.full(steps.size, label)
+        _assert_same_iq(
+            iq_discriminate(model, labels, _BlockRng(block)), _reference_iq(model, labels, _BlockRng(block))
+        )
+        predictions.append(want)
+    return predictions
+
+
+@pytest.mark.parametrize(
+    "model",
+    [DEFAULT_IQ_MODEL, IqModel(centroid_1=(-1.0, 0.0), sigma=0.3), IqModel(centroid_1=(0.0, 1.0), sigma=2.5),
+     IqModel(centroid_0=(0.2, 0.0), centroid_1=(0.2, -1.0), sigma=40.0), IqModel(sigma=0.01)],
+    ids=["+x", "-x", "+y", "-y", "no-crossing"],
+)
+def test_cutoff_classifies_every_uniform_near_the_cutoff_as_ndtri_does(model):
+    _assert_cutoff_matches_ndtri_near_cutoff(model)
+
+
+def test_cutoff_band_covers_a_step_back_of_ndtri():
+    # The computed ndtri is not monotone on the uniform grid: near u = 0.9
+    # some deviate is below its left neighbour's.  A class-0 cloud at the
+    # origin whose threshold 0.5 falls between those two deviates predicts
+    # False, True, False, True on four neighbouring steps, so one cutoff
+    # alone would misclassify one of them; the guard band does not.
+    steps = np.arange(int(0.9 * 2**53), int(0.9 * 2**53) + 200_000)
+    deviates = ndtri(steps * 2.0**-53)
+    for i in np.flatnonzero(np.diff(deviates) < 0):
+        sigma = 0.5 / (0.5 * (deviates[i] + deviates[i + 1]))
+        if (sigma * deviates[i - 1:i + 3] > 0.5).tolist() == [False, True, False, True]:
+            break
+    else:
+        pytest.skip("this ndtri steps back nowhere in the window, so no cloud can straddle a step back")
+    want = _assert_cutoff_matches_ndtri_near_cutoff(IqModel(sigma=sigma))[0]
+    assert np.count_nonzero(np.diff(want.astype(int))) == 3
+
+
+def test_a_zero_uniform_is_classified_or_refused_by_path():
+    # Generator.random draws from [0, 1), and ndtri(0.0) is -inf.  In the
+    # read column of any model that is a point at -inf along the centroid
+    # line, classified on both paths.  In the other column of an aligned
+    # model the ndtri path multiplies -inf by the zero axis component and
+    # refuses (NumericalError), while the cutoff path never transforms it.
+    one_sample = IqModel(sigma=0.3)
+    two_samples = IqModel(sigma=0.3, n_samples=2)
+    off_axis = IqModel(centroid_1=(1.0, 0.5), sigma=0.3)
+    labels = np.array([0, 1, 1, 0])
+    block = np.random.default_rng(3).random((4, 4))
+    block[1:3, 0] = 0.0
+    for model in (one_sample, off_axis):
+        width = 2 * model.n_samples
+        _assert_same_iq(
+            iq_discriminate(model, labels, _BlockRng(block[:, :width])),
+            _reference_iq(model, labels, _BlockRng(block[:, :width])),
+        )
+    unread = block.copy()
+    unread[1:3, 1] = 0.0
+    finite = block.copy()
+    finite[1:3, 1] = 0.5
+    _assert_same_iq(
+        iq_discriminate(one_sample, labels, _BlockRng(unread[:, :2])),
+        _reference_iq(one_sample, labels, _BlockRng(finite[:, :2])),
+    )
+    with pytest.raises(NumericalError, match="overflow"):
+        iq_discriminate(two_samples, labels, _BlockRng(unread))
 
 
 def _traced_peak_mb(call):
@@ -231,12 +385,14 @@ def test_shot_paths_memory_is_flat_in_shot_count():
     cfg = ProtocolConfig()
     small, large = (_traced_peak_mb(lambda: fidelity_budget(cfg, n)) for n in (100_000, 4_000_000))
     assert large < 10.0 and large < 2.0 * small
-    peaks = []
-    for n in (100_000, 4_000_000):
-        labels = np.repeat(np.array([0, 1], dtype=np.int8), n // 2)
-        peaks.append(_traced_peak_mb(lambda: iq_discriminate(DEFAULT_IQ_MODEL, labels, np.random.default_rng(1))))
-    small, large = peaks
-    assert large < 10.0 and large < 2.0 * small
+    # The default model takes the cutoff path, the off-axis one the ndtri path.
+    for model in (DEFAULT_IQ_MODEL, IqModel(centroid_1=(1.0, 0.5), sigma=0.4)):
+        peaks = []
+        for n in (100_000, 4_000_000):
+            labels = np.repeat(np.array([0, 1], dtype=np.int8), n // 2)
+            peaks.append(_traced_peak_mb(lambda: iq_discriminate(model, labels, np.random.default_rng(1))))
+        small, large = peaks
+        assert large < 10.0 and large < 2.0 * small
 
 
 @pytest.mark.parametrize("centroid_1", [(1.0, 0.0), (1.0, 2.0)], ids=["on-axis", "off-axis"])
