@@ -7,8 +7,6 @@ and prints the analytic cross-checks alongside.  Run with no arguments.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from jpmsim.protocol import (
@@ -39,10 +37,7 @@ def main() -> None:
     print("analytic cross-checks:")
     print(f"  relaxation over the preparation pulse: {relaxation_error(cfg.t_prep, cfg.t1):.4f}")
     model = IqModel()
-    d_over_sigma = math.hypot(
-        model.centroid_1[0] - model.centroid_0[0],
-        model.centroid_1[1] - model.centroid_0[1],
-    ) / model.sigma
+    d_over_sigma = model.separation / model.sigma
     print(f"  IQ separation fidelity at d/sigma = {d_over_sigma:.2f}: {separation_fidelity(model):.6f}")
     labels = np.concatenate([np.zeros(50_000, dtype=int), np.ones(50_000, dtype=int)])
     empirical = iq_discriminate(model, labels, rng=np.random.default_rng(cfg.rng_seed))

@@ -304,7 +304,7 @@ def _budget(cfg: RunConfig) -> dict:
 
     pc = cfg.protocol_config()
     n_shots = cfg.get("budget.n_shots")
-    record = dict(fidelity_budget(pc, n_shots, cfg.iq_model()))
+    record = dict(fidelity_budget(pc, n_shots))
     record["n_shots"] = n_shots
     record["analytic_relaxation_error"] = relaxation_error(pc.t_prep, pc.t1)
     return record
@@ -381,7 +381,7 @@ def _iq(cfg: RunConfig) -> dict:
     if n_shots < 1:
         raise ConfigError("iq.n_shots must be positive")
     # The draw cap covers both classes, refused before either is drawn.
-    _check_shot_draws(2 * n_shots, 2 * model.n_samples)
+    _check_shot_draws(2 * n_shots, 2)
     rng = np.random.default_rng(cfg.get("seed"))
     # One class after the other, each on a zero-stride view of its label.
     # (1 - f) n_shots is each integer count of wrong labels to within
@@ -392,7 +392,7 @@ def _iq(cfg: RunConfig) -> dict:
         wrong += round((1.0 - result["single_shot_fidelity"]) * n_shots)
     return {
         "n_shots_per_class": n_shots,
-        "d_over_sigma": model.separation / model.effective_sigma,
+        "d_over_sigma": model.separation / model.sigma,
         "single_shot_fidelity": 1.0 - wrong / (2 * n_shots),
         "separation_fidelity": result["separation_fidelity"],
         "threshold": result["threshold"],

@@ -74,7 +74,6 @@ SCHEMA: dict[str, ValueSpec] = {
     "protocol.depletion_decay_time": ValueSpec("time", "none", optional=True),
     "protocol.relaxation_override": ValueSpec("float", "0.05", optional=True),
     "iq.sigma": ValueSpec("float", "0.14144271570014144"),
-    "iq.n_samples": ValueSpec("int", "1"),
     "iq.centroid_0": ValueSpec("list:float", "0,0"),
     "iq.centroid_1": ValueSpec("list:float", "1,0"),
     "iq.n_shots": ValueSpec("int", "100000"),
@@ -305,7 +304,6 @@ class RunConfig:
                 centroid_0=tuple(self.get("iq.centroid_0")),
                 centroid_1=tuple(self.get("iq.centroid_1")),
                 sigma=self.get("iq.sigma"),
-                n_samples=self.get("iq.n_samples"),
             )
         except ValueError as exc:
             raise ConfigError(f"iq section invalid: {exc}") from exc

@@ -11,29 +11,30 @@ calibration via the qubit frequency shift, post-measurement depletion
 recovery, and IQ-plane discrimination of the detector's classical
 output.
 
-Randomness contract: every shot consumes exactly 3 + 2 n uniform draws
-(n = IqModel.n_samples) in a pinned order -- relaxation, capture, dark
-count, then interleaved x/y quadrature noise.  Normal deviates come
+Randomness contract: every shot consumes exactly 5 uniform draws in a
+pinned order -- relaxation, capture, dark count, then the x and y
+quadrature noise, one sample each.  Normal deviates come
 from the inverse CDF of the uniforms, so the draw count never depends
 on outcomes and a batch of shots is bit-identical to the same shots
 simulated one at a time from the same generator.  Generator.random
 fills its output in C order from one stream, so the shot paths draw a
 block in row chunks of at most SHOT_CHUNK_DRAWS uniforms and still
 consume exactly the numbers one draw of the whole block would.  A
-single shot (simulate_shot) reads its 3 + 2 n draws as Python floats,
-passes the first three to _switches, as the block paths do, and applies
-the rule of _iq_points to the rest, so its result is bit-identical to a
+single shot (simulate_shot) reads its 5 draws as Python floats, passes
+the first three to _switches, as the block paths do, and applies the
+rule of _iq_points to the last two, so its result is bit-identical to a
 one-row block.  A path makes every draw of its layout, read or not:
 fidelity_budget reads only the three switch draws, and the label path
-of iq_discriminate (2 n draws a shot), for a one-sample model whose
-centroid line runs along I or Q, only that quadrature's uniform, which
-it compares with a per-label cutoff instead of transforming it.
+of iq_discriminate (2 draws a shot), for a model whose centroid line
+runs along I or Q, only that quadrature's uniform, which it compares
+with a per-label cutoff instead of transforming it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -64,7 +65,7 @@ points themselves rather than by the cutoff."""
 
 MAX_SHOT_DRAWS = 10**9
 """Most uniforms one :func:`fidelity_budget` or :func:`iq_discriminate`
-call draws (a budget of 10^8 shots per state at n_samples = 1), so a huge
+call draws (a budget of 10^8 shots per state), so a huge
 shot count is refused instead of drawing for hours."""
 
 
@@ -136,30 +137,23 @@ class ProtocolConfig:
 class IqModel:
     """Gaussian model of the two detector-output clouds in the IQ plane.
 
-    sigma is the per-axis standard deviation of a single quadrature
-    sample; a shot records the mean of n_samples samples, so the
-    effective cloud width per shot is sigma / sqrt(n_samples).
+    A shot records one sample per quadrature, so sigma is the per-axis
+    standard deviation of its IQ point.  ``n_samples`` is the class
+    constant 1, not a field; only the benchmark's draw notes read it.
     """
 
     centroid_0: tuple[float, float] = (0.0, 0.0)
     centroid_1: tuple[float, float] = (1.0, 0.0)
     sigma: float = 1.0 / 7.07
-    n_samples: int = 1
+    n_samples: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be finite and positive")
         if self.centroid_0 == self.centroid_1:
             raise ValueError("centroids must be distinct")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        if not (self.effective_sigma > 0.0 and math.isfinite(self.separation / self.effective_sigma)):
-            raise ValueError("centroid separation over effective sigma is out of float64 range")
-
-    @property
-    def effective_sigma(self) -> float:
-        """Cloud width of the per-shot averaged IQ point."""
-        return self.sigma / math.sqrt(self.n_samples)
+        if not math.isfinite(self.separation / self.sigma):
+            raise ValueError("centroid separation over sigma is out of float64 range")
 
     @property
     def separation(self) -> float:
@@ -207,21 +201,17 @@ def relaxation_error(t_prep: float, t1: float) -> float:
 
 
 def _iq_points(model: IqModel, bright, uniforms) -> np.ndarray:
-    """Per-shot averaged IQ points, shape (n, 2).
+    """IQ points of shots, shape (n, 2).
 
-    Each shot sits at centroid_1 where bright, else at centroid_0, plus
-    sigma times the mean of the normal deviates of its interleaved x/y
-    uniforms (2 n_samples per shot).  The deviates overwrite uniforms in
-    place and each axis is written into one output array, so no
-    (n, 2 n_samples) buffer is allocated beside the draws.
+    Each shot sits at centroid_1 where bright (a bool array), else at
+    centroid_0, plus sigma times the normal deviates of its x and y
+    uniforms, the (n, 2) array ``uniforms``, which the points overwrite.
     """
     from scipy.special import ndtri
 
-    noise = ndtri(uniforms, out=uniforms)
-    points = np.empty((len(bright), 2))
-    for axis, (c0, c1) in enumerate(zip(model.centroid_0, model.centroid_1)):
-        np.multiply(model.sigma, noise[:, axis::2].mean(axis=1), out=points[:, axis])
-        points[:, axis] += np.where(bright, c1, c0)
+    points = ndtri(uniforms, out=uniforms)
+    points *= model.sigma
+    points += np.where(bright[:, None], model.centroid_1, model.centroid_0)
     return points
 
 
@@ -270,28 +260,24 @@ def simulate_shot(
     the detector to fire on it; a dark count can fire the detector on
     any shot a bright pointer did not already switch.
 
-    The shot draws its 3 + 2 n_samples uniforms as Python floats: the
-    three switch draws go through _switches, and each IQ axis is sigma
-    times the add.reduce of its normal deviates over n_samples (the
-    reduction _iq_points' mean makes) plus the centroid of the switch
-    outcome.  So the result is bit-identical to a one-row block through
-    those kernels, without their per-call array overhead.
+    The shot draws its 5 uniforms as Python floats: the three switch
+    draws go through _switches, and each IQ axis is sigma times the
+    normal deviate of its draw plus the centroid of the switch outcome.
+    So the result is bit-identical to a one-row block through those
+    kernels, without their per-call array overhead.
     """
     from scipy.special import ndtri
 
-    n = iq_model.n_samples
-    u = rng.random(3 + 2 * n)
+    u = rng.random(5)
     captured, dark, _ = _switches(bool(qubit_excited), *u[:3].tolist(), cfg)
     switch = captured or dark
-    noise = ndtri(u[3:])
+    z_x, z_y = ndtri(u[3:]).tolist()
     c_x, c_y = iq_model.centroid_1 if switch else iq_model.centroid_0
-    x = iq_model.sigma * (float(np.add.reduce(noise[0::2])) / n) + c_x
-    y = iq_model.sigma * (float(np.add.reduce(noise[1::2])) / n) + c_y
     cause = "bright_capture" if captured else "dark_count" if dark else "none"
-    return ShotResult(int(switch), cause, (float(x), float(y)))
+    return ShotResult(int(switch), cause, (float(iq_model.sigma * z_x + c_x), float(iq_model.sigma * z_y + c_y)))
 
 
-def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel = DEFAULT_IQ_MODEL) -> dict:
+def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel | None = None) -> dict:
     """Monte Carlo raw-fidelity budget over n_shots per prepared state.
 
     Runs an excited-state batch then a ground-state batch from one
@@ -305,27 +291,30 @@ def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel = DEFAU
       missed (again without a dark-count rescue),
     - epsilon_dark: ground shots that switched anyway.
 
-    Only the three switch columns of each shot are read, but all
-    3 + 2 n_samples draws of the pinned layout are made, so the budget
-    consumes the stream exactly as the same shots through simulate_shot.
+    Only the three switch columns of each shot are read, but all 5
+    draws of the pinned layout are made, so the budget consumes the
+    stream exactly as the same shots through simulate_shot.
     Each block is drawn and counted in chunks of at most
     SHOT_CHUNK_DRAWS uniforms, so memory stays flat in n_shots; each
     term is an integer count over n_shots.  Raises NumericalError,
     before drawing, for more than MAX_SHOT_DRAWS uniforms in all.
+
+    iq_model is not read: no IQ model changes a shot's draws.  The
+    parameter stays for callers that still pass one, as the benchmark's
+    allocation probe does.
     """
     if n_shots < 10_000:
         raise ValueError("n_shots must be at least 10^4 for a stable budget")
-    width = 3 + 2 * iq_model.n_samples
-    _check_shot_draws(2 * n_shots, width)
+    _check_shot_draws(2 * n_shots, 5)
     rng = np.random.default_rng(cfg.rng_seed)
     n_miss = n_relax = n_dark = 0
-    for _, count in _chunks(n_shots, width):
-        captured, dark, relaxed = _switches(True, *rng.random((count, width))[:, :3].T, cfg)
+    for _, count in _chunks(n_shots, 5):
+        captured, dark, relaxed = _switches(True, *rng.random((count, 5))[:, :3].T, cfg)
         miss = ~(captured | dark)
         n_miss += int(np.count_nonzero(miss))
         n_relax += int(np.count_nonzero(miss & relaxed))
-    for _, count in _chunks(n_shots, width):
-        n_dark += int(np.count_nonzero(_switches(False, *rng.random((count, width))[:, :3].T, cfg)[1]))
+    for _, count in _chunks(n_shots, 5):
+        n_dark += int(np.count_nonzero(_switches(False, *rng.random((count, 5))[:, :3].T, cfg)[1]))
 
     eps_dark = n_dark / n_shots
     return {
@@ -475,19 +464,18 @@ def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
 def separation_fidelity(model: IqModel) -> float:
     """Discrimination fidelity from Gaussian overlap alone.
 
-    1 - erfc(d / (2 sqrt(2) sigma_eff)) / 2 for centroid distance d and
-    per-shot cloud width sigma_eff.
+    1 - erfc(d / (2 sqrt(2) sigma)) / 2 for centroid distance d and
+    per-shot cloud width sigma.
     """
     from scipy.special import erfc
 
-    return 1.0 - 0.5 * float(erfc(model.separation / (2.0 * math.sqrt(2.0) * model.effective_sigma)))
+    return 1.0 - 0.5 * float(erfc(model.separation / (2.0 * math.sqrt(2.0) * model.sigma)))
 
 
 def _cutoff_classifier(model: IqModel, read: int, label: int, above):
-    """Classifier of one-sample shots of one label by their read uniform.
+    """Classifier of shots of one label by their read uniform.
 
-    For n_samples = 1 and a centroid line along IQ axis ``read``, a
-    shot's projection is +-(sigma ndtri(u) + c) for its read uniform u:
+    For a centroid line along IQ axis ``read``, a shot's projection is +-(sigma ndtri(u) + c) for its read uniform u:
     the other deviate enters times an exact zero.  fl(fl(sigma z) + c)
     is monotone in z, so ``above`` (points -> projection > threshold) is
     monotone in the deviate, and the exact ndtri is strictly increasing.
@@ -507,8 +495,8 @@ def _cutoff_classifier(model: IqModel, read: int, label: int, above):
     below that of K - 1 and predicts as K - 1 does, and one more than
     2^23 steps above K predicts as K does.  The returned function
     predicts so, and sends the uniforms inside the band through the
-    classifier itself, so it equals the ndtri path per shot wherever the
-    unread uniform is nonzero.  Returns (K, that function).
+    classifier itself, so it equals the classification of the whole
+    point per shot wherever the unread uniform is nonzero.  Returns (K, that function).
     """
 
     def exact(u):
@@ -544,9 +532,8 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
 
     shots may be ShotResult records (their stored iq_points and
     switch_bits are used) or an integer label array, in which case
-    fresh per-shot averaged Gaussian points are drawn from the model
-    using rng (2 n_samples uniforms per shot, shot-major, x/y
-    interleaved), in chunks of at most SHOT_CHUNK_DRAWS uniforms that
+    fresh Gaussian points are drawn from the model using rng (2 uniforms
+    per shot, x then y), in chunks of at most SHOT_CHUNK_DRAWS uniforms that
     are classified and counted one by one.  More than MAX_SHOT_DRAWS
     uniforms raise NumericalError before any is drawn.  The threshold is
     the projection of the centroid midpoint; single_shot_fidelity is the
@@ -555,12 +542,13 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
     overflows float64 raises NumericalError; for drawn points that is
     decided from the model before any draw, so it does not depend on rng.
 
-    Every draw of the pinned layout is made.  A one-sample model whose
-    centroid line runs along the I or Q axis reads only that column of
-    each shot, and classifies it by a per-label cutoff on the uniform
+    Every draw of the pinned layout is made.  A model whose centroid
+    line runs along the I or Q axis reads only that column of each shot,
+    and classifies it by a per-label cutoff on the uniform
     (_cutoff_classifier), found once per call, instead of by ndtri; its
-    other column is never transformed.  Every other model builds each
-    point through _iq_points.
+    other column is never transformed.  An off-axis model builds each
+    point through _iq_points.  A label array that is not
+    one-dimensional raises ValueError before any draw.
     """
     if len(shots) == 0:
         raise ValueError("shots must be non-empty")
@@ -584,6 +572,8 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
                 # Each chunk is compared as a copy: numpy compares a zero-stride
                 # label view (cli._iq's) about 20 times slower than the copy costs.
                 labels = np.asarray(shots)
+                if labels.ndim != 1:
+                    raise ValueError("labels must be a one-dimensional array")
                 n_ones = 0
                 for rows, _ in _chunks(labels.size, 1):
                     part = labels[rows].copy()
@@ -592,36 +582,34 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
                     n_ones += int(np.count_nonzero(part))
                 if rng is None:
                     raise ValueError("an rng is required to draw points for label input")
-                width = 2 * model.n_samples
-                _check_shot_draws(labels.size, width)
+                _check_shot_draws(labels.size, 2)
                 # A normal deviate of a nonzero float64 uniform is at most 8.21
-                # in magnitude, and so is a mean of them, so no drawn point or
-                # projection reaches past these bounds.  Generator.random also
-                # draws 0.0 (probability 2^-53), whose deviate is -inf: on the
-                # ndtri path, a point at -inf times a zero axis component is NaN
-                # and raises NumericalError.
+                # in magnitude, so no drawn point or projection reaches past
+                # these bounds.  Generator.random also draws 0.0 (probability
+                # 2^-53), whose deviate is -inf: a point at -inf along the
+                # centroid line, which is classified.
                 reach = (np.abs(np.stack([c0, c1])) + 8.25 * model.sigma) @ np.abs(axis)
                 if not np.isfinite(reach).all():
                     raise NumericalError("IQ points this model can draw overflow float64")
                 wrong = 0
-                if model.n_samples == 1 and 0.0 in axis:
+                if 0.0 in axis:
                     read = int(axis[0] == 0.0)
                     # Bool labels: numpy compares a bool array with an int about
                     # five times slower than with a bool.
                     counts = ((False, labels.size - n_ones), (True, n_ones))
                     by_cutoff = {label: _cutoff_classifier(model, read, label, above)[1] for label, n in counts if n}
-                    for rows, count in _chunks(labels.size, width):
+                    for rows, count in _chunks(labels.size, 2):
                         part = labels[rows].copy()
-                        u = rng.random((count, width))[:, read]
+                        u = rng.random((count, 2))[:, read]
                         ones = int(np.count_nonzero(part))
                         for label, n in ((False, count - ones), (True, ones)):
                             if n:
                                 predicted = by_cutoff[label](u if n == count else u[part == label])
                                 wrong += int(np.count_nonzero(predicted != label))
                 else:
-                    for rows, count in _chunks(labels.size, width):
+                    for rows, count in _chunks(labels.size, 2):
                         part = labels[rows].copy()
-                        points = _iq_points(model, part == 1, rng.random((count, width)))
+                        points = _iq_points(model, part == 1, rng.random((count, 2)))
                         wrong += int(np.count_nonzero(above(points) != part))
     except FloatingPointError as exc:
         raise NumericalError(f"IQ threshold or points overflow float64: {exc}") from None

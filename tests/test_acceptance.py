@@ -235,8 +235,7 @@ def test_iq_discrimination_fidelity():
         model.centroid_1[0] - model.centroid_0[0],
         model.centroid_1[1] - model.centroid_0[1],
     )
-    sigma_eff = model.sigma / math.sqrt(model.n_samples)
-    predicted = 1.0 - 0.5 * math.erfc(distance / (2.0 * math.sqrt(2.0) * sigma_eff))
+    predicted = 1.0 - 0.5 * math.erfc(distance / (2.0 * math.sqrt(2.0) * model.sigma))
     analytic = separation_fidelity(model)
     assert abs(analytic - predicted) < 1e-12
     assert abs(analytic - 0.9998) < 1e-4

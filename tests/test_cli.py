@@ -184,12 +184,14 @@ def test_config_rejections():
         "protocol.cycle_time=2.8us",
         "line.impedance=50ohm",
         "line.drive_amplitude=1V",
+        "iq.n_samples=2",
     ],
 )
 def test_removed_keys_are_unknown(line):
     # These keys fed no result (the line keys only an echo of themselves,
-    # as the efficiencies are free of the line's scale); a config that
-    # still sets one fails like any other unknown key.
+    # as the efficiencies are free of the line's scale), or, as
+    # iq.n_samples, what iq.sigma alone now sets; a config that still sets
+    # one fails like any other unknown key.
     with pytest.raises(ConfigError, match="unknown key"):
         RunConfig.from_sources(overrides=(line,))
 
@@ -306,6 +308,14 @@ def test_budget_report_contents(tmp_path):
     # Insertion-ordered keys, two-space indent, trailing newline.
     assert text.startswith('{\n  "F_raw":')
     assert text.endswith("\n")
+
+
+def test_budget_does_not_read_the_iq_model(tmp_path):
+    # No IQ model changes a shot's draws, so budget builds none: an IQ
+    # model that iq refuses leaves its bytes as they are.
+    assert run_fast("budget", tmp_path / "a")[0] == 0
+    assert run_fast("budget", tmp_path / "b", ("iq.sigma=1e-320", "iq.centroid_1=0,0"))[0] == 0
+    assert (tmp_path / "a" / "budget.json").read_bytes() == (tmp_path / "b" / "budget.json").read_bytes()
 
 
 def test_tomo_synth_fit_pipeline(tmp_path):
@@ -596,13 +606,12 @@ def test_transfer_peak_refuses_line_values(tmp_path, capsys, override):
         ("potential-sweep", ("potential.flux_start=-1e308Wb", "potential.flux_stop=1e308Wb")),
         ("iq", ("iq.centroid_0=1e308,0", "iq.centroid_1=-1e308,0")),
         ("iq", ("iq.sigma=1e-320",)),
-        ("budget", ("iq.sigma=1e-320",)),
     ],
 )
 def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides):
     # A literal that overflows float64 is refused where the config is
     # parsed, a sweep whose finite ends overflow (span or time scale)
-    # where the sweep is built, and an IQ model whose d / sigma_eff
+    # where the sweep is built, and an IQ model whose d / sigma
     # overflows where the model is built, before any of them can turn
     # into inf or NaN cells.
     code, paths = run_fast(name, tmp_path, overrides)
@@ -1003,14 +1012,13 @@ def test_size_too_large_to_allocate_exits_numerical(tmp_path, capsys, name, key)
     [
         ("budget", ("budget.n_shots=100000001",)),
         ("iq", ("iq.n_shots=250000001",)),
-        ("iq", ("iq.n_shots=1", "iq.n_samples=250000001")),
     ],
 )
 def test_shot_count_above_draw_bound_is_refused_quickly(tmp_path, capsys, name, overrides):
     # Each is the smallest count past MAX_SHOT_DRAWS = 10^9 uniforms
-    # (2 x 10^8 budget shots of 5 draws, 5 x 10^8 iq shots of 2, or 2 iq
-    # shots of 5 x 10^8): drawing that many would take seconds, so the
-    # time bound shows the refusal comes first.
+    # (2 x 10^8 budget shots of 5 draws, or 5 x 10^8 iq shots of 2):
+    # drawing that many would take seconds, so the time bound shows the
+    # refusal comes first.
     start = time.perf_counter()
     code, paths = run_subcommand(name, overrides=overrides, output_dir=str(tmp_path))
     assert time.perf_counter() - start < 0.5

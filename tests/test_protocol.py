@@ -115,7 +115,7 @@ def _reference_batch(qubit_excited, n_shots, cfg, iq_model, rng):
     # Reference: the full batch sampler, which draws every column of the
     # pinned layout and turns it into switch flags and IQ points,
     # (switch, captured, relaxed, iq_x, iq_y).
-    u = rng.random((n_shots, 3 + 2 * iq_model.n_samples))
+    u = rng.random((n_shots, 5))
     if qubit_excited:
         relaxed = u[:, 0] < cfg.relaxation_prob
         captured = ~relaxed & (u[:, 1] < cfg.bright_detect_prob)
@@ -125,16 +125,16 @@ def _reference_batch(qubit_excited, n_shots, cfg, iq_model, rng):
     switch = captured | (~captured & (u[:, 2] < cfg.dark_prob))
     noise = ndtri(u[:, 3:])
     iq_x, iq_y = (
-        iq_model.sigma * noise[:, axis::2].mean(axis=1) + np.where(switch, c1, c0)
+        iq_model.sigma * noise[:, axis] + np.where(switch, c1, c0)
         for axis, (c0, c1) in enumerate(zip(iq_model.centroid_0, iq_model.centroid_1))
     )
     return switch, captured, relaxed, iq_x, iq_y
 
 
-def _reference_budget(cfg, n_shots, iq_model=DEFAULT_IQ_MODEL):
+def _reference_budget(cfg, n_shots):
     rng = np.random.default_rng(cfg.rng_seed)
-    switch, _, relaxed, _, _ = _reference_batch(True, n_shots, cfg, iq_model, rng)
-    ground_switch = _reference_batch(False, n_shots, cfg, iq_model, rng)[0]
+    switch, _, relaxed, _, _ = _reference_batch(True, n_shots, cfg, DEFAULT_IQ_MODEL, rng)
+    ground_switch = _reference_batch(False, n_shots, cfg, DEFAULT_IQ_MODEL, rng)[0]
     miss = ~switch
     eps_dark = float(np.mean(ground_switch))
     return {
@@ -155,11 +155,10 @@ def _reference_shot(qubit_excited, cfg, rng, iq_model):
 def test_fidelity_budget_matches_reference_batch(p_r, p_b, p_d):
     # Reading only the switch columns gives the same floats, of type
     # float, as the full batch sampler with its mean-of-bools arithmetic.
-    for n, seed, k in itertools.product((10_000, 123_457), (1, 7, 99), (1, 2, 3)):
+    for n, seed in itertools.product((10_000, 123_457), (1, 7, 99)):
         cfg = ProtocolConfig(relaxation_override=p_r, bright_detect_prob=p_b, dark_prob=p_d, rng_seed=seed)
-        model = IqModel(n_samples=k)
-        budget = fidelity_budget(cfg, n, model)
-        assert budget == _reference_budget(cfg, n, model)
+        budget = fidelity_budget(cfg, n)
+        assert budget == _reference_budget(cfg, n)
         assert all(type(value) is float for value in budget.values())
 
 
@@ -170,7 +169,7 @@ def _reference_predictions(model, labels, uniforms):
     c1 = np.asarray(model.centroid_1, dtype=float)
     noise = ndtri(uniforms)
     points = np.stack(
-        [model.sigma * noise[:, axis::2].mean(axis=1) + np.where(labels == 1, b, a)
+        [model.sigma * noise[:, axis] + np.where(labels == 1, b, a)
          for axis, (a, b) in enumerate(zip(c0, c1))],
         axis=1,
     )
@@ -183,7 +182,7 @@ def _reference_iq(model, labels, rng):
     # Reference: the whole-array label path, which draws every shot's
     # uniforms at once and classifies all points with a mean of bools.
     labels = np.asarray(labels)
-    predicted, threshold = _reference_predictions(model, labels, rng.random((labels.size, 2 * model.n_samples)))
+    predicted, threshold = _reference_predictions(model, labels, rng.random((labels.size, 2)))
     predicted = predicted.astype(int)
     return {
         "single_shot_fidelity": 1.0 - float(np.mean(predicted != labels)),
@@ -225,39 +224,34 @@ def _assert_same_iq(got, want):
     assert all(type(value) is float for value in got.values())
 
 
-@pytest.mark.parametrize("n_samples", [1, 3])
-def test_iq_discriminate_matches_reference_batch(n_samples):
+def test_iq_discriminate_matches_reference_batch():
     # One shot, a few, one more than a chunk, and several chunks plus a
     # remainder, with shuffled and single-class labels given as int, float
-    # and bool.  The off-axis model builds every point; at one sample the
-    # axis-aligned ones classify by a cutoff on the read uniform, and must
-    # give the same bits and leave the generator where the reference does.
-    # At three samples an aligned model builds its points too.
-    off_axis = IqModel(centroid_0=(0.2, -0.3), centroid_1=(1.1, 0.4), sigma=0.45, n_samples=n_samples)
-    aligned = _aligned_models() if n_samples == 1 else [IqModel(centroid_1=(0.0, -1.0), sigma=0.3, n_samples=n_samples)]
-    rows = SHOT_CHUNK_DRAWS // (2 * n_samples)
+    # and bool.  The off-axis model builds every point; the axis-aligned
+    # ones classify by a cutoff on the read uniform, and must give the
+    # same bits and leave the generator where the reference does.
+    off_axis = IqModel(centroid_0=(0.2, -0.3), centroid_1=(1.1, 0.4), sigma=0.45)
+    rows = SHOT_CHUNK_DRAWS // 2
     for n in (1, 5, rows + 1, 3 * rows + 123):
-        for model in (off_axis, *aligned):
+        for model in (off_axis, *_aligned_models()):
             _assert_matches_reference(model, n, 11)
 
 
 def test_one_shot_chunks_match_default_chunking(monkeypatch):
     # A chunk of one draw still holds one whole shot, so each shot is
-    # drawn and counted on its own, on the ndtri path (off-axis, and
-    # aligned at two samples) and on the cutoff path (every aligned
-    # one-sample model, against the reference as in the default chunking).
+    # drawn and counted on its own, on the ndtri path (off-axis) and on
+    # the cutoff path (every aligned model, against the reference as in
+    # the default chunking).
     cfg = ProtocolConfig(relaxation_override=0.3, bright_detect_prob=0.9, dark_prob=0.1, rng_seed=3)
-    model = IqModel(centroid_1=(1.0, 0.5), sigma=0.4, n_samples=2)
+    model = IqModel(centroid_1=(1.0, 0.5), sigma=0.4)
     labels = np.random.default_rng(2).integers(0, 2, 1000)
-    want_budget = fidelity_budget(cfg, 10_000, model)
-    iq_models = (model, IqModel(centroid_1=(0.0, -1.0), sigma=0.4, n_samples=2))
-    want_iq = [iq_discriminate(m, labels, np.random.default_rng(5)) for m in iq_models]
+    want_budget = fidelity_budget(cfg, 10_000)
+    want_iq = iq_discriminate(model, labels, np.random.default_rng(5))
     monkeypatch.setattr(jpmsim.protocol, "SHOT_CHUNK_DRAWS", 1)
-    assert fidelity_budget(cfg, 10_000, model) == want_budget == _reference_budget(cfg, 10_000, model)
-    for m, want in zip(iq_models, want_iq):
-        got_iq = iq_discriminate(m, labels, np.random.default_rng(5))
-        _assert_same_iq(got_iq, want)
-        _assert_same_iq(got_iq, _reference_iq(m, labels, np.random.default_rng(5)))
+    assert fidelity_budget(cfg, 10_000) == want_budget == _reference_budget(cfg, 10_000)
+    got_iq = iq_discriminate(model, labels, np.random.default_rng(5))
+    _assert_same_iq(got_iq, want_iq)
+    _assert_same_iq(got_iq, _reference_iq(model, labels, np.random.default_rng(5)))
     for aligned in _aligned_models():
         _assert_matches_reference(aligned, 300, 5)
     assert all(type(value) is float for value in want_budget.values())
@@ -343,30 +337,25 @@ def test_a_zero_uniform_is_classified_or_refused_by_path():
     # Generator.random draws from [0, 1), and ndtri(0.0) is -inf.  In the
     # read column of any model that is a point at -inf along the centroid
     # line, classified on both paths.  In the other column of an aligned
-    # model the ndtri path multiplies -inf by the zero axis component and
-    # refuses (NumericalError), while the cutoff path never transforms it.
-    one_sample = IqModel(sigma=0.3)
-    two_samples = IqModel(sigma=0.3, n_samples=2)
+    # model the whole-point reference multiplies -inf by the zero axis
+    # component, while the cutoff path never transforms it and classifies
+    # the shot as that uniform's finite neighbours would.
+    aligned = IqModel(sigma=0.3)
     off_axis = IqModel(centroid_1=(1.0, 0.5), sigma=0.3)
     labels = np.array([0, 1, 1, 0])
-    block = np.random.default_rng(3).random((4, 4))
+    block = np.random.default_rng(3).random((4, 2))
     block[1:3, 0] = 0.0
-    for model in (one_sample, off_axis):
-        width = 2 * model.n_samples
+    for model in (aligned, off_axis):
         _assert_same_iq(
-            iq_discriminate(model, labels, _BlockRng(block[:, :width])),
-            _reference_iq(model, labels, _BlockRng(block[:, :width])),
+            iq_discriminate(model, labels, _BlockRng(block)), _reference_iq(model, labels, _BlockRng(block))
         )
     unread = block.copy()
     unread[1:3, 1] = 0.0
     finite = block.copy()
     finite[1:3, 1] = 0.5
     _assert_same_iq(
-        iq_discriminate(one_sample, labels, _BlockRng(unread[:, :2])),
-        _reference_iq(one_sample, labels, _BlockRng(finite[:, :2])),
+        iq_discriminate(aligned, labels, _BlockRng(unread)), _reference_iq(aligned, labels, _BlockRng(finite))
     )
-    with pytest.raises(NumericalError, match="overflow"):
-        iq_discriminate(two_samples, labels, _BlockRng(unread))
 
 
 def _traced_peak_mb(call):
@@ -396,14 +385,12 @@ def test_shot_paths_memory_is_flat_in_shot_count():
 
 
 @pytest.mark.parametrize("centroid_1", [(1.0, 0.0), (1.0, 2.0)], ids=["on-axis", "off-axis"])
-@pytest.mark.parametrize("n_samples", [1, 2, 3, 9])
-def test_simulate_shot_matches_reference_batch(n_samples, centroid_1):
+def test_simulate_shot_matches_reference_batch(centroid_1):
     # The scalar shot against a one-row block of the reference sampler:
     # the same switch bit and cause, the same IQ bits (float.hex tells
     # -0.0 from 0.0), the same field types and the same stream position.
-    # Nine samples sum their deviates in numpy's pairwise regime; the
-    # off-axis centroid exercises the x/y interleaving on both components.
-    model = IqModel(centroid_1=centroid_1, n_samples=n_samples)
+    # The off-axis centroid exercises both components of the point.
+    model = IqModel(centroid_1=centroid_1)
     causes = set()
     for p_r, p_b, p_d in ((0.05, 0.99, 0.02), (0.3, 0.9, 0.1), (0.0, 1.0, 0.0), (1.0, 0.0, 1.0)):
         cfg = ProtocolConfig(relaxation_override=p_r, bright_detect_prob=p_b, dark_prob=p_d)
@@ -658,7 +645,7 @@ def test_separation_fidelity_value():
     # erfc oracle, evaluated here directly: the centroids sit 7.07
     # sigma apart, so F = 1 - erfc(d / (2 sqrt(2) sigma)) / 2.
     model = DEFAULT_IQ_MODEL
-    d = model.separation / model.effective_sigma
+    d = model.separation / model.sigma
     want = 1.0 - 0.5 * erfc(d / (2.0 * math.sqrt(2.0)))
     assert separation_fidelity(model) == pytest.approx(want, rel=1e-14)
     assert separation_fidelity(model) == pytest.approx(0.9997961124207752, abs=1e-13)
@@ -672,29 +659,17 @@ def test_separation_fidelity_rotation_invariant():
         assert separation_fidelity(rotated) == pytest.approx(separation_fidelity(base), rel=1e-12)
 
 
-def test_separation_fidelity_averaging():
-    # Averaging n samples shrinks the effective cloud width by sqrt(n).
-    one = IqModel(sigma=0.5, n_samples=1)
-    four = IqModel(sigma=0.5, n_samples=4)
-    assert four.effective_sigma == pytest.approx(one.effective_sigma / 2.0, rel=1e-12)
-    assert separation_fidelity(four) > separation_fidelity(one)
-
-
 def test_iq_model_validation():
     with pytest.raises(ValueError):
         IqModel(centroid_0=(0.3, 0.3), centroid_1=(0.3, 0.3), sigma=0.1)
     with pytest.raises(ValueError):
         IqModel(sigma=0.0)
-    with pytest.raises(ValueError):
-        IqModel(n_samples=0)
-    # d / sigma_eff must be a finite float: a separation that overflows,
-    # or a subnormal sigma, would give an infinite ratio and a NaN
-    # threshold.
-    for model in (
-        dict(centroid_0=(1e308, 0.0), centroid_1=(-1e308, 0.0)),
-        dict(sigma=1e-320),
-        dict(sigma=5e-324, n_samples=4),
-    ):
+    # One sample per quadrature is fixed: n_samples is no field.
+    with pytest.raises(TypeError):
+        IqModel(n_samples=2)
+    # d / sigma must be a finite float: a separation that overflows, or a
+    # subnormal sigma, would give an infinite ratio and a NaN threshold.
+    for model in (dict(centroid_0=(1e308, 0.0), centroid_1=(-1e308, 0.0)), dict(sigma=1e-320)):
         with pytest.raises(ValueError, match="out of float64 range"):
             IqModel(**model)
 
@@ -782,6 +757,21 @@ def test_iq_discriminate_rejects_labels_other_than_0_and_1():
     want = iq_discriminate(DEFAULT_IQ_MODEL, ints, rng=np.random.default_rng(4))
     for same in (ints.astype(float), ints.astype(bool)):
         assert iq_discriminate(DEFAULT_IQ_MODEL, same, rng=np.random.default_rng(4)) == want
+
+
+@pytest.mark.parametrize(
+    "model", [DEFAULT_IQ_MODEL, IqModel(centroid_1=(1.0, 0.5), sigma=0.4)], ids=["aligned", "off-axis"]
+)
+def test_iq_discriminate_refuses_labels_that_are_not_one_dimensional(model):
+    # Mixed labels once raised IndexError (aligned) or a broadcast error
+    # (off-axis), and single-class ones classified all six entries as
+    # shots.  Each is refused before any draw, on both paths.
+    for labels in (np.array([[0, 1, 1], [1, 0, 0]]), np.zeros((2, 3), int), np.ones((3, 1), int)):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="one-dimensional"):
+            iq_discriminate(model, labels, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_protocol_config_validation():
