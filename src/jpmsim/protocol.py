@@ -28,6 +28,16 @@ fidelity_budget reads only the three switch draws, and the label path
 of iq_discriminate (2 draws a shot), for a model whose centroid line
 runs along I or Q, only that quadrature's uniform, which it compares
 with a per-label cutoff instead of transforming it.
+
+Normal deviates of drawn points come from scipy.special.ndtri, which
+_iq_points and simulate_shot import when first called.  The cutoff
+search and separation_fidelity need only a few scalar values, and take
+them from _ndtri and _erfc: step-for-step ports of the Cephes ndtri and
+erfc that scipy compiles, using the same libm log and exp.  On a
+platform where scipy and Python call one libm they equal scipy's
+results bit for bit (tests/test_protocol.py checks this), so a model on
+the I or Q axis classifies and reports exactly as through scipy, and
+neither budget nor such an iq run imports scipy.
 """
 
 from __future__ import annotations
@@ -461,58 +471,165 @@ def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
     return out if t_dep.ndim else {key: float(value) for key, value in out.items()}
 
 
+# Cephes (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989), ndtri.c and ndtr.c: the rational approximations scipy.special
+# evaluates for ndtri and erfc.  Each denominator table carries the leading
+# 1.0 that Cephes leaves to p1evl.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242e0
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """coef[0] x^n + ... + coef[n] by Horner's rule, in Cephes's order:
+    0.0 x + coef[0] is coef[0], and 1.0 x + coef[1] is p1evl's first step."""
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y: float) -> float:
+    """Inverse of the standard normal CDF: Cephes ndtri, step for step.
+
+    Only IEEE arithmetic, sqrt and the libm log that scipy's compiled
+    ndtri also calls, so where both use one libm the result equals
+    scipy.special.ndtri bit for bit (tests/test_protocol.py checks it).
+    y is a uniform in [0, 1]; 0 and 1 give -inf and +inf.
+    """
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    upper = y > 1.0 - _EXP_MINUS_2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_MINUS_2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return x if upper else -x
+
+
+def _erfc(a: float) -> float:
+    """Complementary error function: Cephes erfc (with its erf below 1),
+    step for step, through the libm exp, so bit for bit
+    scipy.special.erfc where both use one libm."""
+    x = abs(a)
+    if x < 1.0:
+        # Cephes's erf(a), the same bits for either sign of a.
+        z = a * a
+        return 1.0 - a * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0.0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        y = z * _polevl(x, _ERFC_P) / _polevl(x, _ERFC_Q)
+    else:
+        y = z * _polevl(x, _ERFC_R) / _polevl(x, _ERFC_S)
+    return 2.0 - y if a < 0.0 else y
+
+
 def separation_fidelity(model: IqModel) -> float:
     """Discrimination fidelity from Gaussian overlap alone.
 
     1 - erfc(d / (2 sqrt(2) sigma)) / 2 for centroid distance d and
-    per-shot cloud width sigma.
+    per-shot cloud width sigma, with erfc by _erfc: the value
+    scipy.special.erfc gives, without importing scipy.
     """
-    from scipy.special import erfc
-
-    return 1.0 - 0.5 * float(erfc(model.separation / (2.0 * math.sqrt(2.0) * model.sigma)))
+    return 1.0 - 0.5 * _erfc(float(model.separation / (2.0 * math.sqrt(2.0) * model.sigma)))
 
 
 def _cutoff_classifier(model: IqModel, read: int, label: int, above):
     """Classifier of shots of one label by their read uniform.
 
-    For a centroid line along IQ axis ``read``, a shot's projection is +-(sigma ndtri(u) + c) for its read uniform u:
-    the other deviate enters times an exact zero.  fl(fl(sigma z) + c)
-    is monotone in z, so ``above`` (points -> projection > threshold) is
-    monotone in the deviate, and the exact ndtri is strictly increasing.
-    A search over the grid k 2^-53 of Generator.random, on blocks of
-    candidate rows through _iq_points and ``above`` (the unread uniform
-    set to 0.5, whose deviate is 0), finds a step K at which the
-    prediction turns from its value at u = 0 (deviate -inf) to its value
-    at u = 1 (+inf).
+    For a centroid line along IQ axis ``read``, a shot's projection is
+    +-(sigma ndtri(u) + c) for its read uniform u: the other deviate
+    enters times an exact zero.  fl(fl(sigma z) + c) is monotone in z, so
+    ``above`` (points -> projection > threshold) is monotone in the
+    deviate, and the exact ndtri is strictly increasing.  A bisection
+    over the grid k 2^-53 of Generator.random, 53 scalar steps, finds a
+    step K at which the prediction turns from its value at u = 0
+    (deviate -inf) to its value at u = 1 (+inf).  Each step builds the
+    point as _iq_points does, sigma _ndtri(u) + c on the read axis and
+    the centroid on the other (the deviate of an unread 0.5 is 0), and
+    asks ``above``.  _ndtri is Cephes's ndtri, which scipy evaluates,
+    ported step for step: it equals scipy.special.ndtri bit for bit where
+    both call one libm log, so every prediction here is the ndtri path's
+    without importing scipy.
 
-    The computed ndtri is not monotone on that grid, but Cephes, whose
-    ndtri scipy evaluates, states a peak relative error of 7.2e-16: below
-    1e-15, so below 8.3e-15 absolutely for any nonzero uniform, whose
-    deviate is at most 8.21 in magnitude.  The exact deviate rises by at
-    least sqrt(2 pi) 2^-53 per grid step, so over CUTOFF_GUARD_STEPS =
-    2^23 steps by at least 2.3e-9, about 10^5 times both errors together.
-    So a uniform more than 2^23 steps below K has a computed deviate
-    below that of K - 1 and predicts as K - 1 does, and one more than
-    2^23 steps above K predicts as K does.  The returned function
-    predicts so, and sends the uniforms inside the band through the
-    classifier itself, so it equals the classification of the whole
-    point per shot wherever the unread uniform is nonzero.  Returns (K, that function).
+    The computed ndtri is not monotone on that grid, but Cephes states a
+    peak relative error of 7.2e-16: below 1e-15, so below 8.3e-15
+    absolutely for any nonzero uniform, whose deviate is at most 8.21 in
+    magnitude.  The exact deviate rises by at least sqrt(2 pi) 2^-53 per
+    grid step, so over CUTOFF_GUARD_STEPS = 2^23 steps by at least
+    2.3e-9, about 10^5 times both errors together.  So a uniform more
+    than 2^23 steps below K has a computed deviate below that of K - 1
+    and predicts as K - 1 does, and one more than 2^23 steps above K
+    predicts as K does, for whichever turn K the bisection finds.  The
+    returned function predicts so, and sends the uniforms inside the
+    band through the classifier itself, so it equals the classification
+    of the whole point per shot wherever the unread uniform is nonzero.
+    Returns (K, that function).
     """
+    centroid = model.centroid_1 if label else model.centroid_0
+    c = float(centroid[read])
+    point = model.sigma * np.zeros(2) + centroid
 
     def exact(u):
-        rows = np.full((u.size, 2), 0.5)
-        rows[:, read] = u
-        return above(_iq_points(model, np.full(u.size, bool(label)), rows))
+        point[read] = model.sigma * _ndtri(u) + c
+        return bool(above(point))
 
     # The prediction at u = 1 (deviate +inf); at u = 0 (-inf) it is the other one.
-    p_hi = exact(np.ones(1))[0]
+    p_hi = exact(1.0)
     lo, hi = 0, 2**53
     while hi - lo > 1:
-        step = -(-(hi - lo) // 64)
-        ks = np.arange(lo + step, hi, step)
-        flipped = np.flatnonzero(exact(ks * 2.0**-53) == p_hi)
-        i = int(flipped[0]) if flipped.size else ks.size
-        lo, hi = (int(ks[i - 1]) if i else lo), (int(ks[i]) if i < ks.size else hi)
+        mid = (lo + hi) // 2
+        if exact(mid * 2.0**-53) == p_hi:
+            hi = mid
+        else:
+            lo = mid
     band_lo, band_hi = (hi - CUTOFF_GUARD_STEPS) * 2.0**-53, (hi + CUTOFF_GUARD_STEPS) * 2.0**-53
 
     def classify(u):
@@ -521,7 +638,7 @@ def _cutoff_classifier(model: IqModel, read: int, label: int, above):
         predicted = beyond if p_hi else below
         if np.count_nonzero(below) + np.count_nonzero(beyond) < u.size:
             band = np.flatnonzero(~(below | beyond))
-            predicted[band] = exact(u[band])
+            predicted[band] = [exact(v) for v in u[band].tolist()]
         return predicted
 
     return hi, classify
@@ -545,9 +662,10 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
     Every draw of the pinned layout is made.  A model whose centroid
     line runs along the I or Q axis reads only that column of each shot,
     and classifies it by a per-label cutoff on the uniform
-    (_cutoff_classifier), found once per call, instead of by ndtri; its
-    other column is never transformed.  An off-axis model builds each
-    point through _iq_points.  A label array that is not
+    (_cutoff_classifier), found once per call with the scalar _ndtri,
+    instead of by ndtri on every shot; its other column is never
+    transformed, and scipy is not imported.  An off-axis model builds
+    each point through _iq_points.  A label array that is not
     one-dimensional raises ValueError before any draw.
     """
     if len(shots) == 0:

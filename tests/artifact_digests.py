@@ -5,12 +5,19 @@ checked; tests/test_cli.py compares the writer with a per-cell
 reference over them.  Run as a script, this file runs all 12
 subcommands in both output formats for each config, in process, with
 tomo-fit reading the CSV tomogram that tomo-synth wrote for the same
-config.  It prints one line ``<sha256>  <config>/<format>/<artifact>``
-per artifact, sorted, where <config> is the index into BYTE_CONFIGS:
-168 lines in all.  It exits 1 if any run does not exit 0.
+config.  It prints a comment line naming the Python, numpy and scipy
+versions, then one line ``<sha256>  <config>/<format>/<artifact>`` per
+artifact, sorted, where <config> is the index into BYTE_CONFIGS: 168
+lines in all.  It exits 1 if any run does not exit 0.
 
-To check that a change keeps every artifact's bytes, run it against
-both source trees and diff the two outputs:
+tests/artifact_digests.txt holds that output for the current tree, and
+tests/test_cli.py regenerates the digests and compares them with it.  A
+change that moves an artifact's bytes on purpose rewrites the file and
+names each moved line and why in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/artifact_digests.py --write
+
+To compare two source trees directly, run it against both and diff:
 
     PYTHONPATH=<parent>/src python3 tests/artifact_digests.py > parent.txt
     PYTHONPATH=src python3 tests/artifact_digests.py > change.txt
@@ -22,8 +29,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import platform
 import sys
 import tempfile
+from importlib.metadata import version
 from pathlib import Path
 
 from jpmsim.cli import _SUBCOMMANDS, run_subcommand
@@ -37,6 +46,14 @@ BYTE_CONFIGS = (
     ("potential.flux_points=1200", "device.critical_current=3uA"),
     ("capture.frequency=5.021GHz",),
 )
+
+DIGESTS_FILE = Path(__file__).with_name("artifact_digests.txt")
+"""The recorded output of this script for the current tree."""
+
+
+def versions_line() -> str:
+    """The comment line naming the Python, numpy and scipy versions."""
+    return f"# python {platform.python_version()}, numpy {version('numpy')}, scipy {version('scipy')}"
 
 
 def digests(work_dir: Path) -> tuple[list[str], int]:
@@ -60,12 +77,23 @@ def digests(work_dir: Path) -> tuple[list[str], int]:
     return sorted(lines), failures
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    """Print the versions line and the digest lines, or with --write
+    write them to DIGESTS_FILE instead, unless a run failed."""
+    if argv not in ([], ["--write"]):
+        print("usage: artifact_digests.py [--write]", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as work_dir:
         lines, failures = digests(Path(work_dir))
-    print("\n".join(lines))
-    return 1 if failures else 0
+    text = "\n".join([versions_line(), *lines]) + "\n"
+    if failures:
+        return 1
+    if argv:
+        DIGESTS_FILE.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

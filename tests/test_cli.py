@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 import jpmsim.cli
 import jpmsim.config
+import artifact_digests
 from artifact_digests import BYTE_CONFIGS
 from jpmsim.cli import main, run_subcommand
 from jpmsim.config import _UNIT_TABLES, RunConfig, SCHEMA, parse_value
@@ -1124,8 +1125,8 @@ _LAYER_RUNS = {
 }
 
 
-def _probe_modules(out, names):
-    runs = [(name, list(FAST.get(name, ()))) for name in names]
+def _probe_modules(out, names, extra=()):
+    runs = [(name, list(FAST.get(name, ())) + list(extra)) for name in names]
     for name, sets in runs:
         if name == "tomo-fit":
             # It reads the tomogram tomo-synth has just written to out.
@@ -1138,15 +1139,18 @@ def _probe_modules(out, names):
     return json.loads(proc.stdout)
 
 
-def test_scipy_loaded_only_by_iq(tmp_path):
+def test_no_default_subcommand_loads_scipy(tmp_path):
     # One fresh process per layer.  `import jpmsim.config` and `import
     # jpmsim.cli` load no physics layer and no scipy module.  The first
     # subcommand of each process loads exactly its own layer, and the
-    # later ones (same layer) load no other.  Only iq loads a scipy
-    # module, scipy.special (ndtri, erfc), and never scipy.optimize;
-    # budget reads only the switch draws and tomo-fit fits in numpy.  `import
-    # jpmsim` still reaches every layer by attribute, and the package
-    # root re-exports no name of theirs.
+    # later ones (same layer) load no other.  None of the 12 loads a
+    # scipy module at the default model: budget reads only the switch
+    # draws, iq classifies by a cutoff found with the Cephes port and
+    # takes erfc from it, and tomo-fit fits in numpy.  An off-axis iq, in
+    # a process of its own, transforms every draw by scipy.special.ndtri:
+    # it loads scipy.special and no other scipy subpackage, so never
+    # scipy.optimize.  `import jpmsim` still reaches every layer by
+    # attribute, and the package root re-exports no name of theirs.
     for layer, names in _LAYER_RUNS.items():
         report = _probe_modules(tmp_path / layer, names)
         assert report["codes"] == {name: 0 for name in names}
@@ -1158,15 +1162,16 @@ def test_scipy_loaded_only_by_iq(tmp_path):
         assert stages["import jpmsim.cli"] == {"jpmsim": _BASE_MODULES, "scipy": []}
         for name in names:
             assert stages[name]["jpmsim"] == sorted(_BASE_MODULES + [f"jpmsim.{layer}"]), name
-            scipy = stages[name]["scipy"]
-            if name == "iq":
-                assert "scipy.special" in scipy and "scipy.optimize" not in scipy
-            else:
-                assert scipy == [], name
+            assert stages[name]["scipy"] == [], name
         assert report["root"] == [
             jpmsim.__version__, "find_extrema_sweep", "fidelity_budget", "efficiency", "fit_tomogram",
             "ConfigError", False,
         ]
+    report = _probe_modules(tmp_path / "off-axis", ["iq"], ["iq.centroid_1=1,0.5"])
+    assert report["codes"] == {"iq": 0}
+    scipy = report["stages"]["iq"]["scipy"]
+    subpackages = {m.split(".")[1] for m in scipy if "." in m and not m.split(".")[1].startswith("_")}
+    assert "scipy.special" in scipy and subpackages - {"version"} == {"special"}, scipy
 
 
 def test_output_directory_resolution(tmp_path, monkeypatch):
@@ -1344,6 +1349,26 @@ def _reference_bytes(header, data, file_format: str) -> bytes:
         json.dump(payload, out, indent=2)
         out.write("\n")
     return out.getvalue().encode("utf-8")
+
+
+def test_artifact_digests_match_the_recorded_file(tmp_path):
+    # Every artifact of every BYTE_CONFIGS run, in both formats, against
+    # the digests recorded in tests/artifact_digests.txt: a change that
+    # moves bytes on purpose rewrites that file (artifact_digests.py
+    # --write) and names each moved line in CHANGES.md.
+    recorded = artifact_digests.DIGESTS_FILE.read_text().splitlines()
+    header, want = recorded[0], recorded[1:]
+    got, failures = artifact_digests.digests(tmp_path)
+    assert failures == 0
+    if got != want:
+        moved = sorted(
+            [f"- {line}" for line in set(want) - set(got)] + [f"+ {line}" for line in set(got) - set(want)],
+            key=lambda entry: entry.split()[2],
+        )
+        running = artifact_digests.versions_line()
+        versions = "" if running == header else f" (recorded under {header[2:]}; running {running[2:]})"
+        n_moved = len({entry.split()[2] for entry in moved})
+        pytest.fail(f"{n_moved} artifacts moved{versions}:\n" + "\n".join(moved))
 
 
 @pytest.mark.parametrize("overrides", BYTE_CONFIGS)

@@ -333,6 +333,83 @@ def test_cutoff_band_covers_a_step_back_of_ndtri():
     assert np.count_nonzero(np.diff(want.astype(int))) == 3
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_scalar_ports_equal_scipy_bit_for_bit():
+    # _ndtri and _erfc are step-for-step ports of the Cephes code scipy
+    # compiles, and call the same libm log and exp.  So they give scipy's
+    # bits, compared here as int64, on seeded uniforms and their 8th
+    # powers at both ends, the first grid steps k 2^-53 at both ends, a
+    # run of neighbours on both sides of each branch edge (e^-2, 1 - e^-2
+    # and e^-32, where sqrt(-2 log y) = 8), 0, 1 and 2^-1074; and erfc
+    # on each branch of either sign and past MAXLOG.  A failure here on
+    # some platform means its libm differs from the one scipy's compiled
+    # code calls, and the cutoff path is then no longer the ndtri path.
+    u = np.random.default_rng(31).random(20_000)
+    steps = np.arange(1, 2001) * 2.0**-53
+    edges = [jpmsim.protocol._EXP_MINUS_2, 1.0 - jpmsim.protocol._EXP_MINUS_2, math.exp(-32.0)]
+    near = []
+    for edge in edges:
+        for direction in (0.0, 1.0):
+            v = edge
+            for _ in range(64):
+                near.append(v)
+                v = float(np.nextafter(v, direction))
+    ys = np.concatenate([u, u**8, 1.0 - u**8, steps, 1.0 - steps, near, [0.0, 1.0, 2.0**-1074]])
+    assert np.array_equal(_bits([jpmsim.protocol._ndtri(y) for y in ys.tolist()]), _bits(ndtri(ys)))
+
+    x = np.random.default_rng(32).random(5000)
+    xs = np.concatenate([
+        2.0 * x - 1.0, 1.0 + 7.0 * x, 8.0 + 18.6 * x, -1.0 - 30.0 * x, 26.6 + 0.1 * x, 27.0 + 1e3 * x,
+        np.nextafter([1.0, 8.0], 0.0), [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 1e300, -1e300, np.inf, -np.inf, 2.0**-1074],
+    ])
+    assert np.array_equal(_bits([jpmsim.protocol._erfc(a) for a in xs.tolist()]), _bits(erfc(xs)))
+
+
+def _random_aligned_models(n, seed):
+    # Centroid lines along +x, -x, +y and -y in turn, separations d from
+    # 1e-3 to 1e3 and sigma / d from 10^-2.5 to 10^1.5, log-uniform, with
+    # a random first centroid.
+    rng = np.random.default_rng(seed)
+    models = []
+    for i in range(n):
+        d = 10.0 ** rng.uniform(-3.0, 3.0)
+        sigma = d * 10.0 ** rng.uniform(-2.5, 1.5)
+        c0 = tuple(rng.normal(0.0, 2.0 * d, 2).tolist())
+        step = [(d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d)][i % 4]
+        models.append(IqModel(centroid_0=c0, centroid_1=(c0[0] + step[0], c0[1] + step[1]), sigma=sigma))
+    return models
+
+
+def test_cutoff_path_matches_ndtri_path_on_random_aligned_models():
+    # The fast path against the slow one it replaces: every field of
+    # iq_discriminate by its bits and the generator state after, against
+    # the whole-point scipy ndtri reference; and each class's bisection
+    # step K is a turn of that reference, which predicts differently at
+    # K - 1 and at K (at u = 1 when K is 2^53).
+    for i, model in enumerate(_random_aligned_models(100, 7)):
+        c0 = np.asarray(model.centroid_0, dtype=float)
+        c1 = np.asarray(model.centroid_1, dtype=float)
+        axis = (c1 - c0) / model.separation
+        assert 0.0 in axis, model
+        threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
+        read = int(axis[0] == 0.0)
+        labels = np.random.default_rng(i).integers(0, 2, 1000)
+        rng, ref = np.random.default_rng(100 + i), np.random.default_rng(100 + i)
+        _assert_same_iq(iq_discriminate(model, labels, rng), _reference_iq(model, labels, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for label in (0, 1):
+            step = jpmsim.protocol._cutoff_classifier(
+                model, read, label, lambda points: points @ axis > threshold
+            )[0]
+            rows = np.full((2, 2), 0.5)
+            rows[:, read] = [(step - 1) * 2.0**-53, step * 2.0**-53]
+            turn = _reference_predictions(model, np.full(2, label), rows)[0]
+            assert turn[0] != turn[1], (model, label, step)
+
+
 def test_a_zero_uniform_is_classified_or_refused_by_path():
     # Generator.random draws from [0, 1), and ndtri(0.0) is -inf.  In the
     # read column of any model that is a point at -inf along the centroid
