@@ -20,24 +20,26 @@ simulated one at a time from the same generator.  Generator.random
 fills its output in C order from one stream, so the shot paths draw a
 block in row chunks of at most SHOT_CHUNK_DRAWS uniforms and still
 consume exactly the numbers one draw of the whole block would.  A
-single shot (simulate_shot) reads its 5 draws as Python floats, passes
-the first three to _switches, as the block paths do, and applies the
-rule of _iq_points to the last two, so its result is bit-identical to a
-one-row block.  A path makes every draw of its layout, read or not:
-fidelity_budget reads only the three switch draws, and the label path
-of iq_discriminate (2 draws a shot), for a model whose centroid line
-runs along I or Q, only that quadrature's uniform, which it compares
-with a per-label cutoff instead of transforming it.
+single shot (simulate_shot) reads its 5 draws as Python floats and
+passes the first three to _switches, as the block paths do.  A path
+makes every draw of its layout, read or not: fidelity_budget reads
+only the three switch draws, and the label path of iq_discriminate
+(2 draws a shot) only the uniform of the quadrature nearest the
+centroid line.  Its noise frame is I/Q turned onto that line by at
+most 45 degrees: the read uniform gives the deviate along the line,
+the other one the deviate across it, which never changes a label and
+is never transformed.  Each shot's read uniform is compared with a
+per-label cutoff.
 
-Normal deviates of drawn points come from scipy.special.ndtri, which
-_iq_points and simulate_shot import when first called.  The cutoff
-search and separation_fidelity need only a few scalar values, and take
-them from _ndtri and _erfc: step-for-step ports of the Cephes ndtri and
-erfc that scipy compiles, using the same libm log and exp.  On a
-platform where scipy and Python call one libm they equal scipy's
-results bit for bit (tests/test_protocol.py checks this), so a model on
-the I or Q axis classifies and reports exactly as through scipy, and
-neither budget nor such an iq run imports scipy.
+simulate_shot, the only function that transforms every draw, imports
+scipy.special.ndtri when first called.  The cutoff search and
+separation_fidelity need only a few scalar values, and take them from
+_ndtri and _erfc: step-for-step ports of the Cephes ndtri and erfc
+that scipy compiles, using the same libm log and exp.  On a platform
+where scipy and Python call one libm they equal scipy's results bit
+for bit (tests/test_protocol.py checks this), so iq_discriminate
+classifies and reports exactly as through scipy, and neither budget
+nor iq imports scipy.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ count."""
 CUTOFF_GUARD_STEPS = 2**23
 """Half-width, in steps of 2^-53, of the band of uniforms around a
 label's cutoff that :func:`iq_discriminate` classifies through the
-points themselves rather than by the cutoff."""
+projection itself rather than by the cutoff."""
 
 MAX_SHOT_DRAWS = 10**9
 """Most uniforms one :func:`fidelity_budget` or :func:`iq_discriminate`
@@ -210,21 +212,6 @@ def relaxation_error(t_prep: float, t1: float) -> float:
     return error
 
 
-def _iq_points(model: IqModel, bright, uniforms) -> np.ndarray:
-    """IQ points of shots, shape (n, 2).
-
-    Each shot sits at centroid_1 where bright (a bool array), else at
-    centroid_0, plus sigma times the normal deviates of its x and y
-    uniforms, the (n, 2) array ``uniforms``, which the points overwrite.
-    """
-    from scipy.special import ndtri
-
-    points = ndtri(uniforms, out=uniforms)
-    points *= model.sigma
-    points += np.where(bright[:, None], model.centroid_1, model.centroid_0)
-    return points
-
-
 def _check_shot_draws(n_shots: int, width: int) -> None:
     """Refuse n_shots shots of width uniforms each when that is more than
     MAX_SHOT_DRAWS draws."""
@@ -273,8 +260,8 @@ def simulate_shot(
     The shot draws its 5 uniforms as Python floats: the three switch
     draws go through _switches, and each IQ axis is sigma times the
     normal deviate of its draw plus the centroid of the switch outcome.
-    So the result is bit-identical to a one-row block through those
-    kernels, without their per-call array overhead.
+    So the result is bit-identical to a one-row block through _switches
+    and scipy's ndtri, without their per-call array overhead.
     """
     from scipy.special import ndtri
 
@@ -581,23 +568,19 @@ def separation_fidelity(model: IqModel) -> float:
     return 1.0 - 0.5 * _erfc(float(model.separation / (2.0 * math.sqrt(2.0) * model.sigma)))
 
 
-def _cutoff_classifier(model: IqModel, read: int, label: int, above):
-    """Classifier of shots of one label by their read uniform.
+def _cutoff_classifier(offset: float, scale: float, threshold: float):
+    """Classifier of one label's shots by their read uniform.
 
-    For a centroid line along IQ axis ``read``, a shot's projection is
-    +-(sigma ndtri(u) + c) for its read uniform u: the other deviate
-    enters times an exact zero.  fl(fl(sigma z) + c) is monotone in z, so
-    ``above`` (points -> projection > threshold) is monotone in the
-    deviate, and the exact ndtri is strictly increasing.  A bisection
-    over the grid k 2^-53 of Generator.random, 53 scalar steps, finds a
-    step K at which the prediction turns from its value at u = 0
-    (deviate -inf) to its value at u = 1 (+inf).  Each step builds the
-    point as _iq_points does, sigma _ndtri(u) + c on the read axis and
-    the centroid on the other (the deviate of an unread 0.5 is 0), and
-    asks ``above``.  _ndtri is Cephes's ndtri, which scipy evaluates,
-    ported step for step: it equals scipy.special.ndtri bit for bit where
-    both call one libm log, so every prediction here is the ndtri path's
-    without importing scipy.
+    A shot's projection onto the centroid line is offset + scale ndtri(u)
+    for its read uniform u, and it predicts label 1 where that exceeds
+    threshold.  fl(offset + fl(scale z)) is monotone in z, and the exact
+    ndtri is strictly increasing.  A bisection over the grid k 2^-53 of
+    Generator.random, 53 scalar steps, finds a step K at which the
+    prediction turns from its value at u = 0 (deviate -inf) to its value
+    at u = 1 (+inf).  Each step takes the deviate from _ndtri, Cephes's
+    ndtri, which scipy evaluates, ported step for step: it equals
+    scipy.special.ndtri bit for bit where both call one libm log, so
+    every prediction here is the one through scipy.
 
     The computed ndtri is not monotone on that grid, but Cephes states a
     peak relative error of 7.2e-16: below 1e-15, so below 8.3e-15
@@ -609,17 +592,12 @@ def _cutoff_classifier(model: IqModel, read: int, label: int, above):
     and predicts as K - 1 does, and one more than 2^23 steps above K
     predicts as K does, for whichever turn K the bisection finds.  The
     returned function predicts so, and sends the uniforms inside the
-    band through the classifier itself, so it equals the classification
-    of the whole point per shot wherever the unread uniform is nonzero.
-    Returns (K, that function).
+    band through the projection itself, so it equals the projection
+    rule on every shot.  Returns (K, that function).
     """
-    centroid = model.centroid_1 if label else model.centroid_0
-    c = float(centroid[read])
-    point = model.sigma * np.zeros(2) + centroid
 
     def exact(u):
-        point[read] = model.sigma * _ndtri(u) + c
-        return bool(above(point))
+        return offset + scale * _ndtri(u) > threshold
 
     # The prediction at u = 1 (deviate +inf); at u = 0 (-inf) it is the other one.
     p_hi = exact(1.0)
@@ -649,26 +627,34 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
 
     shots may be ShotResult records (their stored iq_points and
     switch_bits are used) or an integer label array, in which case
-    fresh Gaussian points are drawn from the model using rng (2 uniforms
-    per shot, x then y), in chunks of at most SHOT_CHUNK_DRAWS uniforms that
-    are classified and counted one by one.  More than MAX_SHOT_DRAWS
-    uniforms raise NumericalError before any is drawn.  The threshold is
-    the projection of the centroid midpoint; single_shot_fidelity is the
-    empirical correct-label rate and separation_fidelity the
-    Gaussian-overlap bound.  A threshold, point or projection that
-    overflows float64 raises NumericalError; for drawn points that is
-    decided from the model before any draw, so it does not depend on rng.
+    fresh shots are drawn from the model using rng (2 uniforms per shot),
+    in chunks of at most SHOT_CHUNK_DRAWS uniforms that are classified
+    and counted one by one.  More than MAX_SHOT_DRAWS uniforms raise
+    NumericalError before any is drawn.  The threshold is the projection
+    of the centroid midpoint; single_shot_fidelity is the empirical
+    correct-label rate and separation_fidelity the Gaussian-overlap
+    bound.  A threshold, point or projection that overflows float64
+    raises NumericalError; for drawn shots that is decided from the
+    model before any draw, so it does not depend on rng.
 
-    Every draw of the pinned layout is made.  A model whose centroid
-    line runs along the I or Q axis reads only that column of each shot,
-    and classifies it by a per-label cutoff on the uniform
-    (_cutoff_classifier), found once per call with the scalar _ndtri,
-    instead of by ndtri on every shot; its other column is never
-    transformed, and scipy is not imported.  An off-axis model builds
-    each point through _iq_points.  A label array that is not
-    one-dimensional raises ValueError before any draw.
+    A drawn shot's noise is Gaussian in a frame turned from I/Q onto the
+    centroid line by at most 45 degrees.  With a the unit axis, its read
+    column is the quadrature nearest that line, read = |a_Q| > |a_I| (a
+    45-degree tie reads I), and a label-l shot projects to
+    fl(c_l . a) + copysign(sigma, a_read) ndtri(u_read).  The other
+    column is the deviate across the line: drawn, never transformed and
+    never read.  So each label's shots are classified by a cutoff on the
+    read uniform (_cutoff_classifier), found once per call with the
+    scalar _ndtri, and scipy is not imported.  For a centroid line along
+    I or Q this is the projection of the whole drawn point, float for
+    float.  A label array that is not one-dimensional raises ValueError
+    before any draw.
     """
-    if len(shots) == 0:
+    records = isinstance(shots, (list, tuple)) and len(shots) > 0 and isinstance(shots[0], ShotResult)
+    labels = np.array([s.switch_bit for s in shots]) if records else np.asarray(shots)
+    if labels.ndim != 1:
+        raise ValueError("labels must be a one-dimensional array")
+    if labels.size == 0:
         raise ValueError("shots must be non-empty")
     c0 = np.asarray(model.centroid_0, dtype=float)
     c1 = np.asarray(model.centroid_1, dtype=float)
@@ -677,21 +663,13 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
         with np.errstate(over="raise", invalid="raise"):
             # c0 + c1 can overflow where the difference, which IqModel bounds, does not.
             threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
-
-            def above(points):
-                return points @ axis > threshold
-
-            if isinstance(shots[0], ShotResult):
-                labels = np.array([s.switch_bit for s in shots])
+            if records:
                 points = np.array([s.iq_point for s in shots], dtype=float)
-                wrong = int(np.count_nonzero(above(points) != labels))
+                wrong = int(np.count_nonzero((points @ axis > threshold) != labels))
             else:
                 # Checked as given: a cast to int would truncate 0.5 to 0.
                 # Each chunk is compared as a copy: numpy compares a zero-stride
                 # label view (cli._iq's) about 20 times slower than the copy costs.
-                labels = np.asarray(shots)
-                if labels.ndim != 1:
-                    raise ValueError("labels must be a one-dimensional array")
                 n_ones = 0
                 for rows, _ in _chunks(labels.size, 1):
                     part = labels[rows].copy()
@@ -701,34 +679,31 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
                 if rng is None:
                     raise ValueError("an rng is required to draw points for label input")
                 _check_shot_draws(labels.size, 2)
+                read = int(abs(axis[1]) > abs(axis[0]))
+                scale = math.copysign(model.sigma, axis[read])
+                offsets = [float(c0 @ axis), float(c1 @ axis)]
                 # A normal deviate of a nonzero float64 uniform is at most 8.21
-                # in magnitude, so no drawn point or projection reaches past
-                # these bounds.  Generator.random also draws 0.0 (probability
-                # 2^-53), whose deviate is -inf: a point at -inf along the
-                # centroid line, which is classified.
-                reach = (np.abs(np.stack([c0, c1])) + 8.25 * model.sigma) @ np.abs(axis)
-                if not np.isfinite(reach).all():
-                    raise NumericalError("IQ points this model can draw overflow float64")
+                # in magnitude, so no projection reaches past these bounds.
+                # Generator.random also draws 0.0 (probability 2^-53), whose
+                # deviate is -inf: a projection at -inf or +inf, which is
+                # classified.
+                if not all(math.isfinite(abs(offset) + 8.25 * model.sigma) for offset in offsets):
+                    raise NumericalError("IQ projections this model can draw overflow float64")
+                # Bool labels: numpy compares a bool array with an int about
+                # five times slower than with a bool.
+                counts = ((False, labels.size - n_ones), (True, n_ones))
+                by_cutoff = {
+                    label: _cutoff_classifier(offsets[label], scale, threshold)[1] for label, n in counts if n
+                }
                 wrong = 0
-                if 0.0 in axis:
-                    read = int(axis[0] == 0.0)
-                    # Bool labels: numpy compares a bool array with an int about
-                    # five times slower than with a bool.
-                    counts = ((False, labels.size - n_ones), (True, n_ones))
-                    by_cutoff = {label: _cutoff_classifier(model, read, label, above)[1] for label, n in counts if n}
-                    for rows, count in _chunks(labels.size, 2):
-                        part = labels[rows].copy()
-                        u = rng.random((count, 2))[:, read]
-                        ones = int(np.count_nonzero(part))
-                        for label, n in ((False, count - ones), (True, ones)):
-                            if n:
-                                predicted = by_cutoff[label](u if n == count else u[part == label])
-                                wrong += int(np.count_nonzero(predicted != label))
-                else:
-                    for rows, count in _chunks(labels.size, 2):
-                        part = labels[rows].copy()
-                        points = _iq_points(model, part == 1, rng.random((count, 2)))
-                        wrong += int(np.count_nonzero(above(points) != part))
+                for rows, count in _chunks(labels.size, 2):
+                    part = labels[rows].copy()
+                    u = rng.random((count, 2))[:, read]
+                    ones = int(np.count_nonzero(part))
+                    for label, n in ((False, count - ones), (True, ones)):
+                        if n:
+                            predicted = by_cutoff[label](u if n == count else u[part == label])
+                            wrong += int(np.count_nonzero(predicted != label))
     except FloatingPointError as exc:
         raise NumericalError(f"IQ threshold or points overflow float64: {exc}") from None
 

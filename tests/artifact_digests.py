@@ -7,7 +7,7 @@ subcommands in both output formats for each config, in process, with
 tomo-fit reading the CSV tomogram that tomo-synth wrote for the same
 config.  It prints a comment line naming the Python, numpy and scipy
 versions, then one line ``<sha256>  <config>/<format>/<artifact>`` per
-artifact, sorted, where <config> is the index into BYTE_CONFIGS: 168
+artifact, sorted, where <config> is the index into BYTE_CONFIGS: 192
 lines in all.  It exits 1 if any run does not exit 0.
 
 tests/artifact_digests.txt holds that output for the current tree, and
@@ -45,6 +45,7 @@ BYTE_CONFIGS = (
     ("stark.powers=0,0.5,1",),
     ("potential.flux_points=1200", "device.critical_current=3uA"),
     ("capture.frequency=5.021GHz",),
+    ("iq.centroid_0=0.2,-0.3", "iq.centroid_1=1.1,0.4", "iq.sigma=0.45"),
 )
 
 DIGESTS_FILE = Path(__file__).with_name("artifact_digests.txt")

@@ -1139,18 +1139,17 @@ def _probe_modules(out, names, extra=()):
     return json.loads(proc.stdout)
 
 
-def test_no_default_subcommand_loads_scipy(tmp_path):
+def test_no_subcommand_loads_scipy(tmp_path):
     # One fresh process per layer.  `import jpmsim.config` and `import
     # jpmsim.cli` load no physics layer and no scipy module.  The first
     # subcommand of each process loads exactly its own layer, and the
     # later ones (same layer) load no other.  None of the 12 loads a
-    # scipy module at the default model: budget reads only the switch
-    # draws, iq classifies by a cutoff found with the Cephes port and
-    # takes erfc from it, and tomo-fit fits in numpy.  An off-axis iq, in
-    # a process of its own, transforms every draw by scipy.special.ndtri:
-    # it loads scipy.special and no other scipy subpackage, so never
-    # scipy.optimize.  `import jpmsim` still reaches every layer by
-    # attribute, and the package root re-exports no name of theirs.
+    # scipy module: budget reads only the switch draws, iq classifies by
+    # a cutoff found with the Cephes port and takes erfc from it, and
+    # tomo-fit fits in numpy.  An off-axis iq, in a process of its own,
+    # classifies by a cutoff too and loads no scipy module either.
+    # `import jpmsim` still reaches every layer by attribute, and the
+    # package root re-exports no name of theirs.
     for layer, names in _LAYER_RUNS.items():
         report = _probe_modules(tmp_path / layer, names)
         assert report["codes"] == {name: 0 for name in names}
@@ -1169,9 +1168,7 @@ def test_no_default_subcommand_loads_scipy(tmp_path):
         ]
     report = _probe_modules(tmp_path / "off-axis", ["iq"], ["iq.centroid_1=1,0.5"])
     assert report["codes"] == {"iq": 0}
-    scipy = report["stages"]["iq"]["scipy"]
-    subpackages = {m.split(".")[1] for m in scipy if "." in m and not m.split(".")[1].startswith("_")}
-    assert "scipy.special" in scipy and subpackages - {"version"} == {"special"}, scipy
+    assert report["stages"]["iq"] == {"jpmsim": sorted(_BASE_MODULES + ["jpmsim.protocol"]), "scipy": []}
 
 
 def test_output_directory_resolution(tmp_path, monkeypatch):
@@ -1462,7 +1459,7 @@ def test_iq_memory_is_flat_in_shot_count():
     # Each class is drawn on a zero-stride view of its label, so the
     # tracemalloc peak at 2e6 shots per class stays within 2 MB of that at
     # 5e4: about 3.7 against 2.1 MB.  The whole 2 n-entry label array
-    # peaked at 7.7 MB there.  A first run loads scipy.special untraced.
+    # peaked at 7.7 MB there.  A first run loads jpmsim.protocol untraced.
     compute = jpmsim.cli._SUBCOMMANDS["iq"].compute
     compute(RunConfig.from_sources(overrides=("iq.n_shots=10",)))
     peaks = []

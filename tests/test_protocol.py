@@ -162,27 +162,46 @@ def test_fidelity_budget_matches_reference_batch(p_r, p_b, p_d):
         assert all(type(value) is float for value in budget.values())
 
 
-def _reference_predictions(model, labels, uniforms):
-    # Per shot, the predicted label from its uniforms, and the
-    # (overflow-free) midpoint threshold.
+def _unit_axis(model):
     c0 = np.asarray(model.centroid_0, dtype=float)
     c1 = np.asarray(model.centroid_1, dtype=float)
+    return c0, c1, (c1 - c0) / model.separation
+
+
+def _reference_predictions(model, labels, uniforms):
+    # Per shot, the predicted label from its uniforms, and the
+    # (overflow-free) midpoint threshold.  The noise frame is I/Q turned
+    # onto the centroid line: the read column is the quadrature nearest
+    # that line (I on a 45-degree tie), and a label-l shot projects to
+    # fl(c_l @ a) + copysign(sigma, a[read]) ndtri(u_read).  The other
+    # column is never read.
+    c0, c1, axis = _unit_axis(model)
+    threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
+    read = int(abs(axis[1]) > abs(axis[0]))
+    offsets = np.where(labels == 1, float(c1 @ axis), float(c0 @ axis))
+    projections = offsets + math.copysign(model.sigma, axis[read]) * ndtri(uniforms[:, read])
+    return projections > threshold, threshold
+
+
+def _reference_points_predictions(model, labels, uniforms):
+    # The whole-point rule: each shot's IQ point, the centroid plus sigma
+    # times the deviates of both uniforms, projected onto the unit axis.
+    c0, c1, axis = _unit_axis(model)
     noise = ndtri(uniforms)
     points = np.stack(
-        [model.sigma * noise[:, axis] + np.where(labels == 1, b, a)
-         for axis, (a, b) in enumerate(zip(c0, c1))],
+        [model.sigma * noise[:, column] + np.where(labels == 1, b, a)
+         for column, (a, b) in enumerate(zip(c0, c1))],
         axis=1,
     )
-    axis = (c1 - c0) / model.separation
     threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
     return points @ axis > threshold, threshold
 
 
-def _reference_iq(model, labels, rng):
+def _reference_iq(model, labels, rng, predictions=_reference_predictions):
     # Reference: the whole-array label path, which draws every shot's
-    # uniforms at once and classifies all points with a mean of bools.
+    # uniforms at once and classifies all shots with a mean of bools.
     labels = np.asarray(labels)
-    predicted, threshold = _reference_predictions(model, labels, rng.random((labels.size, 2)))
+    predicted, threshold = predictions(model, labels, rng.random((labels.size, 2)))
     predicted = predicted.astype(int)
     return {
         "single_shot_fidelity": 1.0 - float(np.mean(predicted != labels)),
@@ -202,6 +221,19 @@ def _aligned_models():
         for sigma in (0.01, 0.14144271570014144, 0.3, 2.5, 40.0)
     ]
     return models + [IqModel(centroid_1=(1e200, 0.0), sigma=1e190)]
+
+
+def _off_axis_models():
+    # A centroid line in each quadrant, one at exactly 45 degrees (equal
+    # axis components, so it reads I), and one 1e-12 rad off the I axis.
+    models = [
+        IqModel(centroid_0=(0.2, -0.3), centroid_1=(0.2 + math.cos(angle), -0.3 + math.sin(angle)), sigma=0.45)
+        for angle in (0.6, 2.2, 3.9, 5.3)
+    ]
+    return models + [
+        IqModel(centroid_1=(0.7, 0.7), sigma=0.45),
+        IqModel(centroid_1=(math.cos(1e-12), math.sin(1e-12)), sigma=0.45),
+    ]
 
 
 def _assert_matches_reference(model, n, seed):
@@ -227,21 +259,20 @@ def _assert_same_iq(got, want):
 def test_iq_discriminate_matches_reference_batch():
     # One shot, a few, one more than a chunk, and several chunks plus a
     # remainder, with shuffled and single-class labels given as int, float
-    # and bool.  The off-axis model builds every point; the axis-aligned
-    # ones classify by a cutoff on the read uniform, and must give the
-    # same bits and leave the generator where the reference does.
+    # and bool.  Every model classifies by a cutoff on the read uniform,
+    # and must give the same bits as the ndtri reference and leave the
+    # generator where it does.
     off_axis = IqModel(centroid_0=(0.2, -0.3), centroid_1=(1.1, 0.4), sigma=0.45)
     rows = SHOT_CHUNK_DRAWS // 2
     for n in (1, 5, rows + 1, 3 * rows + 123):
-        for model in (off_axis, *_aligned_models()):
+        for model in (off_axis, *_off_axis_models(), *_aligned_models()):
             _assert_matches_reference(model, n, 11)
 
 
 def test_one_shot_chunks_match_default_chunking(monkeypatch):
     # A chunk of one draw still holds one whole shot, so each shot is
-    # drawn and counted on its own, on the ndtri path (off-axis) and on
-    # the cutoff path (every aligned model, against the reference as in
-    # the default chunking).
+    # drawn and counted on its own, for an off-axis model and for every
+    # aligned one, against the reference as in the default chunking.
     cfg = ProtocolConfig(relaxation_override=0.3, bright_detect_prob=0.9, dark_prob=0.1, rng_seed=3)
     model = IqModel(centroid_1=(1.0, 0.5), sigma=0.4)
     labels = np.random.default_rng(2).integers(0, 2, 1000)
@@ -259,7 +290,7 @@ def test_one_shot_chunks_match_default_chunking(monkeypatch):
 
 class _BlockRng:
     # A stand-in generator whose random(shape) hands out the next rows of
-    # a prepared block, one copy per call (_iq_points overwrites its draws).
+    # a prepared block, one copy per call.
     def __init__(self, block):
         self.block, self.start = np.asarray(block, dtype=float), 0
 
@@ -270,34 +301,41 @@ class _BlockRng:
         return rows.copy()
 
 
+def _classifier(model, label):
+    # _cutoff_classifier's (K, classify) for one label of model, as
+    # iq_discriminate builds it, and the read column.
+    c0, c1, axis = _unit_axis(model)
+    threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
+    read = int(abs(axis[1]) > abs(axis[0]))
+    offset = float((c1 if label else c0) @ axis)
+    scale = math.copysign(model.sigma, axis[read])
+    return (*jpmsim.protocol._cutoff_classifier(offset, scale, threshold), read)
+
+
 def _assert_cutoff_matches_ndtri_near_cutoff(model):
     # Every uniform within 2^12 grid steps of each class's cutoff, and both
     # edges of its guard band with their outer neighbours, per row against
-    # the ndtri path; then the same block through iq_discriminate from a
-    # stand-in generator, against the reference on the same block.
-    # Returns the ndtri path's predictions in step order, per class.
-    c0 = np.asarray(model.centroid_0, dtype=float)
-    c1 = np.asarray(model.centroid_1, dtype=float)
-    axis = (c1 - c0) / model.separation
-    threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
-    read = int(axis[0] == 0.0)
+    # the ndtri reference, and on the I or Q axis also against the
+    # whole-point reference; then the same block through iq_discriminate
+    # from a stand-in generator, against the reference on the same block.
+    # Returns the ndtri reference's predictions in step order, per class.
     guard = jpmsim.protocol.CUTOFF_GUARD_STEPS
     predictions = []
     for label in (0, 1):
-        step, classify = jpmsim.protocol._cutoff_classifier(
-            model, read, label, lambda points: points @ axis > threshold
-        )
+        step, classify, read = _classifier(model, label)
         offsets = np.union1d(np.arange(-(2**12), 2**12 + 1), [-guard - 1, -guard, guard, guard + 1])
         steps = step + offsets
         steps = steps[(steps >= 0) & (steps < 2**53)]
         block = np.random.default_rng(label).random((steps.size, 2))
         block[:, read] = steps * 2.0**-53
-        want = _reference_predictions(model, np.full(steps.size, label), block)[0]
-        assert np.array_equal(classify(block[:, read]), want)
-        if step < 2**53:
-            # The ndtri path itself turns between the cutoff and the step below it.
-            assert want[steps == step - 1] != want[steps == step]
         labels = np.full(steps.size, label)
+        want = _reference_predictions(model, labels, block)[0]
+        assert np.array_equal(classify(block[:, read]), want)
+        if 0.0 in _unit_axis(model)[2]:
+            assert np.array_equal(_reference_points_predictions(model, labels, block)[0], want)
+        if step < 2**53:
+            # The ndtri reference itself turns between the cutoff and the step below it.
+            assert want[steps == step - 1] != want[steps == step]
         _assert_same_iq(
             iq_discriminate(model, labels, _BlockRng(block)), _reference_iq(model, labels, _BlockRng(block))
         )
@@ -308,8 +346,10 @@ def _assert_cutoff_matches_ndtri_near_cutoff(model):
 @pytest.mark.parametrize(
     "model",
     [DEFAULT_IQ_MODEL, IqModel(centroid_1=(-1.0, 0.0), sigma=0.3), IqModel(centroid_1=(0.0, 1.0), sigma=2.5),
-     IqModel(centroid_0=(0.2, 0.0), centroid_1=(0.2, -1.0), sigma=40.0), IqModel(sigma=0.01)],
-    ids=["+x", "-x", "+y", "-y", "no-crossing"],
+     IqModel(centroid_0=(0.2, 0.0), centroid_1=(0.2, -1.0), sigma=40.0), IqModel(sigma=0.01),
+     IqModel(centroid_1=(0.7, 0.7), sigma=0.45), IqModel(centroid_0=(0.2, -0.3), centroid_1=(-0.9, 0.4), sigma=0.3),
+     IqModel(centroid_1=(-0.3, -2.0), sigma=1.5)],
+    ids=["+x", "-x", "+y", "-y", "no-crossing", "45-degrees", "reads-I", "reads-Q"],
 )
 def test_cutoff_classifies_every_uniform_near_the_cutoff_as_ndtri_does(model):
     _assert_cutoff_matches_ndtri_near_cutoff(model)
@@ -384,55 +424,98 @@ def _random_aligned_models(n, seed):
 
 
 def test_cutoff_path_matches_ndtri_path_on_random_aligned_models():
-    # The fast path against the slow one it replaces: every field of
+    # The fast path against the slow ones it replaces: every field of
     # iq_discriminate by its bits and the generator state after, against
-    # the whole-point scipy ndtri reference; and each class's bisection
-    # step K is a turn of that reference, which predicts differently at
-    # K - 1 and at K (at u = 1 when K is 2^53).
+    # the along-line and the whole-point scipy ndtri references; and each
+    # class's bisection step K is a turn of both, which predict
+    # differently at K - 1 and at K (at u = 1 when K is 2^53).
     for i, model in enumerate(_random_aligned_models(100, 7)):
-        c0 = np.asarray(model.centroid_0, dtype=float)
-        c1 = np.asarray(model.centroid_1, dtype=float)
-        axis = (c1 - c0) / model.separation
-        assert 0.0 in axis, model
-        threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
-        read = int(axis[0] == 0.0)
+        assert 0.0 in _unit_axis(model)[2], model
         labels = np.random.default_rng(i).integers(0, 2, 1000)
-        rng, ref = np.random.default_rng(100 + i), np.random.default_rng(100 + i)
-        _assert_same_iq(iq_discriminate(model, labels, rng), _reference_iq(model, labels, ref))
-        assert rng.bit_generator.state == ref.bit_generator.state
+        for predictions in (_reference_predictions, _reference_points_predictions):
+            rng, ref = np.random.default_rng(100 + i), np.random.default_rng(100 + i)
+            _assert_same_iq(iq_discriminate(model, labels, rng), _reference_iq(model, labels, ref, predictions))
+            assert rng.bit_generator.state == ref.bit_generator.state
         for label in (0, 1):
-            step = jpmsim.protocol._cutoff_classifier(
-                model, read, label, lambda points: points @ axis > threshold
-            )[0]
+            step, _, read = _classifier(model, label)
             rows = np.full((2, 2), 0.5)
             rows[:, read] = [(step - 1) * 2.0**-53, step * 2.0**-53]
-            turn = _reference_predictions(model, np.full(2, label), rows)[0]
-            assert turn[0] != turn[1], (model, label, step)
+            for predictions in (_reference_predictions, _reference_points_predictions):
+                turn = predictions(model, np.full(2, label), rows)[0]
+                assert turn[0] != turn[1], (model, label, step)
+
+
+def test_whole_point_reference_equals_the_along_line_rule_on_axis():
+    # On the I or Q axis the unread component of the unit axis is an exact
+    # zero, so the along-line rule computes the whole point's projection
+    # float for float: the same predictions and threshold bits on the same
+    # blocks, which hold seeded rows, rows whose read uniform is 0.0
+    # (deviate -inf) and, per class, rows at its cutoff step and both
+    # neighbours.  This is what keeps every on-axis artifact's bytes.
+    for i, model in enumerate(_aligned_models() + _random_aligned_models(100, 7)):
+        read = _classifier(model, 0)[2]
+        draws = np.random.default_rng(i)
+        block, labels = draws.random((1000, 2)), draws.integers(0, 2, 1000)
+        block[:4, read] = 0.0
+        for label in (0, 1):
+            step = _classifier(model, label)[0]
+            near = [k * 2.0**-53 for k in (step - 1, step, step + 1) if 0 <= k <= 2**53]
+            rows = draws.random((len(near), 2))
+            rows[:, read] = near
+            block, labels = np.concatenate([block, rows]), np.concatenate([labels, np.full(len(near), label)])
+        assert np.all(block[:, 1 - read] > 0.0)
+        want, got = _reference_predictions(model, labels, block), _reference_points_predictions(model, labels, block)
+        assert np.array_equal(got[0], want[0]), model
+        assert got[1].hex() == want[1].hex()
 
 
 def test_a_zero_uniform_is_classified_or_refused_by_path():
     # Generator.random draws from [0, 1), and ndtri(0.0) is -inf.  In the
-    # read column of any model that is a point at -inf along the centroid
-    # line, classified on both paths.  In the other column of an aligned
-    # model the whole-point reference multiplies -inf by the zero axis
-    # component, while the cutoff path never transforms it and classifies
-    # the shot as that uniform's finite neighbours would.
+    # read column of any model that is a projection at -inf along the
+    # centroid line, classified as the reference does, and for an aligned
+    # model as the whole-point reference does.  The other column is never
+    # read: a shot whose unread uniform is 0.0 classifies as one whose
+    # unread uniform is 0.5, where the whole-point reference would
+    # multiply -inf by the zero axis component.
     aligned = IqModel(sigma=0.3)
     off_axis = IqModel(centroid_1=(1.0, 0.5), sigma=0.3)
     labels = np.array([0, 1, 1, 0])
     block = np.random.default_rng(3).random((4, 2))
     block[1:3, 0] = 0.0
-    for model in (aligned, off_axis):
-        _assert_same_iq(
-            iq_discriminate(model, labels, _BlockRng(block)), _reference_iq(model, labels, _BlockRng(block))
-        )
     unread = block.copy()
     unread[1:3, 1] = 0.0
     finite = block.copy()
     finite[1:3, 1] = 0.5
+    for model in (aligned, off_axis):
+        _assert_same_iq(
+            iq_discriminate(model, labels, _BlockRng(block)), _reference_iq(model, labels, _BlockRng(block))
+        )
+        _assert_same_iq(
+            iq_discriminate(model, labels, _BlockRng(unread)), _reference_iq(model, labels, _BlockRng(finite))
+        )
     _assert_same_iq(
-        iq_discriminate(aligned, labels, _BlockRng(unread)), _reference_iq(aligned, labels, _BlockRng(finite))
+        iq_discriminate(aligned, labels, _BlockRng(block)),
+        _reference_iq(aligned, labels, _BlockRng(block), _reference_points_predictions),
     )
+
+
+def test_off_axis_models_reach_separation_fidelity():
+    # Off the I and Q axes the read uniform gives the deviate along the
+    # centroid line, so single_shot_fidelity is a binomial estimate of
+    # separation_fidelity: within 5 standard errors at 4e5 shots.  The
+    # generator ends where one draw of every shot's 2 uniforms leaves it.
+    n = 400_000
+    labels = np.repeat(np.array([0, 1]), n // 2)
+    models = _off_axis_models()
+    assert _unit_axis(models[4])[2][0] == _unit_axis(models[4])[2][1]
+    for i, model in enumerate(models):
+        assert 0.0 not in _unit_axis(model)[2], model
+        rng, ref = np.random.default_rng(40 + i), np.random.default_rng(40 + i)
+        got = iq_discriminate(model, labels, rng)["single_shot_fidelity"]
+        ref.random((n, 2))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        want = separation_fidelity(model)
+        assert abs(got - want) < 5.0 * math.sqrt(want * (1.0 - want) / n), (model, got, want)
 
 
 def _traced_peak_mb(call):
@@ -451,7 +534,7 @@ def test_shot_paths_memory_is_flat_in_shot_count():
     cfg = ProtocolConfig()
     small, large = (_traced_peak_mb(lambda: fidelity_budget(cfg, n)) for n in (100_000, 4_000_000))
     assert large < 10.0 and large < 2.0 * small
-    # The default model takes the cutoff path, the off-axis one the ndtri path.
+    # The default model and an off-axis one.
     for model in (DEFAULT_IQ_MODEL, IqModel(centroid_1=(1.0, 0.5), sigma=0.4)):
         peaks = []
         for n in (100_000, 4_000_000):
@@ -841,9 +924,12 @@ def test_iq_discriminate_rejects_labels_other_than_0_and_1():
 )
 def test_iq_discriminate_refuses_labels_that_are_not_one_dimensional(model):
     # Mixed labels once raised IndexError (aligned) or a broadcast error
-    # (off-axis), and single-class ones classified all six entries as
-    # shots.  Each is refused before any draw, on both paths.
-    for labels in (np.array([[0, 1, 1], [1, 0, 0]]), np.zeros((2, 3), int), np.ones((3, 1), int)):
+    # (off-axis), single-class ones classified all six entries as shots,
+    # and a 0-d label raised TypeError from len.  Each is refused before
+    # any draw.
+    for labels in (
+        np.array([[0, 1, 1], [1, 0, 0]]), np.zeros((2, 3), int), np.ones((3, 1), int), np.int8(1), np.array(1)
+    ):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="one-dimensional"):
