@@ -31,15 +31,13 @@ the other one the deviate across it, which never changes a label and
 is never transformed.  Each shot's read uniform is compared with a
 per-label cutoff.
 
-simulate_shot, the only function that transforms every draw, imports
-scipy.special.ndtri when first called.  The cutoff search and
-separation_fidelity need only a few scalar values, and take them from
-_ndtri and _erfc: step-for-step ports of the Cephes ndtri and erfc
-that scipy compiles, using the same libm log and exp.  On a platform
-where scipy and Python call one libm they equal scipy's results bit
-for bit (tests/test_protocol.py checks this), so iq_discriminate
-classifies and reports exactly as through scipy, and neither budget
-nor iq imports scipy.
+Every normal deviate and erfc value comes from _ndtri and _erfc:
+step-for-step ports of the Cephes ndtri and erfc that scipy compiles,
+with each polynomial written out as Horner steps in Cephes's order and
+the same libm log and exp.  On a platform where scipy and Python call
+one libm they equal scipy's results bit for bit (tests/test_protocol.py
+checks this), so simulate_shot draws, and iq_discriminate classifies
+and reports, exactly as through scipy, and the module imports no scipy.
 """
 
 from __future__ import annotations
@@ -257,18 +255,17 @@ def simulate_shot(
     the detector to fire on it; a dark count can fire the detector on
     any shot a bright pointer did not already switch.
 
-    The shot draws its 5 uniforms as Python floats: the three switch
-    draws go through _switches, and each IQ axis is sigma times the
-    normal deviate of its draw plus the centroid of the switch outcome.
-    So the result is bit-identical to a one-row block through _switches
-    and scipy's ndtri, without their per-call array overhead.
+    The shot reads its 5 uniforms once as Python floats: the three
+    switch draws go through _switches, and each IQ axis is sigma times
+    the normal deviate of its draw, from _ndtri, plus the centroid of
+    the switch outcome.  So the result is bit-identical to a one-row
+    block through _switches and scipy.special.ndtri, without their
+    per-call array overhead or a scipy import.
     """
-    from scipy.special import ndtri
-
-    u = rng.random(5)
-    captured, dark, _ = _switches(bool(qubit_excited), *u[:3].tolist(), cfg)
+    relax, capture, dark_draw, u_x, u_y = rng.random(5).tolist()
+    captured, dark, _ = _switches(bool(qubit_excited), relax, capture, dark_draw, cfg)
     switch = captured or dark
-    z_x, z_y = ndtri(u[3:]).tolist()
+    z_x, z_y = _ndtri(u_x), _ndtri(u_y)
     c_x, c_y = iq_model.centroid_1 if switch else iq_model.centroid_0
     cause = "bright_capture" if captured else "dark_count" if dark else "none"
     return ShotResult(int(switch), cause, (float(iq_model.sigma * z_x + c_x), float(iq_model.sigma * z_y + c_y)))
@@ -460,58 +457,21 @@ def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
 
 # Cephes (S. L. Moshier, Methods and Programs for Mathematical Functions,
 # 1989), ndtri.c and ndtr.c: the rational approximations scipy.special
-# evaluates for ndtri and erfc.  Each denominator table carries the leading
-# 1.0 that Cephes leaves to p1evl.
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
+# evaluates for ndtri and erfc.  Each polynomial below is Cephes's polevl
+# or p1evl written out: its coefficients in Cephes's order, each Horner
+# step one fl(fl(a x) + c).  polevl's first step 0.0 x + c0 is c0, and
+# p1evl's 1.0 x + c1 is x + c1, bit for bit; a - c is a + (-c).
 _EXP_MINUS_2 = 0.13533528323661269189
 _SQRT_2PI = 2.50662827463100050242e0
 _MAXLOG = 7.09782712893383996843e2
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    """coef[0] x^n + ... + coef[n] by Horner's rule, in Cephes's order:
-    0.0 x + coef[0] is coef[0], and 1.0 x + coef[1] is p1evl's first step."""
-    ans = 0.0
-    for c in coef:
-        ans = ans * x + c
-    return ans
 
 
 def _ndtri(y: float) -> float:
     """Inverse of the standard normal CDF: Cephes ndtri, step for step.
 
     Only IEEE arithmetic, sqrt and the libm log that scipy's compiled
-    ndtri also calls, so where both use one libm the result equals
+    ndtri also calls, with each polynomial written out as Horner steps
+    in Cephes's order, so where both use one libm the result equals
     scipy.special.ndtri bit for bit (tests/test_protocol.py checks it).
     y is a uniform in [0, 1]; 0 and 1 give -inf and +inf.
     """
@@ -525,36 +485,102 @@ def _ndtri(y: float) -> float:
     if y > _EXP_MINUS_2:
         y = y - 0.5
         y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        # P0 / Q0
+        x = y + y * (
+            y2
+            * (
+                (((-5.99633501014107895267e1 * y2 + 9.80010754185999661536e1) * y2 - 5.66762857469070293439e1) * y2
+                 + 1.39312609387279679503e1) * y2
+                - 1.23916583867381258016e0
+            )
+            / (
+                (((((((y2 + 1.95448858338141759834e0) * y2 + 4.67627912898881538453e0) * y2
+                     + 8.63602421390890590575e1) * y2 - 2.25462687854119370527e2) * y2
+                   + 2.00260212380060660359e2) * y2 - 8.20372256168333339912e1) * y2
+                 + 1.59056225126211695515e1) * y2
+                - 1.18331621121330003142e0
+            )
+        )
         return x * _SQRT_2PI
     x = math.sqrt(-2.0 * math.log(y))
     x0 = x - math.log(x) / x
     z = 1.0 / x
     if x < 8.0:
-        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+        # P1 / Q1
+        x1 = z * (
+            (((((((4.05544892305962419923e0 * z + 3.15251094599893866154e1) * z + 5.71628192246421288162e1) * z
+                 + 4.40805073893200834700e1) * z + 1.46849561928858024014e1) * z + 2.18663306850790267539e0) * z
+              - 1.40256079171354495875e-1) * z - 3.50424626827848203418e-2) * z
+            - 8.57456785154685413611e-4
+        ) / (
+            (((((((z + 1.57799883256466749731e1) * z + 4.53907635128879210584e1) * z + 4.13172038254672030440e1) * z
+                 + 1.50425385692907503408e1) * z + 2.50464946208309415979e0) * z - 1.42182922854787788574e-1) * z
+             - 3.80806407691578277194e-2) * z
+            - 9.33259480895457427372e-4
+        )
     else:
-        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
+        # P2 / Q2
+        x1 = z * (
+            (((((((3.23774891776946035970e0 * z + 6.91522889068984211695e0) * z + 3.93881025292474443415e0) * z
+                 + 1.33303460815807542389e0) * z + 2.01485389549179081538e-1) * z + 1.23716634817820021358e-2) * z
+              + 3.01581553508235416007e-4) * z + 2.65806974686737550832e-6) * z
+            + 6.23974539184983293730e-9
+        ) / (
+            (((((((z + 6.02427039364742014255e0) * z + 3.67983563856160859403e0) * z + 1.37702099489081330271e0) * z
+                 + 2.16236993594496635890e-1) * z + 1.34204006088543189037e-2) * z + 3.28014464682127739104e-4) * z
+             + 2.89247864745380683936e-6) * z
+            + 6.79019408009981274425e-9
+        )
     x = x0 - x1
     return x if upper else -x
 
 
 def _erfc(a: float) -> float:
     """Complementary error function: Cephes erfc (with its erf below 1),
-    step for step, through the libm exp, so bit for bit
+    step for step, with each polynomial written out as Horner steps in
+    Cephes's order, through the libm exp, so bit for bit
     scipy.special.erfc where both use one libm."""
     x = abs(a)
     if x < 1.0:
-        # Cephes's erf(a), the same bits for either sign of a.
+        # Cephes's erf(a), the same bits for either sign of a: T / U.
         z = a * a
-        return 1.0 - a * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+        return 1.0 - a * (
+            (((9.60497373987051638749e0 * z + 9.00260197203842689217e1) * z + 2.23200534594684319226e3) * z
+             + 7.00332514112805075473e3) * z
+            + 5.55923013010394962768e4
+        ) / (
+            ((((z + 3.35617141647503099647e1) * z + 5.21357949780152679795e2) * z + 4.59432382970980127987e3) * z
+             + 2.26290000613890934246e4) * z
+            + 4.92673942608635921086e4
+        )
     z = -a * a
     if z < -_MAXLOG:
         return 2.0 if a < 0.0 else 0.0
     z = math.exp(z)
     if x < 8.0:
-        y = z * _polevl(x, _ERFC_P) / _polevl(x, _ERFC_Q)
+        # P / Q
+        y = z * (
+            (((((((2.46196981473530512524e-10 * x + 5.64189564831068821977e-1) * x + 7.46321056442269912687e0) * x
+                 + 4.86371970985681366614e1) * x + 1.96520832956077098242e2) * x + 5.26445194995477358631e2) * x
+              + 9.34528527171957607540e2) * x + 1.02755188689515710272e3) * x
+            + 5.57535335369399327526e2
+        ) / (
+            (((((((x + 1.32281951154744992508e1) * x + 8.67072140885989742329e1) * x + 3.54937778887819891062e2) * x
+                 + 9.75708501743205489753e2) * x + 1.82390916687909736289e3) * x + 2.24633760818710981792e3) * x
+             + 1.65666309194161350182e3) * x
+            + 5.57535340817727675546e2
+        )
     else:
-        y = z * _polevl(x, _ERFC_R) / _polevl(x, _ERFC_S)
+        # R / S
+        y = z * (
+            ((((5.64189583547755073984e-1 * x + 1.27536670759978104416e0) * x + 5.01905042251180477414e0) * x
+              + 6.16021097993053585195e0) * x + 7.40974269950448939160e0) * x
+            + 2.97886665372100240670e0
+        ) / (
+            (((((x + 2.26052863220117276590e0) * x + 9.39603524938001434673e0) * x + 1.20489539808096656605e1) * x
+              + 1.70814450747565897222e1) * x + 9.60896809063285878198e0) * x
+            + 3.36907645100081516050e0
+        )
     return 2.0 - y if a < 0.0 else y
 
 

@@ -5,8 +5,9 @@ checked; tests/test_cli.py compares the writer with a per-cell
 reference over them.  Run as a script, this file runs all 12
 subcommands in both output formats for each config, in process, with
 tomo-fit reading the CSV tomogram that tomo-synth wrote for the same
-config.  It prints a comment line naming the Python, numpy and scipy
-versions, then one line ``<sha256>  <config>/<format>/<artifact>`` per
+config.  It prints a comment line naming the Python and numpy versions
+(no artifact depends on scipy, which the package never imports), then
+one line ``<sha256>  <config>/<format>/<artifact>`` per
 artifact, sorted, where <config> is the index into BYTE_CONFIGS: 192
 lines in all.  It exits 1 if any run does not exit 0.
 
@@ -53,8 +54,8 @@ DIGESTS_FILE = Path(__file__).with_name("artifact_digests.txt")
 
 
 def versions_line() -> str:
-    """The comment line naming the Python, numpy and scipy versions."""
-    return f"# python {platform.python_version()}, numpy {version('numpy')}, scipy {version('scipy')}"
+    """The comment line naming the Python and numpy versions."""
+    return f"# python {platform.python_version()}, numpy {version('numpy')}"
 
 
 def digests(work_dir: Path) -> tuple[list[str], int]:

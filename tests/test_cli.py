@@ -7,6 +7,7 @@ tested value by value against the documented unit conventions.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import io
@@ -1125,18 +1126,23 @@ _LAYER_RUNS = {
 }
 
 
+def _run_probe(script, *args):
+    # script in a fresh interpreter that imports jpmsim from this tree;
+    # its last output line is a JSON report.
+    env = dict(os.environ, PYTHONPATH=str(Path(jpmsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 def _probe_modules(out, names, extra=()):
     runs = [(name, list(FAST.get(name, ())) + list(extra)) for name in names]
     for name, sets in runs:
         if name == "tomo-fit":
             # It reads the tomogram tomo-synth has just written to out.
             sets.append(f"tomo.input={out / 'tomogram.csv'}")
-    env = dict(os.environ, PYTHONPATH=str(Path(jpmsim.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(out), json.dumps(runs)],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
-    )
-    return json.loads(proc.stdout)
+    return _run_probe(_SCIPY_PROBE, str(out), json.dumps(runs))
 
 
 def test_no_subcommand_loads_scipy(tmp_path):
@@ -1169,6 +1175,50 @@ def test_no_subcommand_loads_scipy(tmp_path):
     report = _probe_modules(tmp_path / "off-axis", ["iq"], ["iq.centroid_1=1,0.5"])
     assert report["codes"] == {"iq": 0}
     assert report["stages"]["iq"] == {"jpmsim": sorted(_BASE_MODULES + ["jpmsim.protocol"]), "scipy": []}
+
+
+_SHOT_PROBE = """
+import json, sys
+import numpy as np
+from jpmsim.protocol import IqModel, ProtocolConfig, iq_discriminate, simulate_shot
+
+model = IqModel(centroid_1=(1.0, 0.5), sigma=0.2)
+rng = np.random.default_rng(7)
+shots = [simulate_shot(i % 2 == 0, ProtocolConfig(), rng, model) for i in range(400)]
+report = iq_discriminate(model, shots)
+print(json.dumps({
+    "bits": sorted({s.switch_bit for s in shots}),
+    "fidelity": report["single_shot_fidelity"],
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
+"""
+
+
+def test_shots_and_their_classification_load_no_scipy():
+    # A fresh process runs 400 simulate_shot calls and classifies the
+    # records with iq_discriminate: no scipy module is loaded.
+    report = _run_probe(_SHOT_PROBE)
+    assert report["bits"] == [0, 1]
+    assert 0.9 < report["fidelity"] <= 1.0
+    assert report["scipy"] == []
+
+
+def test_no_package_module_imports_scipy():
+    # The package depends on numpy alone (pyproject.toml): no module of
+    # it has an import of scipy at any depth, function bodies included.
+    found = []
+    paths = sorted(Path(jpmsim.__file__).parent.glob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert {path.stem for path in paths} >= {"cli", "config", "potential", "protocol", "tomography", "transfer"}
+    assert found == []
 
 
 def test_output_directory_resolution(tmp_path, monkeypatch):
