@@ -14,7 +14,7 @@ from jpmsim.protocol import (
     ProtocolConfig,
     depletion_recovery,
     fidelity_budget,
-    iq_discriminate,
+    iq_fidelity,
     relaxation_error,
     separation_fidelity,
 )
@@ -39,8 +39,7 @@ def main() -> None:
     model = IqModel()
     d_over_sigma = model.separation / model.sigma
     print(f"  IQ separation fidelity at d/sigma = {d_over_sigma:.2f}: {separation_fidelity(model):.6f}")
-    labels = np.concatenate([np.zeros(50_000, dtype=int), np.ones(50_000, dtype=int)])
-    empirical = iq_discriminate(model, labels, rng=np.random.default_rng(cfg.rng_seed))
+    empirical = iq_fidelity(model, 50_000, np.random.default_rng(cfg.rng_seed))
     print(f"  empirical single-shot fidelity:          {empirical['single_shot_fidelity']:.6f}")
     print()
 

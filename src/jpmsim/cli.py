@@ -374,28 +374,14 @@ def _depletion(cfg: RunConfig) -> tuple:
 
 
 def _iq(cfg: RunConfig) -> dict:
-    from .protocol import _check_shot_draws, iq_discriminate
+    from .protocol import iq_fidelity
 
     model = cfg.iq_model()
     n_shots = cfg.get("iq.n_shots")
-    if n_shots < 1:
-        raise ConfigError("iq.n_shots must be positive")
-    # The draw cap covers both classes, refused before either is drawn.
-    _check_shot_draws(2 * n_shots, 2)
-    rng = np.random.default_rng(cfg.get("seed"))
-    # One class after the other, each on a zero-stride view of its label.
-    # (1 - f) n_shots is each integer count of wrong labels to within
-    # n_shots 2^-52, so round() recovers it exactly.
-    wrong = 0
-    for label in (0, 1):
-        result = iq_discriminate(model, np.broadcast_to(np.int8(label), n_shots), rng)
-        wrong += round((1.0 - result["single_shot_fidelity"]) * n_shots)
     return {
         "n_shots_per_class": n_shots,
         "d_over_sigma": model.separation / model.sigma,
-        "single_shot_fidelity": 1.0 - wrong / (2 * n_shots),
-        "separation_fidelity": result["separation_fidelity"],
-        "threshold": result["threshold"],
+        **iq_fidelity(model, n_shots, np.random.default_rng(cfg.get("seed"))),
     }
 
 

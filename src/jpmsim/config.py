@@ -1,9 +1,10 @@
 """Flat key/value run configuration with mandatory unit suffixes.
 
 A config document is a sequence of "section.key = value" lines; "#"
-starts a comment.  Every dimensioned value carries a unit suffix
-("780ns", "1uA", "2pF") and bare numbers are rejected for such keys,
-so a GHz/rad-per-second mixup cannot slip through the boundary.
+starts a comment there, but not in a "key=value" override.  Every
+dimensioned value carries a unit suffix ("780ns", "1uA", "2pF") and
+bare numbers are rejected for such keys, so a GHz/rad-per-second
+mixup cannot slip through the boundary.
 Frequencies are written as ordinary (cycles/second) frequencies and
 converted to angular internally; decay rates are written as 1/e decay
 times ("capture.decay_time = 40ns").  Unknown and duplicated keys are
@@ -184,9 +185,13 @@ def parse_value(text: str, spec: ValueSpec, key: str):
 _DEFAULTS = {key: parse_value(spec.default, spec, key) for key, spec in SCHEMA.items()}
 
 
-def _parse_lines(lines, origin: str, seen: set[str], values: dict) -> None:
+def _parse_lines(lines, origin: str, values: dict, comments: bool) -> None:
+    """Parse "key = value" lines into values.  With comments (a config
+    file) a '#' starts a comment; an override's value is everything after
+    its first '='."""
+    seen = set()
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if comments else raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -210,8 +215,9 @@ class RunConfig:
     def from_sources(cls, config_path: str | None = None, overrides=()) -> "RunConfig":
         """Resolve defaults, then a config file, then override strings.
 
-        Overrides use the same "key=value" syntax as file lines and are
-        applied last; within each source a key may appear only once.
+        Overrides use the same "key=value" syntax as file lines, but a '#'
+        in one is part of its value, not a comment; they are applied
+        last, and within each source a key may appear only once.
         """
         values = dict(_DEFAULTS)
         if config_path is not None:
@@ -220,8 +226,8 @@ class RunConfig:
                     lines = fh.readlines()
             except OSError as exc:
                 raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-            _parse_lines(lines, str(config_path), set(), values)
-        _parse_lines(overrides, "override", set(), values)
+            _parse_lines(lines, str(config_path), values, comments=True)
+        _parse_lines(overrides, "override", values, comments=False)
         if values["seed"] < 0:
             raise ConfigError(f"seed must be non-negative, got {values['seed']}")
         return cls(values)

@@ -23,21 +23,20 @@ consume exactly the numbers one draw of the whole block would.  A
 single shot (simulate_shot) reads its 5 draws as Python floats and
 passes the first three to _switches, as the block paths do.  A path
 makes every draw of its layout, read or not: fidelity_budget reads
-only the three switch draws, and the label path of iq_discriminate
-(2 draws a shot) only the uniform of the quadrature nearest the
-centroid line.  Its noise frame is I/Q turned onto that line by at
-most 45 degrees: the read uniform gives the deviate along the line,
-the other one the deviate across it, which never changes a label and
-is never transformed.  Each shot's read uniform is compared with a
-per-label cutoff.
+only the three switch draws, and iq_fidelity (2 draws a shot) only the
+uniform of the quadrature nearest the centroid line.  Its noise frame is
+I/Q turned onto that line by at most 45 degrees: the read uniform gives
+the deviate along the line, the other one the deviate across it, which
+never changes a label and is never transformed.  Each class's read
+uniforms are compared with one cutoff.
 
 Every normal deviate and erfc value comes from _ndtri and _erfc:
 step-for-step ports of the Cephes ndtri and erfc that scipy compiles,
 with each polynomial written out as Horner steps in Cephes's order and
 the same libm log and exp.  On a platform where scipy and Python call
 one libm they equal scipy's results bit for bit (tests/test_protocol.py
-checks this), so simulate_shot draws, and iq_discriminate classifies
-and reports, exactly as through scipy, and the module imports no scipy.
+checks this), so simulate_shot draws, and iq_fidelity classifies and
+reports, exactly as through scipy, and the module imports no scipy.
 """
 
 from __future__ import annotations
@@ -63,20 +62,19 @@ DEFAULT_DEPHASING_PER_PHOTON = -math.log(0.95) / (
 """Ramsey-contrast suppression per residual photon, giving 0.95 at 40 ns."""
 
 SHOT_CHUNK_DRAWS = 2**17
-"""Uniforms :func:`fidelity_budget` and the label path of
-:func:`iq_discriminate` draw at once.  A chunk holds at least one whole
-shot, so their working set stays near this many draws whatever the shot
-count."""
+"""Uniforms :func:`fidelity_budget` and :func:`iq_fidelity` draw at
+once.  A chunk holds at least one whole shot, so their working set stays
+near this many draws whatever the shot count."""
 
 CUTOFF_GUARD_STEPS = 2**23
 """Half-width, in steps of 2^-53, of the band of uniforms around a
-label's cutoff that :func:`iq_discriminate` classifies through the
+class's cutoff that :func:`iq_fidelity` classifies through the
 projection itself rather than by the cutoff."""
 
 MAX_SHOT_DRAWS = 10**9
-"""Most uniforms one :func:`fidelity_budget` or :func:`iq_discriminate`
-call draws (a budget of 10^8 shots per state), so a huge
-shot count is refused instead of drawing for hours."""
+"""Most uniforms one :func:`fidelity_budget` or :func:`iq_fidelity` call
+draws for both classes together (a budget of 10^8 shots per state), so a
+huge shot count is refused instead of drawing for hours."""
 
 
 @dataclass(frozen=True)
@@ -220,12 +218,11 @@ def _check_shot_draws(n_shots: int, width: int) -> None:
 
 
 def _chunks(n_shots: int, width: int):
-    """Consecutive (rows, count) slices over n_shots shots of width draws,
-    each at most SHOT_CHUNK_DRAWS draws and at least one shot."""
+    """Shot counts of consecutive chunks over n_shots shots of width
+    draws, each at most SHOT_CHUNK_DRAWS draws and at least one shot."""
     step = max(1, SHOT_CHUNK_DRAWS // width)
     for start in range(0, n_shots, step):
-        stop = min(start + step, n_shots)
-        yield slice(start, stop), stop - start
+        yield min(step, n_shots - start)
 
 
 def _switches(qubit_excited: bool, relax, capture, dark, cfg: ProtocolConfig):
@@ -302,12 +299,12 @@ def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel | None 
     _check_shot_draws(2 * n_shots, 5)
     rng = np.random.default_rng(cfg.rng_seed)
     n_miss = n_relax = n_dark = 0
-    for _, count in _chunks(n_shots, 5):
+    for count in _chunks(n_shots, 5):
         captured, dark, relaxed = _switches(True, *rng.random((count, 5))[:, :3].T, cfg)
         miss = ~(captured | dark)
         n_miss += int(np.count_nonzero(miss))
         n_relax += int(np.count_nonzero(miss & relaxed))
-    for _, count in _chunks(n_shots, 5):
+    for count in _chunks(n_shots, 5):
         n_dark += int(np.count_nonzero(_switches(False, *rng.random((count, 5))[:, :3].T, cfg)[1]))
 
     eps_dark = n_dark / n_shots
@@ -648,20 +645,68 @@ def _cutoff_classifier(offset: float, scale: float, threshold: float):
     return hi, classify
 
 
-def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = None) -> dict:
-    """Classify IQ points by projection onto the centroid line.
+def _centroid_line(model: IqModel):
+    """(c0, c1, unit axis from c0 to c1, threshold), where the threshold
+    is the projection of the centroid midpoint onto the axis; a threshold
+    that overflows float64 raises NumericalError."""
+    c0 = np.asarray(model.centroid_0, dtype=float)
+    c1 = np.asarray(model.centroid_1, dtype=float)
+    axis = (c1 - c0) / model.separation
+    # c0 + c1 can overflow where the difference, which IqModel bounds, does not.
+    return c0, c1, axis, _overflow_checked(lambda: float((c0 + 0.5 * (c1 - c0)) @ axis))
 
-    shots may be ShotResult records (their stored iq_points and
-    switch_bits are used) or an integer label array, in which case
-    fresh shots are drawn from the model using rng (2 uniforms per shot),
-    in chunks of at most SHOT_CHUNK_DRAWS uniforms that are classified
-    and counted one by one.  More than MAX_SHOT_DRAWS uniforms raise
-    NumericalError before any is drawn.  The threshold is the projection
-    of the centroid midpoint; single_shot_fidelity is the empirical
-    correct-label rate and separation_fidelity the Gaussian-overlap
-    bound.  A threshold, point or projection that overflows float64
-    raises NumericalError; for drawn shots that is decided from the
-    model before any draw, so it does not depend on rng.
+
+def _overflow_checked(compute):
+    """compute(), with a float64 overflow in it raised as NumericalError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return compute()
+    except FloatingPointError as exc:
+        raise NumericalError(f"IQ threshold or points overflow float64: {exc}") from None
+
+
+def _report(model: IqModel, wrong: int, n_shots: int, threshold: float) -> dict:
+    """The IQ report of n_shots classified shots, wrong of them wrongly."""
+    return {
+        "single_shot_fidelity": 1.0 - wrong / n_shots,
+        "separation_fidelity": separation_fidelity(model),
+        "threshold": threshold,
+    }
+
+
+def iq_discriminate(model: IqModel, shots) -> dict:
+    """Classify ShotResult records by projecting their stored iq_points
+    onto the centroid line.
+
+    A point predicts label 1 where its projection exceeds the threshold,
+    the projection of the centroid midpoint; single_shot_fidelity is the
+    rate of predictions equal to the records' switch_bits and
+    separation_fidelity the Gaussian-overlap bound.  Empty shots raise
+    ValueError, anything but ShotResult records TypeError, and a
+    threshold or projection that overflows float64 NumericalError.
+    """
+    shots = list(shots)
+    if not shots:
+        raise ValueError("shots must be non-empty")
+    if not all(isinstance(shot, ShotResult) for shot in shots):
+        raise TypeError("shots must be ShotResult records")
+    labels = np.array([shot.switch_bit for shot in shots])
+    points = np.array([shot.iq_point for shot in shots], dtype=float)
+    _, _, axis, threshold = _centroid_line(model)
+    wrong = int(np.count_nonzero((_overflow_checked(lambda: points @ axis) > threshold) != labels))
+    return _report(model, wrong, len(shots), threshold)
+
+
+def iq_fidelity(model: IqModel, n_shots: int, rng: np.random.Generator) -> dict:
+    """Draw n_shots label-0 shots, then n_shots label-1 shots, from model
+    and classify them by projection onto the centroid line.
+
+    Returns iq_discriminate's keys over the 2 n_shots shots.  Each shot
+    draws 2 uniforms, in chunks of at most SHOT_CHUNK_DRAWS uniforms that
+    are classified and counted one by one.  Before any draw, n_shots < 1
+    raises ValueError, and more than MAX_SHOT_DRAWS uniforms for both
+    classes, or a model whose threshold or projections can overflow
+    float64, raise NumericalError; so no refusal depends on rng.
 
     A drawn shot's noise is Gaussian in a frame turned from I/Q onto the
     centroid line by at most 45 degrees.  With a the unit axis, its read
@@ -669,72 +714,28 @@ def iq_discriminate(model: IqModel, shots, rng: np.random.Generator | None = Non
     45-degree tie reads I), and a label-l shot projects to
     fl(c_l . a) + copysign(sigma, a_read) ndtri(u_read).  The other
     column is the deviate across the line: drawn, never transformed and
-    never read.  So each label's shots are classified by a cutoff on the
-    read uniform (_cutoff_classifier), found once per call with the
-    scalar _ndtri, and scipy is not imported.  For a centroid line along
-    I or Q this is the projection of the whole drawn point, float for
-    float.  A label array that is not one-dimensional raises ValueError
-    before any draw.
+    never read.  So each class's shots are classified by one cutoff on
+    the read uniform (_cutoff_classifier), found with the scalar _ndtri,
+    and scipy is not imported.  For a centroid line along I or Q this is
+    the projection of the whole drawn point, float for float.
     """
-    records = isinstance(shots, (list, tuple)) and len(shots) > 0 and isinstance(shots[0], ShotResult)
-    labels = np.array([s.switch_bit for s in shots]) if records else np.asarray(shots)
-    if labels.ndim != 1:
-        raise ValueError("labels must be a one-dimensional array")
-    if labels.size == 0:
-        raise ValueError("shots must be non-empty")
-    c0 = np.asarray(model.centroid_0, dtype=float)
-    c1 = np.asarray(model.centroid_1, dtype=float)
-    axis = (c1 - c0) / model.separation
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            # c0 + c1 can overflow where the difference, which IqModel bounds, does not.
-            threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
-            if records:
-                points = np.array([s.iq_point for s in shots], dtype=float)
-                wrong = int(np.count_nonzero((points @ axis > threshold) != labels))
-            else:
-                # Checked as given: a cast to int would truncate 0.5 to 0.
-                # Each chunk is compared as a copy: numpy compares a zero-stride
-                # label view (cli._iq's) about 20 times slower than the copy costs.
-                n_ones = 0
-                for rows, _ in _chunks(labels.size, 1):
-                    part = labels[rows].copy()
-                    if np.any((part != 0) & (part != 1)):
-                        raise ValueError("labels must be 0 or 1")
-                    n_ones += int(np.count_nonzero(part))
-                if rng is None:
-                    raise ValueError("an rng is required to draw points for label input")
-                _check_shot_draws(labels.size, 2)
-                read = int(abs(axis[1]) > abs(axis[0]))
-                scale = math.copysign(model.sigma, axis[read])
-                offsets = [float(c0 @ axis), float(c1 @ axis)]
-                # A normal deviate of a nonzero float64 uniform is at most 8.21
-                # in magnitude, so no projection reaches past these bounds.
-                # Generator.random also draws 0.0 (probability 2^-53), whose
-                # deviate is -inf: a projection at -inf or +inf, which is
-                # classified.
-                if not all(math.isfinite(abs(offset) + 8.25 * model.sigma) for offset in offsets):
-                    raise NumericalError("IQ projections this model can draw overflow float64")
-                # Bool labels: numpy compares a bool array with an int about
-                # five times slower than with a bool.
-                counts = ((False, labels.size - n_ones), (True, n_ones))
-                by_cutoff = {
-                    label: _cutoff_classifier(offsets[label], scale, threshold)[1] for label, n in counts if n
-                }
-                wrong = 0
-                for rows, count in _chunks(labels.size, 2):
-                    part = labels[rows].copy()
-                    u = rng.random((count, 2))[:, read]
-                    ones = int(np.count_nonzero(part))
-                    for label, n in ((False, count - ones), (True, ones)):
-                        if n:
-                            predicted = by_cutoff[label](u if n == count else u[part == label])
-                            wrong += int(np.count_nonzero(predicted != label))
-    except FloatingPointError as exc:
-        raise NumericalError(f"IQ threshold or points overflow float64: {exc}") from None
-
-    return {
-        "single_shot_fidelity": 1.0 - wrong / labels.size,
-        "separation_fidelity": separation_fidelity(model),
-        "threshold": threshold,
-    }
+    if n_shots < 1:
+        raise ValueError("n_shots must be positive")
+    _check_shot_draws(2 * n_shots, 2)
+    c0, c1, axis, threshold = _centroid_line(model)
+    offsets = [float(c0 @ axis), float(c1 @ axis)]
+    # A normal deviate of a nonzero float64 uniform is at most 8.21 in
+    # magnitude, so no projection reaches past these bounds.
+    # Generator.random also draws 0.0 (probability 2^-53), whose deviate
+    # is -inf: a projection at -inf or +inf, which is classified.
+    if not all(math.isfinite(abs(offset) + 8.25 * model.sigma) for offset in offsets):
+        raise NumericalError("IQ projections this model can draw overflow float64")
+    read = int(abs(axis[1]) > abs(axis[0]))
+    scale = math.copysign(model.sigma, axis[read])
+    wrong = 0
+    for label, offset in enumerate(offsets):
+        classify = _cutoff_classifier(offset, scale, threshold)[1]
+        for count in _chunks(n_shots, 2):
+            ones = int(np.count_nonzero(classify(rng.random((count, 2))[:, read])))
+            wrong += count - ones if label else ones
+    return _report(model, wrong, 2 * n_shots, threshold)

@@ -190,7 +190,9 @@ def synthesize_tomogram(
     elif noise_sigma is not None:
         if rng is None:
             raise ValueError("Gaussian noise requires an rng")
-        surface = np.clip(surface + noise_sigma * rng.standard_normal(surface.shape), 0.0, 1.0)
+        # Noise past float64 is +-inf with no warning, which the clip saturates at 0 or 1.
+        with np.errstate(over="ignore"):
+            surface = np.clip(surface + noise_sigma * rng.standard_normal(surface.shape), 0.0, 1.0)
 
     return TomogramGrid(angles, durations, surface)
 

@@ -29,7 +29,7 @@ from jpmsim.protocol import (
     ProtocolConfig,
     depletion_recovery,
     fidelity_budget,
-    iq_discriminate,
+    iq_fidelity,
     relaxation_error,
     separation_fidelity,
 )
@@ -242,8 +242,7 @@ def test_iq_discrimination_fidelity():
     # Empirical single-shot fidelity over 10^5 labelled draws stays
     # inside three binomial standard deviations of the prediction.
     n = 100_000
-    labels = np.concatenate([np.zeros(n // 2, dtype=int), np.ones(n // 2, dtype=int)])
-    out = iq_discriminate(model, labels, rng=np.random.default_rng(6))
+    out = iq_fidelity(model, n // 2, np.random.default_rng(6))
     assert abs(out["single_shot_fidelity"] - analytic) < 3.0 * math.sqrt(
         analytic * (1.0 - analytic) / n
     )

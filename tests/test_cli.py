@@ -236,6 +236,19 @@ def test_config_file_and_precedence(tmp_path):
     assert cfg.get("protocol.t1") == 6.6e-6
 
 
+def test_override_value_keeps_its_hash(tmp_path):
+    # '#' starts a comment in a config file only: an override's value is
+    # everything after its first '=', for a path read and a path written.
+    out = tmp_path / "out#1"
+    code, synth = run_subcommand("tomo-synth", overrides=(f"output.directory={out}",))
+    assert code == 0 and synth == [out / ARTIFACTS["tomo-synth"]]
+    tomogram = tmp_path / "x#y.csv"
+    synth[0].rename(tomogram)
+    code, fit = run_subcommand("tomo-fit", overrides=(f"tomo.input={tomogram}", f"output.directory={out}"))
+    assert code == 0 and fit == [out / ARTIFACTS["tomo-fit"]]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out#1", "x#y.csv"]
+
+
 def test_config_file_duplicate_key(tmp_path):
     doc = tmp_path / "dup.cfg"
     doc.write_text("protocol.t_prep = 500ns\nprotocol.t_prep = 600ns\n")
@@ -1221,6 +1234,21 @@ def test_no_package_module_imports_scipy():
     assert found == []
 
 
+def test_no_package_module_imports_a_private_name_of_another():
+    # A module's underscore names are its own: no module of the package
+    # imports one from another, at any depth, function bodies included.
+    # Dunder names such as __version__ are public.
+    found = []
+    paths = sorted(Path(jpmsim.__file__).parent.glob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "jpmsim"):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert {path.stem for path in paths} >= {"cli", "config", "potential", "protocol", "tomography", "transfer"}
+    assert found == []
+
+
 def test_output_directory_resolution(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     cfg_dir = tmp_path / "from_cfg"
@@ -1506,10 +1534,10 @@ def test_table_compute_memory_is_bounded(name, override):
 
 
 def test_iq_memory_is_flat_in_shot_count():
-    # Each class is drawn on a zero-stride view of its label, so the
-    # tracemalloc peak at 2e6 shots per class stays within 2 MB of that at
-    # 5e4: about 3.7 against 2.1 MB.  The whole 2 n-entry label array
-    # peaked at 7.7 MB there.  A first run loads jpmsim.protocol untraced.
+    # iq_fidelity holds one chunk of draws at a time and no label array,
+    # so the tracemalloc peak at 2e6 shots per class stays within 2 MB of
+    # that at 5e4: about 1.6 against 1.2 MB.  A first run loads
+    # jpmsim.protocol untraced.
     compute = jpmsim.cli._SUBCOMMANDS["iq"].compute
     compute(RunConfig.from_sources(overrides=("iq.n_shots=10",)))
     peaks = []

@@ -32,6 +32,7 @@ from jpmsim.protocol import (
     depletion_recovery,
     fidelity_budget,
     iq_discriminate,
+    iq_fidelity,
     rabi_chevron,
     ramsey_fringe,
     relaxation_error,
@@ -200,6 +201,7 @@ def _reference_points_predictions(model, labels, uniforms):
 def _reference_iq(model, labels, rng, predictions=_reference_predictions):
     # Reference: the whole-array label path, which draws every shot's
     # uniforms at once and classifies all shots with a mean of bools.
+    # iq_fidelity(model, n, rng) is this path on labels np.repeat([0, 1], n).
     labels = np.asarray(labels)
     predicted, threshold = predictions(model, labels, rng.random((labels.size, 2)))
     predicted = predicted.astype(int)
@@ -236,18 +238,13 @@ def _off_axis_models():
     ]
 
 
-def _assert_matches_reference(model, n, seed):
-    # Shuffled labels and both single-class sets, each given as int, float
-    # and bool: the same bits as the reference on the same stream, and the
-    # generator left where the reference leaves it.
-    mixed = np.random.default_rng(n).integers(0, 2, n)
-    for labels in (mixed, np.zeros(n, dtype=int), np.ones(n, dtype=int)):
-        ref = np.random.default_rng(seed)
-        want = _reference_iq(model, labels, ref)
-        for dtype in (int, float, bool):
-            rng = np.random.default_rng(seed)
-            _assert_same_iq(iq_discriminate(model, labels.astype(dtype), rng), want)
-            assert rng.bit_generator.state == ref.bit_generator.state
+def _assert_matches_reference(model, n, seed, predictions=_reference_predictions):
+    # n shots of each class: the same bits as the reference on the labels
+    # np.repeat([0, 1], n) from the same stream, and the generator left
+    # where the reference leaves it.
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    _assert_same_iq(iq_fidelity(model, n, rng), _reference_iq(model, np.repeat([0, 1], n), ref, predictions))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _assert_same_iq(got, want):
@@ -257,11 +254,10 @@ def _assert_same_iq(got, want):
 
 
 def test_iq_discriminate_matches_reference_batch():
-    # One shot, a few, one more than a chunk, and several chunks plus a
-    # remainder, with shuffled and single-class labels given as int, float
-    # and bool.  Every model classifies by a cutoff on the read uniform,
-    # and must give the same bits as the ndtri reference and leave the
-    # generator where it does.
+    # iq_fidelity at one shot per class, a few, one more than a chunk, and
+    # several chunks plus a remainder.  Every model classifies by a cutoff
+    # on the read uniform, and must give the same bits as the ndtri
+    # reference and leave the generator where it does.
     off_axis = IqModel(centroid_0=(0.2, -0.3), centroid_1=(1.1, 0.4), sigma=0.45)
     rows = SHOT_CHUNK_DRAWS // 2
     for n in (1, 5, rows + 1, 3 * rows + 123):
@@ -275,14 +271,12 @@ def test_one_shot_chunks_match_default_chunking(monkeypatch):
     # aligned one, against the reference as in the default chunking.
     cfg = ProtocolConfig(relaxation_override=0.3, bright_detect_prob=0.9, dark_prob=0.1, rng_seed=3)
     model = IqModel(centroid_1=(1.0, 0.5), sigma=0.4)
-    labels = np.random.default_rng(2).integers(0, 2, 1000)
     want_budget = fidelity_budget(cfg, 10_000)
-    want_iq = iq_discriminate(model, labels, np.random.default_rng(5))
+    want_iq = iq_fidelity(model, 500, np.random.default_rng(5))
     monkeypatch.setattr(jpmsim.protocol, "SHOT_CHUNK_DRAWS", 1)
     assert fidelity_budget(cfg, 10_000) == want_budget == _reference_budget(cfg, 10_000)
-    got_iq = iq_discriminate(model, labels, np.random.default_rng(5))
-    _assert_same_iq(got_iq, want_iq)
-    _assert_same_iq(got_iq, _reference_iq(model, labels, np.random.default_rng(5)))
+    _assert_same_iq(iq_fidelity(model, 500, np.random.default_rng(5)), want_iq)
+    _assert_matches_reference(model, 500, 5)
     for aligned in _aligned_models():
         _assert_matches_reference(aligned, 300, 5)
     assert all(type(value) is float for value in want_budget.values())
@@ -303,7 +297,7 @@ class _BlockRng:
 
 def _classifier(model, label):
     # _cutoff_classifier's (K, classify) for one label of model, as
-    # iq_discriminate builds it, and the read column.
+    # iq_fidelity builds it, and the read column.
     c0, c1, axis = _unit_axis(model)
     threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
     read = int(abs(axis[1]) > abs(axis[0]))
@@ -316,8 +310,9 @@ def _assert_cutoff_matches_ndtri_near_cutoff(model):
     # Every uniform within 2^12 grid steps of each class's cutoff, and both
     # edges of its guard band with their outer neighbours, per row against
     # the ndtri reference, and on the I or Q axis also against the
-    # whole-point reference; then the same block through iq_discriminate
-    # from a stand-in generator, against the reference on the same block.
+    # whole-point reference; then the same block as that class's shots
+    # through iq_fidelity from a stand-in generator, with seeded rows as
+    # the other class's, against the reference on the same rows.
     # Returns the ndtri reference's predictions in step order, per class.
     guard = jpmsim.protocol.CUTOFF_GUARD_STEPS
     predictions = []
@@ -336,8 +331,11 @@ def _assert_cutoff_matches_ndtri_near_cutoff(model):
         if step < 2**53:
             # The ndtri reference itself turns between the cutoff and the step below it.
             assert want[steps == step - 1] != want[steps == step]
+        other = np.random.default_rng(2 + label).random(block.shape)
+        both = np.concatenate([other, block] if label else [block, other])
         _assert_same_iq(
-            iq_discriminate(model, labels, _BlockRng(block)), _reference_iq(model, labels, _BlockRng(block))
+            iq_fidelity(model, steps.size, _BlockRng(both)),
+            _reference_iq(model, np.repeat([0, 1], steps.size), _BlockRng(both)),
         )
         predictions.append(want)
     return predictions
@@ -425,17 +423,14 @@ def _random_aligned_models(n, seed):
 
 def test_cutoff_path_matches_ndtri_path_on_random_aligned_models():
     # The fast path against the slow ones it replaces: every field of
-    # iq_discriminate by its bits and the generator state after, against
+    # iq_fidelity by its bits and the generator state after, against
     # the along-line and the whole-point scipy ndtri references; and each
     # class's bisection step K is a turn of both, which predict
     # differently at K - 1 and at K (at u = 1 when K is 2^53).
     for i, model in enumerate(_random_aligned_models(100, 7)):
         assert 0.0 in _unit_axis(model)[2], model
-        labels = np.random.default_rng(i).integers(0, 2, 1000)
         for predictions in (_reference_predictions, _reference_points_predictions):
-            rng, ref = np.random.default_rng(100 + i), np.random.default_rng(100 + i)
-            _assert_same_iq(iq_discriminate(model, labels, rng), _reference_iq(model, labels, ref, predictions))
-            assert rng.bit_generator.state == ref.bit_generator.state
+            _assert_matches_reference(model, 500, 100 + i, predictions)
         for label in (0, 1):
             step, _, read = _classifier(model, label)
             rows = np.full((2, 2), 0.5)
@@ -479,7 +474,7 @@ def test_a_zero_uniform_is_classified_or_refused_by_path():
     # multiply -inf by the zero axis component.
     aligned = IqModel(sigma=0.3)
     off_axis = IqModel(centroid_1=(1.0, 0.5), sigma=0.3)
-    labels = np.array([0, 1, 1, 0])
+    labels = np.repeat([0, 1], 2)
     block = np.random.default_rng(3).random((4, 2))
     block[1:3, 0] = 0.0
     unread = block.copy()
@@ -487,14 +482,10 @@ def test_a_zero_uniform_is_classified_or_refused_by_path():
     finite = block.copy()
     finite[1:3, 1] = 0.5
     for model in (aligned, off_axis):
-        _assert_same_iq(
-            iq_discriminate(model, labels, _BlockRng(block)), _reference_iq(model, labels, _BlockRng(block))
-        )
-        _assert_same_iq(
-            iq_discriminate(model, labels, _BlockRng(unread)), _reference_iq(model, labels, _BlockRng(finite))
-        )
+        _assert_same_iq(iq_fidelity(model, 2, _BlockRng(block)), _reference_iq(model, labels, _BlockRng(block)))
+        _assert_same_iq(iq_fidelity(model, 2, _BlockRng(unread)), _reference_iq(model, labels, _BlockRng(finite)))
     _assert_same_iq(
-        iq_discriminate(aligned, labels, _BlockRng(block)),
+        iq_fidelity(aligned, 2, _BlockRng(block)),
         _reference_iq(aligned, labels, _BlockRng(block), _reference_points_predictions),
     )
 
@@ -505,13 +496,12 @@ def test_off_axis_models_reach_separation_fidelity():
     # separation_fidelity: within 5 standard errors at 4e5 shots.  The
     # generator ends where one draw of every shot's 2 uniforms leaves it.
     n = 400_000
-    labels = np.repeat(np.array([0, 1]), n // 2)
     models = _off_axis_models()
     assert _unit_axis(models[4])[2][0] == _unit_axis(models[4])[2][1]
     for i, model in enumerate(models):
         assert 0.0 not in _unit_axis(model)[2], model
         rng, ref = np.random.default_rng(40 + i), np.random.default_rng(40 + i)
-        got = iq_discriminate(model, labels, rng)["single_shot_fidelity"]
+        got = iq_fidelity(model, n // 2, rng)["single_shot_fidelity"]
         ref.random((n, 2))
         assert rng.bit_generator.state == ref.bit_generator.state
         want = separation_fidelity(model)
@@ -529,18 +519,14 @@ def _traced_peak_mb(call):
 
 def test_shot_paths_memory_is_flat_in_shot_count():
     # The tracemalloc peak of a 4e6-shot call stays near that of a
-    # 1e5-shot one: only a chunk of draws is held at a time.  The iq
-    # labels are built outside the traced region.
+    # 1e5-shot one: only a chunk of draws is held at a time.
     cfg = ProtocolConfig()
     small, large = (_traced_peak_mb(lambda: fidelity_budget(cfg, n)) for n in (100_000, 4_000_000))
     assert large < 10.0 and large < 2.0 * small
     # The default model and an off-axis one.
     for model in (DEFAULT_IQ_MODEL, IqModel(centroid_1=(1.0, 0.5), sigma=0.4)):
-        peaks = []
-        for n in (100_000, 4_000_000):
-            labels = np.repeat(np.array([0, 1], dtype=np.int8), n // 2)
-            peaks.append(_traced_peak_mb(lambda: iq_discriminate(model, labels, np.random.default_rng(1))))
-        small, large = peaks
+        small, large = (_traced_peak_mb(lambda: iq_fidelity(model, n // 2, np.random.default_rng(1)))
+                        for n in (100_000, 4_000_000))
         assert large < 10.0 and large < 2.0 * small
 
 
@@ -837,8 +823,7 @@ def test_iq_model_validation():
 def test_iq_discriminate_within_binomial_errors():
     model = IqModel(centroid_0=(0.0, 0.0), centroid_1=(1.0, 0.0), sigma=0.35)
     n = 50_000
-    labels = np.concatenate([np.zeros(n, dtype=int), np.ones(n, dtype=int)])
-    out = iq_discriminate(model, labels, rng=np.random.default_rng(7))
+    out = iq_fidelity(model, n, np.random.default_rng(7))
     pred = separation_fidelity(model)
     sigma = math.sqrt(pred * (1.0 - pred) / (2.0 * n))
     assert out["separation_fidelity"] == pytest.approx(pred, rel=1e-12)
@@ -852,8 +837,7 @@ def test_iq_discriminate_far_apart_centroids():
     # normalised by the hypot separation, so d / sigma = 1e10 still
     # classifies every point correctly.
     model = IqModel(centroid_1=(1e200, 0.0), sigma=1e190)
-    labels = np.concatenate([np.zeros(1000, dtype=int), np.ones(1000, dtype=int)])
-    out = iq_discriminate(model, labels, rng=np.random.default_rng(7))
+    out = iq_fidelity(model, 1000, np.random.default_rng(7))
     assert out["single_shot_fidelity"] == 1.0
     assert out["threshold"] == 5e199
 
@@ -870,9 +854,8 @@ def test_iq_discriminate_far_apart_centroids():
 )
 def test_iq_discriminate_overflow_is_numerical_error(centroid_0, centroid_1, sigma):
     model = IqModel(centroid_0=centroid_0, centroid_1=centroid_1, sigma=sigma)
-    labels = np.repeat([0, 1], 1000)
     with pytest.raises(NumericalError, match="overflow"):
-        iq_discriminate(model, labels, rng=np.random.default_rng(7))
+        iq_fidelity(model, 1000, np.random.default_rng(7))
 
 
 def test_iq_discriminate_overflow_refusal_does_not_depend_on_draws():
@@ -883,7 +866,7 @@ def test_iq_discriminate_overflow_refusal_does_not_depend_on_draws():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         with pytest.raises(NumericalError, match="overflow"):
-            iq_discriminate(model, np.array([1]), rng=rng)
+            iq_fidelity(model, 1, rng)
         assert rng.random() == np.random.default_rng(seed).random()
 
 
@@ -900,41 +883,43 @@ def test_iq_discriminate_consumes_shot_results():
 
 def test_iq_discriminate_reproducible():
     model = DEFAULT_IQ_MODEL
-    labels = np.concatenate([np.zeros(500, dtype=int), np.ones(500, dtype=int)])
-    a = iq_discriminate(model, labels, rng=np.random.default_rng(3))
-    b = iq_discriminate(model, labels, rng=np.random.default_rng(3))
+    a = iq_fidelity(model, 500, np.random.default_rng(3))
+    b = iq_fidelity(model, 500, np.random.default_rng(3))
     assert a == b
 
 
-def test_iq_discriminate_rejects_labels_other_than_0_and_1():
-    # Fractional labels are refused as given, not truncated to 0 or 1.
-    rng = np.random.default_rng(3)
-    for labels in ([0.5, 0.9, 1.7], np.array([0.0, 1.0, 0.5]), [0, 1, 2], [-1, 0, 1]):
-        with pytest.raises(ValueError, match="0 or 1"):
-            iq_discriminate(DEFAULT_IQ_MODEL, labels, rng=rng)
-    # Float and bool labels that are exactly 0 and 1 classify as ints do.
-    ints = np.array([0, 1, 1, 0])
-    want = iq_discriminate(DEFAULT_IQ_MODEL, ints, rng=np.random.default_rng(4))
-    for same in (ints.astype(float), ints.astype(bool)):
-        assert iq_discriminate(DEFAULT_IQ_MODEL, same, rng=np.random.default_rng(4)) == want
+@pytest.mark.parametrize(
+    "n_shots, model, error",
+    [
+        (0, DEFAULT_IQ_MODEL, ValueError),
+        (-3, DEFAULT_IQ_MODEL, ValueError),
+        (jpmsim.protocol.MAX_SHOT_DRAWS // 4 + 1, DEFAULT_IQ_MODEL, NumericalError),
+        (10, IqModel(centroid_1=(1.79e308, 0.0), sigma=1e306), NumericalError),
+    ],
+    ids=["zero", "negative", "above-draw-bound", "overflow"],
+)
+def test_iq_fidelity_refusals_leave_the_generator_unchanged(n_shots, model, error):
+    # No shot count or model is refused after a draw: 4 n_shots uniforms
+    # one past MAX_SHOT_DRAWS, for both classes together, is refused at once.
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        iq_fidelity(model, n_shots, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize(
-    "model", [DEFAULT_IQ_MODEL, IqModel(centroid_1=(1.0, 0.5), sigma=0.4)], ids=["aligned", "off-axis"]
+    "shots, error",
+    [([], ValueError), ((), ValueError), (np.array([0, 1]), TypeError), ([0, 1], TypeError),
+     ([ShotResult(1, "dark_count", (1.0, 0.0)), (0.0, 0.0)], TypeError), (7, TypeError)],
+    ids=["empty-list", "empty-tuple", "label-array", "label-list", "mixed", "not-iterable"],
 )
-def test_iq_discriminate_refuses_labels_that_are_not_one_dimensional(model):
-    # Mixed labels once raised IndexError (aligned) or a broadcast error
-    # (off-axis), single-class ones classified all six entries as shots,
-    # and a 0-d label raised TypeError from len.  Each is refused before
-    # any draw.
-    for labels in (
-        np.array([[0, 1, 1], [1, 0, 0]]), np.zeros((2, 3), int), np.ones((3, 1), int), np.int8(1), np.array(1)
-    ):
-        rng = np.random.default_rng(1)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="one-dimensional"):
-            iq_discriminate(model, labels, rng)
-        assert rng.bit_generator.state == state
+def test_iq_discriminate_refuses_anything_but_shot_records(shots, error):
+    # One line, of the documented type, and no AttributeError from a
+    # label that has no switch_bit.
+    with pytest.raises(error) as caught:
+        iq_discriminate(DEFAULT_IQ_MODEL, shots)
+    assert type(caught.value) is error and "\n" not in str(caught.value)
 
 
 def test_protocol_config_validation():

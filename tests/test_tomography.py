@@ -172,6 +172,18 @@ def test_synthesize_argument_validation():
         synthesize_tomogram(RHO_PREPARED, 50e-9, thetas, times, noise_sigma=-0.05, rng=np.random.default_rng(1))
 
 
+def test_saturated_gaussian_noise_clips_without_a_warning():
+    # At noise_sigma = 1e308 sigma times a deviate beyond 1.8 overflows
+    # float64.  Each cell saturates at the clip, 1 for a positive deviate
+    # and 0 for a negative one, with no overflow warning (an error under
+    # this suite's filterwarnings).
+    thetas, times = standard_grid(50e-9)
+    grid = synthesize_tomogram(RHO_PREPARED, 50e-9, thetas, times, noise_sigma=1e308, rng=np.random.default_rng(3))
+    deviates = np.random.default_rng(3).standard_normal(grid.occupations.shape)
+    assert np.max(np.abs(deviates)) > 1.8
+    assert np.array_equal(grid.occupations, (deviates > 0.0).astype(float))
+
+
 def test_fit_noiseless_round_trip_named():
     for rho, phi in ((DensityMatrix2(0.09, 0.02, 0.0), 0.0), (DensityMatrix2(0.69, 0.01, 1.2), 1.2)):
         t_pi = 50e-9
