@@ -7,12 +7,14 @@ into the output directory.  _SUBCOMMANDS describes each subcommand
 once: its compute function, artifact stem, column header and help
 text.  Each compute function imports the physics names it calls, so a
 subcommand loads only its own layer.  A table's compute function
-returns its columns (numpy arrays or lists, in header order), and
-_write encodes them a block of WRITE_BLOCK_ROWS rows at a time, one
-%-template per row, so the table's text is never whole in memory.
-Outputs are byte-stable for a fixed config and seed: fixed column
-orders, 12-significant-digit decimals for float columns in CSV, and
-newline-terminated JSON with insertion-ordered keys.
+returns its columns (numpy arrays or lists, in header order) of
+floats, ints or plain text labels, and _write encodes them a block of
+WRITE_BLOCK_ROWS rows at a time, one %-template per row, so the
+table's text is never whole in memory.  Header names and labels are
+written verbatim.  Outputs are byte-stable for a fixed config and
+seed: fixed column orders, 12-significant-digit decimals for float
+columns in CSV, and newline-terminated JSON with insertion-ordered
+keys.
 
 Exit codes: 0 success, 2 config error, 3 numerical/identifiability
 error, 4 I/O error.
@@ -22,14 +24,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 import tempfile
 from collections.abc import Callable
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -57,34 +57,11 @@ WRITE_BLOCK_ROWS = 2**12
 many rows whatever the table's length."""
 
 
-def _csv_quoter(width: int) -> Callable[[str], str]:
-    """csv.writer's text of one field in a row of width fields, minimally quoted."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-
-    def quote(value: str) -> str:
-        out.seek(0)
-        out.truncate()
-        # A lone empty field is quoted and one among others is not, so
-        # the field is written in a row of the table's own width.
-        writer.writerow((value, "") if width > 1 else (value,))
-        return out.getvalue()[:-1].removesuffix(",")
-
-    return quote
-
-
 def _json_floats(part: np.ndarray) -> list:
     values = part.tolist()
     for i in np.flatnonzero(~np.isfinite(part)).tolist():
         values[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
     return values
-
-
-def _encoded(part: np.ndarray, encode: Callable[[object], str]) -> list:
-    """The encodings of part's values, each distinct value encoded once."""
-    values = part.tolist()
-    encoded = {value: encode(value) for value in set(values)}
-    return list(map(encoded.__getitem__, values))
 
 
 def _block_text(columns, start: int, prepare, template: str, separator: str) -> str:
@@ -101,16 +78,17 @@ def _block_text(columns, start: int, prepare, template: str, separator: str) -> 
 def _table_text(header, columns: list[np.ndarray], as_csv: bool):
     """The artifact text of a table: its head, each block of rows, its tail.
 
-    Each block of WRITE_BLOCK_ROWS rows is encoded by _block_text.  CSV
-    prints a float with %.12g, an int with %s, a bool as true or false
-    and a string with csv.writer's minimal quoting; JSON gives what
-    json.dump(rows, indent=2) gives for a list of one dict per row.
+    Each block of WRITE_BLOCK_ROWS rows is encoded by _block_text.  A
+    column holds floats, ints or plain text labels, and a header name or
+    label needs no quoting or escaping, so both are written verbatim.
+    CSV prints a float with %.12g and anything else with %s; JSON gives
+    what json.dump(rows, indent=2) gives for a list of one dict per row.
     """
     rows = min((len(column) for column in columns), default=0)
     kinds = [column.dtype.kind for column in columns]
+    prepare = [_json_floats if kind == "f" and not as_csv else np.ndarray.tolist for kind in kinds]
     if as_csv:
-        quote = _csv_quoter(len(header))
-        yield ",".join(map(quote, header)) + "\n"
+        yield ",".join(header) + "\n"
         template = ",".join("%.12g" if kind == "f" else "%s" for kind in kinds) + "\n"
         separator = ""
     elif rows == 0:
@@ -119,17 +97,12 @@ def _table_text(header, columns: list[np.ndarray], as_csv: bool):
     else:
         yield "[\n"
         # A key is text of the template, so its own % signs are escaped.
-        fields = (json.dumps(key).replace("%", "%%") + ": %s" for key, _ in zip(header, columns))
+        fields = (
+            json.dumps(key).replace("%", "%%") + (": %s" if kind in "fiu" else ': "%s"')
+            for key, kind in zip(header, kinds)
+        )
         template = "  {\n    " + ",\n    ".join(fields) + "\n  }"
         separator = ",\n"
-    prepare = []
-    for kind in kinds:
-        if kind in "iu" or kind == "f" and as_csv:
-            prepare.append(np.ndarray.tolist)
-        elif kind == "f":
-            prepare.append(_json_floats)
-        else:
-            prepare.append(partial(_encoded, encode=quote if as_csv and kind != "b" else json.dumps))
     for start in range(0, rows, WRITE_BLOCK_ROWS):
         text = _block_text(columns, start, prepare, template, separator)
         yield separator + text if start else text
@@ -497,11 +470,12 @@ def _tomo_fit(cfg: RunConfig) -> dict:
 class _Subcommand(NamedTuple):
     """One subcommand: compute(cfg) gives the columns under header, or a record when header is None.
 
-    Columns are numpy arrays or lists of floats, ints, bools or strings,
-    in header order.  _write encodes them in blocks of rows: in CSV a
-    float as %.12g, an int as %s, a bool as true or false and a string
-    quoted as csv.writer would; in JSON as json.dump(rows, indent=2)
-    would, one dict per row.
+    Columns are numpy arrays or lists of floats, ints or plain text
+    labels, in header order; header names and labels hold no comma,
+    quote, backslash, line break or non-ASCII character.  _write encodes
+    them in blocks of rows: in CSV a float as %.12g and an int or label
+    as %s, verbatim; in JSON as json.dump(rows, indent=2) would, one
+    dict per row.
     """
 
     compute: Callable[[RunConfig], tuple | dict]

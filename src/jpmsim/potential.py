@@ -127,8 +127,9 @@ class WellSweep:
         "left" or "right" for a double well, "global" for a sole well.
         Interior minima of landscapes with more than two wells are
         labeled "interior".
-    bounded:
-        False when the well is the only minimum and has no barrier.
+
+    A well is unbounded exactly when it is the only one at its flux
+    (``well_count == 1``).
     """
 
     flux_index: np.ndarray
@@ -139,15 +140,19 @@ class WellSweep:
     plasma_frequency: np.ndarray
     level_count: np.ndarray
     well_label: np.ndarray
-    bounded: np.ndarray
 
 
 def _phase_bias(external_flux, p: JpmParams):
     return 2.0 * math.pi * external_flux / p.flux_quantum
 
 
+def _inductive_energy(p: JpmParams) -> float:
+    """(Phi0 / 2 pi)^2 / L_g in joules: the curvature of U's quadratic term."""
+    return (p.flux_quantum / (2.0 * math.pi)) ** 2 / p.loop_inductance
+
+
 def _energy(delta, phi_e, p: JpmParams):
-    quad_scale = (p.flux_quantum / (2.0 * math.pi)) ** 2 / (2.0 * p.loop_inductance)
+    quad_scale = 0.5 * _inductive_energy(p)
     # float_power squares with the C library's pow, as a float64 scalar's
     # ** does, where an array's ** 2 multiplies: this way one phase and an
     # array of phases give the same bits.
@@ -162,8 +167,7 @@ def potential_curvature(delta, p: JpmParams):
     Independent of the applied flux: the quadratic term contributes the
     constant (Phi0 / 2 pi)^2 / L_g.
     """
-    quad = (p.flux_quantum / (2.0 * math.pi)) ** 2 / p.loop_inductance
-    return p.josephson_energy * np.cos(delta) + quad
+    return p.josephson_energy * np.cos(delta) + _inductive_energy(p)
 
 
 def beta_L(p: JpmParams) -> float:
@@ -393,7 +397,7 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
     ``fluxes`` is a one-dimensional array of applied fluxes in webers.
     For each minimum the barrier height is measured to the lowest
     adjacent maximum (the escape barrier).  A landscape with a single
-    minimum has no barrier: the well is flagged unbounded and labeled
+    minimum has no barrier: the well is unbounded and labeled
     "global"; otherwise minima are "left", "right" or, between them,
     "interior".  Returns one :class:`WellSweep` for the whole sweep.
 
@@ -411,7 +415,6 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
     start, stop = offsets[flux_of[j]], offsets[flux_of[j] + 1]
     height = np.full(j.size, math.inf)
     barrier = np.full(j.size, math.nan)
-    bounded = np.zeros(j.size, dtype=bool)
     # The left maximum first, the right one only if lower by more than the
     # rounding of both energies.  An energy is good to a few ulp of
     # E_J + |U| (its cosine term is at most E_J, its quadratic term at most
@@ -426,7 +429,13 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
         height = np.where(lower, side_height, height)
         barrier = np.where(lower, roots[side], barrier)
         tie = np.where(lower, slack[side], tie)
-        bounded |= lower
+
+    well_index = flux_of[j]
+    wells = np.bincount(well_index, minlength=phi_e.size)
+    position = np.arange(j.size) - (np.cumsum(wells) - wells)[well_index]
+    count = wells[well_index]
+    # A sole well has no adjacent maximum; every other well has one.
+    bounded = count > 1
     omega = plasma_frequency(roots[j], p)
     quantum = HBAR * omega[bounded]
     if (quantum == 0.0).any():
@@ -434,11 +443,6 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
     level_count = np.full(j.size, math.inf)
     with np.errstate(over="ignore"):
         level_count[bounded] = height[bounded] / quantum
-
-    well_index = flux_of[j]
-    wells = np.bincount(well_index, minlength=phi_e.size)
-    position = np.arange(j.size) - (np.cumsum(wells) - wells)[well_index]
-    count = wells[well_index]
     label = np.select(
         [count == 1, position == 0, position == count - 1],
         ["global", "left", "right"],
@@ -453,7 +457,6 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
         plasma_frequency=omega,
         level_count=level_count,
         well_label=label,
-        bounded=bounded,
     )
 
 

@@ -211,7 +211,7 @@ def test_well_report_half_flux():
     wells = well_report_sweep([flux], DEFAULT_PARAMS)
     assert wells.minimum_phase.size == 2
     assert wells.well_label.tolist() == ["left", "right"]
-    assert wells.bounded.all()
+    assert (wells.well_count == 2).all()
     phase, height, omega, levels = (
         getattr(wells, name).tolist()
         for name in ("minimum_phase", "barrier_height", "plasma_frequency", "level_count")
@@ -237,7 +237,7 @@ def test_well_report_single_well_unbounded():
     wells = well_report_sweep([0.0], DEFAULT_PARAMS)
     assert wells.minimum_phase.size == 1
     assert wells.well_label[0] == "global"
-    assert not wells.bounded[0]
+    assert wells.well_count[0] == 1
     assert math.isnan(wells.barrier_phase[0])
     assert math.isinf(wells.barrier_height[0])
     assert math.isinf(wells.level_count[0])
@@ -550,7 +550,7 @@ def _one_flux_extrema(fluxes, p: JpmParams):
 def _well_rows(wells):
     # One tuple per well.  An unbounded well's NaN barrier phase reads
     # None, so that rows compare with ==.
-    barrier = [b if bounded else None for b, bounded in zip(wells.barrier_phase.tolist(), wells.bounded.tolist())]
+    barrier = [b if count > 1 else None for b, count in zip(wells.barrier_phase.tolist(), wells.well_count.tolist())]
     return list(
         zip(
             wells.flux_index.tolist(),
@@ -561,7 +561,6 @@ def _well_rows(wells):
             wells.plasma_frequency.tolist(),
             wells.level_count.tolist(),
             wells.well_label.tolist(),
-            wells.bounded.tolist(),
         )
     )
 
