@@ -156,10 +156,17 @@ def _linspace(start: float, stop: float, points: int, key: str) -> np.ndarray:
     return values
 
 
-def _require_nonempty(values, key: str):
+def _require_nonempty(cfg: RunConfig, key: str):
+    values = cfg.get(key)
     if len(values) == 0:
         raise ConfigError(f"{key} is an empty sweep list")
     return values
+
+
+def _time_axis(cfg: RunConfig, section: str, name: str) -> np.ndarray:
+    """0 to {section}.{name}_stop in {section}.{name}_points steps; errors name the points key."""
+    points = f"{section}.{name}_points"
+    return _linspace(0.0, cfg.get(f"{section}.{name}_stop"), cfg.get(points), points)
 
 
 def _grid_columns(row_values: np.ndarray, col_values: np.ndarray, matrix: np.ndarray) -> tuple:
@@ -283,51 +290,40 @@ def _budget(cfg: RunConfig) -> dict:
     return record
 
 
+def _detector_grid(
+    cfg: RunConfig, section: str, axis: str, sweep: Callable[..., np.ndarray], **options
+) -> tuple:
+    """(detuning, time, switch probability) columns of sweep over {section}.detunings and its time axis.
+
+    Reads the protocol config, {section}.detunings, {section}.{axis}_stop
+    and _points, and {section}.n_shots; options go to sweep as they are.
+    """
+    pc = cfg.protocol_config()
+    detunings = _require_nonempty(cfg, f"{section}.detunings")
+    times = _time_axis(cfg, section, axis)
+    matrix = sweep(detunings, times, pc, n_shots=cfg.get(f"{section}.n_shots"), **options)
+    return _grid_columns(np.divide(detunings, TWO_PI), times, matrix)
+
+
 def _ramsey(cfg: RunConfig) -> tuple:
     from .protocol import ramsey_fringe
 
-    pc = cfg.protocol_config()
-    detunings = _require_nonempty(cfg.get("ramsey.detunings"), "ramsey.detunings")
-    delays = _linspace(
-        0.0, cfg.get("ramsey.delay_stop"), cfg.get("ramsey.delay_points"), "ramsey.delay_points"
+    return _detector_grid(
+        cfg, "ramsey", "delay", ramsey_fringe, t2=cfg.get("ramsey.t2"), amplitude=cfg.get("ramsey.amplitude")
     )
-    matrix = ramsey_fringe(
-        detunings,
-        delays,
-        pc,
-        t2=cfg.get("ramsey.t2"),
-        amplitude=cfg.get("ramsey.amplitude"),
-        n_shots=cfg.get("ramsey.n_shots"),
-    )
-    return _grid_columns(np.divide(detunings, TWO_PI), delays, matrix)
 
 
 def _rabi(cfg: RunConfig) -> tuple:
     from .protocol import rabi_chevron
 
-    pc = cfg.protocol_config()
-    detunings = _require_nonempty(cfg.get("rabi.detunings"), "rabi.detunings")
-    durations = _linspace(
-        0.0,
-        cfg.get("rabi.duration_stop"),
-        cfg.get("rabi.duration_points"),
-        "rabi.duration_points",
-    )
-    matrix = rabi_chevron(
-        detunings,
-        durations,
-        pc,
-        rabi_rate=cfg.get("rabi.rate"),
-        n_shots=cfg.get("rabi.n_shots"),
-    )
-    return _grid_columns(np.divide(detunings, TWO_PI), durations, matrix)
+    return _detector_grid(cfg, "rabi", "duration", rabi_chevron, rabi_rate=cfg.get("rabi.rate"))
 
 
 def _stark(cfg: RunConfig) -> tuple:
     from .protocol import stark_calibration
 
     pc = cfg.protocol_config()
-    powers = _require_nonempty(cfg.get("stark.powers"), "stark.powers")
+    powers = _require_nonempty(cfg, "stark.powers")
     n_bar, shift = stark_calibration(powers, pc)
     return powers, n_bar, shift / TWO_PI
 
@@ -336,12 +332,7 @@ def _depletion(cfg: RunConfig) -> tuple:
     from .protocol import depletion_recovery
 
     pc = cfg.protocol_config()
-    times = _linspace(
-        0.0,
-        cfg.get("depletion.time_stop"),
-        cfg.get("depletion.time_points"),
-        "depletion.time_points",
-    )
+    times = _time_axis(cfg, "depletion", "time")
     out = depletion_recovery(times, pc)
     return times, out["residual_photons"], out["ramsey_contrast"], out["frequency_shift"] / TWO_PI
 
@@ -381,15 +372,10 @@ def _tomo_synth(cfg: RunConfig) -> tuple:
     if not (np.diff(durations) > 0.0).all():
         key = "tomo.t_pi" if stop is None else "tomo.duration_stop"
         raise ConfigError(f"{key}: pulse durations from 0 to {end:g} s are not strictly increasing")
-    grid = synthesize_tomogram(
-        rho,
-        t_pi,
-        thetas,
-        durations,
-        n_shots=cfg.get("tomo.n_shots"),
-        noise_sigma=cfg.get("tomo.noise_sigma"),
-        rng=np.random.default_rng(cfg.get("seed")),
-    )
+    n_shots, noise_sigma = cfg.get("tomo.n_shots"), cfg.get("tomo.noise_sigma")
+    # Only shot or Gaussian noise draws, so only then is numpy.random loaded.
+    rng = None if n_shots is None and noise_sigma is None else np.random.default_rng(cfg.get("seed"))
+    grid = synthesize_tomogram(rho, t_pi, thetas, durations, n_shots=n_shots, noise_sigma=noise_sigma, rng=rng)
     return _grid_columns(grid.axis_angles, grid.pulse_durations, grid.occupations)
 
 

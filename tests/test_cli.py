@@ -647,6 +647,18 @@ def test_negative_depletion_stop_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "name, key", [("ramsey", "ramsey.detunings"), ("rabi", "rabi.detunings"), ("stark", "stark.powers")]
+)
+def test_empty_sweep_list_is_config_error(tmp_path, capsys, name, key):
+    # An empty detuning or power list is refused in one line naming its
+    # key, before anything is written.
+    code, paths = run_fast(name, tmp_path, (f"{key}=",))
+    assert code == 2 and paths == []
+    assert capsys.readouterr().err == f"config error: {key} is an empty sweep list\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_noise_sigma_is_config_error(tmp_path, capsys):
     code, paths = run_subcommand(
         "tomo-synth", overrides=("tomo.noise_sigma=-0.05",), output_dir=str(tmp_path)
@@ -1098,10 +1110,11 @@ _SCIPY_PROBE = """
 import contextlib, io, json, sys
 
 def loaded():
-    # jpmsim modules and scipy modules in sys.modules so far.
+    # jpmsim and scipy modules in sys.modules so far, and whether numpy.random is one.
     return {
         "jpmsim": sorted(m for m in sys.modules if m.split(".")[0] == "jpmsim"),
         "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+        "numpy.random": "numpy.random" in sys.modules,
     }
 
 import jpmsim.config
@@ -1168,7 +1181,9 @@ def test_no_subcommand_loads_scipy(tmp_path):
     # tomo-fit fits in numpy.  An off-axis iq, in a process of its own,
     # classifies by a cutoff too and loads no scipy module either.
     # `import jpmsim` still reaches every layer by attribute, and the
-    # package root re-exports no name of theirs.
+    # package root re-exports no name of theirs.  numpy.random is loaded
+    # only by a subcommand that draws: at the defaults budget and iq, and
+    # tomo-synth only for shot or Gaussian noise.
     for layer, names in _LAYER_RUNS.items():
         report = _probe_modules(tmp_path / layer, names)
         assert report["codes"] == {name: 0 for name in names}
@@ -1176,8 +1191,9 @@ def test_no_subcommand_loads_scipy(tmp_path):
         assert stages["import jpmsim.config"] == {
             "jpmsim": ["jpmsim", "jpmsim.config", "jpmsim.constants", "jpmsim.errors"],
             "scipy": [],
+            "numpy.random": False,
         }
-        assert stages["import jpmsim.cli"] == {"jpmsim": _BASE_MODULES, "scipy": []}
+        assert stages["import jpmsim.cli"] == {"jpmsim": _BASE_MODULES, "scipy": [], "numpy.random": False}
         for name in names:
             assert stages[name]["jpmsim"] == sorted(_BASE_MODULES + [f"jpmsim.{layer}"]), name
             assert stages[name]["scipy"] == [], name
@@ -1185,9 +1201,19 @@ def test_no_subcommand_loads_scipy(tmp_path):
             jpmsim.__version__, "find_extrema_sweep", "fidelity_budget", "efficiency", "fit_tomogram",
             "ConfigError", False,
         ]
+        drawn = {name: stages[name]["numpy.random"] for name in names}
+        if layer == "protocol":
+            assert drawn["stark"] is False and drawn["budget"] is True
+        else:
+            assert not any(drawn.values()), layer
     report = _probe_modules(tmp_path / "off-axis", ["iq"], ["iq.centroid_1=1,0.5"])
     assert report["codes"] == {"iq": 0}
-    assert report["stages"]["iq"] == {"jpmsim": sorted(_BASE_MODULES + ["jpmsim.protocol"]), "scipy": []}
+    assert report["stages"]["iq"] == {
+        "jpmsim": sorted(_BASE_MODULES + ["jpmsim.protocol"]), "scipy": [], "numpy.random": True,
+    }
+    report = _probe_modules(tmp_path / "shots", ["tomo-synth"], ["tomo.n_shots=200"])
+    assert report["codes"] == {"tomo-synth": 0}
+    assert report["stages"]["tomo-synth"]["numpy.random"] is True
 
 
 _SHOT_PROBE = """
