@@ -19,16 +19,23 @@ on outcomes and a batch of shots is bit-identical to the same shots
 simulated one at a time from the same generator.  Generator.random
 fills its output in C order from one stream, so the shot paths draw a
 block in row chunks of at most SHOT_CHUNK_DRAWS uniforms and still
-consume exactly the numbers one draw of the whole block would.  A
+consume exactly the numbers one draw of the whole block would.  PCG64
+makes each uniform from one 64-bit word w as (w >> 11) 2^-53, so
+fidelity_budget reads the same draws as raw words
+(bit_generator.random_raw, one word a draw, the same stream position)
+and compares each with the word bound ceil(p 2^53) 2^11 of its
+probability (_word_limit): u < p holds exactly where w is below that
+bound.  A
 single shot (simulate_shot) reads its 5 draws as Python floats and
-passes the first three to _switches, as the block paths do.  A path
-makes every draw of its layout, read or not: fidelity_budget reads
-only the three switch draws, and iq_fidelity (2 draws a shot) only the
-uniform of the quadrature nearest the centroid line.  Its noise frame is
-I/Q turned onto that line by at most 45 degrees: the read uniform gives
-the deviate along the line, the other one the deviate across it, which
-never changes a label and is never transformed.  Each class's read
-uniforms are compared with one cutoff.
+passes the first three to _switches, as the budget passes its word
+columns.  A path makes every draw of its layout, read or not:
+fidelity_budget reads only the three switch draws, and iq_fidelity
+(2 draws a shot) only the uniform of the quadrature nearest the
+centroid line.  Its noise frame is I/Q turned onto that line by at
+most 45 degrees: the read uniform gives the deviate along the line, the
+other one the deviate across it, which never changes a label and is
+never transformed.  Each class's read uniforms are compared with one
+cutoff.
 
 Every normal deviate and erfc value comes from _ndtri and _erfc:
 step-for-step ports of the Cephes ndtri and erfc that scipy compiles,
@@ -225,19 +232,39 @@ def _chunks(n_shots: int, width: int):
         yield min(step, n_shots - start)
 
 
-def _switches(qubit_excited: bool, relax, capture, dark, cfg: ProtocolConfig):
+def _word_limit(p: float):
+    """The limit on raw PCG64 words that stands for u < p.
+
+    A word w gives the uniform u = (w >> 11) 2^-53, and w >> 11 is an
+    integer, so u < p exactly where w >> 11 < ceil(p 2^53), that is
+    where w < ceil(p 2^53) 2^11, the word bound.  p 2^53 is exact in
+    float64 for any p in [0, 1].  p = 0 gives bound 0, which no word is
+    below.  p = 1 gives 2^64, one past the widest uint64, so the limit is
+    +inf, which numpy compares exactly with every word (all below it)
+    under any numpy the package supports; every other bound is a uint64.
+    """
+    bound = math.ceil(p * 2.0**53) << 11
+    return np.uint64(bound) if bound < 2**64 else math.inf
+
+
+def _switches(qubit_excited: bool, relax, capture, dark, limits):
     """Switch causes of shots, as (captured, dark, relaxed).
 
     relax, capture and dark are the first three draws of the pinned
-    layout: one float each for a single shot, or one column each for a
-    block of shots.  A shot switches where captured | dark; relaxed and
-    captured are False for a ground-state qubit, whose other two draws
-    are not read.  Besides the qubit_excited test the rule uses only <
-    and >, where a > b is "a and not b" on bools and bool arrays alike.
+    layout: one float each for a single shot, or one column of raw
+    PCG64 words each for a block of shots.  limits holds the relaxation,
+    bright-detection and dark-count probabilities in the draws' own
+    representation: the floats themselves beside uniforms, their
+    _word_limit bounds beside words.  A draw passes where it is below its
+    limit.  A shot switches where captured | dark; relaxed and captured
+    are False for a ground-state qubit, whose other two draws are not
+    read.  Besides the qubit_excited test the rule uses only < and >,
+    where a > b is "a and not b" on bools and bool arrays alike.
     """
-    relaxed = qubit_excited and relax < cfg.relaxation_prob
-    captured = qubit_excited and (capture < cfg.bright_detect_prob) > relaxed
-    return captured, (dark < cfg.dark_prob) > captured, relaxed
+    relax_limit, capture_limit, dark_limit = limits
+    relaxed = qubit_excited and relax < relax_limit
+    captured = qubit_excited and (capture < capture_limit) > relaxed
+    return captured, (dark < dark_limit) > captured, relaxed
 
 
 def simulate_shot(
@@ -260,7 +287,8 @@ def simulate_shot(
     per-call array overhead or a scipy import.
     """
     relax, capture, dark_draw, u_x, u_y = rng.random(5).tolist()
-    captured, dark, _ = _switches(bool(qubit_excited), relax, capture, dark_draw, cfg)
+    limits = (cfg.relaxation_prob, cfg.bright_detect_prob, cfg.dark_prob)
+    captured, dark, _ = _switches(bool(qubit_excited), relax, capture, dark_draw, limits)
     switch = captured or dark
     z_x, z_y = _ndtri(u_x), _ndtri(u_y)
     c_x, c_y = iq_model.centroid_1 if switch else iq_model.centroid_0
@@ -284,9 +312,14 @@ def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel | None 
 
     Only the three switch columns of each shot are read, but all 5
     draws of the pinned layout are made, so the budget consumes the
-    stream exactly as the same shots through simulate_shot.
+    stream exactly as the same shots through simulate_shot.  The draws
+    are read as raw PCG64 words (bit_generator.random_raw), one word a
+    uniform, and go through _switches with the word bounds
+    ceil(p 2^53) 2^11 of the three probabilities (_word_limit): a word
+    is below its bound exactly where its uniform (w >> 11) 2^-53 is
+    below p, so every count is the one the uniforms give.
     Each block is drawn and counted in chunks of at most
-    SHOT_CHUNK_DRAWS uniforms, so memory stays flat in n_shots; each
+    SHOT_CHUNK_DRAWS draws, so memory stays flat in n_shots; each
     term is an integer count over n_shots.  Raises NumericalError,
     before drawing, for more than MAX_SHOT_DRAWS uniforms in all.
 
@@ -297,15 +330,16 @@ def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel | None 
     if n_shots < 10_000:
         raise ValueError("n_shots must be at least 10^4 for a stable budget")
     _check_shot_draws(2 * n_shots, 5)
-    rng = np.random.default_rng(cfg.rng_seed)
+    words = np.random.default_rng(cfg.rng_seed).bit_generator.random_raw
+    limits = [_word_limit(p) for p in (cfg.relaxation_prob, cfg.bright_detect_prob, cfg.dark_prob)]
     n_miss = n_relax = n_dark = 0
     for count in _chunks(n_shots, 5):
-        captured, dark, relaxed = _switches(True, *rng.random((count, 5))[:, :3].T, cfg)
+        captured, dark, relaxed = _switches(True, *words(count * 5).reshape(count, 5)[:, :3].T, limits)
         miss = ~(captured | dark)
         n_miss += int(np.count_nonzero(miss))
         n_relax += int(np.count_nonzero(miss & relaxed))
     for count in _chunks(n_shots, 5):
-        n_dark += int(np.count_nonzero(_switches(False, *rng.random((count, 5))[:, :3].T, cfg)[1]))
+        n_dark += int(np.count_nonzero(_switches(False, *words(count * 5).reshape(count, 5)[:, :3].T, limits)[1]))
 
     eps_dark = n_dark / n_shots
     return {

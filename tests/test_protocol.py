@@ -12,9 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erfc, ndtri
 
 import jpmsim.protocol
@@ -152,15 +154,114 @@ def _reference_shot(qubit_excited, cfg, rng, iq_model):
     return ShotResult(int(switch[0]), cause, (float(iq_x[0]), float(iq_y[0])))
 
 
+def _assert_budget_matches_reference(p_r, p_b, p_d, n, seed):
+    cfg = ProtocolConfig(relaxation_override=p_r, bright_detect_prob=p_b, dark_prob=p_d, rng_seed=seed)
+    budget = fidelity_budget(cfg, n)
+    assert budget == _reference_budget(cfg, n)
+    assert all(type(value) is float for value in budget.values())
+
+
+def _edge_probabilities(k):
+    # The probabilities at which the word bound ceil(p 2^53) 2^11 is
+    # easiest to get wrong: both ends, the smallest subnormal, the first
+    # grid step, the grid step k 2^-53 with one ulp on either side, and
+    # the last grid step below 1.
+    grid = k * 2.0**-53
+    return [0.0, 5e-324, 2.0**-53, math.nextafter(grid, 0.0), grid, math.nextafter(grid, 1.0), 1.0 - 2.0**-53, 1.0]
+
+
+def _first_switch_uniforms(seed):
+    # The grid steps k of the first shot's three switch uniforms from the
+    # stream of seed, so a probability k 2^-53 sits exactly on a drawn
+    # uniform and its ulp neighbours straddle it.
+    return [int(u * 2.0**53) for u in np.random.default_rng(seed).random(3)]
+
+
+# Shot counts n whose 5 n draws fall just below and just above one and
+# two multiples of SHOT_CHUNK_DRAWS.
+_STRADDLING_SHOTS = [m * SHOT_CHUNK_DRAWS // 5 + extra for m in (1, 2) for extra in (0, 1)]
+
+
 @pytest.mark.parametrize("p_r, p_b, p_d", [(0.05, 0.99, 0.02), (0.0, 1.0, 0.0), (1.0, 0.5, 1.0), (0.3, 0.9, 0.1)])
 def test_fidelity_budget_matches_reference_batch(p_r, p_b, p_d):
-    # Reading only the switch columns gives the same floats, of type
-    # float, as the full batch sampler with its mean-of-bools arithmetic.
+    # Comparing raw words with word bounds, and reading only the switch
+    # columns, gives the same floats, of type float, as the full float
+    # batch sampler with its mean-of-bools arithmetic.
     for n, seed in itertools.product((10_000, 123_457), (1, 7, 99)):
-        cfg = ProtocolConfig(relaxation_override=p_r, bright_detect_prob=p_b, dark_prob=p_d, rng_seed=seed)
-        budget = fidelity_budget(cfg, n)
-        assert budget == _reference_budget(cfg, n)
-        assert all(type(value) is float for value in budget.values())
+        _assert_budget_matches_reference(p_r, p_b, p_d, n, seed)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("seed", [20, 21])
+def test_fidelity_budget_matches_reference_at_edge_probabilities(seed, column):
+    # Each edge probability in the column of one switch draw, where the
+    # grid step k is that of the first shot's own draw in the column, so
+    # that shot is decided on exactly the bound and one ulp to either
+    # side of it.  The other two probabilities are 0, so the column's
+    # draw alone decides which count the shot lands in.  Seed 20's first
+    # switch uniforms lie below 1/2, where an ulp is finer than the grid
+    # step 2^-53, and seed 21's above, where the two are equal.
+    k = _first_switch_uniforms(seed)[column]
+    assert (k < 2**52) == (seed == 20)
+    for p in _edge_probabilities(k):
+        probs = [0.0, 0.0, 0.0]
+        probs[column] = p
+        _assert_budget_matches_reference(*probs, 10_000, seed)
+
+
+@pytest.mark.parametrize("n", _STRADDLING_SHOTS)
+def test_fidelity_budget_matches_reference_across_chunk_edges(n):
+    _assert_budget_matches_reference(0.3, 0.9, 0.1, n, 5)
+
+
+def test_fidelity_budget_matches_reference_in_one_draw_chunks(monkeypatch):
+    # A chunk of one draw still holds one whole shot, at both ends of
+    # every probability and on the first shot's own grid steps.
+    monkeypatch.setattr(jpmsim.protocol, "SHOT_CHUNK_DRAWS", 1)
+    seed = 20
+    steps = _first_switch_uniforms(seed)
+    for probs in zip(*(_edge_probabilities(k) for k in steps)):
+        _assert_budget_matches_reference(*probs, 10_000, seed)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.tuples(*[st.floats(0.0, 1.0)] * 3), st.integers(0, 2**32 - 1))
+def test_fidelity_budget_matches_reference_on_any_probabilities(probs, seed):
+    _assert_budget_matches_reference(*probs, 10_000, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7])
+def test_pcg64_uniform_is_top_53_bits_of_raw_word(seed):
+    # The premise of the budget's word bounds: PCG64's Generator.random
+    # is (w >> 11) 2^-53 of one raw word w a draw, bit for bit, and
+    # leaves the generator where drawing as many raw words does.  A numpy
+    # release that changes the conversion fails here by name.
+    uniforms, words = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert isinstance(uniforms.bit_generator, np.random.PCG64)
+    got = uniforms.random(100_000)
+    want = (words.bit_generator.random_raw(100_000) >> np.uint64(11)) * 2.0**-53
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert uniforms.bit_generator.state == words.bit_generator.state
+
+
+def test_word_limits_match_float_rule_at_their_bounds():
+    # Words bound - 1 and bound, where they are uint64 words, against
+    # the float rule u < p on their uniforms u = (w >> 11) 2^-53, with
+    # bound = ceil(p 2^53) 2^11 computed exactly from p's fraction.
+    for k in (1, 3, 2**52 + 1, 2**53 - 2, 123_456_789_012_345):
+        for p in _edge_probabilities(k):
+            ratio = Fraction(p) * 2**53
+            bound = -(-ratio.numerator // ratio.denominator) << 11
+            limit = jpmsim.protocol._word_limit(p)
+            for w in (bound - 1, bound):
+                if 0 <= w < 2**64:
+                    passes = bool((np.array([w], dtype=np.uint64) < limit)[0])
+                    assert passes == ((w >> 11) * 2.0**-53 < p) == (w < bound)
+    # Both ends: no word passes 0, every word passes 1.
+    ends = np.array([0, 1, 2**11, 2**63, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
+    assert not (ends < jpmsim.protocol._word_limit(0.0)).any()
+    assert (ends < jpmsim.protocol._word_limit(1.0)).all()
+    assert jpmsim.protocol._word_limit(0.0) == 0
 
 
 def _unit_axis(model):
