@@ -380,6 +380,11 @@ def _tomo_synth(cfg: RunConfig) -> tuple:
 
 
 def _read_tomogram(path: str) -> TomogramGrid:
+    """The grid in a tomogram CSV: a header, then one (angle, duration, occupation) row per cell in any order.
+
+    Each axis holds the distinct coordinates, sorted.  -0 and 0 name one
+    coordinate, and the axis keeps the one seen first in the file.
+    """
     from .tomography import TomogramGrid
 
     with open(path, encoding="utf-8", newline="") as fh:
@@ -413,14 +418,11 @@ def _read_tomogram(path: str) -> TomogramGrid:
             cells[(theta, t)] = occupation
     if not cells:
         raise ConfigError(f"{path}: no data rows")
-    thetas = np.unique([key[0] for key in cells])
-    ts = np.unique([key[1] for key in cells])
-    if thetas.size * ts.size != len(cells):
+    thetas = sorted({key[0] for key in cells})
+    ts = sorted({key[1] for key in cells})
+    if len(thetas) * len(ts) != len(cells):
         raise ConfigError(f"{path}: grid is not a complete (angle x duration) product")
-    occupations = np.empty((thetas.size, ts.size))
-    for i, theta in enumerate(thetas):
-        for j, t in enumerate(ts):
-            occupations[i, j] = cells[(float(theta), float(t))]
+    occupations = [[cells[theta, t] for t in ts] for theta in thetas]
     try:
         return TomogramGrid(thetas, ts, occupations)
     except ValueError as exc:

@@ -197,6 +197,11 @@ def synthesize_tomogram(
     return TomogramGrid(angles, durations, surface)
 
 
+def _distinct_count(values: np.ndarray) -> int:
+    """How many distinct values there are, -0 and 0 as one, counted without numpy's unique, which imports numpy.ma."""
+    return len(set(values.ravel().tolist()))
+
+
 def _axis_count(theta: np.ndarray) -> int:
     """Distinct rotation axes among the angles: theta modulo 2 pi, up to AXIS_ANGLE_TOL."""
     wrapped = np.sort(np.mod(theta, 2.0 * math.pi))
@@ -238,7 +243,7 @@ def _scan_start(grid: TomogramGrid) -> int:
     """
     y, _, turn, solve = _projection(grid)
     t = grid.pulse_durations
-    k_max = 8 * (np.unique(t).size - 1)
+    k_max = 8 * (_distinct_count(t) - 1)
     if (k_max - 1) * t.size > MAX_SCAN_CELLS:
         raise NumericalError(f"tomogram fit: t_pi scan of {t.size} durations exceeds {MAX_SCAN_CELLS:.3g} cells")
     minima = []  # (profile, k) at the minimum of each block
@@ -284,7 +289,7 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
         raise IdentifiabilityError("need at least 4 distinct axis angles modulo 2 pi")
     # A full period 2 t_pi inside the span, sampled above the Nyquist
     # rate, needs at least 4 durations.
-    if np.unique(t).size < 4:
+    if _distinct_count(t) < 4:
         raise IdentifiabilityError("need at least 4 distinct pulse durations")
     # A constant surface (beta = 1/2 with r = 0, or durations far below
     # t_pi) holds no t_pi at all.

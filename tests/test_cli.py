@@ -778,6 +778,35 @@ def test_tomogram_reader_refuses_malformed_files(tmp_path, capsys, tomogram, edi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("first, later", [("-0", "0"), ("0", "-0")])
+def test_tomogram_reader_sorts_shuffled_rows_and_keeps_the_first_zero(tmp_path, tomogram, first, later):
+    # The default tomogram with its rows shuffled and its zero angle
+    # written as `first` in the first row that holds it and as `later`
+    # in every other.  The axes equal np.unique of the coordinates, and
+    # the zero angle keeps the sign of the first row.  (numpy's unique
+    # sorts floats with an unstable sort, so which zero it keeps depends
+    # on the array.)  Each occupation is read from its own row.
+    header, *rows = tomogram.read_text().splitlines()
+    rows = [rows[i] for i in np.random.default_rng(38).permutation(len(rows))]
+    zeros = [i for i, row in enumerate(rows) if row.split(",")[0] == "0"]
+    assert len(zeros) > 1
+    for i in zeros:
+        rows[i] = (first if i == zeros[0] else later) + rows[i][1:]
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("".join(line + "\n" for line in [header, *rows]))
+    grid = jpmsim.cli._read_tomogram(str(shuffled))
+    cells = [tuple(map(float, row.split(","))) for row in rows]
+    thetas, ts = np.unique([cell[0] for cell in cells]), np.unique([cell[1] for cell in cells])
+    assert np.array_equal(grid.axis_angles, thetas) and np.array_equal(grid.pulse_durations, ts)
+    assert np.signbit(grid.axis_angles).tolist() == [first == "-0"] + [False] * (thetas.size - 1)
+    assert grid.axis_angles[1:].tobytes() == thetas[1:].tobytes()
+    assert grid.pulse_durations.tobytes() == ts.tobytes()
+    occupations = np.empty((thetas.size, ts.size))
+    for theta, t, occupation in cells:
+        occupations[np.searchsorted(thetas, theta), np.searchsorted(ts, t)] = occupation
+    assert grid.occupations.tobytes() == occupations.tobytes()
+
+
 def test_tomo_fit_reports_phase_in_half_open_interval(tmp_path):
     # This noisy grid of a state with phi near pi fits to a raw phase
     # just above pi, which the fit wraps into (-pi, pi].
@@ -1110,11 +1139,9 @@ _SCIPY_PROBE = """
 import contextlib, io, json, sys
 
 def loaded():
-    # jpmsim and scipy modules in sys.modules so far, and whether numpy.random is one.
+    # jpmsim, scipy and numpy modules in sys.modules so far.
     return {
-        "jpmsim": sorted(m for m in sys.modules if m.split(".")[0] == "jpmsim"),
-        "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-        "numpy.random": "numpy.random" in sys.modules,
+        top: sorted(m for m in sys.modules if m.split(".")[0] == top) for top in ("jpmsim", "scipy", "numpy")
     }
 
 import jpmsim.config
@@ -1171,6 +1198,20 @@ def _probe_modules(out, names, extra=()):
     return _run_probe(_SCIPY_PROBE, str(out), json.dumps(runs))
 
 
+def _numpy_added(stages, names):
+    # Per subcommand, the numpy modules it loaded that were not loaded
+    # before it, the first one against the `import jpmsim.cli` stage.
+    before, added = set(stages["import jpmsim.cli"]["numpy"]), {}
+    for name in names:
+        added[name] = sorted(set(stages[name]["numpy"]) - before)
+        before = set(stages[name]["numpy"])
+    return added
+
+
+def _is_random(module):
+    return module == "numpy.random" or module.startswith("numpy.random.")
+
+
 def test_no_subcommand_loads_scipy(tmp_path):
     # One fresh process per layer.  `import jpmsim.config` and `import
     # jpmsim.cli` load no physics layer and no scipy module.  The first
@@ -1181,19 +1222,23 @@ def test_no_subcommand_loads_scipy(tmp_path):
     # tomo-fit fits in numpy.  An off-axis iq, in a process of its own,
     # classifies by a cutoff too and loads no scipy module either.
     # `import jpmsim` still reaches every layer by attribute, and the
-    # package root re-exports no name of theirs.  numpy.random is loaded
-    # only by a subcommand that draws: at the defaults budget and iq, and
-    # tomo-synth only for shot or Gaussian noise.
+    # package root re-exports no name of theirs.  Beyond the numpy
+    # modules of `import jpmsim.cli`, a subcommand loads numpy.random and
+    # its submodules and nothing else, and only when it draws: at the
+    # defaults budget and iq, and tomo-synth only for shot or Gaussian
+    # noise.  So none loads numpy.ma, which numpy 2's np.unique imports
+    # on its first call (numpy 1 loads it with numpy itself).
     for layer, names in _LAYER_RUNS.items():
         report = _probe_modules(tmp_path / layer, names)
         assert report["codes"] == {name: 0 for name in names}
         stages = report["stages"]
-        assert stages["import jpmsim.config"] == {
-            "jpmsim": ["jpmsim", "jpmsim.config", "jpmsim.constants", "jpmsim.errors"],
-            "scipy": [],
-            "numpy.random": False,
-        }
-        assert stages["import jpmsim.cli"] == {"jpmsim": _BASE_MODULES, "scipy": [], "numpy.random": False}
+        assert stages["import jpmsim.config"]["jpmsim"] == [
+            "jpmsim", "jpmsim.config", "jpmsim.constants", "jpmsim.errors",
+        ]
+        assert stages["import jpmsim.cli"]["jpmsim"] == _BASE_MODULES
+        for stage in ("import jpmsim.config", "import jpmsim.cli"):
+            assert stages[stage]["scipy"] == [], stage
+            assert "numpy.random" not in stages[stage]["numpy"], stage
         for name in names:
             assert stages[name]["jpmsim"] == sorted(_BASE_MODULES + [f"jpmsim.{layer}"]), name
             assert stages[name]["scipy"] == [], name
@@ -1201,19 +1246,24 @@ def test_no_subcommand_loads_scipy(tmp_path):
             jpmsim.__version__, "find_extrema_sweep", "fidelity_budget", "efficiency", "fit_tomogram",
             "ConfigError", False,
         ]
-        drawn = {name: stages[name]["numpy.random"] for name in names}
+        added = _numpy_added(stages, names)
+        for name in names:
+            assert all(map(_is_random, added[name])), (name, added[name])
         if layer == "protocol":
-            assert drawn["stark"] is False and drawn["budget"] is True
+            assert [name for name in names if added[name]] == ["budget"]
+            assert "numpy.random" in added["budget"]
         else:
-            assert not any(drawn.values()), layer
+            assert not any(added.values()), layer
     report = _probe_modules(tmp_path / "off-axis", ["iq"], ["iq.centroid_1=1,0.5"])
     assert report["codes"] == {"iq": 0}
-    assert report["stages"]["iq"] == {
-        "jpmsim": sorted(_BASE_MODULES + ["jpmsim.protocol"]), "scipy": [], "numpy.random": True,
-    }
+    assert report["stages"]["iq"]["jpmsim"] == sorted(_BASE_MODULES + ["jpmsim.protocol"])
+    assert report["stages"]["iq"]["scipy"] == []
+    added = _numpy_added(report["stages"], ["iq"])["iq"]
+    assert "numpy.random" in added and all(map(_is_random, added))
     report = _probe_modules(tmp_path / "shots", ["tomo-synth"], ["tomo.n_shots=200"])
     assert report["codes"] == {"tomo-synth": 0}
-    assert report["stages"]["tomo-synth"]["numpy.random"] is True
+    added = _numpy_added(report["stages"], ["tomo-synth"])["tomo-synth"]
+    assert "numpy.random" in added and all(map(_is_random, added))
 
 
 _SHOT_PROBE = """

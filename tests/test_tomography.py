@@ -304,20 +304,26 @@ def test_fit_with_binomial_noise_recovers_population():
     assert float(np.median(errors)) < 0.002
 
 
-@pytest.mark.parametrize("n_t, t_pi", [(33, 50e-9), (101, 1.8e-9)], ids=["one-block", "two-blocks"])
-def test_scan_start_matches_a_direct_least_squares_scan(n_t, t_pi):
+@pytest.mark.parametrize(
+    "n_t, t_pi, repeat", [(33, 50e-9, 0), (101, 1.8e-9, 0), (33, 50e-9, 3)], ids=["one-block", "two-blocks", "repeated"]
+)
+def test_scan_start_matches_a_direct_least_squares_scan(n_t, t_pi, repeat):
     # The slow path: at each scanned f = k/(16 span), fit (beta - 1/2, a, b)
     # by lstsq on the full design matrix and take the residual sum of
     # squares.  Uneven angles and durations, Gaussian noise.  With 101
     # durations the scan runs in two blocks of k, and t_pi = 1.8 ns puts
-    # the minimum (k = 711) in the second.
+    # the minimum (k = 711) in the second.  With repeat set, every
+    # repeat-th duration and the span are measured twice, and 0 once more
+    # as -0: the scan runs to k = 8 (M - 1) over the M distinct durations.
     rng = np.random.default_rng(2104)
     thetas = np.sort(rng.uniform(0.0, 2.0 * math.pi, 7))
     times = np.sort(np.r_[0.0, 160e-9, rng.uniform(0.0, 160e-9, n_t - 2)])
+    if repeat:
+        times = np.sort(np.r_[times, -0.0, times[::repeat], times[-1]])
     grid = synthesize_tomogram(DensityMatrix2(0.3, 0.2, 0.5), t_pi, thetas, times, noise_sigma=0.02, rng=rng)
     y = (grid.occupations - 0.5).ravel()
     best = None
-    for k in range(2, 8 * (n_t - 1) + 1):
+    for k in range(2, 8 * (np.unique(times).size - 1) + 1):
         alpha = math.pi * times / (8.0 * 160e-9 / k)
         columns = np.broadcast_arrays(
             np.cos(alpha), -np.sin(alpha) * np.sin(thetas[:, None]), -np.sin(alpha) * np.cos(thetas[:, None])
@@ -602,22 +608,25 @@ def test_fit_refuses_a_scan_above_the_cell_cap():
 
 
 def test_fit_scan_cell_cap_is_inclusive(monkeypatch):
-    # 33 durations scan k = 2 ... 256, 255 points: 8415 cells.  A cap of
-    # exactly that fits; one cell less refuses.
+    # 33 distinct durations scan k = 2 ... 256, 255 points: 8415 cells.
+    # A cap of exactly that fits; one cell less refuses.  Every 4th
+    # duration measured twice makes 42 durations, still 33 distinct: the
+    # same 255 points over 42 durations, 10710 cells.
     t_pi = 50e-9
-    thetas, times = standard_grid(t_pi)
-    grid = synthesize_tomogram(DensityMatrix2(0.3, 0.2, 0.5), t_pi, thetas, times)
-    monkeypatch.setattr(tomography, "MAX_SCAN_CELLS", 255 * 33)
-    assert fit_tomogram(grid).pi_duration == pytest.approx(t_pi, rel=1e-6)
-    monkeypatch.setattr(tomography, "MAX_SCAN_CELLS", 255 * 33 - 1)
-    with pytest.raises(NumericalError, match="t_pi scan of 33 durations exceeds 8.41e\\+03 cells"):
-        fit_tomogram(grid)
+    thetas, distinct = standard_grid(t_pi)
+    for times, cells in ((distinct, "8.41e\\+03"), (np.r_[distinct, distinct[::4]], "1.07e\\+04")):
+        grid = synthesize_tomogram(DensityMatrix2(0.3, 0.2, 0.5), t_pi, thetas, times)
+        monkeypatch.setattr(tomography, "MAX_SCAN_CELLS", 255 * times.size)
+        assert fit_tomogram(grid).pi_duration == pytest.approx(t_pi, rel=1e-6)
+        monkeypatch.setattr(tomography, "MAX_SCAN_CELLS", 255 * times.size - 1)
+        with pytest.raises(NumericalError, match=f"t_pi scan of {times.size} durations exceeds {cells} cells"):
+            fit_tomogram(grid)
 
 
 @pytest.mark.parametrize(
     "times",
-    [[30e-9], [0.0, 60e-9], [0.0, 60e-9, 120e-9], [0.0, 0.0, 60e-9, 60e-9, 120e-9, 120e-9]],
-    ids=["1", "2", "3", "3-repeated"],
+    [[30e-9], [0.0, 60e-9], [0.0, 60e-9, 120e-9], [0.0, 0.0, 60e-9, 60e-9, 120e-9, 120e-9], [-0.0, 0.0, 60e-9, 120e-9]],
+    ids=["1", "2", "3", "3-repeated", "3-signed-zeros"],
 )
 def test_fit_refuses_fewer_than_four_durations(times):
     rho = DensityMatrix2(0.3, 0.2, 0.5)
