@@ -6,11 +6,12 @@ overrides, runs the corresponding computation, and writes one artifact
 into the output directory.  _SUBCOMMANDS describes each subcommand
 once: its compute function, artifact stem, column header and help
 text.  Each compute function imports the physics names it calls, so a
-subcommand loads only its own layer.  A table's compute function
-returns its columns (numpy arrays or lists, in header order) of
-floats, ints or plain text labels, and _write encodes them a block of
-WRITE_BLOCK_ROWS rows at a time, one %-template per row, so the
-table's text is never whole in memory.  Header names and labels are
+subcommand loads only its own layer; json is imported where a JSON
+artifact is written and csv where a tomogram is read.  A table's
+compute function returns its columns (numpy arrays or lists, in header
+order) of floats, ints or plain text labels, and _write encodes them a
+block of WRITE_BLOCK_ROWS rows at a time, one %-template per row, so
+the table's text is never whole in memory.  Header names and labels are
 written verbatim.  Outputs are byte-stable for a fixed config and
 seed: fixed column orders, 12-significant-digit decimals for float
 columns in CSV, and newline-terminated JSON with insertion-ordered
@@ -23,8 +24,6 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -58,6 +57,8 @@ many rows whatever the table's length."""
 
 
 def _json_floats(part: np.ndarray) -> list:
+    import json
+
     values = part.tolist()
     for i in np.flatnonzero(~np.isfinite(part)).tolist():
         values[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
@@ -95,6 +96,8 @@ def _table_text(header, columns: list[np.ndarray], as_csv: bool):
         yield "[]\n"
         return
     else:
+        import json
+
         yield "[\n"
         # A key is text of the template, so its own % signs are escaped.
         fields = (
@@ -135,6 +138,8 @@ def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             if header is None:
+                import json
+
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
             else:
@@ -385,6 +390,8 @@ def _read_tomogram(path: str) -> TomogramGrid:
     Each axis holds the distinct coordinates, sorted.  -0 and 0 name one
     coordinate, and the axis keeps the one seen first in the file.
     """
+    import csv
+
     from .tomography import TomogramGrid
 
     with open(path, encoding="utf-8", newline="") as fh:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from typing import TYPE_CHECKING
 
 from .constants import PHI0
@@ -36,7 +35,7 @@ if TYPE_CHECKING:
 
 _UNIT_TABLES = {
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12},
-    # Written as ordinary frequencies; _parse_scalar adds the 2 pi.
+    # Written as ordinary frequencies; _UNIT_FACTORS folds in the 2 pi.
     "afreq": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
     "current": {"A": 1.0, "mA": 1e-3, "uA": 1e-6, "nA": 1e-9},
     "inductance": {"H": 1.0, "mH": 1e-3, "uH": 1e-6, "nH": 1e-9, "pH": 1e-12},
@@ -45,6 +44,50 @@ _UNIT_TABLES = {
 }
 
 _NUMBER_RE = re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)\s*(\S*)")
+
+
+def _decimal_parts(numeral: str) -> tuple[str, int, int]:
+    """(sign, digits, exponent) of a decimal numeral, whose value is sign digits 10^exponent.
+
+    Raises ValueError for more digits than the interpreter's int-string
+    limit (sys.get_int_max_str_digits()).
+    """
+    mantissa, _, exponent = numeral.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    sign = "-" if whole.startswith("-") else ""
+    return sign, int(whole.lstrip("+-") + fraction), int(exponent or 0) - len(fraction)
+
+
+def _factor_parts(factors) -> tuple[int, int]:
+    """(digits, exponent) of the exact product of the factors' reprs, all positive."""
+    digits, exponent = 1, 0
+    for factor in factors:
+        _, factor_digits, factor_exponent = _decimal_parts(repr(factor))
+        digits *= factor_digits
+        exponent += factor_exponent
+    return digits, exponent
+
+
+# Each unit's factor as (digits, exponent), split once here; afreq's
+# factors include the 2 pi that turns a frequency into an angular one.
+_UNIT_FACTORS = {
+    kind: {
+        unit: _factor_parts((factor, 2.0 * math.pi) if kind == "afreq" else (factor,))
+        for unit, factor in table.items()
+    }
+    for kind, table in _UNIT_TABLES.items()
+}
+
+
+def _scaled(number: str, factor: tuple[int, int]) -> float:
+    # Scale exactly so "6.6us" equals the literal 6.6e-6 bit for bit:
+    # the number's digits times the factor's are an exact integer, and
+    # float() rounds the product once.  Naive float multiplication by
+    # 1e-6 rounds twice and can be off by one ulp from the value a
+    # dataclass default spells out directly.  A product beyond float64
+    # reads as inf, which _parse_scalar refuses.
+    sign, digits, exponent = _decimal_parts(number)
+    return float(f"{sign}{digits * factor[0]}e{exponent + factor[1]}")
 
 
 @dataclass(frozen=True)
@@ -136,32 +179,17 @@ def _parse_scalar(text: str, kind: str, key: str, choices: tuple[str, ...] | Non
             raise ConfigError(f"{key}: dimensionless value must not carry a unit, got {text!r}")
         value = float(number)
     else:
-        table = _UNIT_TABLES.get(kind)
+        table = _UNIT_FACTORS.get(kind)
         if table is None:
             raise ConfigError(f"{key}: unknown value kind {kind!r}")
         if not unit:
             raise ConfigError(f"{key}: unit suffix is mandatory (one of {', '.join(table)})")
         if unit not in table:
             raise ConfigError(f"{key}: unknown unit {unit!r} (expected one of {', '.join(table)})")
-        factors = [table[unit]]
-        if kind == "afreq":
-            factors.append(2.0 * math.pi)
-        value = _scaled(number, factors)
+        value = _scaled(number, table[unit])
     if not math.isfinite(value):
         raise ConfigError(f"{key}: {text!r} is out of float64 range")
     return value
-
-
-def _scaled(number: str, factors: list[float]) -> float:
-    # Scale in decimal so "6.6us" equals the literal 6.6e-6 bit for bit;
-    # naive float multiplication by 1e-6 rounds twice and can be off by
-    # one ulp from the value a dataclass default spells out directly.
-    with localcontext() as ctx:
-        ctx.prec = 60
-        product = Decimal(number)
-        for factor in factors:
-            product *= Decimal(repr(factor))
-        return float(product)
 
 
 def parse_value(text: str, spec: ValueSpec, key: str):

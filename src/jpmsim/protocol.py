@@ -68,7 +68,7 @@ DEFAULT_DEPHASING_PER_PHOTON = -math.log(0.95) / (
 )
 """Ramsey-contrast suppression per residual photon, giving 0.95 at 40 ns."""
 
-SHOT_CHUNK_DRAWS = 2**17
+SHOT_CHUNK_DRAWS = 2**16
 """Uniforms :func:`fidelity_budget` and :func:`iq_fidelity` draw at
 once.  A chunk holds at least one whole shot, so their working set stays
 near this many draws whatever the shot count."""

@@ -19,6 +19,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,66 @@ def test_config_missing_file():
 def test_schema_defaults_all_parse():
     for key, spec in SCHEMA.items():
         parse_value(spec.default, spec, key)
+
+
+def _decimal_scaled(number: str, kind: str, unit: str) -> float:
+    # The reference unit scaling: the 60-digit Decimal product of the
+    # number and the repr of each factor (afreq's 2 pi too), rounded to
+    # float once.
+    factors = [_UNIT_TABLES[kind][unit]] + ([2.0 * math.pi] if kind == "afreq" else [])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        product = Decimal(number)
+        for factor in factors:
+            product *= Decimal(repr(factor))
+        return float(product)
+
+
+def _assert_same_float(got: float, want: float):
+    # float.hex tells -0.0 from 0.0; copysign says so in its own words.
+    assert got.hex() == want.hex()
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+_UNITS = [(kind, unit) for kind, table in _UNIT_TABLES.items() for unit in table]
+
+
+@st.composite
+def _numerals(draw):
+    # A sign, 1-40 digits with or without a point, an optional exponent.
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    if point is not None:
+        digits = digits[:point] + "." + digits[point:]
+    exponent = draw(st.none() | st.integers(-345, 345))
+    mark = draw(st.sampled_from("eE"))
+    return sign + digits + ("" if exponent is None else f"{mark}{exponent}")
+
+
+@settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+@given(number=_numerals(), unit=st.sampled_from(_UNITS))
+def test_unit_scaling_matches_decimal_reference(number, unit):
+    # The exact integer product rounds to the float the Decimal product
+    # gives, for every unit of every kind, zeros and overflows included.
+    kind, name = unit
+    got = jpmsim.config._scaled(number, jpmsim.config._UNIT_FACTORS[kind][name])
+    _assert_same_float(got, _decimal_scaled(number, kind, name))
+
+
+def test_schema_defaults_match_decimal_reference():
+    for key, spec in SCHEMA.items():
+        kind = spec.kind.removeprefix("list:")
+        if kind not in _UNIT_TABLES or spec.default == "none":
+            continue
+        values = parse_value(spec.default, spec, key)
+        parts = spec.default.split(",")
+        if not spec.kind.startswith("list:"):
+            values = (values,)
+        assert len(values) == len(parts), key
+        for value, part in zip(values, parts):
+            number, unit = jpmsim.config._NUMBER_RE.fullmatch(part).groups()
+            _assert_same_float(value, _decimal_scaled(number, kind, unit))
 
 
 def test_every_subcommand_writes_artifact(tmp_path):
@@ -621,6 +682,7 @@ def test_transfer_peak_refuses_line_values(tmp_path, capsys, override):
         ("potential-sweep", ("potential.flux_start=-1e308Wb", "potential.flux_stop=1e308Wb")),
         ("iq", ("iq.centroid_0=1e308,0", "iq.centroid_1=-1e308,0")),
         ("iq", ("iq.sigma=1e-320",)),
+        ("stark", ("protocol.t_prep=1e1000000s",)),
     ],
 )
 def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides):
@@ -634,6 +696,36 @@ def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
     assert "out of float64 range" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "name, override, message",
+    [
+        ("stark", "protocol.t_prep=1e-999999999999ns", "must be finite and positive, got 0.0"),
+        ("stark", "protocol.t_prep=-1e-999999999999999999999999ns", "must be finite and positive, got -0.0"),
+        ("stark", f"protocol.t_prep=0.{_LONG}ns", "integer string conversion"),
+        ("stark", f"protocol.t_prep=1e{_LONG}ns", "integer string conversion"),
+        ("budget", f"budget.n_shots={_LONG}", "integer string conversion"),
+    ],
+    ids=["tiny", "tiny-negative", "long-digits", "long-exponent", "long-int"],
+)
+def test_extreme_literal_is_config_error(tmp_path, capsys, name, override, message):
+    # An exponent far below float64 scales to a zero, which the protocol
+    # refuses, without a long computation.  A number or exponent with
+    # more digits than the interpreter converts to an int is refused on
+    # one line, for a unit key as for an int key, even where its value
+    # (about 0.11 ns) is in range.
+    start = time.perf_counter()
+    code, paths = run_subcommand(name, overrides=(override,), output_dir=str(tmp_path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and paths == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert message in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1136,13 +1228,17 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
 
 
 _SCIPY_PROBE = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 
 def loaded():
-    # jpmsim, scipy and numpy modules in sys.modules so far.
-    return {
+    # jpmsim, scipy and numpy modules in sys.modules so far, and which of
+    # the stdlib modules csv, decimal and json.  The probe itself imports
+    # json only once every stage is recorded.
+    stages = {
         top: sorted(m for m in sys.modules if m.split(".")[0] == top) for top in ("jpmsim", "scipy", "numpy")
     }
+    stages["stdlib"] = [m for m in ("csv", "decimal", "json") if m in sys.modules]
+    return stages
 
 import jpmsim.config
 stages = {"import jpmsim.config": loaded()}
@@ -1150,7 +1246,7 @@ import jpmsim.cli
 stages["import jpmsim.cli"] = loaded()
 from jpmsim.cli import run_subcommand
 
-out, runs = sys.argv[1], json.loads(sys.argv[2])
+out, runs = sys.argv[1], ast.literal_eval(sys.argv[2])
 codes = {}
 for name, sets in runs:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1165,6 +1261,7 @@ root = [
     jpmsim.errors.ConfigError.__name__,
     hasattr(jpmsim, "fidelity_budget"),
 ]
+import json
 print(json.dumps({"root": root, "codes": codes, "stages": stages}))
 """
 
@@ -1195,7 +1292,7 @@ def _probe_modules(out, names, extra=()):
         if name == "tomo-fit":
             # It reads the tomogram tomo-synth has just written to out.
             sets.append(f"tomo.input={out / 'tomogram.csv'}")
-    return _run_probe(_SCIPY_PROBE, str(out), json.dumps(runs))
+    return _run_probe(_SCIPY_PROBE, str(out), repr(runs))
 
 
 def _numpy_added(stages, names):
@@ -1212,7 +1309,14 @@ def _is_random(module):
     return module == "numpy.random" or module.startswith("numpy.random.")
 
 
-def test_no_subcommand_loads_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def layer_reports(tmp_path_factory):
+    # One fresh process per layer runs the layer's subcommands in order.
+    out = tmp_path_factory.mktemp("layers")
+    return {layer: _probe_modules(out / layer, names) for layer, names in _LAYER_RUNS.items()}
+
+
+def test_no_subcommand_loads_scipy(tmp_path, layer_reports):
     # One fresh process per layer.  `import jpmsim.config` and `import
     # jpmsim.cli` load no physics layer and no scipy module.  The first
     # subcommand of each process loads exactly its own layer, and the
@@ -1229,7 +1333,7 @@ def test_no_subcommand_loads_scipy(tmp_path):
     # noise.  So none loads numpy.ma, which numpy 2's np.unique imports
     # on its first call (numpy 1 loads it with numpy itself).
     for layer, names in _LAYER_RUNS.items():
-        report = _probe_modules(tmp_path / layer, names)
+        report = layer_reports[layer]
         assert report["codes"] == {name: 0 for name in names}
         stages = report["stages"]
         assert stages["import jpmsim.config"]["jpmsim"] == [
@@ -1264,6 +1368,30 @@ def test_no_subcommand_loads_scipy(tmp_path):
     assert report["codes"] == {"tomo-synth": 0}
     added = _numpy_added(report["stages"], ["tomo-synth"])["tomo-synth"]
     assert "numpy.random" in added and all(map(_is_random, added))
+
+
+# Subcommands whose artifact is a JSON record.
+_JSON_RECORDS = {"transfer-peak", "budget", "iq", "tomo-fit"}
+
+
+def test_csv_decimal_and_json_load_only_where_used(tmp_path, layer_reports):
+    # `import jpmsim.config` and `import jpmsim.cli` load none of csv,
+    # decimal and json.  No subcommand loads decimal, since the unit
+    # scaling multiplies ints; only tomo-fit loads csv, for its tomogram
+    # reader; and json loads with the first JSON artifact a process
+    # writes, a record or a table at output.format=json.
+    for layer, names in _LAYER_RUNS.items():
+        stages = layer_reports[layer]["stages"]
+        for stage in ("import jpmsim.config", "import jpmsim.cli"):
+            assert stages[stage]["stdlib"] == [], stage
+        wrote_json = False
+        for name in names:
+            wrote_json = wrote_json or name in _JSON_RECORDS
+            want = (["csv"] if name == "tomo-fit" else []) + (["json"] if wrote_json else [])
+            assert stages[name]["stdlib"] == want, name
+    report = _probe_modules(tmp_path, ["stark"], ["output.format=json"])
+    assert report["codes"] == {"stark": 0}
+    assert report["stages"]["stark"]["stdlib"] == ["json"]
 
 
 _SHOT_PROBE = """
@@ -1641,7 +1769,8 @@ def _edge_literals(key):
     kind = SCHEMA[key].kind.removeprefix("list:")
     unit = next(iter(_UNIT_TABLES[kind])) if kind in _UNIT_TABLES else ""
     oversized = ["1000000000000000"] if kind == "int" else []
-    return [number + unit for number in ("0", "-1", "1e999", "1e-999")] + ["none", ""] + oversized
+    numbers = ("0", "-1", "1e999", "1e1000000", "1e-999")
+    return [number + unit for number in numbers] + ["none", ""] + oversized
 
 
 @pytest.fixture(scope="module")

@@ -631,6 +631,22 @@ def test_shot_paths_memory_is_flat_in_shot_count():
         assert large < 10.0 and large < 2.0 * small
 
 
+def test_shot_paths_working_set_is_near_one_chunk():
+    # At 10^6 shots the tracemalloc peak stays within 1.6 chunks of
+    # draws: the budget holds a chunk of words and its boolean columns
+    # (about 1.2 chunks), iq_fidelity a chunk of uniforms and a
+    # contiguous copy of the read column (about 1.5).  Small calls first
+    # import numpy.random, whose own allocations would otherwise count
+    # in the first call's peak.
+    limit_mb = 1.6 * SHOT_CHUNK_DRAWS * 8 / 1e6
+    cfg = ProtocolConfig()
+    fidelity_budget(cfg, 10_000)
+    assert _traced_peak_mb(lambda: fidelity_budget(cfg, 1_000_000)) < limit_mb
+    for model in (DEFAULT_IQ_MODEL, IqModel(centroid_1=(1.0, 0.5), sigma=0.4)):
+        iq_fidelity(model, 1_000, np.random.default_rng(1))
+        assert _traced_peak_mb(lambda: iq_fidelity(model, 1_000_000, np.random.default_rng(1))) < limit_mb
+
+
 @pytest.mark.parametrize("centroid_1", [(1.0, 0.0), (1.0, 2.0)], ids=["on-axis", "off-axis"])
 def test_simulate_shot_matches_reference_batch(centroid_1):
     # The scalar shot against a one-row block of the reference sampler:
