@@ -24,6 +24,7 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -629,6 +630,11 @@ def run_subcommand(
 
 
 def main(argv=None) -> int:
+    """The process entry point: parse argv and run one subcommand; returns its exit code.
+
+    Once the arguments are parsed, main freezes the garbage collector's
+    current objects (gc.freeze) for the rest of the process.
+    """
     parser = argparse.ArgumentParser(
         prog="jpmsim",
         description=(
@@ -657,6 +663,9 @@ def main(argv=None) -> int:
             help=f"output directory (falls back to config, then ${OUTPUT_DIR_ENV}, then the working directory)",
         )
     args = parser.parse_args(argv)
+    # Everything alive here lives until the process exits, so the collector
+    # never needs to walk it again, during the run or at shutdown.
+    gc.freeze()
     code, _ = run_subcommand(args.command, args.config, args.set, args.output_dir)
     return code
 

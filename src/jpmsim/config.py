@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -158,6 +159,11 @@ SCHEMA: dict[str, ValueSpec] = {
 }
 
 
+def _too_long(key: str) -> ConfigError:
+    # int() refuses a digit string longer than the interpreter's limit.
+    return ConfigError(f"{key}: a number or exponent has more than {sys.get_int_max_str_digits()} digits")
+
+
 def _parse_scalar(text: str, kind: str, key: str, choices: tuple[str, ...] | None):
     if kind == "str":
         if choices is not None and text not in choices:
@@ -165,7 +171,10 @@ def _parse_scalar(text: str, kind: str, key: str, choices: tuple[str, ...] | Non
         return text
     if kind == "int":
         if re.fullmatch(r"[+-]?[0-9]+", text):
-            return int(text)
+            try:
+                return int(text)
+            except ValueError:
+                raise _too_long(key) from None
         raise ConfigError(f"{key}: expected an integer, got {text!r}")
 
     match = _NUMBER_RE.fullmatch(text.strip())
@@ -186,7 +195,10 @@ def _parse_scalar(text: str, kind: str, key: str, choices: tuple[str, ...] | Non
             raise ConfigError(f"{key}: unit suffix is mandatory (one of {', '.join(table)})")
         if unit not in table:
             raise ConfigError(f"{key}: unknown unit {unit!r} (expected one of {', '.join(table)})")
-        value = _scaled(number, table[unit])
+        try:
+            value = _scaled(number, table[unit])
+        except ValueError:
+            raise _too_long(key) from None
     if not math.isfinite(value):
         raise ConfigError(f"{key}: {text!r} is out of float64 range")
     return value

@@ -700,6 +700,7 @@ def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides):
 
 
 _LONG = "1" * (sys.get_int_max_str_digits() + 1)
+_TOO_LONG = f"a number or exponent has more than {sys.get_int_max_str_digits()} digits"
 
 
 @pytest.mark.parametrize(
@@ -707,9 +708,9 @@ _LONG = "1" * (sys.get_int_max_str_digits() + 1)
     [
         ("stark", "protocol.t_prep=1e-999999999999ns", "must be finite and positive, got 0.0"),
         ("stark", "protocol.t_prep=-1e-999999999999999999999999ns", "must be finite and positive, got -0.0"),
-        ("stark", f"protocol.t_prep=0.{_LONG}ns", "integer string conversion"),
-        ("stark", f"protocol.t_prep=1e{_LONG}ns", "integer string conversion"),
-        ("budget", f"budget.n_shots={_LONG}", "integer string conversion"),
+        ("stark", f"protocol.t_prep=0.{_LONG}ns", f"config error: protocol.t_prep: {_TOO_LONG}\n"),
+        ("stark", f"protocol.t_prep=1e{_LONG}ns", f"config error: protocol.t_prep: {_TOO_LONG}\n"),
+        ("budget", f"budget.n_shots={_LONG}", f"config error: budget.n_shots: {_TOO_LONG}\n"),
     ],
     ids=["tiny", "tiny-negative", "long-digits", "long-exponent", "long-int"],
 )
@@ -717,8 +718,8 @@ def test_extreme_literal_is_config_error(tmp_path, capsys, name, override, messa
     # An exponent far below float64 scales to a zero, which the protocol
     # refuses, without a long computation.  A number or exponent with
     # more digits than the interpreter converts to an int is refused on
-    # one line, for a unit key as for an int key, even where its value
-    # (about 0.11 ns) is in range.
+    # one line that names the key, for a unit key as for an int key, even
+    # where its value (about 0.11 ns) is in range.
     start = time.perf_counter()
     code, paths = run_subcommand(name, overrides=(override,), output_dir=str(tmp_path))
     assert time.perf_counter() - start < 5.0
@@ -1392,6 +1393,57 @@ def test_csv_decimal_and_json_load_only_where_used(tmp_path, layer_reports):
     report = _probe_modules(tmp_path, ["stark"], ["output.format=json"])
     assert report["codes"] == {"stark": 0}
     assert report["stages"]["stark"]["stdlib"] == ["json"]
+
+
+_MAIN_PROBE = """
+import ast, contextlib, gc, io, json, sys
+from jpmsim.cli import main
+
+runs = []
+for argv in ast.literal_eval(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue(), gc.get_freeze_count()])
+print(json.dumps(runs))
+"""
+
+
+def test_main_in_a_fresh_process_matches_run_subcommand(tmp_path, capsys):
+    # One fresh interpreter per layer calls main for each of the layer's
+    # subcommands in turn, as a `jpmsim` process does.  Each exit code,
+    # `wrote` line and artifact byte equals that of run_subcommand with
+    # the same overrides in this process, and after main returns the
+    # collector's objects are frozen (gc.freeze).  One refused override
+    # exits 2 with its one diagnostic line and creates no directory.
+    refused = tmp_path / "refused"
+    for layer, names in _LAYER_RUNS.items():
+        inside, fresh = tmp_path / "inside" / layer, tmp_path / "fresh" / layer
+        argvs, expected = [], []
+        for name in names:
+            sets = list(FAST.get(name, ()))
+            extra = [f"tomo.input={fresh / 'tomogram.csv'}"] if name == "tomo-fit" else []
+            argvs.append([name, *(arg for value in sets + extra for arg in ("-s", value)), "-o", str(fresh)])
+            extra = [f"tomo.input={inside / 'tomogram.csv'}"] if name == "tomo-fit" else []
+            code, _ = run_subcommand(name, overrides=sets + extra, output_dir=str(inside))
+            captured = capsys.readouterr()
+            expected.append([code, captured.out.replace(str(inside), str(fresh)), captured.err])
+        if layer == "protocol":
+            argvs.append(["stark", "-s", "protocol.t_prep=780", "-o", str(refused)])
+            code, _ = run_subcommand("stark", overrides=["protocol.t_prep=780"], output_dir=str(refused))
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("config error: protocol.t_prep") and captured.err.count("\n") == 1
+            expected.append([code, captured.out, captured.err])
+        runs = _run_probe(_MAIN_PROBE, repr(argvs))
+        assert [run[:3] for run in runs] == expected, layer
+        assert all(run[3] > 0 for run in runs), layer
+        assert [code for code, *_ in expected[: len(names)]] == [0] * len(names), layer
+        artifacts = sorted(path.name for path in inside.iterdir())
+        assert sorted(path.name for path in fresh.iterdir()) == artifacts == sorted(ARTIFACTS[n] for n in names)
+        for artifact in artifacts:
+            assert (fresh / artifact).read_bytes() == (inside / artifact).read_bytes(), (layer, artifact)
+    assert not refused.exists()
 
 
 _SHOT_PROBE = """
