@@ -395,35 +395,37 @@ def _read_tomogram(path: str) -> TomogramGrid:
 
     from .tomography import TomogramGrid
 
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty tomogram file") from None
-        if len(header) != 3:
-            raise ConfigError(f"{path}: tomo-fit reads CSV only; header has {len(header)} columns, not 3")
-        try:
-            [float(cell) for cell in header]
-        except ValueError:
-            pass
-        else:
-            raise ConfigError(f"{path}: starts with a data row, not a header")
-        cells = {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ConfigError(f"{path}: expected 3 columns, got {len(row)}")
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ConfigError(f"{path}: empty tomogram file")
+            if len(header) != 3:
+                raise ConfigError(f"{path}: tomo-fit reads CSV only; header has {len(header)} columns, not 3")
             try:
-                theta, t, occupation = (float(cell) for cell in row)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: malformed row {row!r}") from exc
-            if not (math.isfinite(theta) and math.isfinite(t)):
-                raise ConfigError(f"{path}: non-finite grid coordinate in row {row!r}")
-            if (theta, t) in cells:
-                raise ConfigError(f"{path}: duplicate grid cell ({theta}, {t})")
-            cells[(theta, t)] = occupation
+                [float(cell) for cell in header]
+            except ValueError:
+                pass
+            else:
+                raise ConfigError(f"{path}: starts with a data row, not a header")
+            cells = {}
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ConfigError(f"{path}: expected 3 columns, got {len(row)}")
+                try:
+                    theta, t, occupation = (float(cell) for cell in row)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: malformed row {row!r}") from exc
+                if not (math.isfinite(theta) and math.isfinite(t)):
+                    raise ConfigError(f"{path}: non-finite grid coordinate in row {row!r}")
+                if (theta, t) in cells:
+                    raise ConfigError(f"{path}: duplicate grid cell ({theta}, {t})")
+                cells[(theta, t)] = occupation
+    except (csv.Error, UnicodeDecodeError) as exc:  # e.g. a field over csv.field_size_limit()
+        raise ConfigError(f"{path}: {exc}") from exc
     if not cells:
         raise ConfigError(f"{path}: no data rows")
     thetas = sorted({key[0] for key in cells})

@@ -264,7 +264,7 @@ class RunConfig:
             try:
                 with open(config_path, encoding="utf-8") as fh:
                     lines = fh.readlines()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
             _parse_lines(lines, str(config_path), values, comments=True)
         _parse_lines(overrides, "override", values, comments=False)

@@ -153,9 +153,9 @@ def _inductive_energy(p: JpmParams) -> float:
 
 def _energy(delta, phi_e, p: JpmParams):
     quad_scale = 0.5 * _inductive_energy(p)
-    # float_power squares with the C library's pow, as a float64 scalar's
-    # ** does, where an array's ** 2 multiplies: this way one phase and an
-    # array of phases give the same bits.
+    # float_power squares with the C library's pow, where an array's ** 2
+    # multiplies: the recorded potential_sweep artifacts hold pow's bits, and
+    # the product (an ulp off in some squares) is no more stable without FMA.
     return -p.josephson_energy * np.cos(delta) + quad_scale * np.float_power(
         np.asarray(delta) - phi_e, 2.0
     )
@@ -293,9 +293,9 @@ def _block_roots(phi_e, beta: float, turn, reach: int):
 def _sweep_extrema(fluxes, p: JpmParams):
     """Extrema of every flux in webers as flat arrays.
 
-    Returns (phi_e, offsets, roots, is_minimum): the phase bias of each
-    flux, and the extrema of flux i as ``roots[offsets[i]:offsets[i + 1]]``
-    in ascending phase order.
+    Returns (phi_e, flux_of, offsets, roots, is_minimum): the phase bias
+    of each flux, the flux index of each extremum, and the extrema of flux
+    i as ``roots[offsets[i]:offsets[i + 1]]`` in ascending phase order.
     """
     fluxes = np.asarray(fluxes, dtype=float)
     if fluxes.ndim != 1:
@@ -337,7 +337,7 @@ def _sweep_extrema(fluxes, p: JpmParams):
         raise NumericalError(
             f"inconsistent extremum structure at flux {float(fluxes[i]) / PHI0} Phi0: {extrema}"
         )
-    return phi_e, offsets, roots, is_minimum
+    return phi_e, flux_of, offsets, roots, is_minimum
 
 
 def _pairs(roots, is_minimum) -> list[tuple[float, str]]:
@@ -385,7 +385,7 @@ def find_extrema_sweep(fluxes, p: JpmParams) -> list[list[tuple[float, str]]]:
         If ``fluxes`` is not one-dimensional, or a flux is not finite or
         its phase bias overflows.
     """
-    _, offsets, roots, is_minimum = _sweep_extrema(fluxes, p)
+    _, _, offsets, roots, is_minimum = _sweep_extrema(fluxes, p)
     extrema = _pairs(roots, is_minimum)
     bounds = offsets.tolist()
     return [extrema[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -407,12 +407,12 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
         As :func:`find_extrema_sweep`, or if the curvature at a minimum
         is not positive.
     """
-    phi_e, offsets, roots, is_minimum = _sweep_extrema(fluxes, p)
-    flux_of = np.repeat(np.arange(phi_e.size), np.diff(offsets))
+    phi_e, flux_of, offsets, roots, is_minimum = _sweep_extrema(fluxes, p)
     energy = _energy(roots, phi_e[flux_of], p)
 
     j = np.flatnonzero(is_minimum)
-    start, stop = offsets[flux_of[j]], offsets[flux_of[j] + 1]
+    well_index = flux_of[j]
+    start, stop = offsets[well_index], offsets[well_index + 1]
     height = np.full(j.size, math.inf)
     barrier = np.full(j.size, math.nan)
     # The left maximum first, the right one only if lower by more than the
@@ -430,7 +430,6 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
         barrier = np.where(lower, roots[side], barrier)
         tie = np.where(lower, slack[side], tie)
 
-    well_index = flux_of[j]
     wells = np.bincount(well_index, minlength=phi_e.size)
     position = np.arange(j.size) - (np.cumsum(wells) - wells)[well_index]
     count = wells[well_index]

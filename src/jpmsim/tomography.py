@@ -234,20 +234,17 @@ def _projection(grid: TomogramGrid):
     return y, rows, (math.pi / 8.0) * (t / np.ptp(t)), solve
 
 
-def _scan_start(grid: TomogramGrid) -> int:
-    """The k at the global minimum of y^T y - h^T x over k = 2 ... 8 (M - 1).
+def _scan_start(y: np.ndarray, turn: np.ndarray, solve, k_max: int) -> int:
+    """The k at the global minimum of y^T y - h^T x over k = 2 ... k_max, on _projection's y, turn and solve.
 
     That residual is a function of t_pi alone (variable projection).  For M distinct durations
-    the scan takes 16 points per 1/span from f = 1/(2 t_pi) = 1/(8 span) to (M - 1)/(2 span),
-    t_pi down to one mean step.
+    the fit passes k_max = 8 (M - 1): the scan takes 16 points per 1/span from f = 1/(2 t_pi) =
+    1/(8 span) to (M - 1)/(2 span), t_pi down to one mean step.
     """
-    y, _, turn, solve = _projection(grid)
-    t = grid.pulse_durations
-    k_max = 8 * (_distinct_count(t) - 1)
-    if (k_max - 1) * t.size > MAX_SCAN_CELLS:
-        raise NumericalError(f"tomogram fit: t_pi scan of {t.size} durations exceeds {MAX_SCAN_CELLS:.3g} cells")
+    if (k_max - 1) * turn.size > MAX_SCAN_CELLS:
+        raise NumericalError(f"tomogram fit: t_pi scan of {turn.size} durations exceeds {MAX_SCAN_CELLS:.3g} cells")
     minima = []  # (profile, k) at the minimum of each block
-    block = max(1, (1 << 16) // t.size)  # values of k per block, which bounds memory
+    block = max(1, (1 << 16) // turn.size)  # values of k per block, which bounds memory
     for k0 in range(2, k_max + 1, block):
         z = np.tile(np.exp(1j * turn), (min(block, k_max + 1 - k0), 1))
         z[0] = np.exp(1j * k0 * turn)
@@ -289,7 +286,8 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
         raise IdentifiabilityError("need at least 4 distinct axis angles modulo 2 pi")
     # A full period 2 t_pi inside the span, sampled above the Nyquist
     # rate, needs at least 4 durations.
-    if _distinct_count(t) < 4:
+    n_durations = _distinct_count(t)
+    if n_durations < 4:
         raise IdentifiabilityError("need at least 4 distinct pulse durations")
     # A constant surface (beta = 1/2 with r = 0, or durations far below
     # t_pi) holds no t_pi at all.
@@ -313,7 +311,7 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
     # Parabolic steps through three points of the profile h apart, from the scan's best k.  The
     # vertex is off the minimum by O(h^2), so the next points lie h^2/4 apart around it.  A vertex
     # beyond the outer points moves them h downhill instead, which must lower the profile.
-    k, h = float(_scan_start(grid)), 1.0
+    k, h = float(_scan_start(y, turn, solve, 8 * (n_durations - 1))), 1.0
     low, mid, high = profile([k - h, k, k + h])[1]
     for _ in range(MAX_PROFILE_EVALS // 3 - 1):
         curv = low + high - 2.0 * mid

@@ -98,10 +98,10 @@ def _exp_half_diff(t, kappa_1: float, kappa_2: float):
     """
     t = np.asarray(t, dtype=float)
     x = 0.5 * (kappa_2 - kappa_1) * t
-    direct = np.exp(-0.5 * kappa_1 * t) - np.exp(-0.5 * kappa_2 * t)
+    decay_2 = np.exp(-0.5 * kappa_2 * t)
     small = np.abs(x) <= 1.0
-    factored = np.exp(-0.5 * kappa_2 * t) * np.expm1(np.where(small, x, 0.0))
-    return np.where(small, factored, direct)
+    factored = decay_2 * np.expm1(np.where(small, x, 0.0))
+    return np.where(small, factored, np.exp(-0.5 * kappa_1 * t) - decay_2)
 
 
 def efficiency(t, kappa_1: float, kappa_2: float, delta_omega: float):

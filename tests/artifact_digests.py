@@ -6,7 +6,8 @@ reference over them.  Run as a script, this file runs all 12
 subcommands in both output formats for each config, in process, with
 tomo-fit reading the CSV tomogram that tomo-synth wrote for the same
 config.  It prints a comment line naming the Python and numpy versions
-(no artifact depends on scipy, which the package never imports), then
+(no artifact depends on scipy, which the package never imports), the
+machine and numpy's highest enabled x86-64 SIMD level, then
 one line ``<sha256>  <config>/<format>/<artifact>`` per
 artifact, sorted, where <config> is the index into BYTE_CONFIGS: 192
 lines in all.  It exits 1 if any run does not exit 0.
@@ -54,8 +55,18 @@ DIGESTS_FILE = Path(__file__).with_name("artifact_digests.txt")
 
 
 def versions_line() -> str:
-    """The comment line naming the Python and numpy versions."""
-    return f"# python {platform.python_version()}, numpy {version('numpy')}"
+    """The comment line naming the Python and numpy versions, the machine and numpy's SIMD level.
+
+    The level is the highest of X86_V2, X86_V3 and X86_V4 that numpy's
+    dispatch has enabled, or unknown: some artifact values differ in the
+    last bit between numpy's SIMD loops.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:
+        features = {}
+    level = next((name for name in ("X86_V4", "X86_V3", "X86_V2") if features.get(name)), "unknown")
+    return f"# python {platform.python_version()}, numpy {version('numpy')}, {platform.machine()}, simd {level}"
 
 
 def digests(work_dir: Path) -> tuple[list[str], int]:

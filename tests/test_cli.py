@@ -871,6 +871,42 @@ def test_tomogram_reader_refuses_malformed_files(tmp_path, capsys, tomogram, edi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", [0, 5], ids=["header", "data-row"])
+def test_tomogram_field_over_the_csv_limit_is_config_error(tmp_path, capsys, tomogram, row):
+    # A field longer than csv.field_size_limit() (131 072 characters by
+    # default), in the header or in a data row, makes the csv module raise
+    # csv.Error; tomo-fit refuses it with one line that names the file.
+    lines = tomogram.read_text().splitlines()
+    lines[row] = "0" * csv.field_size_limit() + lines[row]
+    edited = tmp_path / "long.csv"
+    edited.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "fit"
+    capsys.readouterr()
+    assert main(["tomo-fit", "-s", f"tomo.input={edited}", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {edited}: field larger than field limit ({csv.field_size_limit()})\n"
+    assert not out.exists()
+
+
+def test_files_that_are_not_utf8_are_refused_with_their_paths(tmp_path, capsys, tomogram):
+    # A config file or a tomogram with a byte that is not UTF-8 exits 2
+    # with one line that names the file, and writes nothing.
+    doc = tmp_path / "run.cfg"
+    doc.write_bytes(b"seed = 1\n\xff\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(tomogram.read_bytes().replace(b"\n", b"\n\xff", 1))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for argv, prefix in (
+        (["stark", "-c", str(doc)], f"config error: cannot read config file {doc}: "),
+        (["tomo-fit", "-s", f"tomo.input={bad}"], f"config error: {bad}: "),
+    ):
+        assert main([*argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + "'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("first, later", [("-0", "0"), ("0", "-0")])
 def test_tomogram_reader_sorts_shuffled_rows_and_keeps_the_first_zero(tmp_path, tomogram, first, later):
     # The default tomogram with its rows shuffled and its zero angle

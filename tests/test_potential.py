@@ -694,8 +694,9 @@ def test_sweep_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    _, offsets, roots, _ = result
+    _, flux_of, offsets, roots, _ = result
     assert offsets[-1] == roots.size and (np.diff(offsets) >= 1).all()
+    assert np.array_equal(flux_of, np.repeat(np.arange(fluxes.size), np.diff(offsets)))
     assert peak - sum(array.nbytes for array in result) < 10e6
 
 

@@ -307,7 +307,7 @@ def test_fit_with_binomial_noise_recovers_population():
 @pytest.mark.parametrize(
     "n_t, t_pi, repeat", [(33, 50e-9, 0), (101, 1.8e-9, 0), (33, 50e-9, 3)], ids=["one-block", "two-blocks", "repeated"]
 )
-def test_scan_start_matches_a_direct_least_squares_scan(n_t, t_pi, repeat):
+def test_scan_start_matches_a_direct_least_squares_scan(monkeypatch, n_t, t_pi, repeat):
     # The slow path: at each scanned f = k/(16 span), fit (beta - 1/2, a, b)
     # by lstsq on the full design matrix and take the residual sum of
     # squares.  Uneven angles and durations, Gaussian noise.  With 101
@@ -335,20 +335,51 @@ def test_scan_start_matches_a_direct_least_squares_scan(n_t, t_pi, repeat):
             best = (cost, k, x)
     _, k, (beta, a, b) = best
     want = [beta + 0.5, math.hypot(a, b), math.atan2(b, a), 8.0 * 160e-9 / k]
-    # The scan's k, and the solve that the scan and the polish share, at that k.
-    k = tomography._scan_start(grid)
-    _, _, turn, solve = tomography._projection(grid)
+    # The scan's k as the fit runs it, to k = 8 (M - 1) over the M distinct
+    # durations, and the solve that the scan and the polish share, at that k.
+    scans = record_scans(monkeypatch)
+    fit_tomogram(grid)
+    ((_, turn, solve, k_max), k), = scans
+    assert k_max == 8 * (np.unique(times).size - 1)
     (x0, a, b), = solve(np.cos([k * turn]), np.sin([k * turn]))[1]
     got = [x0 + 0.5, math.hypot(a, b), math.atan2(b, a), 8.0 * 160e-9 / k]
     np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
-def start_from(monkeypatch, start):
-    # Replaces the start that the fit's t_pi scan finds with a fixed one.
-    # Only its t_pi enters, as the k of f = 1/(2 t_pi) = k/(16 span) that
-    # the polish starts from: beta, r and phi come from the linear solve.
+def record_scans(monkeypatch):
+    # Lets the fit's t_pi scan run and records each call as (arguments, k).
+    scans, scan = [], tomography._scan_start
+
+    def recorded(*args):
+        scans.append((args, scan(*args)))
+        return scans[-1][1]
+
+    monkeypatch.setattr(tomography, "_scan_start", recorded)
+    return scans
+
+
+def test_fit_sets_up_its_projection_and_duration_count_once(monkeypatch):
+    # The scan and the polish share one projection, and the scan's bound
+    # k = 8 (M - 1) reuses the count of distinct durations that the fit
+    # checks first.
+    calls = {}
+    for name in ("_projection", "_distinct_count"):
+        def counted(*args, _name=name, _call=getattr(tomography, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _call(*args)
+
+        monkeypatch.setattr(tomography, name, counted)
+    thetas, times = standard_grid(50e-9)
+    fit_tomogram(synthesize_tomogram(DensityMatrix2(0.3, 0.2, 0.5), 50e-9, thetas, times))
+    assert calls == {"_projection": 1, "_distinct_count": 1}
+
+
+def start_from(monkeypatch, grid, start):
+    # Replaces the start that the fit's t_pi scan finds on grid with a fixed
+    # one.  Only its t_pi enters, as the k of f = 1/(2 t_pi) = k/(16 span)
+    # that the polish starts from: beta, r and phi come from the linear solve.
     t_pi = start[3]
-    monkeypatch.setattr(tomography, "_scan_start", lambda grid: 8.0 * np.ptp(grid.pulse_durations) / t_pi)
+    monkeypatch.setattr(tomography, "_scan_start", lambda *scan: 8.0 * np.ptp(grid.pulse_durations) / t_pi)
 
 
 def test_fit_uses_initial_guess(monkeypatch):
@@ -356,7 +387,7 @@ def test_fit_uses_initial_guess(monkeypatch):
     t_pi = 37e-9
     thetas, times = standard_grid(t_pi)
     grid = synthesize_tomogram(rho, t_pi, thetas, times)
-    start_from(monkeypatch, (0.25, 0.15, -0.8, 40e-9))
+    start_from(monkeypatch, grid, (0.25, 0.15, -0.8, 40e-9))
     fit = fit_tomogram(grid)
     assert fit.rho.excited_population == pytest.approx(0.3, rel=1e-6)
     assert fit.pi_duration == pytest.approx(t_pi, rel=1e-6)
@@ -380,7 +411,7 @@ def test_fit_wraps_phase_into_half_open_interval(monkeypatch, phi, start):
     t_pi = 50e-9
     thetas, times = standard_grid(t_pi)
     grid = synthesize_tomogram(rho, t_pi, thetas, times)
-    start_from(monkeypatch, start)
+    start_from(monkeypatch, grid, start)
     fit = fit_tomogram(grid)
     assert -math.pi < fit.rho.coherence_phase <= math.pi
     monkeypatch.undo()
@@ -587,8 +618,10 @@ def test_fit_at_the_evaluation_bound_returns_the_scan_point(monkeypatch):
     times = np.linspace(0.0, 2.2 * t_pi, 33)
     grid = synthesize_tomogram(DensityMatrix2(0.3, 0.2, 0.5), t_pi, thetas, times, noise_sigma=0.02, rng=np.random.default_rng(2304))
     monkeypatch.setattr(tomography, "MAX_PROFILE_EVALS", 3)
+    scans = record_scans(monkeypatch)
     cut = fit_tomogram(grid)
-    assert cut.pi_duration == 8.0 * (np.ptp(times) / tomography._scan_start(grid))
+    (_, k), = scans
+    assert cut.pi_duration == 8.0 * (np.ptp(times) / k)
     monkeypatch.undo()
     polished = fit_tomogram(grid)
     assert polished.pi_duration != cut.pi_duration
@@ -713,7 +746,7 @@ def test_fit_identifiability_errors(monkeypatch):
     thetas, _ = standard_grid(t_pi)
     short_times = np.linspace(0.0, 0.8 * t_pi, 33)
     grid = synthesize_tomogram(rho, t_pi, thetas, short_times)
-    start_from(monkeypatch, (0.3, 0.2, 0.5, t_pi))
+    start_from(monkeypatch, grid, (0.3, 0.2, 0.5, t_pi))
     with pytest.raises(IdentifiabilityError):
         fit_tomogram(grid)
 

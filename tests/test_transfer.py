@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -102,6 +103,35 @@ def test_kappa_mismatch_reduces_to_matched():
     assert np.max(np.abs(near - matched)) < 1e-8
     coarse = efficiency(ts, kappa, kappa * (1.0 + 1e-6), 0.0)
     assert np.max(np.abs(coarse - matched)) < 1e-5
+
+
+def test_exp_half_diff_matches_a_50_digit_reference():
+    # e^{-kappa_1 t/2} - e^{-kappa_2 t/2} against Decimal at 50 digits on the
+    # float inputs as given, over a seeded grid: half near-equal rates
+    # (kappa_2/kappa_1 - 1 = +-1e-12 ... +-1e-1), where only the factored
+    # form keeps digits, half ratios 1e-3 ... 1e3, with kappa_1 t up to 40,
+    # so x = (kappa_2 - kappa_1) t/2 falls on both sides of the |x| = 1
+    # switch.  exp's condition number is the size of its argument, which is
+    # rounded once, so the result carries up to about kappa_1 t/2 ulp beyond
+    # the few ulp of exp, expm1 and the difference themselves.  Measured:
+    # at most 2.27 + kappa_1 t/2 ulp on this grid (15.5 ulp in all).
+    rng = np.random.default_rng(2411)
+    n = 4000
+    near = 1.0 + rng.choice([-1.0, 1.0], n // 2) * 10.0 ** rng.uniform(-12.0, -1.0, n // 2)
+    ratio = np.r_[near, 10.0 ** rng.uniform(-3.0, 3.0, n - n // 2)]
+    kappa_1 = 10.0 ** rng.uniform(5.0, 9.0, n)
+    t = 10.0 ** rng.uniform(-3.0, math.log10(40.0), n) / kappa_1
+    kappa_2 = kappa_1 * ratio
+    small = np.abs(0.5 * (kappa_2 - kappa_1) * t) <= 1.0
+    assert small.sum() > n // 2 and (~small).sum() > n // 8
+    got = transfer._exp_half_diff(t, kappa_1, kappa_2)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ulps = []
+        for value, k1, k2, half in zip(got.tolist(), kappa_1.tolist(), kappa_2.tolist(), (0.5 * t).tolist()):
+            exact = (-Decimal(k1) * Decimal(half)).exp() - (-Decimal(k2) * Decimal(half)).exp()
+            ulps.append(float(abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact)))))
+    assert np.max(np.array(ulps) - 0.5 * kappa_1 * t) < 4.0
 
 
 @pytest.mark.parametrize("rate", [1e-150, 1e160])
