@@ -4,18 +4,14 @@ Every subcommand reads one flat key/value config document (all keys
 optional, see config.SCHEMA for names and defaults), applies -s/--set
 overrides, runs the corresponding computation, and writes one artifact
 into the output directory.  _SUBCOMMANDS describes each subcommand
-once: its compute function, artifact stem, column header and help
-text.  Each compute function imports the physics names it calls, so a
-subcommand loads only its own layer; json is imported where a JSON
-artifact is written and csv where a tomogram is read.  A table's
-compute function returns its columns (numpy arrays or lists, in header
-order) of floats, ints or plain text labels, and _write encodes them a
-block of WRITE_BLOCK_ROWS rows at a time, one %-template per row, so
-the table's text is never whole in memory.  Header names and labels are
-written verbatim.  Outputs are byte-stable for a fixed config and
-seed: fixed column orders, 12-significant-digit decimals for float
-columns in CSV, and newline-terminated JSON with insertion-ordered
-keys.
+once: its compute function, artifact stem, whether it writes a table
+or a record, and help text.  Each compute function imports the physics
+names it calls, so a subcommand loads only its own layer; json is
+imported where a JSON artifact is written and csv where a tomogram is
+read.  A compute function returns {column name: column} for a table
+and {key: value} for a record, so each name is given where its values
+are computed.  _table_text says how a table is encoded.  Outputs are
+byte-stable for a fixed config and seed.
 
 Exit codes: 0 success, 2 config error, 3 numerical/identifiability
 error, 4 I/O error.
@@ -77,20 +73,25 @@ def _block_text(columns, start: int, prepare, template: str, separator: str) -> 
     return separator.join(map(template.__mod__, zip(*block)))
 
 
-def _table_text(header, columns: list[np.ndarray], as_csv: bool):
-    """The artifact text of a table: its head, each block of rows, its tail.
+def _table_text(table: dict, as_csv: bool):
+    """The artifact text of a table {column name: column}: its head, each block of rows, its tail.
 
-    Each block of WRITE_BLOCK_ROWS rows is encoded by _block_text.  A
-    column holds floats, ints or plain text labels, and a header name or
-    label needs no quoting or escaping, so both are written verbatim.
-    CSV prints a float with %.12g and anything else with %s; JSON gives
-    what json.dump(rows, indent=2) gives for a list of one dict per row.
+    A column is a numpy array or list of floats, ints or plain text
+    labels, and the table has as many rows as its shortest column.  A
+    column name or label holds no comma, quote, backslash, line break or
+    non-ASCII character, so both are written verbatim.  CSV prints a
+    float with %.12g and anything else with %s, under a line of the
+    names; JSON gives what json.dump(rows, indent=2) gives for a list of
+    one dict per row, keys in column order.  Each block of
+    WRITE_BLOCK_ROWS rows is encoded by _block_text, one %-template per
+    row, so the text of the whole table is never held in memory.
     """
+    columns = [np.asarray(column) for column in table.values()]
     rows = min((len(column) for column in columns), default=0)
     kinds = [column.dtype.kind for column in columns]
     prepare = [_json_floats if kind == "f" and not as_csv else np.ndarray.tolist for kind in kinds]
     if as_csv:
-        yield ",".join(header) + "\n"
+        yield ",".join(table) + "\n"
         template = ",".join("%.12g" if kind == "f" else "%s" for kind in kinds) + "\n"
         separator = ""
     elif rows == 0:
@@ -103,7 +104,7 @@ def _table_text(header, columns: list[np.ndarray], as_csv: bool):
         # A key is text of the template, so its own % signs are escaped.
         fields = (
             json.dumps(key).replace("%", "%%") + (": %s" if kind in "fiu" else ': "%s"')
-            for key, kind in zip(header, kinds)
+            for key, kind in zip(table, kinds)
         )
         template = "  {\n    " + ",\n    ".join(fields) + "\n  }"
         separator = ",\n"
@@ -114,21 +115,15 @@ def _table_text(header, columns: list[np.ndarray], as_csv: bool):
         yield "\n]\n"
 
 
-def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
-    """Write a table (columns under header) or, when header is None, a JSON record.
+def _write(out_dir: Path, stem: str, data: dict, table: bool, file_format: str) -> Path:
+    """Write data as a table (_table_text) in file_format, or as a JSON record; returns its path.
 
     out_dir is created here, so a run refused before writing leaves no
     new directory.  The bytes go to a temporary file in out_dir that
     replaces the artifact only once complete, so a failed write leaves no
-    partial file and any older artifact of the same name as it was.  A
-    table is encoded and written one block of rows at a time
-    (_table_text), so no text of the whole table is held in memory.
+    partial file and any older artifact of the same name as it was.
     """
-    as_csv = header is not None and file_format == "csv"
-    if header is None:
-        payload = {key: np.asarray(value).tolist() for key, value in data.items()}
-    else:
-        columns = [np.asarray(column) for column in data]
+    as_csv = table and file_format == "csv"
     path = out_dir / f"{stem}.{'csv' if as_csv else 'json'}"
     out_dir.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{stem}.", suffix=".tmp")
@@ -138,13 +133,13 @@ def _write(out_dir: Path, stem: str, header, data, file_format: str) -> Path:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            if header is None:
+            if table:
+                fh.writelines(_table_text(data, as_csv))
+            else:
                 import json
 
-                json.dump(payload, fh, indent=2)
+                json.dump({key: np.asarray(value).tolist() for key, value in data.items()}, fh, indent=2)
                 fh.write("\n")
-            else:
-                fh.writelines(_table_text(header, columns, as_csv))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -175,16 +170,13 @@ def _time_axis(cfg: RunConfig, section: str, name: str) -> np.ndarray:
     return _linspace(0.0, cfg.get(f"{section}.{name}_stop"), cfg.get(points), points)
 
 
-def _grid_columns(row_values: np.ndarray, col_values: np.ndarray, matrix: np.ndarray) -> tuple:
-    """(row value, column value, cell) columns of a matrix, in row-major order."""
-    return (
-        np.repeat(row_values, col_values.size),
-        np.tile(col_values, row_values.size),
-        matrix.ravel(),
-    )
+def _grid_columns(names: tuple[str, str, str], row_values, col_values, matrix: np.ndarray) -> dict:
+    """The row value, column value and cell columns of a matrix, in row-major order, under names."""
+    columns = (np.repeat(row_values, col_values.size), np.tile(col_values, row_values.size), matrix.ravel())
+    return dict(zip(names, columns))
 
 
-def _potential_sweep(cfg: RunConfig) -> tuple:
+def _potential_sweep(cfg: RunConfig) -> dict:
     from .potential import well_report_sweep
 
     params = cfg.jpm_params()
@@ -195,19 +187,19 @@ def _potential_sweep(cfg: RunConfig) -> tuple:
         "potential.flux_points",
     )
     wells = well_report_sweep(fluxes, params)
-    return (
-        (fluxes / PHI0)[wells.flux_index],
-        wells.well_count,
-        wells.well_label,
-        wells.minimum_phase,
-        wells.barrier_phase,
-        wells.barrier_height,
-        wells.plasma_frequency / TWO_PI,
-        wells.level_count,
-    )
+    return {
+        "flux (phi0)": (fluxes / PHI0)[wells.flux_index],
+        "well_count (1)": wells.well_count,
+        "well_label": wells.well_label,
+        "minimum_phase (rad)": wells.minimum_phase,
+        "barrier_phase (rad)": wells.barrier_phase,
+        "barrier_height (J)": wells.barrier_height,
+        "plasma_frequency (Hz)": wells.plasma_frequency / TWO_PI,
+        "level_count (1)": wells.level_count,
+    }
 
 
-def _bifurcation(cfg: RunConfig) -> tuple:
+def _bifurcation(cfg: RunConfig) -> dict:
     from .potential import critical_flux, find_extrema_sweep
 
     params = cfg.jpm_params()
@@ -220,10 +212,14 @@ def _bifurcation(cfg: RunConfig) -> tuple:
         sum(1 for _, kind in extrema if kind == "minimum")
         for extrema in find_extrema_sweep(probes, params)
     ]
-    return np.divide(crit, PHI0), minima[-1:] + minima[:-1], minima
+    return {
+        "critical_flux (phi0)": np.divide(crit, PHI0),
+        "minima_below (1)": minima[-1:] + minima[:-1],
+        "minima_above (1)": minima,
+    }
 
 
-def _transfer_curves(cfg: RunConfig) -> tuple:
+def _transfer_curves(cfg: RunConfig) -> dict:
     from .transfer import efficiency
 
     tc = cfg.transfer_config()
@@ -253,10 +249,13 @@ def _transfer_curves(cfg: RunConfig) -> tuple:
         family(ratio * kappa_1, 0.0, "kappa_ratio=%g" % ratio)
     for ratio in detuning_ratios:
         family(kappa_1, ratio * kappa_1, "detuning_ratio=%g" % ratio)
-    # An object column holds a reference per row to its family's label,
-    # not a fixed-width copy of the longest one.
-    column = np.repeat(np.array(labels, dtype=object), ts.size)
-    return np.tile(ts * kappa_1, len(labels)), np.concatenate(etas), column
+    return {
+        "t_kappa1 (1)": np.tile(ts * kappa_1, len(labels)),
+        "efficiency (1)": np.concatenate(etas),
+        # An object column holds a reference per row to its family's label,
+        # not a fixed-width copy of the longest one.
+        "label": np.repeat(np.array(labels, dtype=object), ts.size),
+    }
 
 
 def _transfer_peak(cfg: RunConfig) -> dict:
@@ -298,8 +297,8 @@ def _budget(cfg: RunConfig) -> dict:
 
 def _detector_grid(
     cfg: RunConfig, section: str, axis: str, sweep: Callable[..., np.ndarray], **options
-) -> tuple:
-    """(detuning, time, switch probability) columns of sweep over {section}.detunings and its time axis.
+) -> dict:
+    """Detuning, {axis} and switch probability columns of sweep over {section}.detunings and its time axis.
 
     Reads the protocol config, {section}.detunings, {section}.{axis}_stop
     and _points, and {section}.n_shots; options go to sweep as they are.
@@ -308,10 +307,11 @@ def _detector_grid(
     detunings = _require_nonempty(cfg, f"{section}.detunings")
     times = _time_axis(cfg, section, axis)
     matrix = sweep(detunings, times, pc, n_shots=cfg.get(f"{section}.n_shots"), **options)
-    return _grid_columns(np.divide(detunings, TWO_PI), times, matrix)
+    names = ("detuning (Hz)", f"{axis} (s)", "switch_probability (1)")
+    return _grid_columns(names, np.divide(detunings, TWO_PI), times, matrix)
 
 
-def _ramsey(cfg: RunConfig) -> tuple:
+def _ramsey(cfg: RunConfig) -> dict:
     from .protocol import ramsey_fringe
 
     return _detector_grid(
@@ -319,28 +319,33 @@ def _ramsey(cfg: RunConfig) -> tuple:
     )
 
 
-def _rabi(cfg: RunConfig) -> tuple:
+def _rabi(cfg: RunConfig) -> dict:
     from .protocol import rabi_chevron
 
     return _detector_grid(cfg, "rabi", "duration", rabi_chevron, rabi_rate=cfg.get("rabi.rate"))
 
 
-def _stark(cfg: RunConfig) -> tuple:
+def _stark(cfg: RunConfig) -> dict:
     from .protocol import stark_calibration
 
     pc = cfg.protocol_config()
     powers = _require_nonempty(cfg, "stark.powers")
     n_bar, shift = stark_calibration(powers, pc)
-    return powers, n_bar, shift / TWO_PI
+    return {"power (1)": powers, "n_bar (1)": n_bar, "qubit_shift (Hz)": shift / TWO_PI}
 
 
-def _depletion(cfg: RunConfig) -> tuple:
+def _depletion(cfg: RunConfig) -> dict:
     from .protocol import depletion_recovery
 
     pc = cfg.protocol_config()
     times = _time_axis(cfg, "depletion", "time")
     out = depletion_recovery(times, pc)
-    return times, out["residual_photons"], out["ramsey_contrast"], out["frequency_shift"] / TWO_PI
+    return {
+        "depletion_time (s)": times,
+        "residual_photons (1)": out["residual_photons"],
+        "ramsey_contrast (1)": out["ramsey_contrast"],
+        "frequency_shift (Hz)": out["frequency_shift"] / TWO_PI,
+    }
 
 
 def _iq(cfg: RunConfig) -> dict:
@@ -355,7 +360,7 @@ def _iq(cfg: RunConfig) -> dict:
     }
 
 
-def _tomo_synth(cfg: RunConfig) -> tuple:
+def _tomo_synth(cfg: RunConfig) -> dict:
     from .tomography import DensityMatrix2, synthesize_tomogram
 
     rho = DensityMatrix2(
@@ -382,7 +387,8 @@ def _tomo_synth(cfg: RunConfig) -> tuple:
     # Only shot or Gaussian noise draws, so only then is numpy.random loaded.
     rng = None if n_shots is None and noise_sigma is None else np.random.default_rng(cfg.get("seed"))
     grid = synthesize_tomogram(rho, t_pi, thetas, durations, n_shots=n_shots, noise_sigma=noise_sigma, rng=rng)
-    return _grid_columns(grid.axis_angles, grid.pulse_durations, grid.occupations)
+    names = ("axis_angle (rad)", "pulse_duration (s)", "occupation (1)")
+    return _grid_columns(names, grid.axis_angles, grid.pulse_durations, grid.occupations)
 
 
 def _read_tomogram(path: str) -> TomogramGrid:
@@ -466,19 +472,14 @@ def _tomo_fit(cfg: RunConfig) -> dict:
 
 
 class _Subcommand(NamedTuple):
-    """One subcommand: compute(cfg) gives the columns under header, or a record when header is None.
+    """One subcommand: compute(cfg) gives a table {column name: column} or a record {key: value}.
 
-    Columns are numpy arrays or lists of floats, ints or plain text
-    labels, in header order; header names and labels hold no comma,
-    quote, backslash, line break or non-ASCII character.  _write encodes
-    them in blocks of rows: in CSV a float as %.12g and an int or label
-    as %s, verbatim; in JSON as json.dump(rows, indent=2) would, one
-    dict per row.
+    A table is written as _table_text encodes it, a record as a JSON object.
     """
 
-    compute: Callable[[RunConfig], tuple | dict]
+    compute: Callable[[RunConfig], dict]
     stem: str
-    header: tuple[str, ...] | None
+    table: bool
     help: str
 
 
@@ -486,97 +487,83 @@ _SUBCOMMANDS = {
     "potential-sweep": _Subcommand(
         _potential_sweep,
         "potential_sweep",
-        (
-            "flux (phi0)",
-            "well_count (1)",
-            "well_label",
-            "minimum_phase (rad)",
-            "barrier_phase (rad)",
-            "barrier_height (J)",
-            "plasma_frequency (Hz)",
-            "level_count (1)",
-        ),
-        "Sweep the loop flux bias and tabulate every potential well: "
+        table=True,
+        help="Sweep the loop flux bias and tabulate every potential well: "
         "minimum and barrier phases, depth, plasma frequency, level count.",
     ),
     "bifurcation": _Subcommand(
         _bifurcation,
         "bifurcation",
-        ("critical_flux (phi0)", "minima_below (1)", "minima_above (1)"),
-        "Locate the flux biases where potential minima appear or vanish "
+        table=True,
+        help="Locate the flux biases where potential minima appear or vanish "
         "and count the minima on either side of each.",
     ),
     "transfer-curves": _Subcommand(
         _transfer_curves,
         "transfer_curves",
-        ("t_kappa1 (1)", "efficiency (1)", "label"),
-        "Tabulate transfer-efficiency curves versus scaled time for "
+        table=True,
+        help="Tabulate transfer-efficiency curves versus scaled time for "
         "families of decay-rate ratios and detuning ratios.",
     ),
     "transfer-peak": _Subcommand(
         _transfer_peak,
         "transfer_peak",
-        None,
-        "Report the peak transfer efficiency and optimal capture time for "
+        table=False,
+        help="Report the peak transfer efficiency and optimal capture time for "
         "the configured cavity pair, with closed-form reference values.",
     ),
     "budget": _Subcommand(
         _budget,
         "budget",
-        None,
-        "Monte Carlo raw-fidelity budget of the measurement protocol, "
+        table=False,
+        help="Monte Carlo raw-fidelity budget of the measurement protocol, "
         "split into relaxation, dark-count, and detection-miss terms.",
     ),
     "ramsey": _Subcommand(
         _ramsey,
         "ramsey",
-        ("detuning (Hz)", "delay (s)", "switch_probability (1)"),
-        "Detector-read Ramsey fringe dataset versus drive detuning and delay.",
+        table=True,
+        help="Detector-read Ramsey fringe dataset versus drive detuning and delay.",
     ),
     "rabi": _Subcommand(
         _rabi,
         "rabi",
-        ("detuning (Hz)", "duration (s)", "switch_probability (1)"),
-        "Detector-read Rabi chevron dataset versus drive detuning and pulse duration.",
+        table=True,
+        help="Detector-read Rabi chevron dataset versus drive detuning and pulse duration.",
     ),
     "stark": _Subcommand(
         _stark,
         "stark",
-        ("power (1)", "n_bar (1)", "qubit_shift (Hz)"),
-        "Photon-number calibration: map drive powers to cavity occupation "
+        table=True,
+        help="Photon-number calibration: map drive powers to cavity occupation "
         "and qubit frequency shift.",
     ),
     "depletion": _Subcommand(
         _depletion,
         "depletion",
-        (
-            "depletion_time (s)",
-            "residual_photons (1)",
-            "ramsey_contrast (1)",
-            "frequency_shift (Hz)",
-        ),
-        "Post-measurement recovery versus depletion time: residual "
+        table=True,
+        help="Post-measurement recovery versus depletion time: residual "
         "photons, fringe contrast, and frequency shift.",
     ),
     "iq": _Subcommand(
         _iq,
         "iq",
-        None,
-        "IQ-plane discrimination report: single-shot and separation "
+        table=False,
+        help="IQ-plane discrimination report: single-shot and separation "
         "fidelities and the decision threshold.",
     ),
     "tomo-synth": _Subcommand(
         _tomo_synth,
         "tomogram",
-        ("axis_angle (rad)", "pulse_duration (s)", "occupation (1)"),
-        "Generate a synthetic tomogram grid (axis angle x pulse duration) "
+        table=True,
+        help="Generate a synthetic tomogram grid (axis angle x pulse duration) "
         "from a configured qubit state.",
     ),
     "tomo-fit": _Subcommand(
         _tomo_fit,
         "tomo_fit",
-        None,
-        "Fit a four-parameter qubit state to a tomogram CSV and report "
+        table=False,
+        help="Fit a four-parameter qubit state to a tomogram CSV and report "
         "the density matrix, pi-pulse duration, and target fidelities.",
     ),
 }
@@ -617,7 +604,7 @@ def run_subcommand(
         cfg = RunConfig.from_sources(config_path, overrides)
         out_dir = _resolve_output_dir(output_dir, cfg)
         data = spec.compute(cfg)
-        path = _write(out_dir, spec.stem, spec.header, data, cfg.get("output.format"))
+        path = _write(out_dir, spec.stem, data, spec.table, cfg.get("output.format"))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2, []

@@ -333,10 +333,13 @@ def _sweep_extrema(fluxes, p: JpmParams):
     bad[flux_of[1:][same_flux & (is_minimum[1:] == is_minimum[:-1])]] = True
     if bad.any():
         i = int(np.argmax(bad))
+        flux = f"flux {float(fluxes[i]) / PHI0} Phi0"
+        if counts[i] == 0:  # U has one at every flux, but float64 phases this large may step past it
+            phase = float(phi_e[i])
+            step = f"float64 step {np.spacing(phase):g} rad"
+            raise NumericalError(f"no extremum found at {flux}, phase bias {phase:.6g} rad ({step})")
         extrema = _pairs(roots[offsets[i] : offsets[i + 1]], is_minimum[offsets[i] : offsets[i + 1]])
-        raise NumericalError(
-            f"inconsistent extremum structure at flux {float(fluxes[i]) / PHI0} Phi0: {extrema}"
-        )
+        raise NumericalError(f"inconsistent extremum structure at {flux}: {extrema}")
     return phi_e, flux_of, offsets, roots, is_minimum
 
 

@@ -245,8 +245,9 @@ def _scan_start(y: np.ndarray, turn: np.ndarray, solve, k_max: int) -> int:
         raise NumericalError(f"tomogram fit: t_pi scan of {turn.size} durations exceeds {MAX_SCAN_CELLS:.3g} cells")
     minima = []  # (profile, k) at the minimum of each block
     block = max(1, (1 << 16) // turn.size)  # values of k per block, which bounds memory
+    step = np.exp(1j * turn)
     for k0 in range(2, k_max + 1, block):
-        z = np.tile(np.exp(1j * turn), (min(block, k_max + 1 - k0), 1))
+        z = np.tile(step, (min(block, k_max + 1 - k0), 1))
         z[0] = np.exp(1j * k0 * turn)
         z = np.cumprod(z, axis=0)  # e^{i alpha} for k = k0, k0 + 1, ... by repeated rotation
         h, x = solve(z.real, z.imag)

@@ -977,6 +977,21 @@ def test_float_overflow_in_computation_exits_numerical(tmp_path, capsys, name, o
     assert list(tmp_path.iterdir()) == []
 
 
+def test_flux_with_no_extremum_found_is_named(tmp_path, capsys):
+    # Near a phase bias of 3.7e16 rad float64 steps by 8 rad, past the
+    # bracket of every extremum, so the sweep finds none at that flux.
+    # The refusal names the flux and its phase bias before any file.
+    code, paths = run_subcommand(
+        "potential-sweep", overrides=("potential.flux_stop=1e16phi0",), output_dir=str(tmp_path)
+    )
+    assert code == 3 and paths == []
+    assert capsys.readouterr().err == (
+        "numerical error: no extremum found at flux 5833333333333332.0 Phi0, "
+        "phase bias 3.66519e+16 rad (float64 step 8 rad)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_huge_stark_powers_give_finite_rows(tmp_path):
     # Powers are divided by the largest one before scaling, so powers
     # near the float64 limit still map to finite photon numbers.
@@ -1233,6 +1248,25 @@ def test_exit_code_io_error(tmp_path, capsys):
     )
     assert code == 4 and paths == []
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_artifact_mode_follows_the_umask_fresh_or_replacing(tmp_path):
+    # mkstemp creates its file 0600; _write gives it 0666 & ~umask, the
+    # mode open() would.  Each directory writes a table and a record fresh
+    # under one umask, then replaces them under the other.
+    modes = {0o022: 0o644, 0o077: 0o600}
+    previous = os.umask(0o022)
+    try:
+        for order in ((0o022, 0o077), (0o077, 0o022)):
+            out = tmp_path / "-".join(f"{umask:03o}" for umask in order)
+            for umask in order:
+                os.umask(umask)
+                for name in ("stark", "budget"):
+                    code, paths = run_fast(name, out)
+                    assert code == 0
+                    assert paths[0].stat().st_mode & 0o777 == modes[umask], (name, oct(umask))
+    finally:
+        os.umask(previous)
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
@@ -1697,22 +1731,22 @@ def _reference_native(value):
     return value
 
 
-def _reference_bytes(header, data, file_format: str) -> bytes:
+def _reference_bytes(data: dict, table: bool, file_format: str) -> bytes:
     """The artifact bytes of a row-at-a-time writer, given the same data."""
     out = io.StringIO(newline="")
-    if header is not None and file_format == "csv":
+    if table and file_format == "csv":
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in zip(*data):
+        writer.writerow(data)
+        for row in zip(*data.values()):
             writer.writerow([_reference_cell(cell) for cell in row])
     else:
-        if header is None:
-            payload = {key: _reference_native(value) for key, value in data.items()}
-        else:
+        if table:
             payload = [
-                {column: _reference_native(cell) for column, cell in zip(header, row)}
-                for row in zip(*data)
+                {column: _reference_native(cell) for column, cell in zip(data, row)}
+                for row in zip(*data.values())
             ]
+        else:
+            payload = {key: _reference_native(value) for key, value in data.items()}
         json.dump(payload, out, indent=2)
         out.write("\n")
     return out.getvalue().encode("utf-8")
@@ -1747,10 +1781,10 @@ def test_writer_matches_per_cell_reference(tmp_path, overrides):
         data = spec.compute(cfg)
         if name == "bifurcation":
             # At 0.1 uA, beta_L < 1: no critical flux, an empty table.
-            assert (len(data[0]) == 0) == ("device.critical_current=0.1uA" in overrides)
+            assert (len(data["critical_flux (phi0)"]) == 0) == ("device.critical_current=0.1uA" in overrides)
         for file_format in ("json", "csv"):
-            path = jpmsim.cli._write(tmp_path, spec.stem, spec.header, data, file_format)
-            assert path.read_bytes() == _reference_bytes(spec.header, data, file_format), (
+            path = jpmsim.cli._write(tmp_path, spec.stem, data, spec.table, file_format)
+            assert path.read_bytes() == _reference_bytes(data, spec.table, file_format), (
                 name,
                 file_format,
             )
@@ -1772,11 +1806,15 @@ def test_writer_matches_reference_on_block_boundaries(tmp_path, monkeypatch, fil
         ["kappa_ratio=%g" % r for r in ratios] + ["detuning_ratio=%g" % r for r in ratios], dtype=object
     )
     i = np.arange(rows)
-    header = ("value (%)", "count (1)", "well_label", "label")
-    data = (floats[i % floats.size], i - 2, wells[i % wells.size], labels[i % labels.size])
-    assert data[2].dtype == "<U8"
-    path = jpmsim.cli._write(tmp_path, "odd", header, data, file_format)
-    assert path.read_bytes() == _reference_bytes(header, data, file_format)
+    data = {
+        "value (%)": floats[i % floats.size],
+        "count (1)": i - 2,
+        "well_label": wells[i % wells.size],
+        "label": labels[i % labels.size],
+    }
+    assert data["well_label"].dtype == "<U8"
+    path = jpmsim.cli._write(tmp_path, "odd", data, True, file_format)
+    assert path.read_bytes() == _reference_bytes(data, True, file_format)
 
 
 @pytest.mark.parametrize("file_format", ["csv", "json"])
@@ -1787,8 +1825,7 @@ def test_writer_memory_is_bounded(tmp_path, file_format):
     # 63 and 126 MB.
     rows = 200_000
     rng = np.random.default_rng(5)
-    header = tuple(f"column {k}" for k in range(8))
-    data = (
+    columns = (
         rng.random(rows),
         rng.integers(1, 5, rows),
         np.array(["global", "left", "right", "interior"])[rng.integers(0, 4, rows)],
@@ -1798,9 +1835,10 @@ def test_writer_memory_is_bounded(tmp_path, file_format):
         rng.integers(0, 9, rows),
         rng.random(rows),
     )
+    data = {f"column {k}": column for k, column in enumerate(columns)}
     tracemalloc.start()
     try:
-        path = jpmsim.cli._write(tmp_path, "big", header, data, file_format)
+        path = jpmsim.cli._write(tmp_path, "big", data, True, file_format)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1825,7 +1863,7 @@ def test_table_compute_memory_is_bounded(name, override):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = len(data[0])
+    rows = len(next(iter(data.values())))
     assert rows >= 200_000
     assert peak < 60 * rows
 
@@ -1916,3 +1954,50 @@ def test_edge_inputs_end_in_artifact_or_documented_exit(tomogram, keys_read, dat
         else:
             assert paths == [] and os.listdir(out) == []
             assert err.getvalue().count("\n") == 1
+
+
+def test_every_private_and_imported_module_name_is_used():
+    # A module-level private name (function, class or constant, not a
+    # dunder) or an imported name that nothing in src/jpmsim reads is a
+    # leftover.  A name counts as read where its module loads it or another
+    # module imports it from there, or where any module reads an attribute
+    # of that name.
+    package = Path(jpmsim.cli.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    imported_from = {name: set() for name in trees}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported_from[node.module or "__init__"].update(alias.name for alias in node.names)
+
+    def module_level(body):
+        # Statements run at import, including those under a top-level if or try.
+        for node in body:
+            yield node
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    yield from module_level(getattr(node, field, []))
+
+    unused = []
+    for module, tree in trees.items():
+        checked = []
+        for node in module_level(tree.body):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    checked += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            checked += [name for name in names if name.startswith("_") and not name.startswith("__")]
+        loaded = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        used = loaded | imported_from[module] | attributes
+        unused += [f"{module}.{name}" for name in checked if name not in used]
+    assert unused == []
