@@ -3,15 +3,16 @@
 Every subcommand reads one flat key/value config document (all keys
 optional, see config.SCHEMA for names and defaults), applies -s/--set
 overrides, runs the corresponding computation, and writes one artifact
-into the output directory.  _SUBCOMMANDS describes each subcommand
-once: its compute function, artifact stem, whether it writes a table
-or a record, and help text.  Each compute function imports the physics
-names it calls, so a subcommand loads only its own layer; json is
-imported where a JSON artifact is written and csv where a tomogram is
-read.  A compute function returns {column name: column} for a table
-and {key: value} for a record, so each name is given where its values
-are computed.  _table_text says how a table is encoded.  Outputs are
-byte-stable for a fixed config and seed.
+into the output directory, named after the subcommand (tomo-synth's
+is tomogram).  _SUBCOMMANDS describes each subcommand once: its
+compute function, whether it writes a table or a record, and help
+text.  Each compute function imports the physics names it calls, so a
+subcommand loads only its own layer; json is imported where a JSON
+artifact is written and csv where a tomogram is read.  A compute
+function returns {column name: column} for a table and {key: value}
+for a record, so each name is given where its values are computed.
+_table_text says how a table is encoded.  Outputs are byte-stable for
+a fixed config and seed.
 
 Exit codes: 0 success, 2 config error, 3 numerical/identifiability
 error, 4 I/O error.
@@ -147,9 +148,31 @@ def _write(out_dir: Path, stem: str, data: dict, table: bool, file_format: str) 
     return path
 
 
-def _linspace(start: float, stop: float, points: int, key: str) -> np.ndarray:
+def _check_points(points: int, key: str) -> None:
+    """Refuse, in a line naming key, a positive count of more points than a float64 array holds.
+
+    numpy caps an array at sys.maxsize bytes.  np.linspace sizes its array
+    from the count as a float, which rounds the 64 counts below 2^60 up to
+    2^60, so past the integer bound the float one is checked too.
+    """
+    if points > sys.maxsize // 8 or 8.0 * points > sys.maxsize:
+        raise ConfigError(f"{key} = {points} is more points than a float64 array can hold")
+
+
+def _binomial_shots(cfg: RunConfig, key: str) -> int | None:
+    """The shot count at key, refused (exit 3) in a line naming the key above what a binomial draw takes."""
+    n_shots = cfg.get(key)
+    if n_shots is not None and n_shots >= 2**63:
+        raise NumericalError(f"{key} = {n_shots} is more shots than a binomial draw takes (2^63 - 1)")
+    return n_shots
+
+
+def _linspace(start: float, stop: float, cfg: RunConfig, key: str) -> np.ndarray:
+    """start to stop in as many points as the count at key, at least 2."""
+    points = cfg.get(key)
     if points < 2:
         raise ConfigError(f"{key} must be at least 2")
+    _check_points(points, key)
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linspace(start, stop, points)
     if not np.isfinite(values).all():
@@ -166,8 +189,7 @@ def _require_nonempty(cfg: RunConfig, key: str):
 
 def _time_axis(cfg: RunConfig, section: str, name: str) -> np.ndarray:
     """0 to {section}.{name}_stop in {section}.{name}_points steps; errors name the points key."""
-    points = f"{section}.{name}_points"
-    return _linspace(0.0, cfg.get(f"{section}.{name}_stop"), cfg.get(points), points)
+    return _linspace(0.0, cfg.get(f"{section}.{name}_stop"), cfg, f"{section}.{name}_points")
 
 
 def _grid_columns(names: tuple[str, str, str], row_values, col_values, matrix: np.ndarray) -> dict:
@@ -180,12 +202,7 @@ def _potential_sweep(cfg: RunConfig) -> dict:
     from .potential import well_report_sweep
 
     params = cfg.jpm_params()
-    fluxes = _linspace(
-        cfg.get("potential.flux_start"),
-        cfg.get("potential.flux_stop"),
-        cfg.get("potential.flux_points"),
-        "potential.flux_points",
-    )
+    fluxes = _linspace(cfg.get("potential.flux_start"), cfg.get("potential.flux_stop"), cfg, "potential.flux_points")
     wells = well_report_sweep(fluxes, params)
     return {
         "flux (phi0)": (fluxes / PHI0)[wells.flux_index],
@@ -231,7 +248,7 @@ def _transfer_curves(cfg: RunConfig) -> dict:
     t_max = cfg.get("transfer.t_max_scaled")
     if t_max <= 0.0:
         raise ConfigError("transfer.t_max_scaled must be positive")
-    ts = _linspace(0.0, t_max / kappa_1, cfg.get("transfer.time_points"), "transfer.time_points")
+    ts = _linspace(0.0, t_max / kappa_1, cfg, "transfer.time_points")
 
     etas, labels = [], []
 
@@ -306,7 +323,7 @@ def _detector_grid(
     pc = cfg.protocol_config()
     detunings = _require_nonempty(cfg, f"{section}.detunings")
     times = _time_axis(cfg, section, axis)
-    matrix = sweep(detunings, times, pc, n_shots=cfg.get(f"{section}.n_shots"), **options)
+    matrix = sweep(detunings, times, pc, n_shots=_binomial_shots(cfg, f"{section}.n_shots"), **options)
     names = ("detuning (Hz)", f"{axis} (s)", "switch_probability (1)")
     return _grid_columns(names, np.divide(detunings, TWO_PI), times, matrix)
 
@@ -372,18 +389,19 @@ def _tomo_synth(cfg: RunConfig) -> dict:
     theta_points = cfg.get("tomo.theta_points")
     if theta_points < 1:
         raise ConfigError("tomo.theta_points must be positive")
+    _check_points(theta_points, "tomo.theta_points")
     thetas = np.linspace(0.0, TWO_PI, theta_points, endpoint=False)
     stop = cfg.get("tomo.duration_stop")
     # Default span: one full rotation plus margin, so noisy synthetic
     # grids stay clear of the fit's minimum-span identifiability bound.
     end = 2.2 * t_pi if stop is None else stop
-    durations = _linspace(0.0, end, cfg.get("tomo.duration_points"), "tomo.duration_points")
+    durations = _linspace(0.0, end, cfg, "tomo.duration_points")
     # tomo-fit reads the grid back by its cell coordinates, so two equal
     # durations would make a file it refuses.
     if not (np.diff(durations) > 0.0).all():
         key = "tomo.t_pi" if stop is None else "tomo.duration_stop"
         raise ConfigError(f"{key}: pulse durations from 0 to {end:g} s are not strictly increasing")
-    n_shots, noise_sigma = cfg.get("tomo.n_shots"), cfg.get("tomo.noise_sigma")
+    n_shots, noise_sigma = _binomial_shots(cfg, "tomo.n_shots"), cfg.get("tomo.noise_sigma")
     # Only shot or Gaussian noise draws, so only then is numpy.random loaded.
     rng = None if n_shots is None and noise_sigma is None else np.random.default_rng(cfg.get("seed"))
     grid = synthesize_tomogram(rho, t_pi, thetas, durations, n_shots=n_shots, noise_sigma=noise_sigma, rng=rng)
@@ -475,93 +493,84 @@ class _Subcommand(NamedTuple):
     """One subcommand: compute(cfg) gives a table {column name: column} or a record {key: value}.
 
     A table is written as _table_text encodes it, a record as a JSON object.
+    The artifact is named after the subcommand, "-" read as "_", unless
+    stem names it: tomo-synth writes the tomogram that tomo-fit reads.
     """
 
     compute: Callable[[RunConfig], dict]
-    stem: str
     table: bool
     help: str
+    stem: str | None = None
 
 
 _SUBCOMMANDS = {
     "potential-sweep": _Subcommand(
         _potential_sweep,
-        "potential_sweep",
         table=True,
         help="Sweep the loop flux bias and tabulate every potential well: "
         "minimum and barrier phases, depth, plasma frequency, level count.",
     ),
     "bifurcation": _Subcommand(
         _bifurcation,
-        "bifurcation",
         table=True,
         help="Locate the flux biases where potential minima appear or vanish "
         "and count the minima on either side of each.",
     ),
     "transfer-curves": _Subcommand(
         _transfer_curves,
-        "transfer_curves",
         table=True,
         help="Tabulate transfer-efficiency curves versus scaled time for "
         "families of decay-rate ratios and detuning ratios.",
     ),
     "transfer-peak": _Subcommand(
         _transfer_peak,
-        "transfer_peak",
         table=False,
         help="Report the peak transfer efficiency and optimal capture time for "
         "the configured cavity pair, with closed-form reference values.",
     ),
     "budget": _Subcommand(
         _budget,
-        "budget",
         table=False,
         help="Monte Carlo raw-fidelity budget of the measurement protocol, "
         "split into relaxation, dark-count, and detection-miss terms.",
     ),
     "ramsey": _Subcommand(
         _ramsey,
-        "ramsey",
         table=True,
         help="Detector-read Ramsey fringe dataset versus drive detuning and delay.",
     ),
     "rabi": _Subcommand(
         _rabi,
-        "rabi",
         table=True,
         help="Detector-read Rabi chevron dataset versus drive detuning and pulse duration.",
     ),
     "stark": _Subcommand(
         _stark,
-        "stark",
         table=True,
         help="Photon-number calibration: map drive powers to cavity occupation "
         "and qubit frequency shift.",
     ),
     "depletion": _Subcommand(
         _depletion,
-        "depletion",
         table=True,
         help="Post-measurement recovery versus depletion time: residual "
         "photons, fringe contrast, and frequency shift.",
     ),
     "iq": _Subcommand(
         _iq,
-        "iq",
         table=False,
         help="IQ-plane discrimination report: single-shot and separation "
         "fidelities and the decision threshold.",
     ),
     "tomo-synth": _Subcommand(
         _tomo_synth,
-        "tomogram",
         table=True,
         help="Generate a synthetic tomogram grid (axis angle x pulse duration) "
         "from a configured qubit state.",
+        stem="tomogram",
     ),
     "tomo-fit": _Subcommand(
         _tomo_fit,
-        "tomo_fit",
         table=False,
         help="Fit a four-parameter qubit state to a tomogram CSV and report "
         "the density matrix, pi-pulse duration, and target fidelities.",
@@ -604,7 +613,8 @@ def run_subcommand(
         cfg = RunConfig.from_sources(config_path, overrides)
         out_dir = _resolve_output_dir(output_dir, cfg)
         data = spec.compute(cfg)
-        path = _write(out_dir, spec.stem, data, spec.table, cfg.get("output.format"))
+        stem = spec.stem or name.replace("-", "_")
+        path = _write(out_dir, stem, data, spec.table, cfg.get("output.format"))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2, []

@@ -273,8 +273,6 @@ class RunConfig:
         return cls(values)
 
     def get(self, key: str):
-        if key not in SCHEMA:
-            raise KeyError(f"unknown config key {key!r}")
         return self.values[key]
 
     def jpm_params(self) -> JpmParams:

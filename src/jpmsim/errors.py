@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one finite-and-positive field rule."""
+
+import math
 
 
 class ConfigError(ValueError):
@@ -11,3 +13,11 @@ class NumericalError(RuntimeError):
 
 class IdentifiabilityError(NumericalError):
     """A fit was requested on a grid that cannot constrain the parameters."""
+
+
+def require_finite_positive(owner, *names: str) -> None:
+    """Raise ValueError, naming field and value, at the first of owner's fields names not finite and positive."""
+    for name in names:
+        value = getattr(owner, name)
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")

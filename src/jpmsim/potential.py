@@ -31,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from .constants import HBAR, PHI0
-from .errors import NumericalError
+from .errors import NumericalError, require_finite_positive
 
 REFINE_TOL = 1e-12
 """Extremum refinement tolerance in radians.  A root stops once its
@@ -79,10 +79,7 @@ class JpmParams:
     flux_quantum: ClassVar[float] = PHI0
 
     def __post_init__(self) -> None:
-        for name in ("critical_current", "loop_inductance", "shunt_capacitance"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        require_finite_positive(self, "critical_current", "loop_inductance", "shunt_capacitance")
 
     @property
     def josephson_energy(self) -> float:
@@ -195,25 +192,26 @@ def plasma_frequency(delta, p: JpmParams):
     return omega if omega.ndim else float(omega)
 
 
-def _check_segment_count(beta: float) -> None:
-    """Refuse a beta_L whose bracket [phi_e - beta_L - 1, phi_e + beta_L + 1]
-    holds more than MAX_SEGMENTS segments: it is 2 beta_L + 2 wide and the
-    residual turns twice every 2 pi."""
-    if not (2.0 * beta + 2.0) / math.pi <= MAX_SEGMENTS:
-        raise NumericalError(
-            f"beta_L {beta:.3g} needs more than {MAX_SEGMENTS:.0e} extremum bracket segments"
-        )
-
-
 def _residual(delta, phi_e, beta: float):
     # Extremum condition rearranged to sin(delta) - (phi_e - delta)/beta_L = 0.
     return np.sin(delta) - (phi_e - delta) / beta
 
 
-def _turns(beta: float):
-    """Turning points of the residual modulo 2 pi, -/+ acos(-1/beta_L),
-    where its slope cos(delta) + 1/beta_L vanishes; none for beta_L <= 1."""
-    return np.array([-1.0, 1.0]) * math.acos(-1.0 / beta) if beta > 1.0 else np.empty(0)
+def _beta_turns(p: JpmParams):
+    """(beta_L, turning points -/+ acos(-1/beta_L) of the residual modulo 2 pi; none for beta_L <= 1).
+
+    The one set-up of both extremum searches.  Raises NumericalError for a
+    beta_L with no finite inverse (below about 5.6e-309), or one whose
+    bracket [phi_e - beta_L - 1, phi_e + beta_L + 1] holds more than
+    MAX_SEGMENTS segments: it is 2 beta_L + 2 wide and the residual turns
+    twice every 2 pi.
+    """
+    beta = beta_L(p)
+    if not (beta > 0.0 and math.isfinite(1.0 / beta)):
+        raise NumericalError(f"beta_L {beta:.3g} has no finite inverse 1/beta_L")
+    if not (2.0 * beta + 2.0) / math.pi <= MAX_SEGMENTS:
+        raise NumericalError(f"beta_L {beta:.3g} needs more than {MAX_SEGMENTS:.0e} extremum bracket segments")
+    return beta, (np.array([-1.0, 1.0]) * math.acos(-1.0 / beta) if beta > 1.0 else np.empty(0))
 
 
 def _block_roots(phi_e, beta: float, turn, reach: int):
@@ -302,8 +300,7 @@ def _sweep_extrema(fluxes, p: JpmParams):
         raise ValueError("fluxes must be a one-dimensional array")
     if not np.isfinite(fluxes).all():
         raise ValueError("external_flux must be finite")
-    beta = beta_L(p)
-    _check_segment_count(beta)
+    beta, turn = _beta_turns(p)
     with np.errstate(over="ignore"):
         phi_e = _phase_bias(fluxes, p)
     if not np.isfinite(phi_e).all():
@@ -311,7 +308,6 @@ def _sweep_extrema(fluxes, p: JpmParams):
     # k within reach of floor(phi_e / 2 pi) puts turning points 2 pi k + turn
     # past both ends of the bracket, so every flux gets the same number of
     # segments.
-    turn = _turns(beta)
     reach = math.ceil((beta + 1.0) / (2.0 * math.pi)) + 1
     per_block = max(1, SWEEP_BLOCK_SEGMENTS // (turn.size * (2 * reach + 1) + 1))
 
@@ -381,9 +377,9 @@ def find_extrema_sweep(fluxes, p: JpmParams) -> list[list[tuple[float, str]]]:
     Raises
     ------
     NumericalError
-        If the extremum structure of a flux is inconsistent, the
-        bracket would hold more than MAX_SEGMENTS segments per flux, or a
-        root does not converge in MAX_REFINE_PASSES passes.
+        If beta_L has no finite inverse or needs more than MAX_SEGMENTS
+        segments per flux, the extremum structure of a flux is
+        inconsistent, or a root does not converge in MAX_REFINE_PASSES passes.
     ValueError
         If ``fluxes`` is not one-dimensional, or a flux is not finite or
         its phase bias overflows.
@@ -477,17 +473,15 @@ def critical_flux(p: JpmParams) -> list[float]:
     Raises
     ------
     NumericalError
-        If beta_L is too large for :func:`find_extrema_sweep` (more than
-        MAX_SEGMENTS segments per bracket), which also bounds the loop
-        over branches here.
+        As :func:`find_extrema_sweep` refuses beta_L: one with no finite
+        inverse, or one too large (more than MAX_SEGMENTS segments per
+        bracket), which also bounds the loop over branches here.
     """
-    beta = beta_L(p)
-    _check_segment_count(beta)
-    turns = _turns(beta).tolist()
+    beta, turns = _beta_turns(p)
     fluxes = []
     k_max = int(beta / (2.0 * math.pi)) + 2
     for k in range(-k_max, k_max + 1):
-        for turn in turns:
+        for turn in turns.tolist():
             delta_t = 2.0 * math.pi * k + turn
             phi_e = delta_t + beta * math.sin(delta_t)
             if 0.0 <= phi_e <= 2.0 * math.pi:

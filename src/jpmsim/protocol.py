@@ -54,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, require_finite_positive
 
 
 SPURIOUS_PHOTONS = 100.0
@@ -127,10 +127,7 @@ class ProtocolConfig:
     relaxation_override: float | None = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("t_prep", "t1", "depletion_rate"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        require_finite_positive(self, "t_prep", "t1", "depletion_rate")
         for name in ("dark_prob", "bright_detect_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -163,8 +160,7 @@ class IqModel:
     n_samples: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be finite and positive")
+        require_finite_positive(self, "sigma")
         if self.centroid_0 == self.centroid_1:
             raise ValueError("centroids must be distinct")
         if not math.isfinite(self.separation / self.sigma):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,7 @@ class CavityMode:
     decay_rate: float
 
     def __post_init__(self) -> None:
-        if not (self.angular_frequency > 0.0 and math.isfinite(self.angular_frequency)):
-            raise ValueError("angular_frequency must be finite and positive")
-        if not (self.decay_rate > 0.0 and math.isfinite(self.decay_rate)):
-            raise ValueError("decay_rate must be finite and positive")
+        require_finite_positive(self, "angular_frequency", "decay_rate")
 
 
 @dataclass(frozen=True)
@@ -315,7 +312,8 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     ------
     NumericalError
         If a decay rate is not resolved by the step (kappa h > 0.1),
-        if the closed-form envelope is not finite on the seed grid, or
+        if t_max overflows float64 or the closed-form envelope is not
+        finite on the seed grid, or
         if the bracket would hold more than MAX_PEAK_NODES panel nodes.
     """
     k_max = max(cfg.source.decay_rate, cfg.target.decay_rate)
@@ -328,6 +326,8 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
 
     k_min = min(cfg.source.decay_rate, cfg.target.decay_rate)
     t_max = 20.0 / k_min
+    if not math.isfinite(t_max):
+        raise NumericalError(f"seed grid end t_max = 20/min kappa overflows float64 at min kappa {k_min:.3g}/s")
     grid = np.linspace(t_max / 4000.0, t_max, 4000)
     with np.errstate(over="ignore", invalid="ignore"):
         envelope = efficiency(grid, cfg.source.decay_rate, cfg.target.decay_rate, cfg.delta_omega)

@@ -1045,6 +1045,33 @@ def test_huge_beta_l_is_refused_quickly(tmp_path, capsys, name, override):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["potential-sweep", "bifurcation"])
+@pytest.mark.parametrize(
+    "override, written",
+    [
+        ("device.critical_current=1e-316A", False),
+        ("device.loop_inductance=1e-320H", False),
+        ("device.critical_current=1e-315A", False),
+        ("device.critical_current=1e-314A", True),
+    ],
+)
+def test_beta_l_with_no_finite_inverse_is_refused(tmp_path, capsys, name, override, written):
+    # beta_L underflows to 0 at 1e-316 A, and at 1e-320 H already in
+    # 2 pi L_g; at 1e-315 A it is a subnormal whose inverse overflows.
+    # Each is refused in one line before a solver divides by it.  At
+    # 1e-314 A (beta_L about 3e-308) the inverse is finite and the
+    # artifact is written.
+    out = tmp_path / "out"
+    code, paths = run_subcommand(name, overrides=(override,), output_dir=str(out))
+    err = capsys.readouterr().err
+    if written:
+        assert code == 0 and [path.name for path in paths] == [ARTIFACTS[name]] and err == ""
+    else:
+        assert code == 3 and paths == [] and not out.exists()
+        assert err.startswith("numerical error: beta_L") and err.count("\n") == 1
+        assert "has no finite inverse" in err
+
+
 def test_large_beta_l_bifurcation_succeeds(tmp_path):
     # beta_L ~ 1e4: the extremum brackets end on the float spacing of
     # |delta| ~ 1e4, wider than the bisection tolerance.
@@ -1783,7 +1810,7 @@ def test_writer_matches_per_cell_reference(tmp_path, overrides):
             # At 0.1 uA, beta_L < 1: no critical flux, an empty table.
             assert (len(data["critical_flux (phi0)"]) == 0) == ("device.critical_current=0.1uA" in overrides)
         for file_format in ("json", "csv"):
-            path = jpmsim.cli._write(tmp_path, spec.stem, data, spec.table, file_format)
+            path = jpmsim.cli._write(tmp_path, Path(ARTIFACTS[name]).stem, data, spec.table, file_format)
             assert path.read_bytes() == _reference_bytes(data, spec.table, file_format), (
                 name,
                 file_format,
@@ -1954,6 +1981,86 @@ def test_edge_inputs_end_in_artifact_or_documented_exit(tomogram, keys_read, dat
         else:
             assert paths == [] and os.listdir(out) == []
             assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["tomo.theta_points", "tomo.duration_points"])
+@pytest.mark.parametrize("points, expected", [(2**60 - 64, 2), (2**60 - 65, 3)])
+def test_count_rounded_past_the_array_cap_is_named(tmp_path, capsys, key, points, expected):
+    # np.linspace sizes its array from the count as a float: 2^60 - 64
+    # rounds to 2^60, whose 2^63 bytes numpy refuses in a message that
+    # names no key, so it is refused first, naming the key.  One count
+    # less is an allocation numpy attempts, and fails at once.
+    code, paths = run_subcommand("tomo-synth", overrides=(f"{key}={points}",), output_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == expected and paths == [] and err.count("\n") == 1
+    assert (key in err) == (code == 2)
+    assert list(tmp_path.iterdir()) == []
+
+
+# 2^63 - 1, the largest count a binomial draw takes; 2^63; 10^20.
+_COUNTS = ("9223372036854775807", "9223372036854775808", "100000000000000000000")
+
+
+def _extreme_literals(key):
+    # The smallest and largest magnitudes a float64 literal reaches (with
+    # the key's base unit where it has one), and for integer keys
+    # _COUNTS.
+    kind = SCHEMA[key].kind.removeprefix("list:")
+    unit = next(iter(_UNIT_TABLES[kind])) if kind in _UNIT_TABLES else ""
+    return [number + unit for number in ("1e-320", "1e308")] + (list(_COUNTS) if kind == "int" else [])
+
+
+def test_extreme_literals_end_in_artifact_or_one_line_exit(tomogram, keys_read):
+    # Every subcommand with each key it reads set to each extreme literal,
+    # one key at a time.  Any numpy warning fails the test, as the suite
+    # turns warnings into errors.
+    refusals = {}
+    for name, keys in keys_read.items():
+        for key in keys:
+            for text in _extreme_literals(key):
+                values = {"tomo.input": str(tomogram), key: text}
+                overrides = [f"{k}={v}" for k, v in values.items()]
+                case = (name, key, text)
+                err = io.StringIO()
+                with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code, paths = run_subcommand(name, overrides=overrides, output_dir=out)
+                    assert code in (0, 2, 3, 4), case
+                    if code == 0:
+                        assert len(paths) == 1 and paths[0].exists(), case
+                    else:
+                        assert paths == [] and os.listdir(out) == [], case
+                        assert err.getvalue().count("\n") == 1, case
+                        refusals[case] = code, err.getvalue()
+    # A sweep count past any float64 array exits 2 and a binomial shot
+    # count past 2^63 - 1 exits 3, each naming its key; 2^63 - 1 shots
+    # are drawn.
+    points = {
+        "potential-sweep": ("potential.flux_points",),
+        "transfer-curves": ("transfer.time_points",),
+        "ramsey": ("ramsey.delay_points",),
+        "rabi": ("rabi.duration_points",),
+        "depletion": ("depletion.time_points",),
+        "tomo-synth": ("tomo.theta_points", "tomo.duration_points"),
+    }
+    for name, keys in points.items():
+        for key in keys:
+            for text in _COUNTS:
+                code, message = refusals[name, key, text]
+                assert code == 2 and message.startswith(f"config error: {key} = {text} "), message
+    for name, key in (("ramsey", "ramsey.n_shots"), ("rabi", "rabi.n_shots"), ("tomo-synth", "tomo.n_shots")):
+        assert (name, key, _COUNTS[0]) not in refusals
+        for text in _COUNTS[1:]:
+            code, message = refusals[name, key, text]
+            assert code == 3 and message.startswith(f"numerical error: {key} = {text} "), message
+    # beta_L below 1/DBL_MAX, and t_max = 20/min kappa past DBL_MAX.
+    for name in ("potential-sweep", "bifurcation"):
+        for key, text in (("device.critical_current", "1e-320A"), ("device.loop_inductance", "1e-320H")):
+            code, message = refusals[name, key, text]
+            assert code == 3 and "beta_L 0 has no finite inverse" in message
+    for key in ("source.decay_time", "capture.decay_time"):
+        code, message = refusals["transfer-peak", key, "1e308s"]
+        assert code == 3 and "t_max" in message
 
 
 def test_every_private_and_imported_module_name_is_used():
