@@ -148,17 +148,6 @@ def _write(out_dir: Path, stem: str, data: dict, table: bool, file_format: str) 
     return path
 
 
-def _check_points(points: int, key: str) -> None:
-    """Refuse, in a line naming key, a positive count of more points than a float64 array holds.
-
-    numpy caps an array at sys.maxsize bytes.  np.linspace sizes its array
-    from the count as a float, which rounds the 64 counts below 2^60 up to
-    2^60, so past the integer bound the float one is checked too.
-    """
-    if points > sys.maxsize // 8 or 8.0 * points > sys.maxsize:
-        raise ConfigError(f"{key} = {points} is more points than a float64 array can hold")
-
-
 def _binomial_shots(cfg: RunConfig, key: str) -> int | None:
     """The shot count at key, refused (exit 3) in a line naming the key above what a binomial draw takes."""
     n_shots = cfg.get(key)
@@ -167,14 +156,24 @@ def _binomial_shots(cfg: RunConfig, key: str) -> int | None:
     return n_shots
 
 
-def _linspace(start: float, stop: float, cfg: RunConfig, key: str) -> np.ndarray:
-    """start to stop in as many points as the count at key, at least 2."""
+def _linspace(start: float, stop: float, cfg: RunConfig, key: str, endpoint: bool = True) -> np.ndarray:
+    """start to stop in as many points as the count at key, stop left out unless endpoint.
+
+    Each refusal names key.  np.linspace sizes its array from the count as
+    a float, which rounds the 64 counts below 2^60 up to 2^60, past numpy's
+    cap of sys.maxsize bytes, so the cap is checked on the float too.
+    """
     points = cfg.get(key)
-    if points < 2:
-        raise ConfigError(f"{key} must be at least 2")
-    _check_points(points, key)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.linspace(start, stop, points)
+    least = 2 if endpoint else 1
+    if points < least:
+        raise ConfigError(f"{key} must be at least {least}")
+    if points > sys.maxsize // 8 or 8.0 * points > sys.maxsize:
+        raise ConfigError(f"{key} = {points} is more points than a float64 array can hold")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.linspace(start, stop, points, endpoint=endpoint)
+    except MemoryError as exc:
+        raise NumericalError(f"{key} = {points} points: {exc}") from exc
     if not np.isfinite(values).all():
         raise ConfigError(f"sweep from {start:g} to {stop:g} is out of float64 range")
     return values
@@ -256,6 +255,8 @@ def _transfer_curves(cfg: RunConfig) -> dict:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             eta = efficiency(ts, kappa_1, kappa_2, delta_omega)
         if not np.isfinite(eta).all():
+            if math.isfinite(delta_omega) and not math.isfinite(delta_omega * float(ts[-1])):
+                raise NumericalError(f"transfer.t_max_scaled = {t_max:g}: the phase of {label} overflows float64")
             raise NumericalError(f"transfer efficiency for {label} is not finite")
         etas.append(eta)
         labels.append(label)
@@ -386,11 +387,7 @@ def _tomo_synth(cfg: RunConfig) -> dict:
         coherence_phase=cfg.get("tomo.phi"),
     )
     t_pi = cfg.get("tomo.t_pi")
-    theta_points = cfg.get("tomo.theta_points")
-    if theta_points < 1:
-        raise ConfigError("tomo.theta_points must be positive")
-    _check_points(theta_points, "tomo.theta_points")
-    thetas = np.linspace(0.0, TWO_PI, theta_points, endpoint=False)
+    thetas = _linspace(0.0, TWO_PI, cfg, "tomo.theta_points", endpoint=False)
     stop = cfg.get("tomo.duration_stop")
     # Default span: one full rotation plus margin, so noisy synthetic
     # grids stay clear of the fit's minimum-span identifiability bound.

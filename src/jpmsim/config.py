@@ -323,7 +323,7 @@ class RunConfig:
         key = "protocol.depletion_decay_time"
         depletion_rate = DEFAULT_DEPLETION_RATE if self.get(key) is None else self._decay_rate(key)
         try:
-            return ProtocolConfig(
+            pc = ProtocolConfig(
                 t_prep=self.get("protocol.t_prep"),
                 t1=self.get("protocol.t1"),
                 dark_prob=self.get("protocol.dark_prob"),
@@ -336,6 +336,11 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"protocol section invalid: {exc}") from exc
+        # T1/t_prep overflows by t_prep's fault where 1/t_prep does too; for a
+        # t_prep with a finite inverse only a T1 past 1 s overflows it.
+        if not (math.isfinite(1.0 / pc.t_prep) or math.isfinite(pc.t1 / pc.t_prep)):
+            raise ConfigError(f"protocol.t_prep = {pc.t_prep!r} s is too short: protocol.t1 / t_prep overflows")
+        return pc
 
     def iq_model(self) -> IqModel:
         from .protocol import IqModel

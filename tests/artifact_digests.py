@@ -7,10 +7,10 @@ subcommands in both output formats for each config, in process, with
 tomo-fit reading the CSV tomogram that tomo-synth wrote for the same
 config.  It prints a comment line naming the Python and numpy versions
 (no artifact depends on scipy, which the package never imports), the
-machine and numpy's highest enabled x86-64 SIMD level, then
-one line ``<sha256>  <config>/<format>/<artifact>`` per
-artifact, sorted, where <config> is the index into BYTE_CONFIGS: 192
-lines in all.  It exits 1 if any run does not exit 0.
+machine, numpy's highest enabled x86-64 SIMD level and the kernel
+OpenBLAS picked at run time, then one line
+``<sha256>  <config>/<format>/<artifact>`` per artifact, sorted, where
+<config> is the index into BYTE_CONFIGS: 192 lines in all.  It exits 1 if any run does not exit 0.
 
 tests/artifact_digests.txt holds that output for the current tree, and
 tests/test_cli.py regenerates the digests and compares them with it.  A
@@ -29,6 +29,7 @@ To compare two source trees directly, run it against both and diff:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import platform
@@ -36,6 +37,8 @@ import sys
 import tempfile
 from importlib.metadata import version
 from pathlib import Path
+
+import numpy as np
 
 from jpmsim.cli import _SUBCOMMANDS, run_subcommand
 
@@ -54,19 +57,34 @@ DIGESTS_FILE = Path(__file__).with_name("artifact_digests.txt")
 """The recorded output of this script for the current tree."""
 
 
+def _openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU (OPENBLAS_CORETYPE overrides it), or unknown."""
+    libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def versions_line() -> str:
-    """The comment line naming the Python and numpy versions, the machine and numpy's SIMD level.
+    """The comment line naming the Python and numpy versions, the machine, numpy's SIMD level and OpenBLAS's kernel.
 
     The level is the highest of X86_V2, X86_V3 and X86_V4 that numpy's
     dispatch has enabled, or unknown: some artifact values differ in the
-    last bit between numpy's SIMD loops.
+    last bit between numpy's SIMD loops, and some between OpenBLAS
+    kernels.
     """
     try:
         from numpy._core._multiarray_umath import __cpu_features__ as features
     except ImportError:
         features = {}
     level = next((name for name in ("X86_V4", "X86_V3", "X86_V2") if features.get(name)), "unknown")
-    return f"# python {platform.python_version()}, numpy {version('numpy')}, {platform.machine()}, simd {level}"
+    return (
+        f"# python {platform.python_version()}, numpy {version('numpy')}, {platform.machine()}, simd {level}, "
+        f"openblas {_openblas_core()}"
+    )
 
 
 def digests(work_dir: Path) -> tuple[list[str], int]:

@@ -1989,12 +1989,70 @@ def test_count_rounded_past_the_array_cap_is_named(tmp_path, capsys, key, points
     # np.linspace sizes its array from the count as a float: 2^60 - 64
     # rounds to 2^60, whose 2^63 bytes numpy refuses in a message that
     # names no key, so it is refused first, naming the key.  One count
-    # less is an allocation numpy attempts, and fails at once.
+    # less is an allocation numpy attempts, and fails at once; that
+    # failure names the key too.
     code, paths = run_subcommand("tomo-synth", overrides=(f"{key}={points}",), output_dir=str(tmp_path))
     err = capsys.readouterr().err
     assert code == expected and paths == [] and err.count("\n") == 1
-    assert (key in err) == (code == 2)
+    assert key in err
     assert list(tmp_path.iterdir()) == []
+
+
+_POINT_COUNT_KEYS = [
+    ("potential-sweep", "potential.flux_points", 2),
+    ("transfer-curves", "transfer.time_points", 2),
+    ("ramsey", "ramsey.delay_points", 2),
+    ("rabi", "rabi.duration_points", 2),
+    ("depletion", "depletion.time_points", 2),
+    ("tomo-synth", "tomo.theta_points", 1),
+    ("tomo-synth", "tomo.duration_points", 2),
+]
+
+
+@pytest.mark.parametrize("name, key, least", _POINT_COUNT_KEYS, ids=[key for _, key, _ in _POINT_COUNT_KEYS])
+@pytest.mark.parametrize(
+    "points, expected", [(None, 2), (2**60 - 64, 2), (2**60 - 65, 3)], ids=["below-minimum", "past-cap", "past-memory"]
+)
+def test_every_point_count_refusal_names_its_key(tmp_path, capsys, name, key, least, points, expected):
+    # One count below the key's minimum (None), and 2^60 - 64, which
+    # np.linspace rounds past the float64 array cap, exit 2; 2^60 - 65, an
+    # allocation numpy attempts and fails at once, exits 3.  Each ends in
+    # one stderr line naming the key, with no output directory made.
+    points = least - 1 if points is None else points
+    code, paths = run_subcommand(name, overrides=(f"{key}={points}",), output_dir=str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == expected and paths == [], err
+    assert err.count("\n") == 1 and key in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, overrides, expected",
+    [
+        ("transfer-curves", ("transfer.t_max_scaled=1e308",), 3),
+        ("budget", ("protocol.t_prep=1e-320s",), 2),
+        ("ramsey", ("protocol.t_prep=1e-320s", "protocol.relaxation_override=none"), 2),
+        ("rabi", ("protocol.t_prep=1e-320s", "protocol.relaxation_override=none"), 2),
+        ("stark", ("protocol.t_prep=1e-320s",), 2),
+        ("depletion", ("protocol.t_prep=1e-320s",), 2),
+    ],
+)
+def test_overflow_refusal_names_the_key_at_fault(tmp_path, capsys, name, overrides, expected):
+    # At t_max_scaled = 1e308 the time axis is finite but the phase of the
+    # default detuning_ratio=4 family overflows; at t_prep = 1e-320 s
+    # T1/t_prep overflows.  Either refusal is one line naming the key set.
+    code, paths = run_subcommand(name, overrides=overrides, output_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == expected and paths == [] and err.count("\n") == 1
+    assert overrides[0].split("=")[0] in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):
+    # 1e-310 s has no finite inverse, but T1/t_prep = 6.6e304 does: the
+    # budget is computed, with a relaxation error near t_prep / 2 T1 = 0.
+    record = _json_rows("budget", tmp_path, ("protocol.t_prep=1e-310s", "budget.n_shots=10000"))
+    assert 0.0 <= record["analytic_relaxation_error"] < 1e-300
 
 
 # 2^63 - 1, the largest count a binomial draw takes; 2^63; 10^20.
