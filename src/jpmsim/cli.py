@@ -4,13 +4,13 @@ Every subcommand reads one flat key/value config document (all keys
 optional, see config.SCHEMA for names and defaults), applies -s/--set
 overrides, runs the corresponding computation, and writes one artifact
 into the output directory, named after the subcommand (tomo-synth's
-is tomogram).  _SUBCOMMANDS describes each subcommand once: its
-compute function, whether it writes a table or a record, and help
-text.  Each compute function imports the physics names it calls, so a
-subcommand loads only its own layer; json is imported where a JSON
-artifact is written and csv where a tomogram is read.  A compute
-function returns {column name: column} for a table and {key: value}
-for a record, so each name is given where its values are computed.
+is tomogram).  _SUBCOMMANDS maps each subcommand to its compute
+function and help text.  Each compute function imports the physics
+names it calls, so a subcommand loads only its own layer; json is
+imported where a JSON artifact is written and csv where a tomogram is
+read.  A compute function returns {column name: column} for a table
+and {key: scalar} for a record, so each name is given where its values
+are computed, and _write tells the two apart by the values.
 _table_text says how a table is encoded.  Outputs are byte-stable for
 a fixed config and seed.
 
@@ -28,7 +28,7 @@ import sys
 import tempfile
 from collections.abc import Callable
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -116,14 +116,18 @@ def _table_text(table: dict, as_csv: bool):
         yield "\n]\n"
 
 
-def _write(out_dir: Path, stem: str, data: dict, table: bool, file_format: str) -> Path:
-    """Write data as a table (_table_text) in file_format, or as a JSON record; returns its path.
+def _write(out_dir: Path, stem: str, data: dict, file_format: str) -> Path:
+    """Write data to out_dir as stem plus the format's suffix; returns its path.
 
-    out_dir is created here, so a run refused before writing leaves no
-    new directory.  The bytes go to a temporary file in out_dir that
-    replaces the artifact only once complete, so a failed write leaves no
-    partial file and any older artifact of the same name as it was.
+    data is a table when each value is a column (np.ndim 1), written as
+    _table_text encodes it in file_format; a record of scalars is a JSON
+    object whatever the format.  out_dir is created here, so a run
+    refused before writing leaves no new directory.  The bytes go to a
+    temporary file in out_dir that replaces the artifact only once
+    complete, so a failed write leaves no partial file and any older
+    artifact of the same name as it was.
     """
+    table = all(np.ndim(value) == 1 for value in data.values())
     as_csv = table and file_format == "csv"
     path = out_dir / f"{stem}.{'csv' if as_csv else 'json'}"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -486,92 +490,30 @@ def _tomo_fit(cfg: RunConfig) -> dict:
     }
 
 
-class _Subcommand(NamedTuple):
-    """One subcommand: compute(cfg) gives a table {column name: column} or a record {key: value}.
-
-    A table is written as _table_text encodes it, a record as a JSON object.
-    The artifact is named after the subcommand, "-" read as "_", unless
-    stem names it: tomo-synth writes the tomogram that tomo-fit reads.
-    """
-
-    compute: Callable[[RunConfig], dict]
-    table: bool
-    help: str
-    stem: str | None = None
-
-
-_SUBCOMMANDS = {
-    "potential-sweep": _Subcommand(
-        _potential_sweep,
-        table=True,
-        help="Sweep the loop flux bias and tabulate every potential well: "
-        "minimum and barrier phases, depth, plasma frequency, level count.",
-    ),
-    "bifurcation": _Subcommand(
-        _bifurcation,
-        table=True,
-        help="Locate the flux biases where potential minima appear or vanish "
-        "and count the minima on either side of each.",
-    ),
-    "transfer-curves": _Subcommand(
-        _transfer_curves,
-        table=True,
-        help="Tabulate transfer-efficiency curves versus scaled time for "
-        "families of decay-rate ratios and detuning ratios.",
-    ),
-    "transfer-peak": _Subcommand(
-        _transfer_peak,
-        table=False,
-        help="Report the peak transfer efficiency and optimal capture time for "
-        "the configured cavity pair, with closed-form reference values.",
-    ),
-    "budget": _Subcommand(
-        _budget,
-        table=False,
-        help="Monte Carlo raw-fidelity budget of the measurement protocol, "
-        "split into relaxation, dark-count, and detection-miss terms.",
-    ),
-    "ramsey": _Subcommand(
-        _ramsey,
-        table=True,
-        help="Detector-read Ramsey fringe dataset versus drive detuning and delay.",
-    ),
-    "rabi": _Subcommand(
-        _rabi,
-        table=True,
-        help="Detector-read Rabi chevron dataset versus drive detuning and pulse duration.",
-    ),
-    "stark": _Subcommand(
-        _stark,
-        table=True,
-        help="Photon-number calibration: map drive powers to cavity occupation "
-        "and qubit frequency shift.",
-    ),
-    "depletion": _Subcommand(
-        _depletion,
-        table=True,
-        help="Post-measurement recovery versus depletion time: residual "
-        "photons, fringe contrast, and frequency shift.",
-    ),
-    "iq": _Subcommand(
-        _iq,
-        table=False,
-        help="IQ-plane discrimination report: single-shot and separation "
-        "fidelities and the decision threshold.",
-    ),
-    "tomo-synth": _Subcommand(
-        _tomo_synth,
-        table=True,
-        help="Generate a synthetic tomogram grid (axis angle x pulse duration) "
-        "from a configured qubit state.",
-        stem="tomogram",
-    ),
-    "tomo-fit": _Subcommand(
-        _tomo_fit,
-        table=False,
-        help="Fit a four-parameter qubit state to a tomogram CSV and report "
-        "the density matrix, pi-pulse duration, and target fidelities.",
-    ),
+# Each subcommand's compute function and help text, in the order --help lists them.
+_SUBCOMMANDS: dict[str, tuple[Callable[[RunConfig], dict], str]] = {
+    "potential-sweep": (_potential_sweep, "Sweep the loop flux bias and tabulate every potential well: "
+                                          "minimum and barrier phases, depth, plasma frequency, level count."),
+    "bifurcation": (_bifurcation, "Locate the flux biases where potential minima appear or vanish "
+                                  "and count the minima on either side of each."),
+    "transfer-curves": (_transfer_curves, "Tabulate transfer-efficiency curves versus scaled time for "
+                                          "families of decay-rate ratios and detuning ratios."),
+    "transfer-peak": (_transfer_peak, "Report the peak transfer efficiency and optimal capture time for "
+                                      "the configured cavity pair, with closed-form reference values."),
+    "budget": (_budget, "Monte Carlo raw-fidelity budget of the measurement protocol, "
+                        "split into relaxation, dark-count, and detection-miss terms."),
+    "ramsey": (_ramsey, "Detector-read Ramsey fringe dataset versus drive detuning and delay."),
+    "rabi": (_rabi, "Detector-read Rabi chevron dataset versus drive detuning and pulse duration."),
+    "stark": (_stark, "Photon-number calibration: map drive powers to cavity occupation "
+                      "and qubit frequency shift."),
+    "depletion": (_depletion, "Post-measurement recovery versus depletion time: residual "
+                              "photons, fringe contrast, and frequency shift."),
+    "iq": (_iq, "IQ-plane discrimination report: single-shot and separation "
+                "fidelities and the decision threshold."),
+    "tomo-synth": (_tomo_synth, "Generate a synthetic tomogram grid (axis angle x pulse duration) "
+                                "from a configured qubit state."),
+    "tomo-fit": (_tomo_fit, "Fit a four-parameter qubit state to a tomogram CSV and report "
+                            "the density matrix, pi-pulse duration, and target fidelities."),
 }
 
 
@@ -593,25 +535,25 @@ def run_subcommand(
 ) -> tuple[int, list[Path]]:
     """Run one subcommand; returns (exit code, written artifact paths).
 
-    This is the CLI's one error boundary: a ValueError (ConfigError
-    included) exits 2, a NumericalError, a float overflow or division
-    by zero (ArithmeticError) or an array too large to allocate
-    (MemoryError) 3 and an OSError 4, each with one
-    diagnostic line on stderr.  The artifact is computed in full before
-    its directory is created and its file opened, so exits 2 and 3 leave
-    no file and no new directory.  Prints one line
-    per artifact on success.
+    The artifact is named after the subcommand, "-" read as "_", except
+    tomo-synth's: the tomogram that tomo-fit reads.  This is the CLI's
+    one error boundary: a ValueError (ConfigError included) exits 2, a
+    NumericalError, a float overflow or division by zero
+    (ArithmeticError) or an array too large to allocate (MemoryError) 3
+    and an OSError 4, each with one diagnostic line on stderr.  The
+    artifact is computed in full before its directory is created and its
+    file opened, so exits 2 and 3 leave no file and no new directory.
+    Prints one line per artifact on success.
     """
-    spec = _SUBCOMMANDS.get(name)
-    if spec is None:
+    if name not in _SUBCOMMANDS:
         print(f"unknown subcommand {name!r}", file=sys.stderr)
         return 2, []
+    compute, _ = _SUBCOMMANDS[name]
+    stem = {"tomo-synth": "tomogram"}.get(name, name.replace("-", "_"))
     try:
         cfg = RunConfig.from_sources(config_path, overrides)
         out_dir = _resolve_output_dir(output_dir, cfg)
-        data = spec.compute(cfg)
-        stem = spec.stem or name.replace("-", "_")
-        path = _write(out_dir, stem, data, spec.table, cfg.get("output.format"))
+        path = _write(out_dir, stem, compute(cfg), cfg.get("output.format"))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2, []
@@ -641,8 +583,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"jpmsim {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, spec in _SUBCOMMANDS.items():
-        sub = subparsers.add_parser(name, help=spec.help, description=spec.help)
+    for name, (_, summary) in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=summary, description=summary)
         sub.add_argument("-c", "--config", default=None, help="path to a key/value config document")
         sub.add_argument(
             "-s",

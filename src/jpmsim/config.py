@@ -32,7 +32,7 @@ from .errors import ConfigError
 if TYPE_CHECKING:
     from .potential import JpmParams
     from .protocol import IqModel, ProtocolConfig
-    from .transfer import TransferConfig
+    from .transfer import CavityMode, TransferConfig
 
 _UNIT_TABLES = {
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12},
@@ -275,17 +275,24 @@ class RunConfig:
     def get(self, key: str):
         return self.values[key]
 
+    @staticmethod
+    def _section(section: str, cls, **fields):
+        """cls(**fields), its ValueError refused in a line naming the config section."""
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{section} section invalid: {exc}") from exc
+
     def jpm_params(self) -> JpmParams:
         from .potential import JpmParams
 
-        try:
-            return JpmParams(
-                critical_current=self.get("device.critical_current"),
-                loop_inductance=self.get("device.loop_inductance"),
-                shunt_capacitance=self.get("device.shunt_capacitance"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"device section invalid: {exc}") from exc
+        return self._section(
+            "device",
+            JpmParams,
+            critical_current=self.get("device.critical_current"),
+            loop_inductance=self.get("device.loop_inductance"),
+            shunt_capacitance=self.get("device.shunt_capacitance"),
+        )
 
     def _decay_rate(self, key: str) -> float:
         """The rate 1 / decay_time of a decay-time key, in 1/second.
@@ -298,48 +305,44 @@ class RunConfig:
             raise ConfigError(f"{key} must be positive with a finite inverse, got {decay_time!r} s")
         return 1.0 / decay_time
 
-    def transfer_config(self) -> TransferConfig:
-        from .transfer import CavityMode, TransferConfig
+    def _cavity(self, section: str) -> CavityMode:
+        from .transfer import CavityMode
 
-        source_rate = self._decay_rate("source.decay_time")
-        capture_rate = self._decay_rate("capture.decay_time")
-        try:
-            return TransferConfig(
-                source=CavityMode(
-                    angular_frequency=self.get("source.frequency"),
-                    decay_rate=source_rate,
-                ),
-                target=CavityMode(
-                    angular_frequency=self.get("capture.frequency"),
-                    decay_rate=capture_rate,
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"cavity sections invalid: {exc}") from exc
+        return self._section(
+            section,
+            CavityMode,
+            angular_frequency=self.get(f"{section}.frequency"),
+            decay_rate=self._decay_rate(f"{section}.decay_time"),
+        )
+
+    def transfer_config(self) -> TransferConfig:
+        from .transfer import TransferConfig
+
+        return TransferConfig(source=self._cavity("source"), target=self._cavity("capture"))
 
     def protocol_config(self) -> ProtocolConfig:
         from .protocol import DEFAULT_DEPLETION_RATE, ProtocolConfig
 
         key = "protocol.depletion_decay_time"
         depletion_rate = DEFAULT_DEPLETION_RATE if self.get(key) is None else self._decay_rate(key)
-        try:
-            pc = ProtocolConfig(
-                t_prep=self.get("protocol.t_prep"),
-                t1=self.get("protocol.t1"),
-                dark_prob=self.get("protocol.dark_prob"),
-                bright_detect_prob=self.get("protocol.bright_detect_prob"),
-                stark_shift_per_photon=self.get("protocol.stark_shift_per_photon"),
-                n_bar_qubit_cavity=self.get("protocol.n_bar_qubit_cavity"),
-                depletion_rate=depletion_rate,
-                rng_seed=self.get("seed"),
-                relaxation_override=self.get("protocol.relaxation_override"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"protocol section invalid: {exc}") from exc
-        # T1/t_prep overflows by t_prep's fault where 1/t_prep does too; for a
-        # t_prep with a finite inverse only a T1 past 1 s overflows it.
-        if not (math.isfinite(1.0 / pc.t_prep) or math.isfinite(pc.t1 / pc.t_prep)):
-            raise ConfigError(f"protocol.t_prep = {pc.t_prep!r} s is too short: protocol.t1 / t_prep overflows")
+        pc = self._section(
+            "protocol",
+            ProtocolConfig,
+            t_prep=self.get("protocol.t_prep"),
+            t1=self.get("protocol.t1"),
+            dark_prob=self.get("protocol.dark_prob"),
+            bright_detect_prob=self.get("protocol.bright_detect_prob"),
+            stark_shift_per_photon=self.get("protocol.stark_shift_per_photon"),
+            n_bar_qubit_cavity=self.get("protocol.n_bar_qubit_cavity"),
+            depletion_rate=depletion_rate,
+            rng_seed=self.get("seed"),
+            relaxation_override=self.get("protocol.relaxation_override"),
+        )
+        # An overflowing T1/t_prep is t_prep's fault where 1/t_prep overflows
+        # too; with a finite 1/t_prep, only a T1 past 1 s overflows it.
+        if not math.isfinite(pc.t1 / pc.t_prep):
+            key, fault = ("protocol.t1", "long") if math.isfinite(1.0 / pc.t_prep) else ("protocol.t_prep", "short")
+            raise ConfigError(f"{key} = {self.get(key)!r} s is too {fault}: protocol.t1 / t_prep overflows")
         return pc
 
     def iq_model(self) -> IqModel:
@@ -348,11 +351,10 @@ class RunConfig:
         for key in ("iq.centroid_0", "iq.centroid_1"):
             if len(self.get(key)) != 2:
                 raise ConfigError(f"{key} must have exactly two components")
-        try:
-            return IqModel(
-                centroid_0=tuple(self.get("iq.centroid_0")),
-                centroid_1=tuple(self.get("iq.centroid_1")),
-                sigma=self.get("iq.sigma"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"iq section invalid: {exc}") from exc
+        return self._section(
+            "iq",
+            IqModel,
+            centroid_0=tuple(self.get("iq.centroid_0")),
+            centroid_1=tuple(self.get("iq.centroid_1")),
+            sigma=self.get("iq.sigma"),
+        )

@@ -955,7 +955,6 @@ def test_tomo_fit_reports_phase_in_half_open_interval(tmp_path):
         ("potential-sweep", "device.shunt_capacitance=1e308F"),
         ("transfer-peak", "source.decay_time=1e-307s"),
         ("stark", "protocol.n_bar_qubit_cavity=1e308"),
-        ("budget", "protocol.t1=1e308s"),
         ("ramsey", "ramsey.delay_stop=1e308s"),
         ("rabi", "rabi.duration_stop=1e308s"),
         ("transfer-curves", "transfer.kappa_ratios=1e308"),
@@ -1650,6 +1649,30 @@ def test_main_entry_point(tmp_path, capsys):
     assert exc.value.code == 0
 
 
+def _unwrapped(text):
+    return "".join(text.split())
+
+
+@pytest.mark.parametrize("name", list(jpmsim.cli._SUBCOMMANDS))
+def test_help_text_lists_and_describes_each_subcommand(capsys, name):
+    # A subcommand's help line is its entry in the top-level listing and
+    # the whole description of its own --help, between the usage block
+    # and the options.  argparse wraps both to the terminal width, at
+    # spaces and after hyphens, so the texts are compared without their
+    # whitespace.
+    _, summary = jpmsim.cli._SUBCOMMANDS[name]
+    pages = []
+    for argv in (["--help"], [name, "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        pages.append(capsys.readouterr().out)
+    listing, own = pages
+    assert _unwrapped(summary) in _unwrapped(listing)
+    assert own.startswith(f"usage: jpmsim {name} ")
+    assert _unwrapped(own.split("\n\n")[1]) == _unwrapped(summary)
+
+
 def test_main_config_flag(tmp_path):
     doc = tmp_path / "run.cfg"
     doc.write_text("stark.powers = 0.5,1\n")
@@ -1804,14 +1827,19 @@ def test_writer_matches_per_cell_reference(tmp_path, overrides):
     # tomo-fit reads the tomogram.csv that tomo-synth writes before it
     # (csv is written last).
     cfg = RunConfig.from_sources(overrides=overrides + (f"tomo.input={tmp_path / 'tomogram.csv'}",))
-    for name, spec in jpmsim.cli._SUBCOMMANDS.items():
-        data = spec.compute(cfg)
+    for name, (compute, _) in jpmsim.cli._SUBCOMMANDS.items():
+        data = compute(cfg)
         if name == "bifurcation":
             # At 0.1 uA, beta_L < 1: no critical flux, an empty table.
             assert (len(data["critical_flux (phi0)"]) == 0) == ("device.critical_current=0.1uA" in overrides)
+        # _write tells a table from a record by its values; the CSV
+        # artifacts are the tables.
+        artifact = Path(ARTIFACTS[name])
+        table = artifact.suffix == ".csv"
         for file_format in ("json", "csv"):
-            path = jpmsim.cli._write(tmp_path, Path(ARTIFACTS[name]).stem, data, spec.table, file_format)
-            assert path.read_bytes() == _reference_bytes(data, spec.table, file_format), (
+            path = jpmsim.cli._write(tmp_path, artifact.stem, data, file_format)
+            assert path.suffix == (".csv" if table and file_format == "csv" else ".json")
+            assert path.read_bytes() == _reference_bytes(data, table, file_format), (
                 name,
                 file_format,
             )
@@ -1840,7 +1868,7 @@ def test_writer_matches_reference_on_block_boundaries(tmp_path, monkeypatch, fil
         "label": labels[i % labels.size],
     }
     assert data["well_label"].dtype == "<U8"
-    path = jpmsim.cli._write(tmp_path, "odd", data, True, file_format)
+    path = jpmsim.cli._write(tmp_path, "odd", data, file_format)
     assert path.read_bytes() == _reference_bytes(data, True, file_format)
 
 
@@ -1865,7 +1893,7 @@ def test_writer_memory_is_bounded(tmp_path, file_format):
     data = {f"column {k}": column for k, column in enumerate(columns)}
     tracemalloc.start()
     try:
-        path = jpmsim.cli._write(tmp_path, "big", data, True, file_format)
+        path = jpmsim.cli._write(tmp_path, "big", data, file_format)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1883,10 +1911,10 @@ def test_table_compute_memory_is_bounded(name, override):
     # peaks at about 41 and 33 B per row.  One dict per time read 321 B
     # per row, and a fixed-width <U18 label column 97 B per row.
     cfg = RunConfig.from_sources(overrides=(override,))
-    spec = jpmsim.cli._SUBCOMMANDS[name]
+    compute, _ = jpmsim.cli._SUBCOMMANDS[name]
     tracemalloc.start()
     try:
-        data = spec.compute(cfg)
+        data = compute(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1900,7 +1928,7 @@ def test_iq_memory_is_flat_in_shot_count():
     # so the tracemalloc peak at 2e6 shots per class stays within 2 MB of
     # that at 5e4: about 1.6 against 1.2 MB.  A first run loads
     # jpmsim.protocol untraced.
-    compute = jpmsim.cli._SUBCOMMANDS["iq"].compute
+    compute, _ = jpmsim.cli._SUBCOMMANDS["iq"]
     compute(RunConfig.from_sources(overrides=("iq.n_shots=10",)))
     peaks = []
     for n in (50_000, 2_000_000):
@@ -2035,12 +2063,14 @@ def test_every_point_count_refusal_names_its_key(tmp_path, capsys, name, key, le
         ("rabi", ("protocol.t_prep=1e-320s", "protocol.relaxation_override=none"), 2),
         ("stark", ("protocol.t_prep=1e-320s",), 2),
         ("depletion", ("protocol.t_prep=1e-320s",), 2),
+        ("budget", ("protocol.t1=1e308s",), 2),
     ],
 )
 def test_overflow_refusal_names_the_key_at_fault(tmp_path, capsys, name, overrides, expected):
     # At t_max_scaled = 1e308 the time axis is finite but the phase of the
-    # default detuning_ratio=4 family overflows; at t_prep = 1e-320 s
-    # T1/t_prep overflows.  Either refusal is one line naming the key set.
+    # default detuning_ratio=4 family overflows; at t_prep = 1e-320 s and
+    # at T1 = 1e308 s T1/t_prep overflows.  Each refusal is one line
+    # naming the key set.
     code, paths = run_subcommand(name, overrides=overrides, output_dir=str(tmp_path))
     err = capsys.readouterr().err
     assert code == expected and paths == [] and err.count("\n") == 1
@@ -2053,6 +2083,30 @@ def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):
     # budget is computed, with a relaxation error near t_prep / 2 T1 = 0.
     record = _json_rows("budget", tmp_path, ("protocol.t_prep=1e-310s", "budget.n_shots=10000"))
     assert 0.0 <= record["analytic_relaxation_error"] < 1e-300
+
+
+@pytest.mark.parametrize(
+    "name, override, section",
+    [
+        ("potential-sweep", "device.critical_current=0A", "device"),
+        ("potential-sweep", "device.loop_inductance=0H", "device"),
+        ("potential-sweep", "device.shunt_capacitance=0F", "device"),
+        ("transfer-peak", "source.frequency=0Hz", "source"),
+        ("transfer-peak", "capture.frequency=0Hz", "capture"),
+        ("budget", "protocol.dark_prob=2", "protocol"),
+        ("budget", "protocol.relaxation_override=2", "protocol"),
+        ("iq", "iq.sigma=0", "iq"),
+        ("iq", "iq.centroid_1=0,0", "iq"),
+    ],
+)
+def test_every_builder_refusal_names_its_section(tmp_path, capsys, name, override, section):
+    # A value the physics layer's constructor refuses is reported under the
+    # config section it was read from, each cavity under its own name.
+    code, paths = run_subcommand(name, overrides=(override,), output_dir=str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2 and paths == [], err
+    assert err.startswith(f"config error: {section} section invalid: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
 
 
 # 2^63 - 1, the largest count a binomial draw takes; 2^63; 10^20.
