@@ -220,21 +220,19 @@ def _potential_sweep(cfg: RunConfig) -> dict:
 
 
 def _bifurcation(cfg: RunConfig) -> dict:
-    from .potential import critical_flux, find_extrema_sweep
+    from . import potential
 
     params = cfg.jpm_params()
-    crit = np.array(critical_flux(params))
+    crit = np.array(potential.critical_flux(params))
     # The count of minima is constant between neighbouring tangencies,
     # which repeat every Phi0, so one probe midway across each gap counts
     # the minima above one critical flux and below the next.
     probes = 0.5 * (crit + np.append(crit[1:], crit[:1] + PHI0))
-    minima = [
-        sum(1 for _, kind in extrema if kind == "minimum")
-        for extrema in find_extrema_sweep(probes, params)
-    ]
+    _, flux_of, _, _, is_minimum = potential._sweep_extrema(probes, params)
+    minima = np.bincount(flux_of[is_minimum], minlength=probes.size)
     return {
         "critical_flux (phi0)": np.divide(crit, PHI0),
-        "minima_below (1)": minima[-1:] + minima[:-1],
+        "minima_below (1)": np.roll(minima, 1),
         "minima_above (1)": minima,
     }
 
@@ -385,7 +383,9 @@ def _iq(cfg: RunConfig) -> dict:
 def _tomo_synth(cfg: RunConfig) -> dict:
     from .tomography import DensityMatrix2, synthesize_tomogram
 
-    rho = DensityMatrix2(
+    rho = cfg._section(
+        "tomo",
+        DensityMatrix2,
         excited_population=cfg.get("tomo.beta"),
         coherence_magnitude=cfg.get("tomo.r"),
         coherence_phase=cfg.get("tomo.phi"),
@@ -396,6 +396,8 @@ def _tomo_synth(cfg: RunConfig) -> dict:
     # Default span: one full rotation plus margin, so noisy synthetic
     # grids stay clear of the fit's minimum-span identifiability bound.
     end = 2.2 * t_pi if stop is None else stop
+    if not math.isfinite(end):
+        raise ConfigError(f"tomo.t_pi = {t_pi!r} s: default duration end 2.2 * tomo.t_pi is out of float64 range")
     durations = _linspace(0.0, end, cfg, "tomo.duration_points")
     # tomo-fit reads the grid back by its cell coordinates, so two equal
     # durations would make a file it refuses.

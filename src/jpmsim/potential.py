@@ -41,18 +41,18 @@ bisection fallback alone would take ceil(log2(2 pi / REFINE_TOL))
 halvings (43 at 1e-12)."""
 
 MAX_SEGMENTS = 10**5
-"""Most monotone segments :func:`find_extrema_sweep` cuts one flux's
+"""Most monotone segments :func:`_sweep_extrema` cuts one flux's
 bracket into (beta_L about 1.6e5), so a huge but finite beta_L is
 refused instead of allocating gigabytes or looping for hours."""
 
 MAX_REFINE_PASSES = 100
 """Most passes, each a Newton or a bisection step, that one root of
-:func:`find_extrema_sweep` may take; a root still refining then is
+:func:`_sweep_extrema` may take; a root still refining then is
 refused.  Most roots take 4 to 7; one within 1e-6 Phi0 of a tangency up
 to about 15, and a triple root (beta_L = 1 at Phi0 / 2) 27."""
 
 SWEEP_BLOCK_SEGMENTS = 2**15
-"""Bracket segments :func:`find_extrema_sweep` solves at once.  A block
+"""Bracket segments :func:`_sweep_extrema` solves at once.  A block
 holds at least one whole flux, so a sweep's working set stays near this
 many segments whatever its length."""
 
@@ -289,11 +289,35 @@ def _block_roots(phi_e, beta: float, turn, reach: int):
 
 
 def _sweep_extrema(fluxes, p: JpmParams):
-    """Extrema of every flux in webers as flat arrays.
+    """Locate every extremum of the potential at every flux of a sweep, as flat arrays.
+
+    ``fluxes`` is a one-dimensional array of applied fluxes in webers.
+    Every root of the residual lies in the bracket
+    ``[phi_e - beta_L - 1, phi_e + beta_L + 1]``: outside it the linear
+    term exceeds 1 in magnitude.  The bracket is cut at the residual's
+    turning points, none for beta_L <= 1, and each segment across which
+    the residual changes sign holds exactly one root, however close a
+    root pair lies to a tangency.  A root's bits depend on its own
+    segment alone, so a flux gets the same bits alone or in any sweep.
+    The fluxes are solved in blocks of about SWEEP_BLOCK_SEGMENTS
+    segments, so memory stays bounded whatever the sweep length.
 
     Returns (phi_e, flux_of, offsets, roots, is_minimum): the phase bias
     of each flux, the flux index of each extremum, and the extrema of flux
-    i as ``roots[offsets[i]:offsets[i + 1]]`` in ascending phase order.
+    i as ``roots[offsets[i]:offsets[i + 1]]`` in ascending phase order,
+    ``is_minimum`` true at the minima.  Each count is odd and minima and
+    maxima alternate.
+
+    Raises
+    ------
+    NumericalError
+        If beta_L has no finite inverse or needs more than MAX_SEGMENTS
+        segments per flux, a flux has no extremum or an inconsistent
+        extremum structure, or a root does not converge in
+        MAX_REFINE_PASSES passes.
+    ValueError
+        If ``fluxes`` is not one-dimensional, or a flux is not finite or
+        its phase bias overflows.
     """
     fluxes = np.asarray(fluxes, dtype=float)
     if fluxes.ndim != 1:
@@ -334,60 +358,10 @@ def _sweep_extrema(fluxes, p: JpmParams):
             phase = float(phi_e[i])
             step = f"float64 step {np.spacing(phase):g} rad"
             raise NumericalError(f"no extremum found at {flux}, phase bias {phase:.6g} rad ({step})")
-        extrema = _pairs(roots[offsets[i] : offsets[i + 1]], is_minimum[offsets[i] : offsets[i + 1]])
+        own = slice(offsets[i], offsets[i + 1])
+        extrema = list(zip(roots[own].tolist(), np.where(is_minimum[own], "minimum", "maximum").tolist()))
         raise NumericalError(f"inconsistent extremum structure at {flux}: {extrema}")
     return phi_e, flux_of, offsets, roots, is_minimum
-
-
-def _pairs(roots, is_minimum) -> list[tuple[float, str]]:
-    return list(zip(roots.tolist(), np.where(is_minimum, "minimum", "maximum").tolist()))
-
-
-def find_extrema_sweep(fluxes, p: JpmParams) -> list[list[tuple[float, str]]]:
-    """Locate all extrema of the potential for every flux of a sweep.
-
-    ``fluxes`` is a one-dimensional array of applied fluxes in webers.
-    Every root of the residual ``sin(delta) - (phi_e - delta)/beta_L``
-    lies in the bracket ``[phi_e - beta_L - 1, phi_e + beta_L + 1]``
-    (outside it the linear term exceeds 1 in magnitude).  The bracket is
-    cut at the residual's turning points ``cos(delta) = -1/beta_L``, the
-    closed form :func:`critical_flux` also uses (none for
-    ``beta_L <= 1``); between two cuts the residual is monotone, so each
-    segment across which it changes sign holds exactly one root, however
-    close a root pair lies to a bifurcation.  A zero at a cut is a
-    tangent touch and is not reported.  Each root is refined from its
-    segment's midpoint by Newton's method kept inside the bracket, with a
-    bisection step wherever Newton would leave it or slow down, until a
-    Newton step is within REFINE_TOL / 4, the bracket within REFINE_TOL,
-    or no float is left inside it: 4 to 7 passes for most roots, against
-    the 43 halvings of bisection alone.  A root's bits depend on its own
-    segment alone, so a flux gets the same bits alone or in any sweep.
-    The fluxes are solved together in blocks of about
-    SWEEP_BLOCK_SEGMENTS segments, so memory stays bounded whatever the
-    sweep length.  One flux is the sweep ``[flux]``:
-    ``find_extrema_sweep([flux], p)[0]``.
-
-    Returns
-    -------
-    list of list of (delta, kind)
-        For each flux, its extrema in ascending phase order, ``kind``
-        "minimum" or "maximum".  Each count is odd and the kinds
-        alternate.
-
-    Raises
-    ------
-    NumericalError
-        If beta_L has no finite inverse or needs more than MAX_SEGMENTS
-        segments per flux, the extremum structure of a flux is
-        inconsistent, or a root does not converge in MAX_REFINE_PASSES passes.
-    ValueError
-        If ``fluxes`` is not one-dimensional, or a flux is not finite or
-        its phase bias overflows.
-    """
-    _, _, offsets, roots, is_minimum = _sweep_extrema(fluxes, p)
-    extrema = _pairs(roots, is_minimum)
-    bounds = offsets.tolist()
-    return [extrema[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
@@ -403,7 +377,7 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
     Raises
     ------
     NumericalError
-        As :func:`find_extrema_sweep`, or if the curvature at a minimum
+        As :func:`_sweep_extrema`, or if the curvature at a minimum
         is not positive.
     """
     phi_e, flux_of, offsets, roots, is_minimum = _sweep_extrema(fluxes, p)
@@ -464,7 +438,7 @@ def critical_flux(p: JpmParams) -> list[float]:
     A well appears or vanishes where the line of the extremum condition
     is tangent to sin(delta), which requires
     ``cos(delta) = -1/beta_L`` (the turning points at which
-    :func:`find_extrema_sweep` cuts its brackets) simultaneously with the
+    :func:`_sweep_extrema` cuts its brackets) simultaneously with the
     extremum condition itself.  Returns the tangency fluxes inside the principal
     sweep range [0, Phi0], in ascending order.  Empty for
     ``beta_L <= 1``: the line is then steeper than sin everywhere and
@@ -473,7 +447,7 @@ def critical_flux(p: JpmParams) -> list[float]:
     Raises
     ------
     NumericalError
-        As :func:`find_extrema_sweep` refuses beta_L: one with no finite
+        As :func:`well_report_sweep` refuses beta_L: one with no finite
         inverse, or one too large (more than MAX_SEGMENTS segments per
         bracket), which also bounds the loop over branches here.
     """

@@ -15,13 +15,13 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
+from jpmsim import potential
 from jpmsim.cli import run_subcommand
 from jpmsim.potential import (
     DEFAULT_PARAMS,
     PHI0,
     beta_L,
     critical_flux,
-    find_extrema_sweep,
     well_report_sweep,
 )
 from jpmsim.protocol import (
@@ -168,7 +168,8 @@ def test_potential_landscape_roots_and_tuning_range():
     base = np.arange(-beta - 1.0, beta + 1.0 + step, step)
     rng = np.random.default_rng(20260815)
     fluxes = rng.uniform(0.0, 1.0, 1000) * PHI0
-    for flux_wb, extrema in zip(fluxes, find_extrema_sweep(fluxes, p)):
+    _, _, offsets, found, _ = potential._sweep_extrema(fluxes, p)
+    for flux_wb, extrema in zip(fluxes, np.split(found, offsets[1:-1])):
         phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
         grid = base + phi_e
         vals = np.sin(grid) - (phi_e - grid) / beta
@@ -180,7 +181,7 @@ def test_potential_landscape_roots_and_tuning_range():
             brentq(g, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16)
             for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
         )
-        got = sorted(delta for delta, _ in extrema)
+        got = sorted(extrema.tolist())
         assert len(got) == len(roots)
         assert max(abs(a - b) for a, b in zip(got, roots)) < 1e-9
 
@@ -188,7 +189,8 @@ def test_potential_landscape_roots_and_tuning_range():
     # exactly one.
     eps = 1e-6 * PHI0
     sides = [f + sign * eps for f in critical_flux(p) for sign in (-1.0, 1.0)]
-    minima = [sum(1 for _, k in extrema if k == "minimum") for extrema in find_extrema_sweep(sides, p)]
+    _, flux_of, _, _, is_minimum = potential._sweep_extrema(sides, p)
+    minima = np.bincount(flux_of[is_minimum], minlength=len(sides)).tolist()
     for below, above in zip(minima[::2], minima[1::2]):
         assert abs(below - above) == 1
 

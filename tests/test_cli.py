@@ -683,6 +683,7 @@ def test_transfer_peak_refuses_line_values(tmp_path, capsys, override):
         ("iq", ("iq.centroid_0=1e308,0", "iq.centroid_1=-1e308,0")),
         ("iq", ("iq.sigma=1e-320",)),
         ("stark", ("protocol.t_prep=1e1000000s",)),
+        ("tomo-synth", ("tomo.t_pi=1e308s",)),
     ],
 )
 def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides):
@@ -690,12 +691,15 @@ def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides):
     # parsed, a sweep whose finite ends overflow (span or time scale)
     # where the sweep is built, and an IQ model whose d / sigma
     # overflows where the model is built, before any of them can turn
-    # into inf or NaN cells.
+    # into inf or NaN cells.  The default tomogram duration end
+    # 2.2 tomo.t_pi is refused naming tomo.t_pi.
     code, paths = run_fast(name, tmp_path, overrides)
     assert code == 2 and paths == []
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
     assert "out of float64 range" in err
+    if name == "tomo-synth":
+        assert "tomo.t_pi" in err, err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1351,7 +1355,7 @@ for name, sets in runs:
     stages[name] = loaded()
 root = [
     jpmsim.__version__,
-    jpmsim.potential.find_extrema_sweep.__name__,
+    jpmsim.potential.well_report_sweep.__name__,
     jpmsim.protocol.fidelity_budget.__name__,
     jpmsim.transfer.efficiency.__name__,
     jpmsim.tomography.fit_tomogram.__name__,
@@ -1444,7 +1448,7 @@ def test_no_subcommand_loads_scipy(tmp_path, layer_reports):
             assert stages[name]["jpmsim"] == sorted(_BASE_MODULES + [f"jpmsim.{layer}"]), name
             assert stages[name]["scipy"] == [], name
         assert report["root"] == [
-            jpmsim.__version__, "find_extrema_sweep", "fidelity_budget", "efficiency", "fit_tomogram",
+            jpmsim.__version__, "well_report_sweep", "fidelity_budget", "efficiency", "fit_tomogram",
             "ConfigError", False,
         ]
         added = _numpy_added(stages, names)
@@ -2097,6 +2101,8 @@ def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):
         ("budget", "protocol.relaxation_override=2", "protocol"),
         ("iq", "iq.sigma=0", "iq"),
         ("iq", "iq.centroid_1=0,0", "iq"),
+        ("tomo-synth", "tomo.beta=2", "tomo"),
+        ("tomo-synth", "tomo.r=1", "tomo"),
     ],
 )
 def test_every_builder_refusal_names_its_section(tmp_path, capsys, name, override, section):

@@ -11,6 +11,7 @@ segment widths and the number of residual passes.
 
 from __future__ import annotations
 
+import csv
 import math
 import tracemalloc
 import warnings
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from jpmsim import potential
+from jpmsim.cli import run_subcommand
 from jpmsim.errors import NumericalError
 from jpmsim.potential import (
     DEFAULT_PARAMS,
@@ -30,7 +32,6 @@ from jpmsim.potential import (
     JpmParams,
     beta_L,
     critical_flux,
-    find_extrema_sweep,
     plasma_frequency,
     potential_curvature,
     well_report_sweep,
@@ -48,6 +49,14 @@ def oracle_potential(delta: float, flux_wb: float, p: JpmParams) -> float:
     phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
     scale = (p.flux_quantum / (2.0 * math.pi)) ** 2 / (2.0 * p.loop_inductance)
     return -e_j * math.cos(delta) + scale * (delta - phi_e) ** 2
+
+
+def sweep_extrema(fluxes, p: JpmParams) -> list[tuple[list, list]]:
+    # The solver's arrays split at its offsets: for each flux, its roots
+    # in ascending order and which of them are minima.
+    _, _, offsets, roots, is_minimum = potential._sweep_extrema(fluxes, p)
+    cuts = offsets[1:-1]
+    return [(r.tolist(), m.tolist()) for r, m in zip(np.split(roots, cuts), np.split(is_minimum, cuts))]
 
 
 def oracle_roots(flux_wb: float, p: JpmParams, step: float = 1e-4) -> list[float]:
@@ -142,8 +151,8 @@ def test_plasma_frequency_zero_flux():
 def test_plasma_frequency_rejects_maxima():
     # At a potential maximum the curvature is negative and no real
     # oscillation frequency exists.
-    extrema = find_extrema_sweep([0.5 * PHI0], DEFAULT_PARAMS)[0]
-    maxima = [d for d, kind in extrema if kind == "maximum"]
+    _, _, _, roots, is_minimum = potential._sweep_extrema([0.5 * PHI0], DEFAULT_PARAMS)
+    maxima = roots[~is_minimum].tolist()
     assert maxima
     with pytest.raises(NumericalError):
         plasma_frequency(maxima[0], DEFAULT_PARAMS)
@@ -166,24 +175,21 @@ def _device(beta: float) -> JpmParams:
 def test_find_extrema_against_dense_scan(p):
     rng = np.random.default_rng(2026)
     fluxes = [float(rng.uniform(0.0, 1.0)) * PHI0 for _ in range(60)]
-    for flux, got in zip(fluxes, find_extrema_sweep(fluxes, p)):
+    for flux, (got, _) in zip(fluxes, sweep_extrema(fluxes, p)):
         want = oracle_roots(flux, p)
         assert len(got) == len(want)
-        for (delta, _), ref in zip(got, want):
+        for delta, ref in zip(got, want):
             assert abs(delta - ref) < 1e-9
 
 
 def test_find_extrema_structure():
     rng = np.random.default_rng(99)
     fluxes = [float(rng.uniform(0.0, 1.0)) * PHI0 for _ in range(40)]
-    for flux, extrema in zip(fluxes, find_extrema_sweep(fluxes, DEFAULT_PARAMS)):
-        deltas = [d for d, _ in extrema]
-        kinds = [k for _, k in extrema]
-        assert len(extrema) % 2 == 1
+    for flux, (deltas, minima) in zip(fluxes, sweep_extrema(fluxes, DEFAULT_PARAMS)):
+        assert len(deltas) % 2 == 1
         assert deltas == sorted(deltas)
         # Minima and maxima alternate, starting and ending on a minimum.
-        assert kinds[::2] == ["minimum"] * len(kinds[::2])
-        assert kinds[1::2] == ["maximum"] * len(kinds[1::2])
+        assert all(minima[::2]) and not any(minima[1::2])
         # Each reported extremum satisfies the dimensionless condition.
         beta = beta_L(DEFAULT_PARAMS)
         phi_e = 2.0 * math.pi * flux / PHI0
@@ -196,13 +202,13 @@ def test_find_extrema_flux_parity():
     # axis: extrema map to 2 pi - delta with kinds preserved.
     rng = np.random.default_rng(5)
     quanta = [float(rng.uniform(0.0, 1.0)) for _ in range(25)]
-    forward = find_extrema_sweep([q * PHI0 for q in quanta], DEFAULT_PARAMS)
-    reverse = find_extrema_sweep([(1.0 - q) * PHI0 for q in quanta], DEFAULT_PARAMS)
-    for fwd, rev in zip(forward, reverse):
-        assert len(fwd) == len(rev)
-        for (d, kind), (dr, kind_r) in zip(fwd, reversed(rev)):
+    forward = sweep_extrema([q * PHI0 for q in quanta], DEFAULT_PARAMS)
+    reverse = sweep_extrema([(1.0 - q) * PHI0 for q in quanta], DEFAULT_PARAMS)
+    for (roots, minima), (roots_r, minima_r) in zip(forward, reverse):
+        assert len(roots) == len(roots_r)
+        for d, dr in zip(roots, reversed(roots_r)):
             assert 2.0 * math.pi - dr == pytest.approx(d, abs=1e-9)
-            assert kind == kind_r
+        assert minima == minima_r[::-1]
 
 
 def test_well_report_half_flux():
@@ -223,9 +229,9 @@ def test_well_report_half_flux():
 
     # Independent barrier height: potential at the central maximum minus
     # potential at the minimum, via the term-by-term oracle.
-    extrema = find_extrema_sweep([flux], DEFAULT_PARAMS)[0]
-    assert len(extrema) == 3
-    d_min, d_max = extrema[0][0], extrema[1][0]
+    [(roots, _)] = sweep_extrema([flux], DEFAULT_PARAMS)
+    assert len(roots) == 3
+    d_min, d_max = roots[:2]
     want = oracle_potential(d_max, flux, DEFAULT_PARAMS) - oracle_potential(d_min, flux, DEFAULT_PARAMS)
     assert height[0] == pytest.approx(want, rel=1e-10)
     # Level count = barrier height over one plasma quantum.
@@ -248,9 +254,8 @@ def test_well_report_escape_barrier_is_lowest_side():
     # lower of the two adjacent maxima when both exist; with a single
     # maximum it is that maximum.
     flux = 0.55 * PHI0
-    extrema = find_extrema_sweep([flux], DEFAULT_PARAMS)[0]
-    minima = [d for d, k in extrema if k == "minimum"]
-    maxima = [d for d, k in extrema if k == "maximum"]
+    _, _, _, roots, is_minimum = potential._sweep_extrema([flux], DEFAULT_PARAMS)
+    minima, maxima = roots[is_minimum].tolist(), roots[~is_minimum].tolist()
     assert len(minima) == 2 and len(maxima) == 1
     wells = well_report_sweep([flux], DEFAULT_PARAMS)
     u_barrier = oracle_potential(maxima[0], flux, DEFAULT_PARAMS)
@@ -271,10 +276,9 @@ def test_symmetric_well_keeps_its_left_barrier(current):
     fluxes = np.arange(-3, 4) * PHI0
     wells = well_report_sweep(fluxes, p)
     right_lower = 0
-    for index, (flux, extrema) in enumerate(zip(fluxes, find_extrema_sweep(fluxes, p))):
-        phases = [d for d, _ in extrema]
+    for index, (flux, (phases, minima)) in enumerate(zip(fluxes, sweep_extrema(fluxes, p))):
         k = int(np.argmin(np.abs(np.array(phases) - 2.0 * math.pi * flux / PHI0)))
-        assert extrema[k][1] == "minimum" and 0 < k < len(extrema) - 1
+        assert minima[k] and 0 < k < len(phases) - 1
         left, centre, right = energy(np.array(phases[k - 1:k + 2]), flux, p)
         assert right - centre == pytest.approx(left - centre, rel=1e-14)
         right_lower += right - centre < left - centre
@@ -309,10 +313,8 @@ def test_critical_flux_values():
 def test_critical_flux_flips_well_count_by_one():
     eps = 1e-6 * PHI0
     for f in critical_flux(DEFAULT_PARAMS):
-        below, above = (
-            sum(1 for _, k in extrema if k == "minimum")
-            for extrema in find_extrema_sweep([f - eps, f + eps], DEFAULT_PARAMS)
-        )
+        _, flux_of, _, _, is_minimum = potential._sweep_extrema([f - eps, f + eps], DEFAULT_PARAMS)
+        below, above = np.bincount(flux_of[is_minimum], minlength=2).tolist()
         assert abs(below - above) == 1
 
 
@@ -321,8 +323,50 @@ def test_critical_flux_empty_for_monostable_device():
     p = JpmParams(critical_current=1e-7, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
     assert 2.0 * math.pi * p.loop_inductance * p.critical_current / PHI0 < 1.0
     assert critical_flux(p) == []
-    for extrema in find_extrema_sweep([q * PHI0 for q in (0.0, 0.3, 0.5, 0.8)], p):
-        assert sum(1 for _, k in extrema if k == "minimum") == 1
+    _, flux_of, _, _, is_minimum = potential._sweep_extrema([q * PHI0 for q in (0.0, 0.3, 0.5, 0.8)], p)
+    assert np.bincount(flux_of[is_minimum], minlength=4).tolist() == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("beta", [1.5, beta_L(DEFAULT_PARAMS), 13.0, 40.0], ids=["1.5", "default", "13", "40"])
+def test_bifurcation_counts_match_dense_scan(tmp_path, beta):
+    # bifurcation's minima below and above each critical flux against the
+    # dense-scan oracle 1e-4 Phi0 to either side, where its roots alternate
+    # from a minimum: (count + 1) / 2 minima.  The counts do not read the
+    # shunt capacitance, so a 1e308 F shunt, whose plasma quantum
+    # underflows, writes the same artifact.
+    p = _device(beta)
+    artifacts = []
+    for extra in ((), ("device.shunt_capacitance=1e308F",)):
+        out = tmp_path / str(len(artifacts))
+        overrides = (f"device.critical_current={p.critical_current!r}A", *extra)
+        code, paths = run_subcommand("bifurcation", overrides=overrides, output_dir=str(out))
+        assert code == 0 and len(paths) == 1
+        artifacts.append(paths[0].read_bytes())
+    assert artifacts[0] == artifacts[1]
+    with open(paths[0], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(critical_flux(p)) >= 2
+    eps = 1e-4 * PHI0
+    for row in rows:
+        flux = float(row["critical_flux (phi0)"]) * PHI0
+        below, above = ((len(oracle_roots(flux + side, p)) + 1) // 2 for side in (-eps, eps))
+        assert (int(row["minima_below (1)"]), int(row["minima_above (1)"])) == (below, above)
+
+
+def test_inconsistent_extremum_structure_is_refused(monkeypatch, tmp_path, capsys):
+    # Two adjacent minima at one flux are refused, never reported: exit 3
+    # with one line listing that flux's extrema, and no artifact.
+    def two_minima(phi_e, beta, turn, reach):
+        return np.zeros(3, dtype=np.int64), np.array([0.0, 0.5, 3.0])
+
+    monkeypatch.setattr(potential, "_block_roots", two_minima)
+    code, paths = run_subcommand("potential-sweep", output_dir=str(tmp_path / "out"))
+    assert (code, paths) == (3, [])
+    assert capsys.readouterr().err == (
+        "numerical error: inconsistent extremum structure at flux 0.0 Phi0:"
+        " [(0.0, 'minimum'), (0.5, 'minimum'), (3.0, 'maximum')]\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_size_limit():
@@ -333,7 +377,7 @@ def test_scan_size_limit():
     big = JpmParams(critical_current=50e-3, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
     assert (2.0 * beta_L(big) + 2.0) / math.pi > MAX_SEGMENTS
     with pytest.raises(NumericalError, match="segments"):
-        find_extrema_sweep([0.3 * PHI0], big)
+        potential._sweep_extrema([0.3 * PHI0], big)
     huge = JpmParams(critical_current=1e300, loop_inductance=1.1e-9, shunt_capacitance=2e-12)
     with pytest.raises(NumericalError, match="segments"):
         critical_flux(huge)
@@ -345,10 +389,10 @@ def test_near_tangency_pair_is_resolved():
     crit = critical_flux(DEFAULT_PARAMS)[1]
     for offset in (1e-5, 1e-6, 1e-7):
         flux = crit * (1.0 - offset)
-        got = find_extrema_sweep([flux], DEFAULT_PARAMS)[0]
+        [(got, _)] = sweep_extrema([flux], DEFAULT_PARAMS)
         want = oracle_roots(flux, DEFAULT_PARAMS, step=1e-6)
         assert len(got) == len(want)
-        for (delta, _), ref in zip(got, want):
+        for delta, ref in zip(got, want):
             assert abs(delta - ref) < 1e-9
 
 
@@ -375,8 +419,9 @@ def _reference_brackets(flux_wb: float, p: JpmParams):
     return beta, g, brackets
 
 
-def _kinds(roots, beta: float):
-    return [(r, "minimum" if math.cos(r) + 1.0 / beta > 0.0 else "maximum") for r in roots]
+def _with_minima(roots, beta: float):
+    # (roots, which are minima), as sweep_extrema gives each flux.
+    return roots, [math.cos(r) + 1.0 / beta > 0.0 for r in roots]
 
 
 def reference_segments(flux_wb: float, p: JpmParams, tol: float = 1e-12):
@@ -392,7 +437,7 @@ def reference_segments(flux_wb: float, p: JpmParams, tol: float = 1e-12):
                 bracket[1] = m
             else:
                 bracket[0], bracket[2] = m, g_m
-    return _kinds([0.5 * (a + b) for a, b, _ in brackets], beta)
+    return _with_minima([0.5 * (a + b) for a, b, _ in brackets], beta)
 
 
 def reference_rtsafe(flux_wb: float, p: JpmParams, tol: float = 1e-12, passes: list | None = None):
@@ -426,7 +471,7 @@ def reference_rtsafe(flux_wb: float, p: JpmParams, tol: float = 1e-12, passes: l
             raise AssertionError(f"no convergence in {potential.MAX_REFINE_PASSES} passes")
         if passes is not None:
             passes.append(count)
-    return _kinds(roots, beta)
+    return _with_minima(roots, beta)
 
 
 def reference_extrema(flux_wb: float, p: JpmParams, scan_step: float = math.pi / 100, tol: float = 1e-12):
@@ -478,25 +523,25 @@ def reference_extrema(flux_wb: float, p: JpmParams, scan_step: float = math.pi /
     for r in sorted(roots):
         if not kept or r - kept[-1] > 10.0 * tol:
             kept.append(r)
-    return [(r, "minimum" if math.cos(r) + 1.0 / beta > 0.0 else "maximum") for r in kept]
+    return _with_minima(kept, beta)
 
 
 def reference_wells(flux_wb: float, p: JpmParams):
     # Per-minimum (phase, barrier phase or None, height, omega_p, levels,
     # label) from reference_rtsafe, one minimum at a time.
-    extrema = reference_rtsafe(flux_wb, p)
-    minima = [i for i, (_, kind) in enumerate(extrema) if kind == "minimum"]
+    roots, is_minimum = reference_rtsafe(flux_wb, p)
+    minima = [i for i, minimum in enumerate(is_minimum) if minimum]
     e_j = p.critical_current * p.flux_quantum / (2.0 * math.pi)
     quad = (p.flux_quantum / (2.0 * math.pi)) ** 2 / p.loop_inductance
     wells = []
     for pos, i in enumerate(minima):
-        delta = extrema[i][0]
+        delta = roots[i]
         barrier, height = None, math.inf
         for j in (i - 1, i + 1):
-            if 0 <= j < len(extrema):
-                h = oracle_potential(extrema[j][0], flux_wb, p) - oracle_potential(delta, flux_wb, p)
+            if 0 <= j < len(roots):
+                h = oracle_potential(roots[j], flux_wb, p) - oracle_potential(delta, flux_wb, p)
                 if h < height:
-                    barrier, height = extrema[j][0], h
+                    barrier, height = roots[j], h
         omega = (2.0 * math.pi / p.flux_quantum) * math.sqrt((e_j * math.cos(delta) + quad) / p.shunt_capacitance)
         levels = height / (HBAR * omega) if barrier is not None else math.inf
         if len(minima) == 1:
@@ -513,14 +558,14 @@ def assert_near_previous_solver(fluxes, got, p: JpmParams, tol: float = 1e-12):
     # of about 1e-16), and roots within 2 tol at least 1e-6 Phi0 from one,
     # within 1e-8 rad nearer, where the residual is flat.  Tangencies
     # repeat every Phi0.
-    for flux, extrema in zip(fluxes, got):
+    for flux, (roots, minima) in zip(fluxes, got):
         gap = _tangency_gap(float(flux), p)
         if gap < 1e-15:
             continue
-        want = reference_extrema(float(flux), p, tol=tol)
-        assert [kind for _, kind in extrema] == [kind for _, kind in want]
+        want, want_minima = reference_extrema(float(flux), p, tol=tol)
+        assert minima == want_minima
         bound = 2.0 * tol if gap >= 1e-6 else 1e-8
-        assert all(abs(d - w) <= bound for (d, _), (w, _) in zip(extrema, want))
+        assert all(abs(d - w) <= bound for d, w in zip(roots, want))
 
 
 def _tangency_gap(flux_wb: float, p: JpmParams) -> float:
@@ -534,17 +579,17 @@ def assert_near_bisection(fluxes, got, p: JpmParams, tol: float = 1e-12):
     # least 1e-6 Phi0 from a tangency.  Nearer, the residual is flat and
     # each solver stops where its rounding leaves it: within 1e-8 rad, and
     # within 1e-7 rad closer than 1e-15 Phi0.
-    for flux, extrema in zip(fluxes, got):
-        want = reference_segments(float(flux), p, tol=tol)
-        assert [kind for _, kind in extrema] == [kind for _, kind in want]
+    for flux, (roots, minima) in zip(fluxes, got):
+        want, want_minima = reference_segments(float(flux), p, tol=tol)
+        assert minima == want_minima
         gap = _tangency_gap(float(flux), p)
         bound = 2.0 * tol if gap >= 1e-6 else 1e-8 if gap >= 1e-15 else 1e-7
-        assert all(abs(d - w) <= bound for (d, _), (w, _) in zip(extrema, want))
+        assert all(abs(d - w) <= bound for d, w in zip(roots, want))
 
 
 def _one_flux_extrema(fluxes, p: JpmParams):
     # A one-flux sweep for each flux in turn.
-    return [find_extrema_sweep([float(f)], p)[0] for f in fluxes]
+    return [extrema for f in fluxes for extrema in sweep_extrema([float(f)], p)]
 
 
 def _well_rows(wells):
@@ -566,8 +611,8 @@ def _well_rows(wells):
 
 
 def _alternates(extrema) -> bool:
-    kinds = [kind for _, kind in extrema]
-    return len(kinds) % 2 == 1 and all(a != b for a, b in zip(kinds, kinds[1:]))
+    _, minima = extrema
+    return len(minima) % 2 == 1 and all(a != b for a, b in zip(minima, minima[1:]))
 
 
 def test_sweep_equals_per_flux_calls_across_blocks(monkeypatch):
@@ -586,7 +631,7 @@ def test_sweep_equals_per_flux_calls_across_blocks(monkeypatch):
     near = [f * (1.0 + sign * d) for f in crit for sign in (-1.0, 1.0) for d in (1e-5, 1e-6, 1e-7)]
     fluxes = np.concatenate([np.linspace(0.15, 0.85, 295) * PHI0, near])
 
-    got = find_extrema_sweep(fluxes, p)
+    got = sweep_extrema(fluxes, p)
     assert len(blocks) > 2 and blocks[-1] < blocks[0]
     assert got == _one_flux_extrema(fluxes, p)
     assert got == [reference_rtsafe(float(f), p) for f in fluxes]
@@ -618,7 +663,7 @@ def test_sweep_keeps_per_flux_stopping_rule(monkeypatch):
         # The solver reads REFINE_TOL when called, not as a default.
         tol = width / 2**halvings
         monkeypatch.setattr(potential, "REFINE_TOL", tol)
-        got = find_extrema_sweep(fluxes, p)
+        got = sweep_extrema(fluxes, p)
         passes = [[] for _ in fluxes]
         assert got == [reference_rtsafe(float(f), p, tol=tol, passes=n) for f, n in zip(fluxes, passes)]
         assert any(len(set(n)) > 1 for n in passes)
@@ -628,8 +673,9 @@ def test_sweep_keeps_per_flux_stopping_rule(monkeypatch):
 
 def test_sweep_takes_no_tolerance():
     # The refinement tolerance is the module constant REFINE_TOL.
-    with pytest.raises(TypeError):
-        find_extrema_sweep([0.3 * PHI0], DEFAULT_PARAMS, tol=1e-6)
+    for solve in (potential._sweep_extrema, well_report_sweep):
+        with pytest.raises(TypeError):
+            solve([0.3 * PHI0], DEFAULT_PARAMS, tol=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -643,7 +689,7 @@ def test_sweep_takes_no_tolerance():
     ids=["2-d", "non-finite", "phase-bias-overflow"],
 )
 def test_sweep_refuses_bad_fluxes(fluxes, match):
-    for solve in (find_extrema_sweep, well_report_sweep):
+    for solve in (potential._sweep_extrema, well_report_sweep):
         with pytest.raises(ValueError, match=match):
             solve(fluxes, DEFAULT_PARAMS)
 
@@ -672,7 +718,7 @@ def test_sweep_near_tangency_matches_per_flux_calls(beta, which, offset, log_wid
     center = crit[which % len(crit)] + offset * PHI0
     width = 10.0**log_width * PHI0
     fluxes = np.linspace(center - width, center + width, points)
-    got = find_extrema_sweep(fluxes, p)
+    got = sweep_extrema(fluxes, p)
     assert got == _one_flux_extrema(fluxes, p)
     assert got == [reference_rtsafe(float(f), p) for f in fluxes]
     assert all(_alternates(extrema) for extrema in got)
@@ -708,7 +754,7 @@ def _block_passes(monkeypatch, fluxes, p: JpmParams):
     calls = []
     residual = potential._residual
     monkeypatch.setattr(potential, "_residual", lambda x, *args: calls.append(np.array(x)) or residual(x, *args))
-    find_extrema_sweep(fluxes, p)
+    potential._sweep_extrema(fluxes, p)
     blocks, ends = [], []
     for x in calls:
         if x.ndim == 2:
@@ -764,11 +810,12 @@ def test_float_spacing_stop_at_huge_beta_l(monkeypatch):
     flux = 0.3 * PHI0
     blocks, _ = _block_passes(monkeypatch, [flux], p)
     assert len(blocks) == 1 and max(len(sizes) for sizes in blocks) <= 16
-    extrema = find_extrema_sweep([flux], p)[0]
+    [extrema] = sweep_extrema([flux], p)
     assert _alternates(extrema)
-    assert abs(len(extrema) - 2.0 * beta / math.pi) < 3.0
+    roots, _ = extrema
+    assert abs(len(roots) - 2.0 * beta / math.pi) < 3.0
     phi_e = 2.0 * math.pi * flux / PHI0
-    assert max(abs(math.sin(d) - (phi_e - d) / beta) for d, _ in extrema) < 1e-9
+    assert max(abs(math.sin(d) - (phi_e - d) / beta) for d in roots) < 1e-9
 
 
 def test_zero_slope_newton_step_warns_nothing():
@@ -783,9 +830,10 @@ def test_zero_slope_newton_step_warns_nothing():
     assert np.cos(mid) + 1.0 == 0.0 and potential._residual(mid, phi_e, 1.0) != 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        extrema = find_extrema_sweep([0.5 * PHI0], p)[0]
+        [extrema] = sweep_extrema([0.5 * PHI0], p)
     # A triple root: the residual's rounding fixes it only to about 1e-5.
-    assert len(extrema) == 1 and abs(extrema[0][0] - math.pi) < 1e-4
+    roots, _ = extrema
+    assert len(roots) == 1 and abs(roots[0] - math.pi) < 1e-4
     assert extrema == reference_rtsafe(0.5 * PHI0, p)
 
 
@@ -793,7 +841,7 @@ def test_unconverged_root_is_refused(monkeypatch):
     # A root still refining after MAX_REFINE_PASSES (read when called) is
     # refused, never returned.  At the default device most roots take 4-7.
     monkeypatch.setattr(potential, "MAX_REFINE_PASSES", 3)
-    for solve in (find_extrema_sweep, well_report_sweep):
+    for solve in (potential._sweep_extrema, well_report_sweep):
         with pytest.raises(NumericalError, match="did not converge in 3 passes"):
             solve(np.linspace(0.0, 1.0, 50) * PHI0, DEFAULT_PARAMS)
 
@@ -806,12 +854,13 @@ def test_large_beta_l_converges():
     beta = beta_L(p)
     assert 9e3 < beta < 1.1e4
     flux = 0.3 * PHI0
-    extrema = find_extrema_sweep([flux], p)[0]
+    [extrema] = sweep_extrema([flux], p)
     assert _alternates(extrema)
+    roots, _ = extrema
     # Two extrema per 2 pi of the 2 beta_L + 2 wide bracket.
-    assert abs(len(extrema) - 2.0 * beta / math.pi) < 3.0
+    assert abs(len(roots) - 2.0 * beta / math.pi) < 3.0
     phi_e = 2.0 * math.pi * flux / PHI0
-    assert max(abs(math.sin(d) - (phi_e - d) / beta) for d, _ in extrema) < 1e-9
+    assert max(abs(math.sin(d) - (phi_e - d) / beta) for d in roots) < 1e-9
 
 
 def test_flux_quantum_is_the_module_constant():
