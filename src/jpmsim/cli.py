@@ -40,8 +40,6 @@ from .errors import ConfigError, NumericalError
 if TYPE_CHECKING:
     from .tomography import TomogramGrid
 
-OUTPUT_DIR_ENV = "JPMSIM_OUTPUT_DIR"
-
 TWO_PI = 2.0 * math.pi
 
 # The efficiencies are free of the line's scale; emitted_energy_J is that of a nominal drive.
@@ -160,12 +158,14 @@ def _binomial_shots(cfg: RunConfig, key: str) -> int | None:
     return n_shots
 
 
-def _linspace(start: float, stop: float, cfg: RunConfig, key: str, endpoint: bool = True) -> np.ndarray:
+def _linspace(start: float, stop: float, cfg: RunConfig, key: str, span: str, endpoint: bool = True) -> np.ndarray:
     """start to stop in as many points as the count at key, stop left out unless endpoint.
 
-    Each refusal names key.  np.linspace sizes its array from the count as
-    a float, which rounds the 64 counts below 2^60 up to 2^60, past numpy's
-    cap of sys.maxsize bytes, so the cap is checked on the float too.
+    A refusal of the count names key, and one of a sweep past float64
+    names span, the key or keys that set start and stop.  np.linspace
+    sizes its array from the count as a float, which rounds the 64 counts
+    below 2^60 up to 2^60, past numpy's cap of sys.maxsize bytes, so the
+    cap is checked on the float too.
     """
     points = cfg.get(key)
     least = 2 if endpoint else 1
@@ -179,7 +179,7 @@ def _linspace(start: float, stop: float, cfg: RunConfig, key: str, endpoint: boo
     except MemoryError as exc:
         raise NumericalError(f"{key} = {points} points: {exc}") from exc
     if not np.isfinite(values).all():
-        raise ConfigError(f"sweep from {start:g} to {stop:g} is out of float64 range")
+        raise ConfigError(f"{span}: sweep from {start:g} to {stop:g} is out of float64 range")
     return values
 
 
@@ -191,8 +191,9 @@ def _require_nonempty(cfg: RunConfig, key: str):
 
 
 def _time_axis(cfg: RunConfig, section: str, name: str) -> np.ndarray:
-    """0 to {section}.{name}_stop in {section}.{name}_points steps; errors name the points key."""
-    return _linspace(0.0, cfg.get(f"{section}.{name}_stop"), cfg, f"{section}.{name}_points")
+    """0 to {section}.{name}_stop in {section}.{name}_points steps; errors name the key at fault."""
+    stop = f"{section}.{name}_stop"
+    return _linspace(0.0, cfg.get(stop), cfg, f"{section}.{name}_points", stop)
 
 
 def _grid_columns(names: tuple[str, str, str], row_values, col_values, matrix: np.ndarray) -> dict:
@@ -205,7 +206,9 @@ def _potential_sweep(cfg: RunConfig) -> dict:
     from .potential import well_report_sweep
 
     params = cfg.jpm_params()
-    fluxes = _linspace(cfg.get("potential.flux_start"), cfg.get("potential.flux_stop"), cfg, "potential.flux_points")
+    start, stop = cfg.get("potential.flux_start"), cfg.get("potential.flux_stop")
+    span = "potential.flux_start and potential.flux_stop"
+    fluxes = _linspace(start, stop, cfg, "potential.flux_points", span)
     wells = well_report_sweep(fluxes, params)
     return {
         "flux (phi0)": (fluxes / PHI0)[wells.flux_index],
@@ -240,8 +243,7 @@ def _bifurcation(cfg: RunConfig) -> dict:
 def _transfer_curves(cfg: RunConfig) -> dict:
     from .transfer import efficiency
 
-    tc = cfg.transfer_config()
-    kappa_1 = tc.source.decay_rate
+    kappa_1 = cfg._decay_rate("source.decay_time")
     kappa_ratios = cfg.get("transfer.kappa_ratios")
     detuning_ratios = cfg.get("transfer.detuning_ratios")
     if len(kappa_ratios) == 0 and len(detuning_ratios) == 0:
@@ -249,7 +251,8 @@ def _transfer_curves(cfg: RunConfig) -> dict:
     t_max = cfg.get("transfer.t_max_scaled")
     if t_max <= 0.0:
         raise ConfigError("transfer.t_max_scaled must be positive")
-    ts = _linspace(0.0, t_max / kappa_1, cfg, "transfer.time_points")
+    span = "transfer.t_max_scaled and source.decay_time"
+    ts = _linspace(0.0, t_max / kappa_1, cfg, "transfer.time_points", span)
 
     etas, labels = [], []
 
@@ -391,18 +394,15 @@ def _tomo_synth(cfg: RunConfig) -> dict:
         coherence_phase=cfg.get("tomo.phi"),
     )
     t_pi = cfg.get("tomo.t_pi")
-    thetas = _linspace(0.0, TWO_PI, cfg, "tomo.theta_points", endpoint=False)
+    thetas = _linspace(0.0, TWO_PI, cfg, "tomo.theta_points", "tomo axis angles", endpoint=False)
     stop = cfg.get("tomo.duration_stop")
     # Default span: one full rotation plus margin, so noisy synthetic
     # grids stay clear of the fit's minimum-span identifiability bound.
-    end = 2.2 * t_pi if stop is None else stop
-    if not math.isfinite(end):
-        raise ConfigError(f"tomo.t_pi = {t_pi!r} s: default duration end 2.2 * tomo.t_pi is out of float64 range")
-    durations = _linspace(0.0, end, cfg, "tomo.duration_points")
+    end, key = (2.2 * t_pi, "tomo.t_pi") if stop is None else (stop, "tomo.duration_stop")
+    durations = _linspace(0.0, end, cfg, "tomo.duration_points", key)
     # tomo-fit reads the grid back by its cell coordinates, so two equal
     # durations would make a file it refuses.
     if not (np.diff(durations) > 0.0).all():
-        key = "tomo.t_pi" if stop is None else "tomo.duration_stop"
         raise ConfigError(f"{key}: pulse durations from 0 to {end:g} s are not strictly increasing")
     n_shots, noise_sigma = _binomial_shots(cfg, "tomo.n_shots"), cfg.get("tomo.noise_sigma")
     # Only shot or Gaussian noise draws, so only then is numpy.random loaded.
@@ -519,16 +519,6 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[RunConfig], dict], str]] = {
 }
 
 
-def _resolve_output_dir(flag_value: str | None, cfg: RunConfig) -> Path:
-    if flag_value is not None:
-        chosen = flag_value
-    elif cfg.get("output.directory") is not None:
-        chosen = cfg.get("output.directory")
-    else:
-        chosen = os.environ.get(OUTPUT_DIR_ENV) or "."
-    return Path(chosen)
-
-
 def run_subcommand(
     name: str,
     config_path: str | None = None,
@@ -537,8 +527,9 @@ def run_subcommand(
 ) -> tuple[int, list[Path]]:
     """Run one subcommand; returns (exit code, written artifact paths).
 
-    The artifact is named after the subcommand, "-" read as "_", except
-    tomo-synth's: the tomogram that tomo-fit reads.  This is the CLI's
+    The artifact goes into output_dir, else the working directory.  It is
+    named after the subcommand, "-" read as "_", except tomo-synth's: the
+    tomogram that tomo-fit reads.  This is the CLI's
     one error boundary: a ValueError (ConfigError included) exits 2, a
     NumericalError, a float overflow or division by zero
     (ArithmeticError) or an array too large to allocate (MemoryError) 3
@@ -554,8 +545,7 @@ def run_subcommand(
     stem = {"tomo-synth": "tomogram"}.get(name, name.replace("-", "_"))
     try:
         cfg = RunConfig.from_sources(config_path, overrides)
-        out_dir = _resolve_output_dir(output_dir, cfg)
-        path = _write(out_dir, stem, compute(cfg), cfg.get("output.format"))
+        path = _write(Path(output_dir or "."), stem, compute(cfg), cfg.get("output.format"))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2, []
@@ -600,7 +590,7 @@ def main(argv=None) -> int:
             "-o",
             "--output-dir",
             default=None,
-            help=f"output directory (falls back to config, then ${OUTPUT_DIR_ENV}, then the working directory)",
+            help="output directory (default: the working directory)",
         )
     args = parser.parse_args(argv)
     # Everything alive here lives until the process exits, so the collector

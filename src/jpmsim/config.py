@@ -41,7 +41,7 @@ _UNIT_TABLES = {
     "current": {"A": 1.0, "mA": 1e-3, "uA": 1e-6, "nA": 1e-9},
     "inductance": {"H": 1.0, "mH": 1e-3, "uH": 1e-6, "nH": 1e-9, "pH": 1e-12},
     "capacitance": {"F": 1.0, "uF": 1e-6, "nF": 1e-9, "pF": 1e-12, "fF": 1e-15},
-    "flux": {"Wb": 1.0, "phi0": PHI0, "Phi0": PHI0},
+    "flux": {"Wb": 1.0, "phi0": PHI0},
 }
 
 _NUMBER_RE = re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)\s*(\S*)")
@@ -122,7 +122,6 @@ SCHEMA: dict[str, ValueSpec] = {
     "iq.centroid_0": ValueSpec("list:float", "0,0"),
     "iq.centroid_1": ValueSpec("list:float", "1,0"),
     "iq.n_shots": ValueSpec("int", "100000"),
-    "output.directory": ValueSpec("str", "none", optional=True),
     "output.format": ValueSpec("str", "csv", choices=("csv", "json")),
     "potential.flux_start": ValueSpec("flux", "0phi0"),
     "potential.flux_stop": ValueSpec("flux", "1phi0"),

@@ -128,12 +128,10 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         require_finite_positive(self, "t_prep", "t1", "depletion_rate")
-        for name in ("dark_prob", "bright_detect_prob"):
+        for name in ("dark_prob", "bright_detect_prob", "relaxation_override"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if self.relaxation_override is not None and not 0.0 <= self.relaxation_override <= 1.0:
-            raise ValueError("relaxation_override must lie in [0, 1] or be None")
         if self.n_bar_qubit_cavity < 0.0:
             raise ValueError("n_bar_qubit_cavity must be non-negative")
 

@@ -188,21 +188,22 @@ def test_config_rejections():
         "line.impedance=50ohm",
         "line.drive_amplitude=1V",
         "iq.n_samples=2",
+        "output.directory=out",
     ],
 )
 def test_removed_keys_are_unknown(line):
     # These keys fed no result (the line keys only an echo of themselves,
     # as the efficiencies are free of the line's scale), or, as
-    # iq.n_samples, what iq.sigma alone now sets; a config that still sets
-    # one fails like any other unknown key.
+    # iq.n_samples, what iq.sigma alone now sets, or, as output.directory,
+    # what -o alone now sets; a config that still sets one fails like any
+    # other unknown key.
     with pytest.raises(ConfigError, match="unknown key"):
         RunConfig.from_sources(overrides=(line,))
 
 
 def test_every_schema_key_is_read_by_a_subcommand(tmp_path, monkeypatch):
     # A key that no subcommand reads at the default config would be
-    # validated and then ignored.  The runs pass no output directory, so
-    # output.directory is read too, and tomo-fit reads the tomogram that
+    # validated and then ignored.  tomo-fit reads the tomogram that
     # tomo-synth wrote.
     read = set()
     get = RunConfig.get
@@ -212,10 +213,9 @@ def test_every_schema_key_is_read_by_a_subcommand(tmp_path, monkeypatch):
         return get(self, key)
 
     monkeypatch.setattr(RunConfig, "get", recording_get)
-    monkeypatch.setenv(jpmsim.cli.OUTPUT_DIR_ENV, str(tmp_path))
     tomogram = tmp_path / ARTIFACTS["tomo-synth"]
     for name in SUBCOMMANDS:
-        code, _ = run_subcommand(name, overrides=(f"tomo.input={tomogram}",))
+        code, _ = run_subcommand(name, overrides=(f"tomo.input={tomogram}",), output_dir=str(tmp_path))
         assert code == 0, name
     assert sorted(set(SCHEMA) - read) == []
 
@@ -239,13 +239,14 @@ def test_config_file_and_precedence(tmp_path):
 
 def test_override_value_keeps_its_hash(tmp_path):
     # '#' starts a comment in a config file only: an override's value is
-    # everything after its first '=', for a path read and a path written.
+    # everything after its first '=', so tomo.input reads a path with a
+    # '#'; the output directory, given as output_dir, takes one too.
     out = tmp_path / "out#1"
-    code, synth = run_subcommand("tomo-synth", overrides=(f"output.directory={out}",))
+    code, synth = run_subcommand("tomo-synth", output_dir=str(out))
     assert code == 0 and synth == [out / ARTIFACTS["tomo-synth"]]
     tomogram = tmp_path / "x#y.csv"
     synth[0].rename(tomogram)
-    code, fit = run_subcommand("tomo-fit", overrides=(f"tomo.input={tomogram}", f"output.directory={out}"))
+    code, fit = run_subcommand("tomo-fit", overrides=(f"tomo.input={tomogram}",), output_dir=str(out))
     assert code == 0 and fit == [out / ARTIFACTS["tomo-fit"]]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["out#1", "x#y.csv"]
 
@@ -670,36 +671,47 @@ def test_transfer_peak_refuses_line_values(tmp_path, capsys, override):
     assert list(tmp_path.iterdir()) == []
 
 
+# Each row: subcommand, overrides and the start of its line after "config error: ".
+_NON_FINITE = [
+    ("transfer-curves", ("transfer.t_max_scaled=1e999",), "transfer.t_max_scaled: "),
+    ("stark", ("stark.powers=1e999,1",), "stark.powers: "),
+    ("depletion", ("depletion.time_stop=1e999s",), "depletion.time_stop: "),
+    ("potential-sweep", ("potential.flux_stop=1e999phi0",), "potential.flux_stop: "),
+    ("rabi", ("rabi.rate=1e999Hz",), "rabi.rate: "),
+    (
+        "transfer-curves",
+        ("source.decay_time=1e300s", "transfer.t_max_scaled=1e300"),
+        "transfer.t_max_scaled and source.decay_time: sweep from 0 to inf ",
+    ),
+    (
+        "potential-sweep",
+        ("potential.flux_start=-1e308Wb", "potential.flux_stop=1e308Wb"),
+        "potential.flux_start and potential.flux_stop: sweep from -1e+308 to 1e+308 ",
+    ),
+    ("iq", ("iq.centroid_0=1e308,0", "iq.centroid_1=-1e308,0"), "iq section invalid: "),
+    ("iq", ("iq.sigma=1e-320",), "iq section invalid: "),
+    ("stark", ("protocol.t_prep=1e1000000s",), "protocol.t_prep: "),
+    ("tomo-synth", ("tomo.t_pi=1e308s",), "tomo.t_pi: sweep from 0 to inf "),
+]
+
+
 @pytest.mark.parametrize(
-    "name, overrides",
-    [
-        ("transfer-curves", ("transfer.t_max_scaled=1e999",)),
-        ("stark", ("stark.powers=1e999,1",)),
-        ("depletion", ("depletion.time_stop=1e999s",)),
-        ("potential-sweep", ("potential.flux_stop=1e999phi0",)),
-        ("rabi", ("rabi.rate=1e999Hz",)),
-        ("transfer-curves", ("source.decay_time=1e300s", "transfer.t_max_scaled=1e300")),
-        ("potential-sweep", ("potential.flux_start=-1e308Wb", "potential.flux_stop=1e308Wb")),
-        ("iq", ("iq.centroid_0=1e308,0", "iq.centroid_1=-1e308,0")),
-        ("iq", ("iq.sigma=1e-320",)),
-        ("stark", ("protocol.t_prep=1e1000000s",)),
-        ("tomo-synth", ("tomo.t_pi=1e308s",)),
-    ],
+    "name, overrides, named", _NON_FINITE, ids=[f"{row[0]}-overrides{i}" for i, row in enumerate(_NON_FINITE)]
 )
-def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides):
+def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides, named):
     # A literal that overflows float64 is refused where the config is
     # parsed, a sweep whose finite ends overflow (span or time scale)
     # where the sweep is built, and an IQ model whose d / sigma
     # overflows where the model is built, before any of them can turn
-    # into inf or NaN cells.  The default tomogram duration end
-    # 2.2 tomo.t_pi is refused naming tomo.t_pi.
+    # into inf or NaN cells.  Each line names the key or keys at fault,
+    # the config section for the IQ model; a span's line names the keys
+    # that set its ends, for the default tomogram duration end
+    # 2.2 tomo.t_pi tomo.t_pi.
     code, paths = run_fast(name, tmp_path, overrides)
     assert code == 2 and paths == []
     err = capsys.readouterr().err
-    assert err.startswith("config error") and err.count("\n") == 1
+    assert err.startswith(f"config error: {named}") and err.count("\n") == 1, err
     assert "out of float64 range" in err
-    if name == "tomo-synth":
-        assert "tomo.t_pi" in err, err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1606,28 +1618,20 @@ def test_no_package_module_imports_a_private_name_of_another():
 
 
 def test_output_directory_resolution(tmp_path, monkeypatch):
-    env_dir = tmp_path / "from_env"
-    cfg_dir = tmp_path / "from_cfg"
-    flag_dir = tmp_path / "from_flag"
-
-    monkeypatch.setenv("JPMSIM_OUTPUT_DIR", str(env_dir))
-    code, paths = run_subcommand("stark")
-    assert code == 0 and paths[0].parent == env_dir
-
-    code, paths = run_subcommand("stark", overrides=(f"output.directory={cfg_dir}",))
-    assert code == 0 and paths[0].parent == cfg_dir
-
-    code, paths = run_subcommand(
-        "stark", overrides=(f"output.directory={cfg_dir}",), output_dir=str(flag_dir)
-    )
-    assert code == 0 and paths[0].parent == flag_dir
-
-    monkeypatch.delenv("JPMSIM_OUTPUT_DIR")
+    # -o (output_dir) names the output directory, else the working
+    # directory takes the artifact.
     work = tmp_path / "cwd"
     work.mkdir()
     monkeypatch.chdir(work)
+    flag_dir = tmp_path / "from_flag"
+    assert main(["stark", "-o", str(flag_dir)]) == 0
+    assert sorted(path.name for path in flag_dir.iterdir()) == ["stark.csv"]
+    assert list(work.iterdir()) == []
+
     code, paths = run_subcommand("stark")
     assert code == 0 and paths[0].parent.resolve() == work.resolve()
+    assert main(["stark"]) == 0
+    assert sorted(path.name for path in work.iterdir()) == ["stark.csv"]
 
 
 def test_json_table_format(tmp_path):
@@ -1699,6 +1703,25 @@ def test_transfer_curves_labels(tmp_path):
         output_dir=str(tmp_path),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("override", ["capture.frequency=0Hz", "capture.decay_time=0s", "source.frequency=0Hz"])
+def test_transfer_curves_reads_only_the_source_decay_time(tmp_path, override):
+    # The curves depend on kappa_1 alone, so a capture cavity or source
+    # frequency that transfer-peak refuses changes nothing here.
+    code, default = run_subcommand("transfer-curves", output_dir=str(tmp_path / "default"))
+    assert code == 0
+    code, paths = run_subcommand("transfer-curves", overrides=(override,), output_dir=str(tmp_path / "set"))
+    assert code == 0 and paths[0].read_bytes() == default[0].read_bytes()
+
+
+def test_flux_unit_has_one_spelling(tmp_path, capsys):
+    # phi0 and Wb are the flux units; Phi0 is refused like any unknown unit.
+    code, paths = run_fast("potential-sweep", tmp_path, ("potential.flux_stop=1Phi0",))
+    err = capsys.readouterr().err
+    assert code == 2 and paths == [] and err.count("\n") == 1
+    assert err.startswith("config error: potential.flux_stop: unknown unit 'Phi0' "), err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_potential_sweep_contents(tmp_path):
@@ -1969,9 +1992,7 @@ def tomogram(tmp_path_factory):
 @pytest.fixture(scope="module")
 def keys_read(tomogram, tmp_path_factory):
     # The config keys each subcommand reads, recorded by wrapping
-    # RunConfig.get during one default run of it.  output.directory is
-    # left out: an edge literal would name a directory outside the
-    # test's own temporary one.
+    # RunConfig.get during one default run of it.
     out = tmp_path_factory.mktemp("keys_read")
     read = {}
     get = RunConfig.get
@@ -1982,7 +2003,7 @@ def keys_read(tomogram, tmp_path_factory):
             with contextlib.redirect_stdout(io.StringIO()):
                 code, _ = run_subcommand(name, overrides=[f"tomo.input={tomogram}"], output_dir=str(out))
             assert code == 0
-            read[name] = sorted(seen - {"output.directory"})
+            read[name] = sorted(seen)
     return read
 
 
@@ -2098,7 +2119,12 @@ def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):
         ("transfer-peak", "source.frequency=0Hz", "source"),
         ("transfer-peak", "capture.frequency=0Hz", "capture"),
         ("budget", "protocol.dark_prob=2", "protocol"),
-        ("budget", "protocol.relaxation_override=2", "protocol"),
+        pytest.param(
+            "budget",
+            "protocol.relaxation_override=2",
+            "protocol section invalid: relaxation_override must lie in [0, 1], got 2.0\n",
+            id="budget-protocol.relaxation_override=2-protocol",
+        ),
         ("iq", "iq.sigma=0", "iq"),
         ("iq", "iq.centroid_1=0,0", "iq"),
         ("tomo-synth", "tomo.beta=2", "tomo"),
@@ -2107,11 +2133,14 @@ def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):
 )
 def test_every_builder_refusal_names_its_section(tmp_path, capsys, name, override, section):
     # A value the physics layer's constructor refuses is reported under the
-    # config section it was read from, each cavity under its own name.
+    # config section it was read from, each cavity under its own name.  A
+    # row that gives the whole line after "config error: ", its newline
+    # included, pins that line.
     code, paths = run_subcommand(name, overrides=(override,), output_dir=str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 2 and paths == [], err
-    assert err.startswith(f"config error: {section} section invalid: ") and err.count("\n") == 1, err
+    head = section if section.endswith("\n") else f"{section} section invalid: "
+    assert err.startswith(f"config error: {head}") and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -2179,6 +2208,22 @@ def test_extreme_literals_end_in_artifact_or_one_line_exit(tomogram, keys_read):
     for key in ("source.decay_time", "capture.decay_time"):
         code, message = refusals["transfer-peak", key, "1e308s"]
         assert code == 3 and "t_max" in message
+
+
+def test_no_module_reads_the_process_environment():
+    # A run's inputs are its arguments and its config alone: no module in
+    # src/jpmsim reads os.environ or os.getenv, or imports either from os.
+    package = Path(jpmsim.cli.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv", "getenvb"):
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in ("environ", "environb", "getenv", "getenvb", "*")]
+    assert {path.stem for path in package.glob("*.py")} >= {"cli", "config"}
+    assert found == []
 
 
 def test_every_private_and_imported_module_name_is_used():
