@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from jpmsim.potential import DEFAULT_PARAMS, PHI0, beta_L, critical_flux, well_report_sweep
+from jpmsim.config import RunConfig
+from jpmsim.potential import PHI0, beta_L, critical_flux, well_report_sweep
 
 
 def shallow_wells(fluxes, p):
@@ -32,7 +33,7 @@ def shallow_wells(fluxes, p):
 
 
 def main() -> None:
-    p = DEFAULT_PARAMS
+    p = RunConfig.from_sources().jpm_params()
     beta = beta_L(p)
     crit = critical_flux(p)
     print(f"screening parameter beta_L = {beta:.4f}")

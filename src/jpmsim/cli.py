@@ -151,9 +151,14 @@ def _write(out_dir: Path, stem: str, data: dict, file_format: str) -> Path:
 
 
 def _binomial_shots(cfg: RunConfig, key: str) -> int | None:
-    """The shot count at key, refused (exit 3) in a line naming the key above what a binomial draw takes."""
+    """The shot count at key, refused in a line naming the key below 1 (exit 2)
+    or above what a binomial draw takes (exit 3)."""
     n_shots = cfg.get(key)
-    if n_shots is not None and n_shots >= 2**63:
+    if n_shots is None:
+        return None
+    if n_shots < 1:
+        raise ConfigError(f"{key} must be at least 1")
+    if n_shots >= 2**63:
         raise NumericalError(f"{key} = {n_shots} is more shots than a binomial draw takes (2^63 - 1)")
     return n_shots
 
@@ -193,7 +198,10 @@ def _require_nonempty(cfg: RunConfig, key: str):
 def _time_axis(cfg: RunConfig, section: str, name: str) -> np.ndarray:
     """0 to {section}.{name}_stop in {section}.{name}_points steps; errors name the key at fault."""
     stop = f"{section}.{name}_stop"
-    return _linspace(0.0, cfg.get(stop), cfg, f"{section}.{name}_points", stop)
+    end = cfg.get(stop)
+    if end < 0.0:
+        raise ConfigError(f"{stop} must be non-negative, got {end:g} s")
+    return _linspace(0.0, end, cfg, f"{section}.{name}_points", stop)
 
 
 def _grid_columns(names: tuple[str, str, str], row_values, col_values, matrix: np.ndarray) -> dict:
@@ -404,6 +412,13 @@ def _tomo_synth(cfg: RunConfig) -> dict:
     # durations would make a file it refuses.
     if not (np.diff(durations) > 0.0).all():
         raise ConfigError(f"{key}: pulse durations from 0 to {end:g} s are not strictly increasing")
+    # The rotation angle pi t / t_pi of the longest pulse; the default end
+    # 2.2 t_pi gives 2.2 pi, so only a set duration_stop overflows it.  A
+    # t_pi that is not positive is left to the tomography layer's refusal.
+    if t_pi > 0.0 and not math.isfinite(math.pi * end / t_pi):
+        raise ConfigError(
+            f"tomo.duration_stop and tomo.t_pi: rotation angle pi {end:g} s / {t_pi:g} s is out of float64 range"
+        )
     n_shots, noise_sigma = _binomial_shots(cfg, "tomo.n_shots"), cfg.get("tomo.noise_sigma")
     # Only shot or Gaussian noise draws, so only then is numpy.random loaded.
     rng = None if n_shots is None and noise_sigma is None else np.random.default_rng(cfg.get("seed"))

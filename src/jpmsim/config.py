@@ -187,9 +187,7 @@ def _parse_scalar(text: str, kind: str, key: str, choices: tuple[str, ...] | Non
             raise ConfigError(f"{key}: dimensionless value must not carry a unit, got {text!r}")
         value = float(number)
     else:
-        table = _UNIT_FACTORS.get(kind)
-        if table is None:
-            raise ConfigError(f"{key}: unknown value kind {kind!r}")
+        table = _UNIT_FACTORS[kind]
         if not unit:
             raise ConfigError(f"{key}: unit suffix is mandatory (one of {', '.join(table)})")
         if unit not in table:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -70,13 +69,12 @@ class JpmParams:
     shunt_capacitance:
         Shunt capacitance C_s in farads.
 
-    ``flux_quantum`` is the class constant PHI0, not a field.
+    The flux quantum is the module constant PHI0, not a field.
     """
 
     critical_current: float
     loop_inductance: float
     shunt_capacitance: float
-    flux_quantum: ClassVar[float] = PHI0
 
     def __post_init__(self) -> None:
         require_finite_positive(self, "critical_current", "loop_inductance", "shunt_capacitance")
@@ -84,15 +82,7 @@ class JpmParams:
     @property
     def josephson_energy(self) -> float:
         """Josephson energy E_J = I0 Phi0 / 2 pi in joules."""
-        return self.critical_current * self.flux_quantum / (2.0 * math.pi)
-
-
-DEFAULT_PARAMS = JpmParams(
-    critical_current=1e-6,
-    loop_inductance=1.1e-9,
-    shunt_capacitance=2e-12,
-)
-"""Nominal device: 1 uA junction, 1.1 nH loop, 2 pF shunt."""
+        return self.critical_current * PHI0 / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -140,12 +130,12 @@ class WellSweep:
 
 
 def _phase_bias(external_flux, p: JpmParams):
-    return 2.0 * math.pi * external_flux / p.flux_quantum
+    return 2.0 * math.pi * external_flux / PHI0
 
 
 def _inductive_energy(p: JpmParams) -> float:
     """(Phi0 / 2 pi)^2 / L_g in joules: the curvature of U's quadratic term."""
-    return (p.flux_quantum / (2.0 * math.pi)) ** 2 / p.loop_inductance
+    return (PHI0 / (2.0 * math.pi)) ** 2 / p.loop_inductance
 
 
 def _energy(delta, phi_e, p: JpmParams):
@@ -169,7 +159,7 @@ def potential_curvature(delta, p: JpmParams):
 
 def beta_L(p: JpmParams) -> float:
     """Screening parameter beta_L = 2 pi L_g I0 / Phi0."""
-    return 2.0 * math.pi * p.loop_inductance * p.critical_current / p.flux_quantum
+    return 2.0 * math.pi * p.loop_inductance * p.critical_current / PHI0
 
 
 def plasma_frequency(delta, p: JpmParams):
@@ -188,7 +178,7 @@ def plasma_frequency(delta, p: JpmParams):
     if flat.size:
         bad = float(np.ravel(delta)[flat[0]])
         raise NumericalError(f"curvature at delta={bad} is not positive; no well here")
-    omega = (2.0 * math.pi / p.flux_quantum) * np.sqrt(curvature / p.shunt_capacitance)
+    omega = (2.0 * math.pi / PHI0) * np.sqrt(curvature / p.shunt_capacitance)
     return omega if omega.ndim else float(omega)
 
 
@@ -459,10 +449,10 @@ def critical_flux(p: JpmParams) -> list[float]:
             delta_t = 2.0 * math.pi * k + turn
             phi_e = delta_t + beta * math.sin(delta_t)
             if 0.0 <= phi_e <= 2.0 * math.pi:
-                fluxes.append(phi_e * p.flux_quantum / (2.0 * math.pi))
+                fluxes.append(phi_e * PHI0 / (2.0 * math.pi))
     fluxes.sort()
     deduped = []
     for f in fluxes:
-        if not deduped or f - deduped[-1] > 1e-15 * p.flux_quantum:
+        if not deduped or f - deduped[-1] > 1e-15 * PHI0:
             deduped.append(f)
     return deduped

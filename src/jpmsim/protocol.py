@@ -173,24 +173,16 @@ class IqModel:
         )
 
 
-DEFAULT_IQ_MODEL = IqModel()
-
-
 @dataclass(frozen=True)
 class ShotResult:
     """Outcome of one measurement shot."""
 
     switch_bit: int
-    cause: str
     iq_point: tuple[float, float]
 
     def __post_init__(self) -> None:
         if self.switch_bit not in (0, 1):
             raise ValueError("switch_bit must be 0 or 1")
-        if self.cause not in ("bright_capture", "dark_count", "none"):
-            raise ValueError(f"unknown cause {self.cause!r}")
-        if (self.switch_bit == 1) != (self.cause != "none"):
-            raise ValueError("switch_bit must be 1 exactly when cause is not none")
 
 
 def relaxation_error(t_prep: float, t1: float) -> float:
@@ -265,7 +257,7 @@ def simulate_shot(
     qubit_excited: bool,
     cfg: ProtocolConfig,
     rng: np.random.Generator,
-    iq_model: IqModel = DEFAULT_IQ_MODEL,
+    iq_model: IqModel = IqModel(),
 ) -> ShotResult:
     """Simulate one measurement shot.
 
@@ -286,8 +278,7 @@ def simulate_shot(
     switch = captured or dark
     z_x, z_y = _ndtri(u_x), _ndtri(u_y)
     c_x, c_y = iq_model.centroid_1 if switch else iq_model.centroid_0
-    cause = "bright_capture" if captured else "dark_count" if dark else "none"
-    return ShotResult(int(switch), cause, (float(iq_model.sigma * z_x + c_x), float(iq_model.sigma * z_y + c_y)))
+    return ShotResult(int(switch), (float(iq_model.sigma * z_x + c_x), float(iq_model.sigma * z_y + c_y)))
 
 
 def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel | None = None) -> dict:
@@ -350,7 +341,7 @@ def ramsey_fringe(
     cfg: ProtocolConfig,
     *,
     t2: float | None = None,
-    amplitude: float = 1.0,
+    amplitude: float,
     n_shots: int | None = None,
 ) -> np.ndarray:
     """Detector-read Ramsey fringes versus drive detuning and delay.
@@ -382,7 +373,7 @@ def rabi_chevron(
     durations,
     cfg: ProtocolConfig,
     *,
-    rabi_rate: float = 2.0 * math.pi * 5e6,
+    rabi_rate: float,
     n_shots: int | None = None,
 ) -> np.ndarray:
     """Detector-read Rabi chevron versus drive detuning and pulse length.

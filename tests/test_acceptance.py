@@ -17,8 +17,8 @@ from scipy.optimize import brentq
 
 from jpmsim import potential
 from jpmsim.cli import run_subcommand
+from jpmsim.config import RunConfig
 from jpmsim.potential import (
-    DEFAULT_PARAMS,
     PHI0,
     beta_L,
     critical_flux,
@@ -158,7 +158,7 @@ def test_frequency_mismatch_sensitivity():
 
 def test_potential_landscape_roots_and_tuning_range():
     t0 = time.perf_counter()
-    p = DEFAULT_PARAMS
+    p = RunConfig.from_sources().jpm_params()
     beta = beta_L(p)
     assert abs(beta - 3.342) < 5e-4
 
@@ -170,7 +170,7 @@ def test_potential_landscape_roots_and_tuning_range():
     fluxes = rng.uniform(0.0, 1.0, 1000) * PHI0
     _, _, offsets, found, _ = potential._sweep_extrema(fluxes, p)
     for flux_wb, extrema in zip(fluxes, np.split(found, offsets[1:-1])):
-        phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
+        phi_e = 2.0 * math.pi * flux_wb / PHI0
         grid = base + phi_e
         vals = np.sin(grid) - (phi_e - grid) / beta
 

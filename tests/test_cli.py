@@ -33,8 +33,8 @@ from artifact_digests import BYTE_CONFIGS
 from jpmsim.cli import main, run_subcommand
 from jpmsim.config import _UNIT_TABLES, RunConfig, SCHEMA, parse_value
 from jpmsim.errors import ConfigError
-from jpmsim.potential import DEFAULT_PARAMS, PHI0
-from jpmsim.protocol import DEFAULT_DEPLETION_RATE, DEFAULT_IQ_MODEL, ProtocolConfig
+from jpmsim.potential import PHI0
+from jpmsim.protocol import DEFAULT_DEPLETION_RATE, IqModel, ProtocolConfig
 from jpmsim.tomography import DensityMatrix2, synthesize_tomogram
 from jpmsim.transfer import efficiency
 
@@ -112,10 +112,11 @@ def test_unit_parsing_round_trip():
 
 
 def test_config_defaults_match_module_defaults():
+    # The field defaults of the protocol and IQ dataclasses equal the
+    # config's; the device has none, so the config is its one default.
     cfg = RunConfig.from_sources()
     assert cfg.protocol_config() == ProtocolConfig()
-    assert cfg.iq_model() == DEFAULT_IQ_MODEL
-    assert cfg.jpm_params() == DEFAULT_PARAMS
+    assert cfg.iq_model() == IqModel()
     assert cfg.protocol_config().depletion_rate == DEFAULT_DEPLETION_RATE
 
 
@@ -692,6 +693,11 @@ _NON_FINITE = [
     ("iq", ("iq.sigma=1e-320",), "iq section invalid: "),
     ("stark", ("protocol.t_prep=1e1000000s",), "protocol.t_prep: "),
     ("tomo-synth", ("tomo.t_pi=1e308s",), "tomo.t_pi: sweep from 0 to inf "),
+    (
+        "tomo-synth",
+        ("tomo.duration_stop=1e308s",),
+        "tomo.duration_stop and tomo.t_pi: rotation angle pi 1e+308 s / 5e-08 s ",
+    ),
 ]
 
 
@@ -706,7 +712,8 @@ def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides, n
     # into inf or NaN cells.  Each line names the key or keys at fault,
     # the config section for the IQ model; a span's line names the keys
     # that set its ends, for the default tomogram duration end
-    # 2.2 tomo.t_pi tomo.t_pi.
+    # 2.2 tomo.t_pi tomo.t_pi, and a rotation angle's line the two keys
+    # of its ratio.
     code, paths = run_fast(name, tmp_path, overrides)
     assert code == 2 and paths == []
     err = capsys.readouterr().err
@@ -747,13 +754,18 @@ def test_extreme_literal_is_config_error(tmp_path, capsys, name, override, messa
 
 
 def test_negative_depletion_stop_is_config_error(tmp_path, capsys):
-    code, paths = run_subcommand(
-        "depletion", overrides=("depletion.time_stop=-1ns",), output_dir=str(tmp_path)
-    )
-    assert code == 2 and paths == []
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
+    # A negative end of a time axis is refused in one line naming its
+    # key, before anything is written.
+    for name, override, seconds in (
+        ("depletion", "depletion.time_stop=-1ns", "-1e-09"),
+        ("ramsey", "ramsey.delay_stop=-1us", "-1e-06"),
+        ("rabi", "rabi.duration_stop=-1us", "-1e-06"),
+    ):
+        code, paths = run_subcommand(name, overrides=(override,), output_dir=str(tmp_path))
+        assert code == 2 and paths == []
+        key = override.split("=")[0]
+        assert capsys.readouterr().err == f"config error: {key} must be non-negative, got {seconds} s\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -1775,7 +1787,7 @@ def test_bifurcation_near_beta_one(tmp_path):
 )
 def test_bifurcation_counts_change_by_one(tmp_path, beta):
     # Each tangency adds or removes exactly one minimum.
-    p = DEFAULT_PARAMS
+    p = RunConfig.from_sources().jpm_params()
     current = p.critical_current if beta is None else beta * PHI0 / (2.0 * math.pi * p.loop_inductance)
     code, paths = run_subcommand(
         "bifurcation", overrides=(f"device.critical_current={current!r}A",), output_dir=str(tmp_path)
@@ -2129,14 +2141,32 @@ def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):
         ("iq", "iq.centroid_1=0,0", "iq"),
         ("tomo-synth", "tomo.beta=2", "tomo"),
         ("tomo-synth", "tomo.r=1", "tomo"),
+    ]
+    + [
+        pytest.param(name, override, line, id=f"{name}-{override}")
+        for name, override, line in (
+            ("rabi", "rabi.rate=0Hz", "rabi_rate must be positive\n"),
+            (
+                "stark",
+                "protocol.stark_shift_per_photon=0Hz",
+                "stark_shift_per_photon must be nonzero for calibration\n",
+            ),
+            ("stark", "stark.powers=0,0", "at least one drive power must be positive\n"),
+            ("transfer-curves", "transfer.t_max_scaled=0", "transfer.t_max_scaled must be positive\n"),
+            ("transfer-curves", "transfer.kappa_ratios=-1", "transfer.kappa_ratios entries must be positive\n"),
+            ("budget", "protocol.t1=abc", "protocol.t1: cannot parse value 'abc'\n"),
+            ("tomo-synth", "tomo.t_pi=0s tomo.duration_stop=1us", "t_pi must be positive\n"),
+        )
     ],
 )
 def test_every_builder_refusal_names_its_section(tmp_path, capsys, name, override, section):
     # A value the physics layer's constructor refuses is reported under the
     # config section it was read from, each cavity under its own name.  A
     # row that gives the whole line after "config error: ", its newline
-    # included, pins that line.
-    code, paths = run_subcommand(name, overrides=(override,), output_dir=str(tmp_path / "out"))
+    # included, pins that line; such rows also pin refusals that a physics
+    # call or the CLI makes itself, and a value that does not parse.  An
+    # override may hold several space-separated settings.
+    code, paths = run_subcommand(name, overrides=override.split(), output_dir=str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 2 and paths == [], err
     head = section if section.endswith("\n") else f"{section} section invalid: "
@@ -2150,11 +2180,11 @@ _COUNTS = ("9223372036854775807", "9223372036854775808", "100000000000000000000"
 
 def _extreme_literals(key):
     # The smallest and largest magnitudes a float64 literal reaches (with
-    # the key's base unit where it has one), and for integer keys
+    # the key's base unit where it has one), and for integer keys 0 and
     # _COUNTS.
     kind = SCHEMA[key].kind.removeprefix("list:")
     unit = next(iter(_UNIT_TABLES[kind])) if kind in _UNIT_TABLES else ""
-    return [number + unit for number in ("1e-320", "1e308")] + (list(_COUNTS) if kind == "int" else [])
+    return [number + unit for number in ("1e-320", "1e308")] + (["0", *_COUNTS] if kind == "int" else [])
 
 
 def test_extreme_literals_end_in_artifact_or_one_line_exit(tomogram, keys_read):
@@ -2179,9 +2209,9 @@ def test_extreme_literals_end_in_artifact_or_one_line_exit(tomogram, keys_read):
                         assert paths == [] and os.listdir(out) == [], case
                         assert err.getvalue().count("\n") == 1, case
                         refusals[case] = code, err.getvalue()
-    # A sweep count past any float64 array exits 2 and a binomial shot
-    # count past 2^63 - 1 exits 3, each naming its key; 2^63 - 1 shots
-    # are drawn.
+    # A sweep count past any float64 array exits 2, and a binomial shot
+    # count below 1 exits 2 and past 2^63 - 1 exits 3, each naming its
+    # key; 2^63 - 1 shots are drawn.
     points = {
         "potential-sweep": ("potential.flux_points",),
         "transfer-curves": ("transfer.time_points",),
@@ -2196,6 +2226,7 @@ def test_extreme_literals_end_in_artifact_or_one_line_exit(tomogram, keys_read):
                 code, message = refusals[name, key, text]
                 assert code == 2 and message.startswith(f"config error: {key} = {text} "), message
     for name, key in (("ramsey", "ramsey.n_shots"), ("rabi", "rabi.n_shots"), ("tomo-synth", "tomo.n_shots")):
+        assert refusals[name, key, "0"] == (2, f"config error: {key} must be at least 1\n")
         assert (name, key, _COUNTS[0]) not in refusals
         for text in _COUNTS[1:]:
             code, message = refusals[name, key, text]

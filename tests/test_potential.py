@@ -12,6 +12,7 @@ segment widths and the number of residual passes.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -23,9 +24,9 @@ from scipy.optimize import brentq
 
 from jpmsim import potential
 from jpmsim.cli import run_subcommand
+from jpmsim.config import RunConfig
 from jpmsim.errors import NumericalError
 from jpmsim.potential import (
-    DEFAULT_PARAMS,
     HBAR,
     MAX_SEGMENTS,
     PHI0,
@@ -38,6 +39,10 @@ from jpmsim.potential import (
 )
 
 
+DEVICE = RunConfig.from_sources().jpm_params()
+"""The default device, as the config builds it."""
+
+
 def energy(delta, flux_wb: float, p: JpmParams):
     # The module's potential at an applied flux in webers.
     return potential._energy(delta, potential._phase_bias(flux_wb, p), p)
@@ -45,9 +50,9 @@ def energy(delta, flux_wb: float, p: JpmParams):
 
 def oracle_potential(delta: float, flux_wb: float, p: JpmParams) -> float:
     # Independent arithmetic: Josephson term plus quadratic loop term.
-    e_j = p.critical_current * p.flux_quantum / (2.0 * math.pi)
-    phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
-    scale = (p.flux_quantum / (2.0 * math.pi)) ** 2 / (2.0 * p.loop_inductance)
+    e_j = p.critical_current * PHI0 / (2.0 * math.pi)
+    phi_e = 2.0 * math.pi * flux_wb / PHI0
+    scale = (PHI0 / (2.0 * math.pi)) ** 2 / (2.0 * p.loop_inductance)
     return -e_j * math.cos(delta) + scale * (delta - phi_e) ** 2
 
 
@@ -63,8 +68,8 @@ def oracle_roots(flux_wb: float, p: JpmParams, step: float = 1e-4) -> list[float
     # Dense scan of the extremum condition followed by brentq refinement.
     # The bracket [phi_e - beta - 1, phi_e + beta + 1] contains every
     # root because |sin| <= 1 forces |delta - phi_e| <= beta there.
-    beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / p.flux_quantum
-    phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
+    beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / PHI0
+    phi_e = 2.0 * math.pi * flux_wb / PHI0
 
     def g(delta):
         return np.sin(delta) - (phi_e - delta) / beta
@@ -97,52 +102,52 @@ def test_potential_energy_matches_term_by_term_oracle():
     for _ in range(200):
         delta = float(rng.uniform(-10.0, 10.0))
         flux = float(rng.uniform(-0.5, 1.5)) * PHI0
-        got = energy(delta, flux, DEFAULT_PARAMS)
-        want = oracle_potential(delta, flux, DEFAULT_PARAMS)
+        got = energy(delta, flux, DEVICE)
+        want = oracle_potential(delta, flux, DEVICE)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_potential_energy_broadcasts():
     deltas = np.linspace(0.0, 2.0 * math.pi, 11)
-    out = energy(deltas, 0.3 * PHI0, DEFAULT_PARAMS)
+    out = energy(deltas, 0.3 * PHI0, DEVICE)
     assert out.shape == deltas.shape
     for d, u in zip(deltas, out):
-        assert u == pytest.approx(oracle_potential(float(d), 0.3 * PHI0, DEFAULT_PARAMS), rel=1e-12)
+        assert u == pytest.approx(oracle_potential(float(d), 0.3 * PHI0, DEVICE), rel=1e-12)
 
 
 def test_curvature_matches_finite_difference():
     rng = np.random.default_rng(11)
     for _ in range(100):
         delta = float(rng.uniform(-6.0, 6.0))
-        got = potential_curvature(delta, DEFAULT_PARAMS)
-        want = fd_curvature(delta, 0.25 * PHI0, DEFAULT_PARAMS)
+        got = potential_curvature(delta, DEVICE)
+        want = fd_curvature(delta, 0.25 * PHI0, DEVICE)
         assert got == pytest.approx(want, rel=1e-6)
 
 
 def test_curvature_is_flux_independent():
     # The quadratic term contributes a constant second derivative, so
     # the curvature at fixed phase cannot depend on the applied flux.
-    assert potential_curvature(1.3, DEFAULT_PARAMS) == potential_curvature(1.3, DEFAULT_PARAMS)
-    u1 = fd_curvature(1.3, 0.1 * PHI0, DEFAULT_PARAMS)
-    u2 = fd_curvature(1.3, 0.9 * PHI0, DEFAULT_PARAMS)
+    assert potential_curvature(1.3, DEVICE) == potential_curvature(1.3, DEVICE)
+    u1 = fd_curvature(1.3, 0.1 * PHI0, DEVICE)
+    u2 = fd_curvature(1.3, 0.9 * PHI0, DEVICE)
     assert u1 == pytest.approx(u2, rel=1e-9)
 
 
 def test_beta_l_default_device():
     # beta_L = 2 pi L I0 / Phi0, evaluated independently.
     want = 2.0 * math.pi * 1.1e-9 * 1e-6 / PHI0
-    assert beta_L(DEFAULT_PARAMS) == pytest.approx(want, rel=1e-15)
-    assert beta_L(DEFAULT_PARAMS) == pytest.approx(3.3423883860796266, abs=1e-12)
+    assert beta_L(DEVICE) == pytest.approx(want, rel=1e-15)
+    assert beta_L(DEVICE) == pytest.approx(3.3423883860796266, abs=1e-12)
 
 
 def test_plasma_frequency_zero_flux():
-    wells = well_report_sweep([0.0], DEFAULT_PARAMS)
+    wells = well_report_sweep([0.0], DEVICE)
     assert wells.minimum_phase.size == 1
     omega = float(wells.plasma_frequency[0])
     # Independent chain: FD curvature at the reported minimum, then
     # omega_p = sqrt(U'' / (C * (Phi0 / 2 pi)^2)) / (2 pi) in Hz.
-    curv = fd_curvature(float(wells.minimum_phase[0]), 0.0, DEFAULT_PARAMS)
-    scale = (PHI0 / (2.0 * math.pi)) ** 2 * DEFAULT_PARAMS.shunt_capacitance
+    curv = fd_curvature(float(wells.minimum_phase[0]), 0.0, DEVICE)
+    scale = (PHI0 / (2.0 * math.pi)) ** 2 * DEVICE.shunt_capacitance
     want_hz = math.sqrt(curv / scale) / (2.0 * math.pi)
     assert omega / (2.0 * math.pi) == pytest.approx(want_hz, rel=1e-7)
     assert omega / (2.0 * math.pi) == pytest.approx(7.070874408383186e9, rel=1e-9)
@@ -151,11 +156,11 @@ def test_plasma_frequency_zero_flux():
 def test_plasma_frequency_rejects_maxima():
     # At a potential maximum the curvature is negative and no real
     # oscillation frequency exists.
-    _, _, _, roots, is_minimum = potential._sweep_extrema([0.5 * PHI0], DEFAULT_PARAMS)
+    _, _, _, roots, is_minimum = potential._sweep_extrema([0.5 * PHI0], DEVICE)
     maxima = roots[~is_minimum].tolist()
     assert maxima
     with pytest.raises(NumericalError):
-        plasma_frequency(maxima[0], DEFAULT_PARAMS)
+        plasma_frequency(maxima[0], DEVICE)
 
 
 def _device(beta: float) -> JpmParams:
@@ -169,7 +174,7 @@ def _device(beta: float) -> JpmParams:
 
 @pytest.mark.parametrize(
     "p",
-    [_device(0.5), _device(1.5), DEFAULT_PARAMS, _device(13.0)],
+    [_device(0.5), _device(1.5), DEVICE, _device(13.0)],
     ids=["beta-0.5", "beta-1.5", "default", "beta-13"],
 )
 def test_find_extrema_against_dense_scan(p):
@@ -185,13 +190,13 @@ def test_find_extrema_against_dense_scan(p):
 def test_find_extrema_structure():
     rng = np.random.default_rng(99)
     fluxes = [float(rng.uniform(0.0, 1.0)) * PHI0 for _ in range(40)]
-    for flux, (deltas, minima) in zip(fluxes, sweep_extrema(fluxes, DEFAULT_PARAMS)):
+    for flux, (deltas, minima) in zip(fluxes, sweep_extrema(fluxes, DEVICE)):
         assert len(deltas) % 2 == 1
         assert deltas == sorted(deltas)
         # Minima and maxima alternate, starting and ending on a minimum.
         assert all(minima[::2]) and not any(minima[1::2])
         # Each reported extremum satisfies the dimensionless condition.
-        beta = beta_L(DEFAULT_PARAMS)
+        beta = beta_L(DEVICE)
         phi_e = 2.0 * math.pi * flux / PHI0
         for d in deltas:
             assert abs(math.sin(d) - (phi_e - d) / beta) < 1e-10
@@ -202,8 +207,8 @@ def test_find_extrema_flux_parity():
     # axis: extrema map to 2 pi - delta with kinds preserved.
     rng = np.random.default_rng(5)
     quanta = [float(rng.uniform(0.0, 1.0)) for _ in range(25)]
-    forward = sweep_extrema([q * PHI0 for q in quanta], DEFAULT_PARAMS)
-    reverse = sweep_extrema([(1.0 - q) * PHI0 for q in quanta], DEFAULT_PARAMS)
+    forward = sweep_extrema([q * PHI0 for q in quanta], DEVICE)
+    reverse = sweep_extrema([(1.0 - q) * PHI0 for q in quanta], DEVICE)
     for (roots, minima), (roots_r, minima_r) in zip(forward, reverse):
         assert len(roots) == len(roots_r)
         for d, dr in zip(roots, reversed(roots_r)):
@@ -214,7 +219,7 @@ def test_find_extrema_flux_parity():
 def test_well_report_half_flux():
     # At half a flux quantum the double well is symmetric.
     flux = 0.5 * PHI0
-    wells = well_report_sweep([flux], DEFAULT_PARAMS)
+    wells = well_report_sweep([flux], DEVICE)
     assert wells.minimum_phase.size == 2
     assert wells.well_label.tolist() == ["left", "right"]
     assert (wells.well_count == 2).all()
@@ -229,10 +234,10 @@ def test_well_report_half_flux():
 
     # Independent barrier height: potential at the central maximum minus
     # potential at the minimum, via the term-by-term oracle.
-    [(roots, _)] = sweep_extrema([flux], DEFAULT_PARAMS)
+    [(roots, _)] = sweep_extrema([flux], DEVICE)
     assert len(roots) == 3
     d_min, d_max = roots[:2]
-    want = oracle_potential(d_max, flux, DEFAULT_PARAMS) - oracle_potential(d_min, flux, DEFAULT_PARAMS)
+    want = oracle_potential(d_max, flux, DEVICE) - oracle_potential(d_min, flux, DEVICE)
     assert height[0] == pytest.approx(want, rel=1e-10)
     # Level count = barrier height over one plasma quantum.
     assert levels[0] == pytest.approx(want / (HBAR * omega[0]), rel=1e-9)
@@ -240,7 +245,7 @@ def test_well_report_half_flux():
 
 
 def test_well_report_single_well_unbounded():
-    wells = well_report_sweep([0.0], DEFAULT_PARAMS)
+    wells = well_report_sweep([0.0], DEVICE)
     assert wells.minimum_phase.size == 1
     assert wells.well_label[0] == "global"
     assert wells.well_count[0] == 1
@@ -254,12 +259,12 @@ def test_well_report_escape_barrier_is_lowest_side():
     # lower of the two adjacent maxima when both exist; with a single
     # maximum it is that maximum.
     flux = 0.55 * PHI0
-    _, _, _, roots, is_minimum = potential._sweep_extrema([flux], DEFAULT_PARAMS)
+    _, _, _, roots, is_minimum = potential._sweep_extrema([flux], DEVICE)
     minima, maxima = roots[is_minimum].tolist(), roots[~is_minimum].tolist()
     assert len(minima) == 2 and len(maxima) == 1
-    wells = well_report_sweep([flux], DEFAULT_PARAMS)
-    u_barrier = oracle_potential(maxima[0], flux, DEFAULT_PARAMS)
-    u_min = oracle_potential(minima[0], flux, DEFAULT_PARAMS)
+    wells = well_report_sweep([flux], DEVICE)
+    u_barrier = oracle_potential(maxima[0], flux, DEVICE)
+    u_min = oracle_potential(minima[0], flux, DEVICE)
     assert wells.barrier_phase[0] == pytest.approx(maxima[0], abs=1e-9)
     assert wells.barrier_height[0] == pytest.approx(u_barrier - u_min, rel=1e-10)
 
@@ -271,8 +276,8 @@ def test_symmetric_well_keeps_its_left_barrier(current):
     # rounding of their energies.  That tie keeps the left maximum at every
     # such flux, whichever way the last bits fall; at 3 uA some right
     # maxima come out lower in float64, which a strict comparison picked.
-    p = JpmParams(critical_current=current, loop_inductance=DEFAULT_PARAMS.loop_inductance,
-                  shunt_capacitance=DEFAULT_PARAMS.shunt_capacitance)
+    p = JpmParams(critical_current=current, loop_inductance=DEVICE.loop_inductance,
+                  shunt_capacitance=DEVICE.shunt_capacitance)
     fluxes = np.arange(-3, 4) * PHI0
     wells = well_report_sweep(fluxes, p)
     right_lower = 0
@@ -291,14 +296,14 @@ def test_symmetric_well_keeps_its_left_barrier(current):
 
 
 def test_critical_flux_values():
-    crit = critical_flux(DEFAULT_PARAMS)
+    crit = critical_flux(DEVICE)
     assert len(crit) == 2
     quanta = [f / PHI0 for f in crit]
     assert quanta[0] == pytest.approx(0.1940512338566182, abs=1e-12)
     assert quanta[1] == pytest.approx(0.8059487661433817, abs=1e-12)
     # Tangency condition, checked independently: at the critical bias a
     # root of the extremum equation has cos(delta) = -1/beta_L.
-    beta = beta_L(DEFAULT_PARAMS)
+    beta = beta_L(DEVICE)
     for f in crit:
         phi_e = 2.0 * math.pi * f / PHI0
         delta = brentq(
@@ -312,8 +317,8 @@ def test_critical_flux_values():
 
 def test_critical_flux_flips_well_count_by_one():
     eps = 1e-6 * PHI0
-    for f in critical_flux(DEFAULT_PARAMS):
-        _, flux_of, _, _, is_minimum = potential._sweep_extrema([f - eps, f + eps], DEFAULT_PARAMS)
+    for f in critical_flux(DEVICE):
+        _, flux_of, _, _, is_minimum = potential._sweep_extrema([f - eps, f + eps], DEVICE)
         below, above = np.bincount(flux_of[is_minimum], minlength=2).tolist()
         assert abs(below - above) == 1
 
@@ -327,7 +332,7 @@ def test_critical_flux_empty_for_monostable_device():
     assert np.bincount(flux_of[is_minimum], minlength=4).tolist() == [1, 1, 1, 1]
 
 
-@pytest.mark.parametrize("beta", [1.5, beta_L(DEFAULT_PARAMS), 13.0, 40.0], ids=["1.5", "default", "13", "40"])
+@pytest.mark.parametrize("beta", [1.5, beta_L(DEVICE), 13.0, 40.0], ids=["1.5", "default", "13", "40"])
 def test_bifurcation_counts_match_dense_scan(tmp_path, beta):
     # bifurcation's minima below and above each critical flux against the
     # dense-scan oracle 1e-4 Phi0 to either side, where its roots alternate
@@ -386,11 +391,11 @@ def test_scan_size_limit():
 def test_near_tangency_pair_is_resolved():
     # Just inside a critical flux the new minimum/maximum pair is close
     # together; both roots must still be reported.
-    crit = critical_flux(DEFAULT_PARAMS)[1]
+    crit = critical_flux(DEVICE)[1]
     for offset in (1e-5, 1e-6, 1e-7):
         flux = crit * (1.0 - offset)
-        [(got, _)] = sweep_extrema([flux], DEFAULT_PARAMS)
-        want = oracle_roots(flux, DEFAULT_PARAMS, step=1e-6)
+        [(got, _)] = sweep_extrema([flux], DEVICE)
+        want = oracle_roots(flux, DEVICE, step=1e-6)
         assert len(got) == len(want)
         for delta, ref in zip(got, want):
             assert abs(delta - ref) < 1e-9
@@ -402,8 +407,8 @@ def _reference_brackets(flux_wb: float, p: JpmParams):
     # sign test per segment.  Returns beta_L, the residual and a
     # [lower end, upper end, residual at the lower end] list per crossing
     # segment, every one less than 2 pi wide.
-    beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / p.flux_quantum
-    phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
+    beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / PHI0
+    phi_e = 2.0 * math.pi * flux_wb / PHI0
     lo, hi = phi_e - beta - 1.0, phi_e + beta + 1.0
 
     def g(delta):
@@ -480,8 +485,8 @@ def reference_extrema(flux_wb: float, p: JpmParams, scan_step: float = math.pi /
     # which the slope changes sign, and a pair bisection where that cell
     # hides two roots.  It brackets each root differently from the sweep,
     # so the two agree within the tolerance, not bit for bit.
-    beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / p.flux_quantum
-    phi_e = 2.0 * math.pi * flux_wb / p.flux_quantum
+    beta = 2.0 * math.pi * p.loop_inductance * p.critical_current / PHI0
+    phi_e = 2.0 * math.pi * flux_wb / PHI0
     lo, hi = phi_e - beta - 1.0, phi_e + beta + 1.0
     grid = np.linspace(lo, hi, int(math.ceil((hi - lo) / scan_step)) + 1)
 
@@ -531,8 +536,8 @@ def reference_wells(flux_wb: float, p: JpmParams):
     # label) from reference_rtsafe, one minimum at a time.
     roots, is_minimum = reference_rtsafe(flux_wb, p)
     minima = [i for i, minimum in enumerate(is_minimum) if minimum]
-    e_j = p.critical_current * p.flux_quantum / (2.0 * math.pi)
-    quad = (p.flux_quantum / (2.0 * math.pi)) ** 2 / p.loop_inductance
+    e_j = p.critical_current * PHI0 / (2.0 * math.pi)
+    quad = (PHI0 / (2.0 * math.pi)) ** 2 / p.loop_inductance
     wells = []
     for pos, i in enumerate(minima):
         delta = roots[i]
@@ -542,7 +547,7 @@ def reference_wells(flux_wb: float, p: JpmParams):
                 h = oracle_potential(roots[j], flux_wb, p) - oracle_potential(delta, flux_wb, p)
                 if h < height:
                     barrier, height = roots[j], h
-        omega = (2.0 * math.pi / p.flux_quantum) * math.sqrt((e_j * math.cos(delta) + quad) / p.shunt_capacitance)
+        omega = (2.0 * math.pi / PHI0) * math.sqrt((e_j * math.cos(delta) + quad) / p.shunt_capacitance)
         levels = height / (HBAR * omega) if barrier is not None else math.inf
         if len(minima) == 1:
             label = "global"
@@ -622,7 +627,7 @@ def test_sweep_equals_per_flux_calls_across_blocks(monkeypatch):
     # must give the bits of a one-flux sweep of each flux.  The solver
     # reads SWEEP_BLOCK_SEGMENTS when called, so a smaller block keeps the
     # per-flux references here to a few hundred fluxes.
-    p = DEFAULT_PARAMS
+    p = DEVICE
     monkeypatch.setattr(potential, "SWEEP_BLOCK_SEGMENTS", 1000)
     blocks = []
     solve_block = potential._block_roots
@@ -655,7 +660,7 @@ def test_sweep_keeps_per_flux_stopping_rule(monkeypatch):
     # of passes.  Each stops on its own rule, so its bits are those of the
     # scalar reference at that tolerance, and it lies within 2 tol of the
     # bisection's.  No flux lies within 1e-6 Phi0 of a tangency.
-    p = DEFAULT_PARAMS
+    p = DEVICE
     width = 2.0 * math.acos(-1.0 / beta_L(p))
     fluxes = np.linspace(0.05, 0.95, 40) * PHI0
     assert min(abs(f - c) for f in fluxes for c in critical_flux(p)) > 1e-6 * PHI0
@@ -675,7 +680,7 @@ def test_sweep_takes_no_tolerance():
     # The refinement tolerance is the module constant REFINE_TOL.
     for solve in (potential._sweep_extrema, well_report_sweep):
         with pytest.raises(TypeError):
-            solve([0.3 * PHI0], DEFAULT_PARAMS, tol=1e-6)
+            solve([0.3 * PHI0], DEVICE, tol=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -691,7 +696,7 @@ def test_sweep_takes_no_tolerance():
 def test_sweep_refuses_bad_fluxes(fluxes, match):
     for solve in (potential._sweep_extrema, well_report_sweep):
         with pytest.raises(ValueError, match=match):
-            solve(fluxes, DEFAULT_PARAMS)
+            solve(fluxes, DEVICE)
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -767,7 +772,7 @@ def _block_passes(monkeypatch, fluxes, p: JpmParams):
 
 @pytest.mark.parametrize(
     "beta",
-    [0.5, 1.0, 1.0 + 1e-12, 1.5, beta_L(DEFAULT_PARAMS), 13.0, 1e3, 1e4],
+    [0.5, 1.0, 1.0 + 1e-12, 1.5, beta_L(DEVICE), 13.0, 1e3, 1e4],
     ids=["0.5", "1", "1+1e-12", "1.5", "default", "13", "1e3", "1e4"],
 )
 def test_every_segment_is_narrower_than_two_pi(monkeypatch, beta):
@@ -782,7 +787,7 @@ def test_every_segment_is_narrower_than_two_pi(monkeypatch, beta):
     assert all(1 <= len(sizes) <= math.ceil(math.log2(2.0 * math.pi / potential.REFINE_TOL)) for sizes in blocks)
 
 
-@pytest.mark.parametrize("beta", [1.5, beta_L(DEFAULT_PARAMS), 13.0], ids=["1.5", "default", "13"])
+@pytest.mark.parametrize("beta", [1.5, beta_L(DEVICE), 13.0], ids=["1.5", "default", "13"])
 def test_passes_are_few_across_tangencies(monkeypatch, beta):
     # 1200-flux sweeps over one Phi0 and over windows 0.05-0.3 Phi0 wide
     # across each tangency, where a new root pair lies close to a cut and
@@ -843,7 +848,7 @@ def test_unconverged_root_is_refused(monkeypatch):
     monkeypatch.setattr(potential, "MAX_REFINE_PASSES", 3)
     for solve in (potential._sweep_extrema, well_report_sweep):
         with pytest.raises(NumericalError, match="did not converge in 3 passes"):
-            solve(np.linspace(0.0, 1.0, 50) * PHI0, DEFAULT_PARAMS)
+            solve(np.linspace(0.0, 1.0, 50) * PHI0, DEVICE)
 
 
 def test_large_beta_l_converges():
@@ -864,12 +869,15 @@ def test_large_beta_l_converges():
 
 
 def test_flux_quantum_is_the_module_constant():
-    # Phi0 is not a constructor argument, so every conversion (phase
-    # bias, the config's phi0 unit, the sweep's flux column) uses the
-    # one PHI0.
-    assert DEFAULT_PARAMS.flux_quantum == PHI0
+    # Phi0 is neither a field nor a constructor argument, so every
+    # conversion (phase bias, the config's phi0 unit, the sweep's flux
+    # column) uses the one PHI0.
+    assert [field.name for field in dataclasses.fields(JpmParams)] == [
+        "critical_current", "loop_inductance", "shunt_capacitance"
+    ]
     with pytest.raises(TypeError):
-        JpmParams(1e-6, 1.1e-9, 2e-12, flux_quantum=2.0 * PHI0)
+        JpmParams(1e-6, 1.1e-9, 2e-12, 2.0 * PHI0)
+    assert RunConfig.from_sources(overrides=("potential.flux_stop=1phi0",)).get("potential.flux_stop") == PHI0
 
 
 def test_params_validation():

@@ -9,6 +9,7 @@ within binomial error bars.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -25,7 +26,6 @@ from jpmsim.protocol import (
     _finish_sweep,
     DEFAULT_DEPHASING_PER_PHOTON,
     DEFAULT_DEPLETION_RATE,
-    DEFAULT_IQ_MODEL,
     SHOT_CHUNK_DRAWS,
     SPURIOUS_PHOTONS,
     IqModel,
@@ -82,17 +82,18 @@ def test_simulate_shot_deterministic_channels():
     rng = np.random.default_rng(1)
     for _ in range(50):
         shot = simulate_shot(True, cfg, rng)
-        assert shot.switch_bit == 1 and shot.cause == "bright_capture"
+        assert shot.switch_bit == 1
     for _ in range(50):
         shot = simulate_shot(False, cfg, rng)
-        assert shot.switch_bit == 0 and shot.cause == "none"
+        assert shot.switch_bit == 0
 
 
 def test_shot_result_consistency():
-    with pytest.raises(ValueError):
-        ShotResult(switch_bit=1, cause="none", iq_point=(0.0, 0.0))
-    with pytest.raises(ValueError):
-        ShotResult(switch_bit=0, cause="bright_capture", iq_point=(0.0, 0.0))
+    # A shot record holds its bit and its IQ point; the bit is 0 or 1.
+    assert [field.name for field in dataclasses.fields(ShotResult)] == ["switch_bit", "iq_point"]
+    for bit in (-1, 2):
+        with pytest.raises(ValueError):
+            ShotResult(switch_bit=bit, iq_point=(0.0, 0.0))
 
 
 def test_fidelity_budget_matches_sequential_shots():
@@ -109,9 +110,9 @@ def test_fidelity_budget_matches_sequential_shots():
     p_exc = sum(s.switch_bit for s in exc) / n
     p_gnd = sum(s.switch_bit for s in gnd) / n
     assert budget["F_raw"] == p_exc - p_gnd
-    # The same shot records reproduce the dark-count estimator.
-    p_dark = sum(1 for s in gnd if s.cause == "dark_count") / n
-    assert budget["epsilon_dark"] == p_dark
+    # A ground-state shot switches only on a dark count, so the same
+    # shot records reproduce the dark-count estimator.
+    assert budget["epsilon_dark"] == p_gnd
 
 
 def _reference_batch(qubit_excited, n_shots, cfg, iq_model, rng):
@@ -136,8 +137,8 @@ def _reference_batch(qubit_excited, n_shots, cfg, iq_model, rng):
 
 def _reference_budget(cfg, n_shots):
     rng = np.random.default_rng(cfg.rng_seed)
-    switch, _, relaxed, _, _ = _reference_batch(True, n_shots, cfg, DEFAULT_IQ_MODEL, rng)
-    ground_switch = _reference_batch(False, n_shots, cfg, DEFAULT_IQ_MODEL, rng)[0]
+    switch, _, relaxed, _, _ = _reference_batch(True, n_shots, cfg, IqModel(), rng)
+    ground_switch = _reference_batch(False, n_shots, cfg, IqModel(), rng)[0]
     miss = ~switch
     eps_dark = float(np.mean(ground_switch))
     return {
@@ -149,9 +150,10 @@ def _reference_budget(cfg, n_shots):
 
 
 def _reference_shot(qubit_excited, cfg, rng, iq_model):
+    # (shot record, its switch cause) of a one-row reference block.
     switch, captured, _, iq_x, iq_y = _reference_batch(qubit_excited, 1, cfg, iq_model, rng)
     cause = "bright_capture" if captured[0] else "dark_count" if switch[0] else "none"
-    return ShotResult(int(switch[0]), cause, (float(iq_x[0]), float(iq_y[0])))
+    return ShotResult(int(switch[0]), (float(iq_x[0]), float(iq_y[0]))), cause
 
 
 def _assert_budget_matches_reference(p_r, p_b, p_d, n, seed):
@@ -444,7 +446,7 @@ def _assert_cutoff_matches_ndtri_near_cutoff(model):
 
 @pytest.mark.parametrize(
     "model",
-    [DEFAULT_IQ_MODEL, IqModel(centroid_1=(-1.0, 0.0), sigma=0.3), IqModel(centroid_1=(0.0, 1.0), sigma=2.5),
+    [IqModel(), IqModel(centroid_1=(-1.0, 0.0), sigma=0.3), IqModel(centroid_1=(0.0, 1.0), sigma=2.5),
      IqModel(centroid_0=(0.2, 0.0), centroid_1=(0.2, -1.0), sigma=40.0), IqModel(sigma=0.01),
      IqModel(centroid_1=(0.7, 0.7), sigma=0.45), IqModel(centroid_0=(0.2, -0.3), centroid_1=(-0.9, 0.4), sigma=0.3),
      IqModel(centroid_1=(-0.3, -2.0), sigma=1.5)],
@@ -625,7 +627,7 @@ def test_shot_paths_memory_is_flat_in_shot_count():
     small, large = (_traced_peak_mb(lambda: fidelity_budget(cfg, n)) for n in (100_000, 4_000_000))
     assert large < 10.0 and large < 2.0 * small
     # The default model and an off-axis one.
-    for model in (DEFAULT_IQ_MODEL, IqModel(centroid_1=(1.0, 0.5), sigma=0.4)):
+    for model in (IqModel(), IqModel(centroid_1=(1.0, 0.5), sigma=0.4)):
         small, large = (_traced_peak_mb(lambda: iq_fidelity(model, n // 2, np.random.default_rng(1)))
                         for n in (100_000, 4_000_000))
         assert large < 10.0 and large < 2.0 * small
@@ -642,7 +644,7 @@ def test_shot_paths_working_set_is_near_one_chunk():
     cfg = ProtocolConfig()
     fidelity_budget(cfg, 10_000)
     assert _traced_peak_mb(lambda: fidelity_budget(cfg, 1_000_000)) < limit_mb
-    for model in (DEFAULT_IQ_MODEL, IqModel(centroid_1=(1.0, 0.5), sigma=0.4)):
+    for model in (IqModel(), IqModel(centroid_1=(1.0, 0.5), sigma=0.4)):
         iq_fidelity(model, 1_000, np.random.default_rng(1))
         assert _traced_peak_mb(lambda: iq_fidelity(model, 1_000_000, np.random.default_rng(1))) < limit_mb
 
@@ -650,9 +652,10 @@ def test_shot_paths_working_set_is_near_one_chunk():
 @pytest.mark.parametrize("centroid_1", [(1.0, 0.0), (1.0, 2.0)], ids=["on-axis", "off-axis"])
 def test_simulate_shot_matches_reference_batch(centroid_1):
     # The scalar shot against a one-row block of the reference sampler:
-    # the same switch bit and cause, the same IQ bits (float.hex tells
-    # -0.0 from 0.0), the same field types and the same stream position.
-    # The off-axis centroid exercises both components of the point.
+    # the same switch bit, the same IQ bits (float.hex tells -0.0 from
+    # 0.0), the same field types and the same stream position.  The
+    # reference's causes show that every switch path ran.  The off-axis
+    # centroid exercises both components of the point.
     model = IqModel(centroid_1=centroid_1)
     causes = set()
     for p_r, p_b, p_d in ((0.05, 0.99, 0.02), (0.3, 0.9, 0.1), (0.0, 1.0, 0.0), (1.0, 0.0, 1.0)):
@@ -660,12 +663,12 @@ def test_simulate_shot_matches_reference_batch(centroid_1):
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         for i in range(500):
             shot = simulate_shot(i % 3 != 0, cfg, rng, model)
-            want = _reference_shot(i % 3 != 0, cfg, ref, model)
-            assert (shot.switch_bit, shot.cause) == (want.switch_bit, want.cause)
+            want, cause = _reference_shot(i % 3 != 0, cfg, ref, model)
+            assert shot.switch_bit == want.switch_bit
             assert [v.hex() for v in shot.iq_point] == [v.hex() for v in want.iq_point]
-            assert type(shot.switch_bit) is int and type(shot.cause) is str and type(shot.iq_point) is tuple
+            assert type(shot.switch_bit) is int and type(shot.iq_point) is tuple
             assert all(type(v) is float for v in shot.iq_point)
-            causes.add(shot.cause)
+            causes.add(cause)
         assert rng.bit_generator.state == ref.bit_generator.state
     assert causes == {"bright_capture", "dark_count", "none"}
 
@@ -731,7 +734,7 @@ def test_ramsey_fringe_structure():
     cfg = ProtocolConfig(dark_prob=0.0, bright_detect_prob=1.0, relaxation_override=0.0, t1=1.0)
     delays = np.linspace(0.0, 8e-6, 641)
     detunings = 2.0 * math.pi * np.array([-1e6, 0.0, 1e6])
-    grid = ramsey_fringe(detunings, delays, cfg, t2=2.0)
+    grid = ramsey_fringe(detunings, delays, cfg, t2=2.0, amplitude=1.0)
     assert grid.shape == (3, 641)
     # Zero detuning with no decay stays at the maximum.
     assert np.allclose(grid[1], 1.0, atol=1e-9)
@@ -750,7 +753,7 @@ def test_ramsey_fringe_structure():
 def test_ramsey_fringe_decay_and_channel():
     cfg = ProtocolConfig()
     delays = np.linspace(0.0, 2e-6, 81)
-    grid = ramsey_fringe(np.array([0.0]), delays, cfg, t2=0.5e-6)
+    grid = ramsey_fringe(np.array([0.0]), delays, cfg, t2=0.5e-6, amplitude=1.0)
     vis = analytic_visibility(cfg)
     # All points sit inside the channel range [dark, dark + visibility].
     assert np.all(grid >= cfg.dark_prob - 1e-12)
@@ -759,15 +762,15 @@ def test_ramsey_fringe_decay_and_channel():
     ideal_tail = math.exp(-delays[-1] / 0.5e-6)
     assert grid[0, -1] == pytest.approx(cfg.dark_prob + vis * ideal_tail, rel=1e-9)
     with pytest.raises(ValueError):
-        ramsey_fringe(np.array([0.0]), delays, cfg, t2=100.0)
+        ramsey_fringe(np.array([0.0]), delays, cfg, t2=100.0, amplitude=1.0)
 
 
 def test_ramsey_fringe_sampled():
     cfg = ProtocolConfig()
     delays = np.linspace(0.0, 2e-6, 21)
-    exact = ramsey_fringe(np.array([0.0]), delays, cfg)
-    noisy = ramsey_fringe(np.array([0.0]), delays, cfg, n_shots=100_000)
-    again = ramsey_fringe(np.array([0.0]), delays, cfg, n_shots=100_000)
+    exact = ramsey_fringe(np.array([0.0]), delays, cfg, amplitude=1.0)
+    noisy = ramsey_fringe(np.array([0.0]), delays, cfg, amplitude=1.0, n_shots=100_000)
+    again = ramsey_fringe(np.array([0.0]), delays, cfg, amplitude=1.0, n_shots=100_000)
     assert np.array_equal(noisy, again)
     assert np.max(np.abs(noisy - exact)) < 5.0 * math.sqrt(0.25 / 100_000)
 
@@ -907,7 +910,7 @@ def test_calibrate_depletion_rate():
 def test_separation_fidelity_value():
     # erfc oracle, evaluated here directly: the centroids sit 7.07
     # sigma apart, so F = 1 - erfc(d / (2 sqrt(2) sigma)) / 2.
-    model = DEFAULT_IQ_MODEL
+    model = IqModel()
     d = model.separation / model.sigma
     want = 1.0 - 0.5 * erfc(d / (2.0 * math.sqrt(2.0)))
     assert separation_fidelity(model) == pytest.approx(want, rel=1e-14)
@@ -992,14 +995,14 @@ def test_iq_discriminate_consumes_shot_results():
     rng = np.random.default_rng(cfg.rng_seed)
     shots = [simulate_shot(True, cfg, rng) for _ in range(2_000)]
     shots += [simulate_shot(False, cfg, rng) for _ in range(2_000)]
-    out = iq_discriminate(DEFAULT_IQ_MODEL, shots)
+    out = iq_discriminate(IqModel(), shots)
     # Stored IQ points cluster tightly around their centroids at the
     # default 7 sigma separation: discrimination is near perfect.
     assert out["single_shot_fidelity"] > 0.999
 
 
 def test_iq_discriminate_reproducible():
-    model = DEFAULT_IQ_MODEL
+    model = IqModel()
     a = iq_fidelity(model, 500, np.random.default_rng(3))
     b = iq_fidelity(model, 500, np.random.default_rng(3))
     assert a == b
@@ -1008,9 +1011,9 @@ def test_iq_discriminate_reproducible():
 @pytest.mark.parametrize(
     "n_shots, model, error",
     [
-        (0, DEFAULT_IQ_MODEL, ValueError),
-        (-3, DEFAULT_IQ_MODEL, ValueError),
-        (jpmsim.protocol.MAX_SHOT_DRAWS // 4 + 1, DEFAULT_IQ_MODEL, NumericalError),
+        (0, IqModel(), ValueError),
+        (-3, IqModel(), ValueError),
+        (jpmsim.protocol.MAX_SHOT_DRAWS // 4 + 1, IqModel(), NumericalError),
         (10, IqModel(centroid_1=(1.79e308, 0.0), sigma=1e306), NumericalError),
     ],
     ids=["zero", "negative", "above-draw-bound", "overflow"],
@@ -1028,14 +1031,14 @@ def test_iq_fidelity_refusals_leave_the_generator_unchanged(n_shots, model, erro
 @pytest.mark.parametrize(
     "shots, error",
     [([], ValueError), ((), ValueError), (np.array([0, 1]), TypeError), ([0, 1], TypeError),
-     ([ShotResult(1, "dark_count", (1.0, 0.0)), (0.0, 0.0)], TypeError), (7, TypeError)],
+     ([ShotResult(1, (1.0, 0.0)), (0.0, 0.0)], TypeError), (7, TypeError)],
     ids=["empty-list", "empty-tuple", "label-array", "label-list", "mixed", "not-iterable"],
 )
 def test_iq_discriminate_refuses_anything_but_shot_records(shots, error):
     # One line, of the documented type, and no AttributeError from a
     # label that has no switch_bit.
     with pytest.raises(error) as caught:
-        iq_discriminate(DEFAULT_IQ_MODEL, shots)
+        iq_discriminate(IqModel(), shots)
     assert type(caught.value) is error and "\n" not in str(caught.value)
 
 
