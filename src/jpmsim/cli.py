@@ -21,11 +21,11 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -121,7 +121,7 @@ def _write(out_dir: Path, stem: str, data: dict, file_format: str) -> Path:
     _table_text encodes it in file_format; a record of scalars is a JSON
     object whatever the format.  out_dir is created here, so a run
     refused before writing leaves no new directory.  The bytes go to a
-    temporary file in out_dir that replaces the artifact only once
+    new temporary file in out_dir that replaces the artifact only once
     complete, so a failed write leaves no partial file and any older
     artifact of the same name as it was.
     """
@@ -129,25 +129,30 @@ def _write(out_dir: Path, stem: str, data: dict, file_format: str) -> Path:
     as_csv = table and file_format == "csv"
     path = out_dir / f"{stem}.{'csv' if as_csv else 'json'}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{stem}.", suffix=".tmp")
+    tmp = out_dir / f".{stem}.{os.urandom(8).hex()}.tmp"
+    # Created new under a random name with the mode open() gives, 0666 less the umask.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             if table:
                 fh.writelines(_table_text(data, as_csv))
             else:
                 import json
 
-                json.dump({key: np.asarray(value).tolist() for key, value in data.items()}, fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps({key: np.asarray(value).tolist() for key, value in data.items()}, indent=2) + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
     return path
+
+
+def _keyed(key: str, call: Callable, *args, **kwargs):
+    """call(*args, **kwargs), its ValueError refused in a line naming the config key at fault."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _binomial_shots(cfg: RunConfig, key: str) -> int | None:
@@ -320,7 +325,7 @@ def _budget(cfg: RunConfig) -> dict:
 
     pc = cfg.protocol_config()
     n_shots = cfg.get("budget.n_shots")
-    record = dict(fidelity_budget(pc, n_shots))
+    record = dict(_keyed("budget.n_shots", fidelity_budget, pc, n_shots))
     record["n_shots"] = n_shots
     record["analytic_relaxation_error"] = relaxation_error(pc.t_prep, pc.t1)
     return record
@@ -353,7 +358,8 @@ def _ramsey(cfg: RunConfig) -> dict:
 def _rabi(cfg: RunConfig) -> dict:
     from .protocol import rabi_chevron
 
-    return _detector_grid(cfg, "rabi", "duration", rabi_chevron, rabi_rate=cfg.get("rabi.rate"))
+    sweep = functools.partial(_keyed, "rabi.rate", rabi_chevron)
+    return _detector_grid(cfg, "rabi", "duration", sweep, rabi_rate=cfg.get("rabi.rate"))
 
 
 def _stark(cfg: RunConfig) -> dict:
@@ -361,7 +367,9 @@ def _stark(cfg: RunConfig) -> dict:
 
     pc = cfg.protocol_config()
     powers = _require_nonempty(cfg, "stark.powers")
-    n_bar, shift = stark_calibration(powers, pc)
+    if pc.stark_shift_per_photon == 0.0:
+        raise ConfigError("protocol.stark_shift_per_photon must be nonzero for calibration")
+    n_bar, shift = _keyed("stark.powers", stark_calibration, powers, pc)
     return {"power (1)": powers, "n_bar (1)": n_bar, "qubit_shift (Hz)": shift / TWO_PI}
 
 
@@ -387,7 +395,7 @@ def _iq(cfg: RunConfig) -> dict:
     return {
         "n_shots_per_class": n_shots,
         "d_over_sigma": model.separation / model.sigma,
-        **iq_fidelity(model, n_shots, np.random.default_rng(cfg.get("seed"))),
+        **_keyed("iq.n_shots", iq_fidelity, model, n_shots, np.random.default_rng(cfg.get("seed"))),
     }
 
 
@@ -412,10 +420,11 @@ def _tomo_synth(cfg: RunConfig) -> dict:
     # durations would make a file it refuses.
     if not (np.diff(durations) > 0.0).all():
         raise ConfigError(f"{key}: pulse durations from 0 to {end:g} s are not strictly increasing")
+    if not t_pi > 0.0:
+        raise ConfigError(f"tomo.t_pi must be positive, got {t_pi:g} s")
     # The rotation angle pi t / t_pi of the longest pulse; the default end
-    # 2.2 t_pi gives 2.2 pi, so only a set duration_stop overflows it.  A
-    # t_pi that is not positive is left to the tomography layer's refusal.
-    if t_pi > 0.0 and not math.isfinite(math.pi * end / t_pi):
+    # 2.2 t_pi gives 2.2 pi, so only a set duration_stop overflows it.
+    if not math.isfinite(math.pi * end / t_pi):
         raise ConfigError(
             f"tomo.duration_stop and tomo.t_pi: rotation angle pi {end:g} s / {t_pi:g} s is out of float64 range"
         )
@@ -577,9 +586,13 @@ def run_subcommand(
 def main(argv=None) -> int:
     """The process entry point: parse argv and run one subcommand; returns its exit code.
 
-    Once the arguments are parsed, main freezes the garbage collector's
+    Only the subparser that argv's first word names is built, or all of
+    them when it names none (--help, --version, an unknown name).  Once
+    the arguments are parsed, main freezes the garbage collector's
     current objects (gc.freeze) for the rest of the process.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    names = argv[:1] if argv[:1] and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
     parser = argparse.ArgumentParser(
         prog="jpmsim",
         description=(
@@ -590,7 +603,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"jpmsim {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary) in _SUBCOMMANDS.items():
+    for name in names:
+        summary = _SUBCOMMANDS[name][1]
         sub = subparsers.add_parser(name, help=summary, description=summary)
         sub.add_argument("-c", "--config", default=None, help="path to a key/value config document")
         sub.add_argument(

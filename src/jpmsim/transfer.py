@@ -163,12 +163,19 @@ def freq_mismatch_peak(kappa: float, delta_omega: float) -> tuple[float, float]:
 # Simpson grid has 2 POINTS_PER_PERIOD points per period of the faster
 # carrier.
 POINTS_PER_PERIOD = 40
-# Peak search: at most this many panel nodes in the bracket (a 5 GHz
-# carrier over 20 decay times of a 1 us mode needs 4e6).  The search's
-# cost does not grow with the count; the bound keeps the node phase
-# omega tau (at most 1.6e7 rad at 1e8 nodes) far inside float64
-# resolution.
-MAX_PEAK_NODES = 10**8
+# Seed grid of the peak search: the closed-form envelope at this many
+# panel nodes, geometric from node 1 (time 2 h) to t_max = 20 / min
+# kappa, so neighbouring seed nodes differ by at most 10.5% within
+# MAX_PEAK_NODES.
+SEED_POINTS = 256
+_SEED_STEPS = np.arange(SEED_POINTS) / (SEED_POINTS - 1)
+# Peak search: at most this many panel nodes up to t_max (a 5 GHz
+# carrier over 20 decay times of a 1 us mode spans 4e6; a 25 ms mode
+# reaches the bound).  The search's cost does not grow with the count.
+# The bound keeps the seed grid's steps near 10% and the node phase
+# omega tau under 1.6e10 rad, where a float64 step is 1.9e-6 rad and a
+# window's tone fit reads a phase shift common to its nodes as none.
+MAX_PEAK_NODES = 10**11
 # Largest decay over one quadrature step, kappa * h, the Simpson panels
 # resolve; a mode that decays faster is refused, not silently misread.
 _MAX_DECAY_PER_STEP = 0.1
@@ -288,64 +295,32 @@ def _window_energy(cfg: TransferConfig, h: float) -> Callable[[int], float]:
     return energy
 
 
-def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
-    """Maximum of the numeric stored-energy fraction over time.
+def _seed_bracket(cfg: TransferConfig, h: float, span: float) -> tuple[int, int]:
+    """Panel-node indices (a, b) between the neighbours of the seed grid's best node.
 
-    Seeds from the argmax of the closed-form envelope on a 4000-point
-    grid from t_max/4000 (t_max = 20/min kappa) and brackets the peak in
-    [seed/3, 3 seed], assuming one peak there.  That fails for a peak
-    before the grid's first point (a 30 ps capture decay: eta 5.49e-4
-    there, 7.33e-4 at 0.17 ns) and for a response with several lobes,
-    where a lower local maximum may be returned.  A golden-section
-    search over the panel-node indices in the bracket reads the
-    trailing-period tone fit at each probe node, and a three-point
-    parabola through the best node and its neighbours refines the peak.
-    V2 at a node is the Simpson recurrence from tau = 0 on the fixed
-    step h = period / (2 POINTS_PER_PERIOD), and the fit on the
-    POINTS_PER_PERIOD nodes ending there is linear in it, so the energy
-    is a closed form in the node (_window_energy): one pseudo-inverse of
-    the fit's design per peak, then a few complex scalars per probe
-    however far from tau = 0 it lies.  At a node time the energy equals
-    the test oracle's there up to rounding.  Returns (eta_peak, t_opt).
-
-    Raises
-    ------
-    NumericalError
-        If a decay rate is not resolved by the step (kappa h > 0.1),
-        if t_max overflows float64 or the closed-form envelope is not
-        finite on the seed grid, or
-        if the bracket would hold more than MAX_PEAK_NODES panel nodes.
+    The seed grid is SEED_POINTS nodes, geometric from node 1 (time 2 h)
+    to node span (t_max); the seed is the argmax of the closed-form
+    envelope on it, so the bracket holds the envelope's highest lobe.
     """
-    k_max = max(cfg.source.decay_rate, cfg.target.decay_rate)
-    period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
-    h = period / (2 * POINTS_PER_PERIOD)
-    if k_max * h > _MAX_DECAY_PER_STEP:
-        raise NumericalError(
-            f"decay rate {k_max:.3g}/s is not resolved by the quadrature step {h:.3g} s"
-        )
-
-    k_min = min(cfg.source.decay_rate, cfg.target.decay_rate)
-    t_max = 20.0 / k_min
-    if not math.isfinite(t_max):
-        raise NumericalError(f"seed grid end t_max = 20/min kappa overflows float64 at min kappa {k_min:.3g}/s")
-    grid = np.linspace(t_max / 4000.0, t_max, 4000)
+    nodes = np.exp(math.log(span) * _SEED_STEPS)
     with np.errstate(over="ignore", invalid="ignore"):
-        envelope = efficiency(grid, cfg.source.decay_rate, cfg.target.decay_rate, cfg.delta_omega)
+        envelope = efficiency((2.0 * h) * nodes, cfg.source.decay_rate, cfg.target.decay_rate, cfg.delta_omega)
     if not np.isfinite(envelope).all():
         raise NumericalError("closed-form envelope is not finite over the seed grid")
-    seed = float(grid[int(np.argmax(envelope))])
-    lo = max(seed / 3.0, t_max / 4000.0)
-    hi = min(3.0 * seed, t_max)
+    i = int(np.argmax(envelope))
+    lo, hi = float(nodes[max(i - 1, 0)]), float(nodes[min(i + 1, SEED_POINTS - 1)])
+    return max(int(lo), 1), int(math.ceil(hi))
 
-    span = hi / (2.0 * h)
-    if not span <= MAX_PEAK_NODES:
-        raise NumericalError(
-            f"peak search needs {span:.3g} quadrature nodes, more than {MAX_PEAK_NODES:.0e}"
-        )
-    n_nodes = int(math.ceil(span))
-    energy = functools.lru_cache(maxsize=None)(_window_energy(cfg, h))
 
-    a, b = max(int(lo / (2.0 * h)), 1), n_nodes
+def _golden_peak(energy: Callable[[int], float], a: int, b: int, h: float) -> tuple[float, float]:
+    """(eta, t) at the largest energy over panel nodes a to b, refined by a parabola.
+
+    A golden-section search over the node indices narrows [a, b] to five
+    nodes and takes their best, j; a three-point parabola through j and
+    its neighbours refines it unless j is node 1 or b, or the parabola
+    does not open downwards.
+    """
+    n_nodes = b
     while b - a > 4:
         step = int(round(_INV_PHI * (b - a)))
         if energy(b - step) < energy(a + step):
@@ -361,3 +336,55 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
         return y1, 2.0 * h * j
     shift = 0.5 * (y0 - y2) / curvature
     return y1 - 0.25 * (y0 - y2) * shift, 2.0 * h * (j + shift)
+
+
+def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
+    """Maximum of the numeric stored-energy fraction over time.
+
+    Seeds from the argmax of the closed-form envelope on a geometric
+    grid of SEED_POINTS times from the first panel node 2 h to t_max =
+    20/min kappa, and brackets the peak between the seed's two grid
+    neighbours (_seed_bracket), assuming the numeric peak shares the
+    envelope's highest lobe.  That fails where the counter-rotating
+    terms move the peak off the envelope's: a 30 ps capture decay, where
+    kappa_2 exceeds the carrier, seeds at 0.56 ns while the numeric peak
+    is at 0.17 ns.  A golden-section search over the panel-node indices
+    in the bracket reads the trailing-period tone fit at each probe
+    node, and a three-point parabola through the best node and its
+    neighbours refines the peak (_golden_peak).  V2 at a node is the
+    Simpson recurrence from tau = 0 on the fixed step h = period /
+    (2 POINTS_PER_PERIOD), and the fit on the POINTS_PER_PERIOD nodes
+    ending there is linear in it, so the energy is a closed form in the
+    node (_window_energy): one pseudo-inverse of the fit's design per
+    peak, then a few complex scalars per probe however far from tau = 0
+    it lies.  At a node time the energy equals the test oracle's there
+    up to rounding.  Returns (eta_peak, t_opt).
+
+    Raises
+    ------
+    NumericalError
+        If a decay rate is not resolved by the step (kappa h > 0.1),
+        if t_max overflows float64 or spans more than MAX_PEAK_NODES
+        panel nodes, or if the closed-form envelope is not finite on the
+        seed grid.
+    """
+    k_max = max(cfg.source.decay_rate, cfg.target.decay_rate)
+    period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
+    h = period / (2 * POINTS_PER_PERIOD)
+    if k_max * h > _MAX_DECAY_PER_STEP:
+        raise NumericalError(
+            f"decay rate {k_max:.3g}/s is not resolved by the quadrature step {h:.3g} s"
+        )
+
+    k_min = min(cfg.source.decay_rate, cfg.target.decay_rate)
+    t_max = 20.0 / k_min
+    if not math.isfinite(t_max):
+        raise NumericalError(f"seed grid end t_max = 20/min kappa overflows float64 at min kappa {k_min:.3g}/s")
+    span = t_max / (2.0 * h)
+    if not span <= MAX_PEAK_NODES:
+        raise NumericalError(
+            f"peak search spans {span:.3g} quadrature nodes to t_max, more than {MAX_PEAK_NODES:.0e}"
+        )
+    a, b = _seed_bracket(cfg, h, span)
+    energy = functools.lru_cache(maxsize=None)(_window_energy(cfg, h))
+    return _golden_peak(energy, a, b, h)

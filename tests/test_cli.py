@@ -543,6 +543,7 @@ def test_exit_code_numerical_error(tmp_path, capsys):
         ("transfer-peak", "source.decay_time=1e-300s"),
         ("transfer-peak", "capture.decay_time=1e-300s"),
         ("transfer-peak", "source.decay_time=1e300s"),
+        ("transfer-peak", "capture.decay_time=30ms"),
     ],
 )
 def test_transfer_overflow_inputs_exit_numerical(tmp_path, capsys, name, override):
@@ -1305,8 +1306,8 @@ def test_exit_code_io_error(tmp_path, capsys):
 
 
 def test_artifact_mode_follows_the_umask_fresh_or_replacing(tmp_path):
-    # mkstemp creates its file 0600; _write gives it 0666 & ~umask, the
-    # mode open() would.  Each directory writes a table and a record fresh
+    # _write creates its temporary file 0666 & ~umask, the mode open()
+    # would give the artifact.  Each directory writes a table and a record fresh
     # under one umask, then replaces them under the other.
     modes = {0o022: 0o644, 0o077: 0o600}
     previous = os.umask(0o022)
@@ -1321,6 +1322,28 @@ def test_artifact_mode_follows_the_umask_fresh_or_replacing(tmp_path):
                     assert paths[0].stat().st_mode & 0o777 == modes[umask], (name, oct(umask))
     finally:
         os.umask(previous)
+
+
+def test_write_never_changes_the_umask(tmp_path, monkeypatch):
+    # os.umask sets the mode of files that other threads create meanwhile,
+    # so _write never calls it: the kernel applies the umask when the
+    # temporary file is created.  A table and a record under two umasks,
+    # with os.umask made to raise once each is set.
+    real_umask = os.umask
+    previous = real_umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            real_umask(umask)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", lambda *args: pytest.fail("_write called os.umask"))
+                for stem, data in (("table", {"x": np.arange(3.0)}), ("record", {"x": 1.0})):
+                    path = jpmsim.cli._write(tmp_path / f"{umask:03o}", stem, data, "csv")
+                    assert path.stat().st_mode & 0o777 == mode, (stem, oct(umask))
+    finally:
+        real_umask(previous)
+    assert sorted(path.name for path in tmp_path.rglob("*")) == [
+        "022", "077", "record.json", "record.json", "table.csv", "table.csv"
+    ]
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
@@ -2145,17 +2168,19 @@ def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):
     + [
         pytest.param(name, override, line, id=f"{name}-{override}")
         for name, override, line in (
-            ("rabi", "rabi.rate=0Hz", "rabi_rate must be positive\n"),
+            ("budget", "budget.n_shots=0", "budget.n_shots: n_shots must be at least 10^4 for a stable budget\n"),
+            ("iq", "iq.n_shots=0", "iq.n_shots: n_shots must be positive\n"),
+            ("rabi", "rabi.rate=0Hz", "rabi.rate: rabi_rate must be positive\n"),
             (
                 "stark",
                 "protocol.stark_shift_per_photon=0Hz",
-                "stark_shift_per_photon must be nonzero for calibration\n",
+                "protocol.stark_shift_per_photon must be nonzero for calibration\n",
             ),
-            ("stark", "stark.powers=0,0", "at least one drive power must be positive\n"),
+            ("stark", "stark.powers=0,0", "stark.powers: at least one drive power must be positive\n"),
             ("transfer-curves", "transfer.t_max_scaled=0", "transfer.t_max_scaled must be positive\n"),
             ("transfer-curves", "transfer.kappa_ratios=-1", "transfer.kappa_ratios entries must be positive\n"),
             ("budget", "protocol.t1=abc", "protocol.t1: cannot parse value 'abc'\n"),
-            ("tomo-synth", "tomo.t_pi=0s tomo.duration_stop=1us", "t_pi must be positive\n"),
+            ("tomo-synth", "tomo.t_pi=0s tomo.duration_stop=1us", "tomo.t_pi must be positive, got 0 s\n"),
         )
     ],
 )

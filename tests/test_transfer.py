@@ -14,7 +14,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import jpmsim.transfer as transfer
 from jpmsim.config import RunConfig
@@ -30,6 +30,7 @@ from jpmsim.transfer import (
 )
 from transfer_oracle import (
     BLOCK_PANELS,
+    dense_node_peak,
     eager_node_voltages,
     eager_peak_efficiency,
     mode2_energy_numeric,
@@ -416,6 +417,47 @@ def test_peak_matches_eager_reference_on_drawn_pairs(log_kappa_ratio, detuning_r
     assert abs(t_opt - want_t) <= 1e-10 * want_t
 
 
+@pytest.mark.parametrize("kappa_ratio", [1.3e-3, 1e-3])
+def test_peak_is_the_highest_lobe_of_a_multi_lobe_response(kappa_ratio):
+    # At kappa_2 / kappa_1 near 1e-3 and a detuning of 18 kappa_1 the
+    # response has several lobes; a bracket of [seed / 3, 3 seed] on a
+    # linear seed grid returned one 3.6-3.7 times below the highest.  The
+    # search lands within 1e-6 of the peak at the best node of a
+    # 20 000-point log grid of nodes up to t_max, refined node by node.
+    cfg = make_config(kappa_ratio=kappa_ratio, detuning_ratio=18.0)
+    eta, t_opt = peak_efficiency(cfg)
+    h = 2.0 * math.pi / cfg.target.angular_frequency / 80.0
+    t_max = 20.0 / cfg.target.decay_rate
+    nodes = np.unique(np.geomspace(1.0, t_max / (2.0 * h), 20_000).astype(np.int64))
+    want_eta, want_t = dense_node_peak(cfg, nodes)
+    assert abs(eta - want_eta) <= 1e-6 * want_eta
+    assert t_opt == pytest.approx(want_t, rel=1e-2)
+
+
+@given(
+    log_kappa_ratio=st.floats(math.log(1.0 / 12.0), math.log(12.0)),
+    detuning_ratio=st.floats(0.0, 2.0),
+    log_carrier_ratio=st.floats(math.log(20.0), math.log(2e4)),
+)
+@example(log_kappa_ratio=math.log(6.5), detuning_ratio=0.0, log_carrier_ratio=math.log(2 * math.pi * 5.02e9 * 260e-9))
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+def test_peak_matches_a_dense_node_scan_on_drawn_pairs(log_kappa_ratio, detuning_ratio, log_carrier_ratio):
+    # The default transfer-peak pair's ratios and pairs drawn as in
+    # test_peak_matches_eager_reference_on_drawn_pairs: the search's peak
+    # is within 1e-6 of the peak at the best node of a scan of at most
+    # 2001 nodes over [0.8, 1.25] t_opt, refined node by node.
+    cfg = make_config(
+        kappa_ratio=math.exp(log_kappa_ratio),
+        detuning_ratio=detuning_ratio,
+        carrier_ratio=math.exp(log_carrier_ratio),
+    )
+    eta, t_opt = peak_efficiency(cfg)
+    h = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency) / 80.0
+    nodes = np.unique(np.linspace(0.8 * t_opt, 1.25 * t_opt, 2001) // (2.0 * h)).astype(np.int64)
+    want_eta, _ = dense_node_peak(cfg, nodes)
+    assert abs(eta - want_eta) <= 1e-6 * want_eta
+
+
 @pytest.mark.parametrize("carrier_ratio", [None, 1e6], ids=["default", "carrier-1e6"])
 def test_peak_search_evaluates_one_window_per_tone_fit(monkeypatch, carrier_ratio):
     # A peak evaluates one window energy per probe node, from one
@@ -457,14 +499,20 @@ def test_peak_search_evaluates_one_window_per_tone_fit(monkeypatch, carrier_rati
 
 def test_peak_at_a_fast_carrier_matches_the_closed_forms():
     # At carrier/kappa = 1e6 the counter-rotating terms are 1e-6 of the
-    # drive, so the numeric peak meets the rotating-wave closed forms.
+    # drive, so the numeric peak meets the rotating-wave closed forms.  At
+    # 5e8 the search spans 6.4e10 nodes to t_max, near MAX_PEAK_NODES, and
+    # the node phases stay resolved.
     kappa = 1e6
-    for kappa_ratio, detuning_ratio, (want_eta, want_t) in (
-        (1.0, 0.0, kappa_mismatch_peak(kappa, kappa)),
-        (6.5, 0.0, kappa_mismatch_peak(kappa, 6.5 * kappa)),
-        (1.0, 1.0, freq_mismatch_peak(kappa, kappa)),
+    for carrier_ratio, kappa_ratio, detuning_ratio, (want_eta, want_t) in (
+        (c, *row)
+        for c in (1e6, 5e8)
+        for row in (
+            (1.0, 0.0, kappa_mismatch_peak(kappa, kappa)),
+            (6.5, 0.0, kappa_mismatch_peak(kappa, 6.5 * kappa)),
+            (1.0, 1.0, freq_mismatch_peak(kappa, kappa)),
+        )
     ):
-        cfg = make_config(kappa, kappa_ratio=kappa_ratio, detuning_ratio=detuning_ratio, carrier_ratio=1e6)
+        cfg = make_config(kappa, kappa_ratio=kappa_ratio, detuning_ratio=detuning_ratio, carrier_ratio=carrier_ratio)
         eta, t_opt = peak_efficiency(cfg)
         assert eta == pytest.approx(want_eta, abs=1e-10)
         assert t_opt == pytest.approx(want_t, rel=1e-5)
@@ -476,7 +524,7 @@ def test_peak_efficiency_refusals():
     # not resolved by the quadrature step.
     with pytest.raises(NumericalError, match="not resolved"):
         peak_efficiency(make_config(kappa_ratio=1e5, carrier_ratio=20.0))
-    # A huge but finite carrier would need ~4e10 nodes: refused at once.
+    # A huge but finite carrier spans ~1.3e11 nodes to t_max: refused at once.
     with pytest.raises(NumericalError, match="quadrature nodes"):
         peak_efficiency(make_config(carrier_ratio=1e9))
     # The efficiency is a ratio of energies: a config holds no drive

@@ -16,10 +16,11 @@ library's closed-form window energies replaced: the Simpson recurrence
 evaluated in closed form at the 40 nodes of a window, as numpy arrays,
 and the tone fit solved on them.  eager_node_voltages and
 eager_peak_efficiency are the older slow path before it: the whole
-recurrence streamed block by block from tau = 0, and the same peak
-search over it.  They keep their own block constants, and
-eager_peak_efficiency reads its windows through node_energy too, so the
-two slow paths differ only in their node voltages.
+recurrence streamed block by block from tau = 0, and the library's own
+seed bracket and search (_seed_bracket, _golden_peak) over it.  They
+keep their own block constants, and eager_peak_efficiency reads its
+windows through node_energy too, so the two slow paths differ only in
+their node voltages.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from jpmsim.transfer import _INV_PHI, POINTS_PER_PERIOD, TransferConfig, efficiency
+from jpmsim.transfer import POINTS_PER_PERIOD, TransferConfig, _golden_peak, _seed_bracket
 
 # Panels per block of the streamed pass, and the largest rescale factor
 # e^{kappa_2 h (k - 1)} a block of k panels may reach.
@@ -268,31 +269,33 @@ def eager_node_voltages(cfg: TransferConfig, h: float, n_nodes: int) -> np.ndarr
 
 
 def eager_peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
-    """peak_efficiency's search on eager_node_voltages over the whole bracket (no refusals)."""
+    """peak_efficiency's seed, bracket and search on eager_node_voltages (no refusals of its own)."""
     period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
     h = period / (2 * POINTS_PER_PERIOD)
     t_max = 20.0 / min(cfg.source.decay_rate, cfg.target.decay_rate)
-    grid = np.linspace(t_max / 4000.0, t_max, 4000)
-    envelope = efficiency(grid, cfg.source.decay_rate, cfg.target.decay_rate, cfg.delta_omega)
-    seed = float(grid[int(np.argmax(envelope))])
-    lo = max(seed / 3.0, t_max / 4000.0)
-    hi = min(3.0 * seed, t_max)
-    n_nodes = int(math.ceil(hi / (2.0 * h)))
-    volts = eager_node_voltages(cfg, h, n_nodes)
+    a, b = _seed_bracket(cfg, h, t_max / (2.0 * h))
+    volts = eager_node_voltages(cfg, h, b)
     energy = functools.lru_cache(maxsize=None)(lambda j: node_energy(cfg, lambda nodes: volts[nodes - 1], j, h))
-    a, b = max(int(lo / (2.0 * h)), 1), n_nodes
-    while b - a > 4:
-        step = int(round(_INV_PHI * (b - a)))
-        if energy(b - step) < energy(a + step):
-            a = b - step
-        else:
-            b = a + step
-    j = max(range(a, b + 1), key=energy)
-    if not 1 < j < n_nodes:
-        return energy(j), 2.0 * h * j
-    y0, y1, y2 = energy(j - 1), energy(j), energy(j + 1)
-    curvature = y0 - 2.0 * y1 + y2
-    if curvature >= 0.0:
-        return y1, 2.0 * h * j
-    shift = 0.5 * (y0 - y2) / curvature
+    return _golden_peak(energy, a, b, h)
+
+
+def dense_node_peak(cfg: TransferConfig, nodes: np.ndarray) -> tuple[float, float]:
+    """The peak of a scan over panel nodes, with no search: (eta, t).
+
+    Reads node_energy on simpson_voltages at each of the increasing
+    nodes, then at every node between the best one's two neighbours, so
+    it shares with peak_efficiency only the step h.  A parabola through
+    the best node and its neighbours gives the peak between nodes.
+    """
+    period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
+    h = period / (2 * POINTS_PER_PERIOD)
+    volts = simpson_voltages(cfg, h)
+
+    def best(js: np.ndarray) -> int:
+        return int(js[np.argmax([node_energy(cfg, volts, int(j), h) for j in js])])
+
+    i = int(np.searchsorted(nodes, best(nodes)))
+    j = best(np.arange(max(nodes[max(i - 1, 0)], 2), nodes[min(i + 1, nodes.size - 1)] + 1))
+    y0, y1, y2 = (node_energy(cfg, volts, k, h) for k in (j - 1, j, j + 1))
+    shift = 0.5 * (y0 - y2) / min(y0 - 2.0 * y1 + y2, -1e-300)
     return y1 - 0.25 * (y0 - y2) * shift, 2.0 * h * (j + shift)
