@@ -155,6 +155,14 @@ def _keyed(key: str, call: Callable, *args, **kwargs):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _phase_keyed(keys: str, call: Callable, *args, **kwargs):
+    """call(*args, **kwargs), its NumericalError, such as a phase past errors.PHASE_LIMIT, refused naming keys."""
+    try:
+        return call(*args, **kwargs)
+    except NumericalError as exc:
+        raise NumericalError(f"{keys}: {exc}") from exc
+
+
 def _binomial_shots(cfg: RunConfig, key: str) -> int | None:
     """The shot count at key, refused in a line naming the key below 1 (exit 2)
     or above what a binomial draw takes (exit 3)."""
@@ -270,11 +278,10 @@ def _transfer_curves(cfg: RunConfig) -> dict:
     etas, labels = [], []
 
     def family(kappa_2, delta_omega, label):
+        keys = f"transfer.t_max_scaled = {t_max:g} at {label}"
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            eta = efficiency(ts, kappa_1, kappa_2, delta_omega)
+            eta = _phase_keyed(keys, efficiency, ts, kappa_1, kappa_2, delta_omega)
         if not np.isfinite(eta).all():
-            if math.isfinite(delta_omega) and not math.isfinite(delta_omega * float(ts[-1])):
-                raise NumericalError(f"transfer.t_max_scaled = {t_max:g}: the phase of {label} overflows float64")
             raise NumericalError(f"transfer efficiency for {label} is not finite")
         etas.append(eta)
         labels.append(label)
@@ -302,7 +309,8 @@ def _transfer_peak(cfg: RunConfig) -> dict:
     emitted_energy = NOMINAL_DRIVE_V**2 / (2.0 * kappa_1 * NOMINAL_LINE_OHM)
     if emitted_energy == 0.0:
         raise NumericalError(f"emitted energy V0^2/(2 kappa_1 Z0) is 0 at kappa_1 = {kappa_1:.3g}/s")
-    eta_peak, t_opt = peak_efficiency(tc)
+    keys = "source.frequency, source.decay_time, capture.frequency and capture.decay_time"
+    eta_peak, t_opt = _phase_keyed(keys, peak_efficiency, tc)
     eta_kappa, t_kappa = kappa_mismatch_peak(kappa_1, tc.target.decay_rate)
     if tc.delta_kappa == 0.0:
         eta_freq, t_freq = freq_mismatch_peak(kappa_1, tc.delta_omega)
@@ -332,17 +340,19 @@ def _budget(cfg: RunConfig) -> dict:
 
 
 def _detector_grid(
-    cfg: RunConfig, section: str, axis: str, sweep: Callable[..., np.ndarray], **options
+    cfg: RunConfig, section: str, axis: str, sweep: Callable[..., np.ndarray], phase_keys: str, **options
 ) -> dict:
     """Detuning, {axis} and switch probability columns of sweep over {section}.detunings and its time axis.
 
     Reads the protocol config, {section}.detunings, {section}.{axis}_stop
-    and _points, and {section}.n_shots; options go to sweep as they are.
+    and _points, and {section}.n_shots; options go to sweep as they are,
+    and a phase refusal names phase_keys.
     """
     pc = cfg.protocol_config()
     detunings = _require_nonempty(cfg, f"{section}.detunings")
     times = _time_axis(cfg, section, axis)
-    matrix = sweep(detunings, times, pc, n_shots=_binomial_shots(cfg, f"{section}.n_shots"), **options)
+    n_shots = _binomial_shots(cfg, f"{section}.n_shots")
+    matrix = _phase_keyed(phase_keys, sweep, detunings, times, pc, n_shots=n_shots, **options)
     names = ("detuning (Hz)", f"{axis} (s)", "switch_probability (1)")
     return _grid_columns(names, np.divide(detunings, TWO_PI), times, matrix)
 
@@ -350,16 +360,20 @@ def _detector_grid(
 def _ramsey(cfg: RunConfig) -> dict:
     from .protocol import ramsey_fringe
 
-    return _detector_grid(
-        cfg, "ramsey", "delay", ramsey_fringe, t2=cfg.get("ramsey.t2"), amplitude=cfg.get("ramsey.amplitude")
-    )
+    amplitude = cfg.get("ramsey.amplitude")
+    if not 0.0 <= amplitude <= 1.0:
+        raise ConfigError(f"ramsey.amplitude must lie in [0, 1], got {amplitude:g}")
+    sweep = functools.partial(_keyed, "ramsey.t2 and protocol.t1", ramsey_fringe)
+    keys = "ramsey.detunings and ramsey.delay_stop"
+    return _detector_grid(cfg, "ramsey", "delay", sweep, keys, t2=cfg.get("ramsey.t2"), amplitude=amplitude)
 
 
 def _rabi(cfg: RunConfig) -> dict:
     from .protocol import rabi_chevron
 
     sweep = functools.partial(_keyed, "rabi.rate", rabi_chevron)
-    return _detector_grid(cfg, "rabi", "duration", sweep, rabi_rate=cfg.get("rabi.rate"))
+    keys = "rabi.rate, rabi.detunings and rabi.duration_stop"
+    return _detector_grid(cfg, "rabi", "duration", sweep, keys, rabi_rate=cfg.get("rabi.rate"))
 
 
 def _stark(cfg: RunConfig) -> dict:
@@ -422,16 +436,11 @@ def _tomo_synth(cfg: RunConfig) -> dict:
         raise ConfigError(f"{key}: pulse durations from 0 to {end:g} s are not strictly increasing")
     if not t_pi > 0.0:
         raise ConfigError(f"tomo.t_pi must be positive, got {t_pi:g} s")
-    # The rotation angle pi t / t_pi of the longest pulse; the default end
-    # 2.2 t_pi gives 2.2 pi, so only a set duration_stop overflows it.
-    if not math.isfinite(math.pi * end / t_pi):
-        raise ConfigError(
-            f"tomo.duration_stop and tomo.t_pi: rotation angle pi {end:g} s / {t_pi:g} s is out of float64 range"
-        )
     n_shots, noise_sigma = _binomial_shots(cfg, "tomo.n_shots"), cfg.get("tomo.noise_sigma")
     # Only shot or Gaussian noise draws, so only then is numpy.random loaded.
     rng = None if n_shots is None and noise_sigma is None else np.random.default_rng(cfg.get("seed"))
-    grid = synthesize_tomogram(rho, t_pi, thetas, durations, n_shots=n_shots, noise_sigma=noise_sigma, rng=rng)
+    grid = _phase_keyed("tomo.duration_stop, tomo.t_pi and tomo.phi", synthesize_tomogram, rho, t_pi, thetas,
+                        durations, n_shots=n_shots, noise_sigma=noise_sigma, rng=rng)
     names = ("axis_angle (rad)", "pulse_duration (s)", "occupation (1)")
     return _grid_columns(names, grid.axis_angles, grid.pulse_durations, grid.occupations)
 

@@ -1,6 +1,11 @@
-"""Exception types shared across the package, and the one finite-and-positive field rule."""
+"""Exception types shared across the package, the one finite-and-positive field rule and the one phase rule."""
 
 import math
+
+import numpy as np
+
+PHASE_LIMIT = 2.0**30
+"""Largest |phase| in radians whose sine or cosine reaches an artifact: Cephes sin.c's total-loss bound lossth."""
 
 
 class ConfigError(ValueError):
@@ -21,3 +26,10 @@ def require_finite_positive(owner, *names: str) -> None:
         value = getattr(owner, name)
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def sin_cos(phase, name: str):
+    """(np.sin(phase), np.cos(phase)); a NumericalError naming the phase if any |phase| passes PHASE_LIMIT or is NaN."""
+    if not (np.abs(phase) <= PHASE_LIMIT).all():
+        raise NumericalError(f"phase {name} reaches {np.abs(phase).max():.3g} rad, past 2^30: total loss of precision")
+    return np.sin(phase), np.cos(phase)

@@ -129,7 +129,7 @@ class WellSweep:
     well_label: np.ndarray
 
 
-def _phase_bias(external_flux, p: JpmParams):
+def _phase_bias(external_flux):
     return 2.0 * math.pi * external_flux / PHI0
 
 
@@ -316,7 +316,7 @@ def _sweep_extrema(fluxes, p: JpmParams):
         raise ValueError("external_flux must be finite")
     beta, turn = _beta_turns(p)
     with np.errstate(over="ignore"):
-        phi_e = _phase_bias(fluxes, p)
+        phi_e = _phase_bias(fluxes)
     if not np.isfinite(phi_e).all():
         raise ValueError("external_flux overflows the phase bias")
     # k within reach of floor(phi_e / 2 pi) puts turning points 2 pi k + turn

@@ -54,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NumericalError, require_finite_positive
+from .errors import NumericalError, require_finite_positive, sin_cos
 
 
 SPURIOUS_PHOTONS = 100.0
@@ -363,8 +363,7 @@ def ramsey_fringe(
     if np.any(delays < 0.0):
         raise ValueError("delays must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = 0.5 * np.outer(detunings, delays)
-        ideal = amplitude * np.exp(-delays / t2) * np.cos(phase) ** 2
+        ideal = amplitude * np.exp(-delays / t2) * sin_cos(0.5 * np.outer(detunings, delays), "Delta tau / 2")[1] ** 2
     return _finish_sweep(ideal, cfg, n_shots)
 
 
@@ -392,7 +391,7 @@ def rabi_chevron(
     with np.errstate(over="ignore", invalid="ignore"):
         generalized = np.hypot(rabi_rate, detunings)[:, None]
         weight = (rabi_rate / generalized) ** 2
-        ideal = weight * np.sin(0.5 * generalized * durations) ** 2
+        ideal = weight * sin_cos(0.5 * generalized * durations, "sqrt(Omega^2 + Delta^2) t / 2")[0] ** 2
     return _finish_sweep(ideal, cfg, n_shots)
 
 
@@ -404,8 +403,6 @@ def _finish_sweep(ideal: np.ndarray, cfg: ProtocolConfig, n_shots: int | None) -
     fidelity of the shot model.  With n_shots set, each cell is a
     binomial estimate from a generator seeded with cfg.rng_seed.
     """
-    if not np.isfinite(ideal).all():
-        raise NumericalError("sweep probability is not finite: a phase or rotation angle overflows float64")
     visibility = (1.0 - cfg.relaxation_prob) * cfg.bright_detect_prob * (1.0 - cfg.dark_prob)
     measured = cfg.dark_prob + visibility * ideal
     if n_shots is None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentifiabilityError, NumericalError
+from .errors import IdentifiabilityError, NumericalError, sin_cos
 
 PHASE_IDENTIFIABLE_MIN_R = 1e-6
 """Below this coherence magnitude the phase is reported as 0 and flagged."""
@@ -136,22 +136,18 @@ def expected_occupation(rho: DensityMatrix2, theta, t, t_pi: float):
     """Excited-state occupation after a tomographic pulse.
 
     Broadcasts over theta and t.  Periodic in t with period 2 t_pi and
-    depends on theta only through theta + phi.
+    depends on theta only through theta + phi.  A rotation angle
+    pi t / t_pi or axis phase theta + phi past errors.PHASE_LIMIT raises
+    NumericalError.
     """
     if not t_pi > 0.0:
         raise ValueError("t_pi must be positive")
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
-        alpha = math.pi * t / t_pi
-    if not np.isfinite(alpha).all():
-        raise ValueError("rotation angle pi t / t_pi is not finite")
+        sin_a, cos_a = sin_cos(math.pi * t / t_pi, "alpha = pi t / t_pi")
     beta, r = rho.excited_population, rho.coherence_magnitude
-    theta = np.asarray(theta, dtype=float)
-    out = (
-        beta
-        + (1.0 - 2.0 * beta) * 0.5 * (1.0 - np.cos(alpha))
-        - r * np.sin(alpha) * np.sin(theta + rho.coherence_phase)
-    )
+    sin_axis, _ = sin_cos(np.asarray(theta, dtype=float) + rho.coherence_phase, "theta + phi")
+    out = beta + (1.0 - 2.0 * beta) * 0.5 * (1.0 - cos_a) - r * sin_a * sin_axis
     return out if out.ndim else float(out)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, require_finite_positive
+from .errors import NumericalError, require_finite_positive, sin_cos
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ def efficiency(t, kappa_1: float, kappa_2: float, delta_omega: float):
     kappa_1 t and the rate ratios: it stays finite for rates beyond
     float64's square root.  A detuning so small against the rates that
     (kappa_1 / s)(kappa_2 / s) overflows gives inf or NaN, never a
-    finite value off the curve.  s = 0 is the matched form
+    finite value off the curve, and a phase d_omega t / 2 past
+    errors.PHASE_LIMIT raises NumericalError.  s = 0 is the matched form
     kappa^2 t^2 e^{-kappa t}, which peaks at 4/e^2 when t = 2/kappa.
     Accepts scalar or array t.
     """
@@ -122,7 +123,7 @@ def efficiency(t, kappa_1: float, kappa_2: float, delta_omega: float):
         out = x**2 * np.exp(-x)
     else:
         diff = _exp_half_diff(t, kappa_1, kappa_2)
-        cross = 4.0 * np.exp(-0.5 * (kappa_1 + kappa_2) * t) * np.sin(0.5 * delta_omega * t) ** 2
+        cross = 4.0 * np.exp(-0.5 * (kappa_1 + kappa_2) * t) * sin_cos(0.5 * delta_omega * t, "d_omega t / 2")[0] ** 2
         out = (kappa_1 / s) * (kappa_2 / s) * (diff**2 + cross)
     return out if out.ndim else float(out)
 

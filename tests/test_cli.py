@@ -32,7 +32,7 @@ import artifact_digests
 from artifact_digests import BYTE_CONFIGS
 from jpmsim.cli import main, run_subcommand
 from jpmsim.config import _UNIT_TABLES, RunConfig, SCHEMA, parse_value
-from jpmsim.errors import ConfigError
+from jpmsim.errors import PHASE_LIMIT, ConfigError, NumericalError, sin_cos
 from jpmsim.potential import PHI0
 from jpmsim.protocol import DEFAULT_DEPLETION_RATE, IqModel, ProtocolConfig
 from jpmsim.tomography import DensityMatrix2, synthesize_tomogram
@@ -694,11 +694,6 @@ _NON_FINITE = [
     ("iq", ("iq.sigma=1e-320",), "iq section invalid: "),
     ("stark", ("protocol.t_prep=1e1000000s",), "protocol.t_prep: "),
     ("tomo-synth", ("tomo.t_pi=1e308s",), "tomo.t_pi: sweep from 0 to inf "),
-    (
-        "tomo-synth",
-        ("tomo.duration_stop=1e308s",),
-        "tomo.duration_stop and tomo.t_pi: rotation angle pi 1e+308 s / 5e-08 s ",
-    ),
 ]
 
 
@@ -713,8 +708,8 @@ def test_non_finite_literal_is_config_error(tmp_path, capsys, name, overrides, n
     # into inf or NaN cells.  Each line names the key or keys at fault,
     # the config section for the IQ model; a span's line names the keys
     # that set its ends, for the default tomogram duration end
-    # 2.2 tomo.t_pi tomo.t_pi, and a rotation angle's line the two keys
-    # of its ratio.
+    # 2.2 tomo.t_pi tomo.t_pi.  (A rotation angle that overflows is a
+    # phase past 2^30 rad: exit 3, test_overflow_refusal_names_the_key_at_fault.)
     code, paths = run_fast(name, tmp_path, overrides)
     assert code == 2 and paths == []
     err = capsys.readouterr().err
@@ -1118,8 +1113,8 @@ def test_overflowing_tomogram_angle_prints_one_line(tmp_path):
         [sys.executable, "-m", "jpmsim.cli", "tomo-synth", "-s", "tomo.duration_stop=1e308s", "-o", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("config error") and proc.stderr.count("\n") == 1
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical error") and proc.stderr.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -2124,13 +2119,23 @@ def test_every_point_count_refusal_names_its_key(tmp_path, capsys, name, key, le
         ("stark", ("protocol.t_prep=1e-320s",), 2),
         ("depletion", ("protocol.t_prep=1e-320s",), 2),
         ("budget", ("protocol.t1=1e308s",), 2),
+        ("tomo-synth", ("tomo.duration_stop=1e308s",), 3),
+        ("transfer-curves", ("transfer.t_max_scaled=5e307",), 3),
+        ("rabi", ("rabi.duration_stop=1e300s",), 3),
+        ("ramsey", ("ramsey.delay_stop=1e300s",), 3),
+        ("tomo-synth", ("tomo.duration_stop=1e12s",), 3),
+        ("tomo-synth", ("tomo.phi=1e20",), 3),
+        ("transfer-peak", ("capture.decay_time=20ms", "capture.frequency=6GHz"), 3),
     ],
 )
 def test_overflow_refusal_names_the_key_at_fault(tmp_path, capsys, name, overrides, expected):
     # At t_max_scaled = 1e308 the time axis is finite but the phase of the
     # default detuning_ratio=4 family overflows; at t_prep = 1e-320 s and
-    # at T1 = 1e308 s T1/t_prep overflows.  Each refusal is one line
-    # naming the key set.
+    # at T1 = 1e308 s T1/t_prep overflows.  The exit-3 rows below them
+    # each set a phase past 2^30 rad (inf at tomo.duration_stop=1e308s,
+    # 1.23e9 rad at the transfer-peak seed grid's end), which once wrote
+    # cells that were no function of the time beside them.  Each refusal
+    # is one line naming the key set.
     code, paths = run_subcommand(name, overrides=overrides, output_dir=str(tmp_path))
     err = capsys.readouterr().err
     assert code == expected and paths == [] and err.count("\n") == 1
@@ -2181,6 +2186,8 @@ def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):
             ("transfer-curves", "transfer.kappa_ratios=-1", "transfer.kappa_ratios entries must be positive\n"),
             ("budget", "protocol.t1=abc", "protocol.t1: cannot parse value 'abc'\n"),
             ("tomo-synth", "tomo.t_pi=0s tomo.duration_stop=1us", "tomo.t_pi must be positive, got 0 s\n"),
+            ("ramsey", "ramsey.t2=0s", "ramsey.t2 and protocol.t1: t2 must be positive and at most 2 T1\n"),
+            ("ramsey", "ramsey.amplitude=2", "ramsey.amplitude must lie in [0, 1], got 2\n"),
         )
     ],
 )
@@ -2280,6 +2287,95 @@ def test_no_module_reads_the_process_environment():
                           if alias.name in ("environ", "environb", "getenv", "getenvb", "*")]
     assert {path.stem for path in package.glob("*.py")} >= {"cli", "config"}
     assert found == []
+
+
+# Each row: subcommand, the key swept, its value just under and just over
+# the one phase bound 2^30 rad at the defaults, and the other overrides.
+_PHASE_BOUNDS = [
+    # sqrt(Omega^2 + Delta^2) t / 2 at the largest detuning: 2^31 s / (2 pi hypot(5, 10) MHz) = 30.570 s.
+    ("rabi", "rabi.duration_stop", "30.56s", "30.58s", ()),
+    # Delta tau / 2 at 2 MHz: 2^31 s / (2 pi 2 MHz) = 170.89 s.
+    ("ramsey", "ramsey.delay_stop", "170.8s", "171s", ()),
+    # pi t / t_pi at t_pi = 50 ns: 2^30 50 ns / pi = 17.089 s.
+    ("tomo-synth", "tomo.duration_stop", "17.08s", "17.1s", ()),
+    # theta + phi at the last of 8 axes, 7 pi / 4: 2^30 - 5.498.
+    ("tomo-synth", "tomo.phi", "1073741818", "1073741819", ()),
+    ("tomo-synth", "tomo.phi", "-1073741824", "-1073741825", ()),
+    # d_omega t / 2 of the detuning_ratio=4 family: 2 t_max_scaled, so 2^29 = 536870912.
+    ("transfer-curves", "transfer.t_max_scaled", "536870000", "536872000", ()),
+    # The seed grid's end t_max = 20 capture.decay_time at a 0.98 GHz
+    # detuning: 2^30 / (20 pi 0.98 GHz) = 17.44 ms, below the 20.8 ms at
+    # which the search would span MAX_PEAK_NODES.
+    ("transfer-peak", "capture.decay_time", "17.4ms", "17.5ms", ("capture.frequency=6GHz",)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, key, under, over, extra", _PHASE_BOUNDS, ids=[f"{row[0]}-{row[1]}={row[2]}" for row in _PHASE_BOUNDS]
+)
+def test_phase_bound_writes_below_and_refuses_above(tmp_path, capsys, name, key, under, over, extra):
+    # Just under the bound the artifact is written; just over, one line
+    # naming the key exits 3 and leaves no file and no directory.
+    code, paths = run_fast(name, tmp_path / "under", (*extra, f"{key}={under}"))
+    assert code == 0 and paths[0].is_file()
+    capsys.readouterr()
+    code, paths = run_fast(name, tmp_path / "over", (*extra, f"{key}={over}"))
+    err = capsys.readouterr().err
+    assert code == 3 and paths == [] and err.count("\n") == 1, err
+    assert err.startswith("numerical error: ") and key in err and "past 2^30" in err, err
+    assert not (tmp_path / "over").exists()
+
+
+def test_phase_rule_is_numpy_up_to_two_to_the_thirty():
+    # sin_cos returns numpy's sine and cosine bit for bit up to |phase| =
+    # 2^30 and refuses the next float out, on either side, and NaN.
+    assert PHASE_LIMIT == 2.0**30
+    phases = np.concatenate(
+        [[0.0, -0.0, PHASE_LIMIT, -PHASE_LIMIT], np.random.default_rng(5).uniform(-PHASE_LIMIT, PHASE_LIMIT, 999)]
+    )
+    sin, cos = sin_cos(phases, "x")
+    assert sin.tobytes() == np.sin(phases).tobytes() and cos.tobytes() == np.cos(phases).tobytes()
+    assert sin_cos(np.float64(PHASE_LIMIT), "x") == (np.sin(PHASE_LIMIT), np.cos(PHASE_LIMIT))
+    past = np.nextafter(PHASE_LIMIT, np.inf)
+    for bad in (past, -past, np.nan):
+        with pytest.raises(NumericalError, match=r"^phase x reaches .* rad, past 2\^30"):
+            sin_cos(np.array([0.0, bad]), "x")
+
+
+def test_every_artifact_phase_goes_through_the_phase_rule():
+    # The four functions whose sines and cosines reach an artifact call
+    # no sin or cos of numpy, math or cmath themselves, only
+    # errors.sin_cos, and the bound 2^30 is spelt once in src/jpmsim (as
+    # 2**30, 2.0**30, 1 << 30 or the number itself).
+    package = Path(jpmsim.cli.__file__).parent
+    sites = {
+        "transfer": {"efficiency"},
+        "protocol": {"ramsey_fringe", "rabi_chevron"},
+        "tomography": {"expected_occupation"},
+    }
+    checked, direct = set(), []
+    for module, names in sites.items():
+        for node in ast.parse((package / f"{module}.py").read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                calls = [call.func for call in ast.walk(node) if isinstance(call, ast.Call)]
+                direct += [f"{node.name}:{func.lineno}" for func in calls
+                           if getattr(func, "attr", getattr(func, "id", None)) in ("sin", "cos")]
+                assert any(getattr(func, "id", None) == "sin_cos" for func in calls), node.name
+                checked.add(node.name)
+    assert checked == set().union(*sites.values())
+    assert direct == []
+
+    def is_value(node, value):
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == value
+
+    spelt = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            power = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and is_value(node.right, 30)
+            shift = isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift) and is_value(node.right, 30)
+            if (power and is_value(node.left, 2)) or (shift and is_value(node.left, 1)) or is_value(node, 2**30):
+                spelt.append(f"{path.name}:{node.lineno}")
+    assert len(spelt) == 1 and spelt[0].startswith("errors.py:"), spelt
 
 
 def test_every_private_and_imported_module_name_is_used():

@@ -45,7 +45,7 @@ DEVICE = RunConfig.from_sources().jpm_params()
 
 def energy(delta, flux_wb: float, p: JpmParams):
     # The module's potential at an applied flux in webers.
-    return potential._energy(delta, potential._phase_bias(flux_wb, p), p)
+    return potential._energy(delta, potential._phase_bias(flux_wb), p)
 
 
 def oracle_potential(delta: float, flux_wb: float, p: JpmParams) -> float:
@@ -830,7 +830,7 @@ def test_zero_slope_newton_step_warns_nothing():
     # warning (the suite also turns warnings into errors).
     p = _device(1.0)
     assert beta_L(p) == 1.0
-    phi_e = potential._phase_bias(0.5 * PHI0, p)
+    phi_e = potential._phase_bias(0.5 * PHI0)
     mid = 0.5 * ((phi_e - 2.0) + (phi_e + 2.0))
     assert np.cos(mid) + 1.0 == 0.0 and potential._residual(mid, phi_e, 1.0) != 0.0
     with warnings.catch_warnings():
