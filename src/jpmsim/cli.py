@@ -14,6 +14,10 @@ are computed, and _write tells the two apart by the values.
 _table_text says how a table is encoded.  Outputs are byte-stable for
 a fixed config and seed.
 
+Compute functions call the library directly: run_subcommand, the one
+error boundary, leads a library refusal's line with the config keys
+that _ARGUMENT_KEYS, the one such table, maps its params to.
+
 Exit codes: 0 success, 2 config error, 3 numerical/identifiability
 error, 4 I/O error.
 """
@@ -21,7 +25,6 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import math
 import os
@@ -147,35 +150,6 @@ def _write(out_dir: Path, stem: str, data: dict, file_format: str) -> Path:
     return path
 
 
-def _keyed(key: str, call: Callable, *args, **kwargs):
-    """call(*args, **kwargs), its ValueError refused in a line naming the config key at fault."""
-    try:
-        return call(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _phase_keyed(keys: str, call: Callable, *args, **kwargs):
-    """call(*args, **kwargs), its NumericalError, such as a phase past errors.PHASE_LIMIT, refused naming keys."""
-    try:
-        return call(*args, **kwargs)
-    except NumericalError as exc:
-        raise NumericalError(f"{keys}: {exc}") from exc
-
-
-def _binomial_shots(cfg: RunConfig, key: str) -> int | None:
-    """The shot count at key, refused in a line naming the key below 1 (exit 2)
-    or above what a binomial draw takes (exit 3)."""
-    n_shots = cfg.get(key)
-    if n_shots is None:
-        return None
-    if n_shots < 1:
-        raise ConfigError(f"{key} must be at least 1")
-    if n_shots >= 2**63:
-        raise NumericalError(f"{key} = {n_shots} is more shots than a binomial draw takes (2^63 - 1)")
-    return n_shots
-
-
 def _linspace(start: float, stop: float, cfg: RunConfig, key: str, span: str, endpoint: bool = True) -> np.ndarray:
     """start to stop in as many points as the count at key, stop left out unless endpoint.
 
@@ -201,20 +175,10 @@ def _linspace(start: float, stop: float, cfg: RunConfig, key: str, span: str, en
     return values
 
 
-def _require_nonempty(cfg: RunConfig, key: str):
-    values = cfg.get(key)
-    if len(values) == 0:
-        raise ConfigError(f"{key} is an empty sweep list")
-    return values
-
-
 def _time_axis(cfg: RunConfig, section: str, name: str) -> np.ndarray:
     """0 to {section}.{name}_stop in {section}.{name}_points steps; errors name the key at fault."""
     stop = f"{section}.{name}_stop"
-    end = cfg.get(stop)
-    if end < 0.0:
-        raise ConfigError(f"{stop} must be non-negative, got {end:g} s")
-    return _linspace(0.0, end, cfg, f"{section}.{name}_points", stop)
+    return _linspace(0.0, cfg.get(stop), cfg, f"{section}.{name}_points", stop)
 
 
 def _grid_columns(names: tuple[str, str, str], row_values, col_values, matrix: np.ndarray) -> dict:
@@ -277,21 +241,20 @@ def _transfer_curves(cfg: RunConfig) -> dict:
 
     etas, labels = [], []
 
-    def family(kappa_2, delta_omega, label):
-        keys = f"transfer.t_max_scaled = {t_max:g} at {label}"
+    def family(kappa_2, delta_omega, key, label):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            eta = _phase_keyed(keys, efficiency, ts, kappa_1, kappa_2, delta_omega)
+            eta = efficiency(ts, kappa_1, kappa_2, delta_omega)
         if not np.isfinite(eta).all():
-            raise NumericalError(f"transfer efficiency for {label} is not finite")
+            raise NumericalError(f"{key}: transfer efficiency for {label} is not finite")
         etas.append(eta)
         labels.append(label)
 
     for ratio in kappa_ratios:
         if ratio <= 0.0:
             raise ConfigError("transfer.kappa_ratios entries must be positive")
-        family(ratio * kappa_1, 0.0, "kappa_ratio=%g" % ratio)
+        family(ratio * kappa_1, 0.0, "transfer.kappa_ratios", "kappa_ratio=%g" % ratio)
     for ratio in detuning_ratios:
-        family(kappa_1, ratio * kappa_1, "detuning_ratio=%g" % ratio)
+        family(kappa_1, ratio * kappa_1, "transfer.detuning_ratios", "detuning_ratio=%g" % ratio)
     return {
         "t_kappa1 (1)": np.tile(ts * kappa_1, len(labels)),
         "efficiency (1)": np.concatenate(etas),
@@ -309,8 +272,7 @@ def _transfer_peak(cfg: RunConfig) -> dict:
     emitted_energy = NOMINAL_DRIVE_V**2 / (2.0 * kappa_1 * NOMINAL_LINE_OHM)
     if emitted_energy == 0.0:
         raise NumericalError(f"emitted energy V0^2/(2 kappa_1 Z0) is 0 at kappa_1 = {kappa_1:.3g}/s")
-    keys = "source.frequency, source.decay_time, capture.frequency and capture.decay_time"
-    eta_peak, t_opt = _phase_keyed(keys, peak_efficiency, tc)
+    eta_peak, t_opt = peak_efficiency(tc)
     eta_kappa, t_kappa = kappa_mismatch_peak(kappa_1, tc.target.decay_rate)
     if tc.delta_kappa == 0.0:
         eta_freq, t_freq = freq_mismatch_peak(kappa_1, tc.delta_omega)
@@ -333,26 +295,24 @@ def _budget(cfg: RunConfig) -> dict:
 
     pc = cfg.protocol_config()
     n_shots = cfg.get("budget.n_shots")
-    record = dict(_keyed("budget.n_shots", fidelity_budget, pc, n_shots))
+    record = fidelity_budget(pc, n_shots)
     record["n_shots"] = n_shots
     record["analytic_relaxation_error"] = relaxation_error(pc.t_prep, pc.t1)
     return record
 
 
-def _detector_grid(
-    cfg: RunConfig, section: str, axis: str, sweep: Callable[..., np.ndarray], phase_keys: str, **options
-) -> dict:
+def _detector_grid(cfg: RunConfig, section: str, axis: str, sweep: Callable[..., np.ndarray], **options) -> dict:
     """Detuning, {axis} and switch probability columns of sweep over {section}.detunings and its time axis.
 
     Reads the protocol config, {section}.detunings, {section}.{axis}_stop
-    and _points, and {section}.n_shots; options go to sweep as they are,
-    and a phase refusal names phase_keys.
+    and _points, and {section}.n_shots; options go to sweep as they are.
     """
     pc = cfg.protocol_config()
-    detunings = _require_nonempty(cfg, f"{section}.detunings")
+    detunings = cfg.get(f"{section}.detunings")
+    if len(detunings) == 0:
+        raise ConfigError(f"{section}.detunings is an empty sweep list")
     times = _time_axis(cfg, section, axis)
-    n_shots = _binomial_shots(cfg, f"{section}.n_shots")
-    matrix = _phase_keyed(phase_keys, sweep, detunings, times, pc, n_shots=n_shots, **options)
+    matrix = sweep(detunings, times, pc, n_shots=cfg.get(f"{section}.n_shots"), **options)
     names = ("detuning (Hz)", f"{axis} (s)", "switch_probability (1)")
     return _grid_columns(names, np.divide(detunings, TWO_PI), times, matrix)
 
@@ -360,30 +320,22 @@ def _detector_grid(
 def _ramsey(cfg: RunConfig) -> dict:
     from .protocol import ramsey_fringe
 
-    amplitude = cfg.get("ramsey.amplitude")
-    if not 0.0 <= amplitude <= 1.0:
-        raise ConfigError(f"ramsey.amplitude must lie in [0, 1], got {amplitude:g}")
-    sweep = functools.partial(_keyed, "ramsey.t2 and protocol.t1", ramsey_fringe)
-    keys = "ramsey.detunings and ramsey.delay_stop"
-    return _detector_grid(cfg, "ramsey", "delay", sweep, keys, t2=cfg.get("ramsey.t2"), amplitude=amplitude)
+    return _detector_grid(
+        cfg, "ramsey", "delay", ramsey_fringe, t2=cfg.get("ramsey.t2"), amplitude=cfg.get("ramsey.amplitude")
+    )
 
 
 def _rabi(cfg: RunConfig) -> dict:
     from .protocol import rabi_chevron
 
-    sweep = functools.partial(_keyed, "rabi.rate", rabi_chevron)
-    keys = "rabi.rate, rabi.detunings and rabi.duration_stop"
-    return _detector_grid(cfg, "rabi", "duration", sweep, keys, rabi_rate=cfg.get("rabi.rate"))
+    return _detector_grid(cfg, "rabi", "duration", rabi_chevron, rabi_rate=cfg.get("rabi.rate"))
 
 
 def _stark(cfg: RunConfig) -> dict:
     from .protocol import stark_calibration
 
-    pc = cfg.protocol_config()
-    powers = _require_nonempty(cfg, "stark.powers")
-    if pc.stark_shift_per_photon == 0.0:
-        raise ConfigError("protocol.stark_shift_per_photon must be nonzero for calibration")
-    n_bar, shift = _keyed("stark.powers", stark_calibration, powers, pc)
+    powers = cfg.get("stark.powers")
+    n_bar, shift = stark_calibration(powers, cfg.protocol_config())
     return {"power (1)": powers, "n_bar (1)": n_bar, "qubit_shift (Hz)": shift / TWO_PI}
 
 
@@ -409,7 +361,7 @@ def _iq(cfg: RunConfig) -> dict:
     return {
         "n_shots_per_class": n_shots,
         "d_over_sigma": model.separation / model.sigma,
-        **_keyed("iq.n_shots", iq_fidelity, model, n_shots, np.random.default_rng(cfg.get("seed"))),
+        **iq_fidelity(model, n_shots, np.random.default_rng(cfg.get("seed"))),
     }
 
 
@@ -434,13 +386,10 @@ def _tomo_synth(cfg: RunConfig) -> dict:
     # durations would make a file it refuses.
     if not (np.diff(durations) > 0.0).all():
         raise ConfigError(f"{key}: pulse durations from 0 to {end:g} s are not strictly increasing")
-    if not t_pi > 0.0:
-        raise ConfigError(f"tomo.t_pi must be positive, got {t_pi:g} s")
-    n_shots, noise_sigma = _binomial_shots(cfg, "tomo.n_shots"), cfg.get("tomo.noise_sigma")
+    n_shots, noise_sigma = cfg.get("tomo.n_shots"), cfg.get("tomo.noise_sigma")
     # Only shot or Gaussian noise draws, so only then is numpy.random loaded.
     rng = None if n_shots is None and noise_sigma is None else np.random.default_rng(cfg.get("seed"))
-    grid = _phase_keyed("tomo.duration_stop, tomo.t_pi and tomo.phi", synthesize_tomogram, rho, t_pi, thetas,
-                        durations, n_shots=n_shots, noise_sigma=noise_sigma, rng=rng)
+    grid = synthesize_tomogram(rho, t_pi, thetas, durations, n_shots=n_shots, noise_sigma=noise_sigma, rng=rng)
     names = ("axis_angle (rad)", "pulse_duration (s)", "occupation (1)")
     return _grid_columns(names, grid.axis_angles, grid.pulse_durations, grid.occupations)
 
@@ -551,6 +500,26 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[RunConfig], dict], str]] = {
                             "the density matrix, pi-pulse duration, and target fidelities."),
 }
 
+# Each subcommand's library argument names, as a refusal's params give
+# them, and the config keys that set each, space-separated; a refusal's
+# line lists its keys in the order they first appear here.
+_ARGUMENT_KEYS: dict[str, dict[str, str]] = {
+    "transfer-curves": {"d_omega": "transfer.detuning_ratios", "t": "transfer.t_max_scaled"},
+    "transfer-peak": {"cfg": "source.frequency source.decay_time capture.frequency capture.decay_time",
+                      "d_omega": "source.frequency capture.frequency",
+                      "t": "source.frequency source.decay_time capture.frequency capture.decay_time"},
+    "budget": {"n_shots": "budget.n_shots"},
+    "ramsey": {"detunings": "ramsey.detunings", "delays": "ramsey.delay_stop", "t2": "ramsey.t2",
+               "cfg.t1": "protocol.t1", "amplitude": "ramsey.amplitude", "n_shots": "ramsey.n_shots"},
+    "rabi": {"rabi_rate": "rabi.rate", "detunings": "rabi.detunings", "durations": "rabi.duration_stop",
+             "n_shots": "rabi.n_shots"},
+    "stark": {"cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon", "drive_powers": "stark.powers"},
+    "depletion": {"t_dep": "depletion.time_stop"},
+    "iq": {"n_shots": "iq.n_shots"},
+    "tomo-synth": {"t": "tomo.duration_stop", "t_pi": "tomo.t_pi", "rho.coherence_phase": "tomo.phi",
+                   "n_shots": "tomo.n_shots", "noise_sigma": "tomo.noise_sigma"},
+}
+
 
 def run_subcommand(
     name: str,
@@ -566,7 +535,9 @@ def run_subcommand(
     one error boundary: a ValueError (ConfigError included) exits 2, a
     NumericalError, a float overflow or division by zero
     (ArithmeticError) or an array too large to allocate (MemoryError) 3
-    and an OSError 4, each with one diagnostic line on stderr.  The
+    and an OSError 4, each with one diagnostic line on stderr, which
+    starts with the config keys _ARGUMENT_KEYS maps a refusal's params
+    to, joined as "a, b and c".  The
     artifact is computed in full before its directory is created and its
     file opened, so exits 2 and 3 leave no file and no new directory.
     Prints one line per artifact on success.
@@ -579,12 +550,14 @@ def run_subcommand(
     try:
         cfg = RunConfig.from_sources(config_path, overrides)
         path = _write(Path(output_dir or "."), stem, compute(cfg), cfg.get("output.format"))
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2, []
-    except (NumericalError, ArithmeticError, MemoryError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3, []
+    except (ValueError, NumericalError, ArithmeticError, MemoryError) as exc:
+        table = _ARGUMENT_KEYS.get(name, {})
+        at_fault = {key for param in getattr(exc, "params", ()) for key in table.get(param, "").split()}
+        keys = [key for key in dict.fromkeys(" ".join(table.values()).split()) if key in at_fault]
+        named = ", ".join(keys[:-1]) + " and " + keys[-1] if len(keys) > 1 else "".join(keys)
+        code, kind = (2, "config") if isinstance(exc, ValueError) else (3, "numerical")
+        print(f"{kind} error: {named + ': ' if named else ''}{exc}", file=sys.stderr)
+        return code, []
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4, []

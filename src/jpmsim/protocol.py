@@ -54,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NumericalError, require_finite_positive, sin_cos
+from .errors import ArgumentError, NumericalError, binomial_fraction, require_finite_positive, sin_cos
 
 
 SPURIOUS_PHOTONS = 100.0
@@ -203,10 +203,10 @@ def relaxation_error(t_prep: float, t1: float) -> float:
 
 def _check_shot_draws(n_shots: int, width: int) -> None:
     """Refuse n_shots shots of width uniforms each when that is more than
-    MAX_SHOT_DRAWS draws."""
+    MAX_SHOT_DRAWS draws, naming the caller's n_shots."""
     if not n_shots * width <= MAX_SHOT_DRAWS:
         raise NumericalError(
-            f"{n_shots:.3g} shots of {width} draws need more than {MAX_SHOT_DRAWS:.0e} uniform draws"
+            f"{n_shots:.3g} shots of {width} draws need more than {MAX_SHOT_DRAWS:.0e} uniform draws", "n_shots"
         )
 
 
@@ -313,7 +313,7 @@ def fidelity_budget(cfg: ProtocolConfig, n_shots: int, iq_model: IqModel | None 
     allocation probe does.
     """
     if n_shots < 10_000:
-        raise ValueError("n_shots must be at least 10^4 for a stable budget")
+        raise ArgumentError("n_shots must be at least 10^4 for a stable budget", "n_shots")
     _check_shot_draws(2 * n_shots, 5)
     words = np.random.default_rng(cfg.rng_seed).bit_generator.random_raw
     limits = [_word_limit(p) for p in (cfg.relaxation_prob, cfg.bright_detect_prob, cfg.dark_prob)]
@@ -355,15 +355,16 @@ def ramsey_fringe(
     if t2 is None:
         t2 = cfg.t1
     if not 0.0 < t2 <= 2.0 * cfg.t1:
-        raise ValueError("t2 must be positive and at most 2 T1")
+        raise ArgumentError("t2 must be positive and at most 2 T1", "t2", "cfg.t1")
     if not 0.0 <= amplitude <= 1.0:
-        raise ValueError("amplitude must lie in [0, 1]")
+        raise ArgumentError(f"amplitude must lie in [0, 1], got {amplitude!r}", "amplitude")
     detunings = np.asarray(detunings, dtype=float)
     delays = np.asarray(delays, dtype=float)
     if np.any(delays < 0.0):
-        raise ValueError("delays must be non-negative")
+        raise ArgumentError(f"delays must be non-negative, got {delays.min():g}", "delays")
     with np.errstate(over="ignore", invalid="ignore"):
-        ideal = amplitude * np.exp(-delays / t2) * sin_cos(0.5 * np.outer(detunings, delays), "Delta tau / 2")[1] ** 2
+        _, cos = sin_cos(0.5 * np.outer(detunings, delays), "Delta tau / 2", "detunings", "delays")
+        ideal = amplitude * np.exp(-delays / t2) * cos**2
     return _finish_sweep(ideal, cfg, n_shots)
 
 
@@ -383,15 +384,18 @@ def rabi_chevron(
     (len(detunings), len(durations)).
     """
     if not rabi_rate > 0.0:
-        raise ValueError("rabi_rate must be positive")
+        raise ArgumentError("rabi_rate must be positive", "rabi_rate")
     detunings = np.asarray(detunings, dtype=float)
     durations = np.asarray(durations, dtype=float)
     if np.any(durations < 0.0):
-        raise ValueError("durations must be non-negative")
+        raise ArgumentError(f"durations must be non-negative, got {durations.min():g}", "durations")
     with np.errstate(over="ignore", invalid="ignore"):
         generalized = np.hypot(rabi_rate, detunings)[:, None]
         weight = (rabi_rate / generalized) ** 2
-        ideal = weight * sin_cos(0.5 * generalized * durations, "sqrt(Omega^2 + Delta^2) t / 2")[0] ** 2
+        sin, _ = sin_cos(
+            0.5 * generalized * durations, "sqrt(Omega^2 + Delta^2) t / 2", "rabi_rate", "detunings", "durations"
+        )
+        ideal = weight * sin**2
     return _finish_sweep(ideal, cfg, n_shots)
 
 
@@ -407,10 +411,7 @@ def _finish_sweep(ideal: np.ndarray, cfg: ProtocolConfig, n_shots: int | None) -
     measured = cfg.dark_prob + visibility * ideal
     if n_shots is None:
         return measured
-    if n_shots < 1:
-        raise ValueError("n_shots must be positive")
-    rng = np.random.default_rng(cfg.rng_seed)
-    return rng.binomial(n_shots, measured) / n_shots
+    return binomial_fraction(np.random.default_rng(cfg.rng_seed), n_shots, measured)
 
 
 def stark_calibration(drive_powers, cfg: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -423,15 +424,15 @@ def stark_calibration(drive_powers, cfg: ProtocolConfig) -> tuple[np.ndarray, np
     drive power, in order.
     """
     if cfg.stark_shift_per_photon == 0.0:
-        raise ValueError("stark_shift_per_photon must be nonzero for calibration")
+        raise ArgumentError("stark_shift_per_photon must be nonzero for calibration", "cfg.stark_shift_per_photon")
     powers = np.asarray(drive_powers, dtype=float)
     if powers.size == 0:
-        raise ValueError("drive_powers must be non-empty")
+        raise ArgumentError("drive_powers must be non-empty", "drive_powers")
     if np.any(powers < 0.0):
-        raise ValueError("drive_powers must be non-negative")
+        raise ArgumentError("drive_powers must be non-negative", "drive_powers")
     p_max = float(powers.max())
     if p_max == 0.0:
-        raise ValueError("at least one drive power must be positive")
+        raise ArgumentError("at least one drive power must be positive", "drive_powers")
     with np.errstate(over="ignore", invalid="ignore"):
         n_bar = cfg.n_bar_qubit_cavity * (powers / p_max)
         shifts = cfg.stark_shift_per_photon * n_bar
@@ -453,7 +454,7 @@ def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
     """
     t_dep = np.asarray(t_dep, dtype=float)
     if np.any(t_dep < 0.0):
-        raise ValueError("t_dep must be non-negative")
+        raise ArgumentError(f"t_dep must be non-negative, got {t_dep.min():g}", "t_dep")
     # As in Python float arithmetic, a product past float64 is +-inf with
     # no warning: a huge rate times a huge time leaves no photons.
     with np.errstate(over="ignore"):
@@ -736,7 +737,7 @@ def iq_fidelity(model: IqModel, n_shots: int, rng: np.random.Generator) -> dict:
     the projection of the whole drawn point, float for float.
     """
     if n_shots < 1:
-        raise ValueError("n_shots must be positive")
+        raise ArgumentError("n_shots must be positive", "n_shots")
     _check_shot_draws(2 * n_shots, 2)
     c0, c1, axis, threshold = _centroid_line(model)
     offsets = [float(c0 @ axis), float(c1 @ axis)]

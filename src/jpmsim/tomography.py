@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentifiabilityError, NumericalError, sin_cos
+from .errors import ArgumentError, IdentifiabilityError, NumericalError, binomial_fraction, sin_cos
 
 PHASE_IDENTIFIABLE_MIN_R = 1e-6
 """Below this coherence magnitude the phase is reported as 0 and flagged."""
@@ -141,12 +141,12 @@ def expected_occupation(rho: DensityMatrix2, theta, t, t_pi: float):
     NumericalError.
     """
     if not t_pi > 0.0:
-        raise ValueError("t_pi must be positive")
+        raise ArgumentError(f"t_pi must be positive, got {t_pi!r}", "t_pi")
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
-        sin_a, cos_a = sin_cos(math.pi * t / t_pi, "alpha = pi t / t_pi")
+        sin_a, cos_a = sin_cos(math.pi * t / t_pi, "alpha = pi t / t_pi", "t", "t_pi")
     beta, r = rho.excited_population, rho.coherence_magnitude
-    sin_axis, _ = sin_cos(np.asarray(theta, dtype=float) + rho.coherence_phase, "theta + phi")
+    sin_axis, _ = sin_cos(np.asarray(theta, dtype=float) + rho.coherence_phase, "theta + phi", "rho.coherence_phase")
     out = beta + (1.0 - 2.0 * beta) * 0.5 * (1.0 - cos_a) - r * sin_a * sin_axis
     return out if out.ndim else float(out)
 
@@ -170,9 +170,9 @@ def synthesize_tomogram(
     with neither, the exact model surface is returned.  A negative noise_sigma is a ValueError.
     """
     if n_shots is not None and noise_sigma is not None:
-        raise ValueError("choose binomial or Gaussian noise, not both")
+        raise ArgumentError("choose binomial or Gaussian noise, not both", "n_shots", "noise_sigma")
     if noise_sigma is not None and noise_sigma < 0.0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma!r}")
+        raise ArgumentError(f"noise_sigma must be non-negative, got {noise_sigma!r}", "noise_sigma")
     angles = np.asarray(axis_angles, dtype=float)
     durations = np.asarray(pulse_durations, dtype=float)
     surface = expected_occupation(rho, angles[:, None], durations[None, :], t_pi)
@@ -180,9 +180,7 @@ def synthesize_tomogram(
     if n_shots is not None:
         if rng is None:
             raise ValueError("binomial noise requires an rng")
-        if n_shots < 1:
-            raise ValueError("n_shots must be positive")
-        surface = rng.binomial(n_shots, surface) / n_shots
+        surface = binomial_fraction(rng, n_shots, surface)
     elif noise_sigma is not None:
         if rng is None:
             raise ValueError("Gaussian noise requires an rng")

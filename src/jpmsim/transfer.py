@@ -123,7 +123,8 @@ def efficiency(t, kappa_1: float, kappa_2: float, delta_omega: float):
         out = x**2 * np.exp(-x)
     else:
         diff = _exp_half_diff(t, kappa_1, kappa_2)
-        cross = 4.0 * np.exp(-0.5 * (kappa_1 + kappa_2) * t) * sin_cos(0.5 * delta_omega * t, "d_omega t / 2")[0] ** 2
+        sin, _ = sin_cos(0.5 * delta_omega * t, "d_omega t / 2", "d_omega", "t")
+        cross = 4.0 * np.exp(-0.5 * (kappa_1 + kappa_2) * t) * sin**2
         out = (kappa_1 / s) * (kappa_2 / s) * (diff**2 + cross)
     return out if out.ndim else float(out)
 
@@ -307,7 +308,7 @@ def _seed_bracket(cfg: TransferConfig, h: float, span: float) -> tuple[int, int]
     with np.errstate(over="ignore", invalid="ignore"):
         envelope = efficiency((2.0 * h) * nodes, cfg.source.decay_rate, cfg.target.decay_rate, cfg.delta_omega)
     if not np.isfinite(envelope).all():
-        raise NumericalError("closed-form envelope is not finite over the seed grid")
+        raise NumericalError("closed-form envelope is not finite over the seed grid", "cfg")
     i = int(np.argmax(envelope))
     lo, hi = float(nodes[max(i - 1, 0)]), float(nodes[min(i + 1, SEED_POINTS - 1)])
     return max(int(lo), 1), int(math.ceil(hi))
@@ -367,24 +368,25 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
         If a decay rate is not resolved by the step (kappa h > 0.1),
         if t_max overflows float64 or spans more than MAX_PEAK_NODES
         panel nodes, or if the closed-form envelope is not finite on the
-        seed grid.
+        seed grid: each refusal carries cfg.  A phase refusal of the
+        envelope (efficiency) carries d_omega and t.
     """
     k_max = max(cfg.source.decay_rate, cfg.target.decay_rate)
     period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
     h = period / (2 * POINTS_PER_PERIOD)
     if k_max * h > _MAX_DECAY_PER_STEP:
         raise NumericalError(
-            f"decay rate {k_max:.3g}/s is not resolved by the quadrature step {h:.3g} s"
+            f"decay rate {k_max:.3g}/s is not resolved by the quadrature step {h:.3g} s", "cfg"
         )
 
     k_min = min(cfg.source.decay_rate, cfg.target.decay_rate)
     t_max = 20.0 / k_min
     if not math.isfinite(t_max):
-        raise NumericalError(f"seed grid end t_max = 20/min kappa overflows float64 at min kappa {k_min:.3g}/s")
+        raise NumericalError(f"seed grid end t_max = 20/min kappa overflows float64 at min kappa {k_min:.3g}/s", "cfg")
     span = t_max / (2.0 * h)
     if not span <= MAX_PEAK_NODES:
         raise NumericalError(
-            f"peak search spans {span:.3g} quadrature nodes to t_max, more than {MAX_PEAK_NODES:.0e}"
+            f"peak search spans {span:.3g} quadrature nodes to t_max, more than {MAX_PEAK_NODES:.0e}", "cfg"
         )
     a, b = _seed_bracket(cfg, h, span)
     energy = functools.lru_cache(maxsize=None)(_window_energy(cfg, h))

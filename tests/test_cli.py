@@ -14,11 +14,13 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -32,11 +34,21 @@ import artifact_digests
 from artifact_digests import BYTE_CONFIGS
 from jpmsim.cli import main, run_subcommand
 from jpmsim.config import _UNIT_TABLES, RunConfig, SCHEMA, parse_value
-from jpmsim.errors import PHASE_LIMIT, ConfigError, NumericalError, sin_cos
+from jpmsim.errors import PHASE_LIMIT, ArgumentError, ConfigError, NumericalError, sin_cos
 from jpmsim.potential import PHI0
-from jpmsim.protocol import DEFAULT_DEPLETION_RATE, IqModel, ProtocolConfig
-from jpmsim.tomography import DensityMatrix2, synthesize_tomogram
-from jpmsim.transfer import efficiency
+from jpmsim.protocol import (
+    DEFAULT_DEPLETION_RATE,
+    IqModel,
+    ProtocolConfig,
+    depletion_recovery,
+    fidelity_budget,
+    iq_fidelity,
+    rabi_chevron,
+    ramsey_fringe,
+    stark_calibration,
+)
+from jpmsim.tomography import DensityMatrix2, expected_occupation, synthesize_tomogram
+from jpmsim.transfer import efficiency, peak_efficiency
 
 SUBCOMMANDS = [
     "potential-sweep",
@@ -752,27 +764,33 @@ def test_extreme_literal_is_config_error(tmp_path, capsys, name, override, messa
 def test_negative_depletion_stop_is_config_error(tmp_path, capsys):
     # A negative end of a time axis is refused in one line naming its
     # key, before anything is written.
-    for name, override, seconds in (
-        ("depletion", "depletion.time_stop=-1ns", "-1e-09"),
-        ("ramsey", "ramsey.delay_stop=-1us", "-1e-06"),
-        ("rabi", "rabi.duration_stop=-1us", "-1e-06"),
+    for name, override, argument, seconds in (
+        ("depletion", "depletion.time_stop=-1ns", "t_dep", "-1e-09"),
+        ("ramsey", "ramsey.delay_stop=-1us", "delays", "-1e-06"),
+        ("rabi", "rabi.duration_stop=-1us", "durations", "-1e-06"),
     ):
         code, paths = run_subcommand(name, overrides=(override,), output_dir=str(tmp_path))
         assert code == 2 and paths == []
         key = override.split("=")[0]
-        assert capsys.readouterr().err == f"config error: {key} must be non-negative, got {seconds} s\n"
+        assert capsys.readouterr().err == f"config error: {key}: {argument} must be non-negative, got {seconds}\n"
         assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
-    "name, key", [("ramsey", "ramsey.detunings"), ("rabi", "rabi.detunings"), ("stark", "stark.powers")]
+    "name, key, line",
+    [
+        ("ramsey", "ramsey.detunings", "ramsey.detunings is an empty sweep list"),
+        ("rabi", "rabi.detunings", "rabi.detunings is an empty sweep list"),
+        ("stark", "stark.powers", "stark.powers: drive_powers must be non-empty"),
+    ],
+    ids=["ramsey-ramsey.detunings", "rabi-rabi.detunings", "stark-stark.powers"],
 )
-def test_empty_sweep_list_is_config_error(tmp_path, capsys, name, key):
+def test_empty_sweep_list_is_config_error(tmp_path, capsys, name, key, line):
     # An empty detuning or power list is refused in one line naming its
     # key, before anything is written.
     code, paths = run_fast(name, tmp_path, (f"{key}=",))
     assert code == 2 and paths == []
-    assert capsys.readouterr().err == f"config error: {key} is an empty sweep list\n"
+    assert capsys.readouterr().err == f"config error: {line}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -997,6 +1015,9 @@ def test_float_overflow_in_computation_exits_numerical(tmp_path, capsys, name, o
     assert code == 3 and paths == []
     err = capsys.readouterr().err
     assert err.startswith("numerical error") and err.count("\n") == 1
+    if name == "transfer-curves":
+        line = "transfer.kappa_ratios: transfer efficiency for kappa_ratio=1e+308 is not finite"
+        assert err == f"numerical error: {line}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -2126,11 +2147,13 @@ def test_every_point_count_refusal_names_its_key(tmp_path, capsys, name, key, le
         ("tomo-synth", ("tomo.duration_stop=1e12s",), 3),
         ("tomo-synth", ("tomo.phi=1e20",), 3),
         ("transfer-peak", ("capture.decay_time=20ms", "capture.frequency=6GHz"), 3),
+        ("transfer-curves", ("transfer.detuning_ratios=1e308",), 3),
     ],
 )
 def test_overflow_refusal_names_the_key_at_fault(tmp_path, capsys, name, overrides, expected):
     # At t_max_scaled = 1e308 the time axis is finite but the phase of the
-    # default detuning_ratio=4 family overflows; at t_prep = 1e-320 s and
+    # default detuning_ratio=4 family overflows, and at detuning_ratios =
+    # 1e308 its d_omega does; at t_prep = 1e-320 s and
     # at T1 = 1e308 s T1/t_prep overflows.  The exit-3 rows below them
     # each set a phase past 2^30 rad (inf at tomo.duration_stop=1e308s,
     # 1.23e9 rad at the transfer-peak seed grid's end), which once wrote
@@ -2179,15 +2202,15 @@ def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):
             (
                 "stark",
                 "protocol.stark_shift_per_photon=0Hz",
-                "protocol.stark_shift_per_photon must be nonzero for calibration\n",
+                "protocol.stark_shift_per_photon: stark_shift_per_photon must be nonzero for calibration\n",
             ),
             ("stark", "stark.powers=0,0", "stark.powers: at least one drive power must be positive\n"),
             ("transfer-curves", "transfer.t_max_scaled=0", "transfer.t_max_scaled must be positive\n"),
             ("transfer-curves", "transfer.kappa_ratios=-1", "transfer.kappa_ratios entries must be positive\n"),
             ("budget", "protocol.t1=abc", "protocol.t1: cannot parse value 'abc'\n"),
-            ("tomo-synth", "tomo.t_pi=0s tomo.duration_stop=1us", "tomo.t_pi must be positive, got 0 s\n"),
+            ("tomo-synth", "tomo.t_pi=0s tomo.duration_stop=1us", "tomo.t_pi: t_pi must be positive, got 0.0\n"),
             ("ramsey", "ramsey.t2=0s", "ramsey.t2 and protocol.t1: t2 must be positive and at most 2 T1\n"),
-            ("ramsey", "ramsey.amplitude=2", "ramsey.amplitude must lie in [0, 1], got 2\n"),
+            ("ramsey", "ramsey.amplitude=2", "ramsey.amplitude: amplitude must lie in [0, 1], got 2.0\n"),
         )
     ],
 )
@@ -2258,11 +2281,11 @@ def test_extreme_literals_end_in_artifact_or_one_line_exit(tomogram, keys_read):
                 code, message = refusals[name, key, text]
                 assert code == 2 and message.startswith(f"config error: {key} = {text} "), message
     for name, key in (("ramsey", "ramsey.n_shots"), ("rabi", "rabi.n_shots"), ("tomo-synth", "tomo.n_shots")):
-        assert refusals[name, key, "0"] == (2, f"config error: {key} must be at least 1\n")
+        assert refusals[name, key, "0"] == (2, f"config error: {key}: n_shots must be at least 1, got 0\n")
         assert (name, key, _COUNTS[0]) not in refusals
         for text in _COUNTS[1:]:
-            code, message = refusals[name, key, text]
-            assert code == 3 and message.startswith(f"numerical error: {key} = {text} "), message
+            line = f"numerical error: {key}: n_shots = {text} is more shots than a binomial draw takes (2^63 - 1)\n"
+            assert refusals[name, key, text] == (3, line)
     # beta_L below 1/DBL_MAX, and t_max = 20/min kappa past DBL_MAX.
     for name in ("potential-sweep", "bifurcation"):
         for key, text in (("device.critical_current", "1e-320A"), ("device.loop_inductance", "1e-320H")):
@@ -2423,3 +2446,176 @@ def test_every_private_and_imported_module_name_is_used():
         used = loaded | imported_from[module] | attributes
         unused += [f"{module}.{name}" for name in checked if name not in used]
     assert unused == []
+
+
+@pytest.mark.parametrize(
+    "name, overrides, line",
+    [
+        (
+            "tomo-synth",
+            ("tomo.phi=1e20",),
+            "numerical error: tomo.phi: phase theta + phi reaches 1e+20 rad, past 2^30: total loss of precision\n",
+        ),
+        (
+            "transfer-curves",
+            ("transfer.detuning_ratios=1e308",),
+            "numerical error: transfer.detuning_ratios and transfer.t_max_scaled: phase d_omega t / 2 reaches nan rad,"
+            " past 2^30: total loss of precision\n",
+        ),
+        (
+            "rabi",
+            ("rabi.duration_stop=1e300s",),
+            "numerical error: rabi.rate, rabi.detunings and rabi.duration_stop: phase sqrt(Omega^2 + Delta^2) t / 2"
+            " reaches 3.51e+307 rad, past 2^30: total loss of precision\n",
+        ),
+        (
+            "transfer-peak",
+            ("capture.decay_time=30ms",),
+            "numerical error: source.frequency, source.decay_time, capture.frequency and capture.decay_time: peak"
+            " search spans 1.2e+11 quadrature nodes to t_max, more than 1e+11\n",
+        ),
+        (
+            "tomo-synth",
+            ("tomo.n_shots=10", "tomo.noise_sigma=0.1"),
+            "config error: tomo.n_shots and tomo.noise_sigma: choose binomial or Gaussian noise, not both\n",
+        ),
+    ],
+    ids=["one-key", "two-keys", "three-keys", "four-keys", "config-error"],
+)
+def test_refusal_line_leads_with_the_keys_of_its_arguments(tmp_path, capsys, name, overrides, line):
+    # run_subcommand puts the config keys of a library refusal's params
+    # at the head of its line, in the order the subcommand's table lists
+    # them, joined as "a, b and c".
+    code, paths = run_subcommand(name, overrides=overrides, output_dir=str(tmp_path / "out"))
+    assert (code, paths) == (int(line.startswith("numerical")) + 2, [])
+    assert capsys.readouterr().err == line
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_argument_keys_are_schema_keys_their_subcommand_reads(keys_read):
+    # Each argument a subcommand's table maps names one or more config
+    # keys, each a schema key that the subcommand reads.
+    table = jpmsim.cli._ARGUMENT_KEYS
+    assert set(table) <= set(SUBCOMMANDS)
+    for name, arguments in table.items():
+        for argument, keys in arguments.items():
+            assert keys.split(), (name, argument)
+            assert set(keys.split()) <= set(SCHEMA) & set(keys_read[name]), (name, argument, keys)
+
+
+def _default(method, *overrides):
+    return getattr(RunConfig.from_sources(None, overrides), method)()
+
+
+# Each row: the subcommand whose table maps the refusal, a library call
+# it makes with one input at fault, the error raised and its params.
+_LIBRARY_REFUSALS = {
+    "ramsey-t2": ("ramsey", lambda pc: ramsey_fringe([0.0], [0.0], pc, t2=0.0, amplitude=1.0), ("t2", "cfg.t1")),
+    "ramsey-amplitude": ("ramsey", lambda pc: ramsey_fringe([0.0], [0.0], pc, amplitude=2.0), ("amplitude",)),
+    "ramsey-delays": ("ramsey", lambda pc: ramsey_fringe([0.0], [-1.0], pc, amplitude=1.0), ("delays",)),
+    "ramsey-phase": (
+        "ramsey", lambda pc: ramsey_fringe([1e10], [1.0], pc, amplitude=1.0), ("detunings", "delays")
+    ),
+    "ramsey-no-shots": ("ramsey", lambda pc: ramsey_fringe([0.0], [0.0], pc, amplitude=1.0, n_shots=0), ("n_shots",)),
+    "rabi-rate": ("rabi", lambda pc: rabi_chevron([0.0], [0.0], pc, rabi_rate=0.0), ("rabi_rate",)),
+    "rabi-durations": ("rabi", lambda pc: rabi_chevron([0.0], [-1.0], pc, rabi_rate=1.0), ("durations",)),
+    "rabi-phase": (
+        "rabi", lambda pc: rabi_chevron([0.0], [1e10], pc, rabi_rate=1.0), ("rabi_rate", "detunings", "durations")
+    ),
+    "rabi-too-many-shots": (
+        "rabi", lambda pc: rabi_chevron([0.0], [0.0], pc, rabi_rate=1.0, n_shots=2**63), ("n_shots",)
+    ),
+    "depletion-t_dep": ("depletion", lambda pc: depletion_recovery([-1.0], pc), ("t_dep",)),
+    "stark-shift": (
+        "stark", lambda pc: stark_calibration([1.0], replace(pc, stark_shift_per_photon=0.0)),
+        ("cfg.stark_shift_per_photon",),
+    ),
+    "stark-empty": ("stark", lambda pc: stark_calibration([], pc), ("drive_powers",)),
+    "stark-negative": ("stark", lambda pc: stark_calibration([-1.0, 1.0], pc), ("drive_powers",)),
+    "stark-zero": ("stark", lambda pc: stark_calibration([0.0, 0.0], pc), ("drive_powers",)),
+    "budget-few-shots": ("budget", lambda pc: fidelity_budget(pc, 9999), ("n_shots",)),
+    "budget-many-shots": ("budget", lambda pc: fidelity_budget(pc, 10**9), ("n_shots",)),
+    "iq-no-shots": ("iq", lambda pc: iq_fidelity(IqModel(), 0, np.random.default_rng(0)), ("n_shots",)),
+    "iq-many-shots": ("iq", lambda pc: iq_fidelity(IqModel(), 10**9, np.random.default_rng(0)), ("n_shots",)),
+    "tomo-t_pi": ("tomo-synth", lambda pc: expected_occupation(DensityMatrix2(0.5), 0.0, 0.0, 0.0), ("t_pi",)),
+    "tomo-alpha": ("tomo-synth", lambda pc: expected_occupation(DensityMatrix2(0.5), 0.0, 1e300, 1.0), ("t", "t_pi")),
+    "tomo-phi": (
+        "tomo-synth", lambda pc: expected_occupation(DensityMatrix2(0.5, 0.0, 1e20), 0.0, 0.0, 1.0),
+        ("rho.coherence_phase",),
+    ),
+    "tomo-noise": (
+        "tomo-synth", lambda pc: synthesize_tomogram(DensityMatrix2(0.5), 1.0, [0.0], [0.0], noise_sigma=-1.0),
+        ("noise_sigma",),
+    ),
+    "tomo-both-noises": (
+        "tomo-synth",
+        lambda pc: synthesize_tomogram(DensityMatrix2(0.5), 1.0, [0.0], [0.0], n_shots=1, noise_sigma=0.1),
+        ("n_shots", "noise_sigma"),
+    ),
+    "tomo-no-shots": (
+        "tomo-synth",
+        lambda pc: synthesize_tomogram(DensityMatrix2(0.5), 1.0, [0.0], [0.0], n_shots=0, rng=np.random.default_rng(0)),
+        ("n_shots",),
+    ),
+    "curves-phase": ("transfer-curves", lambda pc: efficiency(np.array([0.0, 1.0]), 1.0, 1.0, 1e10), ("d_omega", "t")),
+    "peak-span": (
+        "transfer-peak", lambda pc: peak_efficiency(_default("transfer_config", "capture.decay_time=30ms")), ("cfg",)
+    ),
+    "peak-unresolved": (
+        "transfer-peak", lambda pc: peak_efficiency(_default("transfer_config", "capture.decay_time=1ps")), ("cfg",)
+    ),
+    "peak-phase": (
+        "transfer-peak",
+        lambda pc: peak_efficiency(_default("transfer_config", "capture.decay_time=20ms", "capture.frequency=6GHz")),
+        ("d_omega", "t"),
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(_LIBRARY_REFUSALS))
+def test_library_refusals_carry_the_arguments_the_cli_maps(row):
+    # A library refusal that run_subcommand keys carries the names of its
+    # arguments at fault, and the subcommand's table maps each of them.
+    name, call, params = _LIBRARY_REFUSALS[row]
+    with pytest.raises((ArgumentError, NumericalError)) as info:
+        call(_default("protocol_config"))
+    assert info.value.params == params
+    assert set(params) <= set(jpmsim.cli._ARGUMENT_KEYS[name])
+
+
+# Each rule that cli.py once checked again so that its refusal could name
+# its key: a pattern for the spellings of the check, and the functions
+# that spell it.  The time-axis row is the non-negative end that
+# cli._time_axis checked, which a read tomogram's durations share;
+# iq_fidelity's own count of at least 1 draws no binomial.
+_ONE_HOME_RULES = [
+    (r"\b\w*amplitude\w* [<>]=? [01]|\b[01](\.0)? [<>]=? \w*amplitude", {"protocol.ramsey_fringe"}),
+    (r"stark_shift_per_photon [!=]= 0", {"protocol.stark_calibration"}),
+    (r"powers\w*\.size [!=]= 0|len\(\w*powers\w*\)|_require_nonempty\(.*powers", {"protocol.stark_calibration"}),
+    (r"\bt_pi [<>]=? 0", {"tomography.expected_occupation"}),
+    (
+        r"\b(delays|durations|t_dep|end) [<>]=? 0",
+        {"protocol.ramsey_fringe", "protocol.rabi_chevron", "protocol.depletion_recovery", "tomography.TomogramGrid"},
+    ),
+    (
+        r"\.binomial\(|\b2 \*\* 63\b|\b1 << 63\b|\bn_shots [<>]=? 1\b",
+        {"errors.binomial_fraction", "protocol.iq_fidelity"},
+    ),
+]
+
+
+def test_each_argument_rule_is_written_once():
+    # The amplitude in [0, 1], a nonzero Stark shift, a non-empty power
+    # list, a positive t_pi, a non-negative time axis and a binomial shot
+    # count from 1 to 2^63 - 1 are each checked in the library function
+    # that takes the argument, and cli.py checks none of them.  Comparisons, calls and powers are matched as ast.unparse
+    # spells them, so docstrings and spacing do not count.
+    package = Path(jpmsim.cli.__file__).parent
+    checks = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Compare, ast.Call, ast.BinOp)):
+                    checks.append((f"{path.stem}.{getattr(top, 'name', '<module>')}", ast.unparse(node)))
+    for pattern, homes in _ONE_HOME_RULES:
+        assert {where for where, text in checks if re.search(pattern, text)} == homes, pattern
