@@ -271,7 +271,7 @@ def _transfer_peak(cfg: RunConfig) -> dict:
     kappa_1 = tc.source.decay_rate
     emitted_energy = NOMINAL_DRIVE_V**2 / (2.0 * kappa_1 * NOMINAL_LINE_OHM)
     if emitted_energy == 0.0:
-        raise NumericalError(f"emitted energy V0^2/(2 kappa_1 Z0) is 0 at kappa_1 = {kappa_1:.3g}/s")
+        raise NumericalError(f"emitted energy V0^2/(2 kappa_1 Z0) is 0 at kappa_1 = {kappa_1:.3g}/s", "kappa_1")
     eta_peak, t_opt = peak_efficiency(tc)
     eta_kappa, t_kappa = kappa_mismatch_peak(kappa_1, tc.target.decay_rate)
     if tc.delta_kappa == 0.0:
@@ -504,17 +504,21 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[RunConfig], dict], str]] = {
 # them, and the config keys that set each, space-separated; a refusal's
 # line lists its keys in the order they first appear here.
 _ARGUMENT_KEYS: dict[str, dict[str, str]] = {
+    "potential-sweep": {"p.critical_current": "device.critical_current", "p.loop_inductance": "device.loop_inductance"},
+    "bifurcation": {"p.critical_current": "device.critical_current", "p.loop_inductance": "device.loop_inductance"},
     "transfer-curves": {"d_omega": "transfer.detuning_ratios", "t": "transfer.t_max_scaled"},
     "transfer-peak": {"cfg": "source.frequency source.decay_time capture.frequency capture.decay_time",
                       "d_omega": "source.frequency capture.frequency",
-                      "t": "source.frequency source.decay_time capture.frequency capture.decay_time"},
+                      "t": "source.frequency source.decay_time capture.frequency capture.decay_time",
+                      "kappa_1": "source.decay_time"},
     "budget": {"n_shots": "budget.n_shots"},
     "ramsey": {"detunings": "ramsey.detunings", "delays": "ramsey.delay_stop", "t2": "ramsey.t2",
                "cfg.t1": "protocol.t1", "amplitude": "ramsey.amplitude", "n_shots": "ramsey.n_shots"},
     "rabi": {"rabi_rate": "rabi.rate", "detunings": "rabi.detunings", "durations": "rabi.duration_stop",
              "n_shots": "rabi.n_shots"},
-    "stark": {"cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon", "drive_powers": "stark.powers"},
-    "depletion": {"t_dep": "depletion.time_stop"},
+    "stark": {"cfg.n_bar_qubit_cavity": "protocol.n_bar_qubit_cavity",
+              "cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon", "drive_powers": "stark.powers"},
+    "depletion": {"t_dep": "depletion.time_stop", "cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon"},
     "iq": {"n_shots": "iq.n_shots"},
     "tomo-synth": {"t": "tomo.duration_stop", "t_pi": "tomo.t_pi", "rho.coherence_phase": "tomo.phi",
                    "n_shots": "tomo.n_shots", "noise_sigma": "tomo.noise_sigma"},

@@ -196,11 +196,11 @@ def _beta_turns(p: JpmParams):
     MAX_SEGMENTS segments: it is 2 beta_L + 2 wide and the residual turns
     twice every 2 pi.
     """
-    beta = beta_L(p)
+    beta, params = beta_L(p), ("p.critical_current", "p.loop_inductance")
     if not (beta > 0.0 and math.isfinite(1.0 / beta)):
-        raise NumericalError(f"beta_L {beta:.3g} has no finite inverse 1/beta_L")
+        raise NumericalError(f"beta_L {beta:.3g} has no finite inverse 1/beta_L", *params)
     if not (2.0 * beta + 2.0) / math.pi <= MAX_SEGMENTS:
-        raise NumericalError(f"beta_L {beta:.3g} needs more than {MAX_SEGMENTS:.0e} extremum bracket segments")
+        raise NumericalError(f"beta_L {beta:.3g} needs more than {MAX_SEGMENTS:.0e} extremum bracket segments", *params)
     return beta, (np.array([-1.0, 1.0]) * math.acos(-1.0 / beta) if beta > 1.0 else np.empty(0))
 
 

@@ -437,7 +437,8 @@ def stark_calibration(drive_powers, cfg: ProtocolConfig) -> tuple[np.ndarray, np
         n_bar = cfg.n_bar_qubit_cavity * (powers / p_max)
         shifts = cfg.stark_shift_per_photon * n_bar
     if not (np.isfinite(n_bar).all() and np.isfinite(shifts).all()):
-        raise NumericalError("stark photon numbers or shifts overflow float64")
+        params = "cfg.n_bar_qubit_cavity", "cfg.stark_shift_per_photon"
+        raise NumericalError("stark photon numbers or shifts overflow float64", *params)
     return n_bar, shifts
 
 
@@ -465,7 +466,7 @@ def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
             "frequency_shift": cfg.stark_shift_per_photon * residual,
         }
     if not np.isfinite(out["frequency_shift"]).all():
-        raise NumericalError("depletion frequency shift overflows float64")
+        raise NumericalError("depletion frequency shift overflows float64", "cfg.stark_shift_per_photon")
     return out if t_dep.ndim else {key: float(value) for key, value in out.items()}
 
 

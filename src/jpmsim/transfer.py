@@ -8,8 +8,8 @@ covers the matched case, a decay-rate mismatch, a frequency mismatch
 and both together.  This module evaluates it, the peak values of its
 single-mismatch cases, and the numeric peak of the real
 (non-rotating-wave) response of mode 2 to the ring-down drive, from a
-composite Simpson quadrature and a trailing-period tone fit whose
-result at any probe window is a closed form in the window's end node:
+composite Simpson quadrature and a tone fit over the capture period
+ending at each probe node, whose result is a closed form in that node:
 a few complex scalars from constants taken once per peak.  The
 independent oracle that integrates the same response one time at a
 time, and the windowed numpy path the closed form replaced, live with
@@ -178,13 +178,16 @@ _SEED_STEPS = np.arange(SEED_POINTS) / (SEED_POINTS - 1)
 # omega tau under 1.6e10 rad, where a float64 step is 1.9e-6 rad and a
 # window's tone fit reads a phase shift common to its nodes as none.
 MAX_PEAK_NODES = 10**11
+# Most panel nodes in a tone window, one capture period: a source at most
+# 1638 times faster than the capture carrier.
+MAX_WINDOW_NODES = 2**16
 # Largest decay over one quadrature step, kappa * h, the Simpson panels
 # resolve; a mode that decays faster is refused, not silently misread.
 _MAX_DECAY_PER_STEP = 0.1
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _end_rows(times: np.ndarray, omega: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _end_rows(times: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """The tone fit on window nodes at times: weights giving its quadratures at the last node.
 
     The fit is linear least squares.  The window signal is
@@ -192,16 +195,12 @@ def _end_rows(times: np.ndarray, omega: float, h: float) -> tuple[np.ndarray, np
     and scaled to [-1, 1].  The drift term absorbs the slow decay and
     carrier beat across the window; extrapolating the quadratures to the
     window end (u = 1) gives the envelope there with
-    O((kappa * T_carrier)^2) accuracy.  Windows of fewer than 8 nodes fit
-    the bare tone.  Returns the rows of the design's pseudo-inverse that
-    give P + P' and Q + Q' (P and Q for the bare tone) from the samples.
+    O((kappa * T_carrier)^2) accuracy.  Returns the rows of the design's
+    pseudo-inverse that give P + P' and Q + Q' from the samples.
     """
     theta = omega * times
-    u = (times - times.mean()) / max(times[-1] - times.mean(), h)
+    u = (times - times.mean()) / (times[-1] - times.mean())
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    if times.size < 8:
-        g = np.linalg.pinv(np.column_stack([cos_t, sin_t]))
-        return g[0], g[1]
     g = np.linalg.pinv(np.column_stack([cos_t, sin_t, u * cos_t, u * sin_t]))
     return g[0] + g[2], g[1] + g[3]
 
@@ -212,8 +211,8 @@ def _expm1(z: complex) -> complex:
     return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2, math.exp(x) * math.sin(y))
 
 
-def _window_energy(cfg: TransferConfig, h: float) -> Callable[[int], float]:
-    """Stored-energy fraction at panel node j >= 1 of the Simpson recurrence on step h.
+def _window_energy(cfg: TransferConfig, h: float, n: int) -> Callable[[int], float]:
+    """Stored-energy fraction at panel node j >= n of the Simpson recurrence on step h, from a window of n nodes.
 
     V2 at the nodes tau_j = 2 j h is the Simpson recurrence of the test
     oracle (tests/transfer_oracle.py) run from tau = 0 on the fixed step
@@ -230,10 +229,9 @@ def _window_energy(cfg: TransferConfig, h: float) -> Callable[[int], float]:
     theta_j = omega_2 tau_j.
 
     The energy is kappa_1 (P^2 + Q^2), with P and Q the quadratures of
-    the tone fit (_end_rows) on the POINTS_PER_PERIOD nodes, one carrier
-    period, ending at node j: at V0 = Z0 = 1 the source emits
-    1/(2 kappa_1).  The fit is linear, and the window j_b + k,
-    k = 1..POINTS_PER_PERIOD, has the first window's design with each
+    the tone fit (_end_rows) on the n nodes ending at node j: at
+    V0 = Z0 = 1 the source emits 1/(2 kappa_1).  The fit is linear, and
+    the window j_b + k, k = 1..n, has the first window's design with each
     (cos, sin) pair turned by theta_0 = omega_2 2 h j_b.  So with g the
     end rows of the first design, P = Re(e^{-i theta_0} X_P), and Q
     likewise, where the exact identity r_{j_b+k} = r_{j_b} + e^{j_b L} r_k
@@ -244,22 +242,16 @@ def _window_energy(cfg: TransferConfig, h: float) -> Callable[[int], float]:
 
     with nothing cancelling as L -> 0.  U and W are taken once per peak,
     so a window costs a few complex scalars however far from tau = 0 it
-    lies.  Windows shorter than one period (j < POINTS_PER_PERIOD) fit
-    the first j voltages, kept from the same set-up; below 4 nodes the
-    largest sample stands for the peak.
+    lies.  No energy is defined before the first window ends (j < n).
     """
-    w1 = cfg.source.angular_frequency
-    w2 = cfg.target.angular_frequency
-    k1 = cfg.source.decay_rate
-    k2 = cfg.target.decay_rate
-    n = POINTS_PER_PERIOD
+    w1, w2 = cfg.source.angular_frequency, cfg.target.angular_frequency
+    k1, k2 = cfg.source.decay_rate, cfg.target.decay_rate
     ks = np.arange(1, n + 1)
     times = (2.0 * h) * ks
     theta = w2 * times
     turn = np.cos(theta) - 1j * np.sin(theta)
-    g_p, g_q = _end_rows(times, w2, h)
+    g_p, g_q = _end_rows(times, w2)
     d = math.exp(-0.5 * k2 * h)
-    first = np.zeros(n, dtype=complex)
     terms = []
     for w in (w2 + w1, w2 - w1):
         e = cmath.exp(complex(-0.5 * k1 * h, w * h))
@@ -269,18 +261,10 @@ def _window_energy(cfg: TransferConfig, h: float) -> Callable[[int], float]:
         expm1_l = _expm1(L)
         ratio = np.cumsum(np.exp((ks - 1) * L))  # r_k
         geo = c * np.exp((ks - 1) * log_m) * turn
-        first += geo * ratio
         sums = [complex(g @ v) for v in (geo, geo * ratio) for g in (g_p, g_q)]
         terms.append((log_m, L, expm1_l, *sums))
-    volts = first.real
 
     def energy(j: int) -> float:
-        if j < n:
-            if j < 4:
-                return k1 * float(np.abs(volts[:j]).max()) ** 2
-            rows = _end_rows(times[:j], w2, h)
-            p, q = (float(g @ volts[:j]) for g in rows)
-            return k1 * (p * p + q * q)
         j_b = j - n
         x_p = x_q = 0j
         for log_m, L, expm1_l, u_p, u_q, w_p, w_q in terms:
@@ -310,8 +294,7 @@ def _seed_bracket(cfg: TransferConfig, h: float, span: float) -> tuple[int, int]
     if not np.isfinite(envelope).all():
         raise NumericalError("closed-form envelope is not finite over the seed grid", "cfg")
     i = int(np.argmax(envelope))
-    lo, hi = float(nodes[max(i - 1, 0)]), float(nodes[min(i + 1, SEED_POINTS - 1)])
-    return max(int(lo), 1), int(math.ceil(hi))
+    return int(nodes[max(i - 1, 0)]), math.ceil(nodes[min(i + 1, SEED_POINTS - 1)])
 
 
 def _golden_peak(energy: Callable[[int], float], a: int, b: int, h: float) -> tuple[float, float]:
@@ -319,8 +302,8 @@ def _golden_peak(energy: Callable[[int], float], a: int, b: int, h: float) -> tu
 
     A golden-section search over the node indices narrows [a, b] to five
     nodes and takes their best, j; a three-point parabola through j and
-    its neighbours refines it unless j is node 1 or b, or the parabola
-    does not open downwards.
+    its neighbours refines it unless j is b or the parabola does not open
+    downwards.
     """
     n_nodes = b
     while b - a > 4:
@@ -330,7 +313,7 @@ def _golden_peak(energy: Callable[[int], float], a: int, b: int, h: float) -> tu
         else:
             b = a + step
     j = max(range(a, b + 1), key=energy)
-    if not 1 < j < n_nodes:
+    if j == n_nodes:
         return energy(j), 2.0 * h * j
     y0, y1, y2 = energy(j - 1), energy(j), energy(j + 1)
     curvature = y0 - 2.0 * y1 + y2
@@ -351,33 +334,34 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     terms move the peak off the envelope's: a 30 ps capture decay, where
     kappa_2 exceeds the carrier, seeds at 0.56 ns while the numeric peak
     is at 0.17 ns.  A golden-section search over the panel-node indices
-    in the bracket reads the trailing-period tone fit at each probe
-    node, and a three-point parabola through the best node and its
-    neighbours refines the peak (_golden_peak).  V2 at a node is the
-    Simpson recurrence from tau = 0 on the fixed step h = period /
-    (2 POINTS_PER_PERIOD), and the fit on the POINTS_PER_PERIOD nodes
-    ending there is linear in it, so the energy is a closed form in the
+    in the bracket reads the tone fit over the capture period ending at
+    each probe node, and a three-point parabola through the best node
+    and its neighbours refines the peak (_golden_peak).  V2 at a node is
+    the Simpson recurrence from tau = 0 on the fixed step h = period /
+    (2 POINTS_PER_PERIOD), and the fit on the nodes of the capture
+    period ending there is linear in it, so the energy is a closed form in the
     node (_window_energy): one pseudo-inverse of the fit's design per
     peak, then a few complex scalars per probe however far from tau = 0
     it lies.  At a node time the energy equals the test oracle's there
-    up to rounding.  Returns (eta_peak, t_opt).
+    up to rounding.  Returns (eta_peak, t_opt), eta_peak in [0, 1].
 
     Raises
     ------
     NumericalError
-        If a decay rate is not resolved by the step (kappa h > 0.1),
-        if t_max overflows float64 or spans more than MAX_PEAK_NODES
-        panel nodes, or if the closed-form envelope is not finite on the
-        seed grid: each refusal carries cfg.  A phase refusal of the
-        envelope (efficiency) carries d_omega and t.
+        Carrying cfg: if a decay rate is not resolved by the step (kappa
+        h > 0.1), if t_max overflows float64 or spans more than
+        MAX_PEAK_NODES nodes, if a capture period spans more than
+        MAX_WINDOW_NODES, if the envelope is not finite on the seed grid,
+        if the bracket starts within the first capture period, where the
+        fit defines no stored energy (a source far faster than the
+        capture carrier, or one far off it), or if eta_peak is above 1 or
+        NaN.  Carrying d_omega and t: a phase refusal of the envelope.
     """
     k_max = max(cfg.source.decay_rate, cfg.target.decay_rate)
     period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
     h = period / (2 * POINTS_PER_PERIOD)
     if k_max * h > _MAX_DECAY_PER_STEP:
-        raise NumericalError(
-            f"decay rate {k_max:.3g}/s is not resolved by the quadrature step {h:.3g} s", "cfg"
-        )
+        raise NumericalError(f"decay rate {k_max:.3g}/s is not resolved by the quadrature step {h:.3g} s", "cfg")
 
     k_min = min(cfg.source.decay_rate, cfg.target.decay_rate)
     t_max = 20.0 / k_min
@@ -388,6 +372,16 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
         raise NumericalError(
             f"peak search spans {span:.3g} quadrature nodes to t_max, more than {MAX_PEAK_NODES:.0e}", "cfg"
         )
+    nodes = POINTS_PER_PERIOD * max(cfg.source.angular_frequency / cfg.target.angular_frequency, 1.0)
+    if not nodes <= MAX_WINDOW_NODES:
+        raise NumericalError(f"capture period spans {nodes:.3g} quadrature nodes, more than {MAX_WINDOW_NODES}", "cfg")
+    window = round(nodes)
     a, b = _seed_bracket(cfg, h, span)
-    energy = functools.lru_cache(maxsize=None)(_window_energy(cfg, h))
-    return _golden_peak(energy, a, b, h)
+    if a <= window:
+        message = f"peak lies within the first capture period ({window} quadrature nodes, search from node {a})"
+        raise NumericalError(f"{message}, where the tone fit defines no stored energy", "cfg")
+    energy = functools.lru_cache(maxsize=None)(_window_energy(cfg, h, window))
+    eta, t_opt = _golden_peak(energy, a, b, h)
+    if not eta <= 1.0:
+        raise NumericalError(f"peak efficiency {eta:.3g} is not in [0, 1]: more than the source emits", "cfg")
+    return eta, t_opt

@@ -35,7 +35,7 @@ from artifact_digests import BYTE_CONFIGS
 from jpmsim.cli import main, run_subcommand
 from jpmsim.config import _UNIT_TABLES, RunConfig, SCHEMA, parse_value
 from jpmsim.errors import PHASE_LIMIT, ArgumentError, ConfigError, NumericalError, sin_cos
-from jpmsim.potential import PHI0
+from jpmsim.potential import PHI0, critical_flux, well_report_sweep
 from jpmsim.protocol import (
     DEFAULT_DEPLETION_RATE,
     IqModel,
@@ -1102,9 +1102,9 @@ def test_huge_beta_l_is_refused_quickly(tmp_path, capsys, name, override):
 def test_beta_l_with_no_finite_inverse_is_refused(tmp_path, capsys, name, override, written):
     # beta_L underflows to 0 at 1e-316 A, and at 1e-320 H already in
     # 2 pi L_g; at 1e-315 A it is a subnormal whose inverse overflows.
-    # Each is refused in one line before a solver divides by it.  At
-    # 1e-314 A (beta_L about 3e-308) the inverse is finite and the
-    # artifact is written.
+    # Each is refused in one line, led by the two keys of beta_L, before a
+    # solver divides by it.  At 1e-314 A (beta_L about 3e-308) the
+    # inverse is finite and the artifact is written.
     out = tmp_path / "out"
     code, paths = run_subcommand(name, overrides=(override,), output_dir=str(out))
     err = capsys.readouterr().err
@@ -1112,7 +1112,8 @@ def test_beta_l_with_no_finite_inverse_is_refused(tmp_path, capsys, name, overri
         assert code == 0 and [path.name for path in paths] == [ARTIFACTS[name]] and err == ""
     else:
         assert code == 3 and paths == [] and not out.exists()
-        assert err.startswith("numerical error: beta_L") and err.count("\n") == 1
+        keys = "device.critical_current and device.loop_inductance"
+        assert err.startswith(f"numerical error: {keys}: beta_L") and err.count("\n") == 1
         assert "has no finite inverse" in err
 
 
@@ -2062,6 +2063,72 @@ def _edge_pairs(keys):
     return st.sampled_from(keys).flatmap(lambda key: st.tuples(st.just(key), st.sampled_from(_edge_literals(key))))
 
 
+# The physical range of each artifact column or record key, by its name
+# without the unit: probabilities, efficiencies, occupations, contrasts
+# and fidelities lie in [0, 1]; F_raw = 1 - P(1|g) - P(0|e) lies in
+# [-1, 1] and goes below 0 for a detector worse than a coin; counts and
+# photon numbers are non-negative.  A column missing here is not checked.
+_UNIT_INTERVAL = (0.0, 1.0)
+_NON_NEGATIVE = (0.0, math.inf)
+_RANGES = {
+    **dict.fromkeys(
+        ("switch_probability", "epsilon_relax", "epsilon_dark", "epsilon_other", "analytic_relaxation_error"),
+        _UNIT_INTERVAL,
+    ),
+    **dict.fromkeys(("single_shot_fidelity", "separation_fidelity"), _UNIT_INTERVAL),
+    "efficiency": _UNIT_INTERVAL,
+    **dict.fromkeys(("occupation", "beta", "rho_00", "rho_11"), _UNIT_INTERVAL),
+    "ramsey_contrast": _UNIT_INTERVAL,
+    "F_raw": (-1.0, 1.0),
+    **dict.fromkeys(
+        ("well_count", "level_count", "minima_below", "minima_above", "n_shots", "n_shots_per_class"), _NON_NEGATIVE
+    ),
+    **dict.fromkeys(("n_bar", "residual_photons"), _NON_NEGATIVE),
+}
+_RANGE_PREFIXES = {"eta_": _UNIT_INTERVAL, "fidelity_vs_": _UNIT_INTERVAL}
+
+
+def _out_of_range(path):
+    # (name, value) of each value of a written artifact outside the range
+    # table's; a null value (a closed form that does not apply) has none.
+    text = path.read_text()
+    if path.suffix == ".csv":
+        rows = list(csv.DictReader(io.StringIO(text)))
+    else:
+        record = json.loads(text)
+        rows = record if isinstance(record, list) else [record]
+    found = []
+    for row in rows:
+        for column, value in row.items():
+            name = column.split(" (")[0]
+            bounds = _RANGES.get(name) or next(
+                (bounds for prefix, bounds in _RANGE_PREFIXES.items() if name.startswith(prefix)), None
+            )
+            if bounds is not None and value is not None and not bounds[0] <= float(value) <= bounds[1]:
+                found.append((name, value))
+    return found
+
+
+def _assert_exit_contract(name, overrides):
+    # Exit 0 with one artifact whose values lie in their physical ranges,
+    # or exit 2, 3 or 4 with one stderr line and no file or directory.
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, paths = run_subcommand(name, overrides=overrides, output_dir=out)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert len(paths) == 1 and paths[0].exists()
+            assert _out_of_range(paths[0]) == []
+        else:
+            assert paths == [] and os.listdir(out) == []
+            assert err.getvalue().count("\n") == 1
+
+
+# Small shot counts keep each example fast; drawn pairs replace them.
+_FAST_VALUES = {"budget.n_shots": "10000", "iq.n_shots": "1000"}
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(data=st.data())
 def test_edge_inputs_end_in_artifact_or_documented_exit(tomogram, keys_read, data):
@@ -2071,20 +2138,61 @@ def test_edge_inputs_end_in_artifact_or_documented_exit(tomogram, keys_read, dat
         st.lists(_edge_pairs(keys_read[name]), min_size=1, max_size=3, unique_by=lambda pair: pair[0]),
         label="pairs",
     )
-    # Small shot counts keep each example fast; drawn pairs replace them.
-    values = {"budget.n_shots": "10000", "iq.n_shots": "1000", "tomo.input": str(tomogram)}
+    values = {**_FAST_VALUES, "tomo.input": str(tomogram)}
     values.update(pairs)
-    overrides = [f"{key}={text}" for key, text in values.items()]
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
-        with contextlib.redirect_stdout(io.StringIO()):
-            code, paths = run_subcommand(name, overrides=overrides, output_dir=out)
-        assert code in (0, 2, 3, 4)
-        if code == 0:
-            assert len(paths) == 1 and paths[0].exists()
-        else:
-            assert paths == [] and os.listdir(out) == []
-            assert err.getvalue().count("\n") == 1
+    _assert_exit_contract(name, [f"{key}={text}" for key, text in values.items()])
+
+
+def _scaled_literal(key, log_scale, flip, entries):
+    # The key's default times 10^log_scale, negated if flip; a list key
+    # takes its first entries, cycled to the given count.
+    parts = [jpmsim.config._NUMBER_RE.fullmatch(part).groups() for part in SCHEMA[key].default.split(",")]
+    if SCHEMA[key].kind.startswith("list:"):
+        parts = [parts[i % len(parts)] for i in range(entries)]
+    sign = -1.0 if flip else 1.0
+    texts = []
+    for number, unit in parts:
+        value = sign * float(number) * 10.0**log_scale
+        texts.append(str(round(value)) if SCHEMA[key].kind == "int" else f"{value!r}{unit}")
+    return ",".join(texts)
+
+
+def _numeric_keys(keys):
+    return [key for key in keys if SCHEMA[key].kind != "str" and SCHEMA[key].default != "none"]
+
+
+def _scaled_pairs(keys):
+    # Keys with a numeric default, each at that default scaled by
+    # 10^U(-4, 4), negated in one draw of six, with 1-4 list entries.  A
+    # count (a point or shot count, or the seed) scales by at most 10: a
+    # larger one costs only time, up to seconds a draw, and the count
+    # refusals have their own tests.
+    return st.sampled_from(_numeric_keys(keys)).flatmap(
+        lambda key: st.builds(
+            lambda log_scale, flip, entries: (key, _scaled_literal(key, log_scale, flip, entries)),
+            st.floats(-4.0, 1.0 if SCHEMA[key].kind == "int" else 4.0),
+            st.integers(0, 5).map(lambda k: k == 0),
+            st.integers(1, 4),
+        )
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scaled_inputs_end_in_artifact_in_range_or_documented_exit(tomogram, keys_read, data):
+    # Ordinary values that may be wrong together: one to three keys the
+    # subcommand reads, each at its default times 10^U(-4, 4), some
+    # negated.  A transfer-peak source carrier far above the capture
+    # carrier once wrote eta_peak up to 2.6e5 with exit 0.  tomo-fit reads
+    # no numeric key.
+    name = data.draw(st.sampled_from([name for name in SUBCOMMANDS if _numeric_keys(keys_read[name])]), label="name")
+    pairs = data.draw(
+        st.lists(_scaled_pairs(keys_read[name]), min_size=1, max_size=3, unique_by=lambda pair: pair[0]),
+        label="pairs",
+    )
+    values = {**_FAST_VALUES, "tomo.input": str(tomogram)}
+    values.update(pairs)
+    _assert_exit_contract(name, [f"{key}={text}" for key, text in values.items()])
 
 
 @pytest.mark.parametrize("key", ["tomo.theta_points", "tomo.duration_points"])
@@ -2479,8 +2587,63 @@ def test_every_private_and_imported_module_name_is_used():
             ("tomo.n_shots=10", "tomo.noise_sigma=0.1"),
             "config error: tomo.n_shots and tomo.noise_sigma: choose binomial or Gaussian noise, not both\n",
         ),
+        (
+            "transfer-peak",
+            ("source.frequency=1e12Hz",),
+            "numerical error: source.frequency, source.decay_time, capture.frequency and capture.decay_time: peak"
+            " lies within the first capture period (7968 quadrature nodes, search from node 18), where the tone fit"
+            " defines no stored energy\n",
+        ),
+        (
+            "transfer-peak",
+            ("capture.frequency=65.5MHz",),
+            "numerical error: source.frequency, source.decay_time, capture.frequency and capture.decay_time: peak"
+            " lies within the first capture period (3066 quadrature nodes, search from node 18), where the tone fit"
+            " defines no stored energy\n",
+        ),
+        (
+            "transfer-peak",
+            ("source.decay_time=1e-307s",),
+            "numerical error: source.decay_time: emitted energy V0^2/(2 kappa_1 Z0) is 0 at kappa_1 = 1e+307/s\n",
+        ),
+        (
+            "stark",
+            ("protocol.n_bar_qubit_cavity=1e308",),
+            "numerical error: protocol.n_bar_qubit_cavity and protocol.stark_shift_per_photon: stark photon numbers"
+            " or shifts overflow float64\n",
+        ),
+        (
+            "depletion",
+            ("protocol.stark_shift_per_photon=1e306Hz",),
+            "numerical error: protocol.stark_shift_per_photon: depletion frequency shift overflows float64\n",
+        ),
+        (
+            "potential-sweep",
+            ("device.loop_inductance=1e-320H",),
+            "numerical error: device.critical_current and device.loop_inductance: beta_L 0 has no finite inverse"
+            " 1/beta_L\n",
+        ),
+        (
+            "bifurcation",
+            ("device.critical_current=1e300A",),
+            "numerical error: device.critical_current and device.loop_inductance: beta_L 3.34e+306 needs more than"
+            " 1e+05 extremum bracket segments\n",
+        ),
     ],
-    ids=["one-key", "two-keys", "three-keys", "four-keys", "config-error"],
+    ids=[
+        "one-key",
+        "two-keys",
+        "three-keys",
+        "four-keys",
+        "config-error",
+        "peak-source-1THz",
+        "peak-capture-65.5MHz",
+        "peak-emitted-energy",
+        "stark-overflow",
+        "depletion-overflow",
+        "potential-sweep-beta-inverse",
+        "bifurcation-beta-segments",
+    ],
 )
 def test_refusal_line_leads_with_the_keys_of_its_arguments(tmp_path, capsys, name, overrides, line):
     # run_subcommand puts the config keys of a library refusal's params
@@ -2568,6 +2731,39 @@ _LIBRARY_REFUSALS = {
         "transfer-peak",
         lambda pc: peak_efficiency(_default("transfer_config", "capture.decay_time=20ms", "capture.frequency=6GHz")),
         ("d_omega", "t"),
+    ),
+    "peak-first-capture-period": (
+        "transfer-peak", lambda pc: peak_efficiency(_default("transfer_config", "source.frequency=1e12Hz")), ("cfg",)
+    ),
+    "peak-window": (
+        "transfer-peak",
+        lambda pc: peak_efficiency(
+            _default(
+                "transfer_config",
+                "source.frequency=1e14Hz",
+                "capture.frequency=1e8Hz",
+                "source.decay_time=1us",
+                "capture.decay_time=1us",
+            )
+        ),
+        ("cfg",),
+    ),
+    "stark-overflow": (
+        "stark", lambda pc: stark_calibration([1.0], replace(pc, n_bar_qubit_cavity=1e308)),
+        ("cfg.n_bar_qubit_cavity", "cfg.stark_shift_per_photon"),
+    ),
+    "depletion-overflow": (
+        "depletion", lambda pc: depletion_recovery([0.0], replace(pc, stark_shift_per_photon=1e308)),
+        ("cfg.stark_shift_per_photon",),
+    ),
+    "beta-inverse": (
+        "potential-sweep",
+        lambda pc: well_report_sweep([0.0], _default("jpm_params", "device.loop_inductance=1e-320H")),
+        ("p.critical_current", "p.loop_inductance"),
+    ),
+    "beta-segments": (
+        "bifurcation", lambda pc: critical_flux(_default("jpm_params", "device.critical_current=1e300A")),
+        ("p.critical_current", "p.loop_inductance"),
     ),
 }
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -30,6 +31,7 @@ from jpmsim.transfer import (
 )
 from transfer_oracle import (
     BLOCK_PANELS,
+    capture_window,
     dense_node_peak,
     eager_node_voltages,
     eager_peak_efficiency,
@@ -325,9 +327,9 @@ def test_streaming_pass_matches_per_t_oracle_at_nodes(carrier_ratio):
             cfg = make_config(kappa, kappa_ratio=r, detuning_ratio=a, carrier_ratio=carrier_ratio)
             period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
             h = period / 80.0
-            energy = _window_energy(cfg, h)
+            energy = _window_energy(cfg, h, capture_window(cfg, h))
             volts = simpson_voltages(cfg, h)
-            for j in [2, 3, 39, 40, 41, 4096, 4097, 8192, 8193, n_nodes] + list(range(100, n_nodes + 1, 250)):
+            for j in [40, 41, 4096, 4097, 8192, 8193, n_nodes] + list(range(100, n_nodes + 1, 250)):
                 t = 2.0 * h * j
                 if math.ceil(t / h) != 2 * j:
                     continue  # the oracle would round to a different step here
@@ -350,7 +352,26 @@ NEAR_MATCH = [(1.0 + eps, 0.0, c) for eps in (1e-15, 1e-12, 1e-9) for c in (20.0
 FAST_DECAY = [(25.0, 0.0, 20.0), (0.04, 0.0, 0.8)]
 
 
-@pytest.mark.parametrize("kappa_ratio, detuning_ratio, carrier_ratio", PASS_GRID)
+def source_faster(kappa_ratio, source_ratio, carrier_ratio):
+    # The capture carrier at omega_1 / source_ratio, as a detuning, so a
+    # window of one capture period holds 40 source_ratio nodes.
+    detuning_ratio = carrier_ratio * (1.0 / source_ratio - 1.0)
+    row_id = f"{kappa_ratio:.3g}-source-{source_ratio}x-{carrier_ratio}"
+    return pytest.param(kappa_ratio, detuning_ratio, carrier_ratio, id=row_id)
+
+
+# A source 1.2 times the capture carrier puts the envelope's highest lobe
+# about 2.5 capture periods in (at carrier/kappa 20 and kappa ratio 12,
+# within the first, so the peak rows start at 200); at 3 times the lobe
+# lies within the first capture period, which peak_efficiency refuses,
+# so only the window energies take those rows.
+SOURCE_FASTER_PEAKS = [source_faster(r, 1.2, c) for r in (1.0 / 12.0, 1.0, 12.0) for c in (200.0, 2e4)]
+SOURCE_FASTER_WINDOWS = [
+    source_faster(r, s, c) for s in (1.2, 3.0) for r in (1.0 / 12.0, 1.0, 12.0) for c in (20.0, 2e4)
+]
+
+
+@pytest.mark.parametrize("kappa_ratio, detuning_ratio, carrier_ratio", PASS_GRID + SOURCE_FASTER_PEAKS)
 def test_lazy_peak_matches_eager_reference(kappa_ratio, detuning_ratio, carrier_ratio):
     # The closed-form node voltages against the streamed pass they
     # replaced, through the whole search: the same peak and time up to
@@ -377,21 +398,24 @@ def test_block_source_matches_eager_pass(n_nodes, kappa_ratio, detuning_ratio, c
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("kappa_ratio, detuning_ratio, carrier_ratio", PASS_GRID + NEAR_MATCH + FAST_DECAY)
+@pytest.mark.parametrize(
+    "kappa_ratio, detuning_ratio, carrier_ratio", PASS_GRID + NEAR_MATCH + FAST_DECAY + SOURCE_FASTER_WINDOWS
+)
 def test_window_energy_matches_windowed_lstsq_path(kappa_ratio, detuning_ratio, carrier_ratio):
     # Window by window, the closed-form energy (per-peak pseudo-inverse
     # rows, a few complex scalars per window) against the path it
-    # replaced: 40 node voltages as numpy arrays and an lstsq tone fit.
-    # The ends cover the largest-sample (j < 4), bare-tone (j < 8),
-    # short-window (j < 40) and full-window branches (measured up to
-    # 1.6e-13, 9000 nodes into the fast-decay rows, where the energy has
-    # fallen to 1e-32).
+    # replaced: the node voltages of one capture period as numpy arrays
+    # and an lstsq tone fit, from the first whole window on (measured up
+    # to 1.6e-13, 9000 nodes into the fast-decay rows, where the energy
+    # has fallen to 1e-32).  Where the source is the faster carrier the
+    # window holds 48 or 120 nodes.
     cfg = make_config(kappa_ratio=kappa_ratio, detuning_ratio=detuning_ratio, carrier_ratio=carrier_ratio)
     period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
     h = period / 80.0
-    energy = _window_energy(cfg, h)
+    n = capture_window(cfg, h)
+    energy = _window_energy(cfg, h, n)
     volts = simpson_voltages(cfg, h)
-    for j in (2, 3, 7, 8, 24, 39, 40, 41, 1000, 4097, 9000):
+    for j in (n, n + 1, 1000, 4097, 9000):
         want = node_energy(cfg, volts, j, h)
         assert abs(energy(j) - want) <= 1e-12 * want, j
 
@@ -473,8 +497,8 @@ def test_peak_search_evaluates_one_window_per_tone_fit(monkeypatch, carrier_rati
     real_energy = transfer._window_energy
     real_pinv = np.linalg.pinv
 
-    def counting_energy(cfg, h):
-        energy = real_energy(cfg, h)
+    def counting_energy(cfg, h, n):
+        energy = real_energy(cfg, h, n)
 
         def counted(j):
             seen["windows"] += 1
@@ -531,6 +555,73 @@ def test_peak_efficiency_refusals():
     # amplitude, so there is no silent config whose peak reads 0.
     with pytest.raises(TypeError):
         TransferConfig(source=cfg.source, target=cfg.target, drive_amplitude=0.0)
+
+
+@given(
+    log_kappa_ratio=st.floats(math.log(1.0 / 12.0), math.log(12.0)),
+    detuning_ratio=st.floats(0.0, 2.0),
+    log_carrier_ratio=st.floats(-3.0, 3.0),
+)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+def test_peak_is_an_efficiency_or_a_refusal_at_any_carrier_ratio(log_kappa_ratio, detuning_ratio, log_carrier_ratio):
+    # A source carrier 10^x times the capture carrier's, x in [-3, 3], with
+    # the kappa ratios and detunings of the drawn pairs above: a passive
+    # capture mode stores at most what the source emits, so every peak is
+    # in [0, 1], or the search refuses (a peak within the first capture
+    # period, or a capture period past MAX_WINDOW_NODES).
+    kappa = 1e6
+    omega_1 = 2e4 * kappa
+    cfg = TransferConfig(
+        source=CavityMode(angular_frequency=omega_1, decay_rate=kappa),
+        target=CavityMode(
+            angular_frequency=omega_1 / 10.0**log_carrier_ratio + detuning_ratio * kappa,
+            decay_rate=math.exp(log_kappa_ratio) * kappa,
+        ),
+    )
+    try:
+        eta, _ = peak_efficiency(cfg)
+    except NumericalError:
+        return
+    assert 0.0 <= eta <= 1.0
+
+
+@pytest.mark.parametrize(
+    "source_hz, capture_hz, message",
+    [
+        (1e12, 5.02e9, "first capture period"),
+        (5.02e9, 65.5e6, "first capture period"),
+        (1e14, 1e8, "capture period spans"),
+    ],
+)
+def test_peak_outside_the_tone_window_is_refused(source_hz, capture_hz, message):
+    # A source far faster than the capture carrier, or a capture carrier
+    # far off it, puts the envelope's peak within the first capture
+    # period, where no window of one capture period ends: refused, where
+    # shorter windows once read eta 5.95 and 355.  A source 1e6 times the
+    # capture carrier (1 us decays) would need a window of 4e7 nodes, and
+    # is refused before any array of that length exists.
+    cfg = TransferConfig(
+        source=CavityMode(angular_frequency=2.0 * math.pi * source_hz, decay_rate=1e6),
+        target=CavityMode(angular_frequency=2.0 * math.pi * capture_hz, decay_rate=1e6),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match=message) as info:
+            peak_efficiency(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.params == ("cfg",)
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("found", [1.5, math.nan])
+def test_peak_above_one_or_nan_is_refused(monkeypatch, found):
+    # The last check of peak_efficiency, with no clamp: a search that
+    # found more than the source emits, or no number, is refused.
+    monkeypatch.setattr(transfer, "_golden_peak", lambda *args: (found, 1e-6))
+    with pytest.raises(NumericalError, match=r"not in \[0, 1\]"):
+        peak_efficiency(make_config())
 
 
 def test_numeric_zero_cases():

@@ -13,11 +13,12 @@ scale invariance the library relies on.
 
 simpson_voltages and node_energy are the windowed slow path that the
 library's closed-form window energies replaced: the Simpson recurrence
-evaluated in closed form at the 40 nodes of a window, as numpy arrays,
-and the tone fit solved on them.  eager_node_voltages and
-eager_peak_efficiency are the older slow path before it: the whole
-recurrence streamed block by block from tau = 0, and the library's own
-seed bracket and search (_seed_bracket, _golden_peak) over it.  They
+evaluated in closed form at the nodes of a window of one capture period
+(capture_window), as numpy arrays, and the tone fit solved on them.
+eager_node_voltages and eager_peak_efficiency are the older slow path
+before it: the whole recurrence streamed block by block from tau = 0,
+and the library's own seed bracket and search (_seed_bracket,
+_golden_peak) over it.  They
 keep their own block constants, and eager_peak_efficiency reads its
 windows through node_energy too, so the two slow paths differ only in
 their node voltages.
@@ -214,15 +215,20 @@ def simpson_voltages(cfg: TransferConfig, h: float) -> Callable[[np.ndarray], np
     return volts
 
 
+def capture_window(cfg: TransferConfig, h: float) -> int:
+    """The whole number of panels of step h nearest one capture period 2 pi / omega_2."""
+    return round(math.pi / (cfg.target.angular_frequency * h))
+
+
 def node_energy(cfg: TransferConfig, volts: Callable[[np.ndarray], np.ndarray], j: int, h: float) -> float:
     """Stored-energy fraction at node j of the Simpson recurrence on step h.
 
-    The tone fit (tone_peak) on the POINTS_PER_PERIOD whole panels, one
-    carrier period, ending at tau_j = 2 j h, as mode2_energy_numeric
-    takes it.  At V0 = Z0 = 1 the source emits 1/(2 kappa_1), so the
-    fraction is kappa_1 v_peak^2.
+    The tone fit (tone_peak) on the capture_window whole panels, one
+    capture period, ending at tau_j = 2 j h (fewer where j is fewer).
+    At V0 = Z0 = 1 the source emits 1/(2 kappa_1), so the fraction is
+    kappa_1 v_peak^2.
     """
-    nodes = np.arange(max(j - POINTS_PER_PERIOD, 0) + 1, j + 1)
+    nodes = np.arange(max(j - capture_window(cfg, h), 0) + 1, j + 1)
     v_peak = tone_peak((2.0 * h) * nodes, volts(nodes), cfg.target.angular_frequency, h)
     return cfg.source.decay_rate * v_peak**2
 
