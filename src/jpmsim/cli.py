@@ -504,7 +504,9 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[RunConfig], dict], str]] = {
 # them, and the config keys that set each, space-separated; a refusal's
 # line lists its keys in the order they first appear here.
 _ARGUMENT_KEYS: dict[str, dict[str, str]] = {
-    "potential-sweep": {"p.critical_current": "device.critical_current", "p.loop_inductance": "device.loop_inductance"},
+    "potential-sweep": {"p.critical_current": "device.critical_current", "p.loop_inductance": "device.loop_inductance",
+                        "p.shunt_capacitance": "device.shunt_capacitance",
+                        "fluxes": "potential.flux_start potential.flux_stop"},
     "bifurcation": {"p.critical_current": "device.critical_current", "p.loop_inductance": "device.loop_inductance"},
     "transfer-curves": {"d_omega": "transfer.detuning_ratios", "t": "transfer.t_max_scaled"},
     "transfer-peak": {"cfg": "source.frequency source.decay_time capture.frequency capture.decay_time",
@@ -522,6 +524,7 @@ _ARGUMENT_KEYS: dict[str, dict[str, str]] = {
     "iq": {"n_shots": "iq.n_shots"},
     "tomo-synth": {"t": "tomo.duration_stop", "t_pi": "tomo.t_pi", "rho.coherence_phase": "tomo.phi",
                    "n_shots": "tomo.n_shots", "noise_sigma": "tomo.noise_sigma"},
+    "tomo-fit": {"grid": "tomo.input"},
 }
 
 

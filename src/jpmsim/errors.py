@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 PHASE_LIMIT = 2.0**30
-"""Largest |phase| in radians whose sine or cosine reaches an artifact: Cephes sin.c's total-loss bound lossth."""
+"""Largest |phase| in radians whose sine or cosine reaches an artifact or root: Cephes sin.c's total-loss lossth."""
 
 
 class ConfigError(ValueError):
@@ -40,13 +40,17 @@ def require_finite_positive(owner, *names: str) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def sin_cos(phase, name: str, *params: str):
-    """(np.sin(phase), np.cos(phase)); a NumericalError naming the phase, and carrying params, if any |phase| passes
-    PHASE_LIMIT or is NaN."""
+def bounded_phase(phase, name: str, *params: str) -> None:
+    """Raise a NumericalError naming the phase, and carrying params, if any |phase| passes PHASE_LIMIT or is NaN."""
     if not (np.abs(phase) <= PHASE_LIMIT).all():
         raise NumericalError(
             f"phase {name} reaches {np.abs(phase).max():.3g} rad, past 2^30: total loss of precision", *params
         )
+
+
+def sin_cos(phase, name: str, *params: str):
+    """(np.sin(phase), np.cos(phase)), once bounded_phase(phase, name, *params) has passed."""
+    bounded_phase(phase, name, *params)
     return np.sin(phase), np.cos(phase)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, PHI0
-from .errors import NumericalError, require_finite_positive
+from .errors import NumericalError, bounded_phase, require_finite_positive
 
 REFINE_TOL = 1e-12
 """Extremum refinement tolerance in radians.  A root stops once its
@@ -302,23 +302,21 @@ def _sweep_extrema(fluxes, p: JpmParams):
     ------
     NumericalError
         If beta_L has no finite inverse or needs more than MAX_SEGMENTS
-        segments per flux, a flux has no extremum or an inconsistent
-        extremum structure, or a root does not converge in
+        segments per flux, a bracket end |phi_e| + beta_L + 1 passes
+        errors.PHASE_LIMIT or is NaN (carrying ``fluxes``), a flux has an
+        inconsistent extremum structure, or a root does not converge in
         MAX_REFINE_PASSES passes.
     ValueError
-        If ``fluxes`` is not one-dimensional, or a flux is not finite or
-        its phase bias overflows.
+        If ``fluxes`` is not one-dimensional.
     """
     fluxes = np.asarray(fluxes, dtype=float)
     if fluxes.ndim != 1:
         raise ValueError("fluxes must be a one-dimensional array")
-    if not np.isfinite(fluxes).all():
-        raise ValueError("external_flux must be finite")
     beta, turn = _beta_turns(p)
     with np.errstate(over="ignore"):
         phi_e = _phase_bias(fluxes)
-    if not np.isfinite(phi_e).all():
-        raise ValueError("external_flux overflows the phase bias")
+    # Every phase the solver evaluates lies in a bracket, so one bound on its far end covers them all.
+    bounded_phase(np.abs(phi_e) + (beta + 1.0), "|phi_e| + beta_L + 1", "fluxes")
     # k within reach of floor(phi_e / 2 pi) puts turning points 2 pi k + turn
     # past both ends of the bracket, so every flux gets the same number of
     # segments.
@@ -343,14 +341,9 @@ def _sweep_extrema(fluxes, p: JpmParams):
     bad[flux_of[1:][same_flux & (is_minimum[1:] == is_minimum[:-1])]] = True
     if bad.any():
         i = int(np.argmax(bad))
-        flux = f"flux {float(fluxes[i]) / PHI0} Phi0"
-        if counts[i] == 0:  # U has one at every flux, but float64 phases this large may step past it
-            phase = float(phi_e[i])
-            step = f"float64 step {np.spacing(phase):g} rad"
-            raise NumericalError(f"no extremum found at {flux}, phase bias {phase:.6g} rad ({step})")
         own = slice(offsets[i], offsets[i + 1])
         extrema = list(zip(roots[own].tolist(), np.where(is_minimum[own], "minimum", "maximum").tolist()))
-        raise NumericalError(f"inconsistent extremum structure at {flux}: {extrema}")
+        raise NumericalError(f"inconsistent extremum structure at flux {float(fluxes[i]) / PHI0} Phi0: {extrema}")
     return phi_e, flux_of, offsets, roots, is_minimum
 
 
@@ -367,8 +360,8 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
     Raises
     ------
     NumericalError
-        As :func:`_sweep_extrema`, or if the curvature at a minimum
-        is not positive.
+        As :func:`_sweep_extrema`, if the curvature at a minimum is not
+        positive, or if a plasma quantum underflows (carrying the p fields).
     """
     phi_e, flux_of, offsets, roots, is_minimum = _sweep_extrema(fluxes, p)
     energy = _energy(roots, phi_e[flux_of], p)
@@ -401,7 +394,8 @@ def well_report_sweep(fluxes, p: JpmParams) -> WellSweep:
     omega = plasma_frequency(roots[j], p)
     quantum = HBAR * omega[bounded]
     if (quantum == 0.0).any():
-        raise NumericalError("plasma quantum hbar*omega_p underflows float64; no level count")
+        params = ("p.critical_current", "p.loop_inductance", "p.shunt_capacitance")
+        raise NumericalError("plasma quantum hbar*omega_p underflows float64; no level count", *params)
     level_count = np.full(j.size, math.inf)
     with np.errstate(over="ignore"):
         level_count[bounded] = height[bounded] / quantum

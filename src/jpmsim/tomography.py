@@ -203,8 +203,8 @@ def _axis_count(theta: np.ndarray) -> int:
     return int(np.count_nonzero(gaps > AXIS_ANGLE_TOL))
 
 
-def _projection(grid: TomogramGrid):
-    """The fit's linear part: y = P - 1/2, the angle rows, turn and a batched solve.
+def _projection(grid: TomogramGrid, sin_theta: np.ndarray, cos_theta: np.ndarray):
+    """The fit's linear part: y = P - 1/2, the angle rows (of theta's sines and cosines), turn and a batched solve.
 
     With a = r cos(phi), b = r sin(phi) and rows = (1, -sin(theta), -cos(theta)),
     P - 1/2 = x . rows(theta) (cos(alpha), sin(alpha), sin(alpha)) is linear in
@@ -213,7 +213,7 @@ def _projection(grid: TomogramGrid):
     """
     theta, t = grid.axis_angles, grid.pulse_durations
     y = grid.occupations - 0.5
-    rows = np.stack([np.ones_like(theta), -np.sin(theta), -np.cos(theta)])
+    rows = np.stack([np.ones_like(theta), -sin_theta, -cos_theta])
     angle_gram, sums = rows @ rows.T, rows @ y
 
     def solve(cos_a: np.ndarray, sin_a: np.ndarray, ridge: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -273,9 +273,11 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
         duration span, or a span that covers less than one full rotation
         period 2 t_pi of the fitted surface.
     NumericalError
-        If the t_pi scan would take more than MAX_SCAN_CELLS cells, before it scans.
+        If an axis angle passes errors.PHASE_LIMIT (carrying ``grid``), before any other check, or if the t_pi scan
+        would take more than MAX_SCAN_CELLS cells, before it scans.
     """
     theta, t = grid.axis_angles, grid.pulse_durations
+    sin_theta, cos_theta = sin_cos(theta, "axis angle theta", "grid")
     # Angles 2 pi apart name one axis, so they are counted modulo 2 pi.
     if _axis_count(theta) < 4:
         raise IdentifiabilityError("need at least 4 distinct axis angles modulo 2 pi")
@@ -293,7 +295,7 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
     if t.min() > span:
         raise IdentifiabilityError("the shortest pulse duration exceeds the duration span")
 
-    y, rows, turn, solve = _projection(grid)
+    y, rows, turn, solve = _projection(grid, sin_theta, cos_theta)
 
     def profile(k: list, ridge: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
         # x and the residual sum of squares per k, summed directly: y^T y - h^T x cancels near a fit.

@@ -47,7 +47,7 @@ from jpmsim.protocol import (
     ramsey_fringe,
     stark_calibration,
 )
-from jpmsim.tomography import DensityMatrix2, expected_occupation, synthesize_tomogram
+from jpmsim.tomography import DensityMatrix2, TomogramGrid, expected_occupation, fit_tomogram, synthesize_tomogram
 from jpmsim.transfer import efficiency, peak_efficiency
 
 SUBCOMMANDS = [
@@ -821,6 +821,14 @@ def test_tomo_synth_refuses_durations_not_strictly_increasing(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_subcommand_refuses_an_unknown_name(tmp_path, capsys):
+    # main's parser offers only the table's names; a direct call with any
+    # other exits 2 on one line, before any config is read or file written.
+    assert run_subcommand("tomo_fit", output_dir=str(tmp_path / "out")) == (2, [])
+    assert capsys.readouterr().err == "unknown subcommand 'tomo_fit'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_refused_run_creates_no_output_directory(tmp_path, capsys):
     # The output directory is created only when an artifact is written,
     # so a refused run leaves no trace of a mistyped -o path.
@@ -1023,15 +1031,16 @@ def test_float_overflow_in_computation_exits_numerical(tmp_path, capsys, name, o
 
 def test_flux_with_no_extremum_found_is_named(tmp_path, capsys):
     # Near a phase bias of 3.7e16 rad float64 steps by 8 rad, past the
-    # bracket of every extremum, so the sweep finds none at that flux.
-    # The refusal names the flux and its phase bias before any file.
+    # bracket of every extremum, so the sweep would find none at such a
+    # flux.  The phase rule refuses the sweep's far bracket end first, led
+    # by the two flux keys, before any file.
     code, paths = run_subcommand(
         "potential-sweep", overrides=("potential.flux_stop=1e16phi0",), output_dir=str(tmp_path)
     )
     assert code == 3 and paths == []
     assert capsys.readouterr().err == (
-        "numerical error: no extremum found at flux 5833333333333332.0 Phi0, "
-        "phase bias 3.66519e+16 rad (float64 step 8 rad)\n"
+        "numerical error: potential.flux_start and potential.flux_stop: phase |phi_e| + beta_L + 1 reaches"
+        " 6.28e+16 rad, past 2^30: total loss of precision\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -1182,6 +1191,38 @@ def test_tomo_fit_refuses_durations_far_from_zero(tmp_path, capsys, tomogram, of
     err = capsys.readouterr().err
     assert err == "numerical error: the shortest pulse duration exceeds the duration span\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "turns, line",
+    [
+        (2**20, None),
+        (2**28, "numerical error: tomo.input: phase axis angle theta reaches 1.69e+09 rad, past 2^30: total loss of"
+                " precision\n"),
+        (2**40, "numerical error: tomo.input: phase axis angle theta reaches 6.91e+12 rad, past 2^30: total loss of"
+                " precision\n"),
+    ],
+    ids=["2^20-turns", "2^28-turns", "2^40-turns"],
+)
+def test_tomo_fit_reads_axis_angles_up_to_the_phase_bound(tmp_path, capsys, tomogram, turns, line):
+    # A tomogram whose axis angles are each shifted by 2 pi turns names the
+    # same axes.  Within 2^30 rad it fits the same phase, 0, to the float
+    # spacing of the shifted angles; past it one line led by tomo.input
+    # exits 3 and leaves no file and no directory.
+    header, *rows = tomogram.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    edited = tmp_path / "turned.csv"
+    edited.write_text(header + "\n" + "".join(f"{float(a) + 2.0 * math.pi * turns!r},{t},{p}\n" for a, t, p in cells))
+    out = tmp_path / "fit"
+    capsys.readouterr()
+    code, fitted = run_subcommand("tomo-fit", overrides=(f"tomo.input={edited}",), output_dir=str(out))
+    err = capsys.readouterr().err
+    if line is None:
+        assert code == 0 and err == ""
+        assert abs(json.loads(fitted[0].read_text())["phi"]) < 1e-8
+    else:
+        assert (code, fitted, err) == (3, [], line)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -2319,6 +2360,7 @@ def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):
             ("tomo-synth", "tomo.t_pi=0s tomo.duration_stop=1us", "tomo.t_pi: t_pi must be positive, got 0.0\n"),
             ("ramsey", "ramsey.t2=0s", "ramsey.t2 and protocol.t1: t2 must be positive and at most 2 T1\n"),
             ("ramsey", "ramsey.amplitude=2", "ramsey.amplitude: amplitude must lie in [0, 1], got 2.0\n"),
+            ("tomo-fit", "tomo.input=none", "tomo.input must point to a tomogram CSV\n"),
         )
     ],
 )
@@ -2438,6 +2480,9 @@ _PHASE_BOUNDS = [
     # detuning: 2^30 / (20 pi 0.98 GHz) = 17.44 ms, below the 20.8 ms at
     # which the search would span MAX_PEAK_NODES.
     ("transfer-peak", "capture.decay_time", "17.4ms", "17.5ms", ("capture.frequency=6GHz",)),
+    # The sweep's far bracket end |phi_e| + beta_L + 1 at beta_L = 3.342:
+    # (2^30 - beta_L - 1) / 2 pi = 170891318.2 Phi0.
+    ("potential-sweep", "potential.flux_stop", "170891317phi0", "170891319phi0", ()),
 ]
 
 
@@ -2476,8 +2521,11 @@ def test_phase_rule_is_numpy_up_to_two_to_the_thirty():
 def test_every_artifact_phase_goes_through_the_phase_rule():
     # The four functions whose sines and cosines reach an artifact call
     # no sin or cos of numpy, math or cmath themselves, only
-    # errors.sin_cos, and the bound 2^30 is spelt once in src/jpmsim (as
-    # 2**30, 2.0**30, 1 << 30 or the number itself).
+    # errors.sin_cos.  The tomogram fit takes the sines and cosines of the
+    # angles it reads (theta or axis_angles) through sin_cos alone, and
+    # the flux sweep bounds its phases with errors.bounded_phase, the check
+    # sin_cos makes.  The bound 2^30 is spelt once in src/jpmsim, in
+    # errors.py (as 2**30, 2.0**30, 1 << 30 or the number itself).
     package = Path(jpmsim.cli.__file__).parent
     sites = {
         "transfer": {"efficiency"},
@@ -2495,6 +2543,24 @@ def test_every_artifact_phase_goes_through_the_phase_rule():
                 checked.add(node.name)
     assert checked == set().union(*sites.values())
     assert direct == []
+
+    def functions(module):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(node):
+        return [(call, getattr(call.func, "attr", getattr(call.func, "id", None))) for call in ast.walk(node)
+                if isinstance(call, ast.Call)]
+
+    def reads_angles(call):
+        return any(getattr(node, "id", getattr(node, "attr", None)) in ("theta", "axis_angles")
+                   for arg in call.args for node in ast.walk(arg))
+
+    tomography = functions("tomography")
+    angle_calls = [name for fit in ("fit_tomogram", "_projection") for call, name in called(tomography[fit])
+                   if name in ("sin", "cos", "sin_cos") and reads_angles(call)]
+    assert angle_calls == ["sin_cos"]
+    assert "bounded_phase" in {name for _, name in called(functions("potential")["_sweep_extrema"])}
 
     def is_value(node, value):
         return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == value
@@ -2629,6 +2695,24 @@ def test_every_private_and_imported_module_name_is_used():
             "numerical error: device.critical_current and device.loop_inductance: beta_L 3.34e+306 needs more than"
             " 1e+05 extremum bracket segments\n",
         ),
+        (
+            "potential-sweep",
+            ("potential.flux_start=0.1Wb", "potential.flux_stop=0.1Wb"),
+            "numerical error: potential.flux_start and potential.flux_stop: phase |phi_e| + beta_L + 1 reaches"
+            " 3.04e+14 rad, past 2^30: total loss of precision\n",
+        ),
+        (
+            "potential-sweep",
+            ("potential.flux_start=1e300Wb", "potential.flux_stop=1e300Wb"),
+            "numerical error: potential.flux_start and potential.flux_stop: phase |phi_e| + beta_L + 1 reaches"
+            " inf rad, past 2^30: total loss of precision\n",
+        ),
+        (
+            "potential-sweep",
+            ("device.shunt_capacitance=1e308F",),
+            "numerical error: device.critical_current, device.loop_inductance and device.shunt_capacitance: plasma"
+            " quantum hbar*omega_p underflows float64; no level count\n",
+        ),
     ],
     ids=[
         "one-key",
@@ -2643,6 +2727,9 @@ def test_every_private_and_imported_module_name_is_used():
         "depletion-overflow",
         "potential-sweep-beta-inverse",
         "bifurcation-beta-segments",
+        "potential-sweep-flux-0.1Wb",
+        "potential-sweep-flux-1e300Wb",
+        "potential-sweep-plasma-quantum",
     ],
 )
 def test_refusal_line_leads_with_the_keys_of_its_arguments(tmp_path, capsys, name, overrides, line):
@@ -2764,6 +2851,18 @@ _LIBRARY_REFUSALS = {
     "beta-segments": (
         "bifurcation", lambda pc: critical_flux(_default("jpm_params", "device.critical_current=1e300A")),
         ("p.critical_current", "p.loop_inductance"),
+    ),
+    "sweep-phase": (
+        "potential-sweep", lambda pc: well_report_sweep([0.0, 1e16 * PHI0], _default("jpm_params")), ("fluxes",)
+    ),
+    "plasma-quantum": (
+        "potential-sweep",
+        lambda pc: well_report_sweep([0.5 * PHI0], _default("jpm_params", "device.shunt_capacitance=1e308F")),
+        ("p.critical_current", "p.loop_inductance", "p.shunt_capacitance"),
+    ),
+    # Two angles and one duration would be unidentifiable; the phase rule refuses the grid first.
+    "tomo-fit-angles": (
+        "tomo-fit", lambda pc: fit_tomogram(TomogramGrid([0.0, 2.0**31], [0.0], [[0.5], [0.5]])), ("grid",)
     ),
 }
 

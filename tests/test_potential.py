@@ -684,19 +684,21 @@ def test_sweep_takes_no_tolerance():
 
 
 @pytest.mark.parametrize(
-    "fluxes, match",
+    "fluxes, error, match",
     [
-        ([[0.1 * PHI0, 0.2 * PHI0]], "one-dimensional"),
-        ([0.1 * PHI0, math.inf], "must be finite"),
-        # Finite in webers, but 2 pi flux / Phi0 is past float64.
-        ([0.1 * PHI0, 1e308], "overflows the phase bias"),
+        ([[0.1 * PHI0, 0.2 * PHI0]], ValueError, "one-dimensional"),
+        # A flux that is not finite, or finite in webers with 2 pi flux / Phi0
+        # past float64, puts the bracket end |phi_e| + beta_L + 1 past 2^30.
+        ([0.1 * PHI0, math.inf], NumericalError, r"reaches inf rad, past 2\^30"),
+        ([0.1 * PHI0, 1e308], NumericalError, r"reaches inf rad, past 2\^30"),
     ],
     ids=["2-d", "non-finite", "phase-bias-overflow"],
 )
-def test_sweep_refuses_bad_fluxes(fluxes, match):
+def test_sweep_refuses_bad_fluxes(fluxes, error, match):
     for solve in (potential._sweep_extrema, well_report_sweep):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(error, match=match) as info:
             solve(fluxes, DEVICE)
+        assert error is ValueError or info.value.params == ("fluxes",)
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)

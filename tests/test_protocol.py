@@ -68,6 +68,21 @@ def test_relaxation_error_limits():
     assert 0.0 < relaxation_error(780e-9, 6.6e-6) < 1.0
 
 
+@pytest.mark.parametrize(
+    "t_prep, t1, error, match",
+    [
+        (0.0, 6.6e-6, ValueError, "must be positive"),
+        (780e-9, -1.0, ValueError, "must be positive"),
+        # T1/t_prep overflows to inf, and inf times expm1(-1e-320) is -inf.
+        (1e-320, 1.0, NumericalError, "not finite for T1/t_prep = inf"),
+    ],
+    ids=["zero-window", "negative-t1", "ratio-overflow"],
+)
+def test_relaxation_error_refusals(t_prep, t1, error, match):
+    with pytest.raises(error, match=match):
+        relaxation_error(t_prep, t1)
+
+
 def test_simulate_shot_reproducible():
     cfg = ProtocolConfig()
     a = [simulate_shot(True, cfg, np.random.default_rng(42)) for _ in range(20)]

@@ -140,6 +140,14 @@ def test_density_matrix_positivity():
     DensityMatrix2(0.5, 0.5)
 
 
+def test_density_matrix_refuses_negative_r_and_non_finite_phase():
+    with pytest.raises(ValueError, match="coherence_magnitude must be non-negative"):
+        DensityMatrix2(0.5, -0.1)
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="coherence_phase must be finite"):
+            DensityMatrix2(0.5, 0.1, phi)
+
+
 def test_synthesize_noiseless_matches_surface():
     thetas, times = standard_grid(50e-9)
     grid = synthesize_tomogram(RHO_PREPARED, 50e-9, thetas, times)
@@ -170,6 +178,11 @@ def test_synthesize_argument_validation():
         synthesize_tomogram(RHO_PREPARED, 50e-9, thetas, times, n_shots=100, noise_sigma=0.01)
     with pytest.raises(ValueError, match="noise_sigma"):
         synthesize_tomogram(RHO_PREPARED, 50e-9, thetas, times, noise_sigma=-0.05, rng=np.random.default_rng(1))
+    # Either noise draws from a generator it must be given.
+    with pytest.raises(ValueError, match="binomial noise requires an rng"):
+        synthesize_tomogram(RHO_PREPARED, 50e-9, thetas, times, n_shots=100)
+    with pytest.raises(ValueError, match="Gaussian noise requires an rng"):
+        synthesize_tomogram(RHO_PREPARED, 50e-9, thetas, times, noise_sigma=0.01)
 
 
 def test_saturated_gaussian_noise_clips_without_a_warning():

@@ -318,24 +318,28 @@ def test_streaming_pass_matches_per_t_oracle_at_nodes(carrier_ratio):
     # the same step h, the library's closed-form window energies and the
     # windowed slow path they replaced both equal the per-t oracle.  Nodes
     # up to 9000, on both sides of the streamed pass's block boundaries,
-    # at a fast carrier and a slow one (kappa_2 h near 0.05).
+    # at a fast carrier and a slow one (kappa_2 h near 0.05).  The
+    # SOURCE_FASTER_WINDOWS rows of this carrier, whose capture periods
+    # hold 48 and 120 nodes, are compared from their first whole window on.
     kappa = 1e6
     n_nodes = 9000
     worst = 0.0
-    for r in (1.0 / 12.0, 1.0, 12.0):
-        for a in (0.0, 0.5, 2.0):
-            cfg = make_config(kappa, kappa_ratio=r, detuning_ratio=a, carrier_ratio=carrier_ratio)
-            period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
-            h = period / 80.0
-            energy = _window_energy(cfg, h, capture_window(cfg, h))
-            volts = simpson_voltages(cfg, h)
-            for j in [40, 41, 4096, 4097, 8192, 8193, n_nodes] + list(range(100, n_nodes + 1, 250)):
-                t = 2.0 * h * j
-                if math.ceil(t / h) != 2 * j:
-                    continue  # the oracle would round to a different step here
-                want = mode2_energy_numeric(t, cfg)
-                for got in (energy(j), node_energy(cfg, volts, j, h)):
-                    worst = max(worst, abs(got - want) / want)
+    pairs = [(r, a) for r in (1.0 / 12.0, 1.0, 12.0) for a in (0.0, 0.5, 2.0)]
+    pairs += [row.values[:2] for row in SOURCE_FASTER_WINDOWS if row.values[2] == carrier_ratio]
+    for r, a in pairs:
+        cfg = make_config(kappa, kappa_ratio=r, detuning_ratio=a, carrier_ratio=carrier_ratio)
+        period = 2.0 * math.pi / max(cfg.source.angular_frequency, cfg.target.angular_frequency)
+        h = period / 80.0
+        n = capture_window(cfg, h)
+        energy = _window_energy(cfg, h, n)
+        volts = simpson_voltages(cfg, h)
+        for j in [40, 41, 4096, 4097, 8192, 8193, n_nodes] + list(range(100, n_nodes + 1, 250)):
+            t = 2.0 * h * j
+            if j < n or math.ceil(t / h) != 2 * j:
+                continue  # before the first whole window, or the oracle would round to a different step here
+            want = mode2_energy_numeric(t, cfg)
+            for got in (energy(j), node_energy(cfg, volts, j, h)):
+                worst = max(worst, abs(got - want) / want)
     assert worst <= 1e-9
 
 
@@ -622,6 +626,15 @@ def test_peak_above_one_or_nan_is_refused(monkeypatch, found):
     monkeypatch.setattr(transfer, "_golden_peak", lambda *args: (found, 1e-6))
     with pytest.raises(NumericalError, match=r"not in \[0, 1\]"):
         peak_efficiency(make_config())
+
+
+def test_non_finite_seed_envelope_is_refused(monkeypatch):
+    # A closed-form envelope with no number on the seed grid gives the
+    # search no seed, so it is refused before any window is read.
+    monkeypatch.setattr(transfer, "efficiency", lambda t, *rates: np.full(np.shape(t), math.nan))
+    with pytest.raises(NumericalError, match="closed-form envelope is not finite over the seed grid") as info:
+        peak_efficiency(make_config())
+    assert info.value.params == ("cfg",)
 
 
 def test_numeric_zero_cases():

@@ -57,10 +57,11 @@ def mode2_energy_numeric(
         I(tau) = I_A e^{-kappa_1 tau/2} cos(omega_1 tau)
 
     is evaluated by composite Simpson quadrature on a grid of
-    2 POINTS_PER_PERIOD points per carrier period, with the decaying
-    prefactor folded into every panel so no intermediate overflows.
-    The stored energy is taken from the carrier-cycle peak of V2 over
-    the trailing carrier period: a least-squares fit of a single tone
+    2 POINTS_PER_PERIOD points per period of the faster carrier, with
+    the decaying prefactor folded into every panel so no intermediate
+    overflows.  The stored energy is taken from the carrier-cycle peak
+    of V2 over the trailing capture period 2 pi / omega_2: a
+    least-squares fit of a single tone
     P cos(omega_2 tau) + Q sin(omega_2 tau) to the window samples gives
     the peak as hypot(P, Q).  Fitting instead of taking the discrete
     maximum removes the phase-sampling error of the node grid, which
@@ -99,16 +100,17 @@ def mode2_energy_numeric(
     f_sin = drive * np.sin(w2 * tau)
 
     # Scaled integrals a_m = e^{-kappa_2 tau_m/2} A(tau_m) (same for
-    # b_m), needed only on the trailing carrier period.  The bulk
+    # b_m), needed only on the trailing capture period.  The bulk
     # integral up to the window start is one Simpson sum with the decay
     # e^{-kappa_2 (tau_s - tau)/2} applied inside, so every term stays
     # bounded by the drive amplitude; across the window the panels are
     # accumulated by the recurrence a_m = a_{m-2} d^2 + panel, d =
     # e^{-kappa_2 h/2}.  The window is the closest whole number of
-    # panels to one carrier period: a window that overshoots the period
-    # lets the slow beat between the two carriers leak into the tone
-    # fit and modulate the result as t varies.
-    n_window_panels = max(int(round(period / (2.0 * h))), 2)
+    # panels to one period of the fitted tone, the capture carrier: a
+    # window that overshoots the period lets the slow beat between the
+    # two carriers leak into the tone fit and modulate the result as t
+    # varies.
+    n_window_panels = max(int(round(math.pi / (w2 * h))), 2)
     start = max(n_fine - 2 * n_window_panels, 0)
 
     if start > 0:
