@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .constants import PHI0
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, finite
 
 if TYPE_CHECKING:
     from .tomography import TomogramGrid
@@ -244,9 +244,7 @@ def _transfer_curves(cfg: RunConfig) -> dict:
     def family(kappa_2, delta_omega, key, label):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             eta = efficiency(ts, kappa_1, kappa_2, delta_omega)
-        if not np.isfinite(eta).all():
-            raise NumericalError(f"{key}: transfer efficiency for {label} is not finite")
-        etas.append(eta)
+        etas.append(finite(eta, f"{key}: transfer efficiency for {label}"))
         labels.append(label)
 
     for ratio in kappa_ratios:
@@ -521,7 +519,8 @@ _ARGUMENT_KEYS: dict[str, dict[str, str]] = {
     "stark": {"cfg.n_bar_qubit_cavity": "protocol.n_bar_qubit_cavity",
               "cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon", "drive_powers": "stark.powers"},
     "depletion": {"t_dep": "depletion.time_stop", "cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon"},
-    "iq": {"n_shots": "iq.n_shots"},
+    "iq": {"n_shots": "iq.n_shots", "model.centroid_0": "iq.centroid_0", "model.centroid_1": "iq.centroid_1",
+           "model.sigma": "iq.sigma"},
     "tomo-synth": {"t": "tomo.duration_stop", "t_pi": "tomo.t_pi", "rho.coherence_phase": "tomo.phi",
                    "n_shots": "tomo.n_shots", "noise_sigma": "tomo.noise_sigma"},
     "tomo-fit": {"grid": "tomo.input"},

@@ -345,9 +345,6 @@ class RunConfig:
     def iq_model(self) -> IqModel:
         from .protocol import IqModel
 
-        for key in ("iq.centroid_0", "iq.centroid_1"):
-            if len(self.get(key)) != 2:
-                raise ConfigError(f"{key} must have exactly two components")
         return self._section(
             "iq",
             IqModel,

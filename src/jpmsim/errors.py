@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one rule each for positive fields, phases and binomial shots."""
+"""Exceptions, and the package's one rule each for positive fields, phases, binomial shots and non-finite results."""
 
 import math
 
@@ -46,6 +46,16 @@ def bounded_phase(phase, name: str, *params: str) -> None:
         raise NumericalError(
             f"phase {name} reaches {np.abs(phase).max():.3g} rad, past 2^30: total loss of precision", *params
         )
+
+
+def finite(value, name: str, *params: str):
+    """value, if every entry is finite, else a NumericalError naming it and its first entry that is not, carrying
+    params.  An overflow is +-inf, and inf or NaN carries through later operations: this catches any overflow before."""
+    values = np.asarray(value)
+    if not np.isfinite(values).all():
+        bad = float(values[~np.isfinite(values)].flat[0])
+        raise NumericalError(f"{name} is {bad}, not a finite float64", *params)
+    return value
 
 
 def sin_cos(phase, name: str, *params: str):

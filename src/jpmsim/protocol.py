@@ -54,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ArgumentError, NumericalError, binomial_fraction, require_finite_positive, sin_cos
+from .errors import ArgumentError, NumericalError, binomial_fraction, finite, require_finite_positive, sin_cos
 
 
 SPURIOUS_PHOTONS = 100.0
@@ -159,6 +159,8 @@ class IqModel:
 
     def __post_init__(self) -> None:
         require_finite_positive(self, "sigma")
+        if len(self.centroid_0) != 2 or len(self.centroid_1) != 2:
+            raise ValueError(f"centroids must have two components (I, Q), got {self.centroid_0} and {self.centroid_1}")
         if self.centroid_0 == self.centroid_1:
             raise ValueError("centroids must be distinct")
         if not math.isfinite(self.separation / self.sigma):
@@ -190,15 +192,12 @@ def relaxation_error(t_prep: float, t1: float) -> float:
 
     Averages the survival probability e^{-t/T1} uniformly over the
     window, giving 1 - (T1/t_prep)(1 - e^{-t_prep/T1}); for short
-    windows this is t_prep/(2 T1).  Raises NumericalError where the
-    ratio T1/t_prep is out of float64 range.
+    windows this is t_prep/(2 T1).  Raises NumericalError, carrying
+    t_prep and t1, where the ratio T1/t_prep is out of float64 range.
     """
     if not (t_prep > 0.0 and t1 > 0.0):
         raise ValueError("t_prep and t1 must be positive")
-    error = 1.0 + (t1 / t_prep) * math.expm1(-t_prep / t1)
-    if not math.isfinite(error):
-        raise NumericalError(f"relaxation error is not finite for T1/t_prep = {t1 / t_prep:.3g}")
-    return error
+    return finite(1.0 + (t1 / t_prep) * math.expm1(-t_prep / t1), "relaxation error", "t_prep", "t1")
 
 
 def _check_shot_draws(n_shots: int, width: int) -> None:
@@ -421,7 +420,7 @@ def stark_calibration(drive_powers, cfg: ProtocolConfig) -> tuple[np.ndarray, np
     cfg.n_bar_qubit_cavity at the largest power in the sweep; the shift
     is stark_shift_per_photon times the photon number, so the inverse
     map shift -> photon number is exact.  Both arrays have one entry per
-    drive power, in order.
+    drive power, in order.  A shift past float64 raises NumericalError.
     """
     if cfg.stark_shift_per_photon == 0.0:
         raise ArgumentError("stark_shift_per_photon must be nonzero for calibration", "cfg.stark_shift_per_photon")
@@ -436,10 +435,7 @@ def stark_calibration(drive_powers, cfg: ProtocolConfig) -> tuple[np.ndarray, np
     with np.errstate(over="ignore", invalid="ignore"):
         n_bar = cfg.n_bar_qubit_cavity * (powers / p_max)
         shifts = cfg.stark_shift_per_photon * n_bar
-    if not (np.isfinite(n_bar).all() and np.isfinite(shifts).all()):
-        params = "cfg.n_bar_qubit_cavity", "cfg.stark_shift_per_photon"
-        raise NumericalError("stark photon numbers or shifts overflow float64", *params)
-    return n_bar, shifts
+    return n_bar, finite(shifts, "stark shift", "cfg.n_bar_qubit_cavity", "cfg.stark_shift_per_photon")
 
 
 def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
@@ -451,7 +447,7 @@ def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
     the qubit by stark_shift_per_photon * n.  Accepts scalar or array
     t_dep: each value of the returned dict is an array of t_dep's shape,
     or a float for a scalar.  A frequency shift that overflows float64
-    raises NumericalError.
+    raises NumericalError, carrying cfg.stark_shift_per_photon.
     """
     t_dep = np.asarray(t_dep, dtype=float)
     if np.any(t_dep < 0.0):
@@ -465,8 +461,7 @@ def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
             "ramsey_contrast": np.exp(-DEFAULT_DEPHASING_PER_PHOTON * residual),
             "frequency_shift": cfg.stark_shift_per_photon * residual,
         }
-    if not np.isfinite(out["frequency_shift"]).all():
-        raise NumericalError("depletion frequency shift overflows float64", "cfg.stark_shift_per_photon")
+    finite(out["frequency_shift"], "depletion frequency shift", "cfg.stark_shift_per_photon")
     return out if t_dep.ndim else {key: float(value) for key, value in out.items()}
 
 
@@ -666,21 +661,14 @@ def _cutoff_classifier(offset: float, scale: float, threshold: float):
 def _centroid_line(model: IqModel):
     """(c0, c1, unit axis from c0 to c1, threshold), where the threshold
     is the projection of the centroid midpoint onto the axis; a threshold
-    that overflows float64 raises NumericalError."""
+    past float64 raises NumericalError, carrying the model's centroids."""
     c0 = np.asarray(model.centroid_0, dtype=float)
     c1 = np.asarray(model.centroid_1, dtype=float)
     axis = (c1 - c0) / model.separation
     # c0 + c1 can overflow where the difference, which IqModel bounds, does not.
-    return c0, c1, axis, _overflow_checked(lambda: float((c0 + 0.5 * (c1 - c0)) @ axis))
-
-
-def _overflow_checked(compute):
-    """compute(), with a float64 overflow in it raised as NumericalError."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return compute()
-    except FloatingPointError as exc:
-        raise NumericalError(f"IQ threshold or points overflow float64: {exc}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        threshold = float((c0 + 0.5 * (c1 - c0)) @ axis)
+    return c0, c1, axis, finite(threshold, "IQ threshold", "model.centroid_0", "model.centroid_1")
 
 
 def _report(model: IqModel, wrong: int, n_shots: int, threshold: float) -> dict:
@@ -701,7 +689,8 @@ def iq_discriminate(model: IqModel, shots) -> dict:
     rate of predictions equal to the records' switch_bits and
     separation_fidelity the Gaussian-overlap bound.  Empty shots raise
     ValueError, anything but ShotResult records TypeError, and a
-    threshold or projection that overflows float64 NumericalError.
+    threshold or projection that overflows float64 NumericalError; a
+    point at +-inf along the centroid line is classified.
     """
     shots = list(shots)
     if not shots:
@@ -711,7 +700,12 @@ def iq_discriminate(model: IqModel, shots) -> dict:
     labels = np.array([shot.switch_bit for shot in shots])
     points = np.array([shot.iq_point for shot in shots], dtype=float)
     _, _, axis, threshold = _centroid_line(model)
-    wrong = int(np.count_nonzero((_overflow_checked(lambda: points @ axis) > threshold) != labels))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            projections = points @ axis
+    except FloatingPointError:
+        raise NumericalError("IQ projections of the shots overflow float64", "shots") from None
+    wrong = int(np.count_nonzero((projections > threshold) != labels))
     return _report(model, wrong, len(shots), threshold)
 
 
@@ -724,7 +718,7 @@ def iq_fidelity(model: IqModel, n_shots: int, rng: np.random.Generator) -> dict:
     are classified and counted one by one.  Before any draw, n_shots < 1
     raises ValueError, and more than MAX_SHOT_DRAWS uniforms for both
     classes, or a model whose threshold or projections can overflow
-    float64, raise NumericalError; so no refusal depends on rng.
+    float64 (carrying its fields), raise NumericalError; so no refusal depends on rng.
 
     A drawn shot's noise is Gaussian in a frame turned from I/Q onto the
     centroid line by at most 45 degrees.  With a the unit axis, its read
@@ -746,8 +740,8 @@ def iq_fidelity(model: IqModel, n_shots: int, rng: np.random.Generator) -> dict:
     # magnitude, so no projection reaches past these bounds.
     # Generator.random also draws 0.0 (probability 2^-53), whose deviate
     # is -inf: a projection at -inf or +inf, which is classified.
-    if not all(math.isfinite(abs(offset) + 8.25 * model.sigma) for offset in offsets):
-        raise NumericalError("IQ projections this model can draw overflow float64")
+    bounds = [abs(offset) + 8.25 * model.sigma for offset in offsets]
+    finite(bounds, "IQ projection bound |c . a| + 8.25 sigma", "model.centroid_0", "model.centroid_1", "model.sigma")
     read = int(abs(axis[1]) > abs(axis[0]))
     scale = math.copysign(model.sigma, axis[read])
     wrong = 0

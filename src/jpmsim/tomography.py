@@ -233,10 +233,10 @@ def _scan_start(y: np.ndarray, turn: np.ndarray, solve, k_max: int) -> int:
 
     That residual is a function of t_pi alone (variable projection).  For M distinct durations
     the fit passes k_max = 8 (M - 1): the scan takes 16 points per 1/span from f = 1/(2 t_pi) =
-    1/(8 span) to (M - 1)/(2 span), t_pi down to one mean step.
+    1/(8 span) to (M - 1)/(2 span), t_pi down to one mean step.  Refuses more than MAX_SCAN_CELLS cells.
     """
     if (k_max - 1) * turn.size > MAX_SCAN_CELLS:
-        raise NumericalError(f"tomogram fit: t_pi scan of {turn.size} durations exceeds {MAX_SCAN_CELLS:.3g} cells")
+        raise NumericalError(f"t_pi scan of {turn.size} durations exceeds {MAX_SCAN_CELLS:.3g} cells", "grid")
     minima = []  # (profile, k) at the minimum of each block
     block = max(1, (1 << 16) // turn.size)  # values of k per block, which bounds memory
     step = np.exp(1j * turn)
@@ -263,7 +263,8 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
     t_pi fit 90.06 ns for a true 50 ns).  A positivity-violating r is
     projected onto sqrt(beta(1-beta)) with the projected flag set, and a
     negligible r zeroes phi with the phase_unidentifiable flag set.
-    residual_rms reports the unprojected optimum.
+    residual_rms reports the unprojected optimum.  Every refusal below
+    carries ``grid``, the fit's one argument.
 
     Raises
     ------
@@ -273,27 +274,27 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
         duration span, or a span that covers less than one full rotation
         period 2 t_pi of the fitted surface.
     NumericalError
-        If an axis angle passes errors.PHASE_LIMIT (carrying ``grid``), before any other check, or if the t_pi scan
+        If an axis angle passes errors.PHASE_LIMIT, before any other check, or if the t_pi scan
         would take more than MAX_SCAN_CELLS cells, before it scans.
     """
     theta, t = grid.axis_angles, grid.pulse_durations
     sin_theta, cos_theta = sin_cos(theta, "axis angle theta", "grid")
     # Angles 2 pi apart name one axis, so they are counted modulo 2 pi.
     if _axis_count(theta) < 4:
-        raise IdentifiabilityError("need at least 4 distinct axis angles modulo 2 pi")
+        raise IdentifiabilityError("need at least 4 distinct axis angles modulo 2 pi", "grid")
     # A full period 2 t_pi inside the span, sampled above the Nyquist
     # rate, needs at least 4 durations.
     n_durations = _distinct_count(t)
     if n_durations < 4:
-        raise IdentifiabilityError("need at least 4 distinct pulse durations")
+        raise IdentifiabilityError("need at least 4 distinct pulse durations", "grid")
     # A constant surface (beta = 1/2 with r = 0, or durations far below
     # t_pi) holds no t_pi at all.
     if np.ptp(grid.occupations) == 0.0:
-        raise IdentifiabilityError("a flat tomogram shows no full rotation period 2 t_pi")
+        raise IdentifiabilityError("a flat tomogram shows no full rotation period 2 t_pi", "grid")
     # Far from 0 the absolute phase pi t/t_pi varies faster in t_pi than the scan steps.
     span = float(np.ptp(t))
     if t.min() > span:
-        raise IdentifiabilityError("the shortest pulse duration exceeds the duration span")
+        raise IdentifiabilityError("the shortest pulse duration exceeds the duration span", "grid")
 
     y, rows, turn, solve = _projection(grid, sin_theta, cos_theta)
 
@@ -327,7 +328,7 @@ def fit_tomogram(grid: TomogramGrid) -> FitResult:
 
     # Refused before the final solve, which takes no ridge: at k = 0 every sin(alpha) is 0.
     if k < 16.0 * (1.0 - 1e-9):
-        raise IdentifiabilityError("pulse durations span less than one full rotation period 2 t_pi")
+        raise IdentifiabilityError("pulse durations span less than one full rotation period 2 t_pi", "grid")
     (x,), (cost,) = profile([k], ridge=0.0)
     residual_rms = math.sqrt(cost / y.size)
     beta, r, phi = float(x[0]) + 0.5, math.hypot(x[1], x[2]), math.atan2(x[2], x[1])

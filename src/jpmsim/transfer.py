@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, require_finite_positive, sin_cos
+from .errors import NumericalError, finite, require_finite_positive, sin_cos
 
 
 @dataclass(frozen=True)
@@ -286,14 +286,13 @@ def _seed_bracket(cfg: TransferConfig, h: float, span: float) -> tuple[int, int]
 
     The seed grid is SEED_POINTS nodes, geometric from node 1 (time 2 h)
     to node span (t_max); the seed is the argmax of the closed-form
-    envelope on it, so the bracket holds the envelope's highest lobe.
+    envelope on it, so the bracket holds the envelope's highest lobe;
+    a non-finite envelope raises NumericalError, carrying cfg.
     """
     nodes = np.exp(math.log(span) * _SEED_STEPS)
     with np.errstate(over="ignore", invalid="ignore"):
         envelope = efficiency((2.0 * h) * nodes, cfg.source.decay_rate, cfg.target.decay_rate, cfg.delta_omega)
-    if not np.isfinite(envelope).all():
-        raise NumericalError("closed-form envelope is not finite over the seed grid", "cfg")
-    i = int(np.argmax(envelope))
+    i = int(np.argmax(finite(envelope, "closed-form envelope on the seed grid", "cfg")))
     return int(nodes[max(i - 1, 0)]), math.ceil(nodes[min(i + 1, SEED_POINTS - 1)])
 
 
@@ -364,9 +363,7 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
         raise NumericalError(f"decay rate {k_max:.3g}/s is not resolved by the quadrature step {h:.3g} s", "cfg")
 
     k_min = min(cfg.source.decay_rate, cfg.target.decay_rate)
-    t_max = 20.0 / k_min
-    if not math.isfinite(t_max):
-        raise NumericalError(f"seed grid end t_max = 20/min kappa overflows float64 at min kappa {k_min:.3g}/s", "cfg")
+    t_max = finite(20.0 / k_min, "seed grid end t_max = 20/min kappa", "cfg")
     span = t_max / (2.0 * h)
     if not span <= MAX_PEAK_NODES:
         raise NumericalError(

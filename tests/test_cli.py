@@ -1024,7 +1024,7 @@ def test_float_overflow_in_computation_exits_numerical(tmp_path, capsys, name, o
     err = capsys.readouterr().err
     assert err.startswith("numerical error") and err.count("\n") == 1
     if name == "transfer-curves":
-        line = "transfer.kappa_ratios: transfer efficiency for kappa_ratio=1e+308 is not finite"
+        line = "transfer.kappa_ratios: transfer efficiency for kappa_ratio=1e+308 is nan, not a finite float64"
         assert err == f"numerical error: {line}\n"
     assert list(tmp_path.iterdir()) == []
 
@@ -1189,7 +1189,7 @@ def test_tomo_fit_refuses_durations_far_from_zero(tmp_path, capsys, tomogram, of
     code, fitted = run_subcommand("tomo-fit", overrides=(f"tomo.input={edited}",), output_dir=str(out))
     assert code == 3 and fitted == []
     err = capsys.readouterr().err
-    assert err == "numerical error: the shortest pulse duration exceeds the duration span\n"
+    assert err == "numerical error: tomo.input: the shortest pulse duration exceeds the duration span\n"
     assert not out.exists()
 
 
@@ -1244,7 +1244,7 @@ def test_tomo_fit_refuses_axis_angles_that_coincide_modulo_two_pi(tmp_path, caps
     capsys.readouterr()
     code, fitted = run_subcommand("tomo-fit", overrides=(f"tomo.input={edited}",), output_dir=str(out))
     assert code == 3 and fitted == []
-    assert capsys.readouterr().err == "numerical error: need at least 4 distinct axis angles modulo 2 pi\n"
+    assert capsys.readouterr().err == "numerical error: tomo.input: need at least 4 distinct axis angles modulo 2 pi\n"
     assert not out.exists()
 
 
@@ -1259,7 +1259,7 @@ def test_tomo_fit_above_the_scan_cell_cap_exits_numerical(tmp_path, capsys, monk
     code, fitted = run_subcommand("tomo-fit", overrides=(f"tomo.input={paths[0]}",), output_dir=str(out))
     assert code == 3 and fitted == []
     err = capsys.readouterr().err
-    assert err == "numerical error: tomogram fit: t_pi scan of 33 durations exceeds 1e+03 cells\n"
+    assert err == "numerical error: tomo.input: t_pi scan of 33 durations exceeds 1e+03 cells\n"
     assert not out.exists()
 
 
@@ -2339,6 +2339,7 @@ def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):
         ),
         ("iq", "iq.sigma=0", "iq"),
         ("iq", "iq.centroid_1=0,0", "iq"),
+        ("iq", "iq.centroid_0=1,2,3", "iq"),
         ("tomo-synth", "tomo.beta=2", "tomo"),
         ("tomo-synth", "tomo.r=1", "tomo"),
     ]
@@ -2575,6 +2576,47 @@ def test_every_artifact_phase_goes_through_the_phase_rule():
     assert len(spelt) == 1 and spelt[0].startswith("errors.py:"), spelt
 
 
+def test_every_result_that_leaves_float64_goes_through_the_finite_rule():
+    # errors.finite is the one check of a result for inf or NaN: no
+    # NumericalError is raised under an if that tests isfinite, except in
+    # finite itself and in potential._beta_turns, whose test also keeps
+    # 1/beta_L from a division by zero.  numpy's raising errstate and the
+    # FloatingPointError it raises are left to iq_discriminate alone,
+    # whose stored points may be infinite and are still classified.  Each
+    # site that once checked its result by hand calls finite.
+    package = Path(jpmsim.cli.__file__).parent
+    sites = {
+        "protocol.relaxation_error", "protocol.stark_calibration", "protocol.depletion_recovery",
+        "protocol._centroid_line", "protocol.iq_fidelity", "transfer._seed_bracket", "transfer.peak_efficiency",
+        "cli._transfer_curves",
+    }
+
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    hand_checks, raising, callers = set(), set(), set()
+    for path in sorted(package.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        body += [node for cls in body if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for function in (node for node in body if isinstance(node, ast.FunctionDef)):
+            where = f"{path.stem}.{function.name}"
+            for node in ast.walk(function):
+                if isinstance(node, ast.If) and any(name(call) == "isfinite" for call in ast.walk(node.test)):
+                    raised = [part.exc for stmt in node.body for part in ast.walk(stmt) if isinstance(part, ast.Raise)]
+                    if any(isinstance(exc, ast.Call) and name(exc.func) == "NumericalError" for exc in raised):
+                        hand_checks.add(where)
+                if name(node) == "FloatingPointError" or (
+                    isinstance(node, ast.Call) and name(node.func) == "errstate"
+                    and any(getattr(keyword.value, "value", None) == "raise" for keyword in node.keywords)
+                ):
+                    raising.add(where)
+                if isinstance(node, ast.Call) and name(node.func) == "finite":
+                    callers.add(where)
+    assert hand_checks == {"errors.finite", "potential._beta_turns"}
+    assert raising == {"protocol.iq_discriminate"}
+    assert sites <= callers, sites - callers
+
+
 def test_every_private_and_imported_module_name_is_used():
     # A module-level private name (function, class or constant, not a
     # dunder) or an imported name that nothing in src/jpmsim reads is a
@@ -2675,13 +2717,31 @@ def test_every_private_and_imported_module_name_is_used():
         (
             "stark",
             ("protocol.n_bar_qubit_cavity=1e308",),
-            "numerical error: protocol.n_bar_qubit_cavity and protocol.stark_shift_per_photon: stark photon numbers"
-            " or shifts overflow float64\n",
+            "numerical error: protocol.n_bar_qubit_cavity and protocol.stark_shift_per_photon: stark shift is -inf,"
+            " not a finite float64\n",
         ),
         (
             "depletion",
             ("protocol.stark_shift_per_photon=1e306Hz",),
-            "numerical error: protocol.stark_shift_per_photon: depletion frequency shift overflows float64\n",
+            "numerical error: protocol.stark_shift_per_photon: depletion frequency shift is inf, not a finite"
+            " float64\n",
+        ),
+        (
+            "iq",
+            ("iq.centroid_0=1.4e308,1.4e308", "iq.centroid_1=1.5e308,1.5e308", "iq.sigma=1e305"),
+            "numerical error: iq.centroid_0 and iq.centroid_1: IQ threshold is inf, not a finite float64\n",
+        ),
+        (
+            "iq",
+            ("iq.centroid_0=0,0", "iq.centroid_1=1.79e308,0", "iq.sigma=1e306"),
+            "numerical error: iq.centroid_0, iq.centroid_1 and iq.sigma: IQ projection bound |c . a| + 8.25 sigma is"
+            " inf, not a finite float64\n",
+        ),
+        (
+            "transfer-peak",
+            ("capture.decay_time=1e308s",),
+            "numerical error: source.frequency, source.decay_time, capture.frequency and capture.decay_time: seed"
+            " grid end t_max = 20/min kappa is inf, not a finite float64\n",
         ),
         (
             "potential-sweep",
@@ -2725,6 +2785,9 @@ def test_every_private_and_imported_module_name_is_used():
         "peak-emitted-energy",
         "stark-overflow",
         "depletion-overflow",
+        "iq-threshold-overflow",
+        "iq-projection-overflow",
+        "peak-t_max-overflow",
         "potential-sweep-beta-inverse",
         "bifurcation-beta-segments",
         "potential-sweep-flux-0.1Wb",
@@ -2843,6 +2906,14 @@ _LIBRARY_REFUSALS = {
         "depletion", lambda pc: depletion_recovery([0.0], replace(pc, stark_shift_per_photon=1e308)),
         ("cfg.stark_shift_per_photon",),
     ),
+    "iq-threshold": (
+        "iq", lambda pc: iq_fidelity(IqModel((1.4e308, 1.4e308), (1.5e308, 1.5e308), 1e305), 1, np.random.default_rng(0)),
+        ("model.centroid_0", "model.centroid_1"),
+    ),
+    "iq-projection": (
+        "iq", lambda pc: iq_fidelity(IqModel((0.0, 0.0), (1.79e308, 0.0), 1e306), 1, np.random.default_rng(0)),
+        ("model.centroid_0", "model.centroid_1", "model.sigma"),
+    ),
     "beta-inverse": (
         "potential-sweep",
         lambda pc: well_report_sweep([0.0], _default("jpm_params", "device.loop_inductance=1e-320H")),
@@ -2863,6 +2934,9 @@ _LIBRARY_REFUSALS = {
     # Two angles and one duration would be unidentifiable; the phase rule refuses the grid first.
     "tomo-fit-angles": (
         "tomo-fit", lambda pc: fit_tomogram(TomogramGrid([0.0, 2.0**31], [0.0], [[0.5], [0.5]])), ("grid",)
+    ),
+    "tomo-fit-identifiability": (
+        "tomo-fit", lambda pc: fit_tomogram(TomogramGrid([0.0, 1.0], [0.0], [[0.5], [0.5]])), ("grid",)
     ),
 }
 

@@ -74,13 +74,15 @@ def test_relaxation_error_limits():
         (0.0, 6.6e-6, ValueError, "must be positive"),
         (780e-9, -1.0, ValueError, "must be positive"),
         # T1/t_prep overflows to inf, and inf times expm1(-1e-320) is -inf.
-        (1e-320, 1.0, NumericalError, "not finite for T1/t_prep = inf"),
+        (1e-320, 1.0, NumericalError, "^relaxation error is -inf, not a finite float64$"),
     ],
     ids=["zero-window", "negative-t1", "ratio-overflow"],
 )
 def test_relaxation_error_refusals(t_prep, t1, error, match):
-    with pytest.raises(error, match=match):
+    with pytest.raises(error, match=match) as info:
         relaxation_error(t_prep, t1)
+    if error is NumericalError:
+        assert info.value.params == ("t_prep", "t1")
 
 
 def test_simulate_shot_reproducible():
@@ -953,6 +955,11 @@ def test_iq_model_validation():
     for model in (dict(centroid_0=(1e308, 0.0), centroid_1=(-1e308, 0.0)), dict(sigma=1e-320)):
         with pytest.raises(ValueError, match="out of float64 range"):
             IqModel(**model)
+    # A centroid is one (I, Q) point: a third component once passed, and
+    # iq_fidelity read a threshold of -12 off it; one was an IndexError.
+    for model in (dict(centroid_0=(0.0, 0.0, 5.0)), dict(centroid_1=(1.0,))):
+        with pytest.raises(ValueError, match=r"^centroids must have two components \(I, Q\), got "):
+            IqModel(**model)
 
 
 def test_iq_discriminate_within_binomial_errors():
@@ -977,20 +984,41 @@ def test_iq_discriminate_far_apart_centroids():
     assert out["threshold"] == 5e199
 
 
+_PROJECTION_BOUND = r"^IQ projection bound \|c \. a\| \+ 8\.25 sigma is inf, not a finite float64$"
+
+
 @pytest.mark.parametrize(
-    "centroid_0, centroid_1, sigma",
+    "centroid_0, centroid_1, sigma, match, params",
     [
         # Off-axis centroids: the projected threshold overflows.
-        ((1.4e308, 1.4e308), (1.5e308, 1.5e308), 1e305),
+        (
+            (1.4e308, 1.4e308), (1.5e308, 1.5e308), 1e305, "^IQ threshold is inf, not a finite float64$",
+            ("model.centroid_0", "model.centroid_1"),
+        ),
         # A centroid at the limit: the drawn points overflow.
-        ((0.0, 0.0), (1.79e308, 0.0), 1e306),
+        (
+            (0.0, 0.0), (1.79e308, 0.0), 1e306, _PROJECTION_BOUND,
+            ("model.centroid_0", "model.centroid_1", "model.sigma"),
+        ),
     ],
     ids=["threshold", "points"],
 )
-def test_iq_discriminate_overflow_is_numerical_error(centroid_0, centroid_1, sigma):
+def test_iq_discriminate_overflow_is_numerical_error(centroid_0, centroid_1, sigma, match, params):
     model = IqModel(centroid_0=centroid_0, centroid_1=centroid_1, sigma=sigma)
-    with pytest.raises(NumericalError, match="overflow"):
+    with pytest.raises(NumericalError, match=match) as info:
         iq_fidelity(model, 1000, np.random.default_rng(7))
+    assert info.value.params == params
+
+
+def test_iq_discriminate_refuses_stored_points_whose_projection_overflows():
+    # A stored point's projection past float64 is refused; a point at
+    # +-inf along the centroid line, the deviate of a uniform 0.0, is
+    # classified.
+    with pytest.raises(NumericalError, match="^IQ projections of the shots overflow float64$") as info:
+        iq_discriminate(IqModel(centroid_1=(1.0, 1.0)), [ShotResult(1, (1.7e308, 1.7e308))])
+    assert info.value.params == ("shots",)
+    shots = [ShotResult(0, (-math.inf, 0.0)), ShotResult(1, (math.inf, 0.0))]
+    assert iq_discriminate(IqModel(), shots)["single_shot_fidelity"] == 1.0
 
 
 def test_iq_discriminate_overflow_refusal_does_not_depend_on_draws():
@@ -1000,7 +1028,7 @@ def test_iq_discriminate_overflow_refusal_does_not_depend_on_draws():
     model = IqModel(centroid_1=(1.75e308, 0.0), sigma=1e306)
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        with pytest.raises(NumericalError, match="overflow"):
+        with pytest.raises(NumericalError, match=_PROJECTION_BOUND):
             iq_fidelity(model, 1, rng)
         assert rng.random() == np.random.default_rng(seed).random()
 

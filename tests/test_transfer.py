@@ -21,6 +21,7 @@ import jpmsim.transfer as transfer
 from jpmsim.config import RunConfig
 from jpmsim.errors import NumericalError
 from jpmsim.transfer import (
+    _golden_peak,
     _window_energy,
     CavityMode,
     TransferConfig,
@@ -632,9 +633,27 @@ def test_non_finite_seed_envelope_is_refused(monkeypatch):
     # A closed-form envelope with no number on the seed grid gives the
     # search no seed, so it is refused before any window is read.
     monkeypatch.setattr(transfer, "efficiency", lambda t, *rates: np.full(np.shape(t), math.nan))
-    with pytest.raises(NumericalError, match="closed-form envelope is not finite over the seed grid") as info:
+    line = "closed-form envelope on the seed grid is nan, not a finite float64"
+    with pytest.raises(NumericalError, match=f"^{line}$") as info:
         peak_efficiency(make_config())
     assert info.value.params == ("cfg",)
+
+
+@pytest.mark.parametrize(
+    "energy, expected",
+    [
+        (lambda j: -float(j), (-10.0, 2e-11)),
+        (lambda j: float(j), (100.0, 2e-10)),
+        (lambda j: -((j - 37.25) ** 2), (0.0, 2e-12 * 37.25)),
+    ],
+    ids=["falling-line", "rising-ramp-to-b", "parabola"],
+)
+def test_golden_peak_branches(energy, expected):
+    # Over nodes 10 to 100 at h = 1e-12 s: a falling line peaks at a,
+    # whose flat three-point curvature takes no parabola step; a rising
+    # ramp peaks at the last node b, which has no right neighbour; a
+    # downward parabola is refined to its vertex exactly.
+    assert _golden_peak(energy, 10, 100, 1e-12) == expected
 
 
 def test_numeric_zero_cases():
