@@ -6,14 +6,13 @@ rate kappa_2.  In linear response the fraction of the emitted energy
 stored in mode 2 at time t has one closed form, efficiency, which
 covers the matched case, a decay-rate mismatch, a frequency mismatch
 and both together.  This module evaluates it, the peak values of its
-single-mismatch cases, and the numeric peak of the real
-(non-rotating-wave) response of mode 2 to the ring-down drive, from a
-composite Simpson quadrature and a tone fit over the capture period
-ending at each probe node, whose result is a closed form in that node:
-a few complex scalars from constants taken once per peak.  The
-independent oracle that integrates the same response one time at a
-time, and the windowed numpy path the closed form replaced, live with
-the tests (tests/transfer_oracle.py).
+single-mismatch cases, and the numeric peak of mode 2's real
+(non-rotating-wave) response to the ring-down drive: a composite
+Simpson quadrature and a tone fit over the capture period ending at
+each probe node, a closed form in that node with no BLAS or LAPACK
+call.  The independent oracle that integrates the same response one
+time at a time, and the slow paths the closed form replaced, live
+with the tests (tests/transfer_oracle.py).
 
 The closed form is one rotating-wave envelope.  With
 a = exp(-kappa_1 t / 2), b = exp(-kappa_2 t / 2):
@@ -187,22 +186,30 @@ _MAX_DECAY_PER_STEP = 0.1
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _end_rows(times: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """The tone fit on window nodes at times: weights giving its quadratures at the last node.
+def _end_rows(times: np.ndarray, omega: float) -> np.ndarray:
+    """The tone fit on window nodes at times: weights (2, n) giving its quadratures at the last node.
 
-    The fit is linear least squares.  The window signal is
-    (P + P'u) cos(omega tau) + (Q + Q'u) sin(omega tau) with u centered
-    and scaled to [-1, 1].  The drift term absorbs the slow decay and
-    carrier beat across the window; extrapolating the quadratures to the
-    window end (u = 1) gives the envelope there with
-    O((kappa * T_carrier)^2) accuracy.  Returns the rows of the design's
-    pseudo-inverse that give P + P' and Q + Q' from the samples.
+    The window signal is (P + P'u) cos(omega tau) + (Q + Q'u) sin(omega tau),
+    u centred and scaled to [-1, 1]; the drift term absorbs the slow decay
+    and carrier beat, and the quadratures at the window end (u = 1) give
+    the envelope there to O((kappa T_carrier)^2).  Their least-squares rows
+    are y.design, G y = e_0 + e_2 and e_1 + e_3, each entry of the Gram
+    matrix G a pairwise numpy sum of a product of two columns (no BLAS).
+    Over one capture period G is symmetric positive definite and well
+    conditioned (condition number 3 to 4.2): Gauss-Jordan needs no pivots.
     """
-    theta = omega * times
-    u = (times - times.mean()) / (times[-1] - times.mean())
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    g = np.linalg.pinv(np.column_stack([cos_t, sin_t, u * cos_t, u * sin_t]))
-    return g[0] + g[2], g[1] + g[3]
+    u = (2.0 * times - (times[0] + times[-1])) / (times[-1] - times[0])
+    tone = np.array([np.cos(omega * times), np.sin(omega * times)])
+    design = np.concatenate([tone, u * tone])
+    halves = [(half[:, None] * design).sum(axis=2).tolist() for half in (design[:2], design[2:])]
+    gram = [row + [1.0 - i % 2, float(i % 2)] for i, row in enumerate(halves[0] + halves[1])]
+    for k, pivot in enumerate(gram):
+        for row in gram[:k] + gram[k + 1 :]:
+            f = row[k] / pivot[k]
+            for c in range(k + 1, 6):
+                row[c] -= f * pivot[c]
+    y = np.array([[row[c] / row[i] for i, row in enumerate(gram)] for c in (4, 5)])
+    return (y[:, :, None] * design).sum(axis=1)
 
 
 def _expm1(z: complex) -> complex:
@@ -214,55 +221,51 @@ def _expm1(z: complex) -> complex:
 def _window_energy(cfg: TransferConfig, h: float, n: int) -> Callable[[int], float]:
     """Stored-energy fraction at panel node j >= n of the Simpson recurrence on step h, from a window of n nodes.
 
-    V2 at the nodes tau_j = 2 j h is the Simpson recurrence of the test
-    oracle (tests/transfer_oracle.py) run from tau = 0 on the fixed step
-    h: a_j + i b_j = D (a_{j-1} + i b_{j-1}) + P_j, D = e^{-kappa_2 h},
-    with P_j the panel of drive(tau) e^{i omega_2 tau}.  The drive, with
-    V0 = Z0 = 1 as efficiencies are free of the line's scale, is
-    sqrt(kappa_2) sum_{+-} e^{sigma_+- tau}, sigma_+- = -kappa_1/2 +
-    i (omega_2 +- omega_1), so each term's panels are geometric,
-    P_l = c q^{l-1} with q = e^{2 sigma h}, and the recurrence sums in
-    closed form: s_j = sum_l D^{j-l} c q^{l-1} = c M^{j-1} r_j, with
-    r_j = expm1(j L) / expm1(L) = sum_{i<j} e^{i L} (j at L = 0), M the
-    larger in modulus of D and q and L = log(smaller / larger), so
-    Re L <= 0 and nothing overflows.  V2_j = Re(e^{-i theta_j} s_j),
-    theta_j = omega_2 tau_j.
+    V2 at the nodes tau_j = 2 j h is the test oracle's Simpson recurrence
+    (tests/transfer_oracle.py) from tau = 0 on the fixed step h:
+    a_j + i b_j = D (a_{j-1} + i b_{j-1}) + P_j, D = e^{-kappa_2 h}, P_j the
+    panel of drive(tau) e^{i omega_2 tau}.  At V0 = Z0 = 1, as efficiencies
+    are free of the line's scale, the drive is sqrt(kappa_2) sum_{+-}
+    e^{sigma_+- tau}, sigma_+- = -kappa_1/2 + i (omega_2 +- omega_1), so
+    each term's panels are geometric, P_l = c q^{l-1}, q = e^{2 sigma h},
+    and the recurrence sums in closed form: s_j = sum_l D^{j-l} c q^{l-1}
+    = c M^{j-1} r_j, r_j = expm1(j L) / expm1(L) = sum_{i<j} e^{i L} (j at
+    L = 0), M the larger in modulus of D and q and L = log(smaller /
+    larger), so Re L <= 0 and nothing overflows.  V2_j = Re(e^{-i theta_j}
+    s_j), theta_j = omega_2 tau_j.
 
-    The energy is kappa_1 (P^2 + Q^2), with P and Q the quadratures of
-    the tone fit (_end_rows) on the n nodes ending at node j: at
-    V0 = Z0 = 1 the source emits 1/(2 kappa_1).  The fit is linear, and
-    the window j_b + k, k = 1..n, has the first window's design with each
-    (cos, sin) pair turned by theta_0 = omega_2 2 h j_b.  So with g the
-    end rows of the first design, P = Re(e^{-i theta_0} X_P), and Q
-    likewise, where the exact identity r_{j_b+k} = r_{j_b} + e^{j_b L} r_k
-    splits each term of X = g.(e^{-i theta_k} s_{j_b+k}) into
+    The energy is kappa_1 (P^2 + Q^2), P and Q the quadratures of the tone
+    fit (_end_rows) on the n nodes ending at node j, as the source emits
+    1/(2 kappa_1).  The fit is linear, and window j_b + k, k = 1..n, has
+    the first window's design with each (cos, sin) pair turned by
+    theta_0 = omega_2 2 h j_b.  So with g the end rows of the first design,
+    P = Re(e^{-i theta_0} X_P), and Q likewise, where the exact identity
+    r_{j_b+k} = r_{j_b} + e^{j_b L} r_k splits each term of
+    X = g.(e^{-i theta_k} s_{j_b+k}) into
 
         c M^{j_b} (r_{j_b} U + e^{j_b L} W),
         U = g.(e^{-i theta_k} M^{k-1}),  W = g.(e^{-i theta_k} M^{k-1} r_k),
 
-    with nothing cancelling as L -> 0.  U and W are taken once per peak,
-    so a window costs a few complex scalars however far from tau = 0 it
-    lies.  No energy is defined before the first window ends (j < n).
+    with nothing cancelling as L -> 0.  U and W of both terms are numpy
+    pairwise sums taken once per peak, so a window ending at any node
+    j >= n costs a few complex scalars however far from tau = 0 it lies.
     """
     w1, w2 = cfg.source.angular_frequency, cfg.target.angular_frequency
     k1, k2 = cfg.source.decay_rate, cfg.target.decay_rate
-    ks = np.arange(1, n + 1)
-    times = (2.0 * h) * ks
-    theta = w2 * times
-    turn = np.cos(theta) - 1j * np.sin(theta)
-    g_p, g_q = _end_rows(times, w2)
+    steps = np.arange(n)
+    times = (2.0 * h) * (steps + 1)
+    rows = _end_rows(times, w2)
     d = math.exp(-0.5 * k2 * h)
-    terms = []
+    consts = []
     for w in (w2 + w1, w2 - w1):
         e = cmath.exp(complex(-0.5 * k1 * h, w * h))
-        c = (h / 3.0) * math.sqrt(k2) * (d * d + 4.0 * d * e + e * e)
         log_ratio = complex((k2 - k1) * h, 2.0 * w * h)  # log(q / D)
         log_m, L = (complex(-k2 * h), log_ratio) if k2 <= k1 else (complex(-k1 * h, 2.0 * w * h), -log_ratio)
-        expm1_l = _expm1(L)
-        ratio = np.cumsum(np.exp((ks - 1) * L))  # r_k
-        geo = c * np.exp((ks - 1) * log_m) * turn
-        sums = [complex(g @ v) for v in (geo, geo * ratio) for g in (g_p, g_q)]
-        terms.append((log_m, L, expm1_l, *sums))
+        consts.append(((h / 3.0) * math.sqrt(k2) * (d * d + 4.0 * d * e + e * e), log_m, L))
+    c, log_m, L = np.array(consts).T[:, :, None]
+    geo = c * np.exp(log_m * steps - 1j * (w2 * times))
+    U, W = ((v[:, None] * rows).sum(axis=2).tolist() for v in (geo, geo * np.cumsum(np.exp(L * steps), axis=1)))
+    terms = [(log_m, L, _expm1(L), *u, *w) for (_, log_m, L), u, w in zip(consts, U, W)]
 
     def energy(j: int) -> float:
         j_b = j - n
@@ -334,15 +337,12 @@ def peak_efficiency(cfg: TransferConfig) -> tuple[float, float]:
     kappa_2 exceeds the carrier, seeds at 0.56 ns while the numeric peak
     is at 0.17 ns.  A golden-section search over the panel-node indices
     in the bracket reads the tone fit over the capture period ending at
-    each probe node, and a three-point parabola through the best node
-    and its neighbours refines the peak (_golden_peak).  V2 at a node is
-    the Simpson recurrence from tau = 0 on the fixed step h = period /
-    (2 POINTS_PER_PERIOD), and the fit on the nodes of the capture
-    period ending there is linear in it, so the energy is a closed form in the
-    node (_window_energy): one pseudo-inverse of the fit's design per
-    peak, then a few complex scalars per probe however far from tau = 0
-    it lies.  At a node time the energy equals the test oracle's there
-    up to rounding.  Returns (eta_peak, t_opt), eta_peak in [0, 1].
+    each probe node, and a three-point parabola through the best node and
+    its neighbours refines the peak (_golden_peak).  On the fixed step
+    h = period / (2 POINTS_PER_PERIOD) the energy is a closed form in the
+    node (_window_energy): the fit's normal equations and eight complex
+    sums per peak, then a few complex scalars per probe, equal to the test
+    oracle's at a node time up to rounding.  Returns (eta_peak, t_opt).
 
     Raises
     ------

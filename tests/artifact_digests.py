@@ -87,8 +87,8 @@ def versions_line() -> str:
     )
 
 
-def digests(work_dir: Path) -> tuple[list[str], int]:
-    """(sorted digest lines, number of failed runs), writing under work_dir."""
+def digests(work_dir: Path, names: tuple[str, ...] = tuple(_SUBCOMMANDS)) -> tuple[list[str], int]:
+    """(sorted digest lines, number of failed runs) of the subcommands names, writing under work_dir."""
     lines = []
     failures = 0
     for index, overrides in enumerate(BYTE_CONFIGS):
@@ -96,7 +96,7 @@ def digests(work_dir: Path) -> tuple[list[str], int]:
         for file_format in ("csv", "json"):
             out_dir = work_dir / str(index) / file_format
             settings = overrides + (f"output.format={file_format}", f"tomo.input={tomogram}")
-            for name in _SUBCOMMANDS:
+            for name in names:
                 with contextlib.redirect_stdout(io.StringIO()):
                     code, paths = run_subcommand(name, overrides=settings, output_dir=str(out_dir))
                 if code != 0:

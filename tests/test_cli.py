@@ -1942,6 +1942,44 @@ def test_artifact_digests_match_the_recorded_file(tmp_path):
         pytest.fail(f"{n_moved} artifacts moved{versions}:\n" + "\n".join(moved))
 
 
+_TRANSFER_PEAK_DIGESTS = """
+import sys
+from pathlib import Path
+import artifact_digests
+lines, failures = artifact_digests.digests(Path(sys.argv[1]), ("transfer-peak",))
+print(artifact_digests.versions_line())
+print(*lines, sep="\\n")
+sys.exit(failures)
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_transfer_peak_digests_hold_under_other_openblas_kernels(tmp_path, coretype):
+    # transfer-peak calls no BLAS or LAPACK routine, so its 16 artifacts
+    # (every BYTE_CONFIGS entry, both formats) keep their recorded bytes
+    # whichever kernel OpenBLAS runs.  OpenBLAS picks its kernel when
+    # numpy loads, so a child process runs them with OPENBLAS_CORETYPE set
+    # in its environment only; on a CPU without that kernel the setting
+    # is a no-op and the check still runs.  tomo-fit's linear algebra
+    # still runs on OpenBLAS, so its lines are not checked here.
+    tests_dir = Path(artifact_digests.__file__).parent
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(Path(jpmsim.__file__).parents[1]), str(tests_dir)]),
+        OPENBLAS_CORETYPE=coretype,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRANSFER_PEAK_DIGESTS, str(tmp_path)], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    running, *got = proc.stdout.splitlines()
+    recorded = artifact_digests.DIGESTS_FILE.read_text().splitlines()[1:]
+    want = [line for line in recorded if line.endswith("/transfer_peak.json")]
+    assert len(want) == 2 * len(BYTE_CONFIGS)
+    assert got == want, f"running {running[2:]}"
+
+
 @pytest.mark.parametrize("overrides", BYTE_CONFIGS)
 def test_writer_matches_per_cell_reference(tmp_path, overrides):
     # tomo-fit reads the tomogram.csv that tomo-synth writes before it

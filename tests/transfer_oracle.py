@@ -11,14 +11,16 @@ normalises by its own emitted energy V0^2 / (2 kappa_1 Z0), where the
 library drives at V0 = Z0 = 1; run at several V0 and Z0 it checks the
 scale invariance the library relies on.
 
-simpson_voltages and node_energy are the windowed slow path that the
-library's closed-form window energies replaced: the Simpson recurrence
-evaluated in closed form at the nodes of a window of one capture period
-(capture_window), as numpy arrays, and the tone fit solved on them.
-eager_node_voltages and eager_peak_efficiency are the older slow path
-before it: the whole recurrence streamed block by block from tau = 0,
-and the library's own seed bracket and search (_seed_bracket,
-_golden_peak) over it.  They
+pinv_end_rows is the slow path of the tone fit's end rows that the
+library's normal equations (transfer._end_rows) replaced: the rows of
+the design's SVD pseudo-inverse.  simpson_voltages and node_energy are
+the windowed slow path that the library's closed-form window energies
+replaced: the Simpson recurrence evaluated in closed form at the nodes
+of a window of one capture period (capture_window), as numpy arrays,
+and the tone fit solved on them.  eager_node_voltages and
+eager_peak_efficiency are the older slow path before it: the whole
+recurrence streamed block by block from tau = 0, and the library's own
+seed bracket and search (_seed_bracket, _golden_peak) over it.  They
 keep their own block constants, and eager_peak_efficiency reads its
 windows through node_energy too, so the two slow paths differ only in
 their node voltages.
@@ -166,6 +168,20 @@ def tone_peak(times: np.ndarray, values: np.ndarray, omega: float, h: float) -> 
     else:
         p_end, q_end = coef[0], coef[1]
     return float(np.hypot(p_end, q_end))
+
+
+def pinv_end_rows(times: np.ndarray, omega: float) -> np.ndarray:
+    """transfer._end_rows by np.linalg.pinv: rows g_0 + g_2 and g_1 + g_3 of the design's pseudo-inverse.
+
+    The design is tone_peak's, [cos, sin, u cos, u sin] of omega tau with
+    u centred on the window's mean time and scaled to [-1, 1]; the rows
+    give the fitted quadratures P + P' and Q + Q' at the window end.
+    """
+    theta = omega * times
+    u = (times - times.mean()) / (times[-1] - times.mean())
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    g = np.linalg.pinv(np.column_stack([cos_t, sin_t, u * cos_t, u * sin_t]))
+    return np.array([g[0] + g[2], g[1] + g[3]])
 
 
 def _expm1(z):
