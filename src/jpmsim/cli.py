@@ -511,11 +511,12 @@ _ARGUMENT_KEYS: dict[str, dict[str, str]] = {
                       "d_omega": "source.frequency capture.frequency",
                       "t": "source.frequency source.decay_time capture.frequency capture.decay_time",
                       "kappa_1": "source.decay_time"},
-    "budget": {"n_shots": "budget.n_shots"},
-    "ramsey": {"detunings": "ramsey.detunings", "delays": "ramsey.delay_stop", "t2": "ramsey.t2",
-               "cfg.t1": "protocol.t1", "amplitude": "ramsey.amplitude", "n_shots": "ramsey.n_shots"},
-    "rabi": {"rabi_rate": "rabi.rate", "detunings": "rabi.detunings", "durations": "rabi.duration_stop",
-             "n_shots": "rabi.n_shots"},
+    "budget": {"t_prep": "protocol.t_prep", "t1": "protocol.t1", "n_shots": "budget.n_shots"},
+    "ramsey": {"t_prep": "protocol.t_prep", "detunings": "ramsey.detunings", "delays": "ramsey.delay_stop",
+               "t2": "ramsey.t2", "cfg.t1": "protocol.t1", "t1": "protocol.t1", "amplitude": "ramsey.amplitude",
+               "n_shots": "ramsey.n_shots"},
+    "rabi": {"t_prep": "protocol.t_prep", "t1": "protocol.t1", "rabi_rate": "rabi.rate",
+             "detunings": "rabi.detunings", "durations": "rabi.duration_stop", "n_shots": "rabi.n_shots"},
     "stark": {"cfg.n_bar_qubit_cavity": "protocol.n_bar_qubit_cavity",
               "cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon", "drive_powers": "stark.powers"},
     "depletion": {"t_dep": "depletion.time_stop", "cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon"},

@@ -37,17 +37,16 @@ other one the deviate across it, which never changes a label and is
 never transformed.  Each class's read uniforms are compared with one
 cutoff.
 
-Every normal deviate and erfc value comes from _ndtri and _erfc:
-step-for-step ports of the Cephes ndtri and erfc that scipy compiles,
-with each polynomial written out as Horner steps in Cephes's order and
-the same libm log and exp.  On a platform where scipy and Python call
-one libm they equal scipy's results bit for bit (tests/test_protocol.py
-checks this), so simulate_shot draws, and iq_fidelity classifies and
-reports, exactly as through scipy, and the module imports no scipy.
+Every normal deviate comes from _ndtri, the standard library's inverse
+normal CDF (statistics.NormalDist.inv_cdf, Wichura's AS241), and every
+erfc value from math.erfc, so the module imports no scipy.  statistics,
+which loads decimal and fractions, is imported at the first deviate, so
+only simulate_shot and iq_fidelity load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -268,8 +267,8 @@ def simulate_shot(
     switch draws go through _switches, and each IQ axis is sigma times
     the normal deviate of its draw, from _ndtri, plus the centroid of
     the switch outcome.  So the result is bit-identical to a one-row
-    block through _switches and scipy.special.ndtri, without their
-    per-call array overhead or a scipy import.
+    block through _switches and _ndtri, without numpy's per-call array
+    overhead.
     """
     relax, capture, dark_draw, u_x, u_y = rng.random(5).tolist()
     limits = (cfg.relaxation_prob, cfg.bright_detect_prob, cfg.dark_prob)
@@ -465,143 +464,31 @@ def depletion_recovery(t_dep, cfg: ProtocolConfig) -> dict:
     return out if t_dep.ndim else {key: float(value) for key, value in out.items()}
 
 
-# Cephes (S. L. Moshier, Methods and Programs for Mathematical Functions,
-# 1989), ndtri.c and ndtr.c: the rational approximations scipy.special
-# evaluates for ndtri and erfc.  Each polynomial below is Cephes's polevl
-# or p1evl written out: its coefficients in Cephes's order, each Horner
-# step one fl(fl(a x) + c).  polevl's first step 0.0 x + c0 is c0, and
-# p1evl's 1.0 x + c1 is x + c1, bit for bit; a - c is a + (-c).
-_EXP_MINUS_2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242e0
-_MAXLOG = 7.09782712893383996843e2
+@functools.cache
+def _standard_normal():
+    """statistics.NormalDist(), imported at the first deviate: statistics
+    loads decimal and fractions, which no path without an IQ point reads."""
+    from statistics import NormalDist
+
+    return NormalDist()
 
 
-def _ndtri(y: float) -> float:
-    """Inverse of the standard normal CDF: Cephes ndtri, step for step.
-
-    Only IEEE arithmetic, sqrt and the libm log that scipy's compiled
-    ndtri also calls, with each polynomial written out as Horner steps
-    in Cephes's order, so where both use one libm the result equals
-    scipy.special.ndtri bit for bit (tests/test_protocol.py checks it).
-    y is a uniform in [0, 1]; 0 and 1 give -inf and +inf.
-    """
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    upper = y > 1.0 - _EXP_MINUS_2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_MINUS_2:
-        y = y - 0.5
-        y2 = y * y
-        # P0 / Q0
-        x = y + y * (
-            y2
-            * (
-                (((-5.99633501014107895267e1 * y2 + 9.80010754185999661536e1) * y2 - 5.66762857469070293439e1) * y2
-                 + 1.39312609387279679503e1) * y2
-                - 1.23916583867381258016e0
-            )
-            / (
-                (((((((y2 + 1.95448858338141759834e0) * y2 + 4.67627912898881538453e0) * y2
-                     + 8.63602421390890590575e1) * y2 - 2.25462687854119370527e2) * y2
-                   + 2.00260212380060660359e2) * y2 - 8.20372256168333339912e1) * y2
-                 + 1.59056225126211695515e1) * y2
-                - 1.18331621121330003142e0
-            )
-        )
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        # P1 / Q1
-        x1 = z * (
-            (((((((4.05544892305962419923e0 * z + 3.15251094599893866154e1) * z + 5.71628192246421288162e1) * z
-                 + 4.40805073893200834700e1) * z + 1.46849561928858024014e1) * z + 2.18663306850790267539e0) * z
-              - 1.40256079171354495875e-1) * z - 3.50424626827848203418e-2) * z
-            - 8.57456785154685413611e-4
-        ) / (
-            (((((((z + 1.57799883256466749731e1) * z + 4.53907635128879210584e1) * z + 4.13172038254672030440e1) * z
-                 + 1.50425385692907503408e1) * z + 2.50464946208309415979e0) * z - 1.42182922854787788574e-1) * z
-             - 3.80806407691578277194e-2) * z
-            - 9.33259480895457427372e-4
-        )
-    else:
-        # P2 / Q2
-        x1 = z * (
-            (((((((3.23774891776946035970e0 * z + 6.91522889068984211695e0) * z + 3.93881025292474443415e0) * z
-                 + 1.33303460815807542389e0) * z + 2.01485389549179081538e-1) * z + 1.23716634817820021358e-2) * z
-              + 3.01581553508235416007e-4) * z + 2.65806974686737550832e-6) * z
-            + 6.23974539184983293730e-9
-        ) / (
-            (((((((z + 6.02427039364742014255e0) * z + 3.67983563856160859403e0) * z + 1.37702099489081330271e0) * z
-                 + 2.16236993594496635890e-1) * z + 1.34204006088543189037e-2) * z + 3.28014464682127739104e-4) * z
-             + 2.89247864745380683936e-6) * z
-            + 6.79019408009981274425e-9
-        )
-    x = x0 - x1
-    return x if upper else -x
-
-
-def _erfc(a: float) -> float:
-    """Complementary error function: Cephes erfc (with its erf below 1),
-    step for step, with each polynomial written out as Horner steps in
-    Cephes's order, through the libm exp, so bit for bit
-    scipy.special.erfc where both use one libm."""
-    x = abs(a)
-    if x < 1.0:
-        # Cephes's erf(a), the same bits for either sign of a: T / U.
-        z = a * a
-        return 1.0 - a * (
-            (((9.60497373987051638749e0 * z + 9.00260197203842689217e1) * z + 2.23200534594684319226e3) * z
-             + 7.00332514112805075473e3) * z
-            + 5.55923013010394962768e4
-        ) / (
-            ((((z + 3.35617141647503099647e1) * z + 5.21357949780152679795e2) * z + 4.59432382970980127987e3) * z
-             + 2.26290000613890934246e4) * z
-            + 4.92673942608635921086e4
-        )
-    z = -a * a
-    if z < -_MAXLOG:
-        return 2.0 if a < 0.0 else 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        # P / Q
-        y = z * (
-            (((((((2.46196981473530512524e-10 * x + 5.64189564831068821977e-1) * x + 7.46321056442269912687e0) * x
-                 + 4.86371970985681366614e1) * x + 1.96520832956077098242e2) * x + 5.26445194995477358631e2) * x
-              + 9.34528527171957607540e2) * x + 1.02755188689515710272e3) * x
-            + 5.57535335369399327526e2
-        ) / (
-            (((((((x + 1.32281951154744992508e1) * x + 8.67072140885989742329e1) * x + 3.54937778887819891062e2) * x
-                 + 9.75708501743205489753e2) * x + 1.82390916687909736289e3) * x + 2.24633760818710981792e3) * x
-             + 1.65666309194161350182e3) * x
-            + 5.57535340817727675546e2
-        )
-    else:
-        # R / S
-        y = z * (
-            ((((5.64189583547755073984e-1 * x + 1.27536670759978104416e0) * x + 5.01905042251180477414e0) * x
-              + 6.16021097993053585195e0) * x + 7.40974269950448939160e0) * x
-            + 2.97886665372100240670e0
-        ) / (
-            (((((x + 2.26052863220117276590e0) * x + 9.39603524938001434673e0) * x + 1.20489539808096656605e1) * x
-              + 1.70814450747565897222e1) * x + 9.60896809063285878198e0) * x
-            + 3.36907645100081516050e0
-        )
-    return 2.0 - y if a < 0.0 else y
+def _ndtri(u: float) -> float:
+    """Inverse of the standard normal CDF at a uniform u in [0, 1]:
+    statistics.NormalDist().inv_cdf (Wichura's AS241), with -inf at 0,
+    which Generator.random can draw, and +inf at 1."""
+    if 0.0 < u < 1.0:
+        return _standard_normal().inv_cdf(u)
+    return -math.inf if u == 0.0 else math.inf
 
 
 def separation_fidelity(model: IqModel) -> float:
     """Discrimination fidelity from Gaussian overlap alone.
 
     1 - erfc(d / (2 sqrt(2) sigma)) / 2 for centroid distance d and
-    per-shot cloud width sigma, with erfc by _erfc: the value
-    scipy.special.erfc gives, without importing scipy.
+    per-shot cloud width sigma, with erfc from math.erfc.
     """
-    return 1.0 - 0.5 * _erfc(float(model.separation / (2.0 * math.sqrt(2.0) * model.sigma)))
+    return 1.0 - 0.5 * math.erfc(float(model.separation / (2.0 * math.sqrt(2.0) * model.sigma)))
 
 
 def _cutoff_classifier(offset: float, scale: float, threshold: float):
@@ -613,13 +500,13 @@ def _cutoff_classifier(offset: float, scale: float, threshold: float):
     ndtri is strictly increasing.  A bisection over the grid k 2^-53 of
     Generator.random, 53 scalar steps, finds a step K at which the
     prediction turns from its value at u = 0 (deviate -inf) to its value
-    at u = 1 (+inf).  Each step takes the deviate from _ndtri, Cephes's
-    ndtri, which scipy evaluates, ported step for step: it equals
-    scipy.special.ndtri bit for bit where both call one libm log, so
-    every prediction here is the one through scipy.
+    at u = 1 (+inf).  Each step takes the deviate from _ndtri, as every
+    shot's projection does.
 
-    The computed ndtri is not monotone on that grid, but Cephes states a
-    peak relative error of 7.2e-16: below 1e-15, so below 8.3e-15
+    The computed ndtri is not monotone on that grid, but AS241 is
+    accurate to about 1 part in 10^16 (Wichura), and against 40-digit
+    mpmath it is within 6.8e-16 relative (5 ulp) on every uniform
+    tests/test_protocol.py checks: below 1e-15, so below 8.3e-15
     absolutely for any nonzero uniform, whose deviate is at most 8.21 in
     magnitude.  The exact deviate rises by at least sqrt(2 pi) 2^-53 per
     grid step, so over CUTOFF_GUARD_STEPS = 2^23 steps by at least
@@ -690,7 +577,9 @@ def iq_discriminate(model: IqModel, shots) -> dict:
     separation_fidelity the Gaussian-overlap bound.  Empty shots raise
     ValueError, anything but ShotResult records TypeError, and a
     threshold or projection that overflows float64 NumericalError; a
-    point at +-inf along the centroid line is classified.
+    point at +-inf along the centroid line is classified.  A point is
+    projected on the axis components that are nonzero only, so an
+    infinite coordinate across a centroid line along I or Q is not read.
     """
     shots = list(shots)
     if not shots:
@@ -700,9 +589,10 @@ def iq_discriminate(model: IqModel, shots) -> dict:
     labels = np.array([shot.switch_bit for shot in shots])
     points = np.array([shot.iq_point for shot in shots], dtype=float)
     _, _, axis, threshold = _centroid_line(model)
+    along = np.flatnonzero(axis)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            projections = points @ axis
+            projections = points[:, along] @ axis[along]
     except FloatingPointError:
         raise NumericalError("IQ projections of the shots overflow float64", "shots") from None
     wrong = int(np.count_nonzero((projections > threshold) != labels))
@@ -727,8 +617,8 @@ def iq_fidelity(model: IqModel, n_shots: int, rng: np.random.Generator) -> dict:
     fl(c_l . a) + copysign(sigma, a_read) ndtri(u_read).  The other
     column is the deviate across the line: drawn, never transformed and
     never read.  So each class's shots are classified by one cutoff on
-    the read uniform (_cutoff_classifier), found with the scalar _ndtri,
-    and scipy is not imported.  For a centroid line along I or Q this is
+    the read uniform (_cutoff_classifier), found with the scalar _ndtri.
+    For a centroid line along I or Q this is
     the projection of the whole drawn point, float for float.
     """
     if n_shots < 1:

@@ -1438,12 +1438,12 @@ import ast, contextlib, io, sys
 
 def loaded():
     # jpmsim, scipy and numpy modules in sys.modules so far, and which of
-    # the stdlib modules csv, decimal and json.  The probe itself imports
-    # json only once every stage is recorded.
+    # the stdlib modules csv, decimal, fractions, json and statistics.
+    # The probe itself imports json only once every stage is recorded.
     stages = {
         top: sorted(m for m in sys.modules if m.split(".")[0] == top) for top in ("jpmsim", "scipy", "numpy")
     }
-    stages["stdlib"] = [m for m in ("csv", "decimal", "json") if m in sys.modules]
+    stages["stdlib"] = [m for m in ("csv", "decimal", "fractions", "json", "statistics") if m in sys.modules]
     return stages
 
 import jpmsim.config
@@ -1528,9 +1528,10 @@ def test_no_subcommand_loads_scipy(tmp_path, layer_reports):
     # subcommand of each process loads exactly its own layer, and the
     # later ones (same layer) load no other.  None of the 12 loads a
     # scipy module: budget reads only the switch draws, iq classifies by
-    # a cutoff found with the Cephes port and takes erfc from it, and
-    # tomo-fit fits in numpy.  An off-axis iq, in a process of its own,
-    # classifies by a cutoff too and loads no scipy module either.
+    # a cutoff found with the standard library's inverse normal CDF and
+    # takes erfc from math, and tomo-fit fits in numpy.  An off-axis iq,
+    # in a process of its own, classifies by a cutoff too and loads no
+    # scipy module either.
     # `import jpmsim` still reaches every layer by attribute, and the
     # package root re-exports no name of theirs.  Beyond the numpy
     # modules of `import jpmsim.cli`, a subcommand loads numpy.random and
@@ -1582,10 +1583,12 @@ _JSON_RECORDS = {"transfer-peak", "budget", "iq", "tomo-fit"}
 
 def test_csv_decimal_and_json_load_only_where_used(tmp_path, layer_reports):
     # `import jpmsim.config` and `import jpmsim.cli` load none of csv,
-    # decimal and json.  No subcommand loads decimal, since the unit
-    # scaling multiplies ints; only tomo-fit loads csv, for its tomogram
-    # reader; and json loads with the first JSON artifact a process
-    # writes, a record or a table at output.format=json.
+    # decimal, fractions, json and statistics.  Only iq loads statistics,
+    # for its normal deviates, and with it decimal and fractions, which
+    # statistics imports; the unit scaling multiplies ints.  Only tomo-fit
+    # loads csv, for its tomogram reader; and json loads with the first
+    # JSON artifact a process writes, a record or a table at
+    # output.format=json.
     for layer, names in _LAYER_RUNS.items():
         stages = layer_reports[layer]["stages"]
         for stage in ("import jpmsim.config", "import jpmsim.cli"):
@@ -1594,7 +1597,8 @@ def test_csv_decimal_and_json_load_only_where_used(tmp_path, layer_reports):
         for name in names:
             wrote_json = wrote_json or name in _JSON_RECORDS
             want = (["csv"] if name == "tomo-fit" else []) + (["json"] if wrote_json else [])
-            assert stages[name]["stdlib"] == want, name
+            want += ["decimal", "fractions", "statistics"] if name == "iq" else []
+            assert stages[name]["stdlib"] == sorted(want), name
     report = _probe_modules(tmp_path, ["stark"], ["output.format=json"])
     assert report["codes"] == {"stark": 0}
     assert report["stages"]["stark"]["stdlib"] == ["json"]
@@ -1942,15 +1946,35 @@ def test_artifact_digests_match_the_recorded_file(tmp_path):
         pytest.fail(f"{n_moved} artifacts moved{versions}:\n" + "\n".join(moved))
 
 
-_TRANSFER_PEAK_DIGESTS = """
+_SUBCOMMAND_DIGESTS = """
 import sys
 from pathlib import Path
 import artifact_digests
-lines, failures = artifact_digests.digests(Path(sys.argv[1]), ("transfer-peak",))
+lines, failures = artifact_digests.digests(Path(sys.argv[1]), (sys.argv[2],))
 print(artifact_digests.versions_line())
 print(*lines, sep="\\n")
 sys.exit(failures)
 """
+
+
+def _assert_child_digests_recorded(tmp_path, name, artifact, **settings):
+    # The digest lines of subcommand name (every BYTE_CONFIGS entry, both
+    # formats) from a child process with settings in its environment
+    # only, against the recorded lines of artifact.
+    tests_dir = Path(artifact_digests.__file__).parent
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join([str(Path(jpmsim.__file__).parents[1]), str(tests_dir)]), **settings
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SUBCOMMAND_DIGESTS, str(tmp_path), name], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    running, *got = proc.stdout.splitlines()
+    recorded = artifact_digests.DIGESTS_FILE.read_text().splitlines()[1:]
+    want = [line for line in recorded if line.endswith(f"/{artifact}")]
+    assert len(want) == 2 * len(BYTE_CONFIGS)
+    assert got == want, f"running {running[2:]}"
 
 
 @pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
@@ -1962,22 +1986,24 @@ def test_transfer_peak_digests_hold_under_other_openblas_kernels(tmp_path, coret
     # in its environment only; on a CPU without that kernel the setting
     # is a no-op and the check still runs.  tomo-fit's linear algebra
     # still runs on OpenBLAS, so its lines are not checked here.
-    tests_dir = Path(artifact_digests.__file__).parent
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join([str(Path(jpmsim.__file__).parents[1]), str(tests_dir)]),
-        OPENBLAS_CORETYPE=coretype,
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", _TRANSFER_PEAK_DIGESTS, str(tmp_path)], capture_output=True, text=True, env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    running, *got = proc.stdout.splitlines()
-    recorded = artifact_digests.DIGESTS_FILE.read_text().splitlines()[1:]
-    want = [line for line in recorded if line.endswith("/transfer_peak.json")]
-    assert len(want) == 2 * len(BYTE_CONFIGS)
-    assert got == want, f"running {running[2:]}"
+    _assert_child_digests_recorded(tmp_path, "transfer-peak", "transfer_peak.json", OPENBLAS_CORETYPE=coretype)
+
+
+@pytest.mark.parametrize(
+    "variable, value",
+    [("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F,-AVX"),
+     ("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR AVX512_ICL X86_V4")],
+    ids=["libm-without-fma-or-avx", "numpy-without-avx512"],
+)
+def test_iq_digests_hold_without_fma_or_avx512(tmp_path, variable, value):
+    # iq's 16 artifacts keep their recorded bytes when libm runs without
+    # its FMA and AVX variants (glibc picks them when the process starts)
+    # or numpy without its AVX-512 loops (picked when numpy loads), so a
+    # child process runs them with the setting in its environment only.
+    # The deviates' AS241 is +, *, /, sqrt and one log, and the cutoff
+    # search compares them; on a CPU without a listed feature the setting
+    # is a no-op and the check still runs.
+    _assert_child_digests_recorded(tmp_path, "iq", "iq.json", **{variable: value})
 
 
 @pytest.mark.parametrize("overrides", BYTE_CONFIGS)
@@ -2321,12 +2347,12 @@ def test_every_point_count_refusal_names_its_key(tmp_path, capsys, name, key, le
     "name, overrides, expected",
     [
         ("transfer-curves", ("transfer.t_max_scaled=1e308",), 3),
-        ("budget", ("protocol.t_prep=1e-320s",), 2),
-        ("ramsey", ("protocol.t_prep=1e-320s", "protocol.relaxation_override=none"), 2),
-        ("rabi", ("protocol.t_prep=1e-320s", "protocol.relaxation_override=none"), 2),
-        ("stark", ("protocol.t_prep=1e-320s",), 2),
-        ("depletion", ("protocol.t_prep=1e-320s",), 2),
-        ("budget", ("protocol.t1=1e308s",), 2),
+        ("budget", ("protocol.t_prep=1e-320s",), 3),
+        ("ramsey", ("protocol.t_prep=1e-320s", "protocol.relaxation_override=none"), 3),
+        ("rabi", ("protocol.t_prep=1e-320s", "protocol.relaxation_override=none"), 3),
+        ("ramsey", ("protocol.t1=1e308s", "protocol.relaxation_override=none"), 3),
+        ("rabi", ("protocol.t1=1e308s", "protocol.relaxation_override=none"), 3),
+        ("budget", ("protocol.t1=1e308s",), 3),
         ("tomo-synth", ("tomo.duration_stop=1e308s",), 3),
         ("transfer-curves", ("transfer.t_max_scaled=5e307",), 3),
         ("rabi", ("rabi.duration_stop=1e300s",), 3),
@@ -2340,9 +2366,10 @@ def test_every_point_count_refusal_names_its_key(tmp_path, capsys, name, key, le
 def test_overflow_refusal_names_the_key_at_fault(tmp_path, capsys, name, overrides, expected):
     # At t_max_scaled = 1e308 the time axis is finite but the phase of the
     # default detuning_ratio=4 family overflows, and at detuning_ratios =
-    # 1e308 its d_omega does; at t_prep = 1e-320 s and
-    # at T1 = 1e308 s T1/t_prep overflows.  The exit-3 rows below them
-    # each set a phase past 2^30 rad (inf at tomo.duration_stop=1e308s,
+    # 1e308 its d_omega does; at t_prep = 1e-320 s and at T1 = 1e308 s
+    # T1/t_prep overflows, and relaxation_error refuses the relaxation
+    # error it makes, -inf, naming both keys.  The rows below them each
+    # set a phase past 2^30 rad (inf at tomo.duration_stop=1e308s,
     # 1.23e9 rad at the transfer-peak seed grid's end), which once wrote
     # cells that were no function of the time beside them.  Each refusal
     # is one line naming the key set.
@@ -2350,7 +2377,20 @@ def test_overflow_refusal_names_the_key_at_fault(tmp_path, capsys, name, overrid
     err = capsys.readouterr().err
     assert code == expected and paths == [] and err.count("\n") == 1
     assert overrides[0].split("=")[0] in err, err
+    if overrides[0].startswith(("protocol.t_prep=", "protocol.t1=")):
+        assert err.startswith("numerical error: protocol.t_prep and protocol.t1: relaxation error is -inf"), err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["stark", "depletion"])
+def test_stark_and_depletion_run_whatever_the_relaxation_ratio(tmp_path, name):
+    # Neither reads T1 or t_prep, so a T1/t_prep past float64 is no fault
+    # of theirs: they write the artifacts of the defaults.
+    assert run_subcommand(name, output_dir=str(tmp_path / "defaults"))[0] == 0
+    for overrides in (("protocol.t_prep=1e-320s",), ("protocol.t1=1e308s",)):
+        out = tmp_path / overrides[0].split("=")[0]
+        assert run_subcommand(name, overrides=overrides, output_dir=str(out))[0] == 0
+        assert (out / ARTIFACTS[name]).read_bytes() == (tmp_path / "defaults" / ARTIFACTS[name]).read_bytes()
 
 
 def test_short_t_prep_with_a_finite_ratio_is_run(tmp_path):

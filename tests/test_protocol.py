@@ -14,11 +14,13 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from statistics import NormalDist
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erfc, ndtri
+from scipy.special import erfc
 
 import jpmsim.protocol
 from jpmsim.errors import NumericalError
@@ -43,6 +45,16 @@ from jpmsim.protocol import (
     stark_calibration,
 )
 from jpmsim.transfer import kappa_mismatch_peak
+
+
+def ndtri(u):
+    # Reference deviates, element by element: NormalDist().inv_cdf, the
+    # function the package's deviates come from, with -inf at 0 and +inf
+    # at 1.  The fast paths are checked against references built on it.
+    u = np.asarray(u, dtype=float)
+    inv_cdf = NormalDist().inv_cdf
+    flat = [inv_cdf(v) if 0.0 < v < 1.0 else math.copysign(math.inf, v - 0.5) for v in u.ravel().tolist()]
+    return np.array(flat, dtype=float).reshape(u.shape)
 
 
 def analytic_visibility(cfg: ProtocolConfig) -> float:
@@ -474,56 +486,90 @@ def test_cutoff_classifies_every_uniform_near_the_cutoff_as_ndtri_does(model):
 
 
 def test_cutoff_band_covers_a_step_back_of_ndtri():
-    # The computed ndtri is not monotone on the uniform grid: near u = 0.9
-    # some deviate is below its left neighbour's.  A class-0 cloud at the
-    # origin whose threshold 0.5 falls between those two deviates predicts
-    # False, True, False, True on four neighbouring steps, so one cutoff
-    # alone would misclassify one of them; the guard band does not.
-    steps = np.arange(int(0.9 * 2**53), int(0.9 * 2**53) + 200_000)
+    # The computed ndtri is not monotone on the uniform grid: just above
+    # deviate 1 (u = 0.8413...), where a grid step raises the deviate by
+    # about 2 ulp, some deviate is below its left neighbour's.  AS241's
+    # central branch is arithmetic alone, so these step backs are the same
+    # on every platform.  A class-0 cloud at the origin whose threshold
+    # 0.5 falls between two such deviates predicts False, True, False,
+    # True on four neighbouring steps, so one cutoff alone would
+    # misclassify one of them; the guard band does not.
+    start = int(0.8413447460685429 * 2**53)
+    steps = np.arange(start, start + 20_000)
     deviates = ndtri(steps * 2.0**-53)
+    straddling = []
     for i in np.flatnonzero(np.diff(deviates) < 0):
         sigma = 0.5 / (0.5 * (deviates[i] + deviates[i + 1]))
-        if (sigma * deviates[i - 1:i + 3] > 0.5).tolist() == [False, True, False, True]:
-            break
-    else:
-        pytest.skip("this ndtri steps back nowhere in the window, so no cloud can straddle a step back")
-    want = _assert_cutoff_matches_ndtri_near_cutoff(IqModel(sigma=sigma))[0]
+        if i > 0 and (sigma * deviates[i - 1:i + 3] > 0.5).tolist() == [False, True, False, True]:
+            straddling.append(sigma)
+    assert straddling
+    want = _assert_cutoff_matches_ndtri_near_cutoff(IqModel(sigma=straddling[0]))[0]
     assert np.count_nonzero(np.diff(want.astype(int))) == 3
 
 
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.int64)
+def _mp_ndtri(u):
+    # The deviate of a float64 uniform u in (0, 1), exact to 40 digits:
+    # two Newton steps on mpmath's normal CDF from the float estimate, on
+    # the lower half; the deviate is odd about u = 1/2, and 1 - u is exact.
+    if u > 0.5:
+        return -_mp_ndtri(float(1 - mpmath.mpf(u)))
+    x = mpmath.mpf(float(ndtri(u)))
+    for _ in range(2):
+        x -= (mpmath.ncdf(x) - u) / mpmath.npdf(x)
+    return x
 
 
-def test_scalar_ports_equal_scipy_bit_for_bit():
-    # _ndtri and _erfc are step-for-step ports of the Cephes code scipy
-    # compiles, and call the same libm log and exp.  So they give scipy's
-    # bits, compared here as int64, on seeded uniforms and their 8th
-    # powers at both ends, the first grid steps k 2^-53 at both ends, a
-    # run of neighbours on both sides of each branch edge (e^-2, 1 - e^-2
-    # and e^-32, where sqrt(-2 log y) = 8), 0, 1 and 2^-1074; and erfc
-    # on each branch of either sign and past MAXLOG.  A failure here on
-    # some platform means its libm differs from the one scipy's compiled
-    # code calls, and the cutoff path is then no longer the ndtri path.
-    u = np.random.default_rng(31).random(20_000)
-    steps = np.arange(1, 2001) * 2.0**-53
-    edges = [jpmsim.protocol._EXP_MINUS_2, 1.0 - jpmsim.protocol._EXP_MINUS_2, math.exp(-32.0)]
+def test_ndtri_and_erfc_are_within_their_bounds_of_mpmath():
+    # _ndtri against 40-digit mpmath on seeded uniforms and their 8th
+    # powers at both ends, the first and last 300 grid steps k 2^-53, runs
+    # of neighbours on both sides of each AS241 branch edge (|u - 1/2| =
+    # 0.425, and e^-25 from either end, where sqrt(-log) = 5), 1/2 and
+    # 2^-1074: within 6 ulp and 1e-15 relative (5.5 ulp and 6.5e-16 at
+    # most were measured on 6.4e4 such uniforms), the bound
+    # _cutoff_classifier's guard band rests on.  The band's premise itself:
+    # twice the largest absolute error on the 2^-53 grid is below the
+    # exact deviate's least rise over CUTOFF_GUARD_STEPS grid steps,
+    # sqrt(2 pi) 2^-30.  The ends are exact: 0 gives -inf and 1 gives +inf.
+    # math.erfc, which separation_fidelity reports, is within 3 ulp on
+    # each branch of either sign and into the subnormal tail, and exactly
+    # 0 and 2 past it.
+    u = np.random.default_rng(31).random(2000)
+    steps = np.arange(1, 301) * 2.0**-53
     near = []
-    for edge in edges:
+    for edge in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)):
         for direction in (0.0, 1.0):
             v = edge
-            for _ in range(64):
+            for _ in range(32):
                 near.append(v)
                 v = float(np.nextafter(v, direction))
-    ys = np.concatenate([u, u**8, 1.0 - u**8, steps, 1.0 - steps, near, [0.0, 1.0, 2.0**-1074]])
-    assert np.array_equal(_bits([jpmsim.protocol._ndtri(y) for y in ys.tolist()]), _bits(ndtri(ys)))
+    ys = np.concatenate([u, u**8, 1.0 - u**8, steps, 1.0 - steps, near, [0.5, 2.0**-1074]])
+    ys = ys[(ys > 0.0) & (ys < 1.0)]
+    worst_ulps = worst_rel = worst_grid = 0.0
+    with mpmath.workdps(40):
+        for y in ys.tolist():
+            want = _mp_ndtri(y)
+            error = abs(mpmath.mpf(jpmsim.protocol._ndtri(y)) - want)
+            worst_ulps = max(worst_ulps, float(error / math.ulp(float(want))))
+            worst_rel = max(worst_rel, float(error / abs(want)) if want else float(error))
+            if (y * 2.0**53).is_integer():
+                worst_grid = max(worst_grid, float(error))
+    assert worst_ulps <= 6.0 and worst_rel < 1e-15, (worst_ulps, worst_rel)
+    assert 2.0 * worst_grid < math.sqrt(2.0 * math.pi) * 2.0**-53 * jpmsim.protocol.CUTOFF_GUARD_STEPS
+    assert jpmsim.protocol._ndtri(0.0) == -math.inf and jpmsim.protocol._ndtri(1.0) == math.inf
 
-    x = np.random.default_rng(32).random(5000)
+    x = np.random.default_rng(32).random(1000)
     xs = np.concatenate([
-        2.0 * x - 1.0, 1.0 + 7.0 * x, 8.0 + 18.6 * x, -1.0 - 30.0 * x, 26.6 + 0.1 * x, 27.0 + 1e3 * x,
-        np.nextafter([1.0, 8.0], 0.0), [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 1e300, -1e300, np.inf, -np.inf, 2.0**-1074],
+        2.0 * x - 1.0, 1.0 + 7.0 * x, 8.0 + 18.6 * x, -1.0 - 30.0 * x, 26.6 + 0.1 * x,
+        np.nextafter([1.0, 8.0], 0.0), [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 2.0**-1074],
     ])
-    assert np.array_equal(_bits([jpmsim.protocol._erfc(a) for a in xs.tolist()]), _bits(erfc(xs)))
+    worst_ulps = 0.0
+    with mpmath.workdps(40):
+        for a in xs.tolist():
+            want = mpmath.erfc(a)
+            worst_ulps = max(worst_ulps, float(abs(mpmath.mpf(math.erfc(a)) - want) / math.ulp(float(want))))
+    assert worst_ulps <= 3.0, worst_ulps
+    assert [math.erfc(a) for a in (27.3, 1e3, 1e300, math.inf)] == [0.0] * 4
+    assert [math.erfc(a) for a in (-6.0, -1e300, -math.inf)] == [2.0] * 3
 
 
 def _random_aligned_models(n, seed):
@@ -544,7 +590,7 @@ def _random_aligned_models(n, seed):
 def test_cutoff_path_matches_ndtri_path_on_random_aligned_models():
     # The fast path against the slow ones it replaces: every field of
     # iq_fidelity by its bits and the generator state after, against
-    # the along-line and the whole-point scipy ndtri references; and each
+    # the along-line and the whole-point ndtri references; and each
     # class's bisection step K is a turn of both, which predict
     # differently at K - 1 and at K (at u = 1 when K is 2^53).
     for i, model in enumerate(_random_aligned_models(100, 7)):
@@ -1019,6 +1065,19 @@ def test_iq_discriminate_refuses_stored_points_whose_projection_overflows():
     assert info.value.params == ("shots",)
     shots = [ShotResult(0, (-math.inf, 0.0)), ShotResult(1, (math.inf, 0.0))]
     assert iq_discriminate(IqModel(), shots)["single_shot_fidelity"] == 1.0
+
+
+def test_iq_discriminate_reads_no_coordinate_across_an_aligned_line():
+    # On a centroid line along I the Q coordinate is not projected, so an
+    # infinite one, which times the zero axis component would be NaN,
+    # leaves the point's projection 1.0.  Off the axes a point at +-inf
+    # along the line is still classified.
+    shots = [ShotResult(1, (1.0, -math.inf)), ShotResult(0, (0.0, 0.0))]
+    assert iq_discriminate(IqModel(), shots)["single_shot_fidelity"] == 1.0
+    shots = [ShotResult(0, (0.0, math.inf)), ShotResult(1, (1.0, -math.inf))]
+    assert iq_discriminate(IqModel(centroid_1=(0.0, -1.0)), shots)["single_shot_fidelity"] == 1.0
+    shots = [ShotResult(0, (-math.inf, -math.inf)), ShotResult(1, (math.inf, math.inf))]
+    assert iq_discriminate(IqModel(centroid_1=(1.0, 1.0)), shots)["single_shot_fidelity"] == 1.0
 
 
 def test_iq_discriminate_overflow_refusal_does_not_depend_on_draws():
