@@ -5,18 +5,18 @@ optional, see config.SCHEMA for names and defaults), applies -s/--set
 overrides, runs the corresponding computation, and writes one artifact
 into the output directory, named after the subcommand (tomo-synth's
 is tomogram).  _SUBCOMMANDS maps each subcommand to its compute
-function and help text.  Each compute function imports the physics
-names it calls, so a subcommand loads only its own layer; json is
-imported where a JSON artifact is written and csv where a tomogram is
-read.  A compute function returns {column name: column} for a table
-and {key: scalar} for a record, so each name is given where its values
-are computed, and _write tells the two apart by the values.
-_table_text says how a table is encoded.  Outputs are byte-stable for
-a fixed config and seed.
+function, help text and argument keys.  Each compute function imports
+the physics names it calls, so a subcommand loads only its own layer;
+json is imported where a JSON artifact is written and csv where a
+tomogram is read.  A compute function returns {column name: column}
+for a table and {key: scalar} for a record, so each name is given
+where its values are computed, and _write tells the two apart by the
+values.  _table_text says how a table is encoded.  Outputs are
+byte-stable for a fixed config and seed.
 
 Compute functions call the library directly: run_subcommand, the one
 error boundary, leads a library refusal's line with the config keys
-that _ARGUMENT_KEYS, the one such table, maps its params to.
+that the subcommand's argument keys map its params to.
 
 Exit codes: 0 success, 2 config error, 3 numerical/identifiability
 error, 4 I/O error.
@@ -472,59 +472,57 @@ def _tomo_fit(cfg: RunConfig) -> dict:
     }
 
 
-# Each subcommand's compute function and help text, in the order --help lists them.
-_SUBCOMMANDS: dict[str, tuple[Callable[[RunConfig], dict], str]] = {
+# Each subcommand's compute function, help text and argument keys, in the
+# order --help lists them.  Its argument keys map each library argument
+# name, as a refusal's params give it, to the config keys that set it,
+# space-separated; a refusal's line lists its keys in the order they
+# first appear there.
+_SUBCOMMANDS: dict[str, tuple[Callable[[RunConfig], dict], str, dict[str, str]]] = {
     "potential-sweep": (_potential_sweep, "Sweep the loop flux bias and tabulate every potential well: "
-                                          "minimum and barrier phases, depth, plasma frequency, level count."),
+                                          "minimum and barrier phases, depth, plasma frequency, level count.",
+                        {"p.critical_current": "device.critical_current", "p.loop_inductance": "device.loop_inductance",
+                         "p.shunt_capacitance": "device.shunt_capacitance",
+                         "fluxes": "potential.flux_start potential.flux_stop"}),
     "bifurcation": (_bifurcation, "Locate the flux biases where potential minima appear or vanish "
-                                  "and count the minima on either side of each."),
+                                  "and count the minima on either side of each.",
+                    {"p.critical_current": "device.critical_current", "p.loop_inductance": "device.loop_inductance"}),
     "transfer-curves": (_transfer_curves, "Tabulate transfer-efficiency curves versus scaled time for "
-                                          "families of decay-rate ratios and detuning ratios."),
+                                          "families of decay-rate ratios and detuning ratios.",
+                        {"d_omega": "transfer.detuning_ratios", "t": "transfer.t_max_scaled"}),
     "transfer-peak": (_transfer_peak, "Report the peak transfer efficiency and optimal capture time for "
-                                      "the configured cavity pair, with closed-form reference values."),
+                                      "the configured cavity pair, with closed-form reference values.",
+                      {"cfg": "source.frequency source.decay_time capture.frequency capture.decay_time",
+                       "d_omega": "source.frequency capture.frequency",
+                       "t": "source.frequency source.decay_time capture.frequency capture.decay_time",
+                       "kappa_1": "source.decay_time"}),
     "budget": (_budget, "Monte Carlo raw-fidelity budget of the measurement protocol, "
-                        "split into relaxation, dark-count, and detection-miss terms."),
-    "ramsey": (_ramsey, "Detector-read Ramsey fringe dataset versus drive detuning and delay."),
-    "rabi": (_rabi, "Detector-read Rabi chevron dataset versus drive detuning and pulse duration."),
+                        "split into relaxation, dark-count, and detection-miss terms.",
+               {"t_prep": "protocol.t_prep", "t1": "protocol.t1", "n_shots": "budget.n_shots"}),
+    "ramsey": (_ramsey, "Detector-read Ramsey fringe dataset versus drive detuning and delay.",
+               {"t_prep": "protocol.t_prep", "detunings": "ramsey.detunings", "delays": "ramsey.delay_stop",
+                "t2": "ramsey.t2", "cfg.t1": "protocol.t1", "t1": "protocol.t1", "amplitude": "ramsey.amplitude",
+                "n_shots": "ramsey.n_shots"}),
+    "rabi": (_rabi, "Detector-read Rabi chevron dataset versus drive detuning and pulse duration.",
+             {"t_prep": "protocol.t_prep", "t1": "protocol.t1", "rabi_rate": "rabi.rate",
+              "detunings": "rabi.detunings", "durations": "rabi.duration_stop", "n_shots": "rabi.n_shots"}),
     "stark": (_stark, "Photon-number calibration: map drive powers to cavity occupation "
-                      "and qubit frequency shift."),
+                      "and qubit frequency shift.",
+              {"cfg.n_bar_qubit_cavity": "protocol.n_bar_qubit_cavity",
+               "cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon", "drive_powers": "stark.powers"}),
     "depletion": (_depletion, "Post-measurement recovery versus depletion time: residual "
-                              "photons, fringe contrast, and frequency shift."),
+                              "photons, fringe contrast, and frequency shift.",
+                  {"t_dep": "depletion.time_stop", "cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon"}),
     "iq": (_iq, "IQ-plane discrimination report: single-shot and separation "
-                "fidelities and the decision threshold."),
+                "fidelities and the decision threshold.",
+           {"n_shots": "iq.n_shots", "model.centroid_0": "iq.centroid_0", "model.centroid_1": "iq.centroid_1",
+            "model.sigma": "iq.sigma"}),
     "tomo-synth": (_tomo_synth, "Generate a synthetic tomogram grid (axis angle x pulse duration) "
-                                "from a configured qubit state."),
+                                "from a configured qubit state.",
+                   {"t": "tomo.duration_stop", "t_pi": "tomo.t_pi", "rho.coherence_phase": "tomo.phi",
+                    "n_shots": "tomo.n_shots", "noise_sigma": "tomo.noise_sigma"}),
     "tomo-fit": (_tomo_fit, "Fit a four-parameter qubit state to a tomogram CSV and report "
-                            "the density matrix, pi-pulse duration, and target fidelities."),
-}
-
-# Each subcommand's library argument names, as a refusal's params give
-# them, and the config keys that set each, space-separated; a refusal's
-# line lists its keys in the order they first appear here.
-_ARGUMENT_KEYS: dict[str, dict[str, str]] = {
-    "potential-sweep": {"p.critical_current": "device.critical_current", "p.loop_inductance": "device.loop_inductance",
-                        "p.shunt_capacitance": "device.shunt_capacitance",
-                        "fluxes": "potential.flux_start potential.flux_stop"},
-    "bifurcation": {"p.critical_current": "device.critical_current", "p.loop_inductance": "device.loop_inductance"},
-    "transfer-curves": {"d_omega": "transfer.detuning_ratios", "t": "transfer.t_max_scaled"},
-    "transfer-peak": {"cfg": "source.frequency source.decay_time capture.frequency capture.decay_time",
-                      "d_omega": "source.frequency capture.frequency",
-                      "t": "source.frequency source.decay_time capture.frequency capture.decay_time",
-                      "kappa_1": "source.decay_time"},
-    "budget": {"t_prep": "protocol.t_prep", "t1": "protocol.t1", "n_shots": "budget.n_shots"},
-    "ramsey": {"t_prep": "protocol.t_prep", "detunings": "ramsey.detunings", "delays": "ramsey.delay_stop",
-               "t2": "ramsey.t2", "cfg.t1": "protocol.t1", "t1": "protocol.t1", "amplitude": "ramsey.amplitude",
-               "n_shots": "ramsey.n_shots"},
-    "rabi": {"t_prep": "protocol.t_prep", "t1": "protocol.t1", "rabi_rate": "rabi.rate",
-             "detunings": "rabi.detunings", "durations": "rabi.duration_stop", "n_shots": "rabi.n_shots"},
-    "stark": {"cfg.n_bar_qubit_cavity": "protocol.n_bar_qubit_cavity",
-              "cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon", "drive_powers": "stark.powers"},
-    "depletion": {"t_dep": "depletion.time_stop", "cfg.stark_shift_per_photon": "protocol.stark_shift_per_photon"},
-    "iq": {"n_shots": "iq.n_shots", "model.centroid_0": "iq.centroid_0", "model.centroid_1": "iq.centroid_1",
-           "model.sigma": "iq.sigma"},
-    "tomo-synth": {"t": "tomo.duration_stop", "t_pi": "tomo.t_pi", "rho.coherence_phase": "tomo.phi",
-                   "n_shots": "tomo.n_shots", "noise_sigma": "tomo.noise_sigma"},
-    "tomo-fit": {"grid": "tomo.input"},
+                            "the density matrix, pi-pulse duration, and target fidelities.",
+                 {"grid": "tomo.input"}),
 }
 
 
@@ -543,22 +541,21 @@ def run_subcommand(
     NumericalError, a float overflow or division by zero
     (ArithmeticError) or an array too large to allocate (MemoryError) 3
     and an OSError 4, each with one diagnostic line on stderr, which
-    starts with the config keys _ARGUMENT_KEYS maps a refusal's params
-    to, joined as "a, b and c".  The
-    artifact is computed in full before its directory is created and its
-    file opened, so exits 2 and 3 leave no file and no new directory.
+    starts with the config keys that the subcommand's argument keys map
+    a refusal's params to, joined as "a, b and c".  The artifact is
+    computed in full before its directory is created and its file
+    opened, so exits 2 and 3 leave no file and no new directory.
     Prints one line per artifact on success.
     """
     if name not in _SUBCOMMANDS:
         print(f"unknown subcommand {name!r}", file=sys.stderr)
         return 2, []
-    compute, _ = _SUBCOMMANDS[name]
+    compute, _, table = _SUBCOMMANDS[name]
     stem = {"tomo-synth": "tomogram"}.get(name, name.replace("-", "_"))
     try:
         cfg = RunConfig.from_sources(config_path, overrides)
         path = _write(Path(output_dir or "."), stem, compute(cfg), cfg.get("output.format"))
     except (ValueError, NumericalError, ArithmeticError, MemoryError) as exc:
-        table = _ARGUMENT_KEYS.get(name, {})
         at_fault = {key for param in getattr(exc, "params", ()) for key in table.get(param, "").split()}
         keys = [key for key in dict.fromkeys(" ".join(table.values()).split()) if key in at_fault]
         named = ", ".join(keys[:-1]) + " and " + keys[-1] if len(keys) > 1 else "".join(keys)
@@ -575,13 +572,9 @@ def run_subcommand(
 def main(argv=None) -> int:
     """The process entry point: parse argv and run one subcommand; returns its exit code.
 
-    Only the subparser that argv's first word names is built, or all of
-    them when it names none (--help, --version, an unknown name).  Once
-    the arguments are parsed, main freezes the garbage collector's
+    Once the arguments are parsed, main freezes the garbage collector's
     current objects (gc.freeze) for the rest of the process.
     """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    names = argv[:1] if argv[:1] and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
     parser = argparse.ArgumentParser(
         prog="jpmsim",
         description=(
@@ -592,8 +585,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"jpmsim {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        summary = _SUBCOMMANDS[name][1]
+    for name, (_, summary, _) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=summary, description=summary)
         sub.add_argument("-c", "--config", default=None, help="path to a key/value config document")
         sub.add_argument(

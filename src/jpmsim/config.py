@@ -342,7 +342,7 @@ class RunConfig:
         return self._section(
             "iq",
             IqModel,
-            centroid_0=tuple(self.get("iq.centroid_0")),
-            centroid_1=tuple(self.get("iq.centroid_1")),
+            centroid_0=self.get("iq.centroid_0"),
+            centroid_1=self.get("iq.centroid_1"),
             sigma=self.get("iq.sigma"),
         )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, PHI0
-from .errors import NumericalError, bounded_phase, require_finite_positive
+from .errors import ArgumentError, NumericalError, bounded_phase, require_finite_positive
 
 REFINE_TOL = 1e-12
 """Extremum refinement tolerance in radians.  A root stops once its
@@ -306,12 +306,12 @@ def _sweep_extrema(fluxes, p: JpmParams):
         errors.PHASE_LIMIT or is NaN (carrying ``fluxes``), a flux has an
         inconsistent extremum structure, or a root does not converge in
         MAX_REFINE_PASSES passes.
-    ValueError
-        If ``fluxes`` is not one-dimensional.
+    ArgumentError
+        If ``fluxes`` is not one-dimensional (carrying ``fluxes``).
     """
     fluxes = np.asarray(fluxes, dtype=float)
     if fluxes.ndim != 1:
-        raise ValueError("fluxes must be a one-dimensional array")
+        raise ArgumentError("fluxes must be a one-dimensional array", "fluxes")
     beta, turn = _beta_turns(p)
     with np.errstate(over="ignore"):
         phi_e = _phase_bias(fluxes)

@@ -191,11 +191,12 @@ def relaxation_error(t_prep: float, t1: float) -> float:
 
     Averages the survival probability e^{-t/T1} uniformly over the
     window, giving 1 - (T1/t_prep)(1 - e^{-t_prep/T1}); for short
-    windows this is t_prep/(2 T1).  Raises NumericalError, carrying
-    t_prep and t1, where the ratio T1/t_prep is out of float64 range.
+    windows this is t_prep/(2 T1).  Raises ArgumentError where t_prep
+    or t1 is not positive and NumericalError where the ratio T1/t_prep
+    is out of float64 range, each carrying t_prep and t1.
     """
     if not (t_prep > 0.0 and t1 > 0.0):
-        raise ValueError("t_prep and t1 must be positive")
+        raise ArgumentError("t_prep and t1 must be positive", "t_prep", "t1")
     return finite(1.0 + (t1 / t_prep) * math.expm1(-t_prep / t1), "relaxation error", "t_prep", "t1")
 
 
@@ -575,7 +576,7 @@ def iq_discriminate(model: IqModel, shots) -> dict:
     the projection of the centroid midpoint; single_shot_fidelity is the
     rate of predictions equal to the records' switch_bits and
     separation_fidelity the Gaussian-overlap bound.  Empty shots raise
-    ValueError, anything but ShotResult records TypeError, and a
+    ArgumentError, anything but ShotResult records TypeError, and a
     threshold or projection that overflows float64 NumericalError; a
     point at +-inf along the centroid line is classified.  A point is
     projected on the axis components that are nonzero only, so an
@@ -583,7 +584,7 @@ def iq_discriminate(model: IqModel, shots) -> dict:
     """
     shots = list(shots)
     if not shots:
-        raise ValueError("shots must be non-empty")
+        raise ArgumentError("shots must be non-empty", "shots")
     if not all(isinstance(shot, ShotResult) for shot in shots):
         raise TypeError("shots must be ShotResult records")
     labels = np.array([shot.switch_bit for shot in shots])

@@ -167,23 +167,22 @@ def synthesize_tomogram(
     no dark count or visibility enters.  With n_shots set each cell is a
     binomial estimate over that many shots; with noise_sigma set,
     additive Gaussian noise is applied and the result clipped to [0, 1];
-    with neither, the exact model surface is returned.  A negative noise_sigma is a ValueError.
+    with neither, the exact model surface is returned.  A negative
+    noise_sigma, or noise with no rng, is an ArgumentError.
     """
     if n_shots is not None and noise_sigma is not None:
         raise ArgumentError("choose binomial or Gaussian noise, not both", "n_shots", "noise_sigma")
     if noise_sigma is not None and noise_sigma < 0.0:
         raise ArgumentError(f"noise_sigma must be non-negative, got {noise_sigma!r}", "noise_sigma")
+    if rng is None and (n_shots is not None or noise_sigma is not None):
+        raise ArgumentError(f"{'Gaussian' if n_shots is None else 'binomial'} noise requires an rng", "rng")
     angles = np.asarray(axis_angles, dtype=float)
     durations = np.asarray(pulse_durations, dtype=float)
     surface = expected_occupation(rho, angles[:, None], durations[None, :], t_pi)
 
     if n_shots is not None:
-        if rng is None:
-            raise ValueError("binomial noise requires an rng")
         surface = binomial_fraction(rng, n_shots, surface)
     elif noise_sigma is not None:
-        if rng is None:
-            raise ValueError("Gaussian noise requires an rng")
         # Noise past float64 is +-inf with no warning, which the clip saturates at 0 or 1.
         with np.errstate(over="ignore"):
             surface = np.clip(surface + noise_sigma * rng.standard_normal(surface.shape), 0.0, 1.0)
@@ -357,13 +356,13 @@ def overlap_fidelity(rho: DensityMatrix2, target) -> float:
     """Overlap <psi|rho|psi> with a pure target state.
 
     target is a normalized length-2 complex amplitude vector
-    (psi_0, psi_1) in the basis (|0>, |1>).
+    (psi_0, psi_1) in the basis (|0>, |1>); any other is an ArgumentError.
     """
     psi = np.asarray(target)
     if psi.shape != (2,):
-        raise ValueError("target must be a 2-amplitude state")
+        raise ArgumentError("target must be a 2-amplitude state", "target")
     psi = psi.astype(complex)
     if abs(float(np.linalg.norm(psi)) - 1.0) > 1e-6:
-        raise ValueError("state vector target must be normalized")
+        raise ArgumentError("state vector target must be normalized", "target")
     value = float(np.real(np.conj(psi) @ rho.matrix() @ psi))
     return min(max(value, 0.0), 1.0)

@@ -45,25 +45,15 @@ from jpmsim.protocol import (
     iq_fidelity,
     rabi_chevron,
     ramsey_fringe,
+    relaxation_error,
     stark_calibration,
 )
 from jpmsim.tomography import DensityMatrix2, TomogramGrid, expected_occupation, fit_tomogram, synthesize_tomogram
 from jpmsim.transfer import efficiency, peak_efficiency
 
-SUBCOMMANDS = [
-    "potential-sweep",
-    "bifurcation",
-    "transfer-curves",
-    "transfer-peak",
-    "budget",
-    "ramsey",
-    "rabi",
-    "stark",
-    "depletion",
-    "iq",
-    "tomo-synth",
-    "tomo-fit",
-]
+# Taken from the table, so a new subcommand gets every test that runs
+# over them; tests/test_acceptance.py pins the names by hand.
+SUBCOMMANDS = list(jpmsim.cli._SUBCOMMANDS)
 
 ARTIFACTS = {
     "potential-sweep": "potential_sweep.csv",
@@ -1758,14 +1748,14 @@ def _unwrapped(text):
     return "".join(text.split())
 
 
-@pytest.mark.parametrize("name", list(jpmsim.cli._SUBCOMMANDS))
+@pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_help_text_lists_and_describes_each_subcommand(capsys, name):
     # A subcommand's help line is its entry in the top-level listing and
     # the whole description of its own --help, between the usage block
     # and the options.  argparse wraps both to the terminal width, at
     # spaces and after hyphens, so the texts are compared without their
     # whitespace.
-    _, summary = jpmsim.cli._SUBCOMMANDS[name]
+    _, summary, _ = jpmsim.cli._SUBCOMMANDS[name]
     pages = []
     for argv in (["--help"], [name, "--help"]):
         with pytest.raises(SystemExit) as exc:
@@ -2011,7 +2001,7 @@ def test_writer_matches_per_cell_reference(tmp_path, overrides):
     # tomo-fit reads the tomogram.csv that tomo-synth writes before it
     # (csv is written last).
     cfg = RunConfig.from_sources(overrides=overrides + (f"tomo.input={tmp_path / 'tomogram.csv'}",))
-    for name, (compute, _) in jpmsim.cli._SUBCOMMANDS.items():
+    for name, (compute, _, _) in jpmsim.cli._SUBCOMMANDS.items():
         data = compute(cfg)
         if name == "bifurcation":
             # At 0.1 uA, beta_L < 1: no critical flux, an empty table.
@@ -2095,7 +2085,7 @@ def test_table_compute_memory_is_bounded(name, override):
     # peaks at about 41 and 33 B per row.  One dict per time read 321 B
     # per row, and a fixed-width <U18 label column 97 B per row.
     cfg = RunConfig.from_sources(overrides=(override,))
-    compute, _ = jpmsim.cli._SUBCOMMANDS[name]
+    compute, _, _ = jpmsim.cli._SUBCOMMANDS[name]
     tracemalloc.start()
     try:
         data = compute(cfg)
@@ -2112,7 +2102,7 @@ def test_iq_memory_is_flat_in_shot_count():
     # so the tracemalloc peak at 2e6 shots per class stays within 2 MB of
     # that at 5e4: about 1.6 against 1.2 MB.  A first run loads
     # jpmsim.protocol untraced.
-    compute, _ = jpmsim.cli._SUBCOMMANDS["iq"]
+    compute, _, _ = jpmsim.cli._SUBCOMMANDS["iq"]
     compute(RunConfig.from_sources(overrides=("iq.n_shots=10",)))
     peaks = []
     for n in (50_000, 2_000_000):
@@ -2695,6 +2685,29 @@ def test_every_result_that_leaves_float64_goes_through_the_finite_rule():
     assert sites <= callers, sites - callers
 
 
+def test_every_library_argument_refusal_names_its_argument():
+    # A refused library argument is an ArgumentError that carries its
+    # name, for run_subcommand to map to config keys.  A bare ValueError
+    # is left to the dataclasses' __post_init__ checks and to
+    # errors.require_finite_positive, which name the field at fault and
+    # which RunConfig._section and cli._read_tomogram refuse under their
+    # config section or file.
+    package = Path(jpmsim.cli.__file__).parent
+    bare = []
+    for path in sorted(package.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        body += [node for cls in body if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for function in (node for node in body if isinstance(node, ast.FunctionDef)):
+            where = f"{path.stem}.{function.name}"
+            if function.name == "__post_init__" or where == "errors.require_finite_positive":
+                continue
+            for node in ast.walk(function):
+                exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+                if getattr(getattr(exc, "func", exc), "id", None) == "ValueError":
+                    bare.append(f"{where}:{node.lineno}")
+    assert bare == []
+
+
 def test_every_private_and_imported_module_name_is_used():
     # A module-level private name (function, class or constant, not a
     # dunder) or an imported name that nothing in src/jpmsim reads is a
@@ -2884,11 +2897,9 @@ def test_refusal_line_leads_with_the_keys_of_its_arguments(tmp_path, capsys, nam
 
 
 def test_argument_keys_are_schema_keys_their_subcommand_reads(keys_read):
-    # Each argument a subcommand's table maps names one or more config
+    # Each argument a subcommand's row maps names one or more config
     # keys, each a schema key that the subcommand reads.
-    table = jpmsim.cli._ARGUMENT_KEYS
-    assert set(table) <= set(SUBCOMMANDS)
-    for name, arguments in table.items():
+    for name, (_, _, arguments) in jpmsim.cli._SUBCOMMANDS.items():
         for argument, keys in arguments.items():
             assert keys.split(), (name, argument)
             assert set(keys.split()) <= set(SCHEMA) & set(keys_read[name]), (name, argument, keys)
@@ -2898,9 +2909,10 @@ def _default(method, *overrides):
     return getattr(RunConfig.from_sources(None, overrides), method)()
 
 
-# Each row: the subcommand whose table maps the refusal, a library call
+# Each row: the subcommand whose row maps the refusal, a library call
 # it makes with one input at fault, the error raised and its params.
 _LIBRARY_REFUSALS = {
+    "budget-relaxation": ("budget", lambda pc: relaxation_error(0.0, 1e-6), ("t_prep", "t1")),
     "ramsey-t2": ("ramsey", lambda pc: ramsey_fringe([0.0], [0.0], pc, t2=0.0, amplitude=1.0), ("t2", "cfg.t1")),
     "ramsey-amplitude": ("ramsey", lambda pc: ramsey_fringe([0.0], [0.0], pc, amplitude=2.0), ("amplitude",)),
     "ramsey-delays": ("ramsey", lambda pc: ramsey_fringe([0.0], [-1.0], pc, amplitude=1.0), ("delays",)),
@@ -3001,6 +3013,9 @@ _LIBRARY_REFUSALS = {
         "bifurcation", lambda pc: critical_flux(_default("jpm_params", "device.critical_current=1e300A")),
         ("p.critical_current", "p.loop_inductance"),
     ),
+    "sweep-rank": (
+        "potential-sweep", lambda pc: well_report_sweep(np.zeros((2, 2)), _default("jpm_params")), ("fluxes",)
+    ),
     "sweep-phase": (
         "potential-sweep", lambda pc: well_report_sweep([0.0, 1e16 * PHI0], _default("jpm_params")), ("fluxes",)
     ),
@@ -3022,12 +3037,12 @@ _LIBRARY_REFUSALS = {
 @pytest.mark.parametrize("row", list(_LIBRARY_REFUSALS))
 def test_library_refusals_carry_the_arguments_the_cli_maps(row):
     # A library refusal that run_subcommand keys carries the names of its
-    # arguments at fault, and the subcommand's table maps each of them.
+    # arguments at fault, and the subcommand's row maps each of them.
     name, call, params = _LIBRARY_REFUSALS[row]
     with pytest.raises((ArgumentError, NumericalError)) as info:
         call(_default("protocol_config"))
     assert info.value.params == params
-    assert set(params) <= set(jpmsim.cli._ARGUMENT_KEYS[name])
+    assert set(params) <= set(jpmsim.cli._SUBCOMMANDS[name][2])
 
 
 # Each rule that cli.py once checked again so that its refusal could name

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
 import jpmsim.protocol
-from jpmsim.errors import NumericalError
+from jpmsim.errors import ArgumentError, NumericalError
 from jpmsim.protocol import (
     _finish_sweep,
     DEFAULT_DEPHASING_PER_PHOTON,
@@ -1132,7 +1132,7 @@ def test_iq_fidelity_refusals_leave_the_generator_unchanged(n_shots, model, erro
 
 @pytest.mark.parametrize(
     "shots, error",
-    [([], ValueError), ((), ValueError), (np.array([0, 1]), TypeError), ([0, 1], TypeError),
+    [([], ArgumentError), ((), ArgumentError), (np.array([0, 1]), TypeError), ([0, 1], TypeError),
      ([ShotResult(1, (1.0, 0.0)), (0.0, 0.0)], TypeError), (7, TypeError)],
     ids=["empty-list", "empty-tuple", "label-array", "label-list", "mixed", "not-iterable"],
 )
